@@ -312,3 +312,75 @@ def test_cli_writes_files_when_out_given(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     assert (tmp_path / "cli_out" / "summary.csv").exists()
     assert (tmp_path / "cli_out" / "decay.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# pinned output: small runs of every problem x solver, recorded rows
+# ---------------------------------------------------------------------------
+
+# (config, summary rows, decay row count, last decay row), recorded from the
+# released code; refactors must reproduce them
+PINNED_RUNS = [
+    (dict(problem='error_equation', solver='method1', scheme='etd2', n=31, dts=(0.25,),
+          horizon=1.0, px=3, overlaps=(1, 2), fixed_iterations=10, seeds=2, seed=7),
+     [('error_equation-method1-etd2-d1-dt0.25-T1-P3', 1, 0.25, 1.0, 3, 'etd2', 'method1', 0.7784047259271369, '', '', 10),
+      ('error_equation-method1-etd2-d2-dt0.25-T1-P3', 2, 0.25, 1.0, 3, 'etd2', 'method1', 0.6037625464647074, '', '', 10)],
+     176, ('error_equation-method1-etd2-d2-dt0.25-T1-P3-s8', 10, 1, 3, 0.00427342162513156, 0.005419348668180671)),
+    (dict(problem='error_equation', solver='method2', scheme='etd1', n=31, dts=(0.1,),
+          horizon=1.0, px=2, overlaps=(2, 4), fixed_iterations=10, seeds=2, seed=1),
+     [('error_equation-method2-etd1-d2-dt0.1-T1-P2', 2, 0.1, 1.0, 2, 'etd1', 'method2', 0.7411944163223377, '', '', 10),
+      ('error_equation-method2-etd1-d4-dt0.1-T1-P2', 4, 0.1, 1.0, 2, 'etd1', 'method2', 0.5392466364535391, '', '', 10)],
+     88, ('error_equation-method2-etd1-d4-dt0.1-T1-P2-s2', 10, 0, 1, 0.00124499586962423, 0.0012869026279363621)),
+    (dict(problem='analytic_1d', solver='mono', scheme='etd2', n=63, dts=(0.025, 0.0125),
+          horizon=0.25),
+     [('analytic_1d-mono-etd2-dt0.025-T0.25', 0, 0.025, 0.25, 1, 'etd2', 'mono', '', 0.005434070632640392, '', ''),
+      ('analytic_1d-mono-etd2-dt0.0125-T0.25', 0, 0.0125, 0.25, 1, 'etd2', 'mono', '', 0.001670706273240724, 1.7015752024155235, '')],
+     0, None),
+    (dict(problem='analytic_1d', solver='method1', scheme='etd2', n=63, px=3,
+          overlaps=(2,), dts=(0.025, 0.0125), horizon=0.25),
+     [('analytic_1d-method1-etd2-d2-dt0.025-T0.25', 2, 0.025, 0.25, 3, 'etd2', 'method1', '', 0.014637301080213824, '', 140),
+      ('analytic_1d-method1-etd2-d2-dt0.0125-T0.25', 2, 0.0125, 0.25, 3, 'etd2', 'method1', '', 0.004356875974461602, 1.748283614449149, 200)],
+     1360, ('analytic_1d-method1-etd2-d2-dt0.0125-T0.25', 10, 20, 3, 1.646402758570531e-07, 1.2470316182192926e-06)),
+    (dict(problem='analytic_1d', solver='method2', scheme='etd1', n=63, px=2,
+          overlaps=(2, 4), dts=(0.025, 0.0125), horizon=0.25, window_steps=4),
+     [('analytic_1d-method2-etd1-d2-dt0.025-T0.25', 2, 0.025, 0.25, 2, 'etd1', 'method2', '', 0.26129832443266615, '', 65),
+      ('analytic_1d-method2-etd1-d2-dt0.0125-T0.25', 2, 0.0125, 0.25, 2, 'etd1', 'method2', '', 0.14303669602059016, 0.8693125559902809, 75),
+      ('analytic_1d-method2-etd1-d4-dt0.025-T0.25', 4, 0.025, 0.25, 2, 'etd1', 'method2', '', 0.20076787682708255, '', 31),
+      ('analytic_1d-method2-etd1-d4-dt0.0125-T0.25', 4, 0.0125, 0.25, 2, 'etd1', 'method2', '', 0.10543505775929171, 0.9291738032090665, 35)],
+     412, ('analytic_1d-method2-etd1-d4-dt0.0125-T0.25', 35, 0, 1, 0.0003585786194744145, 0.0006088925983843786)),
+    (dict(problem='analytic_2d', solver='mono', scheme='etd2', n=15, ny=12, dts=(0.05,),
+          horizon=0.5),
+     [('analytic_2d-mono-etd2-dt0.05-T0.5-P2x1', '', 0.05, 0.5, 1, 'etd2', 'mono', '', 0.0047741016038086725, '', '')],
+     0, None),
+    (dict(problem='analytic_2d', solver='method1', scheme='etd2', n=15, ny=12, px=2, py=2,
+          overlaps=(2,), overlap_convention='half', dts=(0.05,), horizon=0.5),
+     [('analytic_2d-method1-etd2-dt0.05-T0.5-P2x2', 2, 0.05, 0.5, 2, 'etd2', 'method1', '', 0.005232598475528982, '', 4)],
+     128, ('analytic_2d-method1-etd2-dt0.05-T0.5-P2x2', 4, 4, 7, 2.4623910632737278e-08, 9.173539319760068e-07)),
+    (dict(problem='analytic_2d', solver='method2', scheme='etd2', n=15, ny=12, px=2, py=2,
+          overlaps=(3,), dts=(0.05,), horizon=0.5, seed=4),
+     [('analytic_2d-method2-etd2-dt0.05-T0.5-P2x2', 3, 0.05, 0.5, 2, 'etd2', 'method2', '', 0.0053832065658504236, '', 13)],
+     104, ('analytic_2d-method2-etd2-dt0.05-T0.5-P2x2', 13, 0, 7, 1.6914431102965644e-07, 2.531939543860838e-07)),
+]
+
+
+def _same_field(got, want):
+    # floats to 1e-12 relative; text and integer fields exactly
+    if isinstance(want, float) and not isinstance(got, str):
+        return abs(got - want) <= 1e-12 * abs(want)
+    return isinstance(got, str) == isinstance(want, str) and got == want
+
+
+def _same_row(got, want):
+    return len(got) == len(want) and all(_same_field(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kw,summary,n_decay,last_decay", PINNED_RUNS,
+                         ids=[f"{kw['problem']}-{kw['solver']}" for kw, *_ in PINNED_RUNS])
+def test_pinned_summary_rows_of_every_problem_and_solver(kw, summary, n_decay, last_decay):
+    res = run_experiment(ExperimentConfig(**kw))
+    assert len(res.summary_rows) == len(summary)
+    for got, want in zip(res.summary_rows, summary):
+        assert _same_row(tuple(got), want), (got, want)
+    assert len(res.decay_rows) == n_decay
+    if last_decay is not None:
+        assert _same_row(tuple(res.decay_rows[-1]), last_decay), res.decay_rows[-1]
