@@ -17,7 +17,6 @@ from .matfunc import (
     spectral_factorization_2d,
     phi_scalar,
     apply_phi,
-    apply_phi_2d,
     expm_dense,
 )
 

@@ -1,51 +1,56 @@
 """Problem data, grids, overlapping decompositions, and forcing assembly.
 
-Interior nodes of the unit-spaced index line are numbered 1..n; node 0
-and node n+1 carry physical Dirichlet data.  An overlapping layout with
-p pieces starts from break indices b_i = i (n + 1) / p and widens each
-internal break into an overlap strip: piece i owns interior nodes
-lo_i..hi_i with
+Grids, layouts and pieces are described per axis: a grid has n_k interior
+nodes along axis k, numbered 1..n_k, with nodes 0 and n_k + 1 carrying
+physical Dirichlet data; a 1d grid is the one-axis case.  An overlapping
+layout splits every axis independently and takes the tensor product of
+the splits.  Along one axis, p pieces start from break indices
+b_i = i (n + 1) / p and each internal break widens into an overlap strip:
+piece i owns interior nodes lo_i..hi_i with
 
     lo_1 = 1,            lo_i = b_{i-1} + 1 - c_left   (i > 1),
     hi_p = n,            hi_i = b_i - 1 + c_right      (i < p),
 
 so adjacent pieces share 2c - 1 nodes when both sides widen by c cells.
-Each piece reads one value per internal edge: its left neighbor's value
-at node lo_i - 1 and/or its right neighbor's at node hi_i + 1.  Those
-read nodes must be interior and owned by the neighbor; that is exactly
-the feasibility bound on c checked at construction.
+Each piece reads one row of nodes per internal edge from the neighbor
+across it: the nodes just outside its own box, which must be interior and
+owned by that neighbor; that is exactly the feasibility bound on c checked
+at construction.  Edges are keyed by (axis, side), side 0 being the low
+end of the axis and side 1 the high end, and are always enumerated as
+axis 0 low, axis 0 high, axis 1 low, axis 1 high.
 
 Forcing assembly folds the Dirichlet boundary closure into the source
-term: F_j = f(x_j, t) plus (nu / h^2) times the bordering value at the
-first and last owned node (physical data or a neighbor's trace).  In 2d
-the same happens along all four edges of a subrectangle; with a
-tensor-product layout every edge is either entirely physical or
-entirely interior, so no edge mixes the two cases.
+term: F = f(x, t) plus (nu / h_k^2) times the bordering values (physical
+data or a neighbor's trace) on the first and last node row along every
+axis k.  Corners receive contributions from both adjacent edges, as the
+five-point stencil requires.  With a tensor-product layout every edge is
+either entirely physical or entirely interior.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "Problem1D",
     "Problem2D",
-    "Grid1D",
-    "Grid2D",
-    "Piece1D",
-    "Subrect2D",
+    "Grid",
+    "Box",
     "Interface",
-    "Decomposition1D",
-    "Decomposition2D",
+    "Decomposition",
+    "BoxForcing",
     "make_grid_1d",
     "make_grid_2d",
+    "decompose",
     "decompose_1d",
     "decompose_2d",
+    "box_forcing",
+    "boundary_data",
     "assemble_forcing",
-    "assemble_forcing_2d",
 ]
 
 Scalar2 = Callable[[float, float], float]
@@ -105,6 +110,11 @@ class Problem1D:
             "initial data",
         )
 
+    def boundary_values(self, side: int, face, t: float) -> np.ndarray:
+        """Dirichlet data at the left (side 0) or right (side 1) end; `face`
+        (the end's coordinate) is not needed."""
+        return np.array(float((self.boundary_left, self.boundary_right)[side](t)))
+
 
 @dataclass(frozen=True)
 class Problem2D:
@@ -144,137 +154,149 @@ class Problem2D:
             "initial data",
         )
 
+    def boundary_values(self, side: int, face, t: float) -> np.ndarray:
+        """Dirichlet data at the boundary nodes with coordinates `face`."""
+        return np.asarray(self.boundary(*face, t), dtype=float)
+
+
+Problem = Union[Problem1D, Problem2D]
+
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid with n interior nodes; h = length / (n + 1)."""
+class Grid:
+    """Uniform tensor grid: shape[k] interior nodes along axis k, spacing
+    h_k = lengths[k] / (shape[k] + 1), node j at origin[k] + j h_k."""
 
-    n: int
-    length: float
-    origin: float = 0.0
+    shape: tuple[int, ...]
+    lengths: tuple[float, ...]
+    origin: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"need n >= 3 interior nodes, got {self.n}")
-        if self.length <= 0:
+        if min(self.shape) < 3:
+            raise ValueError(f"need n >= 3 interior nodes per axis, got {self.shape}")
+        if min(self.lengths) <= 0:
             raise ValueError("length must be positive")
 
     @property
-    def h(self) -> float:
-        return self.length / (self.n + 1)
-
-    def x(self, j) -> np.ndarray:
-        """Coordinates of interior node index/indices j (1-based)."""
-        return self.origin + np.asarray(j) * self.h
-
-    def interior(self) -> np.ndarray:
-        return self.x(np.arange(1, self.n + 1))
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    x: Grid1D
-    y: Grid1D
-
-
-def make_grid_1d(n: int, length: float, origin: float = 0.0) -> Grid1D:
-    return Grid1D(n=n, length=length, origin=origin)
-
-
-def make_grid_2d(nx: int, ny: int, lengths: tuple[float, float], origin=(0.0, 0.0)) -> Grid2D:
-    return Grid2D(
-        x=Grid1D(n=nx, length=lengths[0], origin=origin[0]),
-        y=Grid1D(n=ny, length=lengths[1], origin=origin[1]),
-    )
-
-
-@dataclass(frozen=True)
-class Piece1D:
-    """One owned index range lo..hi (1-based, inclusive) of a 1d layout."""
-
-    lo: int
-    hi: int
+    def spacings(self) -> tuple[float, ...]:
+        return tuple(length / (n + 1) for n, length in zip(self.shape, self.lengths))
 
     @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
+    def h(self) -> float:
+        """Spacing of a one-axis grid."""
+        (h,) = self.spacings
+        return h
 
-    def local(self, node: int) -> int:
-        """0-based local index of a global interior node this piece owns."""
-        if not self.lo <= node <= self.hi:
-            raise ValueError(f"node {node} not owned by piece {self.lo}..{self.hi}")
-        return node - self.lo
+    def axis(self, k: int) -> "Grid":
+        """The one-axis grid along axis k."""
+        return Grid((self.shape[k],), (self.lengths[k],), (self.origin[k],))
+
+    @property
+    def x(self) -> "Grid":
+        """The one-axis grid along x (axis 0)."""
+        return self.axis(0)
+
+    @property
+    def y(self) -> "Grid":
+        """The one-axis grid along y (axis 1)."""
+        return self.axis(1)
+
+    def coords(self, j, axis: int = 0) -> np.ndarray:
+        """Coordinates of node index/indices j (1-based) along an axis."""
+        return self.origin[axis] + np.asarray(j) * self.spacings[axis]
+
+    def interior(self, axis: int = 0) -> np.ndarray:
+        return self.coords(np.arange(1, self.shape[axis] + 1), axis)
+
+    def mesh(self, box: "Box") -> tuple[np.ndarray, ...]:
+        """Node coordinates of a box, one array per axis, shaped to
+        broadcast against each other (x[:, None], y[None, :] in 2d)."""
+        nd = len(self.shape)
+        return tuple(
+            self.coords(np.arange(lo, hi + 1), k).reshape([-1 if a == k else 1 for a in range(nd)])
+            for k, (lo, hi) in enumerate(zip(box.lo, box.hi))
+        )
+
+
+def make_grid_1d(n: int, length: float, origin: float = 0.0) -> Grid:
+    return Grid((n,), (length,), (origin,))
+
+
+def make_grid_2d(nx: int, ny: int, lengths: tuple[float, float], origin=(0.0, 0.0)) -> Grid:
+    return Grid((nx, ny), tuple(lengths), tuple(origin))
+
+
+@dataclass(frozen=True)
+class Box:
+    """Interior nodes lo[k]..hi[k] (1-based, inclusive) along each axis."""
+
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(hi - lo + 1 for lo, hi in zip(self.lo, self.hi))
+
+    def local(self, node: tuple[int, ...]) -> tuple[int, ...]:
+        """0-based local index of a global node this box owns."""
+        if not all(lo <= j <= hi for lo, j, hi in zip(self.lo, node, self.hi)):
+            raise ValueError(f"node {node} not owned by box {self.lo}..{self.hi}")
+        return tuple(j - lo for j, lo in zip(node, self.lo))
+
+    def slices_of(self, inner: "Box") -> tuple[slice, ...]:
+        """Index of the nodes of `inner`, a sub-box, in this box's arrays."""
+        return tuple(slice(a - lo, b - lo + 1) for a, b, lo in zip(inner.lo, inner.hi, self.lo))
+
+
+def _with(values: tuple, k: int, value) -> tuple:
+    return values[:k] + (value,) + values[k + 1 :]
 
 
 @dataclass(frozen=True)
 class Interface:
     """One directed trace dependency: `reader` needs `owner`'s values.
 
-    nodes: the global node index (1d) or node-range descriptor (2d folded
-    into owner_take/reader edge) at which the owner's solution is read.
+    The reader's edge (axis, side) borders the owner's nodes `read`, a box
+    one node thick along `axis`; their values, flattened in C order, are
+    the trace.
     """
 
     index: int
     owner: int
     reader: int
-    side: Literal["left", "right", "bottom", "top"]  # which edge of the reader
-    size: int
+    axis: int
+    side: int  # 0: low end of the reader along `axis`, 1: high end
+    read: Box
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.read.shape))
 
 
 @dataclass(frozen=True)
-class Decomposition1D:
-    """Overlapping 1d layout: pieces plus directed interface table.
+class Decomposition:
+    """Overlapping tensor-product layout: pieces (axis 0 slowest) plus
+    the directed interface table, ordered by reader, then by edge.
 
-    For two pieces the classical overlap fractions are
+    For two pieces on one axis the classical overlap fractions are
     alpha = N_alpha / (n + 1), beta = N_beta / (n + 1) where N_alpha is
     piece 2's left read node and N_beta piece 1's right read node.
     """
 
-    n: int
-    p: int
-    delta_cells: int
-    pieces: tuple[Piece1D, ...]
+    shape: tuple[int, ...]
+    counts: tuple[int, ...]  # pieces per axis
+    pieces: tuple[Box, ...]
     interfaces: tuple[Interface, ...]
-    # read node (global) per interface, aligned with `interfaces`
-    read_nodes: tuple[int, ...]
 
     def overlap_fractions(self) -> tuple[float, float]:
-        if self.p != 2:
+        if self.counts != (2,):
             raise ValueError("overlap fractions are defined for two pieces")
-        n_alpha = self.pieces[1].lo - 1
-        n_beta = self.pieces[0].hi + 1
-        return n_alpha / (self.n + 1), n_beta / (self.n + 1)
+        n_alpha = self.pieces[1].lo[0] - 1
+        n_beta = self.pieces[0].hi[0] + 1
+        return n_alpha / (self.shape[0] + 1), n_beta / (self.shape[0] + 1)
 
 
-@dataclass(frozen=True)
-class Subrect2D:
-    """Owned node rectangle [xlo..xhi] x [ylo..yhi] of a 2d layout."""
-
-    ix: int
-    iy: int
-    xpiece: Piece1D
-    ypiece: Piece1D
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.xpiece.size, self.ypiece.size)
-
-
-@dataclass(frozen=True)
-class Decomposition2D:
-    nx: int
-    ny: int
-    px: int
-    py: int
-    overlap_cells: int
-    convention: str
-    subrects: tuple[Subrect2D, ...]
-    interfaces: tuple[Interface, ...]
-    # per interface: (read x-range, read y-range) as 1-based inclusive tuples
-    read_ranges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[Piece1D]:
+def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[tuple[int, int]]:
     """Split 1..n at break indices b_i = i(n+1)/p, widening internal breaks.
 
     The piece left of a break extends widen_right cells past it; the piece
@@ -292,198 +314,141 @@ def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[Piec
     for i in range(1, p + 1):
         lo = 1 if i == 1 else breaks[i - 1] + 1 - widen_left
         hi = n if i == p else breaks[i] - 1 + widen_right
-        pieces.append(Piece1D(lo=lo, hi=hi))
+        pieces.append((lo, hi))
     # Feasibility: every read node must be interior and owned by exactly
     # the adjacent neighbor, which also keeps overlaps from swallowing a
     # whole piece.
-    for i, piece in enumerate(pieces):
-        if i > 0:
-            node = piece.lo - 1
-            nb = pieces[i - 1]
-            if not (1 <= node and nb.lo <= node <= nb.hi):
+    for i, (lo, hi) in enumerate(pieces):
+        for node, nb, name in ((lo - 1, i - 1, "left"), (hi + 1, i + 1, "right")):
+            if 0 <= nb < p and not (1 <= node <= n and pieces[nb][0] <= node <= pieces[nb][1]):
                 raise ValueError(
                     f"overlap too wide: piece {i + 1} reads node {node}, "
-                    f"not owned by its left neighbor {nb.lo}..{nb.hi}"
+                    f"not owned by its {name} neighbor {pieces[nb][0]}..{pieces[nb][1]}"
                 )
-        if i < p - 1:
-            node = piece.hi + 1
-            nb = pieces[i + 1]
-            if not (node <= n and nb.lo <= node <= nb.hi):
-                raise ValueError(
-                    f"overlap too wide: piece {i + 1} reads node {node}, "
-                    f"not owned by its right neighbor {nb.lo}..{nb.hi}"
-                )
-        if i > 0 and pieces[i - 1].hi + 1 <= piece.lo - 1:
+        if i > 0 and pieces[i - 1][1] + 1 <= lo - 1:
             raise ValueError("pieces do not overlap; widen the overlap strip")
     return pieces
 
 
-def decompose_1d(grid: Grid1D, p: int, delta_cells: int) -> Decomposition1D:
-    """Overlapping layout of p pieces, each internal break widened by
-    delta_cells on both sides (overlap width 2 * delta_cells * h).
+def decompose(shape: Sequence[int], counts: Sequence[int], widen: tuple[int, int]) -> Decomposition:
+    """Overlapping tensor-product layout with counts[k] pieces along axis k.
 
-    p = 1 yields the trivial single-piece layout with no interfaces.
+    Every internal break is widened by widen = (c_left, c_right) cells
+    (see `_axis_pieces`).  All counts 1 yield the single-box layout with
+    no interfaces.
     """
-    if p >= 2 and delta_cells < 1:
-        raise ValueError(f"overlap must be at least one cell, got {delta_cells}")
-    pieces = _axis_pieces(grid.n, p, delta_cells, delta_cells)
-    interfaces: list[Interface] = []
-    read_nodes: list[int] = []
-    for i, piece in enumerate(pieces):
-        if i > 0:
-            interfaces.append(
-                Interface(index=len(interfaces), owner=i - 1, reader=i, side="left", size=1)
-            )
-            read_nodes.append(piece.lo - 1)
-        if i < p - 1:
-            interfaces.append(
-                Interface(index=len(interfaces), owner=i + 1, reader=i, side="right", size=1)
-            )
-            read_nodes.append(piece.hi + 1)
-    return Decomposition1D(
-        n=grid.n,
-        p=p,
-        delta_cells=delta_cells if p >= 2 else 0,
-        pieces=tuple(pieces),
-        interfaces=tuple(interfaces),
-        read_nodes=tuple(read_nodes),
-    )
-
-
-def decompose_2d(
-    nx: int,
-    ny: int,
-    px: int,
-    py: int,
-    overlap_cells: int,
-    convention: Literal["half", "full"] = "full",
-) -> Decomposition2D:
-    """Tensor-product overlapping layout of px-by-py subrectangles.
-
-    convention "half": each side of an internal break widens by
-    overlap_cells (strip width 2 * overlap_cells cells).  convention
-    "full": the strip is overlap_cells wide in total, split as evenly as
-    the parity allows.
-    """
-    if convention == "half":
-        wl = wr = overlap_cells
-    elif convention == "full":
-        wl, wr = overlap_cells // 2, overlap_cells - overlap_cells // 2
-    else:
-        raise ValueError(f"unknown overlap convention {convention!r}")
-    if (px >= 2 or py >= 2) and min(wl, wr) < 0:
+    shape, counts = tuple(shape), tuple(counts)
+    if max(counts) >= 2 and min(widen) < 0:
         raise ValueError("overlap must be nonnegative")
-    xpieces = _axis_pieces(nx, px, wl, wr)
-    ypieces = _axis_pieces(ny, py, wl, wr)
-
-    subrects = []
-    for i in range(px):  # x-major enumeration
-        for j in range(py):
-            subrects.append(Subrect2D(ix=i, iy=j, xpiece=xpieces[i], ypiece=ypieces[j]))
-
-    def rect_index(i: int, j: int) -> int:
-        return i * py + j
-
-    interfaces: list[Interface] = []
-    read_ranges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for r_id, r in enumerate(subrects):
-        xs, ys = r.xpiece, r.ypiece
-        if r.ix > 0:
-            interfaces.append(
-                Interface(index=len(interfaces), owner=rect_index(r.ix - 1, r.iy),
-                          reader=r_id, side="left", size=ys.size)
-            )
-            read_ranges.append(((xs.lo - 1, xs.lo - 1), (ys.lo, ys.hi)))
-        if r.ix < px - 1:
-            interfaces.append(
-                Interface(index=len(interfaces), owner=rect_index(r.ix + 1, r.iy),
-                          reader=r_id, side="right", size=ys.size)
-            )
-            read_ranges.append(((xs.hi + 1, xs.hi + 1), (ys.lo, ys.hi)))
-        if r.iy > 0:
-            interfaces.append(
-                Interface(index=len(interfaces), owner=rect_index(r.ix, r.iy - 1),
-                          reader=r_id, side="bottom", size=xs.size)
-            )
-            read_ranges.append(((xs.lo, xs.hi), (ys.lo - 1, ys.lo - 1)))
-        if r.iy < py - 1:
-            interfaces.append(
-                Interface(index=len(interfaces), owner=rect_index(r.ix, r.iy + 1),
-                          reader=r_id, side="top", size=xs.size)
-            )
-            read_ranges.append(((xs.lo, xs.hi), (ys.hi + 1, ys.hi + 1)))
-    # Every read range must fall inside the owner's rectangle.
-    for itf, (xr, yr) in zip(interfaces, read_ranges):
-        owner = subrects[itf.owner]
-        if not (owner.xpiece.lo <= xr[0] and xr[1] <= owner.xpiece.hi
-                and owner.ypiece.lo <= yr[0] and yr[1] <= owner.ypiece.hi):
-            raise ValueError(
-                f"overlap too wide: subrect {itf.reader} reads x{xr} y{yr}, "
-                f"outside its neighbor's owned rectangle"
-            )
-    return Decomposition2D(
-        nx=nx, ny=ny, px=px, py=py,
-        overlap_cells=overlap_cells if (px >= 2 or py >= 2) else 0,
-        convention=convention,
-        subrects=tuple(subrects),
-        interfaces=tuple(interfaces),
-        read_ranges=tuple(read_ranges),
+    spans = [_axis_pieces(n, p, *widen) for n, p in zip(shape, counts)]
+    cells = list(itertools.product(*(range(p) for p in counts)))  # axis 0 slowest
+    position = {cell: i for i, cell in enumerate(cells)}
+    pieces = tuple(
+        Box(tuple(spans[k][c][0] for k, c in enumerate(cell)),
+            tuple(spans[k][c][1] for k, c in enumerate(cell)))
+        for cell in cells
     )
+    interfaces: list[Interface] = []
+    for reader, (cell, box) in enumerate(zip(cells, pieces)):
+        for axis in range(len(shape)):
+            for side, step, node in ((0, -1, box.lo[axis] - 1), (1, 1, box.hi[axis] + 1)):
+                if 0 <= cell[axis] + step < counts[axis]:
+                    interfaces.append(Interface(
+                        index=len(interfaces),
+                        owner=position[_with(cell, axis, cell[axis] + step)],
+                        reader=reader, axis=axis, side=side,
+                        read=Box(_with(box.lo, axis, node), _with(box.hi, axis, node)),
+                    ))
+    return Decomposition(shape=shape, counts=counts, pieces=pieces, interfaces=tuple(interfaces))
+
+
+def decompose_1d(grid: Grid, p: int, delta_cells: int) -> Decomposition:
+    """p pieces, each internal break widened by delta_cells on both sides
+    (overlap width 2 * delta_cells * h)."""
+    return decompose(grid.shape, (p,), (delta_cells, delta_cells))
+
+
+def decompose_2d(nx: int, ny: int, px: int, py: int, overlap_cells: int,
+                 convention: str = "full") -> Decomposition:
+    """px-by-py subrectangles.  convention "half": each side of an internal
+    break widens by overlap_cells (strip width 2 * overlap_cells cells);
+    "full": the strip is overlap_cells wide in total, split as evenly as
+    the parity allows."""
+    if convention not in ("half", "full"):
+        raise ValueError(f"unknown overlap convention {convention!r}")
+    half = overlap_cells // 2
+    widen = (overlap_cells, overlap_cells) if convention == "half" else (half, overlap_cells - half)
+    return decompose((nx, ny), (px, py), widen)
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One edge of a box: the bordering node row f[index] (of shape
+    `shape`, the box shape without the edge's axis), its stencil weight
+    nu / h_axis^2, and the coordinates `face` of the nodes beyond it that
+    carry the bordering values, shaped like the row."""
+
+    side: int
+    index: tuple
+    shape: tuple[int, ...]
+    weight: float
+    face: tuple
+
+
+@dataclass(frozen=True)
+class BoxForcing:
+    """Everything forcing assembly needs of one box that does not depend
+    on t, prepared once: node coordinates and the edges in (axis, side)
+    order."""
+
+    problem: Problem
+    shape: tuple[int, ...]
+    mesh: tuple[np.ndarray, ...]
+    edges: tuple[Edge, ...]
+
+    def initial_state(self) -> np.ndarray:
+        return np.broadcast_to(
+            np.asarray(self.problem.initial(*self.mesh), dtype=float), self.shape
+        ).copy()
+
+
+def box_forcing(problem: Problem, grid: Grid, box: Box) -> BoxForcing:
+    """Prepare forcing assembly on one box of a grid."""
+    mesh = grid.mesh(box)
+    edges = []
+    for axis, (n, h) in enumerate(zip(box.shape, grid.spacings)):
+        for side, node, row in ((0, box.lo[axis] - 1, 0), (1, box.hi[axis] + 1, n - 1)):
+            edges.append(Edge(
+                side=side,
+                index=_with((slice(None),) * len(box.shape), axis, row),
+                shape=box.shape[:axis] + box.shape[axis + 1 :],
+                weight=problem.nu / h**2,
+                face=tuple(grid.coords(node, axis) if a == axis else np.squeeze(x, axis)
+                           for a, x in enumerate(mesh)),
+            ))
+    return BoxForcing(problem=problem, shape=box.shape, mesh=mesh, edges=tuple(edges))
+
+
+def boundary_data(forcing: BoxForcing, edge: int, t: float) -> np.ndarray:
+    """Physical Dirichlet data beyond one edge of a box at time t, shaped
+    like the edge's node row."""
+    e = forcing.edges[edge]
+    values = forcing.problem.boundary_values(e.side, e.face, t)
+    return values if values.shape == e.shape else np.broadcast_to(values, e.shape).copy()
 
 
 def assemble_forcing(
-    problem: Problem1D,
-    grid: Grid1D,
-    lo: int,
-    hi: int,
-    t: float,
-    left_value: float,
-    right_value: float,
+    forcing: BoxForcing, t: float, edge_values: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Source samples f(x_j, t) for j = lo..hi with the Dirichlet closure
-    (nu / h^2) * bordering value folded into the first and last entry."""
-    x = grid.x(np.arange(lo, hi + 1))
-    f = np.asarray(problem.source(x, t), dtype=float)
-    if f.ndim == 0:
-        f = np.full(hi - lo + 1, float(f))
-    f = f.copy()
-    w = problem.nu / grid.h**2
-    f[0] += w * left_value
-    f[-1] += w * right_value
-    return f
+    """Source samples f(x, t) on a box with the Dirichlet closure
+    (nu / h_k^2) * bordering values folded into the edge node rows.
 
-
-def assemble_forcing_2d(
-    problem: Problem2D,
-    grid: Grid2D,
-    rect: Subrect2D,
-    t: float,
-    left: np.ndarray,
-    right: np.ndarray,
-    bottom: np.ndarray,
-    top: np.ndarray,
-) -> np.ndarray:
-    """Source field on a subrectangle with all four Dirichlet edge closures.
-
-    left/right have one value per owned y-node; bottom/top one per owned
-    x-node.  Corners receive contributions from both adjacent edges, as
-    the five-point stencil requires.
+    edge_values: one array per edge in (axis, side) order, with one value
+    per node of the edge row (flattened or in the row's shape).
     """
-    xs = grid.x.x(np.arange(rect.xpiece.lo, rect.xpiece.hi + 1))
-    ys = grid.y.x(np.arange(rect.ypiece.lo, rect.ypiece.hi + 1))
-    f = np.asarray(problem.source(xs[:, None], ys[None, :], t), dtype=float)
-    if f.ndim == 0:
-        f = np.full(rect.shape, float(f))
-    f = np.broadcast_to(f, rect.shape).copy()
-    nx_loc, ny_loc = rect.shape
-    for name, vec, want in (("left", left, ny_loc), ("right", right, ny_loc),
-                            ("bottom", bottom, nx_loc), ("top", top, nx_loc)):
-        if np.asarray(vec).shape != (want,):
-            raise ValueError(f"{name} edge data must have shape ({want},)")
-    wx = problem.nu / grid.x.h**2
-    wy = problem.nu / grid.y.h**2
-    f[0, :] += wx * np.asarray(left, dtype=float)
-    f[-1, :] += wx * np.asarray(right, dtype=float)
-    f[:, 0] += wy * np.asarray(bottom, dtype=float)
-    f[:, -1] += wy * np.asarray(top, dtype=float)
+    f = np.array(forcing.problem.source(*forcing.mesh, t), dtype=float)
+    if f.shape != forcing.shape:
+        f = np.broadcast_to(f, forcing.shape).copy()
+    for e, values in zip(forcing.edges, edge_values):
+        f[e.index] += e.weight * values.reshape(e.shape)
     return f

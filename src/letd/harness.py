@@ -27,8 +27,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import estimate_contraction, observed_order
+from .analysis import estimate_contraction
 from .geometry import (
+    Box,
     Problem1D,
     Problem2D,
     decompose_1d,
@@ -36,16 +37,10 @@ from .geometry import (
     make_grid_1d,
     make_grid_2d,
 )
-from .matfunc import (
-    build_laplacian_1d,
-    build_laplacian_2d,
-    spectral_factorization,
-    spectral_factorization_2d,
-)
+from .matfunc import DirichletLaplacian, spectral_factorization
 from .schwarz import (
     SolverConfig,
     build_local_pieces,
-    build_local_pieces_2d,
     method1_advance,
     method1_march,
     method2_solve,
@@ -288,16 +283,49 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1d accuracy studies
+# accuracy studies on the manufactured solutions
 # ---------------------------------------------------------------------------
 
-def _exact_blocks_1d(problem, grid, layout, timegrid):
-    times = timegrid.times()
-    blocks = []
-    for piece in layout.pieces:
-        xs = grid.x(np.arange(piece.lo, piece.hi + 1))
-        blocks.append(problem.exact(xs[None, :], times[:, None]))
-    return blocks
+def _solve(config, problem, grid, layout, timegrid, guess=None):
+    """Build and solve one accuracy run.  Returns the boxes of the pieces,
+    their trajectories and the iteration logs: one per level for method 1,
+    one for method 2, none for the monodomain run."""
+    if config.solver == "mono":
+        ws = make_workspace(
+            spectral_factorization(DirichletLaplacian(grid.shape, problem.nu, grid.spacings)),
+            timegrid.dt)
+        whole = Box((1,) * len(grid.shape), grid.shape)
+        return [whole], [run_monodomain(problem, grid, timegrid, config.scheme, ws)], []
+    pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
+    scfg = config.solver_config()
+    if config.solver == "method1":
+        trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg)
+    else:
+        trajs, log = method2_solve(pieces, layout.interfaces, timegrid, scfg, init_guess=guess)
+        logs = [log]
+    return layout.pieces, trajs, logs
+
+
+def _record_logs(result, config, tag, logs, levels=None) -> None:
+    """Decay rows of the first `levels` logs (all by default); per-step
+    logs are 1-based levels, a waveform log is level 0.  A run with a
+    log that stopped short of its tolerance counts as unconverged."""
+    for m, log in enumerate(logs[:levels]):
+        level = m + 1 if config.solver == "method1" else 0
+        _decay_from_log(result.decay_rows, tag, log, time_level=level)
+    if not all(log.converged for log in logs):
+        result.notes["unconverged_runs"] = result.notes.get("unconverged_runs", 0) + 1
+
+
+def _max_error(problem, grid, boxes, trajs, t) -> float:
+    """Largest |traj - exact| over the pieces; the exact solution is taken
+    at time(s) t, broadcast against any leading time axis of the trajs."""
+    err = 0.0
+    for box, traj in zip(boxes, trajs):
+        lead = (1,) * (traj.ndim - len(box.shape))
+        exact = problem.exact(*(x.reshape(lead + x.shape) for x in grid.mesh(box)), t)
+        err = max(err, float(np.abs(traj - exact).max()))
+    return err
 
 
 def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> None:
@@ -310,40 +338,19 @@ def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> No
         loops = [(delta, decompose_1d(grid, config.px, delta))
                  for delta in config.overlaps]
     for delta, layout in loops:
-        errors, order_in = [], []
+        order_in = []
         for dt in config.dts:
             steps = int(round(config.horizon / dt))
             timegrid = TimeGrid(config.horizon, steps)
             times = timegrid.times()
-            exact_full = problem.exact(xs[None, :], times[:, None])
-            scale = float(np.abs(exact_full).max())
+            scale = float(np.abs(problem.exact(xs[None, :], times[:, None])).max())
             tag = (f"{config.problem}-{config.solver}-{config.scheme}"
                    + (f"-d{delta}" if delta != "" else "")
                    + f"-dt{dt:g}-T{config.horizon:g}")
-            if config.solver == "mono":
-                ws = make_workspace(
-                    spectral_factorization(build_laplacian_1d(config.n, problem.nu, grid.h)),
-                    timegrid.dt)
-                traj = run_monodomain(problem, grid, timegrid, config.scheme, ws)
-                abs_err = float(np.abs(traj - exact_full).max())
-                iters = ""
-            else:
-                pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
-                scfg = config.solver_config()
-                if config.solver == "method1":
-                    trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg)
-                    iters = sum(log.iterations for log in logs)
-                    for m, log in enumerate(logs):
-                        _decay_from_log(result.decay_rows, tag, log, time_level=m + 1)
-                else:
-                    trajs, log = method2_solve(pieces, layout.interfaces, timegrid, scfg)
-                    iters = log.iterations
-                    _decay_from_log(result.decay_rows, tag, log, time_level=0)
-                abs_err = 0.0
-                for block, traj in zip(_exact_blocks_1d(problem, grid, layout, timegrid), trajs):
-                    abs_err = max(abs_err, float(np.abs(traj - block).max()))
-            rel = abs_err / scale
-            errors.append(rel)
+            boxes, trajs, logs = _solve(config, problem, grid, layout, timegrid)
+            _record_logs(result, config, tag, logs)
+            iters = sum(log.iterations for log in logs) if logs else ""
+            rel = _max_error(problem, grid, boxes, trajs, times[:, None]) / scale
             order = "" if not order_in else math.log2(order_in[-1] / rel)
             order_in.append(rel)
             result.summary_rows.append(
@@ -353,20 +360,6 @@ def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> No
     result.notes["error_normalization"] = "space-time max of the exact solution"
 
 
-# ---------------------------------------------------------------------------
-# 2d accuracy study (final-time error)
-# ---------------------------------------------------------------------------
-
-def _final_error_2d(problem, grid, layout, trajs, t_end) -> float:
-    err = 0.0
-    for rect, traj in zip(layout.subrects, trajs):
-        lx = grid.x.x(np.arange(rect.xpiece.lo, rect.xpiece.hi + 1))
-        ly = grid.y.x(np.arange(rect.ypiece.lo, rect.ypiece.hi + 1))
-        exact = problem.exact(lx[:, None], ly[None, :], t_end)
-        err = max(err, float(np.abs(traj[-1] - exact).max()))
-    return err
-
-
 def _accuracy_study_2d(config: ExperimentConfig, result: ExperimentResult) -> None:
     problem = builtin_problem("analytic_2d", config.horizon)
     ny = config.n if config.ny is None else config.ny
@@ -374,40 +367,23 @@ def _accuracy_study_2d(config: ExperimentConfig, result: ExperimentResult) -> No
     dt = config.dts[0]
     steps = int(round(config.horizon / dt))
     timegrid = TimeGrid(config.horizon, steps)
-    xs, ys = grid.x.interior(), grid.y.interior()
     tag = (f"{config.problem}-{config.solver}-{config.scheme}"
            f"-dt{dt:g}-T{config.horizon:g}-P{config.px}x{config.py}")
-    if config.solver == "mono":
-        ws = make_workspace(
-            spectral_factorization_2d(
-                build_laplacian_2d(config.n, ny, problem.nu, grid.x.h, grid.y.h)),
-            timegrid.dt)
-        traj = run_monodomain(problem, grid, timegrid, config.scheme, ws)
-        exact = problem.exact(xs[:, None], ys[None, :], config.horizon)
-        err = float(np.abs(traj[-1] - exact).max())
-        result.summary_rows.append(
-            (tag, "", dt, config.horizon, 1, config.scheme, "mono", "", err, "", ""))
-    else:
+    layout = guess = None
+    delta = ""
+    if config.solver != "mono":
         delta = config.overlaps[0]
         layout = decompose_2d(config.n, ny, config.px, config.py, delta,
                               convention=config.overlap_convention)
-        pieces = build_local_pieces_2d(problem, grid, layout, timegrid.dt)
-        scfg = config.solver_config()
-        if config.solver == "method1":
-            trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg)
-            iters = max((log.iterations for log in logs), default=0)
-            for m, log in enumerate(logs[:4]):
-                _decay_from_log(result.decay_rows, tag, log, time_level=m + 1)
-        else:
+        if config.solver == "method2":
             guess = random_trace_guess(layout.interfaces, config.seed, steps=steps)
-            trajs, log = method2_solve(pieces, layout.interfaces, timegrid, scfg,
-                                       init_guess=guess)
-            iters = log.iterations
-            _decay_from_log(result.decay_rows, tag, log, time_level=0)
-        err = _final_error_2d(problem, grid, layout, trajs, config.horizon)
-        result.summary_rows.append(
-            (tag, delta, dt, config.horizon, config.px, config.scheme,
-             config.solver, "", err, "", iters))
+    boxes, trajs, logs = _solve(config, problem, grid, layout, timegrid, guess)
+    _record_logs(result, config, tag, logs, levels=4)
+    iters = max(log.iterations for log in logs) if logs else ""
+    err = _max_error(problem, grid, boxes, [traj[-1] for traj in trajs], config.horizon)
+    result.summary_rows.append(
+        (tag, delta, dt, config.horizon, 1 if config.solver == "mono" else config.px,
+         config.scheme, config.solver, "", err, "", iters))
     result.notes["error_normalization"] = "absolute max-norm error at the final time"
 
 
@@ -422,6 +398,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         _accuracy_study_2d(config, result)
     result.wall_time = time.perf_counter() - start
+    if "unconverged_runs" in result.notes:
+        print(f"letd: warning: {result.notes['unconverged_runs']} run(s) used all "
+              f"{config.max_iterations} iterations without meeting the tolerance "
+              f"{config.effective_tolerance():g}", file=sys.stderr)
     if config.out is not None:
         result.write(config.out)
     return result
@@ -532,7 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = config_from_args(args)
         result = run_experiment(config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"letd: {exc}", file=sys.stderr)
         return 2
     if config.out is None:

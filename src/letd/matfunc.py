@@ -1,8 +1,8 @@
 """Dirichlet Laplacians and the exponential-integrator phi functions.
 
 The spatial operator throughout is the standard second-order finite
-difference Laplacian on a uniform grid with homogeneous Dirichlet rows
-eliminated,
+difference Laplacian on a uniform tensor grid with homogeneous Dirichlet
+rows eliminated.  Along one axis with n interior nodes and spacing h it is
 
     A = (nu / h^2) tridiag(1, -2, 1),    shape (n, n),
 
@@ -11,11 +11,13 @@ discrete sine modes and
 
     lambda_j = -(4 nu / h^2) sin^2(j pi / (2 (n + 1))),   j = 1..n.
 
+On several axes the operator is the Kronecker sum of the per-axis
+operators: its eigenvectors are the tensorized sine modes and its
+eigenvalues the sums lambda_i + lambda_j (+ ...), formed by broadcasting.
 The orthonormal sine transform is its own inverse, so products with
 analytic functions of A (here exp and the phi functions) reduce to a
-DST-I, a diagonal scaling, and a second DST-I.  In 2d the operator is
-the Kronecker sum of two 1d Laplacians and the same recipe applies with
-tensorized sine modes and eigenvalue sums.
+DST-I over the spatial axes, a diagonal scaling, and a second DST-I.
+A 1d operator is the one-axis case.
 
 phi functions used by the exponential time differencing steps:
 
@@ -32,21 +34,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, dstn
+from scipy.fft import dstn
 from scipy.linalg import expm
 
 __all__ = [
-    "DirichletLaplacian1D",
-    "DirichletLaplacian2D",
-    "SpectralFactorization1D",
-    "SpectralFactorization2D",
+    "DirichletLaplacian",
+    "SpectralFactorization",
     "build_laplacian_1d",
     "build_laplacian_2d",
     "spectral_factorization",
     "spectral_factorization_2d",
     "phi_scalar",
     "apply_phi",
-    "apply_phi_2d",
     "expm_dense",
 ]
 
@@ -58,154 +57,106 @@ _TAYLOR_TERMS = 12
 
 
 @dataclass(frozen=True)
-class DirichletLaplacian1D:
-    """nu * u_xx on n interior nodes of a uniform grid, Dirichlet ends."""
+class DirichletLaplacian:
+    """nu * Laplacian on a tensor grid of interior nodes, Dirichlet faces.
 
-    n: int
+    shape[k] interior nodes with spacing spacings[k] along axis k; the
+    diffusivity is shared by all axes.
+    """
+
+    shape: tuple[int, ...]
     nu: float
-    h: float
+    spacings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one interior node, got n={self.n}")
+        if not self.shape or len(self.shape) != len(self.spacings):
+            raise ValueError(f"need one spacing per axis, got {self.shape} and {self.spacings}")
+        if min(self.shape) < 1:
+            raise ValueError(f"need at least one interior node per axis, got {self.shape}")
         if self.nu <= 0.0:
             raise ValueError(f"diffusivity must be positive, got nu={self.nu}")
-        if self.h <= 0.0:
-            raise ValueError(f"grid spacing must be positive, got h={self.h}")
+        if min(self.spacings) <= 0.0:
+            raise ValueError(f"grid spacing must be positive, got {self.spacings}")
 
-    @property
-    def scale(self) -> float:
-        """Stencil weight nu / h^2."""
-        return self.nu / self.h**2
+    def _axis_scale(self, k: int) -> float:
+        """Stencil weight nu / h^2 along axis k."""
+        return self.nu / self.spacings[k] ** 2
 
-    def eigenvalues(self) -> np.ndarray:
-        """All n eigenvalues, ascending in mode number (descending in value)."""
-        j = np.arange(1, self.n + 1)
-        s = np.sin(j * np.pi / (2.0 * (self.n + 1)))
-        return -4.0 * self.scale * s * s
+    def _axis_eigenvalues(self, k: int) -> np.ndarray:
+        n = self.shape[k]
+        j = np.arange(1, n + 1)
+        s = np.sin(j * np.pi / (2.0 * (n + 1)))
+        return -4.0 * self._axis_scale(k) * s * s
 
-    def dense(self) -> np.ndarray:
-        """Materialize the tridiagonal matrix (for small-n oracles)."""
-        a = np.zeros((self.n, self.n))
-        idx = np.arange(self.n)
-        a[idx, idx] = -2.0 * self.scale
-        a[idx[:-1], idx[:-1] + 1] = self.scale
-        a[idx[:-1] + 1, idx[:-1]] = self.scale
+    def _axis_dense(self, k: int) -> np.ndarray:
+        n, w = self.shape[k], self._axis_scale(k)
+        a = np.zeros((n, n))
+        idx = np.arange(n)
+        a[idx, idx] = -2.0 * w
+        a[idx[:-1], idx[:-1] + 1] = w
+        a[idx[:-1] + 1, idx[:-1]] = w
         return a
 
-
-@dataclass(frozen=True)
-class DirichletLaplacian2D:
-    """Kronecker sum of two 1d Dirichlet Laplacians sharing one diffusivity."""
-
-    x: DirichletLaplacian1D
-    y: DirichletLaplacian1D
-
-    def __post_init__(self) -> None:
-        if self.x.nu != self.y.nu:
-            raise ValueError("x and y operators must share the diffusivity")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.x.n, self.y.n)
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues on the mode grid: entry (i, j, ...) is lambda_i +
+        lambda_j + ...; a single axis is ascending in mode number."""
+        lam = self._axis_eigenvalues(0)
+        for k in range(1, len(self.shape)):
+            lam = np.add.outer(lam, self._axis_eigenvalues(k))
+        return lam
 
     def dense(self) -> np.ndarray:
-        """kron(Ax, Iy) + kron(Ix, Ay); row index = x-major node ordering."""
-        ix = np.eye(self.x.n)
-        iy = np.eye(self.y.n)
-        return np.kron(self.x.dense(), iy) + np.kron(ix, self.y.dense())
+        """Materialize the matrix (for small oracles); row index = nodes in
+        C order, axis 0 slowest: sum_k I x .. x A_k x .. x I."""
+        total = math.prod(self.shape)
+        out = np.zeros((total, total))
+        for k, n in enumerate(self.shape):
+            before = math.prod(self.shape[:k])
+            after = total // (before * n)
+            out += np.kron(np.kron(np.eye(before), self._axis_dense(k)), np.eye(after))
+        return out
 
 
-def build_laplacian_1d(n: int, nu: float, h: float) -> DirichletLaplacian1D:
+def build_laplacian_1d(n: int, nu: float, h: float) -> DirichletLaplacian:
     """Dirichlet Laplacian on n interior nodes with spacing h."""
-    return DirichletLaplacian1D(n=n, nu=nu, h=h)
+    return DirichletLaplacian((n,), nu, (h,))
 
 
-def build_laplacian_2d(
-    nx: int, ny: int, nu: float, hx: float, hy: float
-) -> DirichletLaplacian2D:
+def build_laplacian_2d(nx: int, ny: int, nu: float, hx: float, hy: float) -> DirichletLaplacian:
     """Tensor-product Dirichlet Laplacian on an nx-by-ny interior grid."""
-    return DirichletLaplacian2D(
-        x=DirichletLaplacian1D(n=nx, nu=nu, h=hx),
-        y=DirichletLaplacian1D(n=ny, nu=nu, h=hy),
-    )
-
-
-def _dst1(v: np.ndarray, axes) -> np.ndarray:
-    # DST-I with orthonormal weights is symmetric and involutive, so the
-    # same call serves as forward and inverse sine transform.  Leading
-    # axes beyond `axes` are treated as a batch.
-    if len(axes) == 1:
-        return dst(v, type=1, norm="ortho", axis=axes[0])
-    return dstn(v, type=1, norm="ortho", axes=axes)
+    return DirichletLaplacian((nx, ny), nu, (hx, hy))
 
 
 @dataclass(frozen=True)
-class SpectralFactorization1D:
-    """Sine-mode diagonalization of a 1d Dirichlet Laplacian."""
+class SpectralFactorization:
+    """Sine-mode diagonalization of a Dirichlet Laplacian.
 
-    op: DirichletLaplacian1D
-    eigenvalues: np.ndarray = field(repr=False)
+    Transforms act on the trailing len(op.shape) axes of an array; leading
+    axes are a batch.  DST-I with orthonormal weights is symmetric and
+    involutive, so one call serves as forward and inverse transform.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.op.n
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues arranged to match the mode-coefficient layout."""
-        return self.eigenvalues
+    op: DirichletLaplacian
+    spectrum: np.ndarray = field(repr=False)  # eigenvalues on the mode grid
 
     def to_modes(self, v: np.ndarray) -> np.ndarray:
-        """Physical nodal values -> sine-mode coefficients.
-
-        Acts on the last axis; leading axes are a batch.
-        """
-        if v.shape[-1] != self.op.n:
-            raise ValueError(f"expected length {self.op.n}, got {v.shape}")
-        return _dst1(v, axes=(-1,))
+        """Physical nodal values -> sine-mode coefficients."""
+        shape = self.op.shape
+        if v.shape[-len(shape):] != shape:
+            raise ValueError(f"expected trailing shape {shape}, got {v.shape}")
+        return dstn(v, type=1, norm="ortho", axes=tuple(range(-len(shape), 0)))
 
     def from_modes(self, w: np.ndarray) -> np.ndarray:
         """Sine-mode coefficients -> physical nodal values."""
         return self.to_modes(w)
 
 
-@dataclass(frozen=True)
-class SpectralFactorization2D:
-    """Tensorized sine-mode diagonalization of a 2d Dirichlet Laplacian."""
-
-    op: DirichletLaplacian2D
-    eigengrid: np.ndarray = field(repr=False)  # lambda_x[i] + lambda_y[j]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.op.shape
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalue grid arranged to match the mode-coefficient layout."""
-        return self.eigengrid
-
-    def to_modes(self, v: np.ndarray) -> np.ndarray:
-        """Acts on the last two axes; leading axes are a batch."""
-        if v.shape[-2:] != self.op.shape:
-            raise ValueError(f"expected trailing shape {self.op.shape}, got {v.shape}")
-        return _dst1(v, axes=(-2, -1))
-
-    def from_modes(self, w: np.ndarray) -> np.ndarray:
-        return self.to_modes(w)
-
-
-def spectral_factorization(op: DirichletLaplacian1D) -> SpectralFactorization1D:
+def spectral_factorization(op: DirichletLaplacian) -> SpectralFactorization:
     """Precompute the eigenvalues used by every phi application."""
-    return SpectralFactorization1D(op=op, eigenvalues=op.eigenvalues())
+    return SpectralFactorization(op=op, spectrum=op.eigenvalues())
 
 
-def spectral_factorization_2d(op: DirichletLaplacian2D) -> SpectralFactorization2D:
-    """Precompute the eigenvalue grid lambda_x[i] + lambda_y[j]."""
-    lx = op.x.eigenvalues()
-    ly = op.y.eigenvalues()
-    return SpectralFactorization2D(op=op, eigengrid=lx[:, None] + ly[None, :])
+spectral_factorization_2d = spectral_factorization
 
 
 def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:
@@ -244,23 +195,13 @@ def phi_scalar(k: int, z):
     return out if out.ndim else float(out)
 
 
-def apply_phi(fact: SpectralFactorization1D, k: int, dt: float, v: np.ndarray) -> np.ndarray:
-    """phi_k(dt A) v through the sine-mode factorization."""
+def apply_phi(fact: SpectralFactorization, k: int, dt: float, v: np.ndarray) -> np.ndarray:
+    """phi_k(dt A) v through the sine-mode factorization; v is a nodal field."""
     if dt < 0.0:
         raise ValueError(f"time increment must be nonnegative, got dt={dt}")
     v = np.asarray(v, dtype=float)
     w = fact.to_modes(v)
-    w = w * phi_scalar(k, dt * fact.eigenvalues)
-    return fact.from_modes(w)
-
-
-def apply_phi_2d(fact: SpectralFactorization2D, k: int, dt: float, field_: np.ndarray) -> np.ndarray:
-    """phi_k(dt (Ax + Ay)) applied to an (nx, ny) nodal field."""
-    if dt < 0.0:
-        raise ValueError(f"time increment must be nonnegative, got dt={dt}")
-    field_ = np.asarray(field_, dtype=float)
-    w = fact.to_modes(field_)
-    w = w * phi_scalar(k, dt * fact.eigengrid)
+    w = w * phi_scalar(k, dt * fact.spectrum)
     return fact.from_modes(w)
 
 

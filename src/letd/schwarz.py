@@ -19,8 +19,8 @@ Two ways to resolve the interface coupling:
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
-the initial state, and per-edge closures prepared by
-`build_local_pieces` / `build_local_pieces_2d`.  Interface traces are
+the initial state, the forcing data and per-edge closures prepared by
+`build_local_pieces`, and share one sweep loop.  Interface traces are
 stored per directed interface as arrays of shape (size,) at a single
 level and (steps + 1, size) over a window; size is 1 in 1d and the
 edge length in 2d.
@@ -29,33 +29,29 @@ The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
 the initial guess on that interface, must drop below the tolerance.
 A vanishing initial guess flips the criterion to absolute updates.
+A non-finite update stops either driver with an error in any mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
-    Decomposition1D,
-    Decomposition2D,
-    Grid1D,
-    Grid2D,
+    BoxForcing,
+    Decomposition,
+    Grid,
     Interface,
-    Problem1D,
-    Problem2D,
+    Problem,
     assemble_forcing,
-    assemble_forcing_2d,
+    boundary_data,
+    box_forcing,
 )
-from .matfunc import (
-    build_laplacian_1d,
-    build_laplacian_2d,
-    spectral_factorization,
-    spectral_factorization_2d,
-)
+from .matfunc import DirichletLaplacian, spectral_factorization
 from .steppers import Scheme, StepWorkspace, TimeGrid, make_workspace
 
 __all__ = [
@@ -170,20 +166,21 @@ def superlinear_bound(k: int, alpha: float, beta: float, length: float, nu: floa
 class LocalPiece:
     """One subdomain prepared for the Schwarz drivers.
 
-    edges: one entry per border of the piece; ("physical", fn) borders
-    carry a callable t -> edge values, ("trace", i) borders read
-    interface i.  owned: (interface index, extractor) pairs for the
-    values this piece provides to neighbors.  assemble(t, values)
-    builds the closed forcing from edge values ordered like `edges`.
+    edges: one entry per edge of the piece in (axis, side) order;
+    ("physical", fn) edges carry a callable t -> boundary data,
+    ("trace", i) edges read interface i.  owned: (interface index, node
+    index) pairs for the values this piece provides to neighbors.
     """
 
     ws: StepWorkspace
     u0: np.ndarray
+    closure: BoxForcing
     edges: tuple
-    assemble: Callable[[float, Sequence[np.ndarray]], np.ndarray]
     owned: tuple
 
-    def edge_values(self, t: float, traces: Optional[TraceSet], level: Optional[int]) -> list:
+    def forcing(self, t: float, traces: Optional[TraceSet],
+                level: Optional[int] = None) -> np.ndarray:
+        """Closed forcing at t; trace edges read `traces` (at `level` over a window)."""
         vals = []
         for kind, ref in self.edges:
             if kind == "physical":
@@ -193,125 +190,40 @@ class LocalPiece:
             else:
                 tr = traces[ref]
                 vals.append(tr[level] if level is not None else tr)
-        return vals
+        return assemble_forcing(self.closure, t, vals)
 
     def extract(self, state: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        return [(idx, take(state)) for idx, take in self.owned]
+        """Owned interface values of one state (n...) or a trajectory
+        (levels, n...), flattened per level."""
+        lead = state.shape[: state.ndim - self.u0.ndim]
+        return [(idx, state[(Ellipsis,) + index].reshape(lead + (-1,)).copy())
+                for idx, index in self.owned]
 
 
 def build_local_pieces(
-    problem: Problem1D, grid: Grid1D, layout: Decomposition1D, dt: float
+    problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
-    """Per-piece workspaces, initial states and edge closures for a 1d layout."""
+    """Per-piece workspaces, initial states and edge closures of a layout."""
     pieces = []
-    for i, piece in enumerate(layout.pieces):
-        fact = spectral_factorization(build_laplacian_1d(piece.size, problem.nu, grid.h))
-        ws = make_workspace(fact, dt)
-        u0 = np.asarray(problem.initial(grid.x(np.arange(piece.lo, piece.hi + 1))), dtype=float)
-        u0 = np.broadcast_to(u0, (piece.size,)).copy()
-
-        def trace_edge(side: str, i=i) -> Optional[int]:
-            for itf in layout.interfaces:
-                if itf.reader == i and itf.side == side:
-                    return itf.index
-            return None
-
-        edges = []
-        left_idx = trace_edge("left")
-        if left_idx is None:
-            edges.append(("physical", lambda t, p=problem: np.array([float(p.boundary_left(t))])))
-        else:
-            edges.append(("trace", left_idx))
-        right_idx = trace_edge("right")
-        if right_idx is None:
-            edges.append(("physical", lambda t, p=problem: np.array([float(p.boundary_right(t))])))
-        else:
-            edges.append(("trace", right_idx))
-
-        def assemble(t, values, piece=piece):
-            return assemble_forcing(
-                problem, grid, piece.lo, piece.hi, t,
-                float(np.asarray(values[0]).ravel()[0]),
-                float(np.asarray(values[1]).ravel()[0]),
-            )
-
-        owned = []
-        for itf, node in zip(layout.interfaces, layout.read_nodes):
-            if itf.owner == i:
-                j = piece.local(node)
-                # Works on a single state (n,) and on a whole trajectory
-                # (levels, n) alike.
-                owned.append((itf.index, lambda u, j=j: u[..., j : j + 1].copy()))
-        pieces.append(LocalPiece(ws=ws, u0=u0, edges=tuple(edges),
-                                 assemble=assemble, owned=tuple(owned)))
-    return pieces
-
-
-def build_local_pieces_2d(
-    problem: Problem2D, grid: Grid2D, layout: Decomposition2D, dt: float
-) -> list[LocalPiece]:
-    """Per-subrectangle workspaces, initial states and edge closures."""
-    pieces = []
-    for r_id, rect in enumerate(layout.subrects):
-        xp, yp = rect.xpiece, rect.ypiece
-        fact = spectral_factorization_2d(
-            build_laplacian_2d(xp.size, yp.size, problem.nu, grid.x.h, grid.y.h)
-        )
-        ws = make_workspace(fact, dt)
-        xs = grid.x.x(np.arange(xp.lo, xp.hi + 1))
-        ys = grid.y.x(np.arange(yp.lo, yp.hi + 1))
-        u0 = np.broadcast_to(
-            np.asarray(problem.initial(xs[:, None], ys[None, :]), dtype=float), rect.shape
-        ).copy()
-
-        trace_for = {
-            itf.side: itf.index
-            for itf in layout.interfaces
-            if itf.reader == r_id
-        }
-
-        def physical(side: str, xs=xs, ys=ys, xp=xp, yp=yp):
-            b = problem.boundary
-            if side == "left":
-                x0 = grid.x.x(xp.lo - 1)
-                return lambda t: np.broadcast_to(np.asarray(b(x0, ys, t), dtype=float), ys.shape).copy()
-            if side == "right":
-                x1 = grid.x.x(xp.hi + 1)
-                return lambda t: np.broadcast_to(np.asarray(b(x1, ys, t), dtype=float), ys.shape).copy()
-            if side == "bottom":
-                y0 = grid.y.x(yp.lo - 1)
-                return lambda t: np.broadcast_to(np.asarray(b(xs, y0, t), dtype=float), xs.shape).copy()
-            y1 = grid.y.x(yp.hi + 1)
-            return lambda t: np.broadcast_to(np.asarray(b(xs, y1, t), dtype=float), xs.shape).copy()
-
+    for i, box in enumerate(layout.pieces):
+        op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
+        ws = make_workspace(spectral_factorization(op), dt)
+        closure = box_forcing(problem, grid, box)
+        trace_for = {(itf.axis, itf.side): itf.index
+                     for itf in layout.interfaces if itf.reader == i}
         edges = tuple(
-            ("trace", trace_for[side]) if side in trace_for else ("physical", physical(side))
-            for side in ("left", "right", "bottom", "top")
+            ("trace", trace_for[axis, side]) if (axis, side) in trace_for
+            else ("physical", partial(boundary_data, closure, 2 * axis + side))
+            for axis in range(len(box.shape)) for side in (0, 1)
         )
-
-        def assemble(t, values, rect=rect):
-            return assemble_forcing_2d(problem, grid, rect, t, *values)
-
-        owned = []
-        for itf, (xr, yr) in zip(layout.interfaces, layout.read_ranges):
-            if itf.owner == r_id:
-                xsl = slice(xr[0] - xp.lo, xr[1] - xp.lo + 1)
-                ysl = slice(yr[0] - yp.lo, yr[1] - yp.lo + 1)
-                size = itf.size
-                owned.append((
-                    itf.index,
-                    # Edge values as a flat vector; leading trajectory
-                    # axes, if any, are preserved.
-                    lambda u, xsl=xsl, ysl=ysl, size=size:
-                        u[..., xsl, ysl].reshape(u.shape[:-2] + (size,)).copy(),
-                ))
-        pieces.append(LocalPiece(ws=ws, u0=u0, edges=edges,
-                                 assemble=assemble, owned=tuple(owned)))
+        owned = tuple((itf.index, box.slices_of(itf.read))
+                      for itf in layout.interfaces if itf.owner == i)
+        pieces.append(LocalPiece(ws=ws, u0=closure.initial_state(), closure=closure,
+                                 edges=edges, owned=owned))
     return pieces
 
 
-def _interface_sizes(interfaces: Sequence[Interface]) -> list[int]:
-    return [itf.size for itf in interfaces]
+build_local_pieces_2d = build_local_pieces
 
 
 def random_trace_guess(
@@ -324,8 +236,8 @@ def random_trace_guess(
     """
     rng = np.random.default_rng(seed)
     out = []
-    for size in _interface_sizes(interfaces):
-        shape = (size,) if steps is None else (steps + 1, size)
+    for itf in interfaces:
+        shape = (itf.size,) if steps is None else (steps + 1, itf.size)
         draw = rng.random(shape)
         while np.any(draw == 0.0):  # astronomically rare; keeps the open interval
             draw[draw == 0.0] = rng.random(np.count_nonzero(draw == 0.0))
@@ -367,6 +279,58 @@ def _stop(updates: np.ndarray, denoms: np.ndarray, tol: float) -> bool:
     return bool(np.all(rel < tol))
 
 
+def _sweep_loop(
+    sweep: Callable[[TraceSet], list],
+    pieces: Sequence[LocalPiece],
+    traces: TraceSet,
+    config: SolverConfig,
+    reference: Optional[TraceSet],
+    time_axis: bool,
+    where: str,
+) -> tuple[list[np.ndarray], IterationLog]:
+    """Iterate sweep(traces) -> per-piece states from the initial traces.
+
+    Each sweep's owned interface values become the next traces; the loop
+    logs the per-interface updates (and distances from `reference`),
+    stops by the relative-update rule in tolerance mode, and raises on a
+    non-finite update in either mode.  Without interfaces one sweep is
+    the solution.
+    """
+    n_if = len(traces)
+    if n_if == 0:
+        return sweep([]), IterationLog(
+            updates=np.zeros((1, 0)), errors=None, converged=True,
+            iterations=1, tolerance=config.tolerance,
+        )
+    denoms = _trace_norms(traces, time_axis)
+    err_rows = [] if reference is None else [_trace_diff(traces, reference, time_axis)]
+    upd_rows = []
+    converged = config.mode == "fixed"
+    for k in range(1, config.budget + 1):
+        states = sweep(traces)
+        new_traces = initial_traces(pieces, states, n_if)
+        update = _trace_diff(new_traces, traces, time_axis)
+        bad = np.flatnonzero(~np.isfinite(update))
+        if bad.size:
+            raise FloatingPointError(
+                f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
+        upd_rows.append(update)
+        if reference is not None:
+            err_rows.append(_trace_diff(new_traces, reference, time_axis))
+        traces = new_traces
+        if config.mode == "tolerance" and _stop(update, denoms, config.tolerance):
+            converged = True
+            break
+    log = IterationLog(
+        updates=np.array(upd_rows),
+        errors=np.array(err_rows) if reference is not None else None,
+        converged=converged,
+        iterations=len(upd_rows),
+        tolerance=config.tolerance,
+    )
+    return states, log
+
+
 def method1_advance(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
@@ -391,7 +355,7 @@ def method1_advance(
     scheme = config.scheme
     # Bordering values at t_now are the converged ones: physical data or
     # the neighbor's current state.
-    now_traces = initial_traces(pieces, states, n_if) if n_if else []
+    now_traces = initial_traces(pieces, states, n_if)
     base_hat = []
     predictor_hat = []
     for piece, u in zip(pieces, states):
@@ -400,8 +364,7 @@ def method1_advance(
         if scheme == "etd1":
             base_hat.append(piece.ws.exp_kernel * u_hat)
         else:
-            f_now = piece.assemble(t_now, piece.edge_values(t_now, now_traces, None))
-            f_now_hat = fa.to_modes(f_now)
+            f_now_hat = fa.to_modes(piece.forcing(t_now, now_traces))
             base_hat.append(
                 piece.ws.exp_kernel * u_hat
                 + (piece.ws.phi1_kernel - piece.ws.phi2_kernel) * f_now_hat
@@ -416,54 +379,20 @@ def method1_advance(
         new_states = []
         for piece, bh, gk in zip(pieces, base_hat, gain_kernel):
             fa = piece.ws.fact
-            f_next = piece.assemble(t_next, piece.edge_values(t_next, traces, None))
+            f_next = piece.forcing(t_next, traces)
             new_states.append(fa.from_modes(bh + gk * fa.to_modes(f_next)))
         return new_states
-
-    if n_if == 0:
-        new_states = sweep([])
-        log = IterationLog(
-            updates=np.zeros((1, 0)), errors=None, converged=True,
-            iterations=1, tolerance=config.tolerance,
-        )
-        return new_states, log
 
     if init_guess is not None:
         traces = [np.array(tr, dtype=float).reshape(itf.size)
                   for tr, itf in zip(init_guess, interfaces)]
-    elif scheme == "etd1":
-        traces = list(now_traces)
+    elif scheme == "etd1" or n_if == 0:
+        traces = now_traces
     else:
         predictor = [p.ws.fact.from_modes(ph) for p, ph in zip(pieces, predictor_hat)]
         traces = initial_traces(pieces, predictor, n_if)
-    denoms = _trace_norms(traces, time_axis=False)
-
-    err_rows = []
-    if reference is not None:
-        err_rows.append(_trace_diff(traces, reference, time_axis=False))
-    upd_rows = []
-    converged = False
-    new_states = list(states)
-    for _ in range(config.budget):
-        new_states = sweep(traces)
-        new_traces = initial_traces(pieces, new_states, n_if)
-        upd_rows.append(_trace_diff(new_traces, traces, time_axis=False))
-        if reference is not None:
-            err_rows.append(_trace_diff(new_traces, reference, time_axis=False))
-        traces = new_traces
-        if config.mode == "tolerance" and _stop(upd_rows[-1], denoms, config.tolerance):
-            converged = True
-            break
-    if config.mode == "fixed":
-        converged = True
-    log = IterationLog(
-        updates=np.array(upd_rows).reshape(len(upd_rows), n_if),
-        errors=np.array(err_rows).reshape(len(err_rows), n_if) if reference is not None else None,
-        converged=converged,
-        iterations=len(upd_rows),
-        tolerance=config.tolerance,
-    )
-    return new_states, log
+    return _sweep_loop(sweep, pieces, traces, config, reference, time_axis=False,
+                       where=f"at t={t_next:g}")
 
 
 def method1_march(
@@ -515,7 +444,7 @@ def _march_window(
         f_stack = np.empty((steps + 1,) + u0.shape)
         for m in range(steps + 1):
             t = t_start + m * dt
-            f_stack[m] = piece.assemble(t, piece.edge_values(t, traces, m))
+            f_stack[m] = piece.forcing(t, traces, m)
         f_hat = fa.to_modes(f_stack)
         out_hat = np.empty_like(f_hat)
         u_hat = fa.to_modes(u0)
@@ -533,14 +462,6 @@ def _march_window(
     return trajs
 
 
-def _window_traces(pieces, trajs, n_if, steps) -> TraceSet:
-    traces: TraceSet = [None] * n_if
-    for piece, traj in zip(pieces, trajs):
-        for idx, take in piece.owned:
-            traces[idx] = take(traj)
-    return traces
-
-
 def _solve_window(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
@@ -552,14 +473,7 @@ def _solve_window(
     guess: Optional[TraceSet],
     reference: Optional[TraceSet],
 ) -> tuple[list[np.ndarray], IterationLog]:
-    n_if = len(interfaces)
-    if n_if == 0:
-        trajs = _march_window(pieces, u_start, t_start, dt, steps, config.scheme, [])
-        return trajs, IterationLog(
-            updates=np.zeros((1, 0)), errors=None, converged=True,
-            iterations=1, tolerance=config.tolerance,
-        )
-    pinned = initial_traces(pieces, u_start, n_if)
+    pinned = initial_traces(pieces, u_start, len(interfaces))
     if guess is None:
         traces = [np.repeat(p[None, :], steps + 1, axis=0) for p in pinned]
     else:
@@ -567,34 +481,12 @@ def _solve_window(
                   for g, itf in zip(guess, interfaces)]
     for tr, p in zip(traces, pinned):
         tr[0] = p
-    denoms = _trace_norms(traces, time_axis=True)
 
-    err_rows = []
-    if reference is not None:
-        err_rows.append(_trace_diff(traces, reference, time_axis=True))
-    upd_rows = []
-    converged = False
-    trajs = None
-    for _ in range(config.budget):
-        trajs = _march_window(pieces, u_start, t_start, dt, steps, config.scheme, traces)
-        new_traces = _window_traces(pieces, trajs, n_if, steps)
-        upd_rows.append(_trace_diff(new_traces, traces, time_axis=True))
-        if reference is not None:
-            err_rows.append(_trace_diff(new_traces, reference, time_axis=True))
-        traces = new_traces
-        if config.mode == "tolerance" and _stop(upd_rows[-1], denoms, config.tolerance):
-            converged = True
-            break
-    if config.mode == "fixed":
-        converged = True
-    log = IterationLog(
-        updates=np.array(upd_rows).reshape(len(upd_rows), n_if),
-        errors=np.array(err_rows).reshape(len(err_rows), n_if) if reference is not None else None,
-        converged=converged,
-        iterations=len(upd_rows),
-        tolerance=config.tolerance,
-    )
-    return trajs, log
+    def sweep(traces: TraceSet) -> list[np.ndarray]:
+        return _march_window(pieces, u_start, t_start, dt, steps, config.scheme, traces)
+
+    return _sweep_loop(sweep, pieces, traces, config, reference, time_axis=True,
+                       where=f"in the window from t={t_start:g}")
 
 
 def method2_solve(

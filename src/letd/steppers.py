@@ -30,26 +30,21 @@ This provides an iteration-free oracle for the per-step Schwarz driver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal
 
 import numpy as np
 
 from .geometry import (
-    Grid1D,
-    Grid2D,
-    Decomposition1D,
-    Piece1D,
+    Box,
+    Decomposition,
+    Grid,
+    Problem,
     Problem1D,
-    Problem2D,
-    Subrect2D,
     assemble_forcing,
-    assemble_forcing_2d,
+    boundary_data,
+    box_forcing,
 )
-from .matfunc import (
-    SpectralFactorization1D,
-    SpectralFactorization2D,
-    phi_scalar,
-)
+from .matfunc import SpectralFactorization, phi_scalar
 
 __all__ = [
     "TimeGrid",
@@ -57,15 +52,12 @@ __all__ = [
     "make_workspace",
     "etd1_step",
     "etd2_step",
-    "local_etd_step",
-    "local_etd_step_2d",
     "coupled_step_direct",
     "run_monodomain",
     "Scheme",
 ]
 
 Scheme = Literal["etd1", "etd2"]
-AnyFact = Union[SpectralFactorization1D, SpectralFactorization2D]
 
 
 @dataclass(frozen=True)
@@ -104,14 +96,14 @@ class StepWorkspace:
     and the ETD2 correction is phi2_kernel * (F_next - F_now).
     """
 
-    fact: AnyFact
+    fact: SpectralFactorization
     dt: float
     exp_kernel: np.ndarray
     phi1_kernel: np.ndarray
     phi2_kernel: np.ndarray
 
 
-def make_workspace(fact: AnyFact, dt: float) -> StepWorkspace:
+def make_workspace(fact: SpectralFactorization, dt: float) -> StepWorkspace:
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
     z = dt * fact.spectrum
@@ -150,61 +142,8 @@ def etd2_step(
     )
 
 
-def local_etd_step(
-    ws: StepWorkspace,
-    scheme: Scheme,
-    u_m: np.ndarray,
-    problem: Problem1D,
-    grid: Grid1D,
-    piece: Piece1D,
-    t_now: float,
-    t_next: float,
-    bc_now: Optional[tuple[float, float]],
-    bc_next: tuple[float, float],
-) -> np.ndarray:
-    """One step of a single 1d piece with explicit bordering Dirichlet values.
-
-    bc_now/bc_next are (left, right) pairs: physical boundary data or a
-    neighbor's trace, whichever borders the piece at that end.  ETD1 only
-    needs bc_next; ETD2 needs both.
-    """
-    f_next = assemble_forcing(problem, grid, piece.lo, piece.hi, t_next, *bc_next)
-    if scheme == "etd1":
-        return etd1_step(ws, u_m, f_next)
-    if scheme == "etd2":
-        if bc_now is None:
-            raise ValueError("etd2 needs bordering values at t_now as well")
-        f_now = assemble_forcing(problem, grid, piece.lo, piece.hi, t_now, *bc_now)
-        return etd2_step(ws, u_m, f_now, f_next)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def local_etd_step_2d(
-    ws: StepWorkspace,
-    scheme: Scheme,
-    u_m: np.ndarray,
-    problem: Problem2D,
-    grid: Grid2D,
-    rect: Subrect2D,
-    t_now: float,
-    t_next: float,
-    edges_now: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    edges_next: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """One step of a single subrectangle; edges are (left, right, bottom, top)."""
-    f_next = assemble_forcing_2d(problem, grid, rect, t_next, *edges_next)
-    if scheme == "etd1":
-        return etd1_step(ws, u_m, f_next)
-    if scheme == "etd2":
-        if edges_now is None:
-            raise ValueError("etd2 needs bordering values at t_now as well")
-        f_now = assemble_forcing_2d(problem, grid, rect, t_now, *edges_now)
-        return etd2_step(ws, u_m, f_now, f_next)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _kernel_times_unit(ws: StepWorkspace, kernel: np.ndarray, idx: int) -> np.ndarray:
-    e = np.zeros(ws.fact.n)
+    e = np.zeros(ws.fact.op.shape)
     e[idx] = 1.0
     fa = ws.fact
     return fa.from_modes(kernel * fa.to_modes(e))
@@ -217,50 +156,47 @@ def coupled_step_direct(
     u1: np.ndarray,
     u2: np.ndarray,
     problem: Problem1D,
-    grid: Grid1D,
-    layout: Decomposition1D,
+    grid: Grid,
+    layout: Decomposition,
     t_now: float,
     t_next: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance both pieces of a two-piece layout one step, coupling exact.
+    """Advance both pieces of a two-piece 1d layout one step, coupling exact.
 
     Each piece's new state is affine in the one trace value it reads at
     t_next, so the two unknown traces solve a 2x2 system and the states
     follow by substitution.  Matches the per-step Schwarz iteration in
     the limit of vanishing tolerance.
     """
-    if layout.p != 2:
+    if layout.counts != (2,):
         raise ValueError("direct coupled step requires exactly two pieces")
     p1, p2 = layout.pieces
     w = problem.nu / grid.h**2
     # Read nodes: piece 1 reads its right border hi1+1 (owned by piece 2),
     # piece 2 reads its left border lo2-1 (owned by piece 1).
-    node_b = p1.hi + 1
-    node_a = p2.lo - 1
-    ia = p1.local(node_a)   # where piece 1's state is read
-    ib = p2.local(node_b)   # where piece 2's state is read
-    psi_l = float(problem.boundary_left(t_next))
-    psi_r = float(problem.boundary_right(t_next))
+    ia = p1.local((p2.lo[0] - 1,))   # where piece 1's state is read
+    ib = p2.local((p1.hi[0] + 1,))   # where piece 2's state is read
+    fc1, fc2 = box_forcing(problem, grid, p1), box_forcing(problem, grid, p2)
+
+    def forcing1(t: float, trace: float) -> np.ndarray:  # physical data on the left
+        return assemble_forcing(fc1, t, [boundary_data(fc1, 0, t), np.array([trace])])
+
+    def forcing2(t: float, trace: float) -> np.ndarray:  # physical data on the right
+        return assemble_forcing(fc2, t, [np.array([trace]), boundary_data(fc2, 1, t)])
 
     if scheme == "etd1":
-        base1 = etd1_step(ws1, u1, assemble_forcing(problem, grid, p1.lo, p1.hi, t_next, psi_l, 0.0))
-        base2 = etd1_step(ws2, u2, assemble_forcing(problem, grid, p2.lo, p2.hi, t_next, 0.0, psi_r))
-        gv1 = w * _kernel_times_unit(ws1, ws1.phi1_kernel, p1.size - 1)
-        gv2 = w * _kernel_times_unit(ws2, ws2.phi1_kernel, 0)
+        base1 = etd1_step(ws1, u1, forcing1(t_next, 0.0))
+        base2 = etd1_step(ws2, u2, forcing2(t_next, 0.0))
+        k1, k2 = ws1.phi1_kernel, ws2.phi1_kernel
     elif scheme == "etd2":
         # At t_now the bordering values are the current neighbor traces.
-        s1_now = float(np.asarray(u2)[ib])
-        s2_now = float(np.asarray(u1)[ia])
-        f1_now = assemble_forcing(problem, grid, p1.lo, p1.hi, t_now,
-                                  float(problem.boundary_left(t_now)), s1_now)
-        f2_now = assemble_forcing(problem, grid, p2.lo, p2.hi, t_now,
-                                  s2_now, float(problem.boundary_right(t_now)))
-        base1 = etd2_step(ws1, u1, f1_now, assemble_forcing(problem, grid, p1.lo, p1.hi, t_next, psi_l, 0.0))
-        base2 = etd2_step(ws2, u2, f2_now, assemble_forcing(problem, grid, p2.lo, p2.hi, t_next, 0.0, psi_r))
-        gv1 = w * _kernel_times_unit(ws1, ws1.phi2_kernel, p1.size - 1)
-        gv2 = w * _kernel_times_unit(ws2, ws2.phi2_kernel, 0)
+        base1 = etd2_step(ws1, u1, forcing1(t_now, np.asarray(u2)[ib]), forcing1(t_next, 0.0))
+        base2 = etd2_step(ws2, u2, forcing2(t_now, np.asarray(u1)[ia]), forcing2(t_next, 0.0))
+        k1, k2 = ws1.phi2_kernel, ws2.phi2_kernel
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    gv1 = w * _kernel_times_unit(ws1, k1, p1.shape[0] - 1)
+    gv2 = w * _kernel_times_unit(ws2, k2, 0)
 
     g1 = gv1[ia]  # d s_a / d s_b
     g2 = gv2[ib]  # d s_b / d s_a
@@ -272,59 +208,26 @@ def coupled_step_direct(
     return base1 + gv1 * s_b, base2 + gv2 * s_a
 
 
-def _physical_edges_2d(problem: Problem2D, grid: Grid2D, rect: Subrect2D, t: float):
-    xs = grid.x.x(np.arange(rect.xpiece.lo, rect.xpiece.hi + 1))
-    ys = grid.y.x(np.arange(rect.ypiece.lo, rect.ypiece.hi + 1))
-    x0 = grid.x.x(rect.xpiece.lo - 1)
-    x1 = grid.x.x(rect.xpiece.hi + 1)
-    y0 = grid.y.x(rect.ypiece.lo - 1)
-    y1 = grid.y.x(rect.ypiece.hi + 1)
-    b = problem.boundary
-    as_vec = lambda v, m: np.broadcast_to(np.asarray(v, dtype=float), (m,)).copy()
-    return (
-        as_vec(b(x0, ys, t), ys.size),
-        as_vec(b(x1, ys, t), ys.size),
-        as_vec(b(xs, y0, t), xs.size),
-        as_vec(b(xs, y1, t), xs.size),
-    )
-
-
 def run_monodomain(
-    problem: Union[Problem1D, Problem2D],
-    grid: Union[Grid1D, Grid2D],
+    problem: Problem,
+    grid: Grid,
     timegrid: TimeGrid,
     scheme: Scheme,
     ws: StepWorkspace,
 ) -> np.ndarray:
     """March the whole domain; returns the trajectory including t = 0.
 
-    Shape (steps + 1, n) in 1d and (steps + 1, nx, ny) in 2d.  The state
-    is kept in mode space across steps so each step costs two DSTs.
+    Shape (steps + 1, *grid.shape).  The state is kept in mode space
+    across steps so each step costs two DSTs.
     """
     if scheme not in ("etd1", "etd2"):
         raise ValueError(f"unknown scheme {scheme!r}")
     fa = ws.fact
-    one_d = isinstance(grid, Grid1D)
-    if one_d:
-        x = grid.interior()
-        u0 = np.asarray(problem.initial(x), dtype=float)
+    fc = box_forcing(problem, grid, Box((1,) * len(grid.shape), grid.shape))
+    u0 = fc.initial_state()
 
-        def forcing(t: float) -> np.ndarray:
-            return assemble_forcing(
-                problem, grid, 1, grid.n, t,
-                float(problem.boundary_left(t)), float(problem.boundary_right(t)),
-            )
-    else:
-        xs = grid.x.interior()
-        ys = grid.y.interior()
-        u0 = np.broadcast_to(
-            np.asarray(problem.initial(xs[:, None], ys[None, :]), dtype=float),
-            (grid.x.n, grid.y.n),
-        ).copy()
-        full = Subrect2D(ix=0, iy=0, xpiece=Piece1D(1, grid.x.n), ypiece=Piece1D(1, grid.y.n))
-
-        def forcing(t: float) -> np.ndarray:
-            return assemble_forcing_2d(problem, grid, full, t, *_physical_edges_2d(problem, grid, full, t))
+    def forcing(t: float) -> np.ndarray:
+        return assemble_forcing(fc, t, [boundary_data(fc, k, t) for k in range(len(fc.edges))])
 
     traj = np.empty((timegrid.steps + 1,) + u0.shape)
     traj[0] = u0

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from letd.geometry import (
+    Box,
     Problem1D,
     Problem2D,
     assemble_forcing,
-    assemble_forcing_2d,
+    box_forcing,
     decompose_1d,
     decompose_2d,
     make_grid_1d,
@@ -33,12 +34,12 @@ def make_problem_1d(**kw):
 def test_grid_spacing_and_coordinates():
     g = make_grid_1d(255, 2.0)
     assert g.h == pytest.approx(2.0 / 256)
-    assert g.x(0) == 0.0
-    assert g.x(256) == pytest.approx(2.0)
+    assert g.coords(0) == 0.0
+    assert g.coords(256) == pytest.approx(2.0)
     assert np.allclose(g.interior(), np.arange(1, 256) * 2.0 / 256)
     shifted = make_grid_1d(3, 2.0, origin=-1.0)
-    assert shifted.x(0) == -1.0
-    assert shifted.x(2) == pytest.approx(0.0)
+    assert shifted.coords(0) == -1.0
+    assert shifted.coords(2) == pytest.approx(0.0)
 
 
 def test_grid_validation():
@@ -52,9 +53,9 @@ def test_two_piece_layout_on_256_cell_grid():
     # 255 interior nodes, split at node 128, widened by 8 cells per side
     g = make_grid_1d(255, 2.0)
     lay = decompose_1d(g, 2, 8)
-    assert (lay.pieces[0].lo, lay.pieces[0].hi) == (1, 135)
-    assert (lay.pieces[1].lo, lay.pieces[1].hi) == (121, 255)
-    reads = dict(zip((i.reader for i in lay.interfaces), lay.read_nodes))
+    assert (lay.pieces[0].lo[0], lay.pieces[0].hi[0]) == (1, 135)
+    assert (lay.pieces[1].lo[0], lay.pieces[1].hi[0]) == (121, 255)
+    reads = {i.reader: i.read.lo[0] for i in lay.interfaces}
     assert reads[0] == 136 and reads[1] == 120
     alpha, beta = lay.overlap_fractions()
     assert alpha == pytest.approx(120 / 256)
@@ -65,9 +66,10 @@ def test_interfaces_are_directed_and_sized():
     g = make_grid_1d(255, 2.0)
     lay = decompose_1d(g, 4, 4)
     assert len(lay.interfaces) == 6  # two per internal break
-    for itf, node in zip(lay.interfaces, lay.read_nodes):
+    for itf in lay.interfaces:
+        node = itf.read.lo[0]
         owner = lay.pieces[itf.owner]
-        assert owner.lo <= node <= owner.hi
+        assert owner.lo[0] <= node <= owner.hi[0]
         assert itf.size == 1
         assert itf.owner != itf.reader
 
@@ -75,10 +77,10 @@ def test_interfaces_are_directed_and_sized():
 def test_rounded_break_indices_when_not_divisible():
     g = make_grid_1d(100, 1.0)  # 101 cells across 2 pieces -> break at 50 or 51
     lay = decompose_1d(g, 2, 3)
-    assert lay.pieces[0].hi - lay.pieces[1].lo == 2 * 3 - 2  # overlap interior width
+    assert lay.pieces[0].hi[0] - lay.pieces[1].lo[0] == 2 * 3 - 2  # overlap interior width
     union = set()
     for p in lay.pieces:
-        union.update(range(p.lo, p.hi + 1))
+        union.update(range(p.lo[0], p.hi[0] + 1))
     assert union == set(range(1, 101))
 
 
@@ -86,7 +88,7 @@ def test_single_piece_layout_is_trivial():
     g = make_grid_1d(31, 1.0)
     lay = decompose_1d(g, 1, 0)
     assert len(lay.interfaces) == 0
-    assert (lay.pieces[0].lo, lay.pieces[0].hi) == (1, 31)
+    assert (lay.pieces[0].lo[0], lay.pieces[0].hi[0]) == (1, 31)
 
 
 def test_layout_feasibility_errors():
@@ -113,33 +115,34 @@ def test_contraction_factor_formula():
 
 def test_2d_full_convention_strip_width():
     lay = decompose_2d(127, 127, 2, 2, 9, convention="full")
-    xp = [r.xpiece for r in lay.subrects if r.iy == 0]
+    xp = [r for r in lay.pieces if r.lo[1] == 1]  # the pieces of the first y row
     # cells between the two subdomain boundary faces equal the overlap size:
     # left piece ends at node hi (face hi+1), right piece starts at lo (face lo-1)
     left, right = xp[0], xp[1]
-    assert left.hi - right.lo + 2 == 9
+    assert left.hi[0] - right.lo[0] + 2 == 9
     lay_h = decompose_2d(127, 127, 2, 2, 9, convention="half")
-    xp_h = [r.xpiece for r in lay_h.subrects if r.iy == 0]
-    assert xp_h[0].hi - xp_h[1].lo + 2 == 18
+    xp_h = [r for r in lay_h.pieces if r.lo[1] == 1]
+    assert xp_h[0].hi[0] - xp_h[1].lo[0] + 2 == 18
 
 
 def test_2d_interfaces_read_inside_owner():
     lay = decompose_2d(64, 48, 3, 2, 4, convention="full")
-    assert len(lay.subrects) == 6
-    for itf, (xr, yr) in zip(lay.interfaces, lay.read_ranges):
-        owner = lay.subrects[itf.owner]
-        assert owner.xpiece.lo <= xr[0] <= xr[1] <= owner.xpiece.hi
-        assert owner.ypiece.lo <= yr[0] <= yr[1] <= owner.ypiece.hi
-        reader = lay.subrects[itf.reader]
-        if itf.side in ("left", "right"):
-            assert itf.size == reader.ypiece.size
+    assert len(lay.pieces) == 6
+    for itf in lay.interfaces:
+        xr, yr = zip(itf.read.lo, itf.read.hi)
+        owner = lay.pieces[itf.owner]
+        assert owner.lo[0] <= xr[0] <= xr[1] <= owner.hi[0]
+        assert owner.lo[1] <= yr[0] <= yr[1] <= owner.hi[1]
+        reader = lay.pieces[itf.reader]
+        if itf.axis == 0:
+            assert itf.size == reader.shape[1]
         else:
-            assert itf.size == reader.xpiece.size
+            assert itf.size == reader.shape[0]
 
 
 def test_2d_single_rect_has_no_interfaces():
     lay = decompose_2d(16, 16, 1, 1, 0)
-    assert len(lay.subrects) == 1 and len(lay.interfaces) == 0
+    assert len(lay.pieces) == 1 and len(lay.interfaces) == 0
 
 
 def test_2d_unknown_convention_rejected():
@@ -151,8 +154,9 @@ def test_forcing_assembly_adds_scaled_boundary_values():
     prob = make_problem_1d(source=lambda x, t: np.asarray(x, dtype=float) + t)
     g = make_grid_1d(7, 2.0)
     w = prob.nu / g.h**2
-    f = assemble_forcing(prob, g, 2, 5, 0.5, 3.0, -2.0)
-    xs = g.x(np.arange(2, 6))
+    f = assemble_forcing(box_forcing(prob, g, Box((2,), (5,))), 0.5,
+                         [np.array([3.0]), np.array([-2.0])])
+    xs = g.coords(np.arange(2, 6))
     want = xs + 0.5
     want = want.copy()
     want[0] += w * 3.0
@@ -169,14 +173,14 @@ def test_forcing_assembly_2d_edges_and_corners():
     )
     g = make_grid_2d(4, 3, (1.0, 1.0))
     lay = decompose_2d(4, 3, 1, 1, 0)
-    rect = lay.subrects[0]
+    rect = lay.pieces[0]
     wx = prob.nu / g.x.h**2
     wy = prob.nu / g.y.h**2
     left = np.full(3, 1.0)
     right = np.full(3, 2.0)
     bottom = np.full(4, 5.0)
     top = np.full(4, 7.0)
-    f = assemble_forcing_2d(prob, g, rect, 0.0, left, right, bottom, top)
+    f = assemble_forcing(box_forcing(prob, g, rect), 0.0, [left, right, bottom, top])
     assert f[1, 1] == 0.0
     assert f[0, 1] == pytest.approx(wx * 1.0)
     assert f[-1, 1] == pytest.approx(wx * 2.0)

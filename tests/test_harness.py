@@ -182,6 +182,23 @@ def test_2d_study_runs_monodomain_and_localized():
     assert errs[0] / errs[1] > 1.7
 
 
+@pytest.mark.parametrize("kw,count", [
+    (dict(problem="analytic_1d", solver="method2", scheme="etd2", n=63, px=2,
+          overlaps=(2, 4), dts=(0.025,), horizon=0.25), 2),
+    (dict(problem="analytic_2d", solver="method1", scheme="etd2", n=15, ny=12, px=2, py=2,
+          overlaps=(2,), dts=(0.05,), horizon=0.5), 1),
+])
+def test_unconverged_runs_are_reported_in_the_header_and_on_stderr(kw, count, capsys):
+    short = run_experiment(ExperimentConfig(max_iterations=2, **kw))
+    assert f"# unconverged_runs: {count}" in short.summary_csv().splitlines()
+    assert f"# unconverged_runs: {count}" in short.decay_csv().splitlines()
+    assert f"letd: warning: {count} run(s) used all 2 iterations" in capsys.readouterr().err
+    done = run_experiment(ExperimentConfig(**kw))
+    header = done.summary_csv().splitlines()
+    assert not any(line.startswith("# unconverged_runs") for line in header)
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------

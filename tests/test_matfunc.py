@@ -4,9 +4,7 @@ import pytest
 import scipy.linalg
 
 from letd.matfunc import (
-    DirichletLaplacian1D,
     apply_phi,
-    apply_phi_2d,
     build_laplacian_1d,
     build_laplacian_2d,
     expm_dense,
@@ -154,14 +152,6 @@ def test_2d_operator_is_kronecker_sum():
     assert np.allclose(op.dense(), want, atol=1e-12)
 
 
-def test_2d_operator_rejects_mismatched_nu():
-    from letd.matfunc import DirichletLaplacian2D
-    x = DirichletLaplacian1D(n=3, nu=1.0, h=0.25)
-    y = DirichletLaplacian1D(n=3, nu=2.0, h=0.25)
-    with pytest.raises(ValueError):
-        DirichletLaplacian2D(x=x, y=y)
-
-
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_apply_phi_2d_matches_dense(k):
     op = build_laplacian_2d(4, 3, 0.8, 0.2, 0.25)
@@ -169,7 +159,7 @@ def test_apply_phi_2d_matches_dense(k):
     rng = np.random.default_rng(11 + k)
     field = rng.standard_normal((4, 3))
     dt = 0.15
-    got = apply_phi_2d(fact, k, dt, field)
+    got = apply_phi(fact, k, dt, field)
     want = _phi_dense_times(k, dt * op.dense(), field.ravel()).reshape(4, 3)
     assert np.abs(got - want).max() < 1e-12
 

@@ -117,8 +117,8 @@ def test_per_step_iteration_matches_direct_coupled_solve(scheme):
     assert log.converged
 
     p1, p2 = lay.pieces
-    ws1 = make_workspace(spectral_factorization(build_laplacian_1d(p1.size, prob.nu, grid.h)), dt)
-    ws2 = make_workspace(spectral_factorization(build_laplacian_1d(p2.size, prob.nu, grid.h)), dt)
+    ws1 = make_workspace(spectral_factorization(build_laplacian_1d(p1.shape[0], prob.nu, grid.h)), dt)
+    ws2 = make_workspace(spectral_factorization(build_laplacian_1d(p2.shape[0], prob.nu, grid.h)), dt)
     v1, v2 = coupled_step_direct(ws1, ws2, scheme, states[0], states[1],
                                  prob, grid, lay, 0.0, dt)
     scale = max(np.abs(v1).max(), np.abs(v2).max())
@@ -276,3 +276,36 @@ def test_normalized_decay_curve_starts_at_one():
     norm = log.normalized()
     assert norm[0] == pytest.approx(1.0)
     assert (np.diff(np.log(norm[: 6])) < 0).all()
+
+
+def nan_after(t_bad):
+    """The analytic problem with a source that turns NaN after t_bad."""
+    base = analytic_problem()
+    src = lambda x, t: base.source(x, t) if t <= t_bad else np.full_like(x, np.nan)
+    return Problem1D(nu=base.nu, length=base.length, horizon=base.horizon, source=src,
+                     boundary_left=base.boundary_left, boundary_right=base.boundary_right,
+                     initial=base.initial, origin=base.origin)
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+def test_per_step_driver_raises_on_a_non_finite_update(mode):
+    prob = nan_after(0.05)
+    grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, 2, 4)
+    tg = TimeGrid(prob.horizon, 20)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd2", mode=mode, max_iterations=50, fixed_iterations=50)
+    with pytest.raises(FloatingPointError, match=r"at t=0\.0625: sweep 1, interface 0"):
+        method1_march(pieces, lay.interfaces, tg, cfg)
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+def test_waveform_driver_raises_on_a_non_finite_update(mode):
+    prob = nan_after(0.05)
+    grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, 2, 4)
+    tg = TimeGrid(prob.horizon, 20)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd1", mode=mode, max_iterations=50, fixed_iterations=50)
+    with pytest.raises(FloatingPointError, match=r"window from t=0: sweep 1, interface 0"):
+        method2_solve(pieces, lay.interfaces, tg, cfg)

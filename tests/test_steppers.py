@@ -6,7 +6,17 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from letd.geometry import Problem1D, Problem2D, decompose_1d, make_grid_1d, make_grid_2d
+from letd.geometry import (
+    Box,
+    Problem1D,
+    Problem2D,
+    assemble_forcing,
+    boundary_data,
+    box_forcing,
+    decompose_1d,
+    make_grid_1d,
+    make_grid_2d,
+)
 from letd.harness import builtin_problem
 from letd.matfunc import (
     build_laplacian_1d,
@@ -19,8 +29,6 @@ from letd.steppers import (
     coupled_step_direct,
     etd1_step,
     etd2_step,
-    local_etd_step,
-    local_etd_step_2d,
     make_workspace,
     run_monodomain,
 )
@@ -38,6 +46,14 @@ def analytic_problem():
         initial=lambda x: u(x, 0.0),
         exact=u, origin=-1.0,
     )
+
+
+def local_step(ws, scheme, u_m, fc, t_now, t_next, bc_now, bc_next):
+    """One step of a single box with explicit bordering values per edge."""
+    f_next = assemble_forcing(fc, t_next, [np.array([v]) for v in bc_next])
+    if scheme == "etd1":
+        return etd1_step(ws, u_m, f_next)
+    return etd2_step(ws, u_m, assemble_forcing(fc, t_now, [np.array([v]) for v in bc_now]), f_next)
 
 
 def test_timegrid_basics():
@@ -122,19 +138,10 @@ def test_local_step_on_whole_domain_matches_monodomain_step():
     lay = decompose_1d(grid, 1, 0)
     u0 = prob.initial(grid.interior())
     bc = lambda t: (float(prob.boundary_left(t)), float(prob.boundary_right(t)))
-    one = local_etd_step(ws, "etd2", u0, prob, grid, lay.pieces[0], 0.0, dt, bc(0.0), bc(dt))
+    fc = box_forcing(prob, grid, lay.pieces[0])
+    one = local_step(ws, "etd2", u0, fc, 0.0, dt, bc(0.0), bc(dt))
     traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd2", ws)
     assert np.abs(one - traj[1]).max() < 1e-12
-
-
-def test_local_step_etd2_requires_current_borders():
-    prob = analytic_problem()
-    grid = make_grid_1d(31, prob.length, origin=prob.origin)
-    ws = make_workspace(spectral_factorization(build_laplacian_1d(31, prob.nu, grid.h)), 0.01)
-    lay = decompose_1d(grid, 1, 0)
-    u0 = prob.initial(grid.interior())
-    with pytest.raises(ValueError, match="t_now"):
-        local_etd_step(ws, "etd2", u0, prob, grid, lay.pieces[0], 0.0, 0.01, None, (0.0, 0.0))
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -145,20 +152,20 @@ def test_coupled_step_is_a_fixed_point_of_local_steps(scheme):
     lay = decompose_1d(grid, 2, 6)
     p1, p2 = lay.pieces
     dt = 0.01
-    ws1 = make_workspace(spectral_factorization(build_laplacian_1d(p1.size, prob.nu, grid.h)), dt)
-    ws2 = make_workspace(spectral_factorization(build_laplacian_1d(p2.size, prob.nu, grid.h)), dt)
+    ws1 = make_workspace(spectral_factorization(build_laplacian_1d(p1.shape[0], prob.nu, grid.h)), dt)
+    ws2 = make_workspace(spectral_factorization(build_laplacian_1d(p2.shape[0], prob.nu, grid.h)), dt)
     xs = grid.interior()
-    u1 = prob.initial(xs[p1.lo - 1:p1.hi])
-    u2 = prob.initial(xs[p2.lo - 1:p2.hi])
+    u1 = prob.initial(xs[p1.lo[0] - 1:p1.hi[0]])
+    u2 = prob.initial(xs[p2.lo[0] - 1:p2.hi[0]])
     v1, v2 = coupled_step_direct(ws1, ws2, scheme, u1, u2, prob, grid, lay, 0.0, dt)
     # re-run each local step feeding the solved interface values back in
-    s_b = v2[p2.local(p1.hi + 1)]
-    s_a = v1[p1.local(p2.lo - 1)]
+    s_b = v2[p2.local((p1.hi[0] + 1,))]
+    s_a = v1[p1.local((p2.lo[0] - 1,))]
     bl, br = float(prob.boundary_left(dt)), float(prob.boundary_right(dt))
-    bc1_now = (float(prob.boundary_left(0.0)), float(u2[p2.local(p1.hi + 1)]))
-    bc2_now = (float(u1[p1.local(p2.lo - 1)]), float(prob.boundary_right(0.0)))
-    r1 = local_etd_step(ws1, scheme, u1, prob, grid, p1, 0.0, dt, bc1_now, (bl, s_b))
-    r2 = local_etd_step(ws2, scheme, u2, prob, grid, p2, 0.0, dt, bc2_now, (s_a, br))
+    bc1_now = (float(prob.boundary_left(0.0)), float(u2[p2.local((p1.hi[0] + 1,))]))
+    bc2_now = (float(u1[p1.local((p2.lo[0] - 1,))]), float(prob.boundary_right(0.0)))
+    r1 = local_step(ws1, scheme, u1, box_forcing(prob, grid, p1), 0.0, dt, bc1_now, (bl, s_b))
+    r2 = local_step(ws2, scheme, u2, box_forcing(prob, grid, p2), 0.0, dt, bc2_now, (s_a, br))
     scale = max(np.abs(v1).max(), np.abs(v2).max())
     assert np.abs(r1 - v1).max() < 1e-13 * scale
     assert np.abs(r2 - v2).max() < 1e-13 * scale
@@ -181,8 +188,8 @@ def test_steady_linear_profile_is_a_fixed_point(scheme):
     j = np.arange(1, n + 1)
     profile = ((n + 1 - j) * psi1 + j * psi2) / (n + 1)
     lay = decompose_1d(grid, 1, 0)
-    out = local_etd_step(ws, scheme, profile, prob, grid, lay.pieces[0],
-                         0.0, 0.05, (psi1, psi2), (psi1, psi2))
+    out = local_step(ws, scheme, profile, box_forcing(prob, grid, lay.pieces[0]),
+                     0.0, 0.05, (psi1, psi2), (psi1, psi2))
     assert np.abs(out - profile).max() < 1e-12
 
 
@@ -253,10 +260,8 @@ def test_monodomain_2d_single_step_matches_dense_exponential():
     ws = make_workspace(spectral_factorization_2d(op), dt)
     traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd1", ws)
 
-    from letd.geometry import Subrect2D, Piece1D, assemble_forcing_2d
-    from letd.steppers import _physical_edges_2d
-    full = Subrect2D(ix=0, iy=0, xpiece=Piece1D(1, nx), ypiece=Piece1D(1, ny))
-    F = assemble_forcing_2d(prob, grid, full, dt, *_physical_edges_2d(prob, grid, full, dt))
+    full = box_forcing(prob, grid, Box((1, 1), (nx, ny)))
+    F = assemble_forcing(full, dt, [boundary_data(full, k, dt) for k in range(4)])
     A = op.dense()
     lam, V = np.linalg.eigh(A)
     u0 = traj[0].ravel()
@@ -272,18 +277,18 @@ def _eigh_etd2_final(prob, grid, tg):
     """ETD2 monodomain march without sine transforms: dense eigh of the two
     1d Laplacians, forcing with the five-point boundary closure built here,
     and the tensorized recursion in the eigenbasis.  Returns the final field."""
-    xs, ys = grid.x.interior(), grid.y.interior()
-    op = build_laplacian_2d(grid.x.n, grid.y.n, prob.nu, grid.x.h, grid.y.h)
-    lx, vx = np.linalg.eigh(op.x.dense())
-    ly, vy = np.linalg.eigh(op.y.dense())
+    xs, ys = grid.interior(0), grid.interior(1)
+    (nx, ny), (hx, hy) = grid.shape, grid.spacings
+    lx, vx = np.linalg.eigh(build_laplacian_1d(nx, prob.nu, hx).dense())
+    ly, vy = np.linalg.eigh(build_laplacian_1d(ny, prob.nu, hy).dense())
     # |z| >= 7e-3 on the grids used here, so the expm1 forms lose < 1e-13
     z = tg.dt * (lx[:, None] + ly[None, :])
     em1 = np.expm1(z)
     phi1 = tg.dt * em1 / z
     phi2 = tg.dt * (em1 - z) / (z * z)
-    wx, wy = prob.nu / grid.x.h**2, prob.nu / grid.y.h**2
-    x0, x1 = grid.x.x(0), grid.x.x(grid.x.n + 1)
-    y0, y1 = grid.y.x(0), grid.y.x(grid.y.n + 1)
+    wx, wy = prob.nu / hx**2, prob.nu / hy**2
+    x0, x1 = grid.coords(0, 0), grid.coords(nx + 1, 0)
+    y0, y1 = grid.coords(0, 1), grid.coords(ny + 1, 1)
 
     def forcing_modes(t):
         f = prob.source(xs[:, None], ys[None, :], t).copy()
@@ -313,27 +318,9 @@ def test_monodomain_2d_etd2_fine_grid_matches_eigh_route_and_is_second_order():
         op = build_laplacian_2d(n, n, prob.nu, grid.x.h, grid.y.h)
         ws = make_workspace(spectral_factorization_2d(op), tg.dt)
         u = run_monodomain(prob, grid, tg, "etd2", ws)[-1]
-        exact = prob.exact(grid.x.interior()[:, None], grid.y.interior()[None, :], 0.5)
+        exact = prob.exact(grid.interior(0)[:, None], grid.interior(1)[None, :], 0.5)
         errs.append(np.abs(u - exact).max())
     want = _eigh_etd2_final(prob, grid, tg)
     assert np.abs(u - want).max() < 1e-12 * np.abs(u).max()
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(3.8 <= r <= 4.2 for r in ratios), (errs, ratios)
-
-
-def test_local_step_2d_requires_current_edges_for_etd2():
-    u = lambda x, y, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-    prob = Problem2D(
-        nu=1.0, lengths=(1.0, 1.0), horizon=1.0,
-        source=lambda x, y, t: u(x, y, t), boundary=u,
-        initial=lambda x, y: u(x, y, 0.0),
-    )
-    grid = make_grid_2d(5, 5, (1.0, 1.0))
-    from letd.geometry import Subrect2D, Piece1D
-    rect = Subrect2D(ix=0, iy=0, xpiece=Piece1D(1, 5), ypiece=Piece1D(1, 5))
-    op = build_laplacian_2d(5, 5, 1.0, grid.x.h, grid.y.h)
-    ws = make_workspace(spectral_factorization_2d(op), 0.1)
-    z5 = np.zeros(5)
-    with pytest.raises(ValueError, match="t_now"):
-        local_etd_step_2d(ws, "etd2", np.zeros((5, 5)), prob, grid, rect,
-                          0.0, 0.1, None, (z5, z5, z5, z5))
