@@ -135,6 +135,10 @@ class ExperimentConfig:
             raise ValueError("horizon must be positive")
         if self.seeds < 1:
             raise ValueError("need at least one seed")
+        if self.problem == "analytic_2d" and (len(self.dts) > 1 or len(self.overlaps) > 1):
+            raise ValueError("a 2d run takes one time step and one overlap")
+        if self.window_steps is not None and self.solver != "method2":
+            raise ValueError("window_steps applies to the waveform solver (method2) only")
         for dt in self.dts:
             steps = self.horizon / dt
             if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
@@ -144,14 +148,12 @@ class ExperimentConfig:
         return DEFAULT_TOL[self.scheme] if self.tolerance is None else self.tolerance
 
     def solver_config(self, budget: Optional[int] = None) -> SolverConfig:
-        if budget is not None or self.fixed_iterations is not None:
-            k = self.fixed_iterations if budget is None else budget
-            return SolverConfig(scheme=self.scheme, mode="fixed", fixed_iterations=k,
-                                window_steps=self.window_steps)
+        """Iteration controls; a given `budget` overrides fixed_iterations."""
         return SolverConfig(
-            scheme=self.scheme, mode="tolerance",
+            scheme=self.scheme,
             tolerance=self.effective_tolerance(),
             max_iterations=self.max_iterations,
+            fixed_iterations=self.fixed_iterations if budget is None else budget,
             window_steps=self.window_steps,
         )
 
@@ -244,8 +246,7 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
     grid = make_grid_1d(config.n, problem.length)
     budget = RATE_BUDGET[config.solver] if config.fixed_iterations is None \
         else config.fixed_iterations
-    scfg = SolverConfig(scheme=config.scheme, mode="fixed", fixed_iterations=budget,
-                        window_steps=config.window_steps)
+    scfg = config.solver_config(budget)
     for delta in config.overlaps:
         layout = decompose_1d(grid, config.px, delta)
         for dt in config.dts:
@@ -411,46 +412,43 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_subdomains(text: str):
-    parts = text.lower().split("x")
-    if len(parts) == 1:
-        return int(parts[0]), 1
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError(f"cannot parse subdomain count {text!r}")
+def _sweep_of(kind):
+    """Flag type of a comma-separated sweep: text -> tuple of `kind` values."""
+    def sweep(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
+    return sweep
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+def _subdomains(text: str) -> tuple:
+    """P or PxQ -> (px, py)."""
+    px, x, py = text.lower().partition("x")
+    return int(px), int(py) if x else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The table of run settings.  Each flag's dest is an ExperimentConfig
+    field (``subdomains`` gives ``px`` and ``py``) and its type builds the
+    field's value; flags not given stay out of the namespace, so the
+    config's defaults hold."""
     p = argparse.ArgumentParser(
-        prog="letd",
+        prog="letd", argument_default=argparse.SUPPRESS,
         description="Localized exponential time differencing experiment runner.")
-    p.add_argument("--config", help="key = value file; explicit flags override it")
+    p.add_argument("--config", help="key = value file of flag names; explicit flags override it")
     p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--scheme", choices=("etd1", "etd2"))
     p.add_argument("--n", type=int, help="interior nodes per direction")
     p.add_argument("--ny", type=int, help="interior nodes in y (2d only)")
-    p.add_argument("--dt", help="time step, or comma-separated sweep")
+    p.add_argument("--dt", dest="dts", type=_sweep_of(float),
+                   help="time step, or comma-separated sweep")
     p.add_argument("--T", dest="horizon", type=float, help="time horizon")
-    p.add_argument("--subdomains", help="P or PxQ")
-    p.add_argument("--overlap-cells", help="cells, or comma-separated sweep")
+    p.add_argument("--subdomains", type=_subdomains, help="P or PxQ")
+    p.add_argument("--overlap-cells", dest="overlaps", type=_sweep_of(int),
+                   help="cells, or comma-separated sweep")
     p.add_argument("--overlap-convention", choices=("half", "full"))
-    p.add_argument("--tol", type=float, help="stopping tolerance")
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--fixed-iters", type=int, help="fixed sweep budget")
+    p.add_argument("--tol", dest="tolerance", type=float, help="stopping tolerance")
+    p.add_argument("--max-iters", dest="max_iterations", type=int)
+    p.add_argument("--fixed-iters", dest="fixed_iterations", type=int, help="fixed sweep budget")
     p.add_argument("--seed", type=int)
     p.add_argument("--seeds", type=int, help="number of seeds to average")
     p.add_argument("--window-steps", type=int, help="waveform window length")
@@ -458,53 +456,40 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_KEYS = {
-    "problem": str, "solver": str, "scheme": str, "n": int, "ny": int,
-    "dt": str, "T": float, "horizon": float, "subdomains": str,
-    "overlap_cells": str, "overlap_convention": str, "tol": float,
-    "max_iters": int, "fixed_iters": int, "seed": int, "seeds": int,
-    "window_steps": int, "out": str,
-}
+def _read_config_file(path: str) -> dict:
+    """Settings of a ``key = value`` file, whose keys are flag names spelled
+    with ``_`` or ``-``, read by the flag parser; errors raise ValueError."""
+    tokens = []
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ValueError(f"bad config line {raw!r}")
+        tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+
+    def fail(message):
+        raise ValueError(f"config file {path}: {message}")
+
+    parser = build_parser()
+    parser.allow_abbrev = False  # a key names a whole flag
+    parser.error = fail
+    settings = vars(parser.parse_args(tokens))
+    if "config" in settings:
+        fail("a config file cannot name another")
+    return settings
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    merged = {}
-    if args.config:
-        for key, val in _read_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](val)
-    cli = {
-        "problem": args.problem, "solver": args.solver, "scheme": args.scheme,
-        "n": args.n, "ny": args.ny, "dt": args.dt, "horizon": args.horizon,
-        "subdomains": args.subdomains, "overlap_cells": args.overlap_cells,
-        "overlap_convention": args.overlap_convention, "tol": args.tol,
-        "max_iters": args.max_iters, "fixed_iters": args.fixed_iters,
-        "seed": args.seed, "seeds": args.seeds,
-        "window_steps": args.window_steps, "out": args.out,
-    }
-    merged.update({k: v for k, v in cli.items() if v is not None})
-    merged.setdefault("T", merged.pop("horizon", None))
-    if merged.get("T") is None:
-        merged.pop("T", None)
-
-    kwargs = {}
-    for src, dst in (("problem", "problem"), ("solver", "solver"),
-                     ("scheme", "scheme"), ("n", "n"), ("ny", "ny"),
-                     ("T", "horizon"), ("overlap_convention", "overlap_convention"),
-                     ("tol", "tolerance"), ("max_iters", "max_iterations"),
-                     ("fixed_iters", "fixed_iterations"), ("seed", "seed"),
-                     ("seeds", "seeds"), ("window_steps", "window_steps"),
-                     ("out", "out")):
-        if merged.get(src) is not None:
-            kwargs[dst] = merged[src]
-    if merged.get("dt") is not None:
-        kwargs["dts"] = tuple(float(v) for v in str(merged["dt"]).split(","))
-    if merged.get("subdomains") is not None:
-        kwargs["px"], kwargs["py"] = _parse_subdomains(str(merged["subdomains"]))
-    if merged.get("overlap_cells") is not None:
-        kwargs["overlaps"] = tuple(int(v) for v in str(merged["overlap_cells"]).split(","))
-    return ExperimentConfig(**kwargs)
+    """The parsed flags over the settings of their ``--config`` file."""
+    settings = dict(vars(args))
+    path = settings.pop("config", None)
+    if path is not None:
+        settings = {**_read_config_file(path), **settings}
+    if "subdomains" in settings:
+        settings["px"], settings["py"] = settings.pop("subdomains")
+    return ExperimentConfig(**settings)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

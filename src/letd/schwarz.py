@@ -29,7 +29,8 @@ The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
 the initial guess on that interface, must drop below the tolerance.
 A vanishing initial guess flips the criterion to absolute updates.
-A non-finite update stops either driver with an error in any mode.
+A non-finite update stops either driver with an error, also under a
+fixed sweep budget.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,19 +81,18 @@ TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
 class SolverConfig:
     """Iteration controls shared by both Schwarz drivers.
 
-    mode "tolerance" iterates until the relative interface updates drop
-    below `tolerance` (at most `max_iterations`); mode "fixed" always
-    performs exactly `fixed_iterations` sweeps, as decay-curve studies
-    require.  `window_steps` splits a waveform-relaxation run into
-    successive time windows of that many steps.
+    Without `fixed_iterations` a solve iterates until the relative
+    interface updates drop below `tolerance` (at most `max_iterations`
+    sweeps); with it, a solve performs exactly that many sweeps, as
+    decay-curve studies require.  `window_steps` splits a
+    waveform-relaxation run into successive time windows of that many
+    steps.
     """
 
     scheme: Scheme = "etd1"
     tolerance: float = 1e-6
     max_iterations: int = 200
-    mode: Literal["tolerance", "fixed"] = "tolerance"
     fixed_iterations: Optional[int] = None
-    seed: Optional[int] = None
     window_steps: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -102,17 +102,14 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.mode == "fixed":
-            if self.fixed_iterations is None or self.fixed_iterations < 1:
-                raise ValueError("fixed mode needs fixed_iterations >= 1")
-        elif self.mode != "tolerance":
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.fixed_iterations is not None and self.fixed_iterations < 1:
+            raise ValueError("fixed_iterations must be >= 1 when given")
         if self.window_steps is not None and self.window_steps < 1:
             raise ValueError("window_steps must be >= 1 when given")
 
     @property
     def budget(self) -> int:
-        return self.fixed_iterations if self.mode == "fixed" else self.max_iterations
+        return self.max_iterations if self.fixed_iterations is None else self.fixed_iterations
 
 
 @dataclass
@@ -129,7 +126,6 @@ class IterationLog:
     errors: Optional[np.ndarray]
     converged: bool
     iterations: int
-    tolerance: float
     windows: tuple["IterationLog", ...] = ()
 
     def curve(self) -> np.ndarray:
@@ -255,16 +251,8 @@ def initial_traces(pieces: Sequence[LocalPiece], states: Sequence[np.ndarray],
     return traces
 
 
-def _trace_norms(traces: TraceSet, time_axis: bool) -> np.ndarray:
-    # |.| per interface; over the window, level 0 is pinned data, not guess.
-    out = np.empty(len(traces))
-    for i, tr in enumerate(traces):
-        v = tr[1:] if time_axis and tr.ndim == 2 else tr
-        out[i] = np.abs(v).max() if v.size else 0.0
-    return out
-
-
 def _trace_diff(a: TraceSet, b: TraceSet, time_axis: bool) -> np.ndarray:
+    # max |a - b| per interface; over a window, level 0 is pinned data.
     out = np.empty(len(a))
     for i, (x, y) in enumerate(zip(a, b)):
         d = x - y
@@ -292,20 +280,20 @@ def _sweep_loop(
 
     Each sweep's owned interface values become the next traces; the loop
     logs the per-interface updates (and distances from `reference`),
-    stops by the relative-update rule in tolerance mode, and raises on a
-    non-finite update in either mode.  Without interfaces one sweep is
-    the solution.
+    stops by the relative-update rule unless the budget is fixed, and
+    raises on a non-finite update either way.  Without interfaces one
+    sweep is the solution.
     """
     n_if = len(traces)
     if n_if == 0:
         return sweep([]), IterationLog(
-            updates=np.zeros((1, 0)), errors=None, converged=True,
-            iterations=1, tolerance=config.tolerance,
+            updates=np.zeros((1, 0)), errors=None, converged=True, iterations=1,
         )
-    denoms = _trace_norms(traces, time_axis)
+    fixed = config.fixed_iterations is not None
+    denoms = _trace_diff(traces, [0.0] * n_if, time_axis)  # |initial traces|
     err_rows = [] if reference is None else [_trace_diff(traces, reference, time_axis)]
     upd_rows = []
-    converged = config.mode == "fixed"
+    converged = fixed
     for k in range(1, config.budget + 1):
         states = sweep(traces)
         new_traces = initial_traces(pieces, states, n_if)
@@ -318,7 +306,7 @@ def _sweep_loop(
         if reference is not None:
             err_rows.append(_trace_diff(new_traces, reference, time_axis))
         traces = new_traces
-        if config.mode == "tolerance" and _stop(update, denoms, config.tolerance):
+        if not fixed and _stop(update, denoms, config.tolerance):
             converged = True
             break
     log = IterationLog(
@@ -326,7 +314,6 @@ def _sweep_loop(
         errors=np.array(err_rows) if reference is not None else None,
         converged=converged,
         iterations=len(upd_rows),
-        tolerance=config.tolerance,
     )
     return states, log
 
@@ -535,6 +522,5 @@ def method2_solve(
         errors=None,
         converged=all(lg.converged for lg in logs),
         iterations=sum(lg.iterations for lg in logs),
-        tolerance=config.tolerance,
         windows=tuple(logs),
     )

@@ -232,7 +232,7 @@ def test_criterion_07_contraction_bound_both_drivers():
     zero_wave = [np.zeros((timegrid.steps + 1, i.size)) for i in layout.interfaces]
     budget = 20
     for scheme in ("etd1", "etd2"):
-        cfg = SolverConfig(scheme=scheme, mode="fixed", fixed_iterations=budget)
+        cfg = SolverConfig(scheme=scheme, fixed_iterations=budget)
         for seed in range(3):
             guess = random_trace_guess(layout.interfaces, seed)
             _, log = method1_advance(pieces, layout.interfaces,
@@ -372,7 +372,7 @@ def test_criterion_10_iterations_nondecreasing_in_horizon():
         steps = int(round(horizon / 0.01))
         timegrid = TimeGrid(horizon, steps)
         pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
-        cfg = SolverConfig(scheme="etd1", mode="fixed", fixed_iterations=budget)
+        cfg = SolverConfig(scheme="etd1", fixed_iterations=budget)
         guess = random_trace_guess(layout.interfaces, 0, steps=steps)
         zero = [np.zeros((steps + 1, i.size)) for i in layout.interfaces]
         _, log = method2_solve(pieces, layout.interfaces, timegrid, cfg,

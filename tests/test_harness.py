@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness: problems, studies, CSVs, CLI."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,17 @@ def test_config_validation():
         ExperimentConfig(seeds=0)
     with pytest.raises(ValueError):
         ExperimentConfig(dts=())
+    # settings a run would ignore: 2d runs take one dt and one overlap,
+    # and only the waveform solver has windows
+    two_d = dict(problem="analytic_2d", solver="mono", n=15, horizon=0.5)
+    with pytest.raises(ValueError, match="one time step and one overlap"):
+        ExperimentConfig(dts=(0.05, 0.025), **two_d)
+    with pytest.raises(ValueError, match="one time step and one overlap"):
+        ExperimentConfig(overlaps=(2, 4), **{**two_d, "solver": "method1"})
+    for solver in ("mono", "method1"):
+        with pytest.raises(ValueError, match="window_steps"):
+            ExperimentConfig(problem="analytic_1d", solver=solver, horizon=0.25,
+                             window_steps=4)
 
 
 def test_default_tolerances_track_the_scheme():
@@ -109,11 +122,11 @@ def test_default_tolerances_track_the_scheme():
 def test_solver_config_modes():
     cfg = ExperimentConfig(scheme="etd2", max_iterations=77)
     sc = cfg.solver_config()
-    assert sc.mode == "tolerance" and sc.tolerance == 1e-6 and sc.max_iterations == 77
+    assert sc.fixed_iterations is None and sc.tolerance == 1e-6 and sc.max_iterations == 77
     fixed = ExperimentConfig(scheme="etd1", fixed_iterations=9).solver_config()
-    assert fixed.mode == "fixed" and fixed.fixed_iterations == 9
+    assert fixed.fixed_iterations == 9 and fixed.budget == 9
     override = cfg.solver_config(budget=5)
-    assert override.mode == "fixed" and override.fixed_iterations == 5
+    assert override.fixed_iterations == 5 and override.budget == 5
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +312,38 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
     assert main(["--config", str(bad_line)]) == 2
     err = capsys.readouterr().err
     assert "letd:" in err
+    # values are checked exactly like flags: types and choices
+    for i, line in enumerate(("n = abc", "overlap_convention = diagonal")):
+        bad_value = tmp_path / f"bad_value{i}.cfg"
+        bad_value.write_text(line + "\n")
+        assert main(["--config", str(bad_value)]) == 2
+        assert "letd:" in capsys.readouterr().err
+
+
+def test_config_file_and_flags_give_the_same_config(tmp_path):
+    flags = ["--problem", "analytic_1d", "--solver", "method2", "--scheme", "etd2",
+             "--n", "63", "--ny", "12", "--dt", "0.025,0.0125", "--T", "0.25",
+             "--subdomains", "3x2", "--overlap-cells", "2,4",
+             "--overlap-convention", "half", "--tol", "1e-7", "--max-iters", "99",
+             "--fixed-iters", "5", "--seed", "3", "--seeds", "2",
+             "--window-steps", "4", "--out", str(tmp_path / "runs")]
+    names = [flag[2:] for flag in flags[0::2]]
+    # the keys alternate between the "-" and "_" spellings
+    lines = [f"{name.replace('-', '_') if i % 2 else name} = {value}"
+             for i, (name, value) in enumerate(zip(names, flags[1::2]))]
+    assert "overlap-cells = 2,4" in lines and "overlap_convention = half" in lines
+    cfgfile = tmp_path / "every.cfg"
+    cfgfile.write_text("\n".join(lines) + "\n")
+    from_file = _parse(["--config", str(cfgfile)])
+    from_flags = _parse(flags)
+    assert from_file == from_flags
+    assert from_flags.dts == (0.025, 0.0125) and from_flags.overlaps == (2, 4)
+    assert (from_flags.px, from_flags.py) == (3, 2)
+    # the parser is the table of settings: each dest is a config field,
+    # and the file above names every one of them
+    dests = {a.dest for a in build_parser()._actions} - {"help", "config"}
+    assert dests - {"subdomains"} <= {f.name for f in fields(ExperimentConfig)}
+    assert len(names) == len(dests)
 
 
 def test_cli_rejects_inconsistent_choices(capsys):

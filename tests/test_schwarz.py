@@ -55,12 +55,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(mode="fixed")  # needs a budget
-    with pytest.raises(ValueError):
-        SolverConfig(mode="nonsense")
+        SolverConfig(fixed_iterations=0)  # a fixed budget needs a sweep
     with pytest.raises(ValueError):
         SolverConfig(window_steps=0)
-    cfg = SolverConfig(mode="fixed", fixed_iterations=7)
+    cfg = SolverConfig(fixed_iterations=7)
     assert cfg.budget == 7
 
 
@@ -97,7 +95,7 @@ def test_fixed_mode_runs_exactly_the_budget():
     grid = make_grid_1d(127, prob.length)
     lay = decompose_1d(grid, 2, 4)
     pieces = build_local_pieces(prob, grid, lay, 0.01)
-    cfg = SolverConfig(scheme="etd1", mode="fixed", fixed_iterations=9)
+    cfg = SolverConfig(scheme="etd1", fixed_iterations=9)
     guess = random_trace_guess(lay.interfaces, seed=1)
     _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
                              0.0, 0.01, cfg, init_guess=guess)
@@ -203,7 +201,7 @@ def test_interface_errors_contract_at_least_at_the_two_piece_rate(solver, scheme
     tg = TimeGrid(prob.horizon, steps)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     budget = 24
-    cfg = SolverConfig(scheme=scheme, mode="fixed", fixed_iterations=budget)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=budget)
     for seed in (0, 1, 2):
         if solver == "method1":
             guess = random_trace_guess(lay.interfaces, seed)
@@ -229,7 +227,7 @@ def test_waveform_contraction_improves_with_overlap():
     for delta in (1, 4, 16):
         lay = decompose_1d(grid, 2, delta)
         pieces = build_local_pieces(prob, grid, lay, tg.dt)
-        cfg = SolverConfig(scheme="etd1", mode="fixed", fixed_iterations=40)
+        cfg = SolverConfig(scheme="etd1", fixed_iterations=40)
         guess = random_trace_guess(lay.interfaces, seed=0, steps=50)
         _, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
                                reference=zero_reference(lay.interfaces, 50))
@@ -246,7 +244,7 @@ def test_per_step_contraction_improves_as_the_step_shrinks():
     rates = []
     for dt in (0.2, 0.025):
         pieces = build_local_pieces(prob, grid, lay, dt)
-        cfg = SolverConfig(scheme="etd1", mode="fixed", fixed_iterations=30)
+        cfg = SolverConfig(scheme="etd1", fixed_iterations=30)
         guess = random_trace_guess(lay.interfaces, seed=0)
         _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
                                  0.0, dt, cfg, init_guess=guess,
@@ -268,7 +266,7 @@ def test_normalized_decay_curve_starts_at_one():
     grid = make_grid_1d(127, prob.length)
     lay = decompose_1d(grid, 2, 4)
     pieces = build_local_pieces(prob, grid, lay, 0.02)
-    cfg = SolverConfig(scheme="etd2", mode="fixed", fixed_iterations=10)
+    cfg = SolverConfig(scheme="etd2", fixed_iterations=10)
     guess = random_trace_guess(lay.interfaces, seed=5)
     _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
                              0.0, 0.02, cfg, init_guess=guess,
@@ -294,7 +292,8 @@ def test_per_step_driver_raises_on_a_non_finite_update(mode):
     lay = decompose_1d(grid, 2, 4)
     tg = TimeGrid(prob.horizon, 20)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    cfg = SolverConfig(scheme="etd2", mode=mode, max_iterations=50, fixed_iterations=50)
+    cfg = SolverConfig(scheme="etd2", max_iterations=50,
+                       fixed_iterations=50 if mode == "fixed" else None)
     with pytest.raises(FloatingPointError, match=r"at t=0\.0625: sweep 1, interface 0"):
         method1_march(pieces, lay.interfaces, tg, cfg)
 
@@ -306,6 +305,7 @@ def test_waveform_driver_raises_on_a_non_finite_update(mode):
     lay = decompose_1d(grid, 2, 4)
     tg = TimeGrid(prob.horizon, 20)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    cfg = SolverConfig(scheme="etd1", mode=mode, max_iterations=50, fixed_iterations=50)
+    cfg = SolverConfig(scheme="etd1", max_iterations=50,
+                       fixed_iterations=50 if mode == "fixed" else None)
     with pytest.raises(FloatingPointError, match=r"window from t=0: sweep 1, interface 0"):
         method2_solve(pieces, lay.interfaces, tg, cfg)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from letd.geometry import (
     Box,
@@ -19,6 +20,7 @@ from letd.geometry import (
 )
 from letd.harness import builtin_problem
 from letd.matfunc import (
+    DirichletLaplacian,
     build_laplacian_1d,
     build_laplacian_2d,
     spectral_factorization,
@@ -225,6 +227,22 @@ def test_propagator_nonnegative_and_substochastic_small():
             E = scipy.linalg.expm(t * op.dense())
             assert E.min() >= -1e-14
             assert E.sum(axis=1).max() <= 1.0 + 1e-12
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(shape=st.lists(st.integers(1, 24), min_size=1, max_size=2).map(tuple),
+       length=st.floats(0.5, 4.0), nu=st.floats(0.01, 10.0), dt=st.floats(1e-4, 1.0))
+def test_step_kernels_are_nonnegative_in_physical_space(shape, length, nu, dt):
+    # maximum principle: the solver's own exp, dt phi1 and dt phi2 kernels,
+    # applied through the sine transforms to every unit vector, give
+    # nonnegative matrices up to transform round-off
+    fact = spectral_factorization(
+        DirichletLaplacian(shape, nu, tuple(length / (n + 1) for n in shape)))
+    ws = make_workspace(fact, dt)
+    units = np.eye(math.prod(shape)).reshape((-1,) + shape)
+    for kernel in (ws.exp_kernel, ws.phi1_kernel, ws.phi2_kernel):
+        columns = fact.from_modes(kernel * fact.to_modes(units))
+        assert columns.min() >= -1e-13 * np.abs(columns).max()
 
 
 @pytest.mark.parametrize("scheme,target", [("etd1", 1.0), ("etd2", 2.0)])
