@@ -15,9 +15,11 @@ so adjacent pieces share 2c - 1 nodes when both sides widen by c cells.
 Each piece reads one row of nodes per internal edge from the neighbor
 across it: the nodes just outside its own box, which must be interior and
 owned by that neighbor; that is exactly the feasibility bound on c checked
-at construction.  Edges are keyed by (axis, side), side 0 being the low
-end of the axis and side 1 the high end, and are always enumerated as
-axis 0 low, axis 0 high, axis 1 low, axis 1 high.
+at construction.  Before that, every piece needs a node of its own between
+its two breaks, so an axis of n nodes holds at most (n + 1) // 2 pieces.
+Edges are keyed by (axis, side), side 0 being the low end of the axis and
+side 1 the high end, and are always enumerated as axis 0 low, axis 0 high,
+axis 1 low, axis 1 high.
 
 Forcing assembly folds the Dirichlet boundary closure into the source
 term: F = f(x, t) plus (nu / h_k^2) times the bordering values (physical
@@ -243,10 +245,6 @@ class Box:
             raise ValueError(f"node {node} not owned by box {self.lo}..{self.hi}")
         return tuple(j - lo for j, lo in zip(node, self.lo))
 
-    def slices_of(self, inner: "Box") -> tuple[slice, ...]:
-        """Index of the nodes of `inner`, a sub-box, in this box's arrays."""
-        return tuple(slice(a - lo, b - lo + 1) for a, b, lo in zip(inner.lo, inner.hi, self.lo))
-
 
 def _with(values: tuple, k: int, value) -> tuple:
     return values[:k] + (value,) + values[k + 1 :]
@@ -308,8 +306,11 @@ def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[tupl
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     breaks = [round(i * (n + 1) / p) for i in range(p + 1)]
-    if len(set(breaks)) != p + 1:
-        raise ValueError(f"grid with n={n} is too coarse for {p} pieces")
+    if any(b - a < 2 for a, b in zip(breaks, breaks[1:])):
+        raise ValueError(
+            f"{p} pieces do not fit a grid with n={n} interior nodes "
+            f"(at most {(n + 1) // 2} pieces)"
+        )
     pieces = []
     for i in range(1, p + 1):
         lo = 1 if i == 1 else breaks[i - 1] + 1 - widen_left
@@ -444,11 +445,13 @@ def assemble_forcing(
     (nu / h_k^2) * bordering values folded into the edge node rows.
 
     edge_values: one array per edge in (axis, side) order, with one value
-    per node of the edge row (flattened or in the row's shape).
+    per node of the edge row (flattened or in the row's shape); None
+    leaves that edge's row without a closure term.
     """
     f = np.array(forcing.problem.source(*forcing.mesh, t), dtype=float)
     if f.shape != forcing.shape:
         f = np.broadcast_to(f, forcing.shape).copy()
     for e, values in zip(forcing.edges, edge_values):
-        f[e.index] += e.weight * values.reshape(e.shape)
+        if values is not None:
+            f[e.index] += e.weight * values.reshape(e.shape)
     return f

@@ -44,6 +44,7 @@ __all__ = [
     "build_laplacian_2d",
     "spectral_factorization",
     "spectral_factorization_2d",
+    "sine_row",
     "phi_scalar",
     "apply_phi",
     "expm_dense",
@@ -157,6 +158,16 @@ def spectral_factorization(op: DirichletLaplacian) -> SpectralFactorization:
 
 
 spectral_factorization_2d = spectral_factorization
+
+
+def sine_row(n: int, j: int) -> np.ndarray:
+    """Row j (0-based) of the orthonormal DST-I matrix of size n: the n
+    sine modes sampled at node j.  The matrix is symmetric, so this is the
+    transform of the unit vector at j; taking it from the transform keeps
+    the transform's own round-off."""
+    unit = np.zeros(n)
+    unit[j] = 1.0
+    return dstn(unit, type=1, norm="ortho")
 
 
 def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:

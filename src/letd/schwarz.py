@@ -17,13 +17,25 @@ Two ways to resolve the interface coupling:
   and beta are the overlap fractions; on short windows an erfc-type
   superlinear bound applies instead.
 
+  The sweeps iterate on the traces alone, in sine-mode space.  A piece's
+  state is affine in the traces it reads, so the trace-independent part
+  (start state, source and physical boundary data) is transformed once
+  per window.  A trace history enters the forcing modes as its stencil
+  weight times the sine row of the border node along the edge axis,
+  tensored with the history's DST over the edge's other axes (none in
+  1d); an owned trace is read out by contracting the mode-space
+  trajectory with the sine row of its read node (plus a DST over the
+  other axes in 2d).  A sweep therefore assembles no forcing and runs no
+  full-field DST; the fields are rebuilt by one batched inverse DST per
+  piece after the last sweep.
+
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
-the initial state, the forcing data and per-edge closures prepared by
-`build_local_pieces`, and share one sweep loop.  Interface traces are
-stored per directed interface as arrays of shape (size,) at a single
-level and (steps + 1, size) over a window; size is 1 in 1d and the
-edge length in 2d.
+the initial state, the forcing data, per-edge closures and the sine
+rows of the trace edges prepared by `build_local_pieces`, and share one
+sweep loop.  Interface traces are stored per directed interface as
+arrays of shape (size,) at a single level and (steps + 1, size) over a
+window; size is 1 in 1d and the edge length in 2d.
 
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
@@ -52,7 +64,7 @@ from .geometry import (
     boundary_data,
     box_forcing,
 )
-from .matfunc import DirichletLaplacian, spectral_factorization
+from .matfunc import DirichletLaplacian, SpectralFactorization, sine_row, spectral_factorization
 from .steppers import Scheme, StepWorkspace, TimeGrid, make_workspace
 
 __all__ = [
@@ -158,64 +170,115 @@ def superlinear_bound(k: int, alpha: float, beta: float, length: float, nu: floa
     return math.erfc(k * (beta - alpha) * length / (2.0 * math.sqrt(nu * horizon)))
 
 
+@dataclass(frozen=True)
+class EdgeRow:
+    """One trace edge of a piece in sine-mode space.
+
+    The edge's node row lies at index `node` along `axis`; `modes` is the
+    sine row of that node along the axis, `weight` the factor on the
+    trace (the stencil weight nu / h^2 for a trace the piece reads, 1 for
+    one it owns), `other` the sine transform over the remaining axes
+    (None in 1d), and `to_last` the order of a trajectory's axes (levels
+    first) that puts `axis` last.
+    """
+
+    interface: int
+    axis: int
+    node: int
+    modes: np.ndarray
+    weight: float
+    other: Optional[SpectralFactorization]
+    to_last: tuple[int, ...]
+
+    def spread(self, history: np.ndarray) -> np.ndarray:
+        """Forcing modes (levels, *piece shape) of a trace history (levels, size)."""
+        shape = () if self.other is None else self.other.op.shape
+        h = (self.weight * history).reshape((len(history),) + shape)
+        if self.other is not None:
+            h = self.other.to_modes(h)
+        cut = 1 + self.axis
+        return (h.reshape(h.shape[:cut] + (1,) + h.shape[cut:])
+                * self.modes.reshape((-1,) + (1,) * (h.ndim - cut)))
+
+    def read(self, u_hat: np.ndarray) -> np.ndarray:
+        """Trace history (levels, size) of a mode-space trajectory (levels, *piece shape)."""
+        v = u_hat.transpose(self.to_last) @ self.modes
+        if self.other is not None:
+            v = self.other.from_modes(v)
+        return v.reshape(len(v), -1)
+
+
 @dataclass
 class LocalPiece:
     """One subdomain prepared for the Schwarz drivers.
 
     edges: one entry per edge of the piece in (axis, side) order;
     ("physical", fn) edges carry a callable t -> boundary data,
-    ("trace", i) edges read interface i.  owned: (interface index, node
-    index) pairs for the values this piece provides to neighbors.
+    ("trace", i) edges read interface i.  inflow: those trace edges;
+    outflow: the node rows whose values this piece provides to neighbors.
     """
 
     ws: StepWorkspace
     u0: np.ndarray
     closure: BoxForcing
     edges: tuple
-    owned: tuple
+    inflow: tuple[EdgeRow, ...]
+    outflow: tuple[EdgeRow, ...]
 
-    def forcing(self, t: float, traces: Optional[TraceSet],
-                level: Optional[int] = None) -> np.ndarray:
-        """Closed forcing at t; trace edges read `traces` (at `level` over a window)."""
+    def forcing(self, t: float, traces: Optional[TraceSet] = None) -> np.ndarray:
+        """Closed forcing at t; trace edges read `traces` (one value set per
+        interface) or, without them, add nothing: the trace-independent part."""
         vals = []
         for kind, ref in self.edges:
             if kind == "physical":
                 vals.append(ref(t))
-            elif traces is None:
-                raise ValueError("interface edge present but no traces supplied")
             else:
-                tr = traces[ref]
-                vals.append(tr[level] if level is not None else tr)
+                vals.append(None if traces is None else traces[ref])
         return assemble_forcing(self.closure, t, vals)
 
     def extract(self, state: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """Owned interface values of one state (n...) or a trajectory
         (levels, n...), flattened per level."""
         lead = state.shape[: state.ndim - self.u0.ndim]
-        return [(idx, state[(Ellipsis,) + index].reshape(lead + (-1,)).copy())
-                for idx, index in self.owned]
+        return [(e.interface,
+                 np.take(state, e.node, axis=len(lead) + e.axis).reshape(lead + (-1,)))
+                for e in self.outflow]
 
 
 def build_local_pieces(
     problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
-    """Per-piece workspaces, initial states and edge closures of a layout."""
+    """Per-piece workspaces, initial states, edge closures and trace-edge
+    sine rows of a layout."""
     pieces = []
     for i, box in enumerate(layout.pieces):
         op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
         ws = make_workspace(spectral_factorization(op), dt)
         closure = box_forcing(problem, grid, box)
-        trace_for = {(itf.axis, itf.side): itf.index
-                     for itf in layout.interfaces if itf.reader == i}
+
+        def edge_row(itf: Interface, node: int, weight: float) -> EdgeRow:
+            keep = [k for k in range(len(box.shape)) if k != itf.axis]
+            other = spectral_factorization(DirichletLaplacian(
+                tuple(box.shape[k] for k in keep), problem.nu,
+                tuple(grid.spacings[k] for k in keep))) if keep else None
+            return EdgeRow(itf.index, itf.axis, node, sine_row(box.shape[itf.axis], node),
+                           weight, other, (0, *(1 + k for k in keep), 1 + itf.axis))
+
+        reads = [itf for itf in layout.interfaces if itf.reader == i]
+        trace_for = {(itf.axis, itf.side): itf.index for itf in reads}
         edges = tuple(
             ("trace", trace_for[axis, side]) if (axis, side) in trace_for
             else ("physical", partial(boundary_data, closure, 2 * axis + side))
             for axis in range(len(box.shape)) for side in (0, 1)
         )
-        owned = tuple((itf.index, box.slices_of(itf.read))
-                      for itf in layout.interfaces if itf.owner == i)
+        inflow = tuple(
+            edge_row(itf, itf.side * (box.shape[itf.axis] - 1),
+                     closure.edges[2 * itf.axis + itf.side].weight)
+            for itf in reads)
+        outflow = tuple(edge_row(itf, itf.read.lo[itf.axis] - box.lo[itf.axis], 1.0)
+                        for itf in layout.interfaces if itf.owner == i)
         pieces.append(LocalPiece(ws=ws, u0=closure.initial_state(), closure=closure,
-                                 edges=edges, owned=owned))
+                                 edges=edges, inflow=inflow, outflow=outflow))
     return pieces
 
 
@@ -268,25 +331,25 @@ def _stop(updates: np.ndarray, denoms: np.ndarray, tol: float) -> bool:
 
 
 def _sweep_loop(
-    sweep: Callable[[TraceSet], list],
-    pieces: Sequence[LocalPiece],
+    sweep: Callable[[TraceSet], TraceSet],
     traces: TraceSet,
     config: SolverConfig,
     reference: Optional[TraceSet],
     time_axis: bool,
     where: str,
-) -> tuple[list[np.ndarray], IterationLog]:
-    """Iterate sweep(traces) -> per-piece states from the initial traces.
+) -> IterationLog:
+    """Iterate traces <- sweep(traces) from the initial traces.
 
-    Each sweep's owned interface values become the next traces; the loop
-    logs the per-interface updates (and distances from `reference`),
-    stops by the relative-update rule unless the budget is fixed, and
-    raises on a non-finite update either way.  Without interfaces one
-    sweep is the solution.
+    The loop logs the per-interface updates (and distances from
+    `reference`), stops by the relative-update rule unless the budget is
+    fixed, and raises on a non-finite update either way.  Without
+    interfaces one sweep is the solution.  The caller's sweep keeps the
+    states of its last call.
     """
     n_if = len(traces)
     if n_if == 0:
-        return sweep([]), IterationLog(
+        sweep([])
+        return IterationLog(
             updates=np.zeros((1, 0)), errors=None, converged=True, iterations=1,
         )
     fixed = config.fixed_iterations is not None
@@ -295,8 +358,7 @@ def _sweep_loop(
     upd_rows = []
     converged = fixed
     for k in range(1, config.budget + 1):
-        states = sweep(traces)
-        new_traces = initial_traces(pieces, states, n_if)
+        new_traces = sweep(traces)
         update = _trace_diff(new_traces, traces, time_axis)
         bad = np.flatnonzero(~np.isfinite(update))
         if bad.size:
@@ -309,13 +371,12 @@ def _sweep_loop(
         if not fixed and _stop(update, denoms, config.tolerance):
             converged = True
             break
-    log = IterationLog(
+    return IterationLog(
         updates=np.array(upd_rows),
         errors=np.array(err_rows) if reference is not None else None,
         converged=converged,
         iterations=len(upd_rows),
     )
-    return states, log
 
 
 def method1_advance(
@@ -362,13 +423,14 @@ def method1_advance(
         (p.ws.phi1_kernel if scheme == "etd1" else p.ws.phi2_kernel) for p in pieces
     ]
 
-    def sweep(traces: TraceSet) -> list[np.ndarray]:
-        new_states = []
-        for piece, bh, gk in zip(pieces, base_hat, gain_kernel):
-            fa = piece.ws.fact
-            f_next = piece.forcing(t_next, traces)
-            new_states.append(fa.from_modes(bh + gk * fa.to_modes(f_next)))
-        return new_states
+    states = []
+
+    def sweep(traces: TraceSet) -> TraceSet:
+        states[:] = [
+            p.ws.fact.from_modes(bh + gk * p.ws.fact.to_modes(p.forcing(t_next, traces)))
+            for p, bh, gk in zip(pieces, base_hat, gain_kernel)
+        ]
+        return initial_traces(pieces, states, n_if)
 
     if init_guess is not None:
         traces = [np.array(tr, dtype=float).reshape(itf.size)
@@ -378,8 +440,9 @@ def method1_advance(
     else:
         predictor = [p.ws.fact.from_modes(ph) for p, ph in zip(pieces, predictor_hat)]
         traces = initial_traces(pieces, predictor, n_if)
-    return _sweep_loop(sweep, pieces, traces, config, reference, time_axis=False,
-                       where=f"at t={t_next:g}")
+    log = _sweep_loop(sweep, traces, config, reference, time_axis=False,
+                      where=f"at t={t_next:g}")
+    return states, log
 
 
 def method1_march(
@@ -408,58 +471,94 @@ def method1_march(
     return trajs, logs
 
 
-def _march_window(
+def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
+                 f_hat: np.ndarray) -> np.ndarray:
+    """Diagonal ETD recursion in mode space over forcing modes f_hat
+    (steps + 1, ...) from the start modes u_hat; returns all levels.
+
+    The forcing terms of every step are formed up front, so only the
+    update E u + terms runs per step, in place and summed in the order of
+    the single-step formula.
+    """
+    E, mul, add = ws.exp_kernel, np.multiply, np.add
+    out = np.empty_like(f_hat)
+    out[0] = u_hat
+    rows = list(out)
+    if scheme == "etd1":
+        for prev, nxt, g in zip(rows, rows[1:], ws.phi1_kernel * f_hat[1:]):
+            add(mul(E, prev, out=nxt), g, out=nxt)
+    else:
+        for prev, nxt, g0, g1 in zip(rows, rows[1:], ws.phi1_kernel * f_hat[:-1],
+                                     ws.phi2_kernel * (f_hat[1:] - f_hat[:-1])):
+            add(add(mul(E, prev, out=nxt), g0, out=nxt), g1, out=nxt)
+    return out
+
+
+def _window_sweep(
     pieces: Sequence[LocalPiece],
     u_start: Sequence[np.ndarray],
     t_start: float,
     dt: float,
     steps: int,
     scheme: Scheme,
-    traces: TraceSet,
-) -> list[np.ndarray]:
-    """One waveform sweep: every piece re-marches the window against the
-    given neighbor traces.
+) -> tuple[Callable[[TraceSet], TraceSet], Callable[[Sequence[np.ndarray]], None]]:
+    """The interface-reduced waveform sweep of one window.
 
-    All forcing levels are known up front (they depend only on the given
-    traces), so the forward and inverse transforms are batched over
-    levels and only the cheap diagonal recursion runs per step.
+    Transforms every piece's start state and trace-independent forcing
+    stack once.  Returns `sweep(traces)`, which marches every piece in
+    mode space against the given trace histories and returns the owned
+    traces, and `fields(out)`, which writes levels 1..steps of the last
+    sweep's trajectories into out[d] (steps + 1, *shape): the last march
+    is repeated piece by piece and transformed back by one batched
+    inverse DST, so no mode-space trajectory is held between sweeps.
+    `fields` releases the forcing stacks as it goes and is called once,
+    after the last sweep.
     """
-    trajs = []
-    for d, piece in enumerate(pieces):
-        fa = piece.ws.fact
-        u0 = np.asarray(u_start[d], dtype=float)
-        f_stack = np.empty((steps + 1,) + u0.shape)
-        for m in range(steps + 1):
-            t = t_start + m * dt
-            f_stack[m] = piece.forcing(t, traces, m)
-        f_hat = fa.to_modes(f_stack)
-        out_hat = np.empty_like(f_hat)
-        u_hat = fa.to_modes(u0)
-        out_hat[0] = u_hat
-        E, K1, K2 = piece.ws.exp_kernel, piece.ws.phi1_kernel, piece.ws.phi2_kernel
-        for m in range(steps):
-            if scheme == "etd1":
-                u_hat = E * u_hat + K1 * f_hat[m + 1]
-            else:
-                u_hat = E * u_hat + K1 * f_hat[m] + K2 * (f_hat[m + 1] - f_hat[m])
-            out_hat[m + 1] = u_hat
-        traj = fa.from_modes(out_hat)
-        traj[0] = u0  # keep the start state free of transform round-off
-        trajs.append(traj)
-    return trajs
+    times = [t_start + m * dt for m in range(steps + 1)]
+    starts = [p.ws.fact.to_modes(np.asarray(u, dtype=float)) for p, u in zip(pieces, u_start)]
+    bases = [p.ws.fact.to_modes(np.stack([p.forcing(t) for t in times])) for p in pieces]
+    last: TraceSet = []
+
+    def march(d: int, traces: TraceSet) -> np.ndarray:
+        f_hat = bases[d]
+        for edge in pieces[d].inflow:
+            f_hat = f_hat + edge.spread(traces[edge.interface])
+        return _march_modes(pieces[d].ws, scheme, starts[d], f_hat)
+
+    def sweep(traces: TraceSet) -> TraceSet:
+        last[:] = traces
+        new: TraceSet = [None] * len(traces)
+        for d, piece in enumerate(pieces):
+            u_hat = march(d, traces)
+            for edge in piece.outflow:
+                tr = edge.read(u_hat)
+                tr[0] = traces[edge.interface][0]  # level 0 is pinned data
+                new[edge.interface] = tr
+        return new
+
+    def fields(out: Sequence[np.ndarray]) -> None:
+        for d, piece in enumerate(pieces):
+            out[d][1:] = piece.ws.fact.from_modes(march(d, last)[1:])
+            bases[d] = None
+
+    return sweep, fields
 
 
 def _solve_window(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
-    u_start: Sequence[np.ndarray],
+    window: Sequence[np.ndarray],
     t_start: float,
     dt: float,
-    steps: int,
     config: SolverConfig,
     guess: Optional[TraceSet],
     reference: Optional[TraceSet],
-) -> tuple[list[np.ndarray], IterationLog]:
+) -> IterationLog:
+    """Solve one window in place: window[d] is piece d's trajectory
+    (steps + 1, *shape) over the window, level 0 holding its start state;
+    levels 1..steps receive the solution."""
+    steps = len(window[0]) - 1
+    u_start = [w[0] for w in window]
     pinned = initial_traces(pieces, u_start, len(interfaces))
     if guess is None:
         traces = [np.repeat(p[None, :], steps + 1, axis=0) for p in pinned]
@@ -468,12 +567,11 @@ def _solve_window(
                   for g, itf in zip(guess, interfaces)]
     for tr, p in zip(traces, pinned):
         tr[0] = p
-
-    def sweep(traces: TraceSet) -> list[np.ndarray]:
-        return _march_window(pieces, u_start, t_start, dt, steps, config.scheme, traces)
-
-    return _sweep_loop(sweep, pieces, traces, config, reference, time_axis=True,
-                       where=f"in the window from t={t_start:g}")
+    sweep, fields = _window_sweep(pieces, u_start, t_start, dt, steps, config.scheme)
+    log = _sweep_loop(sweep, traces, config, reference, time_axis=True,
+                      where=f"in the window from t={t_start:g}")
+    fields(window)
+    return log
 
 
 def method2_solve(
@@ -486,6 +584,12 @@ def method2_solve(
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
+    Each window iterates interface-reduced sweeps: the trace-independent
+    forcing is assembled and transformed once per window, a sweep runs
+    only the mode-space recursion and the sine-row trace products (no
+    forcing assembly, no full-field DST), and the fields are rebuilt
+    once after the window's last sweep.
+
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per
     window.  Level-0 traces are always pinned to the initial state, and
@@ -494,13 +598,11 @@ def method2_solve(
     """
     steps = timegrid.steps
     win = config.window_steps or steps
-    starts = list(range(0, steps, win))
-    states = [p.u0.copy() for p in pieces]
     trajs = [np.empty((steps + 1,) + p.u0.shape) for p in pieces]
-    for traj, u in zip(trajs, states):
-        traj[0] = u
+    for traj, p in zip(trajs, pieces):
+        traj[0] = p.u0
     logs = []
-    for s in starts:
+    for s in range(0, steps, win):
         n = min(win, steps - s)
         guess = None
         ref = None
@@ -508,13 +610,9 @@ def method2_solve(
             guess = [np.asarray(g, dtype=float)[s : s + n + 1] for g in init_guess]
         if reference is not None:
             ref = [np.asarray(r, dtype=float)[s : s + n + 1] for r in reference]
-        wtrajs, wlog = _solve_window(
-            pieces, interfaces, states, timegrid.t(s), timegrid.dt, n, config, guess, ref
-        )
-        logs.append(wlog)
-        for traj, wt in zip(trajs, wtrajs):
-            traj[s + 1 : s + n + 1] = wt[1:]
-        states = [wt[-1] for wt in wtrajs]
+        window = [traj[s : s + n + 1] for traj in trajs]
+        logs.append(_solve_window(pieces, interfaces, window, timegrid.t(s), timegrid.dt,
+                                  config, guess, ref))
     if len(logs) == 1:
         return trajs, logs[0]
     return trajs, IterationLog(

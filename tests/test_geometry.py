@@ -101,6 +101,23 @@ def test_layout_feasibility_errors():
         decompose_1d(g, 40, 1)      # more pieces than cells
 
 
+@pytest.mark.parametrize("n,p", [(3, 4), (3, 3), (31, 17), (31, 40)])
+def test_too_many_pieces_are_rejected_by_count_not_by_overlap(n, p):
+    # a piece needs a node of its own between two breaks, so n interior
+    # nodes hold at most (n + 1) // 2 pieces, whatever the overlap
+    g = make_grid_1d(n, 1.0)
+    for delta in (1, 8):
+        with pytest.raises(ValueError, match=rf"^{p} pieces do not fit a grid with n={n} "):
+            decompose_1d(g, p, delta)
+    assert len(decompose_1d(g, (n + 1) // 2, 1).pieces) == (n + 1) // 2
+
+
+def test_too_wide_overlap_is_reported_for_pieces_that_fit():
+    g = make_grid_1d(31, 1.0)
+    with pytest.raises(ValueError, match=r"^overlap too wide: piece 1 reads node 32, "):
+        decompose_1d(g, 2, 16)
+
+
 def test_contraction_factor_formula():
     assert theoretical_rate(0.25, 0.75) == pytest.approx((0.25 * 0.25) / (0.75 * 0.75))
     g = make_grid_1d(255, 2.0)

@@ -445,4 +445,11 @@ def test_pinned_summary_rows_of_every_problem_and_solver(kw, summary, n_decay, l
         assert _same_row(tuple(got), want), (got, want)
     assert len(res.decay_rows) == n_decay
     if last_decay is not None:
-        assert _same_row(tuple(res.decay_rows[-1]), last_decay), res.decay_rows[-1]
+        # the last row's raw_update and normalized_error are small late
+        # iterates; compare them against the run's first update (pinned
+        # raw / pinned normalized), not relative to themselves
+        got = tuple(res.decay_rows[-1])
+        assert _same_row(got[:4], last_decay[:4]), got
+        raw, norm = last_decay[4:]
+        assert abs(got[5] - norm) <= 1e-12, got
+        assert abs(got[4] - raw) <= 1e-12 * raw / norm, got

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from letd.geometry import Problem1D, decompose_1d, make_grid_1d
+from letd import schwarz
+from letd.geometry import Problem1D, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
+from letd.harness import builtin_problem
 from letd.matfunc import build_laplacian_1d, spectral_factorization
 from letd.schwarz import (
     SolverConfig,
     build_local_pieces,
+    initial_traces,
     method1_advance,
     method1_march,
     method2_solve,
@@ -152,6 +156,28 @@ def test_waveform_and_per_step_drivers_agree_when_converged(scheme):
     scale = max(np.abs(t).max() for t in t1)
     for a, b in zip(t1, t2):
         assert np.abs(a - b).max() < 1e-10 * scale
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.integers(24, 64), p=st.integers(2, 4), delta=st.integers(1, 3),
+       scheme=st.sampled_from(["etd1", "etd2"]), steps=st.integers(4, 10))
+def test_converged_drivers_give_the_same_fields(n, p, delta, scheme, steps):
+    prob = analytic_problem()
+    grid = make_grid_1d(n, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, p, delta)
+    tg = TimeGrid(prob.horizon, steps)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=1000)
+    t1, logs1 = method1_march(pieces, lay.interfaces, tg, cfg)
+    t2, log2 = method2_solve(pieces, lay.interfaces, tg, cfg)
+    scale = max(np.abs(t).max() for t in t1)
+    # 1e-13 is the relative stop rule's round-off floor on some layouts (an
+    # interface whose start value is small against its later values): there
+    # a driver runs its budget with updates of a few ulps of the solution
+    for log in (*logs1, log2):
+        assert log.converged or log.updates[-1].max() <= 1e-13 * scale
+    for a, b in zip(t1, t2):
+        assert np.abs(a - b).max() <= 1e-10 * scale, np.abs(a - b).max() / scale
 
 
 def test_time_windows_reproduce_the_unwindowed_solution():
@@ -309,3 +335,115 @@ def test_waveform_driver_raises_on_a_non_finite_update(mode):
                        fixed_iterations=50 if mode == "fixed" else None)
     with pytest.raises(FloatingPointError, match=r"window from t=0: sweep 1, interface 0"):
         method2_solve(pieces, lay.interfaces, tg, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the field-marching waveform sweep, kept as the oracle of the reduced one
+# ---------------------------------------------------------------------------
+
+
+def field_window_sweep(pieces, u_start, t_start, dt, steps, scheme):
+    """The waveform sweep on fields, with the protocol of
+    `schwarz._window_sweep`: every sweep assembles each piece's forcing at
+    every level against the given traces, transforms the stack, runs the
+    diagonal recursion and transforms back; the owned traces are read from
+    the physical trajectories."""
+    trajs = []
+
+    def sweep(traces):
+        trajs.clear()
+        for piece, u0 in zip(pieces, u_start):
+            fa = piece.ws.fact
+            u0 = np.asarray(u0, dtype=float)
+            f_stack = np.empty((steps + 1,) + u0.shape)
+            for m in range(steps + 1):
+                f_stack[m] = piece.forcing(t_start + m * dt, [tr[m] for tr in traces])
+            f_hat = fa.to_modes(f_stack)
+            out_hat = np.empty_like(f_hat)
+            u_hat = fa.to_modes(u0)
+            out_hat[0] = u_hat
+            E, K1, K2 = piece.ws.exp_kernel, piece.ws.phi1_kernel, piece.ws.phi2_kernel
+            for m in range(steps):
+                if scheme == "etd1":
+                    u_hat = E * u_hat + K1 * f_hat[m + 1]
+                else:
+                    u_hat = E * u_hat + K1 * f_hat[m] + K2 * (f_hat[m + 1] - f_hat[m])
+                out_hat[m + 1] = u_hat
+            traj = fa.from_modes(out_hat)
+            traj[0] = u0
+            trajs.append(traj)
+        return initial_traces(pieces, trajs, len(traces))
+
+    def fields(out):
+        for o, traj in zip(out, trajs):
+            o[1:] = traj[1:]
+
+    return sweep, fields
+
+
+def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
+    """method2_solve through the library's sweep and through the field
+    oracle; per route: trajectories, log and the traces of every sweep."""
+    runs = []
+    for factory in (schwarz._window_sweep, field_window_sweep):
+        seen = []
+
+        def recording(*args, factory=factory, seen=seen):
+            sweep, fields = factory(*args)
+
+            def recorded(traces):
+                out = sweep(traces)
+                seen.append([tr.copy() for tr in out])
+                return out
+
+            return recorded, fields
+
+        monkeypatch.setattr(schwarz, "_window_sweep", recording)
+        trajs, log = method2_solve(pieces, interfaces, tg, cfg, init_guess=guess)
+        runs.append((trajs, log, seen))
+    return runs
+
+
+def _oracle_1d(p):
+    prob = analytic_problem()
+    grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    return prob, decompose_1d(grid, p, 2 if p > 1 else 0), grid, TimeGrid(prob.horizon, 12)
+
+
+def _oracle_2d(px, py, overlap, convention):
+    prob = builtin_problem("analytic_2d")
+    grid = make_grid_2d(15, 12, prob.lengths)
+    return prob, decompose_2d(15, 12, px, py, overlap, convention), grid, TimeGrid(prob.horizon, 8)
+
+
+ORACLE_CASES = [
+    *[pytest.param(_oracle_1d, (p,), scheme, window,
+                   id=f"1d-P{p}-{scheme}-w{window}")
+      for p in (2, 3) for scheme in ("etd1", "etd2") for window in (None, 5)],
+    pytest.param(_oracle_2d, (2, 2, 2, "half"), "etd2", None, id="2d-2x2-half"),
+    pytest.param(_oracle_2d, (3, 2, 3, "full"), "etd1", 3, id="2d-3x2-full"),
+    pytest.param(_oracle_1d, (1,), "etd2", None, id="1d-P1"),
+]
+
+
+@pytest.mark.parametrize("setup,args,scheme,window", ORACLE_CASES)
+def test_reduced_waveform_sweeps_match_the_field_route(monkeypatch, setup, args, scheme, window):
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-10, max_iterations=400,
+                       window_steps=window)
+    guess = random_trace_guess(lay.interfaces, seed=2, steps=tg.steps)
+    (t_red, log_red, seen_red), (t_fld, log_fld, seen_fld) = run_both_waveform_routes(
+        monkeypatch, pieces, lay.interfaces, tg, cfg, guess)
+
+    for a, b in zip((log_red,) + log_red.windows, (log_fld,) + log_fld.windows):
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert log_red.converged and len(log_red.windows) == len(log_fld.windows)
+    assert len(seen_red) == len(seen_fld) >= 1
+    scale = max([np.abs(tr).max() for sweep in seen_fld for tr in sweep], default=0.0)
+    for k, (a, b) in enumerate(zip(seen_red, seen_fld)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert np.abs(x - y).max() <= 1e-12 * scale, (k, i, np.abs(x - y).max() / scale)
+    u_max = max(np.abs(t).max() for t in t_fld)
+    for a, b in zip(t_red, t_fld):
+        assert np.abs(a - b).max() <= 1e-12 * u_max, np.abs(a - b).max() / u_max
