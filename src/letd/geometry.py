@@ -16,7 +16,8 @@ Each piece reads one row of nodes per internal edge from the neighbor
 across it: the nodes just outside its own box, which must be interior and
 owned by that neighbor; that is exactly the feasibility bound on c checked
 at construction.  Before that, every piece needs a node of its own between
-its two breaks, so an axis of n nodes holds at most (n + 1) // 2 pieces.
+its two breaks, so an axis of n nodes holds at most (n + 1) // 2 pieces,
+and adjacent pieces must overlap.
 Edges are keyed by (axis, side), side 0 being the low end of the axis and
 side 1 the high end, and are always enumerated as axis 0 low, axis 0 high,
 axis 1 low, axis 1 high.
@@ -316,9 +317,12 @@ def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[tupl
         lo = 1 if i == 1 else breaks[i - 1] + 1 - widen_left
         hi = n if i == p else breaks[i] - 1 + widen_right
         pieces.append((lo, hi))
-    # Feasibility: every read node must be interior and owned by exactly
-    # the adjacent neighbor, which also keeps overlaps from swallowing a
-    # whole piece.
+    # Feasibility: neighbors must overlap, and every read node must be
+    # interior and owned by exactly the adjacent neighbor, which also keeps
+    # overlaps from swallowing a whole piece.  Without an overlap the read
+    # nodes miss the neighbors too, so that fault is named first.
+    if any(left[1] + 1 <= right[0] - 1 for left, right in zip(pieces, pieces[1:])):
+        raise ValueError("pieces do not overlap; widen the overlap strip")
     for i, (lo, hi) in enumerate(pieces):
         for node, nb, name in ((lo - 1, i - 1, "left"), (hi + 1, i + 1, "right")):
             if 0 <= nb < p and not (1 <= node <= n and pieces[nb][0] <= node <= pieces[nb][1]):
@@ -326,8 +330,6 @@ def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[tupl
                     f"overlap too wide: piece {i + 1} reads node {node}, "
                     f"not owned by its {name} neighbor {pieces[nb][0]}..{pieces[nb][1]}"
                 )
-        if i > 0 and pieces[i - 1][1] + 1 <= lo - 1:
-            raise ValueError("pieces do not overlap; widen the overlap strip")
     return pieces
 
 

@@ -129,10 +129,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.problem == "error_equation" and self.solver == "mono":
             raise ValueError("the error equation studies iterative solvers only")
-        if not self.dts or any(dt <= 0 for dt in self.dts):
-            raise ValueError("time steps must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not self.dts:
+            raise ValueError("need at least one time step")
+        given = [("time step", dt) for dt in self.dts] + [("horizon", self.horizon)]
+        if self.tolerance is not None:
+            given.append(("tolerance", self.tolerance))
+        for name, value in given:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.seeds < 1:
             raise ValueError("need at least one seed")
         if self.problem == "analytic_2d" and (len(self.dts) > 1 or len(self.overlaps) > 1):

@@ -29,6 +29,15 @@ Two ways to resolve the interface coupling:
   full-field DST; the fields are rebuilt by one batched inverse DST per
   piece after the last sweep.
 
+  In 1d each trace is a single value per level, and with a uniform step
+  the map from an incoming trace history to an owned one is linear,
+  causal and time-invariant.  Each window therefore marches every piece
+  only to find the read-out of its trace-independent part and, per
+  (outflow, inflow) pair, the responses to a unit trace at level 0 and
+  at level 1; a sweep is then one causal convolution per pair, with no
+  per-step loop.  In 2d the edge-to-edge responses are dense, so every
+  sweep runs the mode-space recursion.
+
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
 the initial state, the forcing data, per-edge closures and the sine
@@ -110,7 +119,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("etd1", "etd2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
@@ -494,6 +503,33 @@ def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
     return out
 
 
+def _trace_responses(piece: LocalPiece, scheme: Scheme, start: np.ndarray,
+                     base: np.ndarray) -> list[tuple[int, np.ndarray, list]]:
+    """The causal response map of a 1d piece over one window.
+
+    Per outflow edge o: (interface, base read-out, pairs), where the base
+    read-out is o's trace of the march of the trace-independent part
+    (start modes plus forcing modes `base`) and pairs holds, per inflow
+    edge i, (interface, r0, r1): o's traces of the responses to a unit
+    trace on i at level 0 and at level 1.  The recursion is linear and
+    its kernels do not change over a uniform window, so a unit trace at
+    level j >= 1 gives r1 shifted by j - 1 levels; ETD2 uses level 0 only
+    through (phi1 - phi2), hence its own response (zero for ETD1).
+    """
+    zero = np.zeros_like(start)
+
+    def response(edge: EdgeRow, level: int) -> np.ndarray:
+        unit = np.zeros((len(base), 1))
+        unit[level] = 1.0
+        return _march_modes(piece.ws, scheme, zero, edge.spread(unit))
+
+    u_base = _march_modes(piece.ws, scheme, start, base)
+    units = [(i.interface, response(i, 0), response(i, 1)) for i in piece.inflow]
+    return [(o.interface, o.read(u_base)[:, 0],
+             [(idx, o.read(u0)[:, 0], o.read(u1)[:, 0]) for idx, u0, u1 in units])
+            for o in piece.outflow]
+
+
 def _window_sweep(
     pieces: Sequence[LocalPiece],
     u_start: Sequence[np.ndarray],
@@ -505,14 +541,21 @@ def _window_sweep(
     """The interface-reduced waveform sweep of one window.
 
     Transforms every piece's start state and trace-independent forcing
-    stack once.  Returns `sweep(traces)`, which marches every piece in
-    mode space against the given trace histories and returns the owned
-    traces, and `fields(out)`, which writes levels 1..steps of the last
-    sweep's trajectories into out[d] (steps + 1, *shape): the last march
-    is repeated piece by piece and transformed back by one batched
-    inverse DST, so no mode-space trajectory is held between sweeps.
-    `fields` releases the forcing stacks as it goes and is called once,
-    after the last sweep.
+    stack once.  Returns `sweep(traces)`, which maps the given trace
+    histories to the owned traces of every piece, and `fields(out)`,
+    which writes levels 1..steps of the last sweep's trajectories into
+    out[d] (steps + 1, *shape): the march against the last traces is
+    repeated piece by piece and transformed back by one batched inverse
+    DST, so no mode-space trajectory is held between sweeps.  `fields`
+    releases the forcing stacks as it goes and is called once, after the
+    last sweep.
+
+    In 1d (every trace edge a single node) the responses of
+    `_trace_responses` are computed once here, and a sweep is the causal
+    convolution out = base + r0 x[0] + r1 * x[1:] per (outflow, inflow)
+    pair: no per-step loop and no mode-space work.  In 2d the
+    edge-to-edge responses are dense, so every sweep marches each piece
+    in mode space against the spread traces and reads its outflow edges.
     """
     times = [t_start + m * dt for m in range(steps + 1)]
     starts = [p.ws.fact.to_modes(np.asarray(u, dtype=float)) for p, u in zip(pieces, u_start)]
@@ -525,15 +568,30 @@ def _window_sweep(
             f_hat = f_hat + edge.spread(traces[edge.interface])
         return _march_modes(pieces[d].ws, scheme, starts[d], f_hat)
 
+    if all(edge.other is None for p in pieces for edge in p.inflow):
+        maps = [_trace_responses(p, scheme, s, b) for p, s, b in zip(pieces, starts, bases)]
+
+        def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
+            out = []
+            for idx, tr, pairs in maps[d]:
+                tr = tr.copy()
+                for i, r0, r1 in pairs:
+                    x = traces[i][:, 0]
+                    tr[1:] += r0[1:] * x[0] + np.convolve(r1[1:], x[1:])[:steps]
+                out.append((idx, tr[:, None]))
+            return out
+    else:
+        def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
+            u_hat = march(d, traces)
+            return [(edge.interface, edge.read(u_hat)) for edge in pieces[d].outflow]
+
     def sweep(traces: TraceSet) -> TraceSet:
         last[:] = traces
         new: TraceSet = [None] * len(traces)
-        for d, piece in enumerate(pieces):
-            u_hat = march(d, traces)
-            for edge in piece.outflow:
-                tr = edge.read(u_hat)
-                tr[0] = traces[edge.interface][0]  # level 0 is pinned data
-                new[edge.interface] = tr
+        for d in range(len(pieces)):
+            for idx, tr in owned(d, traces):
+                tr[0] = traces[idx][0]  # level 0 is pinned data
+                new[idx] = tr
         return new
 
     def fields(out: Sequence[np.ndarray]) -> None:
@@ -585,10 +643,12 @@ def method2_solve(
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
     Each window iterates interface-reduced sweeps: the trace-independent
-    forcing is assembled and transformed once per window, a sweep runs
-    only the mode-space recursion and the sine-row trace products (no
-    forcing assembly, no full-field DST), and the fields are rebuilt
-    once after the window's last sweep.
+    forcing is assembled and transformed once per window, and the fields
+    are rebuilt once after the window's last sweep.  In 1d a sweep is a
+    causal convolution of the incoming trace histories with per-window
+    responses (no per-step loop); in 2d it runs the mode-space recursion
+    and the sine-row trace products.  Neither assembles forcing or runs a
+    full-field DST.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per

@@ -118,6 +118,25 @@ def test_too_wide_overlap_is_reported_for_pieces_that_fit():
         decompose_1d(g, 2, 16)
 
 
+LAYOUTS_BY_OVERLAP = {
+    "1d": lambda cells: decompose_1d(make_grid_1d(31, 1.0), 2, cells),
+    "2d-full": lambda cells: decompose_2d(15, 12, 2, 2, cells, "full"),
+    "2d-half": lambda cells: decompose_2d(15, 12, 2, 2, cells, "half"),
+}
+
+
+@pytest.mark.parametrize("kind", LAYOUTS_BY_OVERLAP)
+def test_layout_errors_name_a_missing_and_a_too_wide_overlap(kind):
+    # without an overlap the read nodes also miss the neighbors; the
+    # missing overlap is the fault to name
+    layout = LAYOUTS_BY_OVERLAP[kind]
+    with pytest.raises(ValueError, match=r"^pieces do not overlap; widen the overlap strip$"):
+        layout(0)
+    with pytest.raises(ValueError, match=r"^overlap too wide: piece 1 reads node \d+, "):
+        layout(40)
+    assert len(layout(1).interfaces) >= 2
+
+
 def test_contraction_factor_formula():
     assert theoretical_rate(0.25, 0.75) == pytest.approx((0.25 * 0.25) / (0.75 * 0.75))
     g = make_grid_1d(255, 2.0)

@@ -352,6 +352,18 @@ def test_cli_rejects_inconsistent_choices(capsys):
     assert "letd:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--T", "inf", "horizon must be positive and finite, got inf"),
+    ("--dt", "nan", "time step must be positive and finite, got nan"),
+    ("--tol", "nan", "tolerance must be positive and finite, got nan"),
+])
+def test_cli_rejects_non_finite_settings(flag, value, message, capsys):
+    rc = main(["--problem", "analytic_1d", "--solver", "method2", "--n", "31",
+               "--dt", "0.125", "--T", "0.25", flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"letd: {message}\n"
+
+
 def test_cli_prints_summary_to_stdout(capsys):
     rc = main(["--problem", "error_equation", "--solver", "method1",
                "--scheme", "etd1", "--n", "31", "--dt", "0.25", "--T", "1.0",

@@ -59,6 +59,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
+        SolverConfig(tolerance=math.nan)  # no update is ever below it
+    with pytest.raises(ValueError):
         SolverConfig(fixed_iterations=0)  # a fixed budget needs a sweep
     with pytest.raises(ValueError):
         SolverConfig(window_steps=0)
@@ -420,6 +422,9 @@ ORACLE_CASES = [
     *[pytest.param(_oracle_1d, (p,), scheme, window,
                    id=f"1d-P{p}-{scheme}-w{window}")
       for p in (2, 3) for scheme in ("etd1", "etd2") for window in (None, 5)],
+    # middle pieces with 2x2 (outflow, inflow) pairs, and one-step windows
+    *[pytest.param(_oracle_1d, (4,), scheme, window, id=f"1d-P4-{scheme}-w{window}")
+      for scheme in ("etd1", "etd2") for window in (None, 1)],
     pytest.param(_oracle_2d, (2, 2, 2, "half"), "etd2", None, id="2d-2x2-half"),
     pytest.param(_oracle_2d, (3, 2, 3, "full"), "etd1", 3, id="2d-3x2-full"),
     pytest.param(_oracle_1d, (1,), "etd2", None, id="1d-P1"),
@@ -447,3 +452,127 @@ def test_reduced_waveform_sweeps_match_the_field_route(monkeypatch, setup, args,
     u_max = max(np.abs(t).max() for t in t_fld)
     for a, b in zip(t_red, t_fld):
         assert np.abs(a - b).max() <= 1e-12 * u_max, np.abs(a - b).max() / u_max
+
+
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (4,)), (_oracle_2d, (2, 2, 2, "half"))],
+                         ids=["1d-P4", "2d-2x2"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_waveform_sweep_is_causal(setup, args, scheme):
+    # a change of one incoming history from level j on leaves every owned
+    # trace below level j bitwise unchanged
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    sweep, _ = schwarz._window_sweep(pieces, [p.u0 for p in pieces], 0.0, tg.dt,
+                                     tg.steps, scheme)
+    interfaces = lay.interfaces
+    guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
+    before = sweep(guess)
+    for j in (1, tg.steps // 2, tg.steps):
+        for i in range(len(interfaces)):
+            changed = [g.copy() for g in guess]
+            changed[i][j:] += 1.0 + np.arange(tg.steps + 1 - j)[:, None]
+            after = sweep(changed)
+            for a, b in zip(before, after):
+                assert np.array_equal(a[:j], b[:j]), (j, i)
+            assert any(not np.array_equal(a[j:], b[j:]) for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("window", [None, 4])
+def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, window):
+    prob, lay, grid, tg = _oracle_1d(4)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    march = schwarz._march_modes
+    counts = []
+    for sweeps in (2, 9):
+        calls = []
+        monkeypatch.setattr(schwarz, "_march_modes",
+                            lambda *a: calls.append(1) or march(*a))
+        cfg = SolverConfig(scheme="etd2", fixed_iterations=sweeps, window_steps=window)
+        method2_solve(pieces, lay.interfaces, tg, cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+# ---------------------------------------------------------------------------
+# the iteration-free route: the window's affine interface map, solved densely
+# ---------------------------------------------------------------------------
+
+
+def direct_window_traces(sweep, pinned, steps):
+    """The fixed point of one window's sweep, without iterating.
+
+    The sweep is affine in the unknown levels 1..steps of every interface
+    trace, x = b + M x; b and the columns of M come from sweeping the
+    history that holds the pinned level 0 and zeros, and unit histories.
+    (I - M) x = b is solved densely.
+    """
+    sizes = [len(p) for p in pinned]
+    n = steps * sum(sizes)
+
+    def history(x):
+        out, at = [], 0
+        for p, size in zip(pinned, sizes):
+            h = np.empty((steps + 1, size))
+            h[0] = p
+            h[1:] = x[at: at + steps * size].reshape(steps, size)
+            out.append(h)
+            at += steps * size
+        return out
+
+    def flat(traces):
+        return np.concatenate([tr[1:].ravel() for tr in traces])
+
+    b = flat(sweep(history(np.zeros(n))))
+    m = np.empty((n, n))
+    for k, unit in enumerate(np.eye(n)):
+        m[:, k] = flat(sweep(history(unit))) - b
+    return history(np.linalg.solve(np.eye(n) - m, b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, scheme):
+    prob, lay, grid, tg = _oracle_1d(p)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
+    sweep, _ = schwarz._window_sweep(pieces, [q.u0 for q in pieces], 0.0, tg.dt,
+                                     tg.steps, scheme)
+    direct = direct_window_traces(sweep, pinned, tg.steps)
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
+    trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
+    assert log.converged
+    got = initial_traces(pieces, trajs, len(lay.interfaces))
+    scale = max(np.abs(tr).max() for tr in direct)
+    for a, b in zip(got, direct):
+        assert np.abs(a - b).max() <= 1e-10 * scale, np.abs(a - b).max() / scale
+
+
+@pytest.mark.parametrize("window", [1, 5])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    n_if = len(lay.interfaces)
+    # chain direct window solves: each window starts from the fields of the
+    # direct solution of the one before
+    direct = [np.empty((tg.steps + 1,) + q.u0.shape) for q in pieces]
+    for traj, q in zip(direct, pieces):
+        traj[0] = q.u0
+    for s in range(0, tg.steps, window):
+        n = min(window, tg.steps - s)
+        part = [traj[s: s + n + 1] for traj in direct]
+        starts = [w[0] for w in part]
+        sweep, fields = schwarz._window_sweep(pieces, starts, tg.t(s), tg.dt, n, scheme)
+        sweep(direct_window_traces(sweep, initial_traces(pieces, starts, n_if), n))
+        fields(part)
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000,
+                       window_steps=window)
+    trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
+    assert log.converged and len(log.windows) == -(-tg.steps // window)
+    want = initial_traces(pieces, direct, n_if)
+    scale = max(np.abs(tr).max() for tr in want)
+    for a, b in zip(initial_traces(pieces, trajs, n_if), want):
+        assert np.abs(a - b).max() <= 1e-10 * scale, np.abs(a - b).max() / scale
+    u_max = max(np.abs(t).max() for t in direct)
+    for a, b in zip(trajs, direct):
+        assert np.abs(a - b).max() <= 1e-10 * u_max, np.abs(a - b).max() / u_max
