@@ -59,6 +59,9 @@ SUMMARY_COLUMNS = (
 
 #: iteration budgets used by the rate studies (fixed sweep counts per run)
 RATE_BUDGET = {"method1": 30, "method2": 60}
+#: fewest sweeps a rate study can estimate a contraction from: the default
+#: trimming of estimate_contraction needs six curve entries, the guess included
+RATE_MIN_SWEEPS = 5
 #: default stopping tolerances for "converged" localized solutions
 DEFAULT_TOL = {"etd1": 1e-4, "etd2": 1e-6}
 
@@ -129,6 +132,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.problem == "error_equation" and self.solver == "mono":
             raise ValueError("the error equation studies iterative solvers only")
+        if self.problem == "error_equation" and self.px < 2:
+            raise ValueError(f"a rate study needs at least 2 subdomains, got subdomains {self.px}: "
+                             "a single piece has no interface")
+        if (self.problem == "error_equation" and self.fixed_iterations is not None
+                and self.fixed_iterations < RATE_MIN_SWEEPS):
+            raise ValueError(f"a rate study needs fixed_iters >= {RATE_MIN_SWEEPS}, got "
+                             f"{self.fixed_iterations}: the contraction estimate uses the "
+                             f"guess and at least {RATE_MIN_SWEEPS} sweeps")
         if not self.dts:
             raise ValueError("need at least one time step")
         given = [("time step", dt) for dt in self.dts] + [("horizon", self.horizon)]

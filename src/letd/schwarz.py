@@ -5,8 +5,16 @@ Two ways to resolve the interface coupling:
 * Per-time-step iteration ("method 1"): at each time level all pieces
   step in parallel from the converged previous level, exchanging the
   Dirichlet values they read from their neighbors, until the interface
-  values stop moving.  Each Schwarz iteration costs one local step per
-  piece.
+  values stop moving.  With a uniform step a piece's new state is affine
+  in the traces it reads at the new level, through one fixed kernel
+  (phi1 for ETD1, phi2 for ETD2).  Each level therefore transforms the
+  state and the trace-independent forcing of every piece once and reads
+  the resulting base (and the ETD2 predictor) on the outflow edges in
+  mode space; a sweep is then a sum of small dense products of the
+  incoming traces with per-piece edge gains G[o, i] of shape
+  (|i|, |o|), built on first use and held on the piece.  A sweep
+  assembles no forcing and runs no DST; the new states are rebuilt by
+  one inverse DST per piece after the last sweep.
 
 * Waveform relaxation ("method 2"): each iteration re-marches every
   piece over the whole time interval (or a time window) against the
@@ -42,9 +50,12 @@ Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
 the initial state, the forcing data, per-edge closures and the sine
 rows of the trace edges prepared by `build_local_pieces`, and share one
-sweep loop.  Interface traces are stored per directed interface as
-arrays of shape (size,) at a single level and (steps + 1, size) over a
-window; size is 1 in 1d and the edge length in 2d.
+sweep loop.  The interface maps a driver derives from a piece alone
+(method 1's edge gains, the 1d waveform responses) are built on first
+use and held on the piece, so they live as long as its piece set.
+Interface traces are stored per directed interface as arrays of shape
+(size,) at a single level and (steps + 1, size) over a window; size is
+1 in 1d and the edge length in 2d.
 
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
@@ -57,7 +68,7 @@ fixed sweep budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -199,6 +210,11 @@ class EdgeRow:
     other: Optional[SpectralFactorization]
     to_last: tuple[int, ...]
 
+    @property
+    def size(self) -> int:
+        """Number of nodes on the edge."""
+        return 1 if self.other is None else math.prod(self.other.op.shape)
+
     def spread(self, history: np.ndarray) -> np.ndarray:
         """Forcing modes (levels, *piece shape) of a trace history (levels, size)."""
         shape = () if self.other is None else self.other.op.shape
@@ -225,6 +241,8 @@ class LocalPiece:
     ("physical", fn) edges carry a callable t -> boundary data,
     ("trace", i) edges read interface i.  inflow: those trace edges;
     outflow: the node rows whose values this piece provides to neighbors.
+    maps: interface maps derived from the piece alone, keyed by kind,
+    scheme and (for windows) step count; filled on first use by `_cached`.
     """
 
     ws: StepWorkspace
@@ -233,6 +251,7 @@ class LocalPiece:
     edges: tuple
     inflow: tuple[EdgeRow, ...]
     outflow: tuple[EdgeRow, ...]
+    maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def forcing(self, t: float, traces: Optional[TraceSet] = None) -> np.ndarray:
         """Closed forcing at t; trace edges read `traces` (one value set per
@@ -388,6 +407,36 @@ def _sweep_loop(
     )
 
 
+def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
+    """piece.maps[key], made by build(piece, *args) on first use."""
+    if key not in piece.maps:
+        piece.maps[key] = build(piece, *args)
+    return piece.maps[key]
+
+
+def _step_kernel(ws: StepWorkspace, scheme: Scheme) -> np.ndarray:
+    """The kernel through which the forcing at the new level enters a step."""
+    return ws.phi1_kernel if scheme == "etd1" else ws.phi2_kernel
+
+
+def _step_gains(piece: LocalPiece, scheme: Scheme) -> list[np.ndarray]:
+    """The edge gains of one step, per outflow edge o of the piece.
+
+    The gain G[o, i] of an inflow edge i has shape (|i|, |o|): its row k
+    is o's trace after one step from a zero state and zero
+    trace-independent forcing, with a unit trace at node k of i at the
+    new level, i.e. o.read(K * i.spread(I)) with K the step kernel (phi1
+    for ETD1, phi2 for ETD2, times dt).  Per o the gains of all inflow
+    edges are stacked in inflow order, (sum of |i|, |o|), so a sweep
+    takes one product per outflow edge.
+    """
+    kernel = _step_kernel(piece.ws, scheme)
+    # one inflow edge at a time, so only one unit field is held
+    units = (kernel * i.spread(np.eye(i.size)) for i in piece.inflow)
+    blocks = [[o.read(u) for o in piece.outflow] for u in units]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 def method1_advance(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
@@ -407,39 +456,49 @@ def method1_advance(
     the default initial guess comes from the first-order predictor.
     With `reference` given (error studies), per-iteration distances of
     the traces from the reference are logged, guess included.
+
+    The sweeps iterate on the traces.  Per piece the level transforms the
+    state, the trace-independent forcing at t_next and (ETD2) the forcing
+    at t_now once, and reads the base of the new state and the ETD2
+    predictor on the outflow edges in mode space.  A sweep is then
+    out[o] = base[o] + sum_i trace[i] @ G[o, i] with the gains of
+    `_step_gains`, held on the pieces; it assembles no forcing and runs
+    no DST.  The new states are rebuilt by one inverse DST per piece
+    against the traces of the last sweep.
     """
     n_if = len(interfaces)
     scheme = config.scheme
     # Bordering values at t_now are the converged ones: physical data or
     # the neighbor's current state.
     now_traces = initial_traces(pieces, states, n_if)
-    base_hat = []
-    predictor_hat = []
+    base_hat, readouts, gains = [], [], []
     for piece, u in zip(pieces, states):
-        fa = piece.ws.fact
-        u_hat = fa.to_modes(np.asarray(u, dtype=float))
+        ws, fa = piece.ws, piece.ws.fact
+        e_u = ws.exp_kernel * fa.to_modes(np.asarray(u, dtype=float))
         if scheme == "etd1":
-            base_hat.append(piece.ws.exp_kernel * u_hat)
+            base, predictor = e_u, []
         else:
             f_now_hat = fa.to_modes(piece.forcing(t_now, now_traces))
-            base_hat.append(
-                piece.ws.exp_kernel * u_hat
-                + (piece.ws.phi1_kernel - piece.ws.phi2_kernel) * f_now_hat
-            )
+            base = e_u + (ws.phi1_kernel - ws.phi2_kernel) * f_now_hat
             # First-order prediction of the new level from t_now data only.
-            predictor_hat.append(piece.ws.exp_kernel * u_hat + piece.ws.phi1_kernel * f_now_hat)
-    gain_kernel = [
-        (p.ws.phi1_kernel if scheme == "etd1" else p.ws.phi2_kernel) for p in pieces
-    ]
+            predictor = [e_u + ws.phi1_kernel * f_now_hat]
+        base = base + _step_kernel(ws, scheme) * fa.to_modes(piece.forcing(t_next))
+        base_hat.append(base)
+        both = np.stack([base, *predictor])
+        readouts.append([o.read(both) for o in piece.outflow])
+        gains.append(_cached(piece, ("step", scheme), _step_gains, scheme))
 
-    states = []
+    last: TraceSet = []
 
     def sweep(traces: TraceSet) -> TraceSet:
-        states[:] = [
-            p.ws.fact.from_modes(bh + gk * p.ws.fact.to_modes(p.forcing(t_next, traces)))
-            for p, bh, gk in zip(pieces, base_hat, gain_kernel)
-        ]
-        return initial_traces(pieces, states, n_if)
+        last[:] = traces
+        new: TraceSet = [None] * n_if
+        for piece, reads, gain in zip(pieces, readouts, gains):
+            if piece.outflow:  # a lone piece has no trace edges
+                x = np.concatenate([traces[i.interface] for i in piece.inflow])
+                for o, read, g in zip(piece.outflow, reads, gain):
+                    new[o.interface] = read[0] + x @ g
+        return new
 
     if init_guess is not None:
         traces = [np.array(tr, dtype=float).reshape(itf.size)
@@ -447,11 +506,17 @@ def method1_advance(
     elif scheme == "etd1" or n_if == 0:
         traces = now_traces
     else:
-        predictor = [p.ws.fact.from_modes(ph) for p, ph in zip(pieces, predictor_hat)]
-        traces = initial_traces(pieces, predictor, n_if)
+        traces = [None] * n_if
+        for piece, reads in zip(pieces, readouts):
+            for o, read in zip(piece.outflow, reads):
+                traces[o.interface] = read[1]
     log = _sweep_loop(sweep, traces, config, reference, time_axis=False,
                       where=f"at t={t_next:g}")
-    return states, log
+    new_states = []
+    for piece, base in zip(pieces, base_hat):
+        spread = sum(i.spread(last[i.interface][None])[0] for i in piece.inflow)
+        new_states.append(piece.ws.fact.from_modes(base + _step_kernel(piece.ws, scheme) * spread))
+    return new_states, log
 
 
 def method1_march(
@@ -503,30 +568,27 @@ def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
     return out
 
 
-def _trace_responses(piece: LocalPiece, scheme: Scheme, start: np.ndarray,
-                     base: np.ndarray) -> list[tuple[int, np.ndarray, list]]:
-    """The causal response map of a 1d piece over one window.
+def _window_responses(piece: LocalPiece, scheme: Scheme,
+                      steps: int) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
+    """The causal response map of a 1d piece over a window of `steps` steps.
 
-    Per outflow edge o: (interface, base read-out, pairs), where the base
-    read-out is o's trace of the march of the trace-independent part
-    (start modes plus forcing modes `base`) and pairs holds, per inflow
-    edge i, (interface, r0, r1): o's traces of the responses to a unit
-    trace on i at level 0 and at level 1.  The recursion is linear and
-    its kernels do not change over a uniform window, so a unit trace at
-    level j >= 1 gives r1 shifted by j - 1 levels; ETD2 uses level 0 only
-    through (phi1 - phi2), hence its own response (zero for ETD1).
+    Per outflow edge o and inflow edge i: (interface of i, r0, r1), o's
+    traces (steps + 1,) of the march from a zero state against a unit
+    trace on i at level 0 (r0) and at level 1 (r1).  The recursion is
+    linear and its kernels do not change over a uniform window, so a unit
+    trace at level j >= 1 gives r1 shifted by j - 1 levels; ETD2 uses
+    level 0 only through (phi1 - phi2), hence its own response (zero for
+    ETD1).  The map depends on the piece, the scheme and `steps` alone.
     """
-    zero = np.zeros_like(start)
+    zero = np.zeros(piece.u0.shape)
 
     def response(edge: EdgeRow, level: int) -> np.ndarray:
-        unit = np.zeros((len(base), 1))
+        unit = np.zeros((steps + 1, 1))
         unit[level] = 1.0
         return _march_modes(piece.ws, scheme, zero, edge.spread(unit))
 
-    u_base = _march_modes(piece.ws, scheme, start, base)
     units = [(i.interface, response(i, 0), response(i, 1)) for i in piece.inflow]
-    return [(o.interface, o.read(u_base)[:, 0],
-             [(idx, o.read(u0)[:, 0], o.read(u1)[:, 0]) for idx, u0, u1 in units])
+    return [[(idx, o.read(u0)[:, 0], o.read(u1)[:, 0]) for idx, u0, u1 in units]
             for o in piece.outflow]
 
 
@@ -550,8 +612,10 @@ def _window_sweep(
     releases the forcing stacks as it goes and is called once, after the
     last sweep.
 
-    In 1d (every trace edge a single node) the responses of
-    `_trace_responses` are computed once here, and a sweep is the causal
+    In 1d (every trace edge a single node) each piece is marched once
+    here for the base read-out of its trace-independent part, the
+    responses of `_window_responses` are taken from the piece (built for
+    the first window of this length), and a sweep is the causal
     convolution out = base + r0 x[0] + r1 * x[1:] per (outflow, inflow)
     pair: no per-step loop and no mode-space work.  In 2d the
     edge-to-edge responses are dense, so every sweep marches each piece
@@ -569,7 +633,12 @@ def _window_sweep(
         return _march_modes(pieces[d].ws, scheme, starts[d], f_hat)
 
     if all(edge.other is None for p in pieces for edge in p.inflow):
-        maps = [_trace_responses(p, scheme, s, b) for p, s, b in zip(pieces, starts, bases)]
+        maps = []
+        for p, s, b in zip(pieces, starts, bases):
+            u_base = _march_modes(p.ws, scheme, s, b)
+            pairs = _cached(p, ("window", scheme, steps), _window_responses, scheme, steps)
+            maps.append([(o.interface, o.read(u_base)[:, 0], row)
+                         for o, row in zip(p.outflow, pairs)])
 
         def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
             out = []

@@ -364,6 +364,32 @@ def test_cli_rejects_non_finite_settings(flag, value, message, capsys):
     assert capsys.readouterr().err == f"letd: {message}\n"
 
 
+def test_cli_rejects_a_rate_study_on_a_single_piece(capsys):
+    rc = main(["--problem", "error_equation", "--solver", "method1", "--n", "15",
+               "--dt", "0.125", "--T", "0.25", "--subdomains", "1", "--fixed-iters", "3",
+               "--seeds", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "letd: a rate study needs at least 2 subdomains, got subdomains 1: "
+        "a single piece has no interface\n")
+
+
+@pytest.mark.parametrize("solver", ["method1", "method2"])
+@pytest.mark.parametrize("budget", ["3", "4"])
+def test_cli_rejects_a_rate_study_too_short_to_estimate(solver, budget, capsys):
+    rc = main(["--problem", "error_equation", "--solver", solver, "--n", "15",
+               "--dt", "0.125", "--T", "0.25", "--overlap-cells", "2",
+               "--fixed-iters", budget, "--seeds", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"letd: a rate study needs fixed_iters >= 5, got {budget}: "
+        "the contraction estimate uses the guess and at least 5 sweeps\n")
+    # the shortest budget it accepts gives a rate
+    assert main(["--problem", "error_equation", "--solver", solver, "--n", "15",
+                 "--dt", "0.125", "--T", "0.25", "--overlap-cells", "2",
+                 "--fixed-iters", "5", "--seeds", "1"]) == 0
+
+
 def test_cli_prints_summary_to_stdout(capsys):
     rc = main(["--problem", "error_equation", "--solver", "method1",
                "--scheme", "etd1", "--n", "31", "--dt", "0.25", "--T", "1.0",

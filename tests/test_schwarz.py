@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from letd import schwarz
 from letd.geometry import Problem1D, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
-from letd.harness import builtin_problem
-from letd.matfunc import build_laplacian_1d, spectral_factorization
+from letd.harness import ExperimentConfig, builtin_problem, run_experiment
+from letd.matfunc import DirichletLaplacian, build_laplacian_1d, expm_dense, spectral_factorization
 from letd.schwarz import (
     SolverConfig,
     build_local_pieces,
@@ -479,18 +479,220 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
 
 @pytest.mark.parametrize("window", [None, 4])
 def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, window):
+    # the unit-trace responses are held on the pieces, so each count starts
+    # from a fresh piece set; a second solve on the same pieces reuses them
+    # and marches only for the base read-out and the fields of each window
     prob, lay, grid, tg = _oracle_1d(4)
-    pieces = build_local_pieces(prob, grid, lay, tg.dt)
     march = schwarz._march_modes
+    calls = []
+    monkeypatch.setattr(schwarz, "_march_modes", lambda *a: calls.append(1) or march(*a))
     counts = []
     for sweeps in (2, 9):
-        calls = []
-        monkeypatch.setattr(schwarz, "_march_modes",
-                            lambda *a: calls.append(1) or march(*a))
+        pieces = build_local_pieces(prob, grid, lay, tg.dt)
         cfg = SolverConfig(scheme="etd2", fixed_iterations=sweeps, window_steps=window)
-        method2_solve(pieces, lay.interfaces, tg, cfg)
-        counts.append(len(calls))
-    assert counts[0] == counts[1], counts
+        for _ in range(2):
+            calls.clear()
+            method2_solve(pieces, lay.interfaces, tg, cfg)
+            counts.append(len(calls))
+    windows = -(-tg.steps // (window or tg.steps))
+    assert counts[0] == counts[2] and counts[1] == counts[3], counts
+    assert counts[1] == 2 * len(pieces) * windows < counts[0], counts
+
+
+# ---------------------------------------------------------------------------
+# the field-marching per-step sweep, kept as the oracle of the gain route
+# ---------------------------------------------------------------------------
+
+
+def field_step_sweep(pieces, interfaces, states, t_now, t_next, config,
+                     init_guess=None, reference=None):
+    """One level of method 1 on fields, with the arguments and results of
+    `schwarz.method1_advance`: every sweep assembles each piece's forcing
+    at t_next against the given traces, transforms it, adds the step
+    kernel times it to the trace-independent part and transforms back;
+    the owned traces are read from the new states."""
+    n_if = len(interfaces)
+    scheme = config.scheme
+    now_traces = initial_traces(pieces, states, n_if)
+    base_hat, predictor_hat = [], []
+    for piece, u in zip(pieces, states):
+        fa, ws = piece.ws.fact, piece.ws
+        u_hat = fa.to_modes(np.asarray(u, dtype=float))
+        if scheme == "etd1":
+            base_hat.append(ws.exp_kernel * u_hat)
+        else:
+            f_now_hat = fa.to_modes(piece.forcing(t_now, now_traces))
+            base_hat.append(ws.exp_kernel * u_hat + (ws.phi1_kernel - ws.phi2_kernel) * f_now_hat)
+            predictor_hat.append(ws.exp_kernel * u_hat + ws.phi1_kernel * f_now_hat)
+    kernels = [p.ws.phi1_kernel if scheme == "etd1" else p.ws.phi2_kernel for p in pieces]
+    new_states = []
+
+    def sweep(traces):
+        new_states[:] = [
+            p.ws.fact.from_modes(bh + k * p.ws.fact.to_modes(p.forcing(t_next, traces)))
+            for p, bh, k in zip(pieces, base_hat, kernels)]
+        return initial_traces(pieces, new_states, n_if)
+
+    if init_guess is not None:
+        traces = [np.array(tr, dtype=float).reshape(itf.size)
+                  for tr, itf in zip(init_guess, interfaces)]
+    elif scheme == "etd1" or n_if == 0:
+        traces = now_traces
+    else:
+        predictor = [p.ws.fact.from_modes(ph) for p, ph in zip(pieces, predictor_hat)]
+        traces = initial_traces(pieces, predictor, n_if)
+    log = schwarz._sweep_loop(sweep, traces, config, reference, time_axis=False,
+                              where=f"at t={t_next:g}")
+    return new_states, log
+
+
+STEP_LAYOUTS = [
+    pytest.param(_oracle_1d, (2,), id="1d-P2"),
+    pytest.param(_oracle_1d, (4,), id="1d-P4"),
+    pytest.param(_oracle_2d, (2, 2, 2, "full"), id="2d-2x2-full"),
+    pytest.param(_oracle_2d, (3, 2, 2, "half"), id="2d-3x2-half"),
+    pytest.param(_oracle_1d, (1,), id="1d-P1"),
+]
+
+
+@pytest.mark.parametrize("start", ["default", "guess", "reference"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", STEP_LAYOUTS)
+def test_gain_sweeps_match_the_field_route(setup, args, scheme, start):
+    # per level: the same iteration count and flag, update and error logs
+    # and new states within 1e-12 of the solution scale
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    itfs = lay.interfaces
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-10, max_iterations=400)
+    states = [p.u0 for p in pieces]
+    kw = {}
+    if start == "guess":
+        kw["init_guess"] = random_trace_guess(itfs, seed=3)
+    elif start == "reference":
+        tight = SolverConfig(scheme=scheme, tolerance=1e-14, max_iterations=2000)
+        converged, _ = field_step_sweep(pieces, itfs, states, 0.0, tg.dt, tight)
+        kw["reference"] = initial_traces(pieces, converged, len(itfs))
+    scale = max([np.abs(s).max() for s in states]
+                + [np.abs(tr).max() for tr in kw.get("init_guess", [])])
+    for m in range(3 if start == "default" else 1):
+        got, log = method1_advance(pieces, itfs, states, tg.t(m), tg.t(m + 1), cfg, **kw)
+        want, oracle = field_step_sweep(pieces, itfs, states, tg.t(m), tg.t(m + 1), cfg, **kw)
+        assert (log.iterations, log.converged) == (oracle.iterations, oracle.converged)
+        assert log.converged and (log.errors is None) == (oracle.errors is None) == (
+            start != "reference" or not itfs)
+        scale = max(scale, max(np.abs(s).max() for s in want))
+        for a, b in ((log.updates, oracle.updates), (log.errors, oracle.errors)):
+            if b is not None and b.size:
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-12 * scale, np.abs(a - b).max() / scale
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * scale, np.abs(a - b).max() / scale
+        states = want
+
+
+def _augmented_phi(a, k):
+    """phi_k(a) for k = 1, 2 from the exponential of a block matrix."""
+    n = len(a)
+    big = np.zeros(((k + 1) * n,) * 2)
+    big[:n, :n] = a
+    for j in range(k):
+        big[j * n:(j + 1) * n, (j + 1) * n:(j + 2) * n] = np.eye(n)
+    return expm_dense(big)[:n, k * n:]
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_step_gains_of_a_middle_piece_match_the_dense_phi_functions(scheme):
+    prob, lay, grid, tg = _oracle_2d(3, 3, 2, "full")
+    middle = 4
+    box = lay.pieces[middle]
+    piece = build_local_pieces(prob, grid, lay, tg.dt)[middle]
+    dt = tg.dt
+    a = DirichletLaplacian(box.shape, prob.nu, grid.spacings).dense()
+    kernel = dt * _augmented_phi(dt * a, 1 if scheme == "etd1" else 2)
+    inflow = [itf for itf in lay.interfaces if itf.reader == middle]
+    outflow = [itf for itf in lay.interfaces if itf.owner == middle]
+    assert len(inflow) == len(outflow) == 4
+
+    def border(itf):
+        # weighted unit vectors on the reader's border row, one per edge node
+        idx = np.zeros(box.shape, dtype=int)
+        row = [slice(None)] * 2
+        row[itf.axis] = 0 if itf.side == 0 else box.shape[itf.axis] - 1
+        idx[tuple(row)] = 1 + np.arange(itf.size).reshape(idx[tuple(row)].shape)
+        units = np.zeros((itf.size, idx.size))
+        for k in range(itf.size):
+            units[k, np.flatnonzero(idx.ravel() == k + 1)] = prob.nu / grid.spacings[itf.axis] ** 2
+        return units
+
+    def read(itf, field):
+        lo = [r - b for r, b in zip(itf.read.lo, box.lo)]
+        hi = [r - b + 1 for r, b in zip(itf.read.hi, box.lo)]
+        return field.reshape(box.shape)[lo[0]:hi[0], lo[1]:hi[1]].ravel()
+
+    gains = schwarz._step_gains(piece, scheme)
+    for o, stacked in zip(outflow, gains):
+        want = np.concatenate([[read(o, kernel @ e) for e in border(i)] for i in inflow])
+        assert stacked.shape == want.shape == (sum(i.size for i in inflow), o.size)
+        assert np.abs(stacked - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _counting(monkeypatch, name):
+    """Replace schwarz.<name> by a wrapper that records the piece of each call."""
+    build, calls = getattr(schwarz, name), []
+
+    def counted(piece, *args):
+        calls.append(id(piece))
+        return build(piece, *args)
+
+    monkeypatch.setattr(schwarz, name, counted)
+    return calls
+
+
+def test_step_gains_are_built_once_per_piece_and_scheme(monkeypatch):
+    calls = _counting(monkeypatch, "_step_gains")
+    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "full")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme="etd2", fixed_iterations=3))
+    assert sorted(calls) == sorted(id(p) for p in pieces)
+    # a five-seed rate study builds them once per piece of each overlap's set
+    calls.clear()
+    cfg = ExperimentConfig(problem="error_equation", solver="method1", scheme="etd1",
+                           n=31, dts=(0.25,), horizon=1.0, px=2, overlaps=(2, 4),
+                           fixed_iterations=6, seeds=5)
+    run_experiment(cfg)
+    assert len(calls) == len(set(calls)) == 2 * 2
+
+
+def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    fresh = build_local_pieces(prob, grid, lay, tg.dt)
+    guess = random_trace_guess(lay.interfaces, seed=1)
+    calls = _counting(monkeypatch, "_step_gains")
+    etd2 = SolverConfig(scheme="etd2", fixed_iterations=6)
+    method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
+                    SolverConfig(scheme="etd1", fixed_iterations=6), init_guess=guess)
+    got, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
+                               etd2, init_guess=guess)
+    want, ref = method1_advance(fresh, lay.interfaces, [p.u0 for p in fresh], 0.0, tg.dt,
+                                etd2, init_guess=guess)
+    assert len(calls) == 3 * len(pieces)
+    assert np.array_equal(log.updates, ref.updates)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_1d_step_gains_are_one_step_window_responses(scheme):
+    prob, lay, grid, tg = _oracle_1d(4)
+    for piece in build_local_pieces(prob, grid, lay, tg.dt):
+        gains = schwarz._step_gains(piece, scheme)
+        window = schwarz._window_responses(piece, scheme, 1)
+        assert [g.shape for g in gains] == [(len(piece.inflow), 1)] * len(piece.outflow)
+        for stacked, pairs in zip(gains, window):
+            r1 = np.array([r1[1] for _, _, r1 in pairs])
+            # equal up to the summation order of the sine-row products
+            assert np.abs(stacked[:, 0] - r1).max() <= 1e-15 * np.abs(r1).max()
 
 
 # ---------------------------------------------------------------------------
