@@ -140,8 +140,15 @@ class ExperimentConfig:
             raise ValueError(f"a rate study needs fixed_iters >= {RATE_MIN_SWEEPS}, got "
                              f"{self.fixed_iterations}: the contraction estimate uses the "
                              f"guess and at least {RATE_MIN_SWEEPS} sweeps")
+        if self.problem == "error_equation" and self.window_steps is not None:
+            raise ValueError(f"a rate study (problem error_equation) takes no window_steps, got "
+                             f"{self.window_steps}: a windowed solve logs updates, not the "
+                             "errors the contraction is estimated from")
         if not self.dts:
             raise ValueError("need at least one time step")
+        if len(set(self.dts)) < len(self.dts):
+            raise ValueError(f"the time step sweep {','.join(f'{dt:g}' for dt in self.dts)} "
+                             "repeats a step")
         given = [("time step", dt) for dt in self.dts] + [("horizon", self.horizon)]
         if self.tolerance is not None:
             given.append(("tolerance", self.tolerance))
@@ -367,8 +374,9 @@ def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> No
             _record_logs(result, config, tag, logs)
             iters = sum(log.iterations for log in logs) if logs else ""
             rel = _max_error(problem, grid, boxes, trajs, times[:, None]) / scale
-            order = "" if not order_in else math.log2(order_in[-1] / rel)
-            order_in.append(rel)
+            order = "" if not order_in else (math.log2(order_in[-1][1] / rel)
+                                             / math.log2(order_in[-1][0] / dt))
+            order_in.append((dt, rel))
             result.summary_rows.append(
                 (tag, delta if delta != "" else 0, dt, config.horizon,
                  1 if config.solver == "mono" else config.px,

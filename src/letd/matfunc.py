@@ -45,6 +45,7 @@ __all__ = [
     "spectral_factorization",
     "spectral_factorization_2d",
     "sine_row",
+    "sine_matrix",
     "phi_scalar",
     "apply_phi",
     "expm_dense",
@@ -168,6 +169,17 @@ def sine_row(n: int, j: int) -> np.ndarray:
     unit = np.zeros(n)
     unit[j] = 1.0
     return dstn(unit, type=1, norm="ortho")
+
+
+def sine_matrix(shape: tuple[int, ...]) -> np.ndarray:
+    """The orthonormal DST-I matrix over the axes of `shape`: the Kronecker
+    product of the per-axis matrices in C order, [[1.0]] with no axes.  A
+    row of values in C order times it gives their sine modes and back; on
+    one axis its row j is `sine_row(n, j)`."""
+    out = np.ones((1, 1))
+    for n in shape:
+        out = np.kron(out, dstn(np.eye(n), type=1, norm="ortho", axes=-1))
+    return out
 
 
 def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:

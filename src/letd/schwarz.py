@@ -28,14 +28,15 @@ Two ways to resolve the interface coupling:
   The sweeps iterate on the traces alone, in sine-mode space.  A piece's
   state is affine in the traces it reads, so the trace-independent part
   (start state, source and physical boundary data) is transformed once
-  per window.  A trace history enters the forcing modes as its stencil
-  weight times the sine row of the border node along the edge axis,
-  tensored with the history's DST over the edge's other axes (none in
-  1d); an owned trace is read out by contracting the mode-space
-  trajectory with the sine row of its read node (plus a DST over the
-  other axes in 2d).  A sweep therefore assembles no forcing and runs no
-  full-field DST; the fields are rebuilt by one batched inverse DST per
-  piece after the last sweep.
+  per window.  Every trace edge moves a history between nodes and modes
+  the same way in any dimension: the history times the dense sine
+  matrix of the edge's other axes ([[1.0]] in 1d), times the stencil
+  weight, enters the forcing modes through the sine row of the border
+  node along the edge axis; an owned trace is read out by contracting
+  the mode-space trajectory with the sine row of its read node and
+  multiplying by that matrix.  A sweep therefore assembles no forcing
+  and runs no DST; the fields are rebuilt by one batched inverse DST
+  per piece after the last sweep.
 
   In 1d each trace is a single value per level, and with a uniform step
   the map from an incoming trace history to an owned one is linear,
@@ -48,11 +49,12 @@ Two ways to resolve the interface coupling:
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
-the initial state, the forcing data, per-edge closures and the sine
-rows of the trace edges prepared by `build_local_pieces`, and share one
-sweep loop.  The interface maps a driver derives from a piece alone
-(method 1's edge gains, the 1d waveform responses) are built on first
-use and held on the piece, so they live as long as its piece set.
+the initial state, the forcing data, per-edge closures and the trace
+edges (`EdgeRow`: a sine row along the edge axis and a sine matrix over
+the others) prepared by `build_local_pieces`, and share one sweep loop.
+The interface maps a driver derives from a piece alone (method 1's edge
+gains, the 1d waveform responses) are built on first use and held on
+the piece, so they live as long as its piece set.
 Interface traces are stored per directed interface as arrays of shape
 (size,) at a single level and (steps + 1, size) over a window; size is
 1 in 1d and the edge length in 2d.
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,7 +86,7 @@ from .geometry import (
     boundary_data,
     box_forcing,
 )
-from .matfunc import DirichletLaplacian, SpectralFactorization, sine_row, spectral_factorization
+from .matfunc import DirichletLaplacian, sine_matrix, sine_row, spectral_factorization
 from .steppers import Scheme, StepWorkspace, TimeGrid, make_workspace
 
 __all__ = [
@@ -197,9 +199,10 @@ class EdgeRow:
     The edge's node row lies at index `node` along `axis`; `modes` is the
     sine row of that node along the axis, `weight` the factor on the
     trace (the stencil weight nu / h^2 for a trace the piece reads, 1 for
-    one it owns), `other` the sine transform over the remaining axes
-    (None in 1d), and `to_last` the order of a trajectory's axes (levels
-    first) that puts `axis` last.
+    one it owns), `shape` the piece's extent over its other axes and
+    `basis` their orthonormal sine matrix (`sine_matrix(shape)`, [[1.0]]
+    in 1d).  A trace row is the edge's values in C order over `shape`, so
+    it moves between nodes and modes by one product with `basis`.
     """
 
     interface: int
@@ -207,30 +210,25 @@ class EdgeRow:
     node: int
     modes: np.ndarray
     weight: float
-    other: Optional[SpectralFactorization]
-    to_last: tuple[int, ...]
+    shape: tuple[int, ...]
+    basis: np.ndarray
 
     @property
     def size(self) -> int:
         """Number of nodes on the edge."""
-        return 1 if self.other is None else math.prod(self.other.op.shape)
+        return len(self.basis)
 
     def spread(self, history: np.ndarray) -> np.ndarray:
         """Forcing modes (levels, *piece shape) of a trace history (levels, size)."""
-        shape = () if self.other is None else self.other.op.shape
-        h = (self.weight * history).reshape((len(history),) + shape)
-        if self.other is not None:
-            h = self.other.to_modes(h)
+        h = ((self.weight * history) @ self.basis).reshape((len(history),) + self.shape)
         cut = 1 + self.axis
         return (h.reshape(h.shape[:cut] + (1,) + h.shape[cut:])
                 * self.modes.reshape((-1,) + (1,) * (h.ndim - cut)))
 
     def read(self, u_hat: np.ndarray) -> np.ndarray:
         """Trace history (levels, size) of a mode-space trajectory (levels, *piece shape)."""
-        v = u_hat.transpose(self.to_last) @ self.modes
-        if self.other is not None:
-            v = self.other.from_modes(v)
-        return v.reshape(len(v), -1)
+        v = np.moveaxis(u_hat, 1 + self.axis, -1) @ self.modes
+        return v.reshape(len(v), -1) @ self.basis
 
 
 @dataclass
@@ -277,20 +275,18 @@ def build_local_pieces(
     problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
     """Per-piece workspaces, initial states, edge closures and trace-edge
-    sine rows of a layout."""
+    sine rows and bases of a layout; edges of one shape share a basis."""
     pieces = []
+    basis = cache(sine_matrix)
     for i, box in enumerate(layout.pieces):
         op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
         ws = make_workspace(spectral_factorization(op), dt)
         closure = box_forcing(problem, grid, box)
 
         def edge_row(itf: Interface, node: int, weight: float) -> EdgeRow:
-            keep = [k for k in range(len(box.shape)) if k != itf.axis]
-            other = spectral_factorization(DirichletLaplacian(
-                tuple(box.shape[k] for k in keep), problem.nu,
-                tuple(grid.spacings[k] for k in keep))) if keep else None
+            shape = box.shape[:itf.axis] + box.shape[itf.axis + 1:]
             return EdgeRow(itf.index, itf.axis, node, sine_row(box.shape[itf.axis], node),
-                           weight, other, (0, *(1 + k for k in keep), 1 + itf.axis))
+                           weight, shape, basis(shape))
 
         reads = [itf for itf in layout.interfaces if itf.reader == i]
         trace_for = {(itf.axis, itf.side): itf.index for itf in reads}
@@ -632,7 +628,7 @@ def _window_sweep(
             f_hat = f_hat + edge.spread(traces[edge.interface])
         return _march_modes(pieces[d].ws, scheme, starts[d], f_hat)
 
-    if all(edge.other is None for p in pieces for edge in p.inflow):
+    if all(edge.size == 1 for p in pieces for edge in p.inflow):
         maps = []
         for p, s, b in zip(pieces, starts, bases):
             u_base = _march_modes(p.ws, scheme, s, b)
@@ -716,8 +712,8 @@ def method2_solve(
     are rebuilt once after the window's last sweep.  In 1d a sweep is a
     causal convolution of the incoming trace histories with per-window
     responses (no per-step loop); in 2d it runs the mode-space recursion
-    and the sine-row trace products.  Neither assembles forcing or runs a
-    full-field DST.
+    and the dense edge products of `EdgeRow`.  Neither assembles forcing
+    or runs a DST.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per

@@ -19,12 +19,6 @@ Both are unconditionally stable here and inherit a discrete maximum
 principle from the entrywise nonnegativity of e^{dt A} and the phi
 kernels.  The kernels are diagonal in sine-mode space, so one step costs
 a couple of DSTs; workspaces cache the scaled kernels for a fixed dt.
-
-`coupled_step_direct` advances a two-piece overlapping layout by solving
-the pair of interface equations exactly: with the outer boundary data
-fixed, each piece's end state depends affinely on the single unknown
-trace value it reads, so the two traces satisfy a 2x2 linear system.
-This provides an iteration-free oracle for the per-step Schwarz driver.
 """
 
 from __future__ import annotations
@@ -34,16 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .geometry import (
-    Box,
-    Decomposition,
-    Grid,
-    Problem,
-    Problem1D,
-    assemble_forcing,
-    boundary_data,
-    box_forcing,
-)
+from .geometry import Box, Grid, Problem, assemble_forcing, boundary_data, box_forcing
 from .matfunc import SpectralFactorization, phi_scalar
 
 __all__ = [
@@ -52,7 +37,6 @@ __all__ = [
     "make_workspace",
     "etd1_step",
     "etd2_step",
-    "coupled_step_direct",
     "run_monodomain",
     "Scheme",
 ]
@@ -140,72 +124,6 @@ def etd2_step(
         + ws.phi1_kernel * f0_hat
         + ws.phi2_kernel * (f1_hat - f0_hat)
     )
-
-
-def _kernel_times_unit(ws: StepWorkspace, kernel: np.ndarray, idx: int) -> np.ndarray:
-    e = np.zeros(ws.fact.op.shape)
-    e[idx] = 1.0
-    fa = ws.fact
-    return fa.from_modes(kernel * fa.to_modes(e))
-
-
-def coupled_step_direct(
-    ws1: StepWorkspace,
-    ws2: StepWorkspace,
-    scheme: Scheme,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    problem: Problem1D,
-    grid: Grid,
-    layout: Decomposition,
-    t_now: float,
-    t_next: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance both pieces of a two-piece 1d layout one step, coupling exact.
-
-    Each piece's new state is affine in the one trace value it reads at
-    t_next, so the two unknown traces solve a 2x2 system and the states
-    follow by substitution.  Matches the per-step Schwarz iteration in
-    the limit of vanishing tolerance.
-    """
-    if layout.counts != (2,):
-        raise ValueError("direct coupled step requires exactly two pieces")
-    p1, p2 = layout.pieces
-    w = problem.nu / grid.h**2
-    # Read nodes: piece 1 reads its right border hi1+1 (owned by piece 2),
-    # piece 2 reads its left border lo2-1 (owned by piece 1).
-    ia = p1.local((p2.lo[0] - 1,))   # where piece 1's state is read
-    ib = p2.local((p1.hi[0] + 1,))   # where piece 2's state is read
-    fc1, fc2 = box_forcing(problem, grid, p1), box_forcing(problem, grid, p2)
-
-    def forcing1(t: float, trace: float) -> np.ndarray:  # physical data on the left
-        return assemble_forcing(fc1, t, [boundary_data(fc1, 0, t), np.array([trace])])
-
-    def forcing2(t: float, trace: float) -> np.ndarray:  # physical data on the right
-        return assemble_forcing(fc2, t, [np.array([trace]), boundary_data(fc2, 1, t)])
-
-    if scheme == "etd1":
-        base1 = etd1_step(ws1, u1, forcing1(t_next, 0.0))
-        base2 = etd1_step(ws2, u2, forcing2(t_next, 0.0))
-        k1, k2 = ws1.phi1_kernel, ws2.phi1_kernel
-    elif scheme == "etd2":
-        # At t_now the bordering values are the current neighbor traces.
-        base1 = etd2_step(ws1, u1, forcing1(t_now, np.asarray(u2)[ib]), forcing1(t_next, 0.0))
-        base2 = etd2_step(ws2, u2, forcing2(t_now, np.asarray(u1)[ia]), forcing2(t_next, 0.0))
-        k1, k2 = ws1.phi2_kernel, ws2.phi2_kernel
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    gv1 = w * _kernel_times_unit(ws1, k1, p1.shape[0] - 1)
-    gv2 = w * _kernel_times_unit(ws2, k2, 0)
-
-    g1 = gv1[ia]  # d s_a / d s_b
-    g2 = gv2[ib]  # d s_b / d s_a
-    det = 1.0 - g1 * g2
-    if abs(det) < 1e-12:
-        raise ValueError(f"interface system nearly singular: 1 - g1 g2 = {det}")
-    s_a = (base1[ia] + g1 * base2[ib]) / det
-    s_b = (base2[ib] + g2 * base1[ia]) / det
-    return base1 + gv1 * s_b, base2 + gv2 * s_a
 
 
 def run_monodomain(

@@ -1,0 +1,89 @@
+"""Iteration-free and field-marching routes that the tests check the
+Schwarz drivers against.  Not a test module: pytest collects no tests
+here, the test modules import it."""
+import numpy as np
+
+from letd.schwarz import initial_traces
+
+
+def field_window_sweep(pieces, u_start, t_start, dt, steps, scheme):
+    """The waveform sweep on fields, with the protocol of
+    `schwarz._window_sweep`: every sweep assembles each piece's forcing at
+    every level against the given traces, transforms the stack, runs the
+    diagonal recursion and transforms back; the owned traces are read from
+    the physical trajectories."""
+    trajs = []
+
+    def sweep(traces):
+        trajs.clear()
+        for piece, u0 in zip(pieces, u_start):
+            fa = piece.ws.fact
+            u0 = np.asarray(u0, dtype=float)
+            f_stack = np.empty((steps + 1,) + u0.shape)
+            for m in range(steps + 1):
+                f_stack[m] = piece.forcing(t_start + m * dt, [tr[m] for tr in traces])
+            f_hat = fa.to_modes(f_stack)
+            out_hat = np.empty_like(f_hat)
+            u_hat = fa.to_modes(u0)
+            out_hat[0] = u_hat
+            E, K1, K2 = piece.ws.exp_kernel, piece.ws.phi1_kernel, piece.ws.phi2_kernel
+            for m in range(steps):
+                if scheme == "etd1":
+                    u_hat = E * u_hat + K1 * f_hat[m + 1]
+                else:
+                    u_hat = E * u_hat + K1 * f_hat[m] + K2 * (f_hat[m + 1] - f_hat[m])
+                out_hat[m + 1] = u_hat
+            traj = fa.from_modes(out_hat)
+            traj[0] = u0
+            trajs.append(traj)
+        return initial_traces(pieces, trajs, len(traces))
+
+    def fields(out):
+        for o, traj in zip(out, trajs):
+            o[1:] = traj[1:]
+
+    return sweep, fields
+
+
+def direct_window_traces(sweep, pinned, steps):
+    """The fixed point of one window's sweep, without iterating.
+
+    The sweep is affine in the unknown levels 1..steps of every interface
+    trace, x = b + M x; b and the columns of M come from sweeping the
+    history that holds the pinned level 0 and zeros, and unit histories.
+    (I - M) x = b is solved densely.
+    """
+    sizes = [len(p) for p in pinned]
+    n = steps * sum(sizes)
+
+    def history(x):
+        out, at = [], 0
+        for p, size in zip(pinned, sizes):
+            h = np.empty((steps + 1, size))
+            h[0] = p
+            h[1:] = x[at: at + steps * size].reshape(steps, size)
+            out.append(h)
+            at += steps * size
+        return out
+
+    def flat(traces):
+        return np.concatenate([tr[1:].ravel() for tr in traces])
+
+    b = flat(sweep(history(np.zeros(n))))
+    m = np.empty((n, n))
+    for k, unit in enumerate(np.eye(n)):
+        m[:, k] = flat(sweep(history(unit))) - b
+    return history(np.linalg.solve(np.eye(n) - m, b))
+
+
+def direct_step(pieces, interfaces, states, t_now, dt, scheme):
+    """One step of every piece from `states` at t_now, with the interface
+    coupling solved exactly, in any dimension and layout: the one-step
+    window of `field_window_sweep`, solved by `direct_window_traces`.
+    The fully discrete multidomain solution over that step, which the
+    per-step iteration converges to; returns the new states."""
+    sweep, fields = field_window_sweep(pieces, states, t_now, dt, 1, scheme)
+    sweep(direct_window_traces(sweep, initial_traces(pieces, states, len(interfaces)), 1))
+    out = [np.empty((2,) + np.shape(u)) for u in states]
+    fields(out)
+    return [o[1] for o in out]

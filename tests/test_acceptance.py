@@ -23,12 +23,12 @@ from letd.schwarz import (
 )
 from letd.steppers import (
     TimeGrid,
-    coupled_step_direct,
     etd1_step,
     etd2_step,
     make_workspace,
     run_monodomain,
 )
+from oracles import direct_step
 
 TABLE_DTS = (1 / 40, 1 / 80, 1 / 160, 1 / 320)
 
@@ -267,9 +267,8 @@ def test_criterion_08_oracle_equivalences():
         states, log = method1_advance(pieces, layout.interfaces,
                                       [p.u0 for p in pieces], 0.0, dt, cfg)
         assert log.converged
-        v1, v2 = coupled_step_direct(pieces[0].ws, pieces[1].ws, scheme,
-                                     pieces[0].u0, pieces[1].u0,
-                                     problem, grid, layout, 0.0, dt)
+        v1, v2 = direct_step(pieces, layout.interfaces, [p.u0 for p in pieces], 0.0, dt,
+                             scheme)
         scale = max(1.0, np.abs(v1).max(), np.abs(v2).max())
         assert np.abs(states[0] - v1).max() <= 1e-12 * scale
         assert np.abs(states[1] - v2).max() <= 1e-12 * scale

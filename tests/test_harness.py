@@ -390,6 +390,37 @@ def test_cli_rejects_a_rate_study_too_short_to_estimate(solver, budget, capsys):
                  "--fixed-iters", "5", "--seeds", "1"]) == 0
 
 
+def test_cli_rejects_windows_on_a_rate_study(capsys):
+    # a windowed solve logs updates only, so the contraction would come
+    # from the update curves of all windows instead of the error curves
+    rc = main(["--problem", "error_equation", "--solver", "method2", "--scheme", "etd1",
+               "--n", "63", "--dt", "0.05", "--T", "1", "--subdomains", "2",
+               "--overlap-cells", "2", "--seeds", "2", "--window-steps", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "letd: a rate study (problem error_equation) takes no window_steps, got 5: "
+        "a windowed solve logs updates, not the errors the contraction is estimated from\n")
+
+
+@pytest.mark.parametrize("scheme,order", [("etd1", 1.0), ("etd2", 2.0)])
+def test_observed_order_of_a_sweep_that_does_not_halve(scheme, order, capsys):
+    # dt falls by 2.5 and then by 2: the order divides by log2 of the ratio
+    rc = main(["--problem", "analytic_1d", "--solver", "mono", "--scheme", scheme,
+               "--n", "511", "--dt", "0.025,0.01,0.005", "--T", "0.25"])
+    assert rc == 0
+    body = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in body[1:]]
+    assert len(rows) == 3 and rows[0][9] == ""
+    assert all(abs(float(row[9]) - order) < 0.1 for row in rows[1:]), rows
+
+
+def test_cli_rejects_a_sweep_that_repeats_a_step(capsys):
+    rc = main(["--problem", "analytic_1d", "--solver", "mono", "--n", "31",
+               "--dt", "0.025,0.0125,0.025", "--T", "0.25"])
+    assert rc == 2
+    assert capsys.readouterr().err == "letd: the time step sweep 0.025,0.0125,0.025 repeats a step\n"
+
+
 def test_cli_prints_summary_to_stdout(capsys):
     rc = main(["--problem", "error_equation", "--solver", "method1",
                "--scheme", "etd1", "--n", "31", "--dt", "0.25", "--T", "1.0",

@@ -4,11 +4,14 @@ import pytest
 import scipy.linalg
 
 from letd.matfunc import (
+    DirichletLaplacian,
     apply_phi,
     build_laplacian_1d,
     build_laplacian_2d,
     expm_dense,
     phi_scalar,
+    sine_matrix,
+    sine_row,
     spectral_factorization,
     spectral_factorization_2d,
 )
@@ -172,6 +175,23 @@ def test_2d_transform_batches_leading_axes():
     for i in range(7):
         assert np.allclose(batched[i], fact.to_modes(fields[i]), atol=1e-13)
     assert np.allclose(fact.from_modes(batched), fields, atol=1e-13)
+
+
+def test_sine_matrix_is_the_symmetric_orthonormal_transform_over_its_axes():
+    assert np.array_equal(sine_matrix(()), [[1.0]])
+    rng = np.random.default_rng(8)
+    for shape in ((7,), (5, 4)):
+        m = sine_matrix(shape)
+        assert m.shape == (np.prod(shape),) * 2
+        assert np.abs(m - m.T).max() <= 1e-14
+        assert np.abs(m @ m.T - np.eye(len(m))).max() <= 1e-14
+        # rows of values in C order over the axes -> their sine modes
+        fact = spectral_factorization(DirichletLaplacian(shape, 1.0, (0.1,) * len(shape)))
+        v = rng.standard_normal((3,) + shape)
+        want = fact.to_modes(v).reshape(3, -1)
+        assert np.abs(v.reshape(3, -1) @ m - want).max() <= 1e-14 * np.abs(want).max()
+    m = sine_matrix((7,))
+    assert all(np.array_equal(m[j], sine_row(7, j)) for j in range(7))
 
 
 def test_expm_dense_agrees_with_scipy_on_random_symmetric():

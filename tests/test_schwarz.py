@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dstn
 
 from letd import schwarz
 from letd.geometry import Problem1D, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
@@ -20,7 +21,8 @@ from letd.schwarz import (
     superlinear_bound,
     theoretical_rate,
 )
-from letd.steppers import TimeGrid, coupled_step_direct, make_workspace, run_monodomain
+from letd.steppers import TimeGrid, make_workspace, run_monodomain
+from oracles import direct_step, direct_window_traces, field_window_sweep
 
 PI2 = math.pi ** 2
 
@@ -120,11 +122,7 @@ def test_per_step_iteration_matches_direct_coupled_solve(scheme):
     new_states, log = method1_advance(pieces, lay.interfaces, states, 0.0, dt, cfg)
     assert log.converged
 
-    p1, p2 = lay.pieces
-    ws1 = make_workspace(spectral_factorization(build_laplacian_1d(p1.shape[0], prob.nu, grid.h)), dt)
-    ws2 = make_workspace(spectral_factorization(build_laplacian_1d(p2.shape[0], prob.nu, grid.h)), dt)
-    v1, v2 = coupled_step_direct(ws1, ws2, scheme, states[0], states[1],
-                                 prob, grid, lay, 0.0, dt)
+    v1, v2 = direct_step(pieces, lay.interfaces, states, 0.0, dt, scheme)
     scale = max(np.abs(v1).max(), np.abs(v2).max())
     assert np.abs(new_states[0] - v1).max() < 1e-12 * scale
     assert np.abs(new_states[1] - v2).max() < 1e-12 * scale
@@ -340,47 +338,45 @@ def test_waveform_driver_raises_on_a_non_finite_update(mode):
 
 
 # ---------------------------------------------------------------------------
-# the field-marching waveform sweep, kept as the oracle of the reduced one
+# trace edges: one dense sine basis over the edge's other axes
 # ---------------------------------------------------------------------------
 
 
-def field_window_sweep(pieces, u_start, t_start, dt, steps, scheme):
-    """The waveform sweep on fields, with the protocol of
-    `schwarz._window_sweep`: every sweep assembles each piece's forcing at
-    every level against the given traces, transforms the stack, runs the
-    diagonal recursion and transforms back; the owned traces are read from
-    the physical trajectories."""
-    trajs = []
+def test_pieces_build_one_factorization_each_and_none_per_edge(monkeypatch):
+    build, shapes = schwarz.spectral_factorization, []
+    monkeypatch.setattr(schwarz, "spectral_factorization",
+                        lambda op: shapes.append(op.shape) or build(op))
+    prob, lay, grid, tg = _oracle_2d(3, 3, 2, "full")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assert shapes == [box.shape for box in lay.pieces]
+    assert sum(len(p.inflow) + len(p.outflow) for p in pieces) == 2 * len(lay.interfaces) == 48
 
-    def sweep(traces):
-        trajs.clear()
-        for piece, u0 in zip(pieces, u_start):
-            fa = piece.ws.fact
-            u0 = np.asarray(u0, dtype=float)
-            f_stack = np.empty((steps + 1,) + u0.shape)
-            for m in range(steps + 1):
-                f_stack[m] = piece.forcing(t_start + m * dt, [tr[m] for tr in traces])
-            f_hat = fa.to_modes(f_stack)
-            out_hat = np.empty_like(f_hat)
-            u_hat = fa.to_modes(u0)
-            out_hat[0] = u_hat
-            E, K1, K2 = piece.ws.exp_kernel, piece.ws.phi1_kernel, piece.ws.phi2_kernel
-            for m in range(steps):
-                if scheme == "etd1":
-                    u_hat = E * u_hat + K1 * f_hat[m + 1]
-                else:
-                    u_hat = E * u_hat + K1 * f_hat[m] + K2 * (f_hat[m + 1] - f_hat[m])
-                out_hat[m + 1] = u_hat
-            traj = fa.from_modes(out_hat)
-            traj[0] = u0
-            trajs.append(traj)
-        return initial_traces(pieces, trajs, len(traces))
 
-    def fields(out):
-        for o, traj in zip(out, trajs):
-            o[1:] = traj[1:]
+def test_2d_edges_spread_and_read_like_a_dst_of_the_border_row():
+    # spread: the weighted history on the border row, transformed over both
+    # axes; read: the node row of the transformed trajectory
+    prob, lay, grid, tg = _oracle_2d(3, 3, 2, "full")
+    piece = build_local_pieces(prob, grid, lay, tg.dt)[4]
+    rng = np.random.default_rng(6)
+    axes = (1, 2)
+    for edge in piece.inflow + piece.outflow:
+        row = [slice(None)] * 3
+        row[1 + edge.axis] = edge.node
+        history = rng.standard_normal((5, edge.size))
+        field = np.zeros((5,) + piece.u0.shape)
+        field[tuple(row)] = edge.weight * history
+        want = dstn(field, type=1, norm="ortho", axes=axes)
+        got = edge.spread(history)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        u_hat = rng.standard_normal((5,) + piece.u0.shape)
+        want = dstn(u_hat, type=1, norm="ortho", axes=axes)[tuple(row)]
+        got = edge.read(u_hat)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    return sweep, fields
+
+# ---------------------------------------------------------------------------
+# the reduced waveform sweep against its field-marching oracle
+# ---------------------------------------------------------------------------
 
 
 def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
@@ -696,39 +692,8 @@ def test_1d_step_gains_are_one_step_window_responses(scheme):
 
 
 # ---------------------------------------------------------------------------
-# the iteration-free route: the window's affine interface map, solved densely
+# the iteration-free route: a window's affine interface map, solved densely
 # ---------------------------------------------------------------------------
-
-
-def direct_window_traces(sweep, pinned, steps):
-    """The fixed point of one window's sweep, without iterating.
-
-    The sweep is affine in the unknown levels 1..steps of every interface
-    trace, x = b + M x; b and the columns of M come from sweeping the
-    history that holds the pinned level 0 and zeros, and unit histories.
-    (I - M) x = b is solved densely.
-    """
-    sizes = [len(p) for p in pinned]
-    n = steps * sum(sizes)
-
-    def history(x):
-        out, at = [], 0
-        for p, size in zip(pinned, sizes):
-            h = np.empty((steps + 1, size))
-            h[0] = p
-            h[1:] = x[at: at + steps * size].reshape(steps, size)
-            out.append(h)
-            at += steps * size
-        return out
-
-    def flat(traces):
-        return np.concatenate([tr[1:].ravel() for tr in traces])
-
-    b = flat(sweep(history(np.zeros(n))))
-    m = np.empty((n, n))
-    for k, unit in enumerate(np.eye(n)):
-        m[:, k] = flat(sweep(history(unit))) - b
-    return history(np.linalg.solve(np.eye(n) - m, b))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -778,3 +743,20 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
     u_max = max(np.abs(t).max() for t in direct)
     for a, b in zip(trajs, direct):
         assert np.abs(a - b).max() <= 1e-10 * u_max, np.abs(a - b).max() / u_max
+
+
+@pytest.mark.parametrize("args", [(2, 2, 2, "half"), (3, 2, 3, "full")],
+                         ids=["2x2-half", "3x2-full"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_2d_per_step_iteration_matches_chained_direct_steps(args, scheme):
+    prob, lay, grid, tg = _oracle_2d(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
+    got = want = [p.u0 for p in pieces]
+    for m in range(3):
+        got, log = method1_advance(pieces, lay.interfaces, got, tg.t(m), tg.t(m + 1), cfg)
+        want = direct_step(pieces, lay.interfaces, want, tg.t(m), tg.dt, scheme)
+        assert log.converged
+        u_max = max(np.abs(u).max() for u in want)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-10 * u_max, np.abs(a - b).max() / u_max

@@ -1,4 +1,4 @@
-"""Time grids, single ETD steps, coupled two-piece steps, monodomain runs."""
+"""Time grids, single ETD steps, directly coupled steps, monodomain runs."""
 import math
 
 import numpy as np
@@ -19,6 +19,7 @@ from letd.geometry import (
     make_grid_2d,
 )
 from letd.harness import builtin_problem
+from letd.schwarz import build_local_pieces
 from letd.matfunc import (
     DirichletLaplacian,
     build_laplacian_1d,
@@ -28,12 +29,12 @@ from letd.matfunc import (
 )
 from letd.steppers import (
     TimeGrid,
-    coupled_step_direct,
     etd1_step,
     etd2_step,
     make_workspace,
     run_monodomain,
 )
+from oracles import direct_step
 
 PI2 = math.pi ** 2
 
@@ -159,7 +160,8 @@ def test_coupled_step_is_a_fixed_point_of_local_steps(scheme):
     xs = grid.interior()
     u1 = prob.initial(xs[p1.lo[0] - 1:p1.hi[0]])
     u2 = prob.initial(xs[p2.lo[0] - 1:p2.hi[0]])
-    v1, v2 = coupled_step_direct(ws1, ws2, scheme, u1, u2, prob, grid, lay, 0.0, dt)
+    v1, v2 = direct_step(build_local_pieces(prob, grid, lay, dt), lay.interfaces, [u1, u2],
+                         0.0, dt, scheme)
     # re-run each local step feeding the solved interface values back in
     s_b = v2[p2.local((p1.hi[0] + 1,))]
     s_a = v1[p1.local((p2.lo[0] - 1,))]
