@@ -1,4 +1,4 @@
-"""Discrete norms, contraction-rate estimation, and temporal orders.
+"""Discrete norms and contraction-rate estimation.
 
 Norm conventions follow the maximum principle analysis: per time level
 the space error is measured in the max norm over nodes, and over a run
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ErrorReport", "linf_norms", "estimate_contraction", "observed_order"]
+__all__ = ["ErrorReport", "linf_norms", "estimate_contraction"]
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,3 @@ def estimate_contraction(curve: Sequence[float], skip_head: int = 2, skip_tail: 
         raise ValueError("no usable two-iteration ratios after trimming")
     return float(np.exp(np.mean(np.log(ratios))))
 
-
-def observed_order(errors: Sequence[float], dts: Sequence[float]) -> np.ndarray:
-    """Temporal orders log2(e_{i-1} / e_i) across a step-halving sweep."""
-    e = np.asarray(errors, dtype=float)
-    d = np.asarray(dts, dtype=float)
-    if e.shape != d.shape or e.ndim != 1 or e.size < 2:
-        raise ValueError("need matching 1d errors and dts with at least two entries")
-    if np.any(e <= 0.0):
-        raise ValueError("errors must be positive")
-    if np.any(d <= 0.0) or np.any(np.abs(d[:-1] / d[1:] - 2.0) > 1e-9):
-        raise ValueError("dts must halve at each level")
-    return np.log2(e[:-1] / e[1:])

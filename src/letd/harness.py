@@ -142,8 +142,8 @@ class ExperimentConfig:
                              f"guess and at least {RATE_MIN_SWEEPS} sweeps")
         if self.problem == "error_equation" and self.window_steps is not None:
             raise ValueError(f"a rate study (problem error_equation) takes no window_steps, got "
-                             f"{self.window_steps}: a windowed solve logs updates, not the "
-                             "errors the contraction is estimated from")
+                             f"{self.window_steps}: every window restarts the error curve "
+                             "from its guess, so no one curve gives the contraction")
         if not self.dts:
             raise ValueError("need at least one time step")
         if len(set(self.dts)) < len(self.dts):

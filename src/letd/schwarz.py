@@ -1,20 +1,7 @@
 """Overlapping Schwarz drivers coupling the per-piece ETD steps.
 
-Two ways to resolve the interface coupling:
-
-* Per-time-step iteration ("method 1"): at each time level all pieces
-  step in parallel from the converged previous level, exchanging the
-  Dirichlet values they read from their neighbors, until the interface
-  values stop moving.  With a uniform step a piece's new state is affine
-  in the traces it reads at the new level, through one fixed kernel
-  (phi1 for ETD1, phi2 for ETD2).  Each level therefore transforms the
-  state and the trace-independent forcing of every piece once and reads
-  the resulting base (and the ETD2 predictor) on the outflow edges in
-  mode space; a sweep is then a sum of small dense products of the
-  incoming traces with per-piece edge gains G[o, i] of shape
-  (|i|, |o|), built on first use and held on the piece.  A sweep
-  assembles no forcing and runs no DST; the new states are rebuilt by
-  one inverse DST per piece after the last sweep.
+Two ways to resolve the interface coupling, which differ only in the
+time span one sweep covers:
 
 * Waveform relaxation ("method 2"): each iteration re-marches every
   piece over the whole time interval (or a time window) against the
@@ -25,36 +12,40 @@ Two ways to resolve the interface coupling:
   and beta are the overlap fractions; on short windows an erfc-type
   superlinear bound applies instead.
 
-  The sweeps iterate on the traces alone, in sine-mode space.  A piece's
-  state is affine in the traces it reads, so the trace-independent part
-  (start state, source and physical boundary data) is transformed once
-  per window.  Every trace edge moves a history between nodes and modes
-  the same way in any dimension: the history times the dense sine
-  matrix of the edge's other axes ([[1.0]] in 1d), times the stencil
-  weight, enters the forcing modes through the sine row of the border
-  node along the edge axis; an owned trace is read out by contracting
-  the mode-space trajectory with the sine row of its read node and
-  multiplying by that matrix.  A sweep therefore assembles no forcing
-  and runs no DST; the fields are rebuilt by one batched inverse DST
-  per piece after the last sweep.
+* Per-time-step iteration ("method 1"): at each time level all pieces
+  step in parallel from the converged previous level, exchanging the
+  Dirichlet values they read from their neighbors, until the interface
+  values stop moving.  A level is the waveform window of one step; only
+  its ETD2 starting guess, the first-order predictor, is its own.
 
-  In 1d each trace is a single value per level, and with a uniform step
-  the map from an incoming trace history to an owned one is linear,
-  causal and time-invariant.  Each window therefore marches every piece
-  only to find the read-out of its trace-independent part and, per
-  (outflow, inflow) pair, the responses to a unit trace at level 0 and
-  at level 1; a sweep is then one causal convolution per pair, with no
-  per-step loop.  In 2d the edge-to-edge responses are dense, so every
-  sweep runs the mode-space recursion.
+Both iterate on the traces alone, in sine-mode space, through one
+window engine.  A piece's state is affine in the traces it reads, so the
+trace-independent part (start state, source, physical boundary data and
+the pinned traces of level 0) is transformed once per window.  Every
+trace edge moves a history between nodes and modes the same way in any
+dimension: the history times the dense sine matrix of the edge's other
+axes ([[1.0]] in 1d), times the stencil weight, enters the forcing modes
+through the sine row of the border node along the edge axis; an owned
+trace is read out by contracting the mode-space trajectory with the sine
+row of its read node and multiplying by that matrix.  A sweep therefore
+assembles no forcing and runs no DST; the fields are rebuilt by one
+batched inverse DST per piece after the last sweep.
+
+With a uniform step the map from the incoming trace histories of a piece
+to its owned ones is linear, causal and time-invariant.  Its response
+table (per lag, from every inflow node to every outflow node) depends on
+the piece, the scheme and the window length alone, so it is built on
+first use and held on the piece, and lives as long as its piece set.  A
+one-step window (every method-1 level) is then one small dense product
+per piece and sweep, a longer 1d window one causal convolution per
+(outflow, inflow) pair.  Only longer 2d windows, whose per-lag tables
+would be large, run the mode-space recursion in every sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
 the initial state, the forcing data, per-edge closures and the trace
 edges (`EdgeRow`: a sine row along the edge axis and a sine matrix over
 the others) prepared by `build_local_pieces`, and share one sweep loop.
-The interface maps a driver derives from a piece alone (method 1's edge
-gains, the 1d waveform responses) are built on first use and held on
-the piece, so they live as long as its piece set.
 Interface traces are stored per directed interface as arrays of shape
 (size,) at a single level and (steps + 1, size) over a window; size is
 1 in 1d and the edge length in 2d.
@@ -72,6 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -107,6 +99,10 @@ __all__ = [
 # Below this magnitude an initial-guess trace is treated as zero and the
 # stopping test falls back to absolute updates.
 _DENOM_FLOOR = 1e-14
+
+# Unit traces marched together when a response table is built; bounds the
+# unit fields held at once.
+_UNITS_PER_MARCH = 8
 
 TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
 
@@ -154,6 +150,7 @@ class IterationLog:
     (max over the edge and, for waveform relaxation, over time levels).
     errors[k, i]:  distance of the k-th iterate's trace from a reference
     (supplied by error studies; row 0 is the initial guess), same norm.
+    With time windows both hold the rows of every window in turn.
     """
 
     updates: np.ndarray
@@ -239,8 +236,8 @@ class LocalPiece:
     ("physical", fn) edges carry a callable t -> boundary data,
     ("trace", i) edges read interface i.  inflow: those trace edges;
     outflow: the node rows whose values this piece provides to neighbors.
-    maps: interface maps derived from the piece alone, keyed by kind,
-    scheme and (for windows) step count; filled on first use by `_cached`.
+    maps: the piece's response tables (`_window_responses`), keyed by
+    scheme and window length; filled on first use by `_cached`.
     """
 
     ws: StepWorkspace
@@ -315,7 +312,7 @@ def random_trace_guess(
     """Uniform(0, 1) interface guesses, deterministic per seed, never 0.
 
     With `steps` given the guess covers all levels 0..steps (level 0 is
-    overwritten by the pinned initial trace inside the waveform driver).
+    pinned data, which the drivers do not read).
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -338,17 +335,6 @@ def initial_traces(pieces: Sequence[LocalPiece], states: Sequence[np.ndarray],
     return traces
 
 
-def _trace_diff(a: TraceSet, b: TraceSet, time_axis: bool) -> np.ndarray:
-    # max |a - b| per interface; over a window, level 0 is pinned data.
-    out = np.empty(len(a))
-    for i, (x, y) in enumerate(zip(a, b)):
-        d = x - y
-        if time_axis and d.ndim == 2:
-            d = d[1:]
-        out[i] = np.abs(d).max() if d.size else 0.0
-    return out
-
-
 def _stop(updates: np.ndarray, denoms: np.ndarray, tol: float) -> bool:
     rel = np.where(denoms > _DENOM_FLOOR, updates / np.maximum(denoms, _DENOM_FLOOR), updates)
     return bool(np.all(rel < tol))
@@ -359,45 +345,52 @@ def _sweep_loop(
     traces: TraceSet,
     config: SolverConfig,
     reference: Optional[TraceSet],
-    time_axis: bool,
     where: str,
 ) -> IterationLog:
-    """Iterate traces <- sweep(traces) from the initial traces.
+    """Iterate traces <- sweep(traces) from the initial trace histories.
 
     The loop logs the per-interface updates (and distances from
-    `reference`), stops by the relative-update rule unless the budget is
-    fixed, and raises on a non-finite update either way.  Without
-    interfaces one sweep is the solution.  The caller's sweep keeps the
-    states of its last call.
+    `reference`), max norms over the edge and levels >= 1, stops by the
+    relative-update rule unless the budget is fixed, and raises on a
+    non-finite update either way.  Without interfaces one sweep is the
+    solution.  The caller's sweep keeps the states of its last call.
     """
-    n_if = len(traces)
-    if n_if == 0:
+    if not traces:
         sweep([])
         return IterationLog(
             updates=np.zeros((1, 0)), errors=None, converged=True, iterations=1,
         )
-    fixed = config.fixed_iterations is not None
-    denoms = _trace_diff(traces, [0.0] * n_if, time_axis)  # |initial traces|
-    err_rows = [] if reference is None else [_trace_diff(traces, reference, time_axis)]
+    # levels >= 1 of every interface's trace (level 0 is pinned data) in
+    # one vector, so that the norms of all interfaces take two reductions;
+    # two buffers take the iterates in turn, and norm(v) overwrites v
+    offsets = np.cumsum([0] + [tr[1:].size for tr in traces])
+    flat = lambda trs, out: np.concatenate([tr[1:].ravel() for tr in trs], out=out)
+    norm = lambda v: np.maximum.reduceat(np.abs(v, out=v), offsets[:-1])  # max |v| per interface
+    now, spare = flat(traces, np.empty(offsets[-1])), np.empty(offsets[-1])
+    denoms = norm(now.copy())  # |initial traces|
+    ref = None if reference is None else flat(reference, np.empty(offsets[-1]))
+    err_rows = [] if ref is None else [norm(now - ref)]
     upd_rows = []
+    fixed = config.fixed_iterations is not None
     converged = fixed
     for k in range(1, config.budget + 1):
-        new_traces = sweep(traces)
-        update = _trace_diff(new_traces, traces, time_axis)
+        traces = sweep(traces)
+        new = flat(traces, spare)
+        if ref is not None:
+            err_rows.append(norm(new - ref))
+        update = norm(np.subtract(new, now, out=now))
         bad = np.flatnonzero(~np.isfinite(update))
         if bad.size:
             raise FloatingPointError(
                 f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
         upd_rows.append(update)
-        if reference is not None:
-            err_rows.append(_trace_diff(new_traces, reference, time_axis))
-        traces = new_traces
+        now, spare = new, now
         if not fixed and _stop(update, denoms, config.tolerance):
             converged = True
             break
     return IterationLog(
         updates=np.array(upd_rows),
-        errors=np.array(err_rows) if reference is not None else None,
+        errors=np.array(err_rows) if ref is not None else None,
         converged=converged,
         iterations=len(upd_rows),
     )
@@ -408,29 +401,6 @@ def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
     if key not in piece.maps:
         piece.maps[key] = build(piece, *args)
     return piece.maps[key]
-
-
-def _step_kernel(ws: StepWorkspace, scheme: Scheme) -> np.ndarray:
-    """The kernel through which the forcing at the new level enters a step."""
-    return ws.phi1_kernel if scheme == "etd1" else ws.phi2_kernel
-
-
-def _step_gains(piece: LocalPiece, scheme: Scheme) -> list[np.ndarray]:
-    """The edge gains of one step, per outflow edge o of the piece.
-
-    The gain G[o, i] of an inflow edge i has shape (|i|, |o|): its row k
-    is o's trace after one step from a zero state and zero
-    trace-independent forcing, with a unit trace at node k of i at the
-    new level, i.e. o.read(K * i.spread(I)) with K the step kernel (phi1
-    for ETD1, phi2 for ETD2, times dt).  Per o the gains of all inflow
-    edges are stacked in inflow order, (sum of |i|, |o|), so a sweep
-    takes one product per outflow edge.
-    """
-    kernel = _step_kernel(piece.ws, scheme)
-    # one inflow edge at a time, so only one unit field is held
-    units = (kernel * i.spread(np.eye(i.size)) for i in piece.inflow)
-    blocks = [[o.read(u) for o in piece.outflow] for u in units]
-    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 def method1_advance(
@@ -445,74 +415,24 @@ def method1_advance(
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Advance all pieces one time level by per-step Schwarz iteration.
 
-    ETD1 sweeps re-solve each piece against the latest neighbor values at
-    t_next; the default initial guess is the previous level's traces.
-    ETD2 freezes the t_now forcing at the converged previous level, so
-    only the linear-in-time correction term moves during the iteration;
-    the default initial guess comes from the first-order predictor.
-    With `reference` given (error studies), per-iteration distances of
-    the traces from the reference are logged, guess included.
-
-    The sweeps iterate on the traces.  Per piece the level transforms the
-    state, the trace-independent forcing at t_next and (ETD2) the forcing
-    at t_now once, and reads the base of the new state and the ETD2
-    predictor on the outflow edges in mode space.  A sweep is then
-    out[o] = base[o] + sum_i trace[i] @ G[o, i] with the gains of
-    `_step_gains`, held on the pieces; it assembles no forcing and runs
-    no DST.  The new states are rebuilt by one inverse DST per piece
-    against the traces of the last sweep.
+    A level is the one-step window of the waveform driver, solved by
+    `_solve_window`.  ETD1 sweeps re-solve each piece against the latest
+    neighbor values at t_next; the default initial guess is the previous
+    level's traces.  ETD2 freezes the t_now forcing at the converged
+    previous level (the window's pinned level 0), so only the
+    linear-in-time correction term moves during the iteration; the
+    default initial guess comes from the first-order predictor.
+    init_guess and reference hold one value set (size,) per interface at
+    t_next; with `reference` given (error studies), per-iteration
+    distances of the traces from the reference are logged, guess included.
     """
-    n_if = len(interfaces)
-    scheme = config.scheme
-    # Bordering values at t_now are the converged ones: physical data or
-    # the neighbor's current state.
-    now_traces = initial_traces(pieces, states, n_if)
-    base_hat, readouts, gains = [], [], []
-    for piece, u in zip(pieces, states):
-        ws, fa = piece.ws, piece.ws.fact
-        e_u = ws.exp_kernel * fa.to_modes(np.asarray(u, dtype=float))
-        if scheme == "etd1":
-            base, predictor = e_u, []
-        else:
-            f_now_hat = fa.to_modes(piece.forcing(t_now, now_traces))
-            base = e_u + (ws.phi1_kernel - ws.phi2_kernel) * f_now_hat
-            # First-order prediction of the new level from t_now data only.
-            predictor = [e_u + ws.phi1_kernel * f_now_hat]
-        base = base + _step_kernel(ws, scheme) * fa.to_modes(piece.forcing(t_next))
-        base_hat.append(base)
-        both = np.stack([base, *predictor])
-        readouts.append([o.read(both) for o in piece.outflow])
-        gains.append(_cached(piece, ("step", scheme), _step_gains, scheme))
-
-    last: TraceSet = []
-
-    def sweep(traces: TraceSet) -> TraceSet:
-        last[:] = traces
-        new: TraceSet = [None] * n_if
-        for piece, reads, gain in zip(pieces, readouts, gains):
-            if piece.outflow:  # a lone piece has no trace edges
-                x = np.concatenate([traces[i.interface] for i in piece.inflow])
-                for o, read, g in zip(piece.outflow, reads, gain):
-                    new[o.interface] = read[0] + x @ g
-        return new
-
-    if init_guess is not None:
-        traces = [np.array(tr, dtype=float).reshape(itf.size)
-                  for tr, itf in zip(init_guess, interfaces)]
-    elif scheme == "etd1" or n_if == 0:
-        traces = now_traces
-    else:
-        traces = [None] * n_if
-        for piece, reads in zip(pieces, readouts):
-            for o, read in zip(piece.outflow, reads):
-                traces[o.interface] = read[1]
-    log = _sweep_loop(sweep, traces, config, reference, time_axis=False,
-                      where=f"at t={t_next:g}")
-    new_states = []
-    for piece, base in zip(pieces, base_hat):
-        spread = sum(i.spread(last[i.interface][None])[0] for i in piece.inflow)
-        new_states.append(piece.ws.fact.from_modes(base + _step_kernel(piece.ws, scheme) * spread))
-    return new_states, log
+    window = [np.array([u, u], dtype=float) for u in states]
+    # as histories over the window, whose level 0 is pinned data, not read
+    held = lambda rows: None if rows is None else [np.array([r, r], dtype=float) for r in rows]
+    log = _solve_window(pieces, interfaces, window, (t_now, t_next), config,
+                        held(init_guess), held(reference), where=f"at t={t_next:g}",
+                        predict=init_guess is None and config.scheme == "etd2")
+    return [w[1] for w in window], log
 
 
 def method1_march(
@@ -558,104 +478,141 @@ def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
         for prev, nxt, g in zip(rows, rows[1:], ws.phi1_kernel * f_hat[1:]):
             add(mul(E, prev, out=nxt), g, out=nxt)
     else:
-        for prev, nxt, g0, g1 in zip(rows, rows[1:], ws.phi1_kernel * f_hat[:-1],
-                                     ws.phi2_kernel * (f_hat[1:] - f_hat[:-1])):
+        slopes = f_hat[1:] - f_hat[:-1]
+        slopes *= ws.phi2_kernel
+        for prev, nxt, g0, g1 in zip(rows, rows[1:], ws.phi1_kernel * f_hat[:-1], slopes):
             add(add(mul(E, prev, out=nxt), g0, out=nxt), g1, out=nxt)
     return out
 
 
-def _window_responses(piece: LocalPiece, scheme: Scheme,
-                      steps: int) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
-    """The causal response map of a 1d piece over a window of `steps` steps.
+def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarray:
+    """The response table R (steps, sum of |i|, sum of |o|) of a piece.
 
-    Per outflow edge o and inflow edge i: (interface of i, r0, r1), o's
-    traces (steps + 1,) of the march from a zero state against a unit
-    trace on i at level 0 (r0) and at level 1 (r1).  The recursion is
-    linear and its kernels do not change over a uniform window, so a unit
-    trace at level j >= 1 gives r1 shifted by j - 1 levels; ETD2 uses
-    level 0 only through (phi1 - phi2), hence its own response (zero for
-    ETD1).  The map depends on the piece, the scheme and `steps` alone.
+    Rows run over the nodes of the inflow edges i, columns over those of
+    the outflow edges o, each in edge order: R[lag, k, n] is the trace at
+    outflow node n `lag` levels after a unit trace at inflow node k
+    enters, marched from a zero state and zero trace-independent forcing.
+    It does not depend on the level the trace enters at (>= 1; level 0 is
+    pinned data, carried by the window's base).  R[0] holds the one-step
+    gains o.read(K * i.spread(I)), K = dt phi1 for ETD1 and dt phi2 for
+    ETD2.
     """
-    zero = np.zeros(piece.u0.shape)
-
-    def response(edge: EdgeRow, level: int) -> np.ndarray:
-        unit = np.zeros((steps + 1, 1))
-        unit[level] = 1.0
-        return _march_modes(piece.ws, scheme, zero, edge.spread(unit))
-
-    units = [(i.interface, response(i, 0), response(i, 1)) for i in piece.inflow]
-    return [[(idx, o.read(u0)[:, 0], o.read(u1)[:, 0]) for idx, u0, u1 in units]
-            for o in piece.outflow]
+    rows = []
+    for i in piece.inflow:
+        # a few nodes of one inflow edge at a time, so few unit fields are held
+        for units in np.array_split(np.eye(i.size), -(-i.size // _UNITS_PER_MARCH)):
+            f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
+            f_hat[1] = i.spread(units)
+            u_hat = _march_modes(piece.ws, scheme, 0.0, f_hat)[1:].reshape((-1,) + piece.u0.shape)
+            rows.append(np.concatenate([o.read(u_hat) for o in piece.outflow], axis=1)
+                        .reshape(steps, len(units), -1))
+    return np.concatenate(rows, axis=1)
 
 
 def _window_sweep(
     pieces: Sequence[LocalPiece],
     u_start: Sequence[np.ndarray],
-    t_start: float,
-    dt: float,
-    steps: int,
+    times: Sequence[float],
     scheme: Scheme,
-) -> tuple[Callable[[TraceSet], TraceSet], Callable[[Sequence[np.ndarray]], None]]:
-    """The interface-reduced waveform sweep of one window.
+    predict: bool = False,
+) -> tuple[Callable[[TraceSet], TraceSet], Callable[[Sequence[np.ndarray]], None], TraceSet]:
+    """The interface-reduced sweep of the window over the level times
+    `times` (steps + 1, spaced by the pieces' step).
 
     Transforms every piece's start state and trace-independent forcing
-    stack once.  Returns `sweep(traces)`, which maps the given trace
-    histories to the owned traces of every piece, and `fields(out)`,
-    which writes levels 1..steps of the last sweep's trajectories into
-    out[d] (steps + 1, *shape): the march against the last traces is
-    repeated piece by piece and transformed back by one batched inverse
-    DST, so no mode-space trajectory is held between sweeps.  `fields`
-    releases the forcing stacks as it goes and is called once, after the
-    last sweep.
+    stack once, in one batch; level 0 of the stack holds the pinned
+    traces of the start states, so a sweep reads levels 1..steps of its
+    traces only.  Returns `sweep(traces)`, the owned traces of every piece
+    (level 0 pinned) against the given ones; `fields(out)`, which repeats
+    the march against the last sweep's traces piece by piece and writes
+    levels 1..steps of the fields into out[d] (steps + 1, *shape), so no
+    trajectory is held between sweeps (called once, it releases the
+    stacks); and the default initial traces (read-only): level 0 at every
+    level or, with `predict` (one-step ETD2 windows), level 1 from the
+    first-order predictor E u + phi1 f(times[0]).
 
-    In 1d (every trace edge a single node) each piece is marched once
-    here for the base read-out of its trace-independent part, the
-    responses of `_window_responses` are taken from the piece (built for
-    the first window of this length), and a sweep is the causal
-    convolution out = base + r0 x[0] + r1 * x[1:] per (outflow, inflow)
-    pair: no per-step loop and no mode-space work.  In 2d the
-    edge-to-edge responses are dense, so every sweep marches each piece
-    in mode space against the spread traces and reads its outflow edges.
+    Over the response table R of `_window_responses` and the base read-out
+    of one march per piece, a one-step window is out = base + x[1] @ R[0]
+    (x and out the piece's incoming and owned traces, concatenated) and a
+    longer 1d window one causal convolution per (outflow, inflow) pair.
+    A longer 2d window marches each piece in mode space in every sweep.
     """
-    times = [t_start + m * dt for m in range(steps + 1)]
-    starts = [p.ws.fact.to_modes(np.asarray(u, dtype=float)) for p, u in zip(pieces, u_start)]
-    bases = [p.ws.fact.to_modes(np.stack([p.forcing(t) for t in times])) for p in pieces]
+    steps = len(times) - 1
+    pinned = initial_traces(pieces, u_start, sum(len(p.outflow) for p in pieces))
+    starts, bases = [], []
+    for p, u in zip(pieces, u_start):
+        # an ETD1 step never reads the forcing at its start level, so there
+        # the start state's row stands in for level 0 of the stack
+        head = [u, p.forcing(times[0], pinned)] if scheme == "etd2" else [u]
+        modes = p.ws.fact.to_modes(np.stack(head + [p.forcing(t) for t in times[1:]]))
+        starts.append(modes[0].copy())  # so that `fields` can release the stack
+        bases.append(modes[len(head) - 1:])
+    start = [np.broadcast_to(p, (steps + 1, p.size)) for p in pinned]
     last: TraceSet = []
 
     def march(d: int, traces: TraceSet) -> np.ndarray:
-        f_hat = bases[d]
+        f_hat = bases[d].copy()
         for edge in pieces[d].inflow:
-            f_hat = f_hat + edge.spread(traces[edge.interface])
+            f_hat[1:] += edge.spread(traces[edge.interface][1:])
         return _march_modes(pieces[d].ws, scheme, starts[d], f_hat)
 
-    if all(edge.size == 1 for p in pieces for edge in p.inflow):
-        maps = []
+    one_d = all(edge.size == 1 for p in pieces for edge in p.inflow)
+    if steps == 1 or one_d:
+        tables = []
         for p, s, b in zip(pieces, starts, bases):
-            u_base = _march_modes(p.ws, scheme, s, b)
-            pairs = _cached(p, ("window", scheme, steps), _window_responses, scheme, steps)
-            maps.append([(o.interface, o.read(u_base)[:, 0], row)
-                         for o, row in zip(p.outflow, pairs)])
+            if not p.outflow:  # a lone piece has no trace edges
+                tables.append(None)
+                continue
+            u_hat = _march_modes(p.ws, scheme, s, b)
+            if predict:  # level 0 reads pinned data, so its row carries the predictor
+                u_hat[0] = p.ws.exp_kernel * s + p.ws.phi1_kernel * b[0]
+            base = np.concatenate([o.read(u_hat) for o in p.outflow], axis=1)
+            ends = list(accumulate(o.size for o in p.outflow))
+            spans = [(o.interface, slice(end - o.size, end)) for o, end in zip(p.outflow, ends)]
+            for idx, cols in spans:
+                if predict:
+                    start[idx] = np.array([pinned[idx], base[0, cols]])
+                base[0, cols] = pinned[idx]
+            tables.append((base, _cached(p, (scheme, steps), _window_responses, scheme, steps),
+                           spans))
+    if steps == 1:
+        def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
+            if tables[d] is None:
+                return []
+            base, r, spans = tables[d]
+            x = np.concatenate([traces[i.interface][1] for i in pieces[d].inflow])
+            out = base.copy()
+            out[1] += x @ r[0]
+            return [(idx, out[:, cols]) for idx, cols in spans]
+    elif one_d:
+        # one contiguous response vector per (outflow, inflow) pair
+        pairs = [None if t is None else np.ascontiguousarray(t[1].transpose(2, 1, 0))
+                 for t in tables]
 
         def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
-            out = []
-            for idx, tr, pairs in maps[d]:
-                tr = tr.copy()
-                for i, r0, r1 in pairs:
-                    x = traces[i][:, 0]
-                    tr[1:] += r0[1:] * x[0] + np.convolve(r1[1:], x[1:])[:steps]
-                out.append((idx, tr[:, None]))
-            return out
+            if tables[d] is None:
+                return []
+            base, _, spans = tables[d]
+            out = base.copy()
+            for col, rows in enumerate(pairs[d]):
+                for i, r in zip(pieces[d].inflow, rows):
+                    out[1:, col] += np.convolve(r, traces[i.interface][1:, 0])[:steps]
+            return [(idx, out[:, cols]) for idx, cols in spans]
     else:
         def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
             u_hat = march(d, traces)
-            return [(edge.interface, edge.read(u_hat)) for edge in pieces[d].outflow]
+            out = []
+            for edge in pieces[d].outflow:
+                tr = edge.read(u_hat)
+                tr[0] = pinned[edge.interface]
+                out.append((edge.interface, tr))
+            return out
 
     def sweep(traces: TraceSet) -> TraceSet:
         last[:] = traces
         new: TraceSet = [None] * len(traces)
         for d in range(len(pieces)):
             for idx, tr in owned(d, traces):
-                tr[0] = traces[idx][0]  # level 0 is pinned data
                 new[idx] = tr
         return new
 
@@ -664,35 +621,31 @@ def _window_sweep(
             out[d][1:] = piece.ws.fact.from_modes(march(d, last)[1:])
             bases[d] = None
 
-    return sweep, fields
+    return sweep, fields, start
 
 
 def _solve_window(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
     window: Sequence[np.ndarray],
-    t_start: float,
-    dt: float,
+    times: Sequence[float],
     config: SolverConfig,
     guess: Optional[TraceSet],
     reference: Optional[TraceSet],
+    where: str,
+    predict: bool = False,
 ) -> IterationLog:
     """Solve one window in place: window[d] is piece d's trajectory
-    (steps + 1, *shape) over the window, level 0 holding its start state;
-    levels 1..steps receive the solution."""
-    steps = len(window[0]) - 1
-    u_start = [w[0] for w in window]
-    pinned = initial_traces(pieces, u_start, len(interfaces))
-    if guess is None:
-        traces = [np.repeat(p[None, :], steps + 1, axis=0) for p in pinned]
-    else:
-        traces = [np.array(g, dtype=float).reshape(steps + 1, itf.size)
+    (steps + 1, *shape) over the level times `times`, level 0 holding its
+    start state; levels 1..steps receive the solution.  Without a guess
+    the iteration starts from the default traces of `_window_sweep`;
+    level 0 of a guess is pinned data and not read."""
+    sweep, fields, traces = _window_sweep(pieces, [w[0] for w in window], times,
+                                          config.scheme, predict)
+    if guess is not None:
+        traces = [np.asarray(g, dtype=float).reshape(len(times), itf.size)
                   for g, itf in zip(guess, interfaces)]
-    for tr, p in zip(traces, pinned):
-        tr[0] = p
-    sweep, fields = _window_sweep(pieces, u_start, t_start, dt, steps, config.scheme)
-    log = _sweep_loop(sweep, traces, config, reference, time_axis=True,
-                      where=f"in the window from t={t_start:g}")
+    log = _sweep_loop(sweep, traces, config, reference, where)
     fields(window)
     return log
 
@@ -707,13 +660,12 @@ def method2_solve(
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
-    Each window iterates interface-reduced sweeps: the trace-independent
-    forcing is assembled and transformed once per window, and the fields
-    are rebuilt once after the window's last sweep.  In 1d a sweep is a
-    causal convolution of the incoming trace histories with per-window
-    responses (no per-step loop); in 2d it runs the mode-space recursion
-    and the dense edge products of `EdgeRow`.  Neither assembles forcing
-    or runs a DST.
+    Each window iterates interface-reduced sweeps (`_window_sweep`): the
+    trace-independent forcing is assembled and transformed once per
+    window, and the fields are rebuilt once after the window's last sweep.
+    A sweep is a dense product per piece in one-step windows, a causal
+    convolution per edge pair in longer 1d ones and the mode-space
+    recursion in longer 2d ones; none assembles forcing or runs a DST.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per
@@ -729,20 +681,16 @@ def method2_solve(
     logs = []
     for s in range(0, steps, win):
         n = min(win, steps - s)
-        guess = None
-        ref = None
-        if init_guess is not None:
-            guess = [np.asarray(g, dtype=float)[s : s + n + 1] for g in init_guess]
-        if reference is not None:
-            ref = [np.asarray(r, dtype=float)[s : s + n + 1] for r in reference]
-        window = [traj[s : s + n + 1] for traj in trajs]
-        logs.append(_solve_window(pieces, interfaces, window, timegrid.t(s), timegrid.dt,
-                                  config, guess, ref))
+        part = lambda rows: None if rows is None else [np.asarray(r)[s : s + n + 1] for r in rows]
+        logs.append(_solve_window(pieces, interfaces, [traj[s : s + n + 1] for traj in trajs],
+                                  [timegrid.t(s + m) for m in range(n + 1)], config,
+                                  part(init_guess), part(reference),
+                                  where=f"in the window from t={timegrid.t(s):g}"))
     if len(logs) == 1:
         return trajs, logs[0]
     return trajs, IterationLog(
         updates=np.concatenate([lg.updates for lg in logs]),
-        errors=None,
+        errors=None if reference is None else np.concatenate([lg.errors for lg in logs]),
         converged=all(lg.converged for lg in logs),
         iterations=sum(lg.iterations for lg in logs),
         windows=tuple(logs),

@@ -6,12 +6,26 @@ import numpy as np
 from letd.schwarz import initial_traces
 
 
-def field_window_sweep(pieces, u_start, t_start, dt, steps, scheme):
+def field_window_sweep(pieces, u_start, times, scheme, predict=False):
     """The waveform sweep on fields, with the protocol of
     `schwarz._window_sweep`: every sweep assembles each piece's forcing at
-    every level against the given traces, transforms the stack, runs the
-    diagonal recursion and transforms back; the owned traces are read from
-    the physical trajectories."""
+    every level against the given traces (at level 0 the pinned ones),
+    transforms the stack, runs the diagonal recursion and transforms back;
+    the owned traces are read from the physical trajectories.  The default
+    initial traces repeat the pinned level 0 or, with `predict`, take
+    level 1 from the physical first-order predictor E u + phi1 f(times[0])."""
+    steps = len(times) - 1
+    n_if = sum(len(p.outflow) for p in pieces)
+    pinned = initial_traces(pieces, u_start, n_if)
+    start = [np.repeat(p[None], steps + 1, axis=0) for p in pinned]
+    if predict:
+        predicted = [
+            p.ws.fact.from_modes(p.ws.exp_kernel * p.ws.fact.to_modes(np.asarray(u, dtype=float))
+                                 + p.ws.phi1_kernel
+                                 * p.ws.fact.to_modes(p.forcing(times[0], pinned)))
+            for p, u in zip(pieces, u_start)]
+        for tr, value in zip(start, initial_traces(pieces, predicted, n_if)):
+            tr[1] = value
     trajs = []
 
     def sweep(traces):
@@ -20,8 +34,8 @@ def field_window_sweep(pieces, u_start, t_start, dt, steps, scheme):
             fa = piece.ws.fact
             u0 = np.asarray(u0, dtype=float)
             f_stack = np.empty((steps + 1,) + u0.shape)
-            for m in range(steps + 1):
-                f_stack[m] = piece.forcing(t_start + m * dt, [tr[m] for tr in traces])
+            for m, t in enumerate(times):  # level 0 of the traces is pinned data
+                f_stack[m] = piece.forcing(t, [tr[m] for tr in traces] if m else pinned)
             f_hat = fa.to_modes(f_stack)
             out_hat = np.empty_like(f_hat)
             u_hat = fa.to_modes(u0)
@@ -42,7 +56,7 @@ def field_window_sweep(pieces, u_start, t_start, dt, steps, scheme):
         for o, traj in zip(out, trajs):
             o[1:] = traj[1:]
 
-    return sweep, fields
+    return sweep, fields, start
 
 
 def direct_window_traces(sweep, pinned, steps):
@@ -82,7 +96,7 @@ def direct_step(pieces, interfaces, states, t_now, dt, scheme):
     window of `field_window_sweep`, solved by `direct_window_traces`.
     The fully discrete multidomain solution over that step, which the
     per-step iteration converges to; returns the new states."""
-    sweep, fields = field_window_sweep(pieces, states, t_now, dt, 1, scheme)
+    sweep, fields, _ = field_window_sweep(pieces, states, (t_now, t_now + dt), scheme)
     sweep(direct_window_traces(sweep, initial_traces(pieces, states, len(interfaces)), 1))
     out = [np.empty((2,) + np.shape(u)) for u in states]
     fields(out)

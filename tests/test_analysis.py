@@ -1,11 +1,11 @@
-"""Unit tests for norms, contraction estimation, and temporal orders."""
+"""Unit tests for norms and contraction estimation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from letd.analysis import ErrorReport, estimate_contraction, linf_norms, observed_order
+from letd.analysis import ErrorReport, estimate_contraction, linf_norms
 
 
 # ---------------------------------------------------------------------------
@@ -65,50 +65,6 @@ def test_contraction_custom_trim_windows():
     assert abs(three - r * r) < 1e-12  # single usable ratio
     with pytest.raises(ValueError):
         estimate_contraction(curve[:2], skip_head=0, skip_tail=0)
-
-
-# ---------------------------------------------------------------------------
-# observed_order
-# ---------------------------------------------------------------------------
-
-
-def test_observed_order_recovers_exact_power_law():
-    dts = np.array([0.1, 0.05, 0.025, 0.0125])
-    for p in (1.0, 2.0, 3.5):
-        errs = 4.2 * dts**p
-        orders = observed_order(errs, dts)
-        assert orders.shape == (3,)
-        assert np.allclose(orders, p, atol=1e-12)
-
-
-def test_observed_order_is_scale_invariant():
-    dts = np.array([0.2, 0.1, 0.05])
-    errs = np.array([3e-3, 8e-4, 2.1e-4])
-    base = observed_order(errs, dts)
-    scaled = observed_order(1e6 * errs, dts)
-    assert np.allclose(base, scaled, atol=1e-13)
-
-
-def test_observed_order_requires_halving_steps():
-    errs = np.array([1e-2, 1e-3])
-    with pytest.raises(ValueError):
-        observed_order(errs, np.array([0.1, 0.03]))
-    with pytest.raises(ValueError):
-        observed_order(errs, np.array([0.05, 0.1]))  # increasing
-    # exact halving passes
-    out = observed_order(errs, np.array([0.1, 0.05]))
-    assert out.shape == (1,)
-
-
-def test_observed_order_input_validation():
-    with pytest.raises(ValueError):
-        observed_order([1e-2], [0.1])  # too short
-    with pytest.raises(ValueError):
-        observed_order([1e-2, 1e-3, 1e-4], [0.1, 0.05])  # length mismatch
-    with pytest.raises(ValueError):
-        observed_order([1e-2, 0.0], [0.1, 0.05])  # non-positive error
-    with pytest.raises(ValueError):
-        observed_order([1e-2, 1e-3], [0.1, -0.05])  # non-positive dt
 
 
 # ---------------------------------------------------------------------------

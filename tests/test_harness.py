@@ -391,15 +391,16 @@ def test_cli_rejects_a_rate_study_too_short_to_estimate(solver, budget, capsys):
 
 
 def test_cli_rejects_windows_on_a_rate_study(capsys):
-    # a windowed solve logs updates only, so the contraction would come
-    # from the update curves of all windows instead of the error curves
+    # every window restarts the error curve from its guess, so the
+    # contraction would be estimated across the restarts
     rc = main(["--problem", "error_equation", "--solver", "method2", "--scheme", "etd1",
                "--n", "63", "--dt", "0.05", "--T", "1", "--subdomains", "2",
                "--overlap-cells", "2", "--seeds", "2", "--window-steps", "5"])
     assert rc == 2
     assert capsys.readouterr().err == (
         "letd: a rate study (problem error_equation) takes no window_steps, got 5: "
-        "a windowed solve logs updates, not the errors the contraction is estimated from\n")
+        "every window restarts the error curve from its guess, so no one curve gives the "
+        "contraction\n")
 
 
 @pytest.mark.parametrize("scheme,order", [("etd1", 1.0), ("etd2", 2.0)])

@@ -214,6 +214,26 @@ def test_ragged_final_window_is_handled():
         assert np.abs(a - b).max() < 1e-10 * scale
 
 
+def test_windowed_error_solve_logs_the_errors_of_every_window():
+    # with a reference the aggregate log carries each window's error rows,
+    # guess row included, in window order, and its curve is made of them
+    grid = make_grid_1d(63, 2.0)
+    lay = decompose_1d(grid, 3, 2)
+    tg = TimeGrid(1.0, 12)
+    pieces = build_local_pieces(zero_problem(), grid, lay, tg.dt)
+    guess = random_trace_guess(lay.interfaces, seed=5, steps=tg.steps)
+    cfg = SolverConfig(scheme="etd1", fixed_iterations=6, window_steps=5)
+    _, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
+                           reference=zero_reference(lay.interfaces, tg.steps))
+    assert len(log.windows) == 3  # 5 + 5 + 2 steps
+    assert log.errors is not None and log.errors.shape == (3 * (1 + 6), len(lay.interfaces))
+    assert np.array_equal(log.errors, np.concatenate([w.errors for w in log.windows]))
+    for w, (s, n) in zip(log.windows, [(0, 5), (5, 5), (10, 2)]):
+        # the guess row: its levels past the window's pinned start, against zero
+        assert np.array_equal(w.errors[0], [np.abs(g[s + 1: s + n + 1]).max() for g in guess])
+    assert np.array_equal(log.curve(), log.errors.max(axis=1))
+
+
 @pytest.mark.parametrize("solver", ["method1", "method2"])
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_interface_errors_contract_at_least_at_the_two_piece_rate(solver, scheme):
@@ -387,14 +407,14 @@ def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
         seen = []
 
         def recording(*args, factory=factory, seen=seen):
-            sweep, fields = factory(*args)
+            sweep, fields, start = factory(*args)
 
             def recorded(traces):
                 out = sweep(traces)
                 seen.append([tr.copy() for tr in out])
                 return out
 
-            return recorded, fields
+            return recorded, fields, start
 
         monkeypatch.setattr(schwarz, "_window_sweep", recording)
         trajs, log = method2_solve(pieces, interfaces, tg, cfg, init_guess=guess)
@@ -458,8 +478,7 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
     # trace below level j bitwise unchanged
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    sweep, _ = schwarz._window_sweep(pieces, [p.u0 for p in pieces], 0.0, tg.dt,
-                                     tg.steps, scheme)
+    sweep = schwarz._window_sweep(pieces, [p.u0 for p in pieces], tg.times(), scheme)[0]
     interfaces = lay.interfaces
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
     before = sweep(guess)
@@ -496,50 +515,30 @@ def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, w
 
 
 # ---------------------------------------------------------------------------
-# the field-marching per-step sweep, kept as the oracle of the gain route
+# method 1 on fields: the one-step window of the field-marching sweep
 # ---------------------------------------------------------------------------
 
 
 def field_step_sweep(pieces, interfaces, states, t_now, t_next, config,
                      init_guess=None, reference=None):
     """One level of method 1 on fields, with the arguments and results of
-    `schwarz.method1_advance`: every sweep assembles each piece's forcing
-    at t_next against the given traces, transforms it, adds the step
-    kernel times it to the trace-independent part and transforms back;
-    the owned traces are read from the new states."""
-    n_if = len(interfaces)
+    `schwarz.method1_advance`: the one-step window of the field-marching
+    waveform sweep, which assembles each piece's forcing against the
+    given traces and transforms it in every sweep, iterated by the
+    library's sweep loop; ETD2 starts from the predictor of the field
+    route unless a guess is given."""
     scheme = config.scheme
-    now_traces = initial_traces(pieces, states, n_if)
-    base_hat, predictor_hat = [], []
-    for piece, u in zip(pieces, states):
-        fa, ws = piece.ws.fact, piece.ws
-        u_hat = fa.to_modes(np.asarray(u, dtype=float))
-        if scheme == "etd1":
-            base_hat.append(ws.exp_kernel * u_hat)
-        else:
-            f_now_hat = fa.to_modes(piece.forcing(t_now, now_traces))
-            base_hat.append(ws.exp_kernel * u_hat + (ws.phi1_kernel - ws.phi2_kernel) * f_now_hat)
-            predictor_hat.append(ws.exp_kernel * u_hat + ws.phi1_kernel * f_now_hat)
-    kernels = [p.ws.phi1_kernel if scheme == "etd1" else p.ws.phi2_kernel for p in pieces]
-    new_states = []
-
-    def sweep(traces):
-        new_states[:] = [
-            p.ws.fact.from_modes(bh + k * p.ws.fact.to_modes(p.forcing(t_next, traces)))
-            for p, bh, k in zip(pieces, base_hat, kernels)]
-        return initial_traces(pieces, new_states, n_if)
-
+    sweep, fields, traces = field_window_sweep(
+        pieces, states, (t_now, t_next), scheme,
+        predict=init_guess is None and scheme == "etd2")
     if init_guess is not None:
-        traces = [np.array(tr, dtype=float).reshape(itf.size)
-                  for tr, itf in zip(init_guess, interfaces)]
-    elif scheme == "etd1" or n_if == 0:
-        traces = now_traces
-    else:
-        predictor = [p.ws.fact.from_modes(ph) for p, ph in zip(pieces, predictor_hat)]
-        traces = initial_traces(pieces, predictor, n_if)
-    log = schwarz._sweep_loop(sweep, traces, config, reference, time_axis=False,
-                              where=f"at t={t_next:g}")
-    return new_states, log
+        traces = [np.stack([tr[0], np.ravel(g)]) for tr, g in zip(traces, init_guess)]
+    if reference is not None:
+        reference = [np.stack([r, r]) for r in reference]
+    log = schwarz._sweep_loop(sweep, traces, config, reference, where=f"at t={t_next:g}")
+    out = [np.empty((2,) + np.shape(u)) for u in states]
+    fields(out)
+    return [o[1] for o in out], log
 
 
 STEP_LAYOUTS = [
@@ -587,6 +586,24 @@ def test_gain_sweeps_match_the_field_route(setup, args, scheme, start):
         states = want
 
 
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (2, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-2x2"])
+def test_etd1_per_step_iteration_is_the_one_step_waveform_window(setup, args):
+    # method 1 iterates the one-step windows of method 2, from the same
+    # ETD1 guess (the previous level's traces): the same fields bit for bit
+    # and the same iteration count at every level
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd1", tolerance=1e-10, max_iterations=400, window_steps=1)
+    per_step, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    windowed, log = method2_solve(pieces, lay.interfaces, tg, cfg)
+    assert len(log.windows) == len(logs) == tg.steps
+    assert [lg.iterations for lg in logs] == [w.iterations for w in log.windows]
+    assert all(lg.converged for lg in logs)
+    for a, b in zip(per_step, windowed):
+        assert np.array_equal(a, b)
+
+
 def _augmented_phi(a, k):
     """phi_k(a) for k = 1, 2 from the exponential of a block matrix."""
     n = len(a)
@@ -626,8 +643,12 @@ def test_step_gains_of_a_middle_piece_match_the_dense_phi_functions(scheme):
         hi = [r - b + 1 for r, b in zip(itf.read.hi, box.lo)]
         return field.reshape(box.shape)[lo[0]:hi[0], lo[1]:hi[1]].ravel()
 
-    gains = schwarz._step_gains(piece, scheme)
-    for o, stacked in zip(outflow, gains):
+    table = schwarz._window_responses(piece, scheme, 1)
+    # one lag in a one-step window; a column block per outflow edge
+    assert table.shape == (1, sum(i.size for i in inflow), sum(o.size for o in outflow))
+    ends = np.cumsum([o.size for o in outflow])
+    for o, end in zip(outflow, ends):
+        stacked = table[0][:, end - o.size: end]
         want = np.concatenate([[read(o, kernel @ e) for e in border(i)] for i in inflow])
         assert stacked.shape == want.shape == (sum(i.size for i in inflow), o.size)
         assert np.abs(stacked - want).max() <= 1e-12 * np.abs(want).max()
@@ -646,7 +667,8 @@ def _counting(monkeypatch, name):
 
 
 def test_step_gains_are_built_once_per_piece_and_scheme(monkeypatch):
-    calls = _counting(monkeypatch, "_step_gains")
+    # the gains are the one-step window responses
+    calls = _counting(monkeypatch, "_window_responses")
     prob, lay, grid, tg = _oracle_2d(2, 2, 2, "full")
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme="etd2", fixed_iterations=3))
@@ -665,7 +687,7 @@ def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     fresh = build_local_pieces(prob, grid, lay, tg.dt)
     guess = random_trace_guess(lay.interfaces, seed=1)
-    calls = _counting(monkeypatch, "_step_gains")
+    calls = _counting(monkeypatch, "_window_responses")
     etd2 = SolverConfig(scheme="etd2", fixed_iterations=6)
     method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
                     SolverConfig(scheme="etd1", fixed_iterations=6), init_guess=guess)
@@ -676,19 +698,6 @@ def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
     assert len(calls) == 3 * len(pieces)
     assert np.array_equal(log.updates, ref.updates)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
-def test_1d_step_gains_are_one_step_window_responses(scheme):
-    prob, lay, grid, tg = _oracle_1d(4)
-    for piece in build_local_pieces(prob, grid, lay, tg.dt):
-        gains = schwarz._step_gains(piece, scheme)
-        window = schwarz._window_responses(piece, scheme, 1)
-        assert [g.shape for g in gains] == [(len(piece.inflow), 1)] * len(piece.outflow)
-        for stacked, pairs in zip(gains, window):
-            r1 = np.array([r1[1] for _, _, r1 in pairs])
-            # equal up to the summation order of the sine-row products
-            assert np.abs(stacked[:, 0] - r1).max() <= 1e-15 * np.abs(r1).max()
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +711,7 @@ def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, sche
     prob, lay, grid, tg = _oracle_1d(p)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
-    sweep, _ = schwarz._window_sweep(pieces, [q.u0 for q in pieces], 0.0, tg.dt,
-                                     tg.steps, scheme)
+    sweep = schwarz._window_sweep(pieces, [q.u0 for q in pieces], tg.times(), scheme)[0]
     direct = direct_window_traces(sweep, pinned, tg.steps)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
     trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
@@ -729,7 +737,8 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         n = min(window, tg.steps - s)
         part = [traj[s: s + n + 1] for traj in direct]
         starts = [w[0] for w in part]
-        sweep, fields = schwarz._window_sweep(pieces, starts, tg.t(s), tg.dt, n, scheme)
+        sweep, fields, _ = schwarz._window_sweep(pieces, starts, tg.times()[s: s + n + 1],
+                                                 scheme)
         sweep(direct_window_traces(sweep, initial_traces(pieces, starts, n_if), n))
         fields(part)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000,
