@@ -1,12 +1,14 @@
 """Problem data, grids, overlapping decompositions, and forcing assembly.
 
-Grids, layouts and pieces are described per axis: a grid has n_k interior
-nodes along axis k, numbered 1..n_k, with nodes 0 and n_k + 1 carrying
-physical Dirichlet data; a 1d grid is the one-axis case.  An overlapping
-layout splits every axis independently and takes the tensor product of
-the splits.  Along one axis, p pieces start from break indices
-b_i = i (n + 1) / p and each internal break widens into an overlap strip:
-piece i owns interior nodes lo_i..hi_i with
+Problems, grids, layouts and pieces are described per axis, 1d being the
+one-axis case.  A problem lives on the box origin[k] <= x_k <= origin[k] +
+lengths[k], and its data take one coordinate per axis.  A grid has n_k
+interior nodes along axis k, numbered 1..n_k, with nodes 0 and n_k + 1
+carrying physical Dirichlet data, boundary(*x, t) at their coordinates.
+An overlapping layout splits every axis independently and takes the
+tensor product of the splits.  Along one axis, p pieces start from break
+indices b_i = i (n + 1) / p and each internal break widens into an
+overlap strip: piece i owns interior nodes lo_i..hi_i with
 
     lo_1 = 1,            lo_i = b_{i-1} + 1 - c_left   (i > 1),
     hi_p = n,            hi_i = b_i - 1 + c_right      (i < p),
@@ -34,13 +36,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Problem1D",
-    "Problem2D",
+    "Problem",
     "Grid",
     "Box",
     "Interface",
@@ -56,8 +57,6 @@ __all__ = [
     "assemble_forcing",
 ]
 
-Scalar2 = Callable[[float, float], float]
-
 
 def _check_consistency(pairs, what: str) -> None:
     for got, want, where in pairs:
@@ -70,99 +69,53 @@ def _check_consistency(pairs, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Problem1D:
-    """Diffusion problem u_t = nu u_xx + f on [origin, origin + length].
+class Problem:
+    """Diffusion problem u_t = nu (sum_k u_{x_k x_k}) + f on the box
+    origin[k] <= x_k <= origin[k] + lengths[k], one axis per entry.
 
-    boundary_left/right give the Dirichlet values at the two ends as
-    functions of t; initial gives u at t = 0.  All callables must accept
-    numpy arrays in their spatial argument.  When an exact solution is
-    supplied, the boundary and initial data are checked against it at a
-    few sample points on construction.
+    source(*x, t), boundary(*x, t), initial(*x) and exact(*x, t) take one
+    coordinate per axis and must broadcast over numpy arrays; boundary is
+    evaluated only on the box's faces.  When an exact solution is
+    supplied, the boundary data is checked against it on every face at
+    five times and the initial data at seven interior points.
     """
 
     nu: float
-    length: float
+    lengths: tuple[float, ...]
     horizon: float
-    source: Scalar2  # f(x, t)
-    boundary_left: Callable[[float], float]
-    boundary_right: Callable[[float], float]
-    initial: Callable[[float], float]
-    exact: Optional[Scalar2] = None  # u(x, t)
-    origin: float = 0.0
+    source: Callable
+    boundary: Callable
+    initial: Callable
+    exact: Optional[Callable] = None
+    origin: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.nu <= 0 or self.length <= 0 or self.horizon <= 0:
-            raise ValueError("nu, length and horizon must be positive")
-        if self.exact is None:
-            return
-        ts = np.linspace(0.0, self.horizon, 5)
-        xs = self.origin + self.length * np.linspace(0.0, 1.0, 7)
-        _check_consistency(
-            [(float(self.boundary_left(t)), float(self.exact(self.origin, t)), f"t={t}") for t in ts],
-            "left boundary data",
-        )
-        _check_consistency(
-            [
-                (float(self.boundary_right(t)), float(self.exact(self.origin + self.length, t)), f"t={t}")
-                for t in ts
-            ],
-            "right boundary data",
-        )
-        _check_consistency(
-            [(float(self.initial(x)), float(self.exact(x, 0.0)), f"x={x}") for x in xs],
-            "initial data",
-        )
-
-    def boundary_values(self, side: int, face, t: float) -> np.ndarray:
-        """Dirichlet data at the left (side 0) or right (side 1) end; `face`
-        (the end's coordinate) is not needed."""
-        return np.array(float((self.boundary_left, self.boundary_right)[side](t)))
-
-
-@dataclass(frozen=True)
-class Problem2D:
-    """Diffusion problem u_t = nu (u_xx + u_yy) + f on a rectangle.
-
-    boundary(x, y, t) is evaluated only on the rectangle's edges;
-    initial(x, y) at t = 0.  Spatial callables must broadcast over
-    numpy arrays.
-    """
-
-    nu: float
-    lengths: tuple[float, float]
-    horizon: float
-    source: Callable[[float, float, float], float]  # f(x, y, t)
-    boundary: Callable[[float, float, float], float]
-    initial: Scalar2
-    exact: Optional[Callable[[float, float, float], float]] = None
-    origin: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
+        object.__setattr__(self, "origin", tuple(self.origin) or (0.0,) * len(self.lengths))
+        if len(self.origin) != len(self.lengths):
+            raise ValueError(f"origin {self.origin} and lengths {self.lengths} differ in axes")
         if self.nu <= 0 or min(self.lengths) <= 0 or self.horizon <= 0:
             raise ValueError("nu, lengths and horizon must be positive")
         if self.exact is None:
             return
-        ox, oy = self.origin
-        lx, ly = self.lengths
-        ts = np.linspace(0.0, self.horizon, 3)
-        pairs = []
-        for t in ts:
-            for x, y in [(ox, oy + 0.3 * ly), (ox + lx, oy + 0.7 * ly), (ox + 0.4 * lx, oy), (ox + 0.6 * lx, oy + ly)]:
-                pairs.append((float(self.boundary(x, y, t)), float(self.exact(x, y, t)), f"({x},{y},{t})"))
-        _check_consistency(pairs, "boundary data")
-        xs = ox + lx * np.linspace(0.1, 0.9, 4)
-        ys = oy + ly * np.linspace(0.1, 0.9, 4)
+        at = lambda fractions: tuple(o + f * l for o, f, l in zip(self.origin, fractions, self.lengths))
+        for axis, side in itertools.product(range(len(self.lengths)), (0, 1)):
+            face = at(_with((0.3 + 0.4 * side,) * len(self.lengths), axis, side))
+            _check_consistency(
+                [(float(self.boundary(*face, t)), float(self.exact(*face, t)), f"{face}, t={t}")
+                 for t in np.linspace(0.0, self.horizon, 5)],
+                f"boundary data on face (axis {axis}, side {side})",
+            )
+        points = [at((f,) * len(self.lengths)) for f in np.linspace(0.1, 0.9, 7).tolist()]
         _check_consistency(
-            [(float(self.initial(x, y)), float(self.exact(x, y, 0.0)), f"({x},{y})") for x, y in zip(xs, ys)],
+            [(float(self.initial(*x)), float(self.exact(*x, 0.0)), f"{x}") for x in points],
             "initial data",
         )
 
-    def boundary_values(self, side: int, face, t: float) -> np.ndarray:
-        """Dirichlet data at the boundary nodes with coordinates `face`."""
-        return np.asarray(self.boundary(*face, t), dtype=float)
-
-
-Problem = Union[Problem1D, Problem2D]
+    @property
+    def length(self) -> float:
+        """Length of a one-axis problem."""
+        (length,) = self.lengths
+        return length
 
 
 @dataclass(frozen=True)
@@ -221,8 +174,10 @@ class Grid:
         )
 
 
-def make_grid_1d(n: int, length: float, origin: float = 0.0) -> Grid:
-    return Grid((n,), (length,), (origin,))
+def make_grid_1d(n: int, length: float, origin=0.0) -> Grid:
+    """One-axis grid; origin is a number or a one-axis tuple (`Problem.origin`)."""
+    (x0,) = np.ravel(origin)
+    return Grid((n,), (length,), (float(x0),))
 
 
 def make_grid_2d(nx: int, ny: int, lengths: tuple[float, float], origin=(0.0, 0.0)) -> Grid:
@@ -391,7 +346,6 @@ class Edge:
     nu / h_axis^2, and the coordinates `face` of the nodes beyond it that
     carry the bordering values, shaped like the row."""
 
-    side: int
     index: tuple
     shape: tuple[int, ...]
     weight: float
@@ -420,9 +374,8 @@ def box_forcing(problem: Problem, grid: Grid, box: Box) -> BoxForcing:
     mesh = grid.mesh(box)
     edges = []
     for axis, (n, h) in enumerate(zip(box.shape, grid.spacings)):
-        for side, node, row in ((0, box.lo[axis] - 1, 0), (1, box.hi[axis] + 1, n - 1)):
+        for node, row in ((box.lo[axis] - 1, 0), (box.hi[axis] + 1, n - 1)):
             edges.append(Edge(
-                side=side,
                 index=_with((slice(None),) * len(box.shape), axis, row),
                 shape=box.shape[:axis] + box.shape[axis + 1 :],
                 weight=problem.nu / h**2,
@@ -436,7 +389,7 @@ def boundary_data(forcing: BoxForcing, edge: int, t: float) -> np.ndarray:
     """Physical Dirichlet data beyond one edge of a box at time t, shaped
     like the edge's node row."""
     e = forcing.edges[edge]
-    values = forcing.problem.boundary_values(e.side, e.face, t)
+    values = np.asarray(forcing.problem.boundary(*e.face, t), dtype=float)
     return values if values.shape == e.shape else np.broadcast_to(values, e.shape).copy()
 
 

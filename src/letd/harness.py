@@ -30,8 +30,7 @@ import numpy as np
 from .analysis import estimate_contraction
 from .geometry import (
     Box,
-    Problem1D,
-    Problem2D,
+    Problem,
     decompose_1d,
     decompose_2d,
     make_grid_1d,
@@ -69,29 +68,25 @@ DEFAULT_TOL = {"etd1": 1e-4, "etd2": 1e-6}
 def builtin_problem(name: str, horizon: Optional[float] = None):
     """Named data sets for the studies; ``horizon`` overrides the default T."""
     if name == "error_equation":
-        zero2 = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-        return Problem1D(
-            nu=1.0, length=2.0, horizon=1.0 if horizon is None else horizon,
-            source=zero2,
-            boundary_left=lambda t: 0.0, boundary_right=lambda t: 0.0,
-            initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        zero = lambda x, *t: np.zeros_like(np.asarray(x, dtype=float))
+        return Problem(
+            nu=1.0, lengths=(2.0,), horizon=1.0 if horizon is None else horizon,
+            source=zero, boundary=zero, initial=zero, exact=zero,
         )
     if name == "analytic_1d":
         pi2 = math.pi ** 2
         u = lambda x, t: np.exp(pi2 * t) * np.sin(np.pi * (x - 0.25))
-        return Problem1D(
-            nu=1.0, length=2.0, horizon=0.25 if horizon is None else horizon,
+        return Problem(
+            nu=1.0, lengths=(2.0,), horizon=0.25 if horizon is None else horizon,
             source=lambda x, t: 2.0 * pi2 * u(x, t),
-            boundary_left=lambda t: float(u(-1.0, t)),
-            boundary_right=lambda t: float(u(1.0, t)),
+            boundary=u,
             initial=lambda x: u(x, 0.0),
             exact=u,
-            origin=-1.0,
+            origin=(-1.0,),
         )
     if name == "analytic_2d":
         u = lambda x, y, t: np.exp(-4.0 * t) * np.sin(x - 0.25) * np.sin(2.0 * (y - 0.125))
-        return Problem2D(
+        return Problem(
             nu=1.0, lengths=(math.pi, math.pi),
             horizon=0.5 if horizon is None else horizon,
             source=lambda x, y, t: u(x, y, t),

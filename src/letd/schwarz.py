@@ -224,7 +224,8 @@ class EdgeRow:
 
     def read(self, u_hat: np.ndarray) -> np.ndarray:
         """Trace history (levels, size) of a mode-space trajectory (levels, *piece shape)."""
-        v = np.moveaxis(u_hat, 1 + self.axis, -1) @ self.modes
+        cut = 1 + self.axis
+        v = u_hat.transpose(*range(cut), *range(cut + 1, u_hat.ndim), cut) @ self.modes
         return v.reshape(len(v), -1) @ self.basis
 
 

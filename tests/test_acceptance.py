@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from letd.geometry import Problem1D, decompose_1d, make_grid_1d
+from letd.geometry import Problem, decompose_1d, make_grid_1d
 from letd.harness import ExperimentConfig, builtin_problem, run_experiment
 from letd.matfunc import apply_phi, build_laplacian_1d, expm_dense, spectral_factorization
 from letd.schwarz import (
@@ -332,10 +332,10 @@ def test_criterion_09_structural_invariants():
     # a linear steady profile is a fixed point of both schemes
     a, b, length = 0.7, -0.4, 2.0
     profile = lambda x: a + (b - a) * (np.asarray(x, dtype=float) / length)
-    steady = Problem1D(
-        nu=1.3, length=length, horizon=1.0,
+    steady = Problem(
+        nu=1.3, lengths=(length,), horizon=1.0,
         source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary_left=lambda t: a, boundary_right=lambda t: b,
+        boundary=lambda x, t: np.where(np.asarray(x) < length / 2, a, b),
         initial=profile, exact=lambda x, t: profile(x),
     )
     grid = make_grid_1d(63, length)

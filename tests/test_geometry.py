@@ -4,8 +4,7 @@ import pytest
 
 from letd.geometry import (
     Box,
-    Problem1D,
-    Problem2D,
+    Problem,
     assemble_forcing,
     box_forcing,
     decompose_1d,
@@ -22,13 +21,13 @@ def zeros1(x, t=None):
 
 def make_problem_1d(**kw):
     base = dict(
-        nu=1.0, length=2.0, horizon=1.0,
+        nu=1.0, lengths=(2.0,), horizon=1.0,
         source=lambda x, t: zeros1(x),
-        boundary_left=lambda t: 0.0, boundary_right=lambda t: 0.0,
+        boundary=zeros1,
         initial=zeros1,
     )
     base.update(kw)
-    return Problem1D(**base)
+    return Problem(**base)
 
 
 def test_grid_spacing_and_coordinates():
@@ -201,7 +200,7 @@ def test_forcing_assembly_adds_scaled_boundary_values():
 
 
 def test_forcing_assembly_2d_edges_and_corners():
-    prob = Problem2D(
+    prob = Problem(
         nu=2.0, lengths=(1.0, 1.0), horizon=1.0,
         source=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
         boundary=lambda x, y, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
@@ -230,7 +229,7 @@ def test_problem_validation_rejects_bad_scalars():
     with pytest.raises(ValueError):
         make_problem_1d(nu=0.0)
     with pytest.raises(ValueError):
-        make_problem_1d(length=-1.0)
+        make_problem_1d(lengths=(-1.0,))
     with pytest.raises(ValueError):
         make_problem_1d(horizon=0.0)
 
@@ -241,3 +240,38 @@ def test_problem_checks_exact_against_data():
         make_problem_1d(exact=lambda x, t: np.ones_like(np.asarray(x, dtype=float)))
     ok = make_problem_1d(exact=lambda x, t: zeros1(x))
     assert ok.exact is not None
+
+
+def manufactured(dim, **kw):
+    """u = e^-t sin(x + 0.3) (times cos(y - 0.1) in 2d) on a shifted box,
+    with its own source, boundary and initial data."""
+    if dim == 1:
+        u = lambda x, t: np.exp(-t) * np.sin(x + 0.3)
+        base = dict(nu=0.5, lengths=(2.0,), horizon=0.7, origin=(-1.0,),
+                    source=lambda x, t: -0.5 * u(x, t), initial=lambda x: u(x, 0.0))
+    else:
+        u = lambda x, y, t: np.exp(-t) * np.sin(x + 0.3) * np.cos(y - 0.1)
+        base = dict(nu=0.5, lengths=(1.5, 2.0), horizon=0.7, origin=(0.5, -0.25),
+                    source=lambda x, y, t: 0.0 * u(x, y, t), initial=lambda x, y: u(x, y, 0.0))
+    base.update(boundary=u, exact=u)
+    base.update(kw)
+    return Problem(**base)
+
+
+FACES = [(1, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("dim,axis,side", FACES, ids=[f"{d}d-axis{a}-side{s}" for d, a, s in FACES])
+def test_problem_check_catches_boundary_data_off_on_one_face(dim, axis, side):
+    prob = manufactured(dim)  # the unaltered problem passes the check
+    edge = prob.origin[axis] + side * prob.lengths[axis]
+    off = lambda *xt: prob.exact(*xt) + 1e-6 * np.isclose(xt[axis], edge)
+    with pytest.raises(ValueError, match="boundary data"):
+        manufactured(dim, boundary=off)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_problem_check_catches_initial_data_off_by_1e_6(dim):
+    prob = manufactured(dim)
+    with pytest.raises(ValueError, match="initial data"):
+        manufactured(dim, initial=lambda *x: prob.initial(*x) + 1e-6)

@@ -39,13 +39,13 @@ def _residual_2d(prob, x, y, t, eps_t=1e-5, eps_s=1e-4):
 
 def test_analytic_1d_satisfies_its_pde_and_side_data():
     prob = builtin_problem("analytic_1d")
-    assert prob.horizon == 0.25 and prob.origin == -1.0 and prob.length == 2.0
+    assert prob.horizon == 0.25 and prob.origin == (-1.0,) and prob.length == 2.0
     for x in (-0.7, -0.1, 0.3, 0.9):
         for t in (0.01, 0.1, 0.25):
             assert abs(_residual_1d(prob, x, t)) < 2e-5
     for t in (0.0, 0.05, 0.25):
-        assert abs(prob.boundary_left(t) - prob.exact(-1.0, t)) < 1e-13
-        assert abs(prob.boundary_right(t) - prob.exact(1.0, t)) < 1e-13
+        assert abs(prob.boundary(-1.0, t) - prob.exact(-1.0, t)) < 1e-13
+        assert abs(prob.boundary(1.0, t) - prob.exact(1.0, t)) < 1e-13
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.abs(prob.initial(xs) - prob.exact(xs, 0.0)).max() < 1e-14
 
@@ -71,7 +71,7 @@ def test_error_equation_is_identically_zero():
     assert np.abs(prob.initial(xs)).max() == 0.0
     assert np.abs(prob.source(xs, 0.3)).max() == 0.0
     assert np.abs(prob.exact(xs, 0.7)).max() == 0.0
-    assert prob.boundary_left(0.2) == 0.0 and prob.boundary_right(0.2) == 0.0
+    assert prob.boundary(0.0, 0.2) == 0.0 and prob.boundary(2.0, 0.2) == 0.0
     assert builtin_problem("error_equation", horizon=2.5).horizon == 2.5
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import dstn
 
 from letd import schwarz
-from letd.geometry import Problem1D, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
+from letd.geometry import Problem, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
 from letd.harness import ExperimentConfig, builtin_problem, run_experiment
 from letd.matfunc import DirichletLaplacian, build_laplacian_1d, expm_dense, spectral_factorization
 from letd.schwarz import (
@@ -29,23 +29,22 @@ PI2 = math.pi ** 2
 
 def zero_problem(horizon=1.0):
     z = lambda x, t=None: np.zeros_like(np.asarray(x, dtype=float))
-    return Problem1D(
-        nu=1.0, length=2.0, horizon=horizon,
+    return Problem(
+        nu=1.0, lengths=(2.0,), horizon=horizon,
         source=lambda x, t: z(x),
-        boundary_left=lambda t: 0.0, boundary_right=lambda t: 0.0,
+        boundary=lambda x, t: z(x),
         initial=z, exact=lambda x, t: z(x),
     )
 
 
 def analytic_problem():
     u = lambda x, t: np.exp(PI2 * t) * np.sin(np.pi * (x - 0.25))
-    return Problem1D(
-        nu=1.0, length=2.0, horizon=0.25,
+    return Problem(
+        nu=1.0, lengths=(2.0,), horizon=0.25,
         source=lambda x, t: 2.0 * PI2 * u(x, t),
-        boundary_left=lambda t: float(u(-1.0, t)),
-        boundary_right=lambda t: float(u(1.0, t)),
+        boundary=u,
         initial=lambda x: u(x, 0.0),
-        exact=u, origin=-1.0,
+        exact=u, origin=(-1.0,),
     )
 
 
@@ -247,22 +246,50 @@ def test_interface_errors_contract_at_least_at_the_two_piece_rate(solver, scheme
     tg = TimeGrid(prob.horizon, steps)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     budget = 24
-    cfg = SolverConfig(scheme=scheme, fixed_iterations=budget)
     for seed in (0, 1, 2):
-        if solver == "method1":
-            guess = random_trace_guess(lay.interfaces, seed)
-            _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
-                                     0.0, tg.dt, cfg, init_guess=guess,
-                                     reference=zero_reference(lay.interfaces))
-        else:
-            guess = random_trace_guess(lay.interfaces, seed, steps=steps)
-            _, log = method2_solve(pieces, lay.interfaces, tg, cfg,
-                                   init_guess=guess,
-                                   reference=zero_reference(lay.interfaces, steps))
-        curve = log.curve()
+        curve = error_curve(pieces, lay, tg, solver, scheme, seed, budget)
         for k in range(budget // 2 + 1):
             assert curve[2 * k] <= kappa**k * curve[0] + 1e-10, (
                 solver, scheme, seed, k, curve[2 * k], kappa**k * curve[0])
+
+
+def error_curve(pieces, lay, tg, solver, scheme, seed, budget):
+    """Interface error curve of `budget` sweeps of one driver on the
+    homogeneous problem from a seeded guess: method 1 over the first step,
+    method 2 over the whole time grid."""
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=budget)
+    if solver == "method1":
+        guess = random_trace_guess(lay.interfaces, seed)
+        _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
+                                 0.0, tg.dt, cfg, init_guess=guess,
+                                 reference=zero_reference(lay.interfaces))
+    else:
+        guess = random_trace_guess(lay.interfaces, seed, steps=tg.steps)
+        _, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
+                               reference=zero_reference(lay.interfaces, tg.steps))
+    return log.curve()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(8, 160), data=st.data(), steps=st.integers(1, 12),
+       horizon=st.sampled_from([0.01, 0.1, 0.5, 1.0, 4.0]),
+       scheme=st.sampled_from(["etd1", "etd2"]), seed=st.integers(0, 2**16))
+def test_two_piece_error_contraction_respects_the_theoretical_rate(n, data, steps, horizon,
+                                                                   scheme, seed):
+    # random two-piece layouts of the homogeneous problem: every two sweeps
+    # of either driver shrink the interface error by at least kappa
+    delta = data.draw(st.integers(1, n // 6), label="overlap cells")
+    prob = zero_problem(horizon)
+    grid = make_grid_1d(n, prob.length)
+    lay = decompose_1d(grid, 2, delta)
+    kappa = theoretical_rate(*lay.overlap_fractions())
+    tg = TimeGrid(horizon, steps)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    for solver in ("method1", "method2"):
+        curve = error_curve(pieces, lay, tg, solver, scheme, seed, 20)
+        for k in range(11):
+            assert curve[2 * k] <= kappa**k * curve[0] + 1e-10, (
+                solver, k, curve[2 * k], kappa**k * curve[0])
 
 
 def test_waveform_contraction_improves_with_overlap():
@@ -326,9 +353,8 @@ def nan_after(t_bad):
     """The analytic problem with a source that turns NaN after t_bad."""
     base = analytic_problem()
     src = lambda x, t: base.source(x, t) if t <= t_bad else np.full_like(x, np.nan)
-    return Problem1D(nu=base.nu, length=base.length, horizon=base.horizon, source=src,
-                     boundary_left=base.boundary_left, boundary_right=base.boundary_right,
-                     initial=base.initial, origin=base.origin)
+    return Problem(nu=base.nu, lengths=base.lengths, horizon=base.horizon, source=src,
+                   boundary=base.boundary, initial=base.initial, origin=base.origin)
 
 
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])

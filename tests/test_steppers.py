@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from letd.geometry import (
     Box,
-    Problem1D,
-    Problem2D,
+    Problem,
     assemble_forcing,
     boundary_data,
     box_forcing,
@@ -41,13 +40,12 @@ PI2 = math.pi ** 2
 
 def analytic_problem():
     u = lambda x, t: np.exp(PI2 * t) * np.sin(np.pi * (x - 0.25))
-    return Problem1D(
-        nu=1.0, length=2.0, horizon=0.25,
+    return Problem(
+        nu=1.0, lengths=(2.0,), horizon=0.25,
         source=lambda x, t: 2.0 * PI2 * u(x, t),
-        boundary_left=lambda t: float(u(-1.0, t)),
-        boundary_right=lambda t: float(u(1.0, t)),
+        boundary=u,
         initial=lambda x: u(x, 0.0),
-        exact=u, origin=-1.0,
+        exact=u, origin=(-1.0,),
     )
 
 
@@ -140,7 +138,7 @@ def test_local_step_on_whole_domain_matches_monodomain_step():
     ws = make_workspace(spectral_factorization(build_laplacian_1d(n, prob.nu, grid.h)), dt)
     lay = decompose_1d(grid, 1, 0)
     u0 = prob.initial(grid.interior())
-    bc = lambda t: (float(prob.boundary_left(t)), float(prob.boundary_right(t)))
+    bc = lambda t: (float(prob.boundary(-1.0, t)), float(prob.boundary(1.0, t)))
     fc = box_forcing(prob, grid, lay.pieces[0])
     one = local_step(ws, "etd2", u0, fc, 0.0, dt, bc(0.0), bc(dt))
     traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd2", ws)
@@ -165,9 +163,9 @@ def test_coupled_step_is_a_fixed_point_of_local_steps(scheme):
     # re-run each local step feeding the solved interface values back in
     s_b = v2[p2.local((p1.hi[0] + 1,))]
     s_a = v1[p1.local((p2.lo[0] - 1,))]
-    bl, br = float(prob.boundary_left(dt)), float(prob.boundary_right(dt))
-    bc1_now = (float(prob.boundary_left(0.0)), float(u2[p2.local((p1.hi[0] + 1,))]))
-    bc2_now = (float(u1[p1.local((p2.lo[0] - 1,))]), float(prob.boundary_right(0.0)))
+    bl, br = float(prob.boundary(-1.0, dt)), float(prob.boundary(1.0, dt))
+    bc1_now = (float(prob.boundary(-1.0, 0.0)), float(u2[p2.local((p1.hi[0] + 1,))]))
+    bc2_now = (float(u1[p1.local((p2.lo[0] - 1,))]), float(prob.boundary(1.0, 0.0)))
     r1 = local_step(ws1, scheme, u1, box_forcing(prob, grid, p1), 0.0, dt, bc1_now, (bl, s_b))
     r2 = local_step(ws2, scheme, u2, box_forcing(prob, grid, p2), 0.0, dt, bc2_now, (s_a, br))
     scale = max(np.abs(v1).max(), np.abs(v2).max())
@@ -181,10 +179,10 @@ def test_steady_linear_profile_is_a_fixed_point(scheme):
     # solves A u + F = 0 and must be preserved by either scheme
     n = 41
     psi1, psi2 = 2.5, -1.0
-    prob = Problem1D(
-        nu=1.3, length=1.0, horizon=1.0,
+    prob = Problem(
+        nu=1.3, lengths=(1.0,), horizon=1.0,
         source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary_left=lambda t: psi1, boundary_right=lambda t: psi2,
+        boundary=lambda x, t: psi1 + (psi2 - psi1) * np.asarray(x, dtype=float),
         initial=lambda x: psi1 + (psi2 - psi1) * np.asarray(x, dtype=float),
     )
     grid = make_grid_1d(n, 1.0)
@@ -203,17 +201,17 @@ def test_boundary_driven_solution_obeys_interpolant_bound():
     n, steps = 31, 40
     rng = np.random.default_rng(9)
     c1, c2 = rng.uniform(0.5, 2.0, 2)
-    prob = Problem1D(
-        nu=1.0, length=1.0, horizon=2.0,
+    prob = Problem(
+        nu=1.0, lengths=(1.0,), horizon=2.0,
         source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary_left=lambda t: c1 * math.sin(3.0 * t) ** 2,
-        boundary_right=lambda t: c2 * (1.0 - math.cos(2.0 * t)) / 2.0,
+        boundary=lambda x, t: ((1.0 - x) * c1 * math.sin(3.0 * t) ** 2
+                               + x * c2 * (1.0 - math.cos(2.0 * t)) / 2.0),
         initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     grid = make_grid_1d(n, 1.0)
     tg = TimeGrid(2.0, steps)
-    sup1 = max(abs(prob.boundary_left(t)) for t in tg.times())
-    sup2 = max(abs(prob.boundary_right(t)) for t in tg.times())
+    sup1 = max(abs(prob.boundary(0.0, t)) for t in tg.times())
+    sup2 = max(abs(prob.boundary(1.0, t)) for t in tg.times())
     j = np.arange(1, n + 1)
     bound = ((n + 1 - j) * sup1 + j * sup2) / (n + 1)
     for scheme in ("etd1", "etd2"):
@@ -268,7 +266,7 @@ def test_monodomain_observed_temporal_order(scheme, target):
 
 def test_monodomain_2d_single_step_matches_dense_exponential():
     u = lambda x, y, t: np.exp(-4.0 * t) * np.sin(x - 0.25) * np.sin(2.0 * (y - 0.125))
-    prob = Problem2D(
+    prob = Problem(
         nu=1.0, lengths=(math.pi, math.pi), horizon=0.5,
         source=lambda x, y, t: u(x, y, t),
         boundary=u, initial=lambda x, y: u(x, y, 0.0), exact=u,
