@@ -20,16 +20,25 @@ time span one sweep covers:
 
 Both iterate on the traces alone, in sine-mode space, through one
 window engine.  A piece's state is affine in the traces it reads, so the
-trace-independent part (start state, source, physical boundary data and
-the pinned traces of level 0) is transformed once per window.  Every
-trace edge moves a history between nodes and modes the same way in any
-dimension: the history times the dense sine matrix of the edge's other
-axes ([[1.0]] in 1d), times the stencil weight, enters the forcing modes
-through the sine row of the border node along the edge axis; an owned
-trace is read out by contracting the mode-space trajectory with the sine
-row of its read node and multiplying by that matrix.  A sweep therefore
-assembles no forcing and runs no DST; the fields are rebuilt by one
-batched inverse DST per piece after the last sweep.
+trace-independent forcing (source and physical boundary data) is
+assembled and transformed once per window, in one batch per piece.
+Every trace edge moves a history between nodes and modes the same way in
+any dimension: the history times the dense sine matrix of the edge's
+other axes ([[1.0]] in 1d), times the stencil weight, enters the forcing
+modes through the sine row of the border node along the edge axis; an
+owned trace is read out by contracting the mode-space trajectory with the
+sine row of its read node and multiplying by that matrix.  A sweep
+therefore assembles no forcing and runs no DST.
+
+A window hands its successor its last level in sine-mode space (`Level`):
+per piece the state modes and the trace-independent forcing modes, per
+interface the pinned trace, which is the last sweep's owned trace and
+enters the successor's level-0 forcing through the edge.  Only a run's
+first window starts from fields, transformed in the batch of its forcing.
+Both drivers write the levels they solve into their trajectories as
+modes, and each trajectory is transformed to fields by one inverse DST
+per piece at the end; a method-1 level thus assembles one forcing and
+transforms one field per piece.
 
 With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
@@ -85,6 +94,7 @@ __all__ = [
     "SolverConfig",
     "IterationLog",
     "LocalPiece",
+    "Level",
     "build_local_pieces",
     "build_local_pieces_2d",
     "random_trace_guess",
@@ -269,6 +279,22 @@ class LocalPiece:
                 for e in self.outflow]
 
 
+@dataclass(frozen=True)
+class Level:
+    """Every piece's state at one time level, as a window starts from it.
+
+    A run's first level holds the per-piece fields and nothing else.  A
+    level that a window hands on is held in sine-mode space: per piece
+    the state modes and the trace-independent forcing modes at the
+    level's time, and per interface the pinned (owned) trace, so that the
+    next window transforms no state and rebuilds no field.
+    """
+
+    states: Sequence[np.ndarray]
+    forcing: Optional[Sequence[np.ndarray]] = None  # None: `states` are fields
+    pinned: Optional[TraceSet] = None
+
+
 def build_local_pieces(
     problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
@@ -407,13 +433,13 @@ def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
 def method1_advance(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
-    states: Sequence[np.ndarray],
+    states: Sequence[np.ndarray] | Level,
     t_now: float,
     t_next: float,
     config: SolverConfig,
     init_guess: Optional[TraceSet] = None,
     reference: Optional[TraceSet] = None,
-) -> tuple[list[np.ndarray], IterationLog]:
+) -> tuple[list[np.ndarray] | Level, IterationLog]:
     """Advance all pieces one time level by per-step Schwarz iteration.
 
     A level is the one-step window of the waveform driver, solved by
@@ -426,13 +452,23 @@ def method1_advance(
     init_guess and reference hold one value set (size,) per interface at
     t_next; with `reference` given (error studies), per-iteration
     distances of the traces from the reference are logged, guess included.
+
+    `states` are either the per-piece fields at t_now, and the new fields
+    come back, or a `Level` (a run's first level as fields, or the level a
+    previous call returned), and the level at t_next comes back in
+    sine-mode space, so that a march transforms no state between levels.
     """
-    window = [np.array([u, u], dtype=float) for u in states]
+    carried = isinstance(states, Level)
+    window = [np.empty((2,) + p.u0.shape) for p in pieces]
     # as histories over the window, whose level 0 is pinned data, not read
     held = lambda rows: None if rows is None else [np.array([r, r], dtype=float) for r in rows]
-    log = _solve_window(pieces, interfaces, window, (t_now, t_next), config,
-                        held(init_guess), held(reference), where=f"at t={t_next:g}",
-                        predict=init_guess is None and config.scheme == "etd2")
+    log, level = _solve_window(pieces, interfaces, states if carried else Level(states), window,
+                               (t_now, t_next), config, held(init_guess), held(reference),
+                               where=f"at t={t_next:g}",
+                               predict=init_guess is None and config.scheme == "etd2")
+    if carried:
+        return level, log
+    _rebuild(pieces, window)
     return [w[1] for w in window], log
 
 
@@ -444,21 +480,25 @@ def method1_march(
 ) -> tuple[list[np.ndarray], list[IterationLog]]:
     """March the per-step Schwarz iteration over the whole time grid.
 
-    Returns per-piece trajectories of shape (steps + 1, *piece shape)
-    and the iteration log of every level.
+    Each level is one `method1_advance` call, which hands the next one its
+    level in sine-mode space; the levels are written into the trajectories
+    as modes and transformed to fields once per piece at the end.  Returns
+    per-piece trajectories of shape (steps + 1, *piece shape) and the
+    iteration log of every level.
     """
-    states = [p.u0.copy() for p in pieces]
     trajs = [np.empty((timegrid.steps + 1,) + p.u0.shape) for p in pieces]
-    for traj, u in zip(trajs, states):
-        traj[0] = u
+    for traj, p in zip(trajs, pieces):
+        traj[0] = p.u0
+    level = Level([p.u0 for p in pieces])
     logs = []
     for m in range(timegrid.steps):
-        states, log = method1_advance(
-            pieces, interfaces, states, timegrid.t(m), timegrid.t(m + 1), config
+        level, log = method1_advance(
+            pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
         )
         logs.append(log)
-        for traj, u in zip(trajs, states):
-            traj[m + 1] = u
+        for traj, u_hat in zip(trajs, level.states):
+            traj[m + 1] = u_hat
+    _rebuild(pieces, trajs)
     return trajs, logs
 
 
@@ -512,25 +552,35 @@ def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarr
 
 def _window_sweep(
     pieces: Sequence[LocalPiece],
-    u_start: Sequence[np.ndarray],
+    start: Level,
     times: Sequence[float],
     scheme: Scheme,
     predict: bool = False,
-) -> tuple[Callable[[TraceSet], TraceSet], Callable[[Sequence[np.ndarray]], None], TraceSet]:
+) -> tuple[Callable[[TraceSet], TraceSet], Callable[[Sequence[np.ndarray]], Level], TraceSet]:
     """The interface-reduced sweep of the window over the level times
-    `times` (steps + 1, spaced by the pieces' step).
+    `times` (steps + 1, spaced by the pieces' step), from the level
+    `start` at times[0].
 
-    Transforms every piece's start state and trace-independent forcing
-    stack once, in one batch; level 0 of the stack holds the pinned
-    traces of the start states, so a sweep reads levels 1..steps of its
-    traces only.  Returns `sweep(traces)`, the owned traces of every piece
-    (level 0 pinned) against the given ones; `fields(out)`, which repeats
-    the march against the last sweep's traces piece by piece and writes
-    levels 1..steps of the fields into out[d] (steps + 1, *shape), so no
-    trajectory is held between sweeps (called once, it releases the
-    stacks); and the default initial traces (read-only): level 0 at every
-    level or, with `predict` (one-step ETD2 windows), level 1 from the
-    first-order predictor E u + phi1 f(times[0]).
+    Every piece's trace-independent forcing stack is transformed once, in
+    one batch; level 0 of the stack holds the forcing of the start level,
+    pinned traces included, so a sweep reads levels 1..steps of its traces
+    only.  A start given as fields is transformed with that stack, level 0
+    of the stack assembled against the traces the fields own; a level
+    handed on in mode space brings its state modes, its pinned traces and
+    its trace-independent forcing modes, to which the pinned traces are
+    added by `EdgeRow.spread`, so only levels 1..steps are assembled and
+    transformed.
+
+    Returns `sweep(traces)`, the owned traces of every piece (level 0
+    pinned) against the given ones; `finish(out)`, which repeats the march
+    against the last sweep's traces piece by piece, writes levels
+    1..steps of the mode-space trajectory into out[d] (steps + 1, *shape)
+    and returns the level at times[-1] in mode space:
+    its pinned traces are the last sweep's output, the owned traces of
+    those states (called once, it releases the stacks); and the default
+    initial traces (read-only): level 0 at every level or, with `predict`
+    (one-step ETD2 windows), level 1 from the first-order predictor
+    E u + phi1 f(times[0]).
 
     Over the response table R of `_window_responses` and the base read-out
     of one march per piece, a one-step window is out = base + x[1] @ R[0]
@@ -539,17 +589,30 @@ def _window_sweep(
     A longer 2d window marches each piece in mode space in every sweep.
     """
     steps = len(times) - 1
-    pinned = initial_traces(pieces, u_start, sum(len(p.outflow) for p in pieces))
     starts, bases = [], []
-    for p, u in zip(pieces, u_start):
-        # an ETD1 step never reads the forcing at its start level, so there
-        # the start state's row stands in for level 0 of the stack
-        head = [u, p.forcing(times[0], pinned)] if scheme == "etd2" else [u]
-        modes = p.ws.fact.to_modes(np.stack(head + [p.forcing(t) for t in times[1:]]))
-        starts.append(modes[0].copy())  # so that `fields` can release the stack
-        bases.append(modes[len(head) - 1:])
-    start = [np.broadcast_to(p, (steps + 1, p.size)) for p in pinned]
-    last: TraceSet = []
+    if start.forcing is None:
+        pinned = initial_traces(pieces, start.states, sum(len(p.outflow) for p in pieces))
+        for p, u in zip(pieces, start.states):
+            # an ETD1 step never reads the forcing at its start level, so there
+            # the start state's row stands in for level 0 of the stack
+            head = [u, p.forcing(times[0], pinned)] if scheme == "etd2" else [u]
+            modes = p.ws.fact.to_modes(np.stack(head + [p.forcing(t) for t in times[1:]]))
+            starts.append(modes[0].copy())  # so that `finish` can release the stack
+            bases.append(modes[len(head) - 1:])
+    else:
+        pinned = start.pinned
+        for p, u_hat, f_hat in zip(pieces, start.states, start.forcing):
+            base = np.empty((steps + 1,) + u_hat.shape)
+            base[0] = f_hat
+            if scheme == "etd2":  # as above, ETD1 never reads level 0
+                for edge in p.inflow:
+                    base[0] += edge.spread(pinned[edge.interface][None])[0]
+            base[1:] = p.ws.fact.to_modes(np.stack([p.forcing(t) for t in times[1:]]))
+            starts.append(u_hat)
+            bases.append(base)
+    initial = [np.broadcast_to(p, (steps + 1, p.size)) for p in pinned]
+    last: TraceSet = []  # the last sweep's incoming traces
+    latest: TraceSet = []  # and its owned ones
 
     def march(d: int, traces: TraceSet) -> np.ndarray:
         f_hat = bases[d].copy()
@@ -572,7 +635,7 @@ def _window_sweep(
             spans = [(o.interface, slice(end - o.size, end)) for o, end in zip(p.outflow, ends)]
             for idx, cols in spans:
                 if predict:
-                    start[idx] = np.array([pinned[idx], base[0, cols]])
+                    initial[idx] = np.array([pinned[idx], base[0, cols]])
                 base[0, cols] = pinned[idx]
             tables.append((base, _cached(p, (scheme, steps), _window_responses, scheme, steps),
                            spans))
@@ -615,19 +678,25 @@ def _window_sweep(
         for d in range(len(pieces)):
             for idx, tr in owned(d, traces):
                 new[idx] = tr
+        latest[:] = new
         return new
 
-    def fields(out: Sequence[np.ndarray]) -> None:
-        for d, piece in enumerate(pieces):
-            out[d][1:] = piece.ws.fact.from_modes(march(d, last)[1:])
+    def finish(out: Sequence[np.ndarray]) -> Level:
+        states, forcing = [], []
+        for d in range(len(pieces)):
+            out[d][1:] = march(d, last)[1:]
+            states.append(out[d][-1].copy())
+            forcing.append(bases[d][-1].copy())
             bases[d] = None
+        return Level(states, forcing, [tr[-1].copy() for tr in latest])
 
-    return sweep, fields, start
+    return sweep, finish, initial
 
 
 def _solve_window(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
+    start: Level,
     window: Sequence[np.ndarray],
     times: Sequence[float],
     config: SolverConfig,
@@ -635,20 +704,26 @@ def _solve_window(
     reference: Optional[TraceSet],
     where: str,
     predict: bool = False,
-) -> IterationLog:
-    """Solve one window in place: window[d] is piece d's trajectory
-    (steps + 1, *shape) over the level times `times`, level 0 holding its
-    start state; levels 1..steps receive the solution.  Without a guess
+) -> tuple[IterationLog, Level]:
+    """Solve one window from the level `start` at times[0]: levels
+    1..steps of piece d's solution go, in sine-mode space, into
+    window[d][1:] (a trajectory (steps + 1, *shape)).  Returns the log
+    and the level at times[-1].  Without a guess
     the iteration starts from the default traces of `_window_sweep`;
     level 0 of a guess is pinned data and not read."""
-    sweep, fields, traces = _window_sweep(pieces, [w[0] for w in window], times,
-                                          config.scheme, predict)
+    sweep, finish, traces = _window_sweep(pieces, start, times, config.scheme, predict)
     if guess is not None:
         traces = [np.asarray(g, dtype=float).reshape(len(times), itf.size)
                   for g, itf in zip(guess, interfaces)]
     log = _sweep_loop(sweep, traces, config, reference, where)
-    fields(window)
-    return log
+    return log, finish(window)
+
+
+def _rebuild(pieces: Sequence[LocalPiece], trajs: Sequence[np.ndarray]) -> None:
+    """Transform levels 1.. of every piece's mode-space trajectory to
+    fields in place, one inverse DST per piece."""
+    for p, traj in zip(pieces, trajs):
+        traj[1:] = p.ws.fact.from_modes(traj[1:])
 
 
 def method2_solve(
@@ -663,10 +738,12 @@ def method2_solve(
 
     Each window iterates interface-reduced sweeps (`_window_sweep`): the
     trace-independent forcing is assembled and transformed once per
-    window, and the fields are rebuilt once after the window's last sweep.
-    A sweep is a dense product per piece in one-step windows, a causal
-    convolution per edge pair in longer 1d ones and the mode-space
+    window.  A sweep is a dense product per piece in one-step windows, a
+    causal convolution per edge pair in longer 1d ones and the mode-space
     recursion in longer 2d ones; none assembles forcing or runs a DST.
+    A window hands its successor its last level in sine-mode space and
+    writes its levels into the trajectories as modes; each trajectory is
+    transformed to fields once, at the end.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per
@@ -679,14 +756,18 @@ def method2_solve(
     trajs = [np.empty((steps + 1,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
+    level = Level([p.u0 for p in pieces])
     logs = []
     for s in range(0, steps, win):
         n = min(win, steps - s)
         part = lambda rows: None if rows is None else [np.asarray(r)[s : s + n + 1] for r in rows]
-        logs.append(_solve_window(pieces, interfaces, [traj[s : s + n + 1] for traj in trajs],
-                                  [timegrid.t(s + m) for m in range(n + 1)], config,
-                                  part(init_guess), part(reference),
-                                  where=f"in the window from t={timegrid.t(s):g}"))
+        log, level = _solve_window(pieces, interfaces, level,
+                                   [traj[s : s + n + 1] for traj in trajs],
+                                   [timegrid.t(s + m) for m in range(n + 1)], config,
+                                   part(init_guess), part(reference),
+                                   where=f"in the window from t={timegrid.t(s):g}")
+        logs.append(log)
+    _rebuild(pieces, trajs)
     if len(logs) == 1:
         return trajs, logs[0]
     return trajs, IterationLog(

@@ -9,8 +9,15 @@ from scipy.fft import dstn
 from letd import schwarz
 from letd.geometry import Problem, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
 from letd.harness import ExperimentConfig, builtin_problem, run_experiment
-from letd.matfunc import DirichletLaplacian, build_laplacian_1d, expm_dense, spectral_factorization
+from letd.matfunc import (
+    DirichletLaplacian,
+    SpectralFactorization,
+    build_laplacian_1d,
+    expm_dense,
+    spectral_factorization,
+)
 from letd.schwarz import (
+    Level,
     SolverConfig,
     build_local_pieces,
     initial_traces,
@@ -426,26 +433,41 @@ def test_2d_edges_spread_and_read_like_a_dst_of_the_border_row():
 
 
 def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
-    """method2_solve through the library's sweep and through the field
-    oracle; per route: trajectories, log and the traces of every sweep."""
-    runs = []
-    for factory in (schwarz._window_sweep, field_window_sweep):
-        seen = []
+    """method2_solve through the library's sweep, and its windows chained
+    on the field oracle, each from the fields the one before rebuilt; per
+    route: trajectories, per-window logs and the traces of every sweep."""
+    window_sweep, seen = schwarz._window_sweep, []
 
-        def recording(*args, factory=factory, seen=seen):
-            sweep, fields, start = factory(*args)
+    def recording(*args, **kwargs):
+        sweep, finish, start = window_sweep(*args, **kwargs)
+        return record(sweep, seen), finish, start
 
-            def recorded(traces):
-                out = sweep(traces)
-                seen.append([tr.copy() for tr in out])
-                return out
+    monkeypatch.setattr(schwarz, "_window_sweep", recording)
+    trajs, log = method2_solve(pieces, interfaces, tg, cfg, init_guess=guess)
+    library = (trajs, log.windows or (log,), seen)
 
-            return recorded, fields, start
+    trajs = [np.empty((tg.steps + 1,) + p.u0.shape) for p in pieces]
+    for traj, p in zip(trajs, pieces):
+        traj[0] = p.u0
+    win, logs, seen = cfg.window_steps or tg.steps, [], []
+    for s in range(0, tg.steps, win):
+        part = [traj[s: s + win + 1] for traj in trajs]
+        sweep, fields, _ = field_window_sweep(pieces, [w[0] for w in part],
+                                              tg.times()[s: s + win + 1], cfg.scheme)
+        logs.append(schwarz._sweep_loop(record(sweep, seen), [g[s: s + win + 1] for g in guess],
+                                        cfg, None, where=""))
+        fields(part)
+    return library, (trajs, tuple(logs), seen)
 
-        monkeypatch.setattr(schwarz, "_window_sweep", recording)
-        trajs, log = method2_solve(pieces, interfaces, tg, cfg, init_guess=guess)
-        runs.append((trajs, log, seen))
-    return runs
+
+def record(sweep, seen):
+    """The sweep, appending a copy of the traces of every call to `seen`."""
+    def recorded(traces):
+        out = sweep(traces)
+        seen.append([tr.copy() for tr in out])
+        return out
+
+    return recorded
 
 
 def _oracle_1d(p):
@@ -480,12 +502,13 @@ def test_reduced_waveform_sweeps_match_the_field_route(monkeypatch, setup, args,
     cfg = SolverConfig(scheme=scheme, tolerance=1e-10, max_iterations=400,
                        window_steps=window)
     guess = random_trace_guess(lay.interfaces, seed=2, steps=tg.steps)
-    (t_red, log_red, seen_red), (t_fld, log_fld, seen_fld) = run_both_waveform_routes(
+    (t_red, logs_red, seen_red), (t_fld, logs_fld, seen_fld) = run_both_waveform_routes(
         monkeypatch, pieces, lay.interfaces, tg, cfg, guess)
 
-    for a, b in zip((log_red,) + log_red.windows, (log_fld,) + log_fld.windows):
+    assert len(logs_red) == len(logs_fld)
+    for a, b in zip(logs_red, logs_fld):
         assert (a.iterations, a.converged) == (b.iterations, b.converged)
-    assert log_red.converged and len(log_red.windows) == len(log_fld.windows)
+        assert a.converged
     assert len(seen_red) == len(seen_fld) >= 1
     scale = max([np.abs(tr).max() for sweep in seen_fld for tr in sweep], default=0.0)
     for k, (a, b) in enumerate(zip(seen_red, seen_fld)):
@@ -504,7 +527,8 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
     # trace below level j bitwise unchanged
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    sweep = schwarz._window_sweep(pieces, [p.u0 for p in pieces], tg.times(), scheme)[0]
+    sweep = schwarz._window_sweep(pieces, Level([p.u0 for p in pieces]), tg.times(),
+                                  scheme)[0]
     interfaces = lay.interfaces
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
     before = sweep(guess)
@@ -630,6 +654,87 @@ def test_etd1_per_step_iteration_is_the_one_step_waveform_window(setup, args):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_per_step_march_reports_every_level_through_method1_advance(monkeypatch, scheme):
+    # span tracers count levels and sweeps by wrapping the module attribute
+    # method1_advance: one call per level, the pieces first, a log back
+    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    advance, calls = schwarz.method1_advance, []
+
+    def counted(*args, **kwargs):
+        out = advance(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(schwarz, "method1_advance", counted)
+    _, logs = method1_march(pieces, lay.interfaces, tg,
+                            SolverConfig(scheme=scheme, fixed_iterations=3))
+    assert len(calls) == len(logs) == tg.steps
+    assert all(args[0] is pieces for args, _ in calls)
+    assert all(isinstance(out[1], schwarz.IterationLog) for _, out in calls)
+    assert all(out[1] is log for (_, out), log in zip(calls, logs))
+    assert sum(out[1].iterations for _, out in calls) == 3 * tg.steps
+
+
+@pytest.mark.parametrize("budget", [dict(fixed_iterations=2),
+                                    dict(tolerance=1e-10, max_iterations=2000)],
+                         ids=["fixed2", "tol1e-10"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (2, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-2x2"])
+def test_mode_space_march_matches_the_level_by_level_field_route(setup, args, scheme, budget):
+    # method1_march hands every level on in sine-mode space, its pinned
+    # traces the owned traces of the last sweep; the field route restarts
+    # each level from its own fields.  Unconverged levels (two sweeps) show
+    # an ETD2 hand-on of any other traces at once.  The tolerance stays
+    # above the stop rule's round-off floor: at 1e-12 the updates of the
+    # 1d ETD1 levels sit at ~1e-12, and round-off alone decides whether a
+    # level stops after 58 or 59 sweeps
+    prob, lay, grid, tg = setup(*args)
+    tg = TimeGrid(prob.horizon, 8)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, **budget)
+    trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    states = [p.u0 for p in pieces]
+    u_max = max(np.abs(u).max() for u in states)
+    for m, log in enumerate(logs):
+        states, oracle = field_step_sweep(pieces, lay.interfaces, states, tg.t(m), tg.t(m + 1),
+                                          cfg)
+        assert (log.iterations, log.converged) == (oracle.iterations, oracle.converged), m
+        u_max = max([u_max] + [np.abs(u).max() for u in states])
+        assert np.abs(log.updates - oracle.updates).max() <= 1e-12 * u_max, m
+        for traj, u in zip(trajs, states):
+            assert np.abs(traj[m + 1] - u).max() <= 1e-12 * u_max, (m, np.abs(traj[m + 1] - u).max())
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level(monkeypatch,
+                                                                                 scheme):
+    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    to_modes, shapes = SpectralFactorization.to_modes, []
+    monkeypatch.setattr(SpectralFactorization, "to_modes",
+                        lambda fact, v: shapes.append(v.shape) or to_modes(fact, v))
+    assemble, assembled = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda *a: assembled.append(1) or assemble(*a))
+    method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
+    p, steps = len(pieces), tg.steps
+    head = 2 if scheme == "etd2" else 1  # forcing rows of the first level's start
+    first, later, rebuild = shapes[:p], shapes[p:-p], shapes[-p:]
+    # the first level starts from fields: one batch per piece of its state,
+    # its level-0 forcing (ETD2) and the level-1 forcing
+    assert first == [(1 + head,) + q.u0.shape for q in pieces]
+    # every later piece-level transforms one field
+    assert later == [(1,) + q.u0.shape for _ in range(steps - 1) for q in pieces]
+    # and the trajectories are rebuilt by one inverse transform per piece
+    assert rebuild == [(steps,) + q.u0.shape for q in pieces]
+    assert sum(map(math.prod, shapes)) == sum(
+        (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
+    assert len(assembled) == p * head + p * (steps - 1)
+
+
 def _augmented_phi(a, k):
     """phi_k(a) for k = 1, 2 from the exponential of a block matrix."""
     n = len(a)
@@ -737,7 +842,8 @@ def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, sche
     prob, lay, grid, tg = _oracle_1d(p)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
-    sweep = schwarz._window_sweep(pieces, [q.u0 for q in pieces], tg.times(), scheme)[0]
+    sweep = schwarz._window_sweep(pieces, Level([q.u0 for q in pieces]), tg.times(),
+                                  scheme)[0]
     direct = direct_window_traces(sweep, pinned, tg.steps)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
     trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
@@ -763,10 +869,12 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         n = min(window, tg.steps - s)
         part = [traj[s: s + n + 1] for traj in direct]
         starts = [w[0] for w in part]
-        sweep, fields, _ = schwarz._window_sweep(pieces, starts, tg.times()[s: s + n + 1],
-                                                 scheme)
+        sweep, finish, _ = schwarz._window_sweep(pieces, Level(starts),
+                                                 tg.times()[s: s + n + 1], scheme)
         sweep(direct_window_traces(sweep, initial_traces(pieces, starts, n_if), n))
-        fields(part)
+        finish(part)  # the window's levels in sine-mode space, then as fields
+        for q, w in zip(pieces, part):
+            w[1:] = q.ws.fact.from_modes(w[1:])
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000,
                        window_steps=window)
     trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
