@@ -16,8 +16,6 @@ from .matfunc import (
     spectral_factorization,
     spectral_factorization_2d,
     phi_scalar,
-    apply_phi,
-    expm_dense,
 )
 
 __version__ = "0.1.0"

@@ -499,15 +499,38 @@ def _read_config_file(path: str) -> dict:
     return settings
 
 
+def _ignored_settings(config: ExperimentConfig) -> dict:
+    """Namespace key -> why `config`'s run would not read that setting."""
+    ignored = {}
+    if config.problem != "analytic_2d":
+        ignored["ny"] = f"--ny: problem {config.problem} has no y axis"
+    if config.solver == "mono":
+        ignored["subdomains"] = "--subdomains: solver mono runs one piece"
+        ignored["overlaps"] = "--overlap-cells: solver mono runs one piece"
+    if config.problem != "error_equation" and (config.problem, config.solver) != (
+            "analytic_2d", "method2"):
+        for key in ("seed", "seeds"):
+            ignored[key] = (f"--{key}: problem {config.problem} with solver "
+                            f"{config.solver} draws no random guess")
+    return ignored
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The parsed flags over the settings of their ``--config`` file."""
+    """The parsed flags over the settings of their ``--config`` file.  A
+    given setting that the run would not read is an error."""
     settings = dict(vars(args))
     path = settings.pop("config", None)
     if path is not None:
         settings = {**_read_config_file(path), **settings}
+    given = set(settings)
     if "subdomains" in settings:
         settings["px"], settings["py"] = settings.pop("subdomains")
-    return ExperimentConfig(**settings)
+    config = ExperimentConfig(**settings)
+    ignored = _ignored_settings(config)
+    unread = [ignored[key] for key in sorted(given & ignored.keys())]
+    if unread:
+        raise ValueError("settings this run does not use: " + "; ".join(unread))
+    return config
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

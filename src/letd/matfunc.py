@@ -14,10 +14,17 @@ discrete sine modes and
 On several axes the operator is the Kronecker sum of the per-axis
 operators: its eigenvectors are the tensorized sine modes and its
 eigenvalues the sums lambda_i + lambda_j (+ ...), formed by broadcasting.
-The orthonormal sine transform is its own inverse, so products with
-analytic functions of A (here exp and the phi functions) reduce to a
+The orthonormal sine transform (DST-I) is its own inverse, so products
+with analytic functions of A (here exp and the phi functions) reduce to a
 DST-I over the spatial axes, a diagonal scaling, and a second DST-I.
 A 1d operator is the one-axis case.
+
+The DST-I runs axis by axis.  An axis of at most `_DENSE_AXIS_MAX` nodes
+is one matrix product with its cached orthonormal sine matrix
+(`axis_sine_matrix`); the longer axes go to pocketfft in one `dstn` call,
+which computes a DST-I of n nodes as an FFT of length 2(n + 1) and is slow
+on the small pieces a localized method makes when n + 1 has a large prime
+factor.
 
 phi functions used by the exponential time differencing steps:
 
@@ -32,10 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, reduce
 
 import numpy as np
 from scipy.fft import dstn
-from scipy.linalg import expm
 
 __all__ = [
     "DirichletLaplacian",
@@ -44,12 +51,18 @@ __all__ = [
     "build_laplacian_2d",
     "spectral_factorization",
     "spectral_factorization_2d",
+    "axis_sine_matrix",
     "sine_row",
     "sine_matrix",
     "phi_scalar",
-    "apply_phi",
-    "expm_dense",
 ]
+
+# Axes of at most this many nodes transform as one product with their sine
+# matrix, longer ones by pocketfft.  The product was the faster route at
+# every measured n up to 127 (table in CHANGES.md); the bound stays below
+# 127 so that the 1d runs of 128 nodes and up and the 127 x 127 grid keep
+# the FFT route and its bits.
+_DENSE_AXIS_MAX = 126
 
 # Below this magnitude the direct formulas for phi_1/phi_2 lose digits to
 # cancellation, so a truncated Taylor series takes over.  Twelve terms keep
@@ -135,7 +148,9 @@ class SpectralFactorization:
 
     Transforms act on the trailing len(op.shape) axes of an array; leading
     axes are a batch.  DST-I with orthonormal weights is symmetric and
-    involutive, so one call serves as forward and inverse transform.
+    involutive, so one call serves as forward and inverse transform.  Axes
+    of at most `_DENSE_AXIS_MAX` nodes are transformed by one product each
+    with `axis_sine_matrix`, the rest by one pocketfft `dstn` call.
     """
 
     op: DirichletLaplacian
@@ -143,10 +158,15 @@ class SpectralFactorization:
 
     def to_modes(self, v: np.ndarray) -> np.ndarray:
         """Physical nodal values -> sine-mode coefficients."""
-        shape = self.op.shape
-        if v.shape[-len(shape):] != shape:
+        shape, d = self.op.shape, len(self.op.shape)
+        if v.shape[-d:] != shape:
             raise ValueError(f"expected trailing shape {shape}, got {v.shape}")
-        return dstn(v, type=1, norm="ortho", axes=tuple(range(-len(shape), 0)))
+        long_axes = tuple(k - d for k, n in enumerate(shape) if n > _DENSE_AXIS_MAX)
+        out = dstn(v, type=1, norm="ortho", axes=long_axes) if long_axes else v
+        for k, n in enumerate(shape):
+            if n <= _DENSE_AXIS_MAX:
+                out = _axis_product(out, out.ndim - d + k, axis_sine_matrix(n))
+        return out
 
     def from_modes(self, w: np.ndarray) -> np.ndarray:
         """Sine-mode coefficients -> physical nodal values."""
@@ -161,6 +181,31 @@ def spectral_factorization(op: DirichletLaplacian) -> SpectralFactorization:
 spectral_factorization_2d = spectral_factorization
 
 
+@cache
+def axis_sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix of one axis of n nodes, built once per n
+    as the transform of the identity and shared read-only by every caller.
+    Row i is the transform of the unit vector at node i; the matrix is
+    symmetric and its own inverse, so it maps values to sine modes and
+    back."""
+    out = dstn(np.eye(n), type=1, norm="ortho", axes=-1)
+    out.flags.writeable = False
+    return out
+
+
+def _axis_product(v: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
+    """v transformed along `axis` by m, whose row i is the transform of the
+    unit vector at node i: one matrix product per trailing block of v, with
+    `axis` as the block's rows (its columns for the last axis).  Block
+    products are smaller than one flat product over the whole batch, which
+    OpenBLAS may split over threads; on a shared 2-core host that split
+    made a 128-level transform of a 40 x 36 piece 3.6 times slower."""
+    if axis == v.ndim - 1:
+        return v @ m
+    post = math.prod(v.shape[axis + 1:])
+    return (m.T @ v.reshape(v.shape[:axis] + (v.shape[axis], post))).reshape(v.shape)
+
+
 def sine_row(n: int, j: int) -> np.ndarray:
     """Row j (0-based) of the orthonormal DST-I matrix of size n: the n
     sine modes sampled at node j.  The matrix is symmetric, so this is the
@@ -173,13 +218,14 @@ def sine_row(n: int, j: int) -> np.ndarray:
 
 def sine_matrix(shape: tuple[int, ...]) -> np.ndarray:
     """The orthonormal DST-I matrix over the axes of `shape`: the Kronecker
-    product of the per-axis matrices in C order, [[1.0]] with no axes.  A
-    row of values in C order times it gives their sine modes and back; on
-    one axis its row j is `sine_row(n, j)`."""
-    out = np.ones((1, 1))
-    for n in shape:
-        out = np.kron(out, dstn(np.eye(n), type=1, norm="ortho", axes=-1))
-    return out
+    product of the per-axis matrices `axis_sine_matrix` in C order, [[1.0]]
+    with no axes.  On one axis it is the cached matrix itself, so a 2d
+    piece's transform and its trace edges share it.  A row of values in C
+    order times it gives their sine modes and back; on one axis its row j
+    is `sine_row(n, j)`."""
+    if not shape:
+        return np.ones((1, 1))
+    return reduce(np.kron, map(axis_sine_matrix, shape))
 
 
 def _phi_taylor(k: int, z: np.ndarray) -> np.ndarray:
@@ -216,21 +262,3 @@ def phi_scalar(k: int, z):
         else:
             out[~small] = (em1 - zb) / (zb * zb)
     return out if out.ndim else float(out)
-
-
-def apply_phi(fact: SpectralFactorization, k: int, dt: float, v: np.ndarray) -> np.ndarray:
-    """phi_k(dt A) v through the sine-mode factorization; v is a nodal field."""
-    if dt < 0.0:
-        raise ValueError(f"time increment must be nonnegative, got dt={dt}")
-    v = np.asarray(v, dtype=float)
-    w = fact.to_modes(v)
-    w = w * phi_scalar(k, dt * fact.spectrum)
-    return fact.from_modes(w)
-
-
-def expm_dense(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential (scaling-and-squaring Pade), oracle route."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return expm(a)

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -299,9 +299,8 @@ def build_local_pieces(
     problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
     """Per-piece workspaces, initial states, edge closures and trace-edge
-    sine rows and bases of a layout; edges of one shape share a basis."""
+    sine rows and bases of a layout."""
     pieces = []
-    basis = cache(sine_matrix)
     for i, box in enumerate(layout.pieces):
         op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
         ws = make_workspace(spectral_factorization(op), dt)
@@ -310,7 +309,7 @@ def build_local_pieces(
         def edge_row(itf: Interface, node: int, weight: float) -> EdgeRow:
             shape = box.shape[:itf.axis] + box.shape[itf.axis + 1:]
             return EdgeRow(itf.index, itf.axis, node, sine_row(box.shape[itf.axis], node),
-                           weight, shape, basis(shape))
+                           weight, shape, sine_matrix(shape))
 
         reads = [itf for itf in layout.interfaces if itf.reader == i]
         trace_for = {(itf.axis, itf.side): itf.index for itf in reads}

@@ -1,9 +1,30 @@
-"""Iteration-free and field-marching routes that the tests check the
-Schwarz drivers against.  Not a test module: pytest collects no tests
-here, the test modules import it."""
+"""Independent routes that the tests check the library against: dense
+matrix functions for the sine-mode phi products, and iteration-free and
+field-marching routes for the Schwarz drivers.  Not a test module: pytest
+collects no tests here, the test modules import it."""
 import numpy as np
+from scipy.linalg import expm
 
+from letd.matfunc import SpectralFactorization, phi_scalar
 from letd.schwarz import initial_traces
+
+
+def apply_phi(fact: SpectralFactorization, k: int, dt: float, v: np.ndarray) -> np.ndarray:
+    """phi_k(dt A) v through the sine-mode factorization; v is a nodal field."""
+    if dt < 0.0:
+        raise ValueError(f"time increment must be nonnegative, got dt={dt}")
+    v = np.asarray(v, dtype=float)
+    w = fact.to_modes(v)
+    w = w * phi_scalar(k, dt * fact.spectrum)
+    return fact.from_modes(w)
+
+
+def expm_dense(a: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential (scaling-and-squaring Pade), oracle route."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return expm(a)
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):

@@ -11,7 +11,7 @@ import numpy as np
 
 from letd.geometry import Problem, decompose_1d, make_grid_1d
 from letd.harness import ExperimentConfig, builtin_problem, run_experiment
-from letd.matfunc import apply_phi, build_laplacian_1d, expm_dense, spectral_factorization
+from letd.matfunc import build_laplacian_1d, spectral_factorization
 from letd.schwarz import (
     SolverConfig,
     build_local_pieces,
@@ -28,7 +28,7 @@ from letd.steppers import (
     make_workspace,
     run_monodomain,
 )
-from oracles import direct_step
+from oracles import apply_phi, direct_step, expm_dense
 
 TABLE_DTS = (1 / 40, 1 / 80, 1 / 160, 1 / 320)
 

@@ -321,9 +321,10 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
 
 
 def test_config_file_and_flags_give_the_same_config(tmp_path):
-    flags = ["--problem", "analytic_1d", "--solver", "method2", "--scheme", "etd2",
-             "--n", "63", "--ny", "12", "--dt", "0.025,0.0125", "--T", "0.25",
-             "--subdomains", "3x2", "--overlap-cells", "2,4",
+    # a 2d waveform run reads every setting
+    flags = ["--problem", "analytic_2d", "--solver", "method2", "--scheme", "etd2",
+             "--n", "63", "--ny", "12", "--dt", "0.025", "--T", "0.25",
+             "--subdomains", "3x2", "--overlap-cells", "2",
              "--overlap-convention", "half", "--tol", "1e-7", "--max-iters", "99",
              "--fixed-iters", "5", "--seed", "3", "--seeds", "2",
              "--window-steps", "4", "--out", str(tmp_path / "runs")]
@@ -331,19 +332,50 @@ def test_config_file_and_flags_give_the_same_config(tmp_path):
     # the keys alternate between the "-" and "_" spellings
     lines = [f"{name.replace('-', '_') if i % 2 else name} = {value}"
              for i, (name, value) in enumerate(zip(names, flags[1::2]))]
-    assert "overlap-cells = 2,4" in lines and "overlap_convention = half" in lines
+    assert "overlap-cells = 2" in lines and "overlap_convention = half" in lines
     cfgfile = tmp_path / "every.cfg"
     cfgfile.write_text("\n".join(lines) + "\n")
     from_file = _parse(["--config", str(cfgfile)])
     from_flags = _parse(flags)
     assert from_file == from_flags
-    assert from_flags.dts == (0.025, 0.0125) and from_flags.overlaps == (2, 4)
+    assert from_flags.dts == (0.025,) and from_flags.overlaps == (2,)
     assert (from_flags.px, from_flags.py) == (3, 2)
+    # comma-separated sweeps (1d) read the same from a file
+    sweep = ["--problem", "analytic_1d", "--dt", "0.025,0.0125", "--overlap-cells", "2,4"]
+    sweepfile = tmp_path / "sweep.cfg"
+    sweepfile.write_text("problem = analytic_1d\ndt = 0.025,0.0125\noverlap-cells = 2,4\n")
+    from_flags = _parse(sweep)
+    assert _parse(["--config", str(sweepfile)]) == from_flags
+    assert from_flags.dts == (0.025, 0.0125) and from_flags.overlaps == (2, 4)
     # the parser is the table of settings: each dest is a config field,
     # and the file above names every one of them
     dests = {a.dest for a in build_parser()._actions} - {"help", "config"}
     assert dests - {"subdomains"} <= {f.name for f in fields(ExperimentConfig)}
     assert len(names) == len(dests)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--problem", "analytic_1d", "--ny", "31"],
+     "--ny: problem analytic_1d has no y axis"),
+    (["--problem", "error_equation", "--ny", "31"],
+     "--ny: problem error_equation has no y axis"),
+    (["--problem", "analytic_1d", "--solver", "mono", "--subdomains", "4"],
+     "--subdomains: solver mono runs one piece"),
+    (["--problem", "analytic_2d", "--solver", "mono", "--overlap-cells", "2"],
+     "--overlap-cells: solver mono runs one piece"),
+    (["--problem", "analytic_1d", "--solver", "method2", "--seed", "3"],
+     "--seed: problem analytic_1d with solver method2 draws no random guess"),
+    (["--problem", "analytic_2d", "--solver", "method1", "--seeds", "2"],
+     "--seeds: problem analytic_2d with solver method1 draws no random guess"),
+], ids=["ny-1d", "ny-rate", "subdomains-mono", "overlap-cells-mono", "seed-1d", "seeds-2d-method1"])
+def test_cli_rejects_settings_the_run_does_not_use(argv, message, tmp_path, capsys):
+    assert main(argv + ["--n", "15", "--dt", "0.125", "--T", "0.25"]) == 2
+    assert message in capsys.readouterr().err
+    # the same key from a config file is rejected too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(f"{k[2:]} = {v}" for k, v in zip(argv[0::2], argv[1::2])) + "\n")
+    assert main(["--config", str(cfg), "--n", "15", "--dt", "0.125", "--T", "0.25"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_rejects_inconsistent_choices(capsys):

@@ -1,20 +1,24 @@
 """Operator construction, sine-basis factorization, and phi-function kernels."""
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.fft import dstn
 
+from letd import matfunc
 from letd.matfunc import (
     DirichletLaplacian,
-    apply_phi,
+    axis_sine_matrix,
     build_laplacian_1d,
     build_laplacian_2d,
-    expm_dense,
     phi_scalar,
     sine_matrix,
     sine_row,
     spectral_factorization,
     spectral_factorization_2d,
 )
+from oracles import apply_phi, expm_dense
 
 # Reference values computed with mpmath at 50 decimal digits, rounded to
 # double precision.  phi0(-1e6) underflows to zero in doubles, which is the
@@ -201,3 +205,59 @@ def test_expm_dense_agrees_with_scipy_on_random_symmetric():
     assert np.allclose(expm_dense(M), scipy.linalg.expm(M), atol=1e-12)
     with pytest.raises(ValueError):
         expm_dense(np.zeros((2, 3)))
+
+
+def _factorization(shape):
+    return spectral_factorization(DirichletLaplacian(shape, 1.0, (0.1,) * len(shape)))
+
+
+def _dstn(v, d):
+    return dstn(v, type=1, norm="ortho", axes=tuple(range(-d, 0)))
+
+
+# dense axes alone (one, two of unequal lengths, three short ones, 64 and
+# 65 nodes), and the longest dense axis next to the shortest pocketfft one
+MIXED_SHAPES = [(35,), (40, 36), (3, 5, 7), (64, 65),
+                (matfunc._DENSE_AXIS_MAX, matfunc._DENSE_AXIS_MAX + 1)]
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)], ids=["unbatched", "batch4", "batch2x3"])
+@pytest.mark.parametrize("shape", MIXED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_transform_matches_scipy_dstn_over_dense_and_fft_axes(shape, batch):
+    fact = _factorization(shape)
+    v = np.random.default_rng(len(shape) + len(batch)).standard_normal(batch + shape)
+    got = fact.to_modes(v)
+    scale = np.abs(v).max()
+    assert got.shape == v.shape
+    assert np.abs(got - _dstn(v, len(shape))).max() <= 2e-15 * scale
+    assert np.abs(fact.from_modes(got) - v).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("shape,node", [((35,), (4,)), ((40, 36), (39, 5)), ((3, 5, 7), (1, 4, 2))])
+def test_transform_of_a_unit_field_is_the_product_of_sine_rows_bitwise(shape, node):
+    # each axis adds the transform of its unit vector, sine_row, exactly:
+    # a product over a wrongly oriented axis matrix differs in the last bits
+    unit = np.zeros(shape)
+    unit[node] = 1.0
+    want = reduce(np.multiply.outer, [sine_row(n, j) for n, j in zip(shape, node)])
+    assert np.array_equal(_factorization(shape).to_modes(unit), want)
+
+
+@pytest.mark.parametrize("shape", [(255,), (511,), (127, 127)], ids=["255", "511", "127x127"])
+def test_long_axes_stay_bitwise_on_pocketfft(shape):
+    # the 1d study pieces and the 2d monodomain keep the FFT route and its bits
+    fact = _factorization(shape)
+    v = np.random.default_rng(9).standard_normal((3,) + shape)
+    assert np.array_equal(fact.to_modes(v), _dstn(v, len(shape)))
+    assert np.array_equal(fact.to_modes(v[0]), _dstn(v[0], len(shape)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_cached_axis_matrix_rows_are_sine_rows_and_read_only(n):
+    m = axis_sine_matrix(n)
+    assert axis_sine_matrix(n) is m
+    assert all(np.array_equal(m[j], sine_row(n, j)) for j in range(n))
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+    # a 2d piece's transform and the trace edges along one of its axes use one matrix
+    assert sine_matrix((n,)) is m

@@ -13,7 +13,6 @@ from letd.matfunc import (
     DirichletLaplacian,
     SpectralFactorization,
     build_laplacian_1d,
-    expm_dense,
     spectral_factorization,
 )
 from letd.schwarz import (
@@ -29,7 +28,7 @@ from letd.schwarz import (
     theoretical_rate,
 )
 from letd.steppers import TimeGrid, make_workspace, run_monodomain
-from oracles import direct_step, direct_window_traces, field_window_sweep
+from oracles import direct_step, direct_window_traces, expm_dense, field_window_sweep
 
 PI2 = math.pi ** 2
 
