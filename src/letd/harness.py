@@ -291,6 +291,7 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
                         pieces, layout.interfaces, timegrid, scfg,
                         init_guess=guess,
                         reference=_zero_reference(layout.interfaces, steps),
+                        final_only=True,
                     )
                     _decay_from_log(result.decay_rows, run_id, log, time_level=0)
                 two_step = estimate_contraction(log.curve())
@@ -304,22 +305,26 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
 # accuracy studies on the manufactured solutions
 # ---------------------------------------------------------------------------
 
-def _solve(config, problem, grid, layout, timegrid, guess=None):
+def _solve(config, problem, grid, layout, timegrid, guess=None, final_only=False):
     """Build and solve one accuracy run.  Returns the boxes of the pieces,
-    their trajectories and the iteration logs: one per level for method 1,
-    one for method 2, none for the monodomain run."""
+    their trajectories (every level, or with `final_only` level 0 and the
+    last) and the iteration logs: one per level for method 1, one for
+    method 2, none for the monodomain run."""
     if config.solver == "mono":
         ws = make_workspace(
             spectral_factorization(DirichletLaplacian(grid.shape, problem.nu, grid.spacings)),
             timegrid.dt)
         whole = Box((1,) * len(grid.shape), grid.shape)
-        return [whole], [run_monodomain(problem, grid, timegrid, config.scheme, ws)], []
+        return [whole], [run_monodomain(problem, grid, timegrid, config.scheme, ws,
+                                        final_only=final_only)], []
     pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
     scfg = config.solver_config()
     if config.solver == "method1":
-        trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg)
+        trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg,
+                                    final_only=final_only)
     else:
-        trajs, log = method2_solve(pieces, layout.interfaces, timegrid, scfg, init_guess=guess)
+        trajs, log = method2_solve(pieces, layout.interfaces, timegrid, scfg, init_guess=guess,
+                                   final_only=final_only)
         logs = [log]
     return layout.pieces, trajs, logs
 
@@ -396,7 +401,8 @@ def _accuracy_study_2d(config: ExperimentConfig, result: ExperimentResult) -> No
                               convention=config.overlap_convention)
         if config.solver == "method2":
             guess = random_trace_guess(layout.interfaces, config.seed, steps=steps)
-    boxes, trajs, logs = _solve(config, problem, grid, layout, timegrid, guess)
+    # the error is taken at the final time only
+    boxes, trajs, logs = _solve(config, problem, grid, layout, timegrid, guess, final_only=True)
     _record_logs(result, config, tag, logs, levels=4)
     iters = max(log.iterations for log in logs) if logs else ""
     err = _max_error(problem, grid, boxes, [traj[-1] for traj in trajs], config.horizon)

@@ -35,10 +35,11 @@ per piece the state modes and the trace-independent forcing modes, per
 interface the pinned trace, which is the last sweep's owned trace and
 enters the successor's level-0 forcing through the edge.  Only a run's
 first window starts from fields, transformed in the batch of its forcing.
-Both drivers write the levels they solve into their trajectories as
-modes, and each trajectory is transformed to fields by one inverse DST
-per piece at the end; a method-1 level thus assembles one forcing and
-transforms one field per piece.
+Both drivers write the levels they keep into their trajectories as modes
+(every level, or with `final_only` the last one alone), and each
+trajectory is transformed to fields by one inverse DST per piece at the
+end; a method-1 level thus assembles one forcing and transforms one
+field per piece.
 
 With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
@@ -476,27 +477,35 @@ def method1_march(
     interfaces: Sequence[Interface],
     timegrid: TimeGrid,
     config: SolverConfig,
+    *,
+    final_only: bool = False,
 ) -> tuple[list[np.ndarray], list[IterationLog]]:
     """March the per-step Schwarz iteration over the whole time grid.
 
     Each level is one `method1_advance` call, which hands the next one its
-    level in sine-mode space; the levels are written into the trajectories
-    as modes and transformed to fields once per piece at the end.  Returns
-    per-piece trajectories of shape (steps + 1, *piece shape) and the
-    iteration log of every level.
+    level in sine-mode space; the kept levels are written into the
+    trajectories as modes and transformed to fields once per piece at the
+    end.  Returns per-piece trajectories of shape (steps + 1, *piece shape)
+    and the iteration log of every level.  With `final_only` the
+    trajectories hold level 0 and the last level alone, shape
+    (2, *piece shape), and only the last carried level is written.
     """
-    trajs = [np.empty((timegrid.steps + 1,) + p.u0.shape) for p in pieces]
+    steps = timegrid.steps
+    keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
+    trajs = [np.empty((keep,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
     level = Level([p.u0 for p in pieces])
     logs = []
-    for m in range(timegrid.steps):
+    for m in range(steps):
         level, log = method1_advance(
             pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
         )
         logs.append(log)
-        for traj, u_hat in zip(trajs, level.states):
-            traj[m + 1] = u_hat
+        row = m + keep - steps  # the row of level m + 1; below 1 if it is not kept
+        if row >= 1:
+            for traj, u_hat in zip(trajs, level.states):
+                traj[row] = u_hat
     _rebuild(pieces, trajs)
     return trajs, logs
 
@@ -572,9 +581,10 @@ def _window_sweep(
 
     Returns `sweep(traces)`, the owned traces of every piece (level 0
     pinned) against the given ones; `finish(out)`, which repeats the march
-    against the last sweep's traces piece by piece, writes levels
-    1..steps of the mode-space trajectory into out[d] (steps + 1, *shape)
-    and returns the level at times[-1] in mode space:
+    against the last sweep's traces piece by piece, writes the trailing
+    len(out[d]) - 1 levels of the mode-space trajectory into out[d][1:]
+    (levels 1..steps when out[d] has steps + 1 rows, the last level alone
+    when it has 2) and returns the level at times[-1] in mode space:
     its pinned traces are the last sweep's output, the owned traces of
     those states (called once, it releases the stacks); and the default
     initial traces (read-only): level 0 at every level or, with `predict`
@@ -683,7 +693,7 @@ def _window_sweep(
     def finish(out: Sequence[np.ndarray]) -> Level:
         states, forcing = [], []
         for d in range(len(pieces)):
-            out[d][1:] = march(d, last)[1:]
+            out[d][1:] = march(d, last)[1 - len(out[d]):]
             states.append(out[d][-1].copy())
             forcing.append(bases[d][-1].copy())
             bases[d] = None
@@ -704,12 +714,12 @@ def _solve_window(
     where: str,
     predict: bool = False,
 ) -> tuple[IterationLog, Level]:
-    """Solve one window from the level `start` at times[0]: levels
-    1..steps of piece d's solution go, in sine-mode space, into
-    window[d][1:] (a trajectory (steps + 1, *shape)).  Returns the log
-    and the level at times[-1].  Without a guess
-    the iteration starts from the default traces of `_window_sweep`;
-    level 0 of a guess is pinned data and not read."""
+    """Solve one window from the level `start` at times[0]: the trailing
+    len(window[d]) - 1 levels of piece d's solution go, in sine-mode
+    space, into window[d][1:] (all of levels 1..steps for a window of
+    steps + 1 rows).  Returns the log and the level at times[-1].
+    Without a guess the iteration starts from the default traces of
+    `_window_sweep`; level 0 of a guess is pinned data and not read."""
     sweep, finish, traces = _window_sweep(pieces, start, times, config.scheme, predict)
     if guess is not None:
         traces = [np.asarray(g, dtype=float).reshape(len(times), itf.size)
@@ -720,9 +730,12 @@ def _solve_window(
 
 def _rebuild(pieces: Sequence[LocalPiece], trajs: Sequence[np.ndarray]) -> None:
     """Transform levels 1.. of every piece's mode-space trajectory to
-    fields in place, one inverse DST per piece."""
+    fields in place, one inverse DST per piece.  Each level goes as a
+    block of its own, so its fields do not depend on how many levels the
+    trajectory keeps: a 1d batch would be one matrix product, whose
+    round-off per row BLAS makes depend on the row count."""
     for p, traj in zip(pieces, trajs):
-        traj[1:] = p.ws.fact.from_modes(traj[1:])
+        traj[1:] = p.ws.fact.from_modes(traj[1:, None])[:, 0]
 
 
 def method2_solve(
@@ -732,6 +745,8 @@ def method2_solve(
     config: SolverConfig,
     init_guess: Optional[TraceSet] = None,
     reference: Optional[TraceSet] = None,
+    *,
+    final_only: bool = False,
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
@@ -746,13 +761,15 @@ def method2_solve(
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per
-    window.  Level-0 traces are always pinned to the initial state, and
-    init_guess/reference (shape (steps + 1, size) per interface) are
-    sliced accordingly per window.
+    window.  With `final_only` the trajectories hold level 0 and the last
+    level alone, shape (2, *shape): every window writes its last level
+    into the same two-level buffer.  Level-0 traces are always pinned to
+    the initial state, and init_guess/reference (shape (steps + 1, size)
+    per interface) are sliced accordingly per window.
     """
     steps = timegrid.steps
     win = config.window_steps or steps
-    trajs = [np.empty((steps + 1,) + p.u0.shape) for p in pieces]
+    trajs = [np.empty((2 if final_only else steps + 1,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
     level = Level([p.u0 for p in pieces])
@@ -761,7 +778,7 @@ def method2_solve(
         n = min(win, steps - s)
         part = lambda rows: None if rows is None else [np.asarray(r)[s : s + n + 1] for r in rows]
         log, level = _solve_window(pieces, interfaces, level,
-                                   [traj[s : s + n + 1] for traj in trajs],
+                                   trajs if final_only else [traj[s : s + n + 1] for traj in trajs],
                                    [timegrid.t(s + m) for m in range(n + 1)], config,
                                    part(init_guess), part(reference),
                                    where=f"in the window from t={timegrid.t(s):g}")

@@ -35,8 +35,6 @@ __all__ = [
     "TimeGrid",
     "StepWorkspace",
     "make_workspace",
-    "etd1_step",
-    "etd2_step",
     "run_monodomain",
     "Scheme",
 ]
@@ -100,43 +98,21 @@ def make_workspace(fact: SpectralFactorization, dt: float) -> StepWorkspace:
     )
 
 
-def etd1_step(ws: StepWorkspace, u: np.ndarray, forcing_next: np.ndarray) -> np.ndarray:
-    """One first-order step with the forcing frozen at t_{m+1}."""
-    fa = ws.fact
-    u_hat = fa.to_modes(np.asarray(u, dtype=float))
-    f_hat = fa.to_modes(np.asarray(forcing_next, dtype=float))
-    return fa.from_modes(ws.exp_kernel * u_hat + ws.phi1_kernel * f_hat)
-
-
-def etd2_step(
-    ws: StepWorkspace,
-    u: np.ndarray,
-    forcing_now: np.ndarray,
-    forcing_next: np.ndarray,
-) -> np.ndarray:
-    """One second-order step with the forcing linear over the step."""
-    fa = ws.fact
-    u_hat = fa.to_modes(np.asarray(u, dtype=float))
-    f0_hat = fa.to_modes(np.asarray(forcing_now, dtype=float))
-    f1_hat = fa.to_modes(np.asarray(forcing_next, dtype=float))
-    return fa.from_modes(
-        ws.exp_kernel * u_hat
-        + ws.phi1_kernel * f0_hat
-        + ws.phi2_kernel * (f1_hat - f0_hat)
-    )
-
-
 def run_monodomain(
     problem: Problem,
     grid: Grid,
     timegrid: TimeGrid,
     scheme: Scheme,
     ws: StepWorkspace,
+    *,
+    final_only: bool = False,
 ) -> np.ndarray:
     """March the whole domain; returns the trajectory including t = 0.
 
     Shape (steps + 1, *grid.shape).  The state is kept in mode space
-    across steps so each step costs two DSTs.
+    across steps so each step costs two DSTs.  With `final_only` the
+    trajectory holds level 0 and the last level alone, shape
+    (2, *grid.shape), and only the last level is transformed back.
     """
     if scheme not in ("etd1", "etd2"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -147,11 +123,13 @@ def run_monodomain(
     def forcing(t: float) -> np.ndarray:
         return assemble_forcing(fc, t, [boundary_data(fc, k, t) for k in range(len(fc.edges))])
 
-    traj = np.empty((timegrid.steps + 1,) + u0.shape)
+    steps = timegrid.steps
+    keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
+    traj = np.empty((keep,) + u0.shape)
     traj[0] = u0
     u_hat = fa.to_modes(u0)
     f_hat_now = fa.to_modes(forcing(0.0)) if scheme == "etd2" else None
-    for m in range(timegrid.steps):
+    for m in range(steps):
         f_hat_next = fa.to_modes(forcing(timegrid.t(m + 1)))
         if scheme == "etd1":
             u_hat = ws.exp_kernel * u_hat + ws.phi1_kernel * f_hat_next
@@ -162,5 +140,7 @@ def run_monodomain(
                 + ws.phi2_kernel * (f_hat_next - f_hat_now)
             )
             f_hat_now = f_hat_next
-        traj[m + 1] = fa.from_modes(u_hat)
+        row = m + keep - steps  # the row of level m + 1; below 1 if it is not kept
+        if row >= 1:
+            traj[row] = fa.from_modes(u_hat)
     return traj

@@ -1,12 +1,14 @@
 """Independent routes that the tests check the library against: dense
-matrix functions for the sine-mode phi products, and iteration-free and
-field-marching routes for the Schwarz drivers.  Not a test module: pytest
-collects no tests here, the test modules import it."""
+matrix functions for the sine-mode phi products, single ETD1/ETD2 steps
+on fields (the field route of the drivers' mode-space recursion), and
+iteration-free and field-marching routes for the Schwarz drivers.  Not a
+test module: pytest collects no tests here, the test modules import it."""
 import numpy as np
 from scipy.linalg import expm
 
 from letd.matfunc import SpectralFactorization, phi_scalar
 from letd.schwarz import initial_traces
+from letd.steppers import StepWorkspace
 
 
 def apply_phi(fact: SpectralFactorization, k: int, dt: float, v: np.ndarray) -> np.ndarray:
@@ -25,6 +27,32 @@ def expm_dense(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return expm(a)
+
+
+def etd1_step(ws: StepWorkspace, u: np.ndarray, forcing_next: np.ndarray) -> np.ndarray:
+    """One first-order step with the forcing frozen at t_{m+1}."""
+    fa = ws.fact
+    u_hat = fa.to_modes(np.asarray(u, dtype=float))
+    f_hat = fa.to_modes(np.asarray(forcing_next, dtype=float))
+    return fa.from_modes(ws.exp_kernel * u_hat + ws.phi1_kernel * f_hat)
+
+
+def etd2_step(
+    ws: StepWorkspace,
+    u: np.ndarray,
+    forcing_now: np.ndarray,
+    forcing_next: np.ndarray,
+) -> np.ndarray:
+    """One second-order step with the forcing linear over the step."""
+    fa = ws.fact
+    u_hat = fa.to_modes(np.asarray(u, dtype=float))
+    f0_hat = fa.to_modes(np.asarray(forcing_now, dtype=float))
+    f1_hat = fa.to_modes(np.asarray(forcing_next, dtype=float))
+    return fa.from_modes(
+        ws.exp_kernel * u_hat
+        + ws.phi1_kernel * f0_hat
+        + ws.phi2_kernel * (f1_hat - f0_hat)
+    )
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):

@@ -23,12 +23,10 @@ from letd.schwarz import (
 )
 from letd.steppers import (
     TimeGrid,
-    etd1_step,
-    etd2_step,
     make_workspace,
     run_monodomain,
 )
-from oracles import apply_phi, direct_step, expm_dense
+from oracles import apply_phi, direct_step, etd1_step, etd2_step, expm_dense
 
 TABLE_DTS = (1 / 40, 1 / 80, 1 / 160, 1 / 320)
 

@@ -1,5 +1,6 @@
 """Iterative drivers: per-step interface iteration and waveform relaxation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -707,6 +708,88 @@ def test_mode_space_march_matches_the_level_by_level_field_route(setup, args, sc
             assert np.abs(traj[m + 1] - u).max() <= 1e-12 * u_max, (m, np.abs(traj[m + 1] - u).max())
 
 
+def assert_same_log(a, b):
+    """Two iteration logs agree bitwise, window by window."""
+    assert (a.converged, a.iterations, len(a.windows)) == (b.converged, b.iterations,
+                                                          len(b.windows))
+    assert np.array_equal(a.updates, b.updates)
+    assert (a.errors is None) == (b.errors is None)
+    assert a.errors is None or np.array_equal(a.errors, b.errors)
+    for x, y in zip(a.windows, b.windows):
+        assert_same_log(x, y)
+
+
+@pytest.mark.parametrize("driver", ["method1", "method2", "method2-w3"])
+@pytest.mark.parametrize("budget", [dict(fixed_iterations=2),
+                                    dict(tolerance=1e-10, max_iterations=2000)],
+                         ids=["fixed2", "tol1e-10"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (2, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-2x2"])
+def test_final_only_keeps_the_end_levels_bitwise(setup, args, scheme, budget, driver):
+    # 3 does not divide the 8 steps: the last 3-step window is ragged, and
+    # every window writes into the same two levels
+    prob, lay, grid, _ = setup(*args)
+    tg = TimeGrid(prob.horizon, 8)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, window_steps=3 if driver == "method2-w3" else None,
+                       **budget)
+    solve = method1_march if driver == "method1" else method2_solve
+    full, logs = solve(pieces, lay.interfaces, tg, cfg)
+    kept, kept_logs = solve(pieces, lay.interfaces, tg, cfg, final_only=True)
+    assert len(kept) == len(full)
+    for f, k in zip(full, kept):
+        assert k.shape == (2,) + f.shape[1:]
+        assert np.array_equal(k, [f[0], f[-1]])
+    if driver == "method1":
+        assert len(kept_logs) == len(logs) == tg.steps
+    else:
+        assert len(logs.windows) == (3 if driver == "method2-w3" else 0)
+        logs, kept_logs = [logs], [kept_logs]
+    for a, b in zip(logs, kept_logs):
+        assert_same_log(a, b)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("driver", ["method1", "method2", "mono"])
+def test_final_only_runs_never_hold_every_level(driver):
+    # a 31^2 grid in 2x2 pieces over 64 steps: a full trajectory set is
+    # (steps + 1) levels of every piece node; a run that keeps the end
+    # levels alone peaks below half of that.  The waveform run is windowed:
+    # a whole-horizon window holds its forcing modes at every level
+    prob = builtin_problem("analytic_2d")
+    grid = make_grid_2d(31, 31, prob.lengths)
+    lay = decompose_2d(31, 31, 2, 2, 2, "half")
+    tg = TimeGrid(prob.horizon, 64)
+    if driver == "mono":
+        ws = make_workspace(spectral_factorization(
+            DirichletLaplacian(grid.shape, prob.nu, grid.spacings)), tg.dt)
+        nodes = math.prod(grid.shape)
+        run = lambda **kw: run_monodomain(prob, grid, tg, "etd2", ws, **kw)
+    else:
+        pieces = build_local_pieces(prob, grid, lay, tg.dt)
+        nodes = sum(p.u0.size for p in pieces)
+        solve = method1_march if driver == "method1" else method2_solve
+        cfg = SolverConfig(scheme="etd2", fixed_iterations=2,
+                           window_steps=4 if driver == "method2" else None)
+        run = lambda **kw: solve(pieces, lay.interfaces, tg, cfg, **kw)
+    run(final_only=True)  # builds the pieces' response tables outside the trace
+    every_level = (tg.steps + 1) * nodes * 8
+    kept = _traced_peak(lambda: run(final_only=True))
+    full = _traced_peak(run)
+    assert kept < every_level / 2, (kept, every_level)
+    assert full > every_level, (full, every_level)
+
+
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level(monkeypatch,
                                                                                  scheme):
@@ -727,8 +810,9 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
     assert first == [(1 + head,) + q.u0.shape for q in pieces]
     # every later piece-level transforms one field
     assert later == [(1,) + q.u0.shape for _ in range(steps - 1) for q in pieces]
-    # and the trajectories are rebuilt by one inverse transform per piece
-    assert rebuild == [(steps,) + q.u0.shape for q in pieces]
+    # and the trajectories are rebuilt by one inverse transform per piece,
+    # each level a block of its own
+    assert rebuild == [(steps, 1) + q.u0.shape for q in pieces]
     assert sum(map(math.prod, shapes)) == sum(
         (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
     assert len(assembled) == p * head + p * (steps - 1)

@@ -28,12 +28,10 @@ from letd.matfunc import (
 )
 from letd.steppers import (
     TimeGrid,
-    etd1_step,
-    etd2_step,
     make_workspace,
     run_monodomain,
 )
-from oracles import direct_step
+from oracles import direct_step, etd1_step, etd2_step
 
 PI2 = math.pi ** 2
 
@@ -262,6 +260,24 @@ def test_monodomain_observed_temporal_order(scheme, target):
         errs.append(np.abs(traj - exact).max() / np.abs(exact).max())
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(r - target) < 0.25 for r in rates), (errs, rates)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_monodomain_final_only_keeps_the_end_levels_bitwise(dim, scheme):
+    if dim == 1:
+        prob = analytic_problem()
+        grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    else:
+        prob = builtin_problem("analytic_2d")
+        grid = make_grid_2d(15, 12, prob.lengths)
+    tg = TimeGrid(prob.horizon, 9)
+    ws = make_workspace(spectral_factorization(
+        DirichletLaplacian(grid.shape, prob.nu, grid.spacings)), tg.dt)
+    full = run_monodomain(prob, grid, tg, scheme, ws)
+    kept = run_monodomain(prob, grid, tg, scheme, ws, final_only=True)
+    assert kept.shape == (2,) + grid.shape
+    assert np.array_equal(kept, [full[0], full[-1]])
 
 
 def test_monodomain_2d_single_step_matches_dense_exponential():
