@@ -29,7 +29,11 @@ term: F = f(x, t) plus (nu / h_k^2) times the bordering values (physical
 data or a neighbor's trace) on the first and last node row along every
 axis k.  Corners receive contributions from both adjacent edges, as the
 five-point stencil requires.  With a tensor-product layout every edge is
-either entirely physical or entirely interior.
+either entirely physical or entirely interior.  Forcing and boundary data
+are taken at one time or over a time axis: a 1-D array of times enters the
+data callables as a column (levels, 1, ...) against the node coordinates,
+and one call returns the stack of every level, each level bitwise the
+single-time result.
 """
 
 from __future__ import annotations
@@ -75,7 +79,11 @@ class Problem:
 
     source(*x, t), boundary(*x, t), initial(*x) and exact(*x, t) take one
     coordinate per axis and must broadcast over numpy arrays; boundary is
-    evaluated only on the box's faces.  When an exact solution is
+    evaluated only on the box's faces.  The time may be an array too, with
+    a leading axis of its own (shape (levels, 1, ...) against the
+    coordinates), and source, boundary and exact must then broadcast to
+    (levels, *coordinate shape); data that ignore t broadcast as they are.
+    When an exact solution is
     supplied, the boundary data is checked against it on every face at
     five times and the initial data at seven interior points.
     """
@@ -342,7 +350,8 @@ def decompose_2d(nx: int, ny: int, px: int, py: int, overlap_cells: int,
 @dataclass(frozen=True)
 class Edge:
     """One edge of a box: the bordering node row f[index] (of shape
-    `shape`, the box shape without the edge's axis), its stencil weight
+    `shape`, the box shape without the edge's axis) of a field or of a
+    stack of fields over leading axes, its stencil weight
     nu / h_axis^2, and the coordinates `face` of the nodes beyond it that
     carry the bordering values, shaped like the row."""
 
@@ -376,7 +385,7 @@ def box_forcing(problem: Problem, grid: Grid, box: Box) -> BoxForcing:
     for axis, (n, h) in enumerate(zip(box.shape, grid.spacings)):
         for node, row in ((box.lo[axis] - 1, 0), (box.hi[axis] + 1, n - 1)):
             edges.append(Edge(
-                index=_with((slice(None),) * len(box.shape), axis, row),
+                index=(Ellipsis,) + _with((slice(None),) * len(box.shape), axis, row),
                 shape=box.shape[:axis] + box.shape[axis + 1 :],
                 weight=problem.nu / h**2,
                 face=tuple(grid.coords(node, axis) if a == axis else np.squeeze(x, axis)
@@ -385,28 +394,55 @@ def box_forcing(problem: Problem, grid: Grid, box: Box) -> BoxForcing:
     return BoxForcing(problem=problem, shape=box.shape, mesh=mesh, edges=tuple(edges))
 
 
-def boundary_data(forcing: BoxForcing, edge: int, t: float) -> np.ndarray:
-    """Physical Dirichlet data beyond one edge of a box at time t, shaped
-    like the edge's node row."""
+def _levels(t) -> tuple[int, ...]:
+    """Leading shape of data at t: () at one time, (levels,) over a 1-D
+    array of times."""
+    lead = np.shape(t)
+    if len(lead) > 1:
+        raise ValueError(f"t must be one time or a 1-D array of times, got shape {lead}")
+    return lead
+
+
+def _sample(fn: Callable, name: str, coords: tuple, t, shape: tuple[int, ...]) -> np.ndarray:
+    """fn(*coords, t) as a float array of shape (levels, *shape), or `shape`
+    at one time; an array of times enters as a column against the coords.
+    Data of another shape come back as a read-only broadcast view, and a
+    ValueError names `name` when they do not broadcast."""
+    lead = _levels(t)
+    if lead:
+        t = np.asarray(t, dtype=float).reshape(lead + (1,) * len(shape))
+    values = np.asarray(fn(*coords, t), dtype=float)
+    if values.shape == lead + shape:
+        return values
+    try:
+        return np.broadcast_to(values, lead + shape)
+    except ValueError:
+        raise ValueError(f"{name} returned shape {values.shape}, which does not broadcast "
+                         f"to {lead + shape}") from None
+
+
+def boundary_data(forcing: BoxForcing, edge: int, t) -> np.ndarray:
+    """Physical Dirichlet data beyond one edge of a box, shaped like the
+    edge's node row at one time t, or stacked to (levels, *row shape) over
+    a 1-D array of times."""
     e = forcing.edges[edge]
-    values = np.asarray(forcing.problem.boundary(*e.face, t), dtype=float)
-    return values if values.shape == e.shape else np.broadcast_to(values, e.shape).copy()
+    return _sample(forcing.problem.boundary, "boundary", e.face, t, e.shape)
 
 
-def assemble_forcing(
-    forcing: BoxForcing, t: float, edge_values: Sequence[np.ndarray]
-) -> np.ndarray:
+def assemble_forcing(forcing: BoxForcing, t, edge_values: Sequence[np.ndarray]) -> np.ndarray:
     """Source samples f(x, t) on a box with the Dirichlet closure
     (nu / h_k^2) * bordering values folded into the edge node rows.
 
-    edge_values: one array per edge in (axis, side) order, with one value
-    per node of the edge row (flattened or in the row's shape); None
-    leaves that edge's row without a closure term.
+    t is one time, giving the box's field, or a 1-D array of times,
+    giving the stack (levels, *box shape) of the fields at those times in
+    one call.  edge_values: one array per edge in (axis, side) order, with
+    one value per node of the edge row (flattened or in the row's shape),
+    per level over an array of times; None leaves that edge's row without
+    a closure term.
     """
-    f = np.array(forcing.problem.source(*forcing.mesh, t), dtype=float)
-    if f.shape != forcing.shape:
-        f = np.broadcast_to(f, forcing.shape).copy()
+    lead = _levels(t)
+    f = np.array(_sample(forcing.problem.source, "source", forcing.mesh, t, forcing.shape))
     for e, values in zip(forcing.edges, edge_values):
         if values is not None:
-            f[e.index] += e.weight * values.reshape(e.shape)
+            f[e.index] += e.weight * values.reshape(lead + e.shape)
     return f

@@ -18,6 +18,7 @@ are deterministic for a fixed seed; wall-clock data stays in the ``#`` header.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -51,6 +52,9 @@ PROBLEMS = ("error_equation", "analytic_1d", "analytic_2d")
 SOLVERS = ("mono", "method1", "method2")
 
 DECAY_COLUMNS = "run_id,iteration,time_level,interface,raw_update,normalized_error"
+#: one decay row (run_id, iteration, time_level, interface, raw, normalized),
+#: each cell formatted as `_fmt` formats it
+DECAY_ROW = "%s,%d,%d,%d,%.17g,%.17g"
 SUMMARY_COLUMNS = (
     "run_id,delta_cells,dt,T,P,scheme,solver,contraction,linf_error,"
     "observed_order,iters_used"
@@ -204,7 +208,7 @@ class ExperimentResult:
         return lines
 
     def decay_csv(self) -> str:
-        body = [DECAY_COLUMNS] + [_join(r) for r in self.decay_rows]
+        body = [DECAY_COLUMNS] + [DECAY_ROW % r for r in self.decay_rows]
         return "\n".join(self.header_lines() + body) + "\n"
 
     def summary_csv(self) -> str:
@@ -231,7 +235,11 @@ def _join(row) -> str:
 
 
 def _decay_from_log(rows, run_id, log, time_level) -> None:
-    """Append per-interface decay rows; errors preferred, updates otherwise."""
+    """Append per-interface decay rows (run_id, iteration, time_level,
+    interface, raw, normalized) in iteration-major order; errors preferred,
+    updates otherwise.  Each curve is normalized by its first row (a zero
+    entry by 1), in one pass over the whole log, and the cells are plain
+    Python numbers."""
     if log.errors is not None:
         curves = log.errors  # (K+1, n_if), row 0 is the initial guess
         start = 0
@@ -242,10 +250,10 @@ def _decay_from_log(rows, run_id, log, time_level) -> None:
         return
     base = curves[0].copy()
     base[base == 0.0] = 1.0
-    for k in range(curves.shape[0]):
-        for j in range(curves.shape[1]):
-            rows.append((run_id, start + k, time_level, j,
-                         curves[k, j], curves[k, j] / base[j]))
+    k, j = np.indices(curves.shape)
+    rows.extend(zip(itertools.repeat(run_id), (k + start).ravel().tolist(),
+                    itertools.repeat(time_level), j.ravel().tolist(),
+                    curves.ravel().tolist(), (curves / base).ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ time span one sweep covers:
 Both iterate on the traces alone, in sine-mode space, through one
 window engine.  A piece's state is affine in the traces it reads, so the
 trace-independent forcing (source and physical boundary data) is
-assembled and transformed once per window, in one batch per piece.
+assembled once per window, in one call over the window's time levels,
+and transformed in one batch per piece.
 Every trace edge moves a history between nodes and modes the same way in
 any dimension: the history times the dense sine matrix of the edge's
 other axes ([[1.0]] in 1d), times the stencil weight, enters the forcing
@@ -260,9 +261,11 @@ class LocalPiece:
     outflow: tuple[EdgeRow, ...]
     maps: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def forcing(self, t: float, traces: Optional[TraceSet] = None) -> np.ndarray:
-        """Closed forcing at t; trace edges read `traces` (one value set per
-        interface) or, without them, add nothing: the trace-independent part."""
+    def forcing(self, t, traces: Optional[TraceSet] = None) -> np.ndarray:
+        """Closed forcing at one time t, or the stack (levels, *shape) over a
+        1-D array of times, in one `assemble_forcing` call; trace edges read
+        `traces` (one value set per interface, per level over an array of
+        times) or, without them, add nothing: the trace-independent part."""
         vals = []
         for kind, ref in self.edges:
             if kind == "physical":
@@ -569,15 +572,16 @@ def _window_sweep(
     `times` (steps + 1, spaced by the pieces' step), from the level
     `start` at times[0].
 
-    Every piece's trace-independent forcing stack is transformed once, in
-    one batch; level 0 of the stack holds the forcing of the start level,
+    Every piece's trace-independent forcing stack is assembled over levels
+    1..steps in one `LocalPiece.forcing` call and transformed once, in one
+    batch; level 0 of the stack holds the forcing of the start level,
     pinned traces included, so a sweep reads levels 1..steps of its traces
     only.  A start given as fields is transformed with that stack, level 0
-    of the stack assembled against the traces the fields own; a level
-    handed on in mode space brings its state modes, its pinned traces and
-    its trace-independent forcing modes, to which the pinned traces are
-    added by `EdgeRow.spread`, so only levels 1..steps are assembled and
-    transformed.
+    of the stack assembled against the traces the fields own (one more
+    call, ETD2 only); a level handed on in mode space brings its state
+    modes, its pinned traces and its trace-independent forcing modes, to
+    which the pinned traces are added by `EdgeRow.spread`, so only levels
+    1..steps are assembled and transformed.
 
     Returns `sweep(traces)`, the owned traces of every piece (level 0
     pinned) against the given ones; `finish(out)`, which repeats the march
@@ -598,6 +602,7 @@ def _window_sweep(
     A longer 2d window marches each piece in mode space in every sweep.
     """
     steps = len(times) - 1
+    later = np.asarray(times[1:], dtype=float)
     starts, bases = [], []
     if start.forcing is None:
         pinned = initial_traces(pieces, start.states, sum(len(p.outflow) for p in pieces))
@@ -605,7 +610,7 @@ def _window_sweep(
             # an ETD1 step never reads the forcing at its start level, so there
             # the start state's row stands in for level 0 of the stack
             head = [u, p.forcing(times[0], pinned)] if scheme == "etd2" else [u]
-            modes = p.ws.fact.to_modes(np.stack(head + [p.forcing(t) for t in times[1:]]))
+            modes = p.ws.fact.to_modes(np.concatenate([np.stack(head), p.forcing(later)]))
             starts.append(modes[0].copy())  # so that `finish` can release the stack
             bases.append(modes[len(head) - 1:])
     else:
@@ -616,10 +621,12 @@ def _window_sweep(
             if scheme == "etd2":  # as above, ETD1 never reads level 0
                 for edge in p.inflow:
                     base[0] += edge.spread(pinned[edge.interface][None])[0]
-            base[1:] = p.ws.fact.to_modes(np.stack([p.forcing(t) for t in times[1:]]))
+            base[1:] = p.ws.fact.to_modes(p.forcing(later))
             starts.append(u_hat)
             bases.append(base)
-    initial = [np.broadcast_to(p, (steps + 1, p.size)) for p in pinned]
+    # with `predict` every default trace is the predictor's, set below
+    initial = ([None] * len(pinned) if predict
+               else [np.broadcast_to(p, (steps + 1, p.size)) for p in pinned])
     last: TraceSet = []  # the last sweep's incoming traces
     latest: TraceSet = []  # and its owned ones
 

@@ -4,8 +4,10 @@ import pytest
 
 from letd.geometry import (
     Box,
+    Grid,
     Problem,
     assemble_forcing,
+    boundary_data,
     box_forcing,
     decompose_1d,
     decompose_2d,
@@ -275,3 +277,59 @@ def test_problem_check_catches_initial_data_off_by_1e_6(dim):
     prob = manufactured(dim)
     with pytest.raises(ValueError, match="initial data"):
         manufactured(dim, initial=lambda *x: prob.initial(*x) + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# forcing over an array of times: one call, the stack of the per-time calls
+# ---------------------------------------------------------------------------
+
+TIMES = np.array([0.0, 0.1, 0.35, 0.7])
+# per edge in (axis, side) order: physical data, a trace given per level,
+# or None (a trace edge left without a closure term)
+EDGE_KINDS = ("physical", "trace", None, "physical")
+
+
+def _forcing_box(dim, **kw):
+    prob = manufactured(dim, **kw)
+    if dim == 1:
+        grid, box = Grid((9,), prob.lengths, prob.origin), Box((2,), (6,))
+    else:
+        grid, box = Grid((7, 6), prob.lengths, prob.origin), Box((2, 1), (5, 4))
+    return box_forcing(prob, grid, box)
+
+
+IGNORES_T = {1: lambda x, t: np.cos(x), 2: lambda x, y, t: np.cos(x) * y}
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("source", ["reads_t", "ignores_t"])
+def test_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim, source):
+    fc = _forcing_box(dim, **({} if source == "reads_t" else {"source": IGNORES_T[dim]}))
+    kinds = EDGE_KINDS[: 2 * dim]
+    rows = np.random.default_rng(dim).random((len(TIMES), int(np.prod(fc.edges[1].shape))))
+
+    def values(t, trace):
+        return [boundary_data(fc, k, t) if kind == "physical" else trace if kind else None
+                for k, kind in enumerate(kinds)]
+
+    stacked = assemble_forcing(fc, TIMES, values(TIMES, rows))
+    assert stacked.shape == (len(TIMES),) + fc.shape
+    per_time = [assemble_forcing(fc, t, values(t, r)) for t, r in zip(TIMES.tolist(), rows)]
+    assert np.array_equal(stacked, np.stack(per_time))
+    for k, e in enumerate(fc.edges):
+        data = boundary_data(fc, k, TIMES)
+        assert data.shape == (len(TIMES),) + e.shape
+        assert np.array_equal(data, np.stack([boundary_data(fc, k, t) for t in TIMES.tolist()]))
+
+
+def test_data_that_do_not_broadcast_over_the_times_are_named():
+    fc = _forcing_box(1, source=lambda x, t: np.zeros(3))
+    with pytest.raises(ValueError, match=r"source returned shape \(3,\).* to \(4, 5\)"):
+        assemble_forcing(fc, TIMES, [None, None])
+    with pytest.raises(ValueError, match=r"source returned shape \(3,\).* to \(5,\)"):
+        assemble_forcing(fc, 0.5, [None, None])
+    fc = _forcing_box(2, boundary=lambda x, y, t: np.zeros(2), exact=None)
+    with pytest.raises(ValueError, match=r"boundary returned shape \(2,\).* to \(4, 4\)"):
+        boundary_data(fc, 0, TIMES)
+    with pytest.raises(ValueError, match="1-D array of times"):
+        boundary_data(fc, 0, TIMES[None])

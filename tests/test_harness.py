@@ -5,16 +5,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from letd import harness
 from letd.harness import (
     DECAY_COLUMNS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
+    ExperimentResult,
     build_parser,
     builtin_problem,
     config_from_args,
     main,
     run_experiment,
 )
+from letd.schwarz import IterationLog
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +253,37 @@ def test_csv_bodies_are_deterministic_for_a_seed():
     kw["seed"] = 4
     c = _bodies(run_experiment(ExperimentConfig(**kw)))
     assert c[0] != a[0]  # different guesses, different decay curves
+
+
+def _cell_by_cell_rows(run_id, log, time_level):
+    """Decay rows built one cell at a time, as the harness once built them."""
+    curves, start = (log.updates, 1) if log.errors is None else (log.errors, 0)
+    base = curves[0].copy()
+    base[base == 0.0] = 1.0
+    return [(run_id, start + k, time_level, j, curves[k, j], curves[k, j] / base[j])
+            for k in range(curves.shape[0]) for j in range(curves.shape[1])]
+
+
+@pytest.mark.parametrize("errors", [True, False], ids=["errors", "updates"])
+def test_decay_csv_is_byte_identical_to_cell_by_cell_formatting(errors):
+    # a first row with a zero (normalized by 1), inf, nan, a subnormal and
+    # 1e300; later rows with digits that need all 17 significant places
+    first = [0.0, np.inf, np.nan, 5e-324, 1e300, 0.3]
+    later = [[1 / 3, 2.5e-310, 1e300, 7.0, np.inf, 0.1], [2.0, 0.0, 1e-300, 1.5, np.nan, 1 / 7]]
+    curves = np.array([first] + later)
+    logs = [IterationLog(updates=curves[1:] if errors else curves,
+                         errors=curves if errors else None, converged=True, iterations=2),
+            IterationLog(updates=np.flip(curves, axis=1), errors=None, converged=False,
+                         iterations=3)]
+    result = ExperimentResult(ExperimentConfig())
+    want = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for level, log in enumerate(logs):
+            harness._decay_from_log(result.decay_rows, f"run-{level}", log, time_level=level)
+            want += [harness._join(r) for r in _cell_by_cell_rows(f"run-{level}", log, level)]
+    assert all(type(cell) in (str, int, float) for row in result.decay_rows for cell in row)
+    body = [l for l in result.decay_csv().splitlines() if not l.startswith("#")]
+    assert body == [DECAY_COLUMNS] + want
 
 
 def test_write_creates_both_files(tmp_path):

@@ -359,7 +359,7 @@ def test_normalized_decay_curve_starts_at_one():
 def nan_after(t_bad):
     """The analytic problem with a source that turns NaN after t_bad."""
     base = analytic_problem()
-    src = lambda x, t: base.source(x, t) if t <= t_bad else np.full_like(x, np.nan)
+    src = lambda x, t: np.where(np.asarray(t) <= t_bad, base.source(x, t), np.nan)
     return Problem(nu=base.nu, lengths=base.lengths, horizon=base.horizon, source=src,
                    boundary=base.boundary, initial=base.initial, origin=base.origin)
 
@@ -816,6 +816,36 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
     assert sum(map(math.prod, shapes)) == sum(
         (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
     assert len(assembled) == p * head + p * (steps - 1)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkeypatch, dim,
+                                                                          scheme):
+    prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assemble, times = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda fc, t, vals: times.append(np.shape(t)) or assemble(fc, t, vals))
+    method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=2))
+    # levels 1..steps in one call; ETD2 adds the level-0 head at one time
+    head = [()] if scheme == "etd2" else []
+    assert times == (head + [(tg.steps,)]) * len(pieces)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_piece_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim):
+    prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    times = tg.times()
+    # one value set per interface and level, as a window's trace histories
+    traces = random_trace_guess(lay.interfaces, seed=dim, steps=tg.steps)
+    for piece in pieces:
+        assert np.array_equal(piece.forcing(times),
+                              np.stack([piece.forcing(t) for t in times.tolist()]))
+        per_time = [piece.forcing(t, [tr[m] for tr in traces])
+                    for m, t in enumerate(times.tolist())]
+        assert np.array_equal(piece.forcing(times, traces), np.stack(per_time))
 
 
 def _augmented_phi(a, k):
