@@ -10,12 +10,4 @@ relaxation) and an experiment harness that records convergence rates
 and accuracy tables as CSV.
 """
 
-from .matfunc import (
-    build_laplacian_1d,
-    build_laplacian_2d,
-    spectral_factorization,
-    spectral_factorization_2d,
-    phi_scalar,
-)
-
 __version__ = "0.1.0"

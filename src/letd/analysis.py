@@ -18,7 +18,7 @@ is returned.  Applied to an exact geometric curve r^k this yields r^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,19 +31,12 @@ class ErrorReport:
 
     linf_space[m] is the max-norm error at level m; linf_spacetime the
     max over levels.  reference_scale is the space-time max magnitude of
-    the reference, so relative_spacetime is directly comparable across
-    problems.
+    the reference, the scale of a relative error.
     """
 
     linf_space: np.ndarray
     linf_spacetime: float
     reference_scale: float
-
-    @property
-    def relative_spacetime(self) -> float:
-        if self.reference_scale <= 0.0:
-            raise ValueError("reference is identically zero; relative error undefined")
-        return self.linf_spacetime / self.reference_scale
 
 
 def linf_norms(history: np.ndarray, reference: np.ndarray) -> ErrorReport:

@@ -169,9 +169,6 @@ class Grid:
         """Coordinates of node index/indices j (1-based) along an axis."""
         return self.origin[axis] + np.asarray(j) * self.spacings[axis]
 
-    def interior(self, axis: int = 0) -> np.ndarray:
-        return self.coords(np.arange(1, self.shape[axis] + 1), axis)
-
     def mesh(self, box: "Box") -> tuple[np.ndarray, ...]:
         """Node coordinates of a box, one array per axis, shaped to
         broadcast against each other (x[:, None], y[None, :] in 2d)."""
@@ -202,12 +199,6 @@ class Box:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(hi - lo + 1 for lo, hi in zip(self.lo, self.hi))
-
-    def local(self, node: tuple[int, ...]) -> tuple[int, ...]:
-        """0-based local index of a global node this box owns."""
-        if not all(lo <= j <= hi for lo, j, hi in zip(self.lo, node, self.hi)):
-            raise ValueError(f"node {node} not owned by box {self.lo}..{self.hi}")
-        return tuple(j - lo for j, lo in zip(node, self.lo))
 
 
 def _with(values: tuple, k: int, value) -> tuple:

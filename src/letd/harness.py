@@ -22,13 +22,13 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import estimate_contraction
+from .analysis import ErrorReport, estimate_contraction, linf_norms
 from .geometry import (
     Box,
     Problem,
@@ -37,7 +37,6 @@ from .geometry import (
     make_grid_1d,
     make_grid_2d,
 )
-from .matfunc import DirichletLaplacian, spectral_factorization
 from .schwarz import (
     SolverConfig,
     build_local_pieces,
@@ -46,7 +45,7 @@ from .schwarz import (
     method2_solve,
     random_trace_guess,
 )
-from .steppers import TimeGrid, make_workspace, run_monodomain
+from .steppers import TimeGrid, run_monodomain
 
 PROBLEMS = ("error_equation", "analytic_1d", "analytic_2d")
 SOLVERS = ("mono", "method1", "method2")
@@ -319,11 +318,8 @@ def _solve(config, problem, grid, layout, timegrid, guess=None, final_only=False
     last) and the iteration logs: one per level for method 1, one for
     method 2, none for the monodomain run."""
     if config.solver == "mono":
-        ws = make_workspace(
-            spectral_factorization(DirichletLaplacian(grid.shape, problem.nu, grid.spacings)),
-            timegrid.dt)
         whole = Box((1,) * len(grid.shape), grid.shape)
-        return [whole], [run_monodomain(problem, grid, timegrid, config.scheme, ws,
+        return [whole], [run_monodomain(problem, grid, timegrid, config.scheme,
                                         final_only=final_only)], []
     pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
     scfg = config.solver_config()
@@ -348,21 +344,17 @@ def _record_logs(result, config, tag, logs, levels=None) -> None:
         result.notes["unconverged_runs"] = result.notes.get("unconverged_runs", 0) + 1
 
 
-def _max_error(problem, grid, boxes, trajs, t) -> float:
-    """Largest |traj - exact| over the pieces; the exact solution is taken
-    at time(s) t, broadcast against any leading time axis of the trajs."""
-    err = 0.0
-    for box, traj in zip(boxes, trajs):
-        lead = (1,) * (traj.ndim - len(box.shape))
-        exact = problem.exact(*(x.reshape(lead + x.shape) for x in grid.mesh(box)), t)
-        err = max(err, float(np.abs(traj - exact).max()))
-    return err
+def _piece_errors(problem, grid, boxes, trajs, times) -> list[ErrorReport]:
+    """`linf_norms` of each piece's trajectory against the exact solution on
+    the piece's box, level m taken at times[m]; a NaN raises ValueError."""
+    t = np.reshape(times, (-1,) + (1,) * len(grid.shape))
+    return [linf_norms(traj, problem.exact(*grid.mesh(box), t))
+            for box, traj in zip(boxes, trajs)]
 
 
 def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> None:
     problem = builtin_problem("analytic_1d", config.horizon)
     grid = make_grid_1d(config.n, problem.length, origin=problem.origin)
-    xs = grid.interior()
     if config.solver == "mono":
         loops = [("", None)]
     else:
@@ -373,15 +365,17 @@ def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> No
         for dt in config.dts:
             steps = int(round(config.horizon / dt))
             timegrid = TimeGrid(config.horizon, steps)
-            times = timegrid.times()
-            scale = float(np.abs(problem.exact(xs[None, :], times[:, None])).max())
             tag = (f"{config.problem}-{config.solver}-{config.scheme}"
                    + (f"-d{delta}" if delta != "" else "")
                    + f"-dt{dt:g}-T{config.horizon:g}")
             boxes, trajs, logs = _solve(config, problem, grid, layout, timegrid)
             _record_logs(result, config, tag, logs)
             iters = sum(log.iterations for log in logs) if logs else ""
-            rel = _max_error(problem, grid, boxes, trajs, times[:, None]) / scale
+            # the pieces cover the grid, so the largest scale is the exact
+            # solution's space-time max
+            errors = _piece_errors(problem, grid, boxes, trajs, timegrid.times())
+            rel = (max(e.linf_spacetime for e in errors)
+                   / max(e.reference_scale for e in errors))
             order = "" if not order_in else (math.log2(order_in[-1][1] / rel)
                                              / math.log2(order_in[-1][0] / dt))
             order_in.append((dt, rel))
@@ -413,7 +407,8 @@ def _accuracy_study_2d(config: ExperimentConfig, result: ExperimentResult) -> No
     boxes, trajs, logs = _solve(config, problem, grid, layout, timegrid, guess, final_only=True)
     _record_logs(result, config, tag, logs, levels=4)
     iters = max(log.iterations for log in logs) if logs else ""
-    err = _max_error(problem, grid, boxes, [traj[-1] for traj in trajs], config.horizon)
+    errors = _piece_errors(problem, grid, boxes, [traj[-1:] for traj in trajs], [config.horizon])
+    err = max(e.linf_spacetime for e in errors)
     result.summary_rows.append(
         (tag, delta, dt, config.horizon, 1 if config.solver == "mono" else config.px,
          config.scheme, config.solver, "", err, "", iters))
@@ -518,9 +513,18 @@ def _ignored_settings(config: ExperimentConfig) -> dict:
     ignored = {}
     if config.problem != "analytic_2d":
         ignored["ny"] = f"--ny: problem {config.problem} has no y axis"
+        ignored["overlap_convention"] = (f"--overlap-convention: problem {config.problem} "
+                                         "widens both sides of a break by --overlap-cells")
+    if config.problem == "error_equation":
+        for key, flag in (("tolerance", "--tol"), ("max_iterations", "--max-iters")):
+            ignored[key] = f"{flag}: a rate study runs a fixed sweep budget"
     if config.solver == "mono":
-        ignored["subdomains"] = "--subdomains: solver mono runs one piece"
-        ignored["overlaps"] = "--overlap-cells: solver mono runs one piece"
+        for key, flag in (("subdomains", "--subdomains"), ("overlaps", "--overlap-cells"),
+                          ("overlap_convention", "--overlap-convention")):
+            ignored[key] = f"{flag}: solver mono runs one piece"
+        for key, flag in (("tolerance", "--tol"), ("max_iterations", "--max-iters"),
+                          ("fixed_iterations", "--fixed-iters")):
+            ignored[key] = f"{flag}: solver mono does not iterate"
     if config.problem != "error_equation" and (config.problem, config.solver) != (
             "analytic_2d", "method2"):
         for key in ("seed", "seeds"):

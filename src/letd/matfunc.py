@@ -103,15 +103,6 @@ class DirichletLaplacian:
         s = np.sin(j * np.pi / (2.0 * (n + 1)))
         return -4.0 * self._axis_scale(k) * s * s
 
-    def _axis_dense(self, k: int) -> np.ndarray:
-        n, w = self.shape[k], self._axis_scale(k)
-        a = np.zeros((n, n))
-        idx = np.arange(n)
-        a[idx, idx] = -2.0 * w
-        a[idx[:-1], idx[:-1] + 1] = w
-        a[idx[:-1] + 1, idx[:-1]] = w
-        return a
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues on the mode grid: entry (i, j, ...) is lambda_i +
         lambda_j + ...; a single axis is ascending in mode number."""
@@ -119,17 +110,6 @@ class DirichletLaplacian:
         for k in range(1, len(self.shape)):
             lam = np.add.outer(lam, self._axis_eigenvalues(k))
         return lam
-
-    def dense(self) -> np.ndarray:
-        """Materialize the matrix (for small oracles); row index = nodes in
-        C order, axis 0 slowest: sum_k I x .. x A_k x .. x I."""
-        total = math.prod(self.shape)
-        out = np.zeros((total, total))
-        for k, n in enumerate(self.shape):
-            before = math.prod(self.shape[:k])
-            after = total // (before * n)
-            out += np.kron(np.kron(np.eye(before), self._axis_dense(k)), np.eye(after))
-        return out
 
 
 def build_laplacian_1d(n: int, nu: float, h: float) -> DirichletLaplacian:

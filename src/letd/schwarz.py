@@ -71,7 +71,6 @@ fixed sweep budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -105,7 +104,6 @@ __all__ = [
     "method1_march",
     "method2_solve",
     "theoretical_rate",
-    "superlinear_bound",
 ]
 
 # Below this magnitude an initial-guess trace is treated as zero and the
@@ -176,29 +174,12 @@ class IterationLog:
         rows = self.errors if self.errors is not None else self.updates
         return rows.max(axis=1)
 
-    def normalized(self) -> np.ndarray:
-        """curve() scaled so the first logged entry is 1."""
-        c = self.curve()
-        denom = c[0] if c.size and c[0] > 0 else 1.0
-        return c / denom
-
 
 def theoretical_rate(alpha: float, beta: float) -> float:
     """Two-iteration Schwarz contraction kappa = alpha(1-beta)/(beta(1-alpha))."""
     if not 0.0 < alpha < beta < 1.0:
         raise ValueError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
     return alpha * (1.0 - beta) / (beta * (1.0 - alpha))
-
-
-def superlinear_bound(k: int, alpha: float, beta: float, length: float, nu: float, horizon: float) -> float:
-    """Short-window waveform-relaxation bound erfc(k (beta-alpha) L / (2 sqrt(nu T)))."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    if not 0.0 < alpha < beta < 1.0:
-        raise ValueError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
-    if length <= 0 or nu <= 0 or horizon <= 0:
-        raise ValueError("length, nu and horizon must be positive")
-    return math.erfc(k * (beta - alpha) * length / (2.0 * math.sqrt(nu * horizon)))
 
 
 @dataclass(frozen=True)

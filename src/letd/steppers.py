@@ -29,7 +29,7 @@ from typing import Literal
 import numpy as np
 
 from .geometry import Box, Grid, Problem, assemble_forcing, boundary_data, box_forcing
-from .matfunc import SpectralFactorization, phi_scalar
+from .matfunc import DirichletLaplacian, SpectralFactorization, phi_scalar, spectral_factorization
 
 __all__ = [
     "TimeGrid",
@@ -103,19 +103,23 @@ def run_monodomain(
     grid: Grid,
     timegrid: TimeGrid,
     scheme: Scheme,
-    ws: StepWorkspace,
     *,
     final_only: bool = False,
 ) -> np.ndarray:
     """March the whole domain; returns the trajectory including t = 0.
 
-    Shape (steps + 1, *grid.shape).  The state is kept in mode space
-    across steps so each step costs two DSTs.  With `final_only` the
-    trajectory holds level 0 and the last level alone, shape
-    (2, *grid.shape), and only the last level is transformed back.
+    Shape (steps + 1, *grid.shape).  The step kernels are built from
+    problem.nu, the grid and timegrid.dt, as `build_local_pieces` builds a
+    piece's.  The state is kept in mode space across steps so each step
+    costs two DSTs.  With `final_only` the trajectory holds level 0 and
+    the last level alone, shape (2, *grid.shape), and only the last level
+    is transformed back.
     """
     if scheme not in ("etd1", "etd2"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    ws = make_workspace(
+        spectral_factorization(DirichletLaplacian(grid.shape, problem.nu, grid.spacings)),
+        timegrid.dt)
     fa = ws.fact
     fc = box_forcing(problem, grid, Box((1,) * len(grid.shape), grid.shape))
     u0 = fc.initial_state()

@@ -1,14 +1,75 @@
-"""Independent routes that the tests check the library against: dense
-matrix functions for the sine-mode phi products, single ETD1/ETD2 steps
-on fields (the field route of the drivers' mode-space recursion), and
-iteration-free and field-marching routes for the Schwarz drivers.  Not a
-test module: pytest collects no tests here, the test modules import it."""
+"""Independent routes that the tests check the library against: the dense
+Laplacian and dense matrix functions for the sine-mode phi products,
+single ETD1/ETD2 steps on fields (the field route of the drivers'
+mode-space recursion), iteration-free and field-marching routes for the
+Schwarz drivers, and the closed-form bounds and index helpers the tests
+state their expectations with.  Not a test module: pytest collects no
+tests here, the test modules import it."""
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
-from letd.matfunc import SpectralFactorization, phi_scalar
-from letd.schwarz import initial_traces
+from letd.analysis import ErrorReport
+from letd.geometry import Box, Grid
+from letd.matfunc import DirichletLaplacian, SpectralFactorization, phi_scalar
+from letd.schwarz import IterationLog, initial_traces
 from letd.steppers import StepWorkspace
+
+
+def dense_laplacian(op: DirichletLaplacian) -> np.ndarray:
+    """The operator as a dense matrix; row index = nodes in C order, axis 0
+    slowest: sum_k I x .. x A_k x .. x I, A_k = (nu / h_k^2) tridiag(1, -2, 1)."""
+    total = math.prod(op.shape)
+    out = np.zeros((total, total))
+    for k, n in enumerate(op.shape):
+        w = op.nu / op.spacings[k] ** 2
+        a = np.zeros((n, n))
+        idx = np.arange(n)
+        a[idx, idx] = -2.0 * w
+        a[idx[:-1], idx[:-1] + 1] = w
+        a[idx[:-1] + 1, idx[:-1]] = w
+        before = math.prod(op.shape[:k])
+        after = total // (before * n)
+        out += np.kron(np.kron(np.eye(before), a), np.eye(after))
+    return out
+
+
+def superlinear_bound(k: int, alpha: float, beta: float, length: float, nu: float, horizon: float) -> float:
+    """Short-window waveform-relaxation bound erfc(k (beta-alpha) L / (2 sqrt(nu T)))."""
+    if k < 0:
+        raise ValueError("iteration count must be nonnegative")
+    if not 0.0 < alpha < beta < 1.0:
+        raise ValueError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
+    if length <= 0 or nu <= 0 or horizon <= 0:
+        raise ValueError("length, nu and horizon must be positive")
+    return math.erfc(k * (beta - alpha) * length / (2.0 * math.sqrt(nu * horizon)))
+
+
+def normalized_curve(log: IterationLog) -> np.ndarray:
+    """log.curve() scaled so the first logged entry is 1."""
+    c = log.curve()
+    denom = c[0] if c.size and c[0] > 0 else 1.0
+    return c / denom
+
+
+def interior_nodes(grid: Grid, axis: int = 0) -> np.ndarray:
+    """Coordinates of the interior nodes 1..n of one grid axis."""
+    return grid.coords(np.arange(1, grid.shape[axis] + 1), axis)
+
+
+def relative_spacetime(report: ErrorReport) -> float:
+    """The report's space-time error relative to its reference scale."""
+    if report.reference_scale <= 0.0:
+        raise ValueError("reference is identically zero; relative error undefined")
+    return report.linf_spacetime / report.reference_scale
+
+
+def local_index(box: Box, node: tuple) -> tuple:
+    """0-based local index of a global node the box owns."""
+    if not all(lo <= j <= hi for lo, j, hi in zip(box.lo, node, box.hi)):
+        raise ValueError(f"node {node} not owned by box {box.lo}..{box.hi}")
+    return tuple(j - lo for j, lo in zip(node, box.lo))
 
 
 def apply_phi(fact: SpectralFactorization, k: int, dt: float, v: np.ndarray) -> np.ndarray:

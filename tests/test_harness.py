@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from letd import harness
+from letd.geometry import decompose_1d, make_grid_1d
 from letd.harness import (
     DECAY_COLUMNS,
     SUMMARY_COLUMNS,
@@ -18,6 +19,7 @@ from letd.harness import (
     run_experiment,
 )
 from letd.schwarz import IterationLog
+from letd.steppers import TimeGrid
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,21 @@ def test_unconverged_runs_are_reported_in_the_header_and_on_stderr(kw, count, ca
     assert capsys.readouterr().err == ""
 
 
+def test_piece_errors_reject_a_trajectory_holding_a_nan():
+    # the studies measure every piece through analysis.linf_norms, which
+    # raises on a NaN instead of letting it through to the CSV
+    problem = builtin_problem("analytic_1d")
+    grid = make_grid_1d(15, problem.length, origin=problem.origin)
+    layout = decompose_1d(grid, 2, 2)
+    times = TimeGrid(problem.horizon, 4).times()
+    trajs = [problem.exact(*grid.mesh(box), times[:, None]) for box in layout.pieces]
+    errors = harness._piece_errors(problem, grid, layout.pieces, trajs, times)
+    assert [e.linf_spacetime for e in errors] == [0.0, 0.0]
+    trajs[1][2, 3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        harness._piece_errors(problem, grid, layout.pieces, trajs, times)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -401,7 +418,26 @@ def test_config_file_and_flags_give_the_same_config(tmp_path):
      "--seed: problem analytic_1d with solver method2 draws no random guess"),
     (["--problem", "analytic_2d", "--solver", "method1", "--seeds", "2"],
      "--seeds: problem analytic_2d with solver method1 draws no random guess"),
-], ids=["ny-1d", "ny-rate", "subdomains-mono", "overlap-cells-mono", "seed-1d", "seeds-2d-method1"])
+    (["--problem", "analytic_1d", "--solver", "method2", "--overlap-convention", "half"],
+     "--overlap-convention: problem analytic_1d widens both sides of a break by --overlap-cells"),
+    (["--problem", "error_equation", "--overlap-convention", "full"],
+     "--overlap-convention: problem error_equation widens both sides of a break by "
+     "--overlap-cells"),
+    (["--problem", "analytic_2d", "--solver", "mono", "--overlap-convention", "half"],
+     "--overlap-convention: solver mono runs one piece"),
+    (["--problem", "analytic_1d", "--solver", "mono", "--tol", "1e-8"],
+     "--tol: solver mono does not iterate"),
+    (["--problem", "analytic_2d", "--solver", "mono", "--max-iters", "50"],
+     "--max-iters: solver mono does not iterate"),
+    (["--problem", "analytic_1d", "--solver", "mono", "--fixed-iters", "4"],
+     "--fixed-iters: solver mono does not iterate"),
+    (["--problem", "error_equation", "--solver", "method1", "--tol", "1e-8"],
+     "--tol: a rate study runs a fixed sweep budget"),
+    (["--problem", "error_equation", "--solver", "method2", "--max-iters", "50"],
+     "--max-iters: a rate study runs a fixed sweep budget"),
+], ids=["ny-1d", "ny-rate", "subdomains-mono", "overlap-cells-mono", "seed-1d", "seeds-2d-method1",
+        "overlap-convention-1d", "overlap-convention-rate", "overlap-convention-mono",
+        "tol-mono", "max-iters-mono", "fixed-iters-mono", "tol-rate", "max-iters-rate"])
 def test_cli_rejects_settings_the_run_does_not_use(argv, message, tmp_path, capsys):
     assert main(argv + ["--n", "15", "--dt", "0.125", "--T", "0.25"]) == 2
     assert message in capsys.readouterr().err

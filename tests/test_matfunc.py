@@ -18,7 +18,7 @@ from letd.matfunc import (
     spectral_factorization,
     spectral_factorization_2d,
 )
-from oracles import apply_phi, expm_dense
+from oracles import apply_phi, dense_laplacian, expm_dense
 
 # Reference values computed with mpmath at 50 decimal digits, rounded to
 # double precision.  phi0(-1e6) underflows to zero in doubles, which is the
@@ -78,7 +78,7 @@ def test_laplacian_validation():
 
 def test_dense_matches_stencil():
     op = build_laplacian_1d(5, 2.0, 0.25)
-    A = op.dense()
+    A = dense_laplacian(op)
     w = 2.0 / 0.25**2
     assert A.shape == (5, 5)
     assert np.allclose(np.diag(A), -2 * w)
@@ -90,7 +90,7 @@ def test_dense_matches_stencil():
 def test_eigenvalues_match_dense_spectrum():
     op = build_laplacian_1d(13, 0.7, 0.11)
     lam = np.sort(op.eigenvalues())
-    dense = np.sort(scipy.linalg.eigvalsh(op.dense()))
+    dense = np.sort(scipy.linalg.eigvalsh(dense_laplacian(op)))
     assert np.allclose(lam, dense, rtol=1e-12, atol=1e-9)
 
 
@@ -101,7 +101,7 @@ def test_sine_transform_diagonalizes_operator():
     v = rng.standard_normal(17)
     # A v computed through the factorization equals the dense product
     got = fact.from_modes(fact.spectrum * fact.to_modes(v))
-    assert np.allclose(got, op.dense() @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got, dense_laplacian(op) @ v, rtol=1e-12, atol=1e-12)
 
 
 def test_transform_roundtrip_and_batching():
@@ -140,7 +140,7 @@ def test_apply_phi_matches_dense_augmented_exponential(k, n, dt):
     rng = np.random.default_rng(n + k)
     v = rng.standard_normal(n)
     got = apply_phi(fact, k, dt, v)
-    want = _phi_dense_times(k, dt * op.dense(), v)
+    want = _phi_dense_times(k, dt * dense_laplacian(op), v)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(got - want).max() < 5e-13 * scale
 
@@ -153,10 +153,10 @@ def test_apply_phi_rejects_negative_dt():
 
 def test_2d_operator_is_kronecker_sum():
     op = build_laplacian_2d(3, 4, 1.1, 0.25, 0.2)
-    Ax = build_laplacian_1d(3, 1.1, 0.25).dense()
-    Ay = build_laplacian_1d(4, 1.1, 0.2).dense()
+    Ax = dense_laplacian(build_laplacian_1d(3, 1.1, 0.25))
+    Ay = dense_laplacian(build_laplacian_1d(4, 1.1, 0.2))
     want = np.kron(Ax, np.eye(4)) + np.kron(np.eye(3), Ay)
-    assert np.allclose(op.dense(), want, atol=1e-12)
+    assert np.allclose(dense_laplacian(op), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -167,7 +167,7 @@ def test_apply_phi_2d_matches_dense(k):
     field = rng.standard_normal((4, 3))
     dt = 0.15
     got = apply_phi(fact, k, dt, field)
-    want = _phi_dense_times(k, dt * op.dense(), field.ravel()).reshape(4, 3)
+    want = _phi_dense_times(k, dt * dense_laplacian(op), field.ravel()).reshape(4, 3)
     assert np.abs(got - want).max() < 1e-12
 
 

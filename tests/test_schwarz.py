@@ -10,12 +10,7 @@ from scipy.fft import dstn
 from letd import schwarz
 from letd.geometry import Problem, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
 from letd.harness import ExperimentConfig, builtin_problem, run_experiment
-from letd.matfunc import (
-    DirichletLaplacian,
-    SpectralFactorization,
-    build_laplacian_1d,
-    spectral_factorization,
-)
+from letd.matfunc import DirichletLaplacian, SpectralFactorization
 from letd.schwarz import (
     Level,
     SolverConfig,
@@ -25,11 +20,18 @@ from letd.schwarz import (
     method1_march,
     method2_solve,
     random_trace_guess,
-    superlinear_bound,
     theoretical_rate,
 )
-from letd.steppers import TimeGrid, make_workspace, run_monodomain
-from oracles import direct_step, direct_window_traces, expm_dense, field_window_sweep
+from letd.steppers import TimeGrid, run_monodomain
+from oracles import (
+    dense_laplacian,
+    direct_step,
+    direct_window_traces,
+    expm_dense,
+    field_window_sweep,
+    normalized_curve,
+    superlinear_bound,
+)
 
 PI2 = math.pi ** 2
 
@@ -143,8 +145,7 @@ def test_single_piece_march_matches_monodomain():
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme="etd2", tolerance=1e-10)
     trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    ws = make_workspace(spectral_factorization(build_laplacian_1d(n, prob.nu, grid.h)), tg.dt)
-    mono = run_monodomain(prob, grid, tg, "etd2", ws)
+    mono = run_monodomain(prob, grid, tg, "etd2")
     assert np.abs(trajs[0] - mono).max() < 1e-11 * np.abs(mono).max()
 
 
@@ -351,7 +352,7 @@ def test_normalized_decay_curve_starts_at_one():
     _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
                              0.0, 0.02, cfg, init_guess=guess,
                              reference=zero_reference(lay.interfaces))
-    norm = log.normalized()
+    norm = normalized_curve(log)
     assert norm[0] == pytest.approx(1.0)
     assert (np.diff(np.log(norm[: 6])) < 0).all()
 
@@ -771,10 +772,8 @@ def test_final_only_runs_never_hold_every_level(driver):
     lay = decompose_2d(31, 31, 2, 2, 2, "half")
     tg = TimeGrid(prob.horizon, 64)
     if driver == "mono":
-        ws = make_workspace(spectral_factorization(
-            DirichletLaplacian(grid.shape, prob.nu, grid.spacings)), tg.dt)
         nodes = math.prod(grid.shape)
-        run = lambda **kw: run_monodomain(prob, grid, tg, "etd2", ws, **kw)
+        run = lambda **kw: run_monodomain(prob, grid, tg, "etd2", **kw)
     else:
         pieces = build_local_pieces(prob, grid, lay, tg.dt)
         nodes = sum(p.u0.size for p in pieces)
@@ -865,7 +864,7 @@ def test_step_gains_of_a_middle_piece_match_the_dense_phi_functions(scheme):
     box = lay.pieces[middle]
     piece = build_local_pieces(prob, grid, lay, tg.dt)[middle]
     dt = tg.dt
-    a = DirichletLaplacian(box.shape, prob.nu, grid.spacings).dense()
+    a = dense_laplacian(DirichletLaplacian(box.shape, prob.nu, grid.spacings))
     kernel = dt * _augmented_phi(dt * a, 1 if scheme == "etd1" else 2)
     inflow = [itf for itf in lay.interfaces if itf.reader == middle]
     outflow = [itf for itf in lay.interfaces if itf.owner == middle]

@@ -24,14 +24,20 @@ from letd.matfunc import (
     build_laplacian_1d,
     build_laplacian_2d,
     spectral_factorization,
-    spectral_factorization_2d,
 )
 from letd.steppers import (
     TimeGrid,
     make_workspace,
     run_monodomain,
 )
-from oracles import direct_step, etd1_step, etd2_step
+from oracles import (
+    dense_laplacian,
+    direct_step,
+    etd1_step,
+    etd2_step,
+    interior_nodes,
+    local_index,
+)
 
 PI2 = math.pi ** 2
 
@@ -87,7 +93,7 @@ def test_etd1_exact_for_constant_forcing():
     u0 = rng.standard_normal(n)
     fbar = rng.standard_normal(n)
     got = etd1_step(ws, u0, fbar)
-    want = _exact_flow(op.dense(), dt, u0, lambda t: fbar, 0.0)
+    want = _exact_flow(dense_laplacian(op), dt, u0, lambda t: fbar, 0.0)
     assert np.abs(got - want).max() < 1e-11
 
 
@@ -100,7 +106,7 @@ def test_etd2_exact_for_linear_forcing():
     a, b = rng.standard_normal(n), rng.standard_normal(n)
     F = lambda t: a + b * t
     got = etd2_step(ws, u0, F(0.0), F(dt))
-    want = _exact_flow(op.dense(), dt, u0, F, 0.0)
+    want = _exact_flow(dense_laplacian(op), dt, u0, F, 0.0)
     assert np.abs(got - want).max() < 1e-11
 
 
@@ -122,7 +128,7 @@ def test_single_step_defect_order(scheme, order):
             got = etd1_step(ws, u0, F(dt))
         else:
             got = etd2_step(ws, u0, F(0.0), F(dt))
-        want = _exact_flow(op.dense(), dt, u0, F, 0.0)
+        want = _exact_flow(dense_laplacian(op), dt, u0, F, 0.0)
         defects.append(np.abs(got - want).max())
     rates = [math.log2(defects[i] / defects[i + 1]) for i in range(2)]
     assert all(abs(r - order) < 0.35 for r in rates), (defects, rates)
@@ -135,11 +141,11 @@ def test_local_step_on_whole_domain_matches_monodomain_step():
     dt = 0.01
     ws = make_workspace(spectral_factorization(build_laplacian_1d(n, prob.nu, grid.h)), dt)
     lay = decompose_1d(grid, 1, 0)
-    u0 = prob.initial(grid.interior())
+    u0 = prob.initial(interior_nodes(grid))
     bc = lambda t: (float(prob.boundary(-1.0, t)), float(prob.boundary(1.0, t)))
     fc = box_forcing(prob, grid, lay.pieces[0])
     one = local_step(ws, "etd2", u0, fc, 0.0, dt, bc(0.0), bc(dt))
-    traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd2", ws)
+    traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd2")
     assert np.abs(one - traj[1]).max() < 1e-12
 
 
@@ -153,17 +159,17 @@ def test_coupled_step_is_a_fixed_point_of_local_steps(scheme):
     dt = 0.01
     ws1 = make_workspace(spectral_factorization(build_laplacian_1d(p1.shape[0], prob.nu, grid.h)), dt)
     ws2 = make_workspace(spectral_factorization(build_laplacian_1d(p2.shape[0], prob.nu, grid.h)), dt)
-    xs = grid.interior()
+    xs = interior_nodes(grid)
     u1 = prob.initial(xs[p1.lo[0] - 1:p1.hi[0]])
     u2 = prob.initial(xs[p2.lo[0] - 1:p2.hi[0]])
     v1, v2 = direct_step(build_local_pieces(prob, grid, lay, dt), lay.interfaces, [u1, u2],
                          0.0, dt, scheme)
     # re-run each local step feeding the solved interface values back in
-    s_b = v2[p2.local((p1.hi[0] + 1,))]
-    s_a = v1[p1.local((p2.lo[0] - 1,))]
+    s_b = v2[local_index(p2, (p1.hi[0] + 1,))]
+    s_a = v1[local_index(p1, (p2.lo[0] - 1,))]
     bl, br = float(prob.boundary(-1.0, dt)), float(prob.boundary(1.0, dt))
-    bc1_now = (float(prob.boundary(-1.0, 0.0)), float(u2[p2.local((p1.hi[0] + 1,))]))
-    bc2_now = (float(u1[p1.local((p2.lo[0] - 1,))]), float(prob.boundary(1.0, 0.0)))
+    bc1_now = (float(prob.boundary(-1.0, 0.0)), float(u2[local_index(p2, (p1.hi[0] + 1,))]))
+    bc2_now = (float(u1[local_index(p1, (p2.lo[0] - 1,))]), float(prob.boundary(1.0, 0.0)))
     r1 = local_step(ws1, scheme, u1, box_forcing(prob, grid, p1), 0.0, dt, bc1_now, (bl, s_b))
     r2 = local_step(ws2, scheme, u2, box_forcing(prob, grid, p2), 0.0, dt, bc2_now, (s_a, br))
     scale = max(np.abs(v1).max(), np.abs(v2).max())
@@ -213,8 +219,7 @@ def test_boundary_driven_solution_obeys_interpolant_bound():
     j = np.arange(1, n + 1)
     bound = ((n + 1 - j) * sup1 + j * sup2) / (n + 1)
     for scheme in ("etd1", "etd2"):
-        ws = make_workspace(spectral_factorization(build_laplacian_1d(n, 1.0, grid.h)), tg.dt)
-        traj = run_monodomain(prob, grid, tg, scheme, ws)
+        traj = run_monodomain(prob, grid, tg, scheme)
         assert (np.abs(traj) <= bound[None, :] + 1e-12).all()
 
 
@@ -222,7 +227,7 @@ def test_propagator_nonnegative_and_substochastic_small():
     for n in (5, 16, 33):
         op = build_laplacian_1d(n, 1.0, 1.0 / (n + 1))
         for t in (1e-3, 0.05, 1.0):
-            E = scipy.linalg.expm(t * op.dense())
+            E = scipy.linalg.expm(t * dense_laplacian(op))
             assert E.min() >= -1e-14
             assert E.sum(axis=1).max() <= 1.0 + 1e-12
 
@@ -250,12 +255,11 @@ def test_monodomain_observed_temporal_order(scheme, target):
     prob = analytic_problem()
     n = 511
     grid = make_grid_1d(n, prob.length, origin=prob.origin)
-    xs = grid.interior()
+    xs = interior_nodes(grid)
     errs = []
     for steps in (10, 20, 40):
         tg = TimeGrid(prob.horizon, steps)
-        ws = make_workspace(spectral_factorization(build_laplacian_1d(n, prob.nu, grid.h)), tg.dt)
-        traj = run_monodomain(prob, grid, tg, scheme, ws)
+        traj = run_monodomain(prob, grid, tg, scheme)
         exact = prob.exact(xs[None, :], tg.times()[:, None])
         errs.append(np.abs(traj - exact).max() / np.abs(exact).max())
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -272,10 +276,8 @@ def test_monodomain_final_only_keeps_the_end_levels_bitwise(dim, scheme):
         prob = builtin_problem("analytic_2d")
         grid = make_grid_2d(15, 12, prob.lengths)
     tg = TimeGrid(prob.horizon, 9)
-    ws = make_workspace(spectral_factorization(
-        DirichletLaplacian(grid.shape, prob.nu, grid.spacings)), tg.dt)
-    full = run_monodomain(prob, grid, tg, scheme, ws)
-    kept = run_monodomain(prob, grid, tg, scheme, ws, final_only=True)
+    full = run_monodomain(prob, grid, tg, scheme)
+    kept = run_monodomain(prob, grid, tg, scheme, final_only=True)
     assert kept.shape == (2,) + grid.shape
     assert np.array_equal(kept, [full[0], full[-1]])
 
@@ -291,12 +293,11 @@ def test_monodomain_2d_single_step_matches_dense_exponential():
     grid = make_grid_2d(nx, ny, prob.lengths)
     dt = 0.02
     op = build_laplacian_2d(nx, ny, prob.nu, grid.x.h, grid.y.h)
-    ws = make_workspace(spectral_factorization_2d(op), dt)
-    traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd1", ws)
+    traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd1")
 
     full = box_forcing(prob, grid, Box((1, 1), (nx, ny)))
     F = assemble_forcing(full, dt, [boundary_data(full, k, dt) for k in range(4)])
-    A = op.dense()
+    A = dense_laplacian(op)
     lam, V = np.linalg.eigh(A)
     u0 = traj[0].ravel()
     Eu = V @ (np.exp(dt * lam) * (V.T @ u0))
@@ -311,10 +312,10 @@ def _eigh_etd2_final(prob, grid, tg):
     """ETD2 monodomain march without sine transforms: dense eigh of the two
     1d Laplacians, forcing with the five-point boundary closure built here,
     and the tensorized recursion in the eigenbasis.  Returns the final field."""
-    xs, ys = grid.interior(0), grid.interior(1)
+    xs, ys = interior_nodes(grid, 0), interior_nodes(grid, 1)
     (nx, ny), (hx, hy) = grid.shape, grid.spacings
-    lx, vx = np.linalg.eigh(build_laplacian_1d(nx, prob.nu, hx).dense())
-    ly, vy = np.linalg.eigh(build_laplacian_1d(ny, prob.nu, hy).dense())
+    lx, vx = np.linalg.eigh(dense_laplacian(build_laplacian_1d(nx, prob.nu, hx)))
+    ly, vy = np.linalg.eigh(dense_laplacian(build_laplacian_1d(ny, prob.nu, hy)))
     # |z| >= 7e-3 on the grids used here, so the expm1 forms lose < 1e-13
     z = tg.dt * (lx[:, None] + ly[None, :])
     em1 = np.expm1(z)
@@ -349,10 +350,8 @@ def test_monodomain_2d_etd2_fine_grid_matches_eigh_route_and_is_second_order():
     errs = []
     for n in (31, 63, 127):
         grid = make_grid_2d(n, n, prob.lengths)
-        op = build_laplacian_2d(n, n, prob.nu, grid.x.h, grid.y.h)
-        ws = make_workspace(spectral_factorization_2d(op), tg.dt)
-        u = run_monodomain(prob, grid, tg, "etd2", ws)[-1]
-        exact = prob.exact(grid.interior(0)[:, None], grid.interior(1)[None, :], 0.5)
+        u = run_monodomain(prob, grid, tg, "etd2")[-1]
+        exact = prob.exact(interior_nodes(grid, 0)[:, None], interior_nodes(grid, 1)[None, :], 0.5)
         errs.append(np.abs(u - exact).max())
     want = _eigh_etd2_final(prob, grid, tg)
     assert np.abs(u - want).max() < 1e-12 * np.abs(u).max()
