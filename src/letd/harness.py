@@ -38,6 +38,7 @@ from .geometry import (
     make_grid_2d,
 )
 from .schwarz import (
+    Level,
     SolverConfig,
     build_local_pieces,
     method1_advance,
@@ -195,7 +196,8 @@ class ExperimentResult:
             f"# T: {_fmt(c.horizon)}",
             f"# subdomains: {c.px}x{c.py}",
             f"# overlap_cells: {','.join(str(o) for o in c.overlaps)}",
-            f"# overlap_convention: {c.overlap_convention}",
+            # a 1d layout widens both sides of a break by overlap_cells
+            f"# overlap_convention: {c.overlap_convention if c.problem == 'analytic_2d' else 'half'}",
             f"# tolerance: {_fmt(c.effective_tolerance())}",
             f"# max_iterations: {c.max_iterations}",
             f"# fixed_iterations: {'' if c.fixed_iterations is None else c.fixed_iterations}",
@@ -284,10 +286,11 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
                 seed = config.seed + s
                 run_id = f"{tag}-s{seed}"
                 if config.solver == "method1":
-                    states = [p.u0 for p in pieces]
+                    # a carried level: only the log is read, so no field is rebuilt
+                    start = Level([p.u0 for p in pieces])
                     guess = random_trace_guess(layout.interfaces, seed)
                     _, log = method1_advance(
-                        pieces, layout.interfaces, states, 0.0, timegrid.dt, scfg,
+                        pieces, layout.interfaces, start, 0.0, timegrid.dt, scfg,
                         init_guess=guess,
                         reference=_zero_reference(layout.interfaces),
                     )

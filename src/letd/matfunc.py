@@ -21,10 +21,9 @@ A 1d operator is the one-axis case.
 
 The DST-I runs axis by axis.  An axis of at most `_DENSE_AXIS_MAX` nodes
 is one matrix product with its cached orthonormal sine matrix
-(`axis_sine_matrix`); the longer axes go to pocketfft in one `dstn` call,
-which computes a DST-I of n nodes as an FFT of length 2(n + 1) and is slow
-on the small pieces a localized method makes when n + 1 has a large prime
-factor.
+(`axis_sine_matrix`); a longer axis is a real FFT of length 2(n + 1) of
+its odd extension (`_dst1`, pocketfft's DST-I bit for bit), slow on the
+small pieces of a localized method when n + 1 has a large prime factor.
 
 phi functions used by the exponential time differencing steps:
 
@@ -42,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 
 import numpy as np
-from scipy.fft import dstn
 
 __all__ = [
     "DirichletLaplacian",
@@ -58,11 +56,12 @@ __all__ = [
 ]
 
 # Axes of at most this many nodes transform as one product with their sine
-# matrix, longer ones by pocketfft.  The product was the faster route at
-# every measured n up to 127 (table in CHANGES.md); the bound stays below
-# 127 so that the 1d runs of 128 nodes and up and the 127 x 127 grid keep
-# the FFT route and its bits.
+# matrix, longer ones by a real FFT (`_dst1`).  The product was the faster
+# route at every measured n up to 127 (table in CHANGES.md); the bound stays
+# below 127 so that the 1d runs of 128 nodes and up and the 127 x 127 grid
+# keep the FFT route and its bits.
 _DENSE_AXIS_MAX = 126
+_FFT_BLOCK = 8192  # extension values per FFT call (64 KiB); whole fields took fresh pages per call
 
 # Below this magnitude the direct formulas for phi_1/phi_2 lose digits to
 # cancellation, so a truncated Taylor series takes over.  Twelve terms keep
@@ -128,9 +127,7 @@ class SpectralFactorization:
 
     Transforms act on the trailing len(op.shape) axes of an array; leading
     axes are a batch.  DST-I with orthonormal weights is symmetric and
-    involutive, so one call serves as forward and inverse transform.  Axes
-    of at most `_DENSE_AXIS_MAX` nodes are transformed by one product each
-    with `axis_sine_matrix`, the rest by one pocketfft `dstn` call.
+    involutive, so one call serves as forward and inverse transform.
     """
 
     op: DirichletLaplacian
@@ -142,7 +139,7 @@ class SpectralFactorization:
         if v.shape[-d:] != shape:
             raise ValueError(f"expected trailing shape {shape}, got {v.shape}")
         long_axes = tuple(k - d for k, n in enumerate(shape) if n > _DENSE_AXIS_MAX)
-        out = dstn(v, type=1, norm="ortho", axes=long_axes) if long_axes else v
+        out = _dst1(v, long_axes) if long_axes else v
         for k, n in enumerate(shape):
             if n <= _DENSE_AXIS_MAX:
                 out = _axis_product(out, out.ndim - d + k, axis_sine_matrix(n))
@@ -168,9 +165,34 @@ def axis_sine_matrix(n: int) -> np.ndarray:
     Row i is the transform of the unit vector at node i; the matrix is
     symmetric and its own inverse, so it maps values to sine modes and
     back."""
-    out = dstn(np.eye(n), type=1, norm="ortho", axes=-1)
+    out = _dst1(np.eye(n), (-1,))
     out.flags.writeable = False
     return out
+
+
+def _dst1(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal DST-I of v over `axes`, in order, with pocketfft's bits:
+    per axis of n nodes, minus the imaginary parts of entries 1..n of the
+    real FFT of the odd extension [0, x, 0, -x reversed], m = 2(n + 1) long,
+    scaled once, after the first axis, by 1/sqrt(prod m) rounded from extended
+    precision (a per-axis scale, or one rounded in double, moves the last bit)."""
+    scale = float(-1 / np.sqrt(np.longdouble(math.prod(2 * (v.shape[a] + 1) for a in axes))))
+    for i, a in enumerate(axes):
+        x = np.moveaxis(v, a, -1)
+        n = x.shape[-1]
+        lines = x.reshape(-1, n)
+        out = np.empty(lines.shape)
+        step = max(1, _FFT_BLOCK // (2 * n + 2))
+        ext = np.zeros((min(step, len(lines)), 2 * n + 2))
+        spec = np.empty((len(ext), n + 2), dtype=complex)
+        for s in range(0, len(lines), step):
+            k = min(step, len(lines) - s)
+            ext[:k, 1:n + 1] = lines[s:s + k]
+            np.negative(ext[:k, n:0:-1], out=ext[:k, n + 2:])
+            np.fft.rfft(ext[:k], out=spec[:k])
+            np.multiply(spec[:k, 1:n + 1].imag, scale if i == 0 else -1.0, out=out[s:s + k])
+        v = np.moveaxis(out.reshape(x.shape), -1, a)
+    return v
 
 
 def _axis_product(v: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
@@ -191,9 +213,7 @@ def sine_row(n: int, j: int) -> np.ndarray:
     sine modes sampled at node j.  The matrix is symmetric, so this is the
     transform of the unit vector at j; taking it from the transform keeps
     the transform's own round-off."""
-    unit = np.zeros(n)
-    unit[j] = 1.0
-    return dstn(unit, type=1, norm="ortho")
+    return _dst1(np.eye(1, n, j), (-1,))[0]
 
 
 def sine_matrix(shape: tuple[int, ...]) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Unit tests for the experiment harness: problems, studies, CSVs, CLI."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,8 +260,21 @@ def test_csv_schemas_and_headers():
         assert body[0] == columns
         assert len(body) > 1
         assert any(l.startswith("# wall_time_s:") for l in header)
+        # the config default is "full", but a 1d layout widens both sides
+        assert "# overlap_convention: half" in header
         width = len(columns.split(","))
         assert all(len(l.split(",")) == width for l in body[1:])
+
+
+def test_letd_runs_on_numpy_alone():
+    # a fresh interpreter, so no other test's import of scipy counts
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, letd.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_csv_bodies_are_deterministic_for_a_seed():

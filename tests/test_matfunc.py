@@ -243,13 +243,30 @@ def test_transform_of_a_unit_field_is_the_product_of_sine_rows_bitwise(shape, no
     assert np.array_equal(_factorization(shape).to_modes(unit), want)
 
 
-@pytest.mark.parametrize("shape", [(255,), (511,), (127, 127)], ids=["255", "511", "127x127"])
-def test_long_axes_stay_bitwise_on_pocketfft(shape):
-    # the 1d study pieces and the 2d monodomain keep the FFT route and its bits
-    fact = _factorization(shape)
-    v = np.random.default_rng(9).standard_normal((3,) + shape)
-    assert np.array_equal(fact.to_modes(v), _dstn(v, len(shape)))
-    assert np.array_equal(fact.to_modes(v[0]), _dstn(v[0], len(shape)))
+# the 1d study pieces and the 2d monodomain keep pocketfft's bits, for a
+# batch and for its first entry: the long-axis inputs of the benchmark
+# workloads, with d transformed trailing axes, and an unequal 2d grid
+@pytest.mark.parametrize("shape,d", [
+    pytest.param((3, 255), 1, id="255"),
+    pytest.param((3, 511), 1, id="511"),
+    pytest.param((3, 127, 127), 2, id="127x127"),
+    pytest.param((82, 265), 1, id="82x265"),
+    pytest.param((80, 1, 265), 1, id="80x1x265"),
+    pytest.param((101, 131), 1, id="101x131"),
+    pytest.param((2, 127, 127), 2, id="2x127x127"),
+    pytest.param((3, 130, 200), 2, id="3x130x200"),
+])
+def test_long_axes_stay_bitwise_on_pocketfft(shape, d):
+    fact = _factorization(shape[-d:])
+    v = np.random.default_rng(9).standard_normal(shape)
+    assert np.array_equal(fact.to_modes(v), _dstn(v, d))
+    assert np.array_equal(fact.to_modes(v[0]), _dstn(v[0], d))
+
+
+def test_axis_sine_matrices_are_pocketfft_transforms_of_the_identity_bitwise():
+    # every dense-route matrix, so its products keep the bits they had
+    for n in range(1, matfunc._DENSE_AXIS_MAX + 1):
+        assert np.array_equal(axis_sine_matrix(n), _dstn(np.eye(n), 1)), n
 
 
 @pytest.mark.parametrize("n", [1, 7, 40])
