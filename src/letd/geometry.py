@@ -39,7 +39,9 @@ single-time result.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -221,9 +223,9 @@ class Interface:
     side: int  # 0: low end of the reader along `axis`, 1: high end
     read: Box
 
-    @property
+    @cached_property  # drivers ask it at every level
     def size(self) -> int:
-        return int(np.prod(self.read.shape))
+        return math.prod(self.read.shape)
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,19 @@ time span one sweep covers:
   values stop moving.  A level is the waveform window of one step; only
   its ETD2 starting guess, the first-order predictor, is its own.
 
-Both iterate on the traces alone, in sine-mode space, through one
-window engine.  A piece's state is affine in the traces it reads, so the
+Both iterate on the traces alone, in sine-mode space: one-step windows
+(every method-1 level) through one engine, longer windows through
+another.  A piece's state is affine in the traces it reads, so the
 trace-independent forcing (source and physical boundary data) is
 assembled once per window, in one call over the window's time levels,
-and transformed in one batch per piece.
-Every trace edge moves a history between nodes and modes the same way in
-any dimension: the history times the dense sine matrix of the edge's
-other axes ([[1.0]] in 1d), times the stencil weight, enters the forcing
-modes through the sine row of the border node along the edge axis; an
-owned trace is read out by contracting the mode-space trajectory with the
-sine row of its read node and multiplying by that matrix.  A sweep
-therefore assembles no forcing and runs no DST.
+and transformed in one batch per piece.  Every trace edge moves a
+history between nodes and modes the same way in any dimension: the
+history times the dense sine matrix of the edge's other axes ([[1.0]] in
+1d), times the stencil weight, enters the forcing modes through the sine
+row of the border node along the edge axis; an owned trace is read out
+by contracting the mode-space trajectory with the sine row of its read
+node and multiplying by that matrix.  A sweep therefore assembles no
+forcing and runs no DST.
 
 A window hands its successor its last level in sine-mode space (`Level`):
 per piece the state modes and the trace-independent forcing modes, per
@@ -39,16 +40,17 @@ first window starts from fields, transformed in the batch of its forcing.
 Both drivers write the levels they keep into their trajectories as modes
 (every level, or with `final_only` the last one alone), and each
 trajectory is transformed to fields by one inverse DST per piece at the
-end; a method-1 level thus assembles one forcing and transforms one
-field per piece.
+end.  A method-1 level transforms one field per piece, and its march
+assembles the forcing of four levels at a time.
 
 With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
 table (per lag, from every inflow node to every outflow node) depends on
 the piece, the scheme and the window length alone, so it is built on
 first use and held on the piece, and lives as long as its piece set.  A
-one-step window (every method-1 level) is then one small dense product
-per piece and sweep, a longer 1d window one causal convolution per
+one-step sweep is then one small dense product per piece over one flat
+vector of traces, and its new state one step from the base step's start
+part, with no march; a longer 1d window is one causal convolution per
 (outflow, inflow) pair.  Only longer 2d windows, whose per-lag tables
 would be large, run the mode-space recursion in every sweep.
 
@@ -56,10 +58,9 @@ Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
 the initial state, the forcing data, per-edge closures and the trace
 edges (`EdgeRow`: a sine row along the edge axis and a sine matrix over
-the others) prepared by `build_local_pieces`, and share one sweep loop.
-Interface traces are stored per directed interface as arrays of shape
-(size,) at a single level and (steps + 1, size) over a window; size is
-1 in 1d and the edge length in 2d.
+the others) prepared by `build_local_pieces`, and share one sweep loop,
+which holds levels 1.. of every interface trace (size values per level:
+1 in 1d, the edge length in 2d) in one vector.
 
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -113,6 +113,11 @@ _DENOM_FLOOR = 1e-14
 # Unit traces marched together when a response table is built; bounds the
 # unit fields held at once.
 _UNITS_PER_MARCH = 8
+
+# Levels whose trace-independent forcing a per-step march assembles in one
+# call per piece.  Each level held ahead costs a field per piece; more
+# levels save fewer calls and raise the peak memory (CHANGES.md).
+_AHEAD = 4
 
 TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
 
@@ -231,7 +236,8 @@ class LocalPiece:
     ("trace", i) edges read interface i.  inflow: those trace edges;
     outflow: the node rows whose values this piece provides to neighbors.
     maps: the piece's response tables (`_window_responses`), keyed by
-    scheme and window length; filled on first use by `_cached`.
+    scheme and window length, and one-step gains (`_step_gains`), keyed
+    by "step" and scheme; filled on first use by `_cached`.
     """
 
     ws: StepWorkspace
@@ -270,9 +276,10 @@ class Level:
 
     A run's first level holds the per-piece fields and nothing else.  A
     level that a window hands on is held in sine-mode space: per piece
-    the state modes and the trace-independent forcing modes at the
-    level's time, and per interface the pinned (owned) trace, so that the
-    next window transforms no state and rebuilds no field.
+    the state modes and the trace-independent forcing modes (at the
+    level's time, then at any later levels assembled ahead), and per
+    interface the pinned (owned) trace, so that the next window transforms
+    no state and rebuilds no field.
     """
 
     states: Sequence[np.ndarray]
@@ -351,60 +358,52 @@ def _stop(updates: np.ndarray, denoms: np.ndarray, tol: float) -> bool:
     return bool(np.all(rel < tol))
 
 
-def _sweep_loop(
-    sweep: Callable[[TraceSet], TraceSet],
-    traces: TraceSet,
-    config: SolverConfig,
-    reference: Optional[TraceSet],
-    where: str,
-) -> IterationLog:
-    """Iterate traces <- sweep(traces) from the initial trace histories.
-
-    The loop logs the per-interface updates (and distances from
-    `reference`), max norms over the edge and levels >= 1, stops by the
-    relative-update rule unless the budget is fixed, and raises on a
-    non-finite update either way.  Without interfaces one sweep is the
-    solution.  The caller's sweep keeps the states of its last call.
+def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.ndarray,
+                at: np.ndarray, config: SolverConfig, reference: Optional[np.ndarray],
+                where: str) -> tuple[IterationLog, np.ndarray, np.ndarray]:
+    """Iterate now <- sweep(now, new) from the initial traces `now`: levels
+    >= 1 of every interface's trace (level 0 is pinned data) in one
+    vector, interface i at at[i]:at[i + 1], as is `reference`.  A sweep
+    writes its traces into `new`; `now` and one more vector take the
+    iterates in turn, and a third each update.  The loop logs the
+    per-interface updates (and distances from `reference`), max norms
+    over each interface's slice, stops by the relative-update rule unless
+    the budget is fixed, and raises on a non-finite update either way.
+    Without interfaces one sweep is the solution.  Returns the log and the
+    last sweep's input and output.
     """
-    if not traces:
-        sweep([])
-        return IterationLog(
-            updates=np.zeros((1, 0)), errors=None, converged=True, iterations=1,
-        )
-    # levels >= 1 of every interface's trace (level 0 is pinned data) in
-    # one vector, so that the norms of all interfaces take two reductions;
-    # two buffers take the iterates in turn, and norm(v) overwrites v
-    offsets = np.cumsum([0] + [tr[1:].size for tr in traces])
-    flat = lambda trs, out: np.concatenate([tr[1:].ravel() for tr in trs], out=out)
-    norm = lambda v: np.maximum.reduceat(np.abs(v, out=v), offsets[:-1])  # max |v| per interface
-    now, spare = flat(traces, np.empty(offsets[-1])), np.empty(offsets[-1])
+    if len(at) == 1:
+        log = IterationLog(updates=np.zeros((1, 0)), errors=None, converged=True, iterations=1)
+        return log, now, sweep(now, np.empty(0))
+    norm = lambda v: np.maximum.reduceat(np.abs(v, out=v), at[:-1])  # max |v| per interface; overwrites v
+    new, spare = np.empty(len(now)), np.empty(len(now))
     denoms = norm(now.copy())  # |initial traces|
-    ref = None if reference is None else flat(reference, np.empty(offsets[-1]))
-    err_rows = [] if ref is None else [norm(now - ref)]
+    err_rows = [] if reference is None else [norm(now - reference)]
     upd_rows = []
     fixed = config.fixed_iterations is not None
     converged = fixed
+    last = now
     for k in range(1, config.budget + 1):
-        traces = sweep(traces)
-        new = flat(traces, spare)
-        if ref is not None:
-            err_rows.append(norm(new - ref))
-        update = norm(np.subtract(new, now, out=now))
+        sweep(now, new)
+        if reference is not None:
+            err_rows.append(norm(new - reference))
+        update = norm(np.subtract(new, now, out=spare))
         bad = np.flatnonzero(~np.isfinite(update))
         if bad.size:
             raise FloatingPointError(
                 f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
         upd_rows.append(update)
-        now, spare = new, now
+        last, now, new = now, new, now
         if not fixed and _stop(update, denoms, config.tolerance):
             converged = True
             break
-    return IterationLog(
-        updates=np.array(upd_rows),
-        errors=np.array(err_rows) if ref is not None else None,
-        converged=converged,
-        iterations=len(upd_rows),
-    )
+    errors = np.array(err_rows) if reference is not None else None
+    return IterationLog(np.array(upd_rows), errors, converged, len(upd_rows)), last, now
+
+
+def _flat(rows) -> np.ndarray:
+    """The 1-d arrays `rows` in one vector, in order; empty without rows."""
+    return np.concatenate([np.empty(0), *rows])
 
 
 def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
@@ -467,9 +466,12 @@ def method1_march(
     """March the per-step Schwarz iteration over the whole time grid.
 
     Each level is one `method1_advance` call, which hands the next one its
-    level in sine-mode space; the kept levels are written into the
-    trajectories as modes and transformed to fields once per piece at the
-    end.  Returns per-piece trajectories of shape (steps + 1, *piece shape)
+    level in sine-mode space.  From level 2 on, each piece assembles the
+    trace-independent forcing of `_AHEAD` levels (fewer at the horizon) in
+    one call into the level handed on, each level transformed as a block
+    of its own.  The kept levels are written into the trajectories as
+    modes and transformed to fields once per piece at the end.  Returns
+    per-piece trajectories of shape (steps + 1, *piece shape)
     and the iteration log of every level.  With `final_only` the
     trajectories hold level 0 and the last level alone, shape
     (2, *piece shape), and only the last carried level is written.
@@ -479,9 +481,15 @@ def method1_march(
     trajs = [np.empty((keep,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
+    times = timegrid.times()
     level = Level([p.u0 for p in pieces])
     logs = []
     for m in range(steps):
+        if m and len(level.forcing[0]) == 1:  # no level assembled ahead is left
+            ahead = times[m + 1: m + 1 + _AHEAD]
+            level = Level(level.states, [
+                np.concatenate([f, p.ws.fact.to_modes(p.forcing(ahead)[:, None])[:, 0]])
+                for p, f in zip(pieces, level.forcing)], level.pinned)
         level, log = method1_advance(
             pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
         )
@@ -542,152 +550,171 @@ def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarr
     return np.concatenate(rows, axis=1)
 
 
-def _window_sweep(
-    pieces: Sequence[LocalPiece],
-    start: Level,
-    times: Sequence[float],
-    scheme: Scheme,
-    predict: bool = False,
-) -> tuple[Callable[[TraceSet], TraceSet], Callable[[Sequence[np.ndarray]], Level], TraceSet]:
-    """The interface-reduced sweep of the window over the level times
-    `times` (steps + 1, spaced by the pieces' step), from the level
-    `start` at times[0].
-
-    Every piece's trace-independent forcing stack is assembled over levels
-    1..steps in one `LocalPiece.forcing` call and transformed once, in one
-    batch; level 0 of the stack holds the forcing of the start level,
-    pinned traces included, so a sweep reads levels 1..steps of its traces
-    only.  A start given as fields is transformed with that stack, level 0
-    of the stack assembled against the traces the fields own (one more
-    call, ETD2 only); a level handed on in mode space brings its state
-    modes, its pinned traces and its trace-independent forcing modes, to
-    which the pinned traces are added by `EdgeRow.spread`, so only levels
-    1..steps are assembled and transformed.
-
-    Returns `sweep(traces)`, the owned traces of every piece (level 0
-    pinned) against the given ones; `finish(out)`, which repeats the march
-    against the last sweep's traces piece by piece, writes the trailing
-    len(out[d]) - 1 levels of the mode-space trajectory into out[d][1:]
-    (levels 1..steps when out[d] has steps + 1 rows, the last level alone
-    when it has 2) and returns the level at times[-1] in mode space:
-    its pinned traces are the last sweep's output, the owned traces of
-    those states (called once, it releases the stacks); and the default
-    initial traces (read-only): level 0 at every level or, with `predict`
-    (one-step ETD2 windows), level 1 from the first-order predictor
-    E u + phi1 f(times[0]).
-
-    Over the response table R of `_window_responses` and the base read-out
-    of one march per piece, a one-step window is out = base + x[1] @ R[0]
-    (x and out the piece's incoming and owned traces, concatenated) and a
-    longer 1d window one causal convolution per (outflow, inflow) pair.
-    A longer 2d window marches each piece in mode space in every sweep.
-    """
-    steps = len(times) - 1
+def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
+                  scheme: Scheme) -> tuple[TraceSet, list[tuple[np.ndarray, ...]]]:
+    """The pinned traces of the level `start` at times[0] and per piece its
+    state modes u, forcing modes f0 at times[0] (pinned traces included;
+    ETD2 alone reads them) and trace-independent forcing modes F at
+    times[1:], assembled in one `LocalPiece.forcing` call and transformed
+    in one batch unless `start.forcing` holds them ahead.  A start given
+    as fields is transformed in that batch, f0 assembled against the
+    traces the fields own; a level handed on in mode space brings f0's
+    trace-independent part, to which `EdgeRow.spread` adds the pinned
+    traces."""
     later = np.asarray(times[1:], dtype=float)
-    starts, bases = [], []
     if start.forcing is None:
         pinned = initial_traces(pieces, start.states, sum(len(p.outflow) for p in pieces))
-        for p, u in zip(pieces, start.states):
-            # an ETD1 step never reads the forcing at its start level, so there
-            # the start state's row stands in for level 0 of the stack
-            head = [u, p.forcing(times[0], pinned)] if scheme == "etd2" else [u]
-            modes = p.ws.fact.to_modes(np.concatenate([np.stack(head), p.forcing(later)]))
-            starts.append(modes[0].copy())  # so that `finish` can release the stack
-            bases.append(modes[len(head) - 1:])
     else:
         pinned = start.pinned
-        for p, u_hat, f_hat in zip(pieces, start.states, start.forcing):
-            base = np.empty((steps + 1,) + u_hat.shape)
-            base[0] = f_hat
-            if scheme == "etd2":  # as above, ETD1 never reads level 0
-                for edge in p.inflow:
-                    base[0] += edge.spread(pinned[edge.interface][None])[0]
-            base[1:] = p.ws.fact.to_modes(p.forcing(later))
-            starts.append(u_hat)
-            bases.append(base)
-    # with `predict` every default trace is the predictor's, set below
-    initial = ([None] * len(pinned) if predict
-               else [np.broadcast_to(p, (steps + 1, p.size)) for p in pinned])
-    last: TraceSet = []  # the last sweep's incoming traces
-    latest: TraceSet = []  # and its owned ones
+    parts = []
+    for d, p in enumerate(pieces):
+        if start.forcing is None:
+            head = [start.states[d]] + ([p.forcing(times[0], pinned)] if scheme == "etd2" else [])
+            modes = p.ws.fact.to_modes(np.concatenate([np.stack(head), p.forcing(later)]))
+            parts.append((modes[0], modes[len(head) - 1], modes[len(head):]))
+            continue
+        f0, ahead = start.forcing[d][0], start.forcing[d][1:]
+        if scheme == "etd2":
+            f0 = f0.copy()
+            for edge in p.inflow:
+                f0 += edge.spread(pinned[edge.interface][None])[0]
+        if len(ahead) < len(later):
+            ahead = p.ws.fact.to_modes(p.forcing(later))
+        parts.append((start.states[d], f0, ahead))
+    return pinned, parts
 
-    def march(d: int, traces: TraceSet) -> np.ndarray:
-        f_hat = bases[d].copy()
-        for edge in pieces[d].inflow:
-            f_hat[1:] += edge.spread(traces[edge.interface][1:])
-        return _march_modes(pieces[d].ws, scheme, starts[d], f_hat)
 
-    one_d = all(edge.size == 1 for p in pieces for edge in p.inflow)
-    if steps == 1 or one_d:
-        tables = []
-        for p, s, b in zip(pieces, starts, bases):
-            if not p.outflow:  # a lone piece has no trace edges
-                tables.append(None)
-                continue
-            u_hat = _march_modes(p.ws, scheme, s, b)
-            if predict:  # level 0 reads pinned data, so its row carries the predictor
-                u_hat[0] = p.ws.exp_kernel * s + p.ws.phi1_kernel * b[0]
+def _step(ws: StepWorkspace, scheme: Scheme, a: np.ndarray, f0: np.ndarray,
+          f1: np.ndarray) -> np.ndarray:
+    """The new level of one step from a = E u + phi1 f0 (ETD1: E u) over the
+    forcing modes f0, f1: the operations of `_march_modes`, in its order."""
+    return a + ws.phi1_kernel * f1 if scheme == "etd1" else a + (f1 - f0) * ws.phi2_kernel
+
+
+def _step_gains(piece: LocalPiece, scheme: Scheme,
+                at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The places of a piece's inflow and outflow nodes, each in edge order,
+    in the flat level-1 traces, and its one-step gains R[0]."""
+    nodes = lambda edges: np.concatenate([np.arange(at[e.interface], at[e.interface + 1])
+                                          for e in edges])
+    return nodes(piece.inflow), nodes(piece.outflow), _window_responses(piece, scheme, 1)[0]
+
+
+def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float], scheme: Scheme,
+                at: np.ndarray, predict: bool = False) -> tuple[Callable, Callable, np.ndarray]:
+    """The one-step window from `start` at times[0] to times[1] (every
+    method-1 level, and method-2 windows of one step), with the protocol
+    of `_window_sweep`.  Once per window each piece forms A = E u + phi1 f0
+    (ETD1: E u) and the base read-out, the owned traces of the step from
+    A over F[0]; a sweep is new[out] = base + now[in] @ R[0] per piece.
+    `finish` adds the spreads of the last sweep's input to F[0] and steps
+    from A once, in the order of `_march_modes`: the bits of a march,
+    without one.  It hands F on as the new level's forcing.  The default
+    initial traces are the pinned ones or, with `predict` (ETD2 levels of
+    method 1), those of the predictor A.
+    """
+    pinned, parts = _window_start(pieces, start, times, scheme)
+    initial, tables = _flat(pinned), []
+    for d, (p, (u, f0, ahead)) in enumerate(zip(pieces, parts)):
+        a = p.ws.exp_kernel * u
+        if scheme == "etd2":
+            a += p.ws.phi1_kernel * f0
+        parts[d] = (a, f0, ahead)
+        if p.outflow:  # a lone piece has no trace edges
+            ins, outs, gains = _cached(p, ("step", scheme), _step_gains, scheme, at)
+            u_hat = np.empty((2,) + u.shape)  # A and the base step, read out together
+            u_hat[0], u_hat[1] = a, _step(p.ws, scheme, a, f0, ahead[0])
             base = np.concatenate([o.read(u_hat) for o in p.outflow], axis=1)
-            ends = list(accumulate(o.size for o in p.outflow))
-            spans = [(o.interface, slice(end - o.size, end)) for o, end in zip(p.outflow, ends)]
-            for idx, cols in spans:
-                if predict:
-                    initial[idx] = np.array([pinned[idx], base[0, cols]])
-                base[0, cols] = pinned[idx]
-            tables.append((base, _cached(p, (scheme, steps), _window_responses, scheme, steps),
-                           spans))
-    if steps == 1:
-        def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
-            if tables[d] is None:
-                return []
-            base, r, spans = tables[d]
-            x = np.concatenate([traces[i.interface][1] for i in pieces[d].inflow])
-            out = base.copy()
-            out[1] += x @ r[0]
-            return [(idx, out[:, cols]) for idx, cols in spans]
-    elif one_d:
-        # one contiguous response vector per (outflow, inflow) pair
-        pairs = [None if t is None else np.ascontiguousarray(t[1].transpose(2, 1, 0))
-                 for t in tables]
+            if predict:
+                initial[outs] = base[0]
+            tables.append((ins, outs, base[1], gains))
 
-        def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
-            if tables[d] is None:
-                return []
-            base, _, spans = tables[d]
-            out = base.copy()
-            for col, rows in enumerate(pairs[d]):
-                for i, r in zip(pieces[d].inflow, rows):
-                    out[1:, col] += np.convolve(r, traces[i.interface][1:, 0])[:steps]
-            return [(idx, out[:, cols]) for idx, cols in spans]
-    else:
-        def owned(d: int, traces: TraceSet) -> list[tuple[int, np.ndarray]]:
-            u_hat = march(d, traces)
-            out = []
-            for edge in pieces[d].outflow:
-                tr = edge.read(u_hat)
-                tr[0] = pinned[edge.interface]
-                out.append((edge.interface, tr))
-            return out
-
-    def sweep(traces: TraceSet) -> TraceSet:
-        last[:] = traces
-        new: TraceSet = [None] * len(traces)
-        for d in range(len(pieces)):
-            for idx, tr in owned(d, traces):
-                new[idx] = tr
-        latest[:] = new
+    def sweep(now: np.ndarray, new: np.ndarray) -> np.ndarray:
+        for ins, outs, base, gains in tables:
+            new[outs] = base + now[ins] @ gains
         return new
 
-    def finish(out: Sequence[np.ndarray]) -> Level:
+    def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
+        states = []
+        for p, o, (a, f0, ahead) in zip(pieces, out, parts):
+            f1 = ahead[0].copy()
+            for edge in p.inflow:
+                f1 += edge.spread(last[at[edge.interface]:at[edge.interface + 1]][None])[0]
+            o[1] = u1 = _step(p.ws, scheme, a, f0, f1)
+            states.append(u1)
+        # the last row of a block assembled ahead goes on alone, and frees the block
+        return Level(states, [ahead if len(ahead) > 1 else ahead.copy() for _, _, ahead in parts],
+                     [latest[i:j] for i, j in zip(at, at[1:])])
+
+    return sweep, finish, initial
+
+
+def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
+                  scheme: Scheme, at: np.ndarray) -> tuple[Callable, Callable, np.ndarray]:
+    """The sweep of a window of two or more steps over the level times
+    `times` (steps + 1, spaced by the pieces' step) from the level `start`
+    at times[0], on flat traces (levels 1..steps of interface i at
+    at[i]:at[i + 1]).  Returns `sweep(now, new)`, which writes the owned
+    traces of every piece against the incoming ones `now` into `new` and
+    returns it; `finish(out, last, latest)`, which
+    marches each piece again against the last sweep's input `last`,
+    writes the trailing len(out[d]) - 1 levels of its mode-space
+    trajectory into out[d][1:] and returns the level at times[-1] in mode
+    space, pinned to the last level of the last sweep's output `latest`
+    (called once, it releases the stacks); and the default initial
+    traces, level 0 at every level.  Over the response table R of
+    `_window_responses` and the base read-out of one march per piece, a
+    1d window is one causal convolution per (outflow, inflow) pair; a 2d
+    window marches each piece in mode space in every sweep.
+    """
+    steps = len(times) - 1
+    pinned, parts = _window_start(pieces, start, times, scheme)
+    history = lambda v, i: v[at[i]:at[i + 1]].reshape(steps, -1)  # levels 1..steps of interface i
+
+    def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
+        """Piece d's trajectory against the incoming traces v (None: none)."""
+        u, f0, ahead = parts[d]
+        f_hat = np.empty((steps + 1,) + u.shape)
+        f_hat[0], f_hat[1:] = f0, ahead[:steps]
+        for edge in pieces[d].inflow if v is not None else ():
+            f_hat[1:] += edge.spread(history(v, edge.interface))
+        return _march_modes(pieces[d].ws, scheme, u, f_hat)
+
+    tables = None  # 1d: per outflow edge its interface, base read-out and responses
+    if all(edge.size == 1 for p in pieces for edge in p.inflow):
+        tables = [[] for _ in pieces]
+        for d, (p, table) in enumerate(zip(pieces, tables)):
+            if p.outflow:  # a lone piece has no trace edges
+                u_hat = march(d, None)
+                r = _cached(p, (scheme, steps), _window_responses, scheme, steps)
+                table += [(o.interface, o.read(u_hat)[1:, 0], rows) for o, rows
+                          in zip(p.outflow, np.ascontiguousarray(r.transpose(2, 1, 0)))]
+
+    def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
+        for d, p in enumerate(pieces):
+            if tables is None:
+                u_hat = march(d, v)
+                for edge in p.outflow:
+                    new[at[edge.interface]:at[edge.interface + 1]] = edge.read(u_hat)[1:].ravel()
+                del u_hat  # before the next piece's march
+                continue
+            for idx, base, rows in tables[d]:
+                out = base.copy()
+                for i, r in zip(p.inflow, rows):
+                    out += np.convolve(r, v[at[i.interface]:at[i.interface + 1]])[:steps]
+                new[at[idx]:at[idx + 1]] = out
+        return new
+
+    def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
         states, forcing = [], []
         for d in range(len(pieces)):
             out[d][1:] = march(d, last)[1 - len(out[d]):]
             states.append(out[d][-1].copy())
-            forcing.append(bases[d][-1].copy())
-            bases[d] = None
-        return Level(states, forcing, [tr[-1].copy() for tr in latest])
+            forcing.append(parts[d][2][steps - 1:steps].copy())
+            parts[d] = None
+        return Level(states, forcing, [history(latest, i)[-1].copy() for i in range(len(at) - 1)])
 
-    return sweep, finish, initial
+    return sweep, finish, _flat(np.tile(p, steps) for p in pinned)
 
 
 def _solve_window(
@@ -706,14 +733,21 @@ def _solve_window(
     len(window[d]) - 1 levels of piece d's solution go, in sine-mode
     space, into window[d][1:] (all of levels 1..steps for a window of
     steps + 1 rows).  Returns the log and the level at times[-1].
-    Without a guess the iteration starts from the default traces of
-    `_window_sweep`; level 0 of a guess is pinned data and not read."""
-    sweep, finish, traces = _window_sweep(pieces, start, times, config.scheme, predict)
+    A one-step window runs on `_step_sweep`, with the predictor's initial
+    traces if `predict`, a longer one on `_window_sweep`.  Without a
+    guess the iteration starts from their default traces; level 0 of a
+    guess is pinned data and not read."""
+    steps = len(times) - 1
+    at = np.cumsum([0] + [steps * itf.size for itf in interfaces])
+    sweep, finish, now = (_step_sweep(pieces, start, times, config.scheme, at, predict)
+                          if steps == 1 else _window_sweep(pieces, start, times, config.scheme, at))
+    flat = lambda rows: _flat(np.asarray(r, dtype=float).reshape(len(times), itf.size)[1:].ravel()
+                              for r, itf in zip(rows, interfaces))
     if guess is not None:
-        traces = [np.asarray(g, dtype=float).reshape(len(times), itf.size)
-                  for g, itf in zip(guess, interfaces)]
-    log = _sweep_loop(sweep, traces, config, reference, where)
-    return log, finish(window)
+        now = flat(guess)
+    log, last, latest = _sweep_loop(sweep, now, at, config,
+                                    None if reference is None else flat(reference), where)
+    return log, finish(window, last, latest)
 
 
 def _rebuild(pieces: Sequence[LocalPiece], trajs: Sequence[np.ndarray]) -> None:
@@ -738,9 +772,9 @@ def method2_solve(
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
-    Each window iterates interface-reduced sweeps (`_window_sweep`): the
-    trace-independent forcing is assembled and transformed once per
-    window.  A sweep is a dense product per piece in one-step windows, a
+    Each window iterates interface-reduced sweeps (`_step_sweep` for one
+    step, `_window_sweep` for more): the trace-independent forcing is
+    assembled and transformed once per window.  A sweep is a dense product per piece in one-step windows, a
     causal convolution per edge pair in longer 1d ones and the mode-space
     recursion in longer 2d ones; none assembles forcing or runs a DST.
     A window hands its successor its last level in sine-mode space and

@@ -117,8 +117,9 @@ def etd2_step(
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):
-    """The waveform sweep on fields, with the protocol of
-    `schwarz._window_sweep`: every sweep assembles each piece's forcing at
+    """The waveform sweep on fields, on trace histories whose level 0 is
+    pinned (`flat_sweep` gives it the flat traces of the library's
+    sweeps): every sweep assembles each piece's forcing at
     every level against the given traces (at level 0 the pinned ones),
     transforms the stack, runs the diagonal recursion and transforms back;
     the owned traces are read from the physical trajectories.  The default
@@ -169,6 +170,46 @@ def field_window_sweep(pieces, u_start, times, scheme, predict=False):
     return sweep, fields, start
 
 
+def flat_traces(traces):
+    """Levels >= 1 of trace histories (levels, size) in one vector, interface
+    by interface: the traces as `schwarz._sweep_loop` holds them."""
+    return np.concatenate([np.empty(0)] + [np.asarray(tr, dtype=float)[1:].ravel()
+                                           for tr in traces])
+
+
+def trace_offsets(pinned, steps):
+    """Where each interface's levels 1..steps start in the flat traces, and
+    their end: interface i at at[i]:at[i + 1]."""
+    return np.cumsum([0] + [steps * np.size(p) for p in pinned])
+
+
+def trace_histories(v, pinned, steps):
+    """The trace histories (steps + 1, size) of flat traces, level 0 pinned."""
+    at = trace_offsets(pinned, steps)
+    return [np.concatenate([np.reshape(p, (1, -1)), v[a:b].reshape(steps, -1)])
+            for p, a, b in zip(pinned, at, at[1:])]
+
+
+def flat_sweep(sweep, pinned, steps):
+    """A sweep on trace histories as a sweep on flat traces, which writes
+    its result into the vector given second, as the library's do."""
+    def swept(v, new):
+        new[:] = flat_traces(sweep(trace_histories(v, pinned, steps)))
+        return new
+
+    return swept
+
+
+def history_sweep(sweep, pinned, steps):
+    """A sweep on flat traces, as the library's, as a sweep on trace
+    histories whose level 0 holds the pinned traces."""
+    def swept(traces):
+        v = flat_traces(traces)
+        return trace_histories(sweep(v, np.empty(len(v))), pinned, steps)
+
+    return swept
+
+
 def direct_window_traces(sweep, pinned, steps):
     """The fixed point of one window's sweep, without iterating.
 
@@ -177,26 +218,12 @@ def direct_window_traces(sweep, pinned, steps):
     history that holds the pinned level 0 and zeros, and unit histories.
     (I - M) x = b is solved densely.
     """
-    sizes = [len(p) for p in pinned]
-    n = steps * sum(sizes)
-
-    def history(x):
-        out, at = [], 0
-        for p, size in zip(pinned, sizes):
-            h = np.empty((steps + 1, size))
-            h[0] = p
-            h[1:] = x[at: at + steps * size].reshape(steps, size)
-            out.append(h)
-            at += steps * size
-        return out
-
-    def flat(traces):
-        return np.concatenate([tr[1:].ravel() for tr in traces])
-
-    b = flat(sweep(history(np.zeros(n))))
+    n = trace_offsets(pinned, steps)[-1]
+    history = lambda x: trace_histories(x, pinned, steps)
+    b = flat_traces(sweep(history(np.zeros(n))))
     m = np.empty((n, n))
     for k, unit in enumerate(np.eye(n)):
-        m[:, k] = flat(sweep(history(unit))) - b
+        m[:, k] = flat_traces(sweep(history(unit))) - b
     return history(np.linalg.solve(np.eye(n) - m, b))
 
 

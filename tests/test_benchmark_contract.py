@@ -30,3 +30,34 @@ def test_benchmark_setup_builds_every_workload(workloads, name, tmp_path):
     counts = [workloads.build_setup(exp.experiment_config(harness, 0, str(tmp_path)))
               for exp in workload.experiments]
     assert counts == PIECE_COUNTS[name]
+
+
+def test_tracer_sees_every_method1_level_and_sweep(monkeypatch):
+    # perfbench/tracer.py counts schwarz.sweeps and schwarz.levels from the
+    # module attribute schwarz.method1_advance: the pieces in args[0], the
+    # level's log in the result.  A march that steps past it hides levels
+    # and sweeps from the gated counts.  Tolerance mode, so that the counts
+    # come from the stop rule, and a ragged last block of levels assembled
+    # ahead.
+    from letd import schwarz
+    from letd.geometry import decompose_2d, make_grid_2d
+    from letd.steppers import TimeGrid
+
+    prob = harness.builtin_problem("analytic_2d")
+    grid = make_grid_2d(31, 23, prob.lengths)
+    lay = decompose_2d(31, 23, 3, 2, 2, "half")
+    tg = TimeGrid(prob.horizon, 9)
+    pieces = schwarz.build_local_pieces(prob, grid, lay, tg.dt)
+    advance, calls = schwarz.method1_advance, []
+
+    def counted(*args, **kwargs):
+        out = advance(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(schwarz, "method1_advance", counted)
+    _, logs = schwarz.method1_march(pieces, lay.interfaces, tg,
+                                    schwarz.SolverConfig(scheme="etd2", tolerance=1e-10))
+    assert len(calls) == len(logs) == tg.steps
+    assert all(args[0] is pieces for args, _ in calls)
+    assert sum(out[1].iterations for _, out in calls) == sum(log.iterations for log in logs)

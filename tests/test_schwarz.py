@@ -29,8 +29,13 @@ from oracles import (
     direct_window_traces,
     expm_dense,
     field_window_sweep,
+    flat_sweep,
+    flat_traces,
+    history_sweep,
     normalized_curve,
     superlinear_bound,
+    trace_histories,
+    trace_offsets,
 )
 
 PI2 = math.pi ** 2
@@ -434,16 +439,24 @@ def test_2d_edges_spread_and_read_like_a_dst_of_the_border_row():
 
 
 def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
-    """method2_solve through the library's sweep, and its windows chained
-    on the field oracle, each from the fields the one before rebuilt; per
-    route: trajectories, per-window logs and the traces of every sweep."""
-    window_sweep, seen = schwarz._window_sweep, []
+    """method2_solve through the library's sweeps (one-step windows on the
+    one-step engine), and its windows chained on the field oracle, each
+    from the fields the one before rebuilt; per route: trajectories,
+    per-window logs and the trace histories of every sweep."""
+    seen = []
 
-    def recording(*args, **kwargs):
-        sweep, finish, start = window_sweep(*args, **kwargs)
-        return record(sweep, seen), finish, start
+    def recording(make):
+        def made(pieces, start, times, scheme, at, *rest):
+            sweep, finish, initial = make(pieces, start, times, scheme, at, *rest)
+            pinned = (start.pinned if start.forcing is not None
+                      else initial_traces(pieces, start.states, len(at) - 1))
+            steps = len(times) - 1
+            return (record(sweep, seen, lambda v: trace_histories(v, pinned, steps)),
+                    finish, initial)
+        return made
 
-    monkeypatch.setattr(schwarz, "_window_sweep", recording)
+    for name in ("_step_sweep", "_window_sweep"):
+        monkeypatch.setattr(schwarz, name, recording(getattr(schwarz, name)))
     trajs, log = method2_solve(pieces, interfaces, tg, cfg, init_guess=guess)
     library = (trajs, log.windows or (log,), seen)
 
@@ -453,19 +466,22 @@ def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
     win, logs, seen = cfg.window_steps or tg.steps, [], []
     for s in range(0, tg.steps, win):
         part = [traj[s: s + win + 1] for traj in trajs]
-        sweep, fields, _ = field_window_sweep(pieces, [w[0] for w in part],
-                                              tg.times()[s: s + win + 1], cfg.scheme)
-        logs.append(schwarz._sweep_loop(record(sweep, seen), [g[s: s + win + 1] for g in guess],
-                                        cfg, None, where=""))
+        sweep, fields, start = field_window_sweep(pieces, [w[0] for w in part],
+                                                  tg.times()[s: s + win + 1], cfg.scheme)
+        pinned, steps = [tr[0] for tr in start], len(part[0]) - 1
+        logs.append(schwarz._sweep_loop(flat_sweep(record(sweep, seen), pinned, steps),
+                                        flat_traces([g[s: s + win + 1] for g in guess]),
+                                        trace_offsets(pinned, steps), cfg, None, where="")[0])
         fields(part)
     return library, (trajs, tuple(logs), seen)
 
 
-def record(sweep, seen):
-    """The sweep, appending a copy of the traces of every call to `seen`."""
-    def recorded(traces):
-        out = sweep(traces)
-        seen.append([tr.copy() for tr in out])
+def record(sweep, seen, view=lambda out: out):
+    """The sweep, appending a copy of the traces of every call, as `view`
+    gives them per interface, to `seen`."""
+    def recorded(*args):
+        out = sweep(*args)
+        seen.append([tr.copy() for tr in view(out)])
         return out
 
     return recorded
@@ -528,9 +544,11 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
     # trace below level j bitwise unchanged
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    sweep = schwarz._window_sweep(pieces, Level([p.u0 for p in pieces]), tg.times(),
-                                  scheme)[0]
     interfaces = lay.interfaces
+    pinned = initial_traces(pieces, [p.u0 for p in pieces], len(interfaces))
+    sweep = history_sweep(schwarz._window_sweep(pieces, Level([p.u0 for p in pieces]), tg.times(),
+                                                scheme, trace_offsets(pinned, tg.steps))[0],
+                          pinned, tg.steps)
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
     before = sweep(guess)
     for j in (1, tg.steps // 2, tg.steps):
@@ -582,11 +600,14 @@ def field_step_sweep(pieces, interfaces, states, t_now, t_next, config,
     sweep, fields, traces = field_window_sweep(
         pieces, states, (t_now, t_next), scheme,
         predict=init_guess is None and scheme == "etd2")
+    pinned = [tr[0] for tr in traces]
     if init_guess is not None:
         traces = [np.stack([tr[0], np.ravel(g)]) for tr, g in zip(traces, init_guess)]
     if reference is not None:
-        reference = [np.stack([r, r]) for r in reference]
-    log = schwarz._sweep_loop(sweep, traces, config, reference, where=f"at t={t_next:g}")
+        reference = flat_traces([np.stack([r, r]) for r in reference])
+    log = schwarz._sweep_loop(flat_sweep(sweep, pinned, 1), flat_traces(traces),
+                              trace_offsets(pinned, 1), config, reference,
+                              where=f"at t={t_next:g}")[0]
     out = [np.empty((2,) + np.shape(u)) for u in states]
     fields(out)
     return [o[1] for o in out], log
@@ -709,6 +730,104 @@ def test_mode_space_march_matches_the_level_by_level_field_route(setup, args, sc
             assert np.abs(traj[m + 1] - u).max() <= 1e-12 * u_max, (m, np.abs(traj[m + 1] - u).max())
 
 
+def _lookahead_1d(n, p, overlap):
+    prob = builtin_problem("analytic_1d")
+    grid = make_grid_1d(n, prob.length, origin=prob.origin)
+    return prob, decompose_1d(grid, p, overlap), grid, TimeGrid(prob.horizon, 10)
+
+
+def _lookahead_2d():
+    prob = builtin_problem("analytic_2d")
+    grid = make_grid_2d(31, 23, prob.lengths)
+    return prob, decompose_2d(31, 23, 3, 2, 2, "half"), grid, TimeGrid(prob.horizon, 10)
+
+
+BUDGETS = [pytest.param(dict(fixed_iterations=3), id="fixed3"),
+           pytest.param(dict(tolerance=1e-10, max_iterations=2000), id="tol1e-10")]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [
+    pytest.param(_lookahead_1d, (63, 3, 2), id="1d-dense-n63-P3"),
+    pytest.param(_lookahead_1d, (511, 2, 8), id="1d-fft-n511-P2"),
+    pytest.param(_lookahead_2d, (), id="2d-3x2-half"),
+])
+def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypatch, setup,
+                                                                        args, scheme, budget):
+    # method1_march assembles the forcing of up to _AHEAD levels in one call
+    # per piece and transforms each level as a block of its own; a chain of
+    # carried method1_advance calls assembles every level's forcing alone.
+    # 10 steps: blocks of levels 2-5, 6-9 and 10
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, **budget)
+    trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    assemble, times = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda fc, t, vals: times.append(np.size(t)) or assemble(fc, t, vals))
+    chain = [np.empty_like(t) for t in trajs]
+    for traj, p in zip(chain, pieces):
+        traj[0] = p.u0
+    level = Level([p.u0 for p in pieces])
+    for m, log in enumerate(logs):
+        level, got = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
+        assert_same_log(got, log)
+        for traj, u_hat in zip(chain, level.states):
+            traj[m + 1] = u_hat
+    schwarz._rebuild(pieces, chain)
+    assert set(times) == {1}
+    for a, b in zip(trajs, chain):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("setup,args", [pytest.param(_lookahead_1d, (63, 3, 2), id="1d-n63-P3"),
+                                        pytest.param(_lookahead_2d, (), id="2d-31x23-3x2")])
+def test_etd1_per_step_march_and_one_step_waveform_windows_agree_bitwise(setup, args, budget):
+    # both drivers run one-step levels on the one engine: with the same ETD1
+    # starting guess (the previous level's traces) they give the same fields
+    # and the same per-level updates, bit for bit
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd1", window_steps=1, **budget)
+    per_step, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    windowed, log = method2_solve(pieces, lay.interfaces, tg, cfg)
+    assert len(log.windows) == len(logs) == tg.steps
+    for a, b in zip(logs, log.windows):
+        assert_same_log(a, b)
+    for a, b in zip(per_step, windowed):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (3, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-3x2"])
+def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
+    # the one-step engine does not march the window again: it steps from
+    # the start part A = E u (+ phi1 f0) with the operations of _march_modes
+    # in their order, so the new state is the march's bit for bit; from
+    # fields, then from carried levels
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    level = Level([p.u0 for p in pieces])
+    for m in range(3):
+        times = (tg.t(m), tg.t(m + 1))
+        pinned, parts = schwarz._window_start(pieces, level, times, scheme)
+        at = trace_offsets(pinned, 1)
+        sweep, finish, latest = schwarz._step_sweep(pieces, level, times, scheme, at)
+        for _ in range(3):
+            last, latest = latest, sweep(latest, np.empty(len(latest)))
+        out = [np.empty((2,) + p.u0.shape) for p in pieces]
+        level = finish(out, last, latest)
+        for p, (u, f0, ahead), o, got in zip(pieces, parts, out, level.states):
+            f_hat = np.stack([f0, ahead[0]])
+            for edge in p.inflow:
+                f_hat[1:] += edge.spread(last[at[edge.interface]:at[edge.interface + 1]][None])
+            want = schwarz._march_modes(p.ws, scheme, u, f_hat)[1]
+            assert np.array_equal(got, want) and np.array_equal(o[1], want), m
+
+
 def assert_same_log(a, b):
     """Two iteration logs agree bitwise, window by window."""
     assert (a.converged, a.iterations, len(a.windows)) == (b.converged, b.iterations,
@@ -807,14 +926,18 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
     # the first level starts from fields: one batch per piece of its state,
     # its level-0 forcing (ETD2) and the level-1 forcing
     assert first == [(1 + head,) + q.u0.shape for q in pieces]
-    # every later piece-level transforms one field
-    assert later == [(1,) + q.u0.shape for _ in range(steps - 1) for q in pieces]
+    # every later piece-level transforms one field: from level 2 on, the
+    # forcing of up to _AHEAD levels is assembled in one call per piece
+    # and transformed with each level a block of its own (levels 2-5, 6-8)
+    blocks = [min(schwarz._AHEAD, steps - m) for m in range(1, steps, schwarz._AHEAD)]
+    assert blocks == [4, 3]
+    assert later == [(k, 1) + q.u0.shape for k in blocks for q in pieces]
     # and the trajectories are rebuilt by one inverse transform per piece,
     # each level a block of its own
     assert rebuild == [(steps, 1) + q.u0.shape for q in pieces]
     assert sum(map(math.prod, shapes)) == sum(
         (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
-    assert len(assembled) == p * head + p * (steps - 1)
+    assert len(assembled) == p * head + p * len(blocks)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -955,8 +1078,8 @@ def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, sche
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
     sweep = schwarz._window_sweep(pieces, Level([q.u0 for q in pieces]), tg.times(),
-                                  scheme)[0]
-    direct = direct_window_traces(sweep, pinned, tg.steps)
+                                  scheme, trace_offsets(pinned, tg.steps))[0]
+    direct = direct_window_traces(history_sweep(sweep, pinned, tg.steps), pinned, tg.steps)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
     trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
     assert log.converged
@@ -981,10 +1104,13 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         n = min(window, tg.steps - s)
         part = [traj[s: s + n + 1] for traj in direct]
         starts = [w[0] for w in part]
-        sweep, finish, _ = schwarz._window_sweep(pieces, Level(starts),
-                                                 tg.times()[s: s + n + 1], scheme)
-        sweep(direct_window_traces(sweep, initial_traces(pieces, starts, n_if), n))
-        finish(part)  # the window's levels in sine-mode space, then as fields
+        pinned = initial_traces(pieces, starts, n_if)
+        # a one-step window runs on the one-step engine, as in the driver
+        make = schwarz._step_sweep if n == 1 else schwarz._window_sweep
+        sweep, finish, _ = make(pieces, Level(starts), tg.times()[s: s + n + 1], scheme,
+                                trace_offsets(pinned, n))
+        x = flat_traces(direct_window_traces(history_sweep(sweep, pinned, n), pinned, n))
+        finish(part, x, sweep(x, np.empty(len(x))))  # the window's levels in sine-mode space, then as fields
         for q, w in zip(pieces, part):
             w[1:] = q.ws.fact.from_modes(w[1:])
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000,
