@@ -23,21 +23,26 @@ Both iterate on the traces alone, in sine-mode space: one-step windows
 another.  A piece's state is affine in the traces it reads, so the
 trace-independent forcing (source and physical boundary data) is
 assembled once per window, in one call over the window's time levels,
-and transformed in one batch per piece.  Every trace edge moves a
-history between nodes and modes the same way in any dimension: the
+and transformed in one batch per piece.  A trace edge moves a history
+between nodes and modes the same way in any dimension: the weighted
 history times the dense sine matrix of the edge's other axes ([[1.0]] in
-1d), times the stencil weight, enters the forcing modes through the sine
-row of the border node along the edge axis; an owned trace is read out
-by contracting the mode-space trajectory with the sine row of its read
-node and multiplying by that matrix.  A sweep therefore assembles no
-forcing and runs no DST.
+1d) enters the forcing modes through the sine row of its border node
+along the edge axis; an owned trace is read out by contracting the
+modes with the sine row of its read node and multiplying by that matrix.
+A piece stacks the edges of one axis (`EdgeStack`), so that a spread or a
+read-out is one pair of products per axis.  A sweep therefore assembles
+no forcing and runs no DST.
 
 A window hands its successor its last level in sine-mode space (`Level`):
 per piece the state modes and the trace-independent forcing modes, per
 interface the pinned trace, which is the last sweep's owned trace and
-enters the successor's level-0 forcing through the edge.  Only a run's
-first window starts from fields, transformed in the batch of its forcing.
-Both drivers write the levels they keep into their trajectories as modes
+enters the successor's level-0 forcing through the edge.  Each lies in
+one flat vector over every piece, at offsets fixed for the run
+(`_Layout`), which also holds the pieces' step kernels, concatenated
+once; so A = E u + phi1 f0, a base step and a new state are one
+operation per level, not one per piece.  Only a run's first window
+starts from fields, transformed in the batch of its forcing.  Both
+drivers write the levels they keep into their trajectories as modes
 (every level, or with `final_only` the last one alone), and each
 trajectory is transformed to fields by one inverse DST per piece at the
 end.  A method-1 level transforms one field per piece, and its march
@@ -48,19 +53,21 @@ to its owned ones is linear, causal and time-invariant.  Its response
 table (per lag, from every inflow node to every outflow node) depends on
 the piece, the scheme and the window length alone, so it is built on
 first use and held on the piece, and lives as long as its piece set.  A
-one-step sweep is then one small dense product per piece over one flat
-vector of traces, and its new state one step from the base step's start
-part, with no march; a longer 1d window is one causal convolution per
-(outflow, inflow) pair.  Only longer 2d windows, whose per-lag tables
-would be large, run the mode-space recursion in every sweep.
+one-step table (the gains) needs no march: it is K times the spread of
+unit traces, read out.  A one-step sweep is
+then one small dense product per piece over one flat vector of traces,
+and its new state one step from the base step's start part, with no
+march; a longer 1d window is one causal convolution per (outflow,
+inflow) pair.  Only longer 2d windows, whose per-lag tables would be
+large, run the mode-space recursion in every sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
 the initial state, the forcing data, per-edge closures and the trace
-edges (`EdgeRow`: a sine row along the edge axis and a sine matrix over
-the others) prepared by `build_local_pieces`, and share one sweep loop,
-which holds levels 1.. of every interface trace (size values per level:
-1 in 1d, the edge length in 2d) in one vector.
+edges (`EdgeRow`) with their stacks, prepared by `build_local_pieces`,
+and share one sweep loop, which holds levels 1.. of every interface
+trace (size values per level: 1 in 1d, the edge length in 2d) in one
+vector.
 
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
@@ -74,7 +81,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -189,42 +197,99 @@ def theoretical_rate(alpha: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class EdgeRow:
-    """One trace edge of a piece in sine-mode space.
-
-    The edge's node row lies at index `node` along `axis`; `modes` is the
-    sine row of that node along the axis, `weight` the factor on the
-    trace (the stencil weight nu / h^2 for a trace the piece reads, 1 for
-    one it owns), `shape` the piece's extent over its other axes and
-    `basis` their orthonormal sine matrix (`sine_matrix(shape)`, [[1.0]]
-    in 1d).  A trace row is the edge's values in C order over `shape`, so
-    it moves between nodes and modes by one product with `basis`.
-    """
+    """One trace edge of a piece: its node row lies at index `node` along
+    `axis`, and its `size` values run in C order over the piece's other
+    axes.  `weight` is the factor on the trace: the stencil weight nu / h^2
+    for a trace the piece reads, 1 for one it owns."""
 
     interface: int
     axis: int
     node: int
-    modes: np.ndarray
     weight: float
-    shape: tuple[int, ...]
+    size: int
+
+
+class _Group(NamedTuple):
+    """The edges of one axis and weight in an `EdgeStack`: their values at
+    `cols` of a trace vector (a slice where they are adjacent), the sine
+    rows of their nodes along the axis as the columns of `rows` (n_axis,
+    E), the sine matrix `basis` of the other axes and `weighted`, the
+    weight times it.  `front` and `back` order (levels, *piece shape) with
+    the axis first and last."""
+
+    axis: int
+    cols: slice | np.ndarray
+    rows: np.ndarray
     basis: np.ndarray
+    weighted: np.ndarray
+    front: tuple
+    back: tuple
 
-    @property
-    def size(self) -> int:
-        """Number of nodes on the edge."""
-        return len(self.basis)
 
-    def spread(self, history: np.ndarray) -> np.ndarray:
-        """Forcing modes (levels, *piece shape) of a trace history (levels, size)."""
-        h = ((self.weight * history) @ self.basis).reshape((len(history),) + self.shape)
-        cut = 1 + self.axis
-        return (h.reshape(h.shape[:cut] + (1,) + h.shape[cut:])
-                * self.modes.reshape((-1,) + (1,) * (h.ndim - cut)))
+class EdgeStack(NamedTuple):
+    """The inflow or the outflow edges of a piece in sine-mode space,
+    stacked per axis.
 
-    def read(self, u_hat: np.ndarray) -> np.ndarray:
-        """Trace history (levels, size) of a mode-space trajectory (levels, *piece shape)."""
-        cut = 1 + self.axis
-        v = u_hat.transpose(*range(cut), *range(cut + 1, u_hat.ndim), cut) @ self.modes
-        return v.reshape(len(v), -1) @ self.basis
+    A trace vector holds the edges' values edge after edge.  Moving a trace
+    row between nodes and modes takes one product with the orthonormal sine
+    matrix of the edge's other axes ([[1.0]] in 1d), and the sine row of its
+    node along its axis.  The edges of one axis share that matrix and stack
+    their rows, so a spread or a read-out costs one pair of products per
+    axis.  A spread multiplies the edges' rows by the rows of the stack,
+    with the axis first; a read-out contracts the modes, with the axis
+    last, with them, as the per-edge form does.  A 1d piece keeps one edge
+    per group, in edge order: a product over two edges sums them in BLAS,
+    whose round-off differs from the sum of the per-edge products, and 1d
+    results keep their bits.
+    """
+
+    groups: tuple[_Group, ...]
+    size: int  # values in a trace vector
+
+    def spread(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Add the forcing modes of traces x (levels, size) into out
+        (levels, *piece shape), one group after another."""
+        levels = len(x)
+        for g in self.groups:
+            n, e = len(g.basis), g.rows.shape[1]
+            y = (x[:, g.cols].reshape(-1, n) @ g.weighted).reshape(levels, e, n)
+            o = out.transpose(g.front)
+            o += np.matmul(g.rows, y).reshape(o.shape)
+
+    def read(self, u_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The traces (levels, size) of mode-space levels u_hat (levels,
+        *piece shape), written into `out` if it is given."""
+        levels = len(u_hat)
+        out = np.empty((levels, self.size)) if out is None else out
+        for g in self.groups:
+            n, (k, e) = len(g.basis), g.rows.shape
+            v = (u_hat.transpose(g.back).reshape(-1, k) @ g.rows).reshape(levels, n, e)
+            out[:, g.cols] = (v.transpose(0, 2, 1).reshape(-1, n) @ g.basis).reshape(levels, -1)
+        return out
+
+
+def _edge_stack(edges: Sequence[EdgeRow], shape: tuple[int, ...], weighted: dict) -> EdgeStack:
+    """The stack of a piece's edges; their values run in the given order.
+    `weighted` holds the weighted sine matrices by (other shape, weight),
+    shared by every stack of a piece set, so that few of them are read."""
+    d, runs, lo = len(shape), {}, 0
+    for e in edges:
+        runs.setdefault((e.axis, e.weight) if d > 1 else lo, []).append((e, lo))
+        lo += e.size
+    groups = []
+    for run in runs.values():
+        (first, start), (last, end) = run[0], run[-1]
+        k, w, other = first.axis, first.weight, shape[:first.axis] + shape[first.axis + 1:]
+        basis = sine_matrix(other)
+        if (other, w) not in weighted:
+            weighted[other, w] = w * basis
+        groups.append(_Group(
+            k, slice(start, end + last.size) if end + last.size - start == len(run) * first.size
+            else np.concatenate([np.arange(i, i + e.size) for e, i in run]),
+            np.stack([sine_row(shape[k], e.node) for e, _ in run], axis=1), basis,
+            weighted[other, w], (0, 1 + k, *range(1, 1 + k), *range(2 + k, 1 + d)),
+            (0, *range(1, 1 + k), *range(2 + k, 1 + d), 1 + k)))
+    return EdgeStack(tuple(groups), lo)
 
 
 @dataclass
@@ -234,10 +299,14 @@ class LocalPiece:
     edges: one entry per edge of the piece in (axis, side) order;
     ("physical", fn) edges carry a callable t -> boundary data,
     ("trace", i) edges read interface i.  inflow: those trace edges;
-    outflow: the node rows whose values this piece provides to neighbors.
+    outflow: the node rows whose values this piece provides to neighbors;
+    inflow_stack and outflow_stack: their `EdgeStack`s, which spread the
+    inflow traces into forcing modes and read the outflow traces out of
+    state modes.
     maps: the piece's response tables (`_window_responses`), keyed by
     scheme and window length, and one-step gains (`_step_gains`), keyed
-    by "step" and scheme; filled on first use by `_cached`.
+    by "step" and scheme; filled on first use by `_cached`, and shared
+    with the pieces of the set that have the same shape and edge layout.
     """
 
     ws: StepWorkspace
@@ -246,6 +315,8 @@ class LocalPiece:
     edges: tuple
     inflow: tuple[EdgeRow, ...]
     outflow: tuple[EdgeRow, ...]
+    inflow_stack: EdgeStack
+    outflow_stack: EdgeStack
     maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def forcing(self, t, traces: Optional[TraceSet] = None) -> np.ndarray:
@@ -270,38 +341,105 @@ class LocalPiece:
                 for e in self.outflow]
 
 
+class _Modes(NamedTuple):
+    """A level in sine-mode space, in flat vectors: the state modes (size,),
+    the trace-independent forcing modes (levels, size) at the level's time
+    and at any later levels assembled ahead, and the pinned traces, placed
+    by `layout`; f0: the level's forcing with the pinned traces spread in,
+    if the window that hands the level on has formed it (ETD2), or None."""
+
+    layout: "_Layout"
+    states: np.ndarray
+    forcing: np.ndarray
+    pinned: np.ndarray
+    f0: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True)
 class Level:
     """Every piece's state at one time level, as a window starts from it.
 
     A run's first level holds the per-piece fields and nothing else.  A
-    level that a window hands on is held in sine-mode space: per piece
-    the state modes and the trace-independent forcing modes (at the
-    level's time, then at any later levels assembled ahead), and per
-    interface the pinned (owned) trace, so that the next window transforms
-    no state and rebuilds no field.
+    level that a window hands on is held in sine-mode space, in flat
+    vectors (`_Modes`): per piece the state modes and the trace-independent
+    forcing modes (at the level's time, then at any later levels assembled
+    ahead), and per interface the pinned (owned) trace, so that the next
+    window transforms no state and rebuilds no field.
     """
 
-    states: Sequence[np.ndarray]
-    forcing: Optional[Sequence[np.ndarray]] = None  # None: `states` are fields
-    pinned: Optional[TraceSet] = None
+    fields: Optional[Sequence[np.ndarray]] = None
+    flat: Optional[_Modes] = field(default=None, repr=False)
+
+    @property
+    def states(self) -> Sequence[np.ndarray]:
+        """Per piece its field, or a view of its state modes."""
+        return self.fields if self.flat is None else self.flat.layout.views(self.flat.states)
+
+
+class _Layout(NamedTuple):
+    """Where the pieces of a run sit in the flat vectors of its levels,
+    built when the run starts and handed on with its levels.
+
+    Piece d's modes lie at at[d]:at[d + 1] of a level's state and forcing
+    vectors, interface i's trace at traces[i]:traces[i + 1] of its pinned
+    traces (and of the level-1 traces of a one-step window).  ins and outs
+    hold the places of every piece's inflow and outflow nodes there, in edge
+    order and piece after piece, piece d's at ins[ends[d][0]:ends[d + 1][0]]
+    and outs[ends[d][1]:ends[d + 1][1]].  kernels: E, dt phi1 and dt phi2
+    over the flat modes.
+    """
+
+    at: tuple
+    shapes: tuple
+    traces: np.ndarray
+    ins: np.ndarray
+    outs: np.ndarray
+    ends: tuple
+    kernels: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, pieces: Sequence[LocalPiece]) -> "_Layout":
+        """The layout of `pieces`, in their order."""
+        owned = sorted((e.interface, e.size) for p in pieces for e in p.outflow)
+        traces = np.cumsum([0] + [size for _, size in owned])
+        nodes = lambda flow: _nodes([e for p in pieces for e in getattr(p, flow)], traces)[0]
+        return cls(tuple(accumulate([0] + [p.u0.size for p in pieces])),
+                   tuple(p.u0.shape for p in pieces), traces, nodes("inflow"), nodes("outflow"),
+                   tuple(accumulate([(0, 0)] + [(p.inflow_stack.size, p.outflow_stack.size)
+                                                for p in pieces],
+                                    lambda a, b: (a[0] + b[0], a[1] + b[1]))),
+                   tuple(np.concatenate([getattr(p.ws, k).ravel() for p in pieces])
+                         for k in ("exp_kernel", "phi1_kernel", "phi2_kernel")))
+
+    def views(self, v: np.ndarray) -> list[np.ndarray]:
+        """Per piece, the view (..., *shape) of flat modes v (..., size)."""
+        return [v[..., i:j].reshape(v.shape[:-1] + s)
+                for i, j, s in zip(self.at, self.at[1:], self.shapes)]
+
+
+def _nodes(edges: Sequence[EdgeRow], at: np.ndarray, steps: int = 1) -> np.ndarray:
+    """The places (steps, nodes) of the nodes of `edges`, edge after edge,
+    in flat traces that hold levels 1..steps of interface i at
+    at[i]:at[i + 1]."""
+    return np.concatenate([np.empty((steps, 0), dtype=int)]
+                          + [np.arange(at[e.interface], at[e.interface + 1]).reshape(steps, -1)
+                             for e in edges], axis=1)
 
 
 def build_local_pieces(
     problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
     """Per-piece workspaces, initial states, edge closures and trace-edge
-    sine rows and bases of a layout."""
-    pieces = []
+    stacks of a layout.  Pieces of one shape and edge layout share their
+    stacks and their tables (`maps`), which that geometry fixes."""
+    pieces, weighted, shared = [], {}, {}
     for i, box in enumerate(layout.pieces):
         op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
         ws = make_workspace(spectral_factorization(op), dt)
         closure = box_forcing(problem, grid, box)
 
         def edge_row(itf: Interface, node: int, weight: float) -> EdgeRow:
-            shape = box.shape[:itf.axis] + box.shape[itf.axis + 1:]
-            return EdgeRow(itf.index, itf.axis, node, sine_row(box.shape[itf.axis], node),
-                           weight, shape, sine_matrix(shape))
+            return EdgeRow(itf.index, itf.axis, node, weight, itf.size)
 
         reads = [itf for itf in layout.interfaces if itf.reader == i]
         trace_for = {(itf.axis, itf.side): itf.index for itf in reads}
@@ -316,8 +454,15 @@ def build_local_pieces(
             for itf in reads)
         outflow = tuple(edge_row(itf, itf.read.lo[itf.axis] - box.lo[itf.axis], 1.0)
                         for itf in layout.interfaces if itf.owner == i)
+        key = (box.shape, tuple((e.axis, e.node, e.weight) for e in inflow),
+               tuple((e.axis, e.node) for e in outflow))
+        if key not in shared:
+            shared[key] = (_edge_stack(inflow, box.shape, weighted),
+                           _edge_stack(outflow, box.shape, weighted), {})
+        ins, outs, maps = shared[key]
         pieces.append(LocalPiece(ws=ws, u0=closure.initial_state(), closure=closure,
-                                 edges=edges, inflow=inflow, outflow=outflow))
+                                 edges=edges, inflow=inflow, outflow=outflow,
+                                 inflow_stack=ins, outflow_stack=outs, maps=maps))
     return pieces
 
 
@@ -440,9 +585,11 @@ def method1_advance(
     come back, or a `Level` (a run's first level as fields, or the level a
     previous call returned), and the level at t_next comes back in
     sine-mode space, so that a march transforms no state between levels.
+    Only fields get a two-level window per piece to rebuild the new fields
+    in.
     """
     carried = isinstance(states, Level)
-    window = [np.empty((2,) + p.u0.shape) for p in pieces]
+    window = None if carried else [np.empty((2,) + p.u0.shape) for p in pieces]
     # as histories over the window, whose level 0 is pinned data, not read
     held = lambda rows: None if rows is None else [np.array([r, r], dtype=float) for r in rows]
     log, level = _solve_window(pieces, interfaces, states if carried else Level(states), window,
@@ -485,11 +632,13 @@ def method1_march(
     level = Level([p.u0 for p in pieces])
     logs = []
     for m in range(steps):
-        if m and len(level.forcing[0]) == 1:  # no level assembled ahead is left
+        if m and len(level.flat.forcing) == 1:  # no level assembled ahead is left
             ahead = times[m + 1: m + 1 + _AHEAD]
-            level = Level(level.states, [
-                np.concatenate([f, p.ws.fact.to_modes(p.forcing(ahead)[:, None])[:, 0]])
-                for p, f in zip(pieces, level.forcing)], level.pinned)
+            block = np.empty((1 + len(ahead), len(level.flat.states)))
+            block[0] = level.flat.forcing[0]
+            for p, part in zip(pieces, level.flat.layout.views(block[1:])):
+                part[...] = p.ws.fact.to_modes(p.forcing(ahead)[:, None])[:, 0]
+            level = Level(flat=level.flat._replace(forcing=block))
         level, log = method1_advance(
             pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
         )
@@ -526,8 +675,18 @@ def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
     return out
 
 
+def _edge_units(piece: LocalPiece, block: Optional[int] = None) -> list[np.ndarray]:
+    """Unit traces (units, inflow nodes) of a piece's inflow nodes, the
+    nodes of one edge at a time, or at most `block` of them."""
+    eye, lo, out = np.eye(piece.inflow_stack.size), 0, []
+    for e in piece.inflow:
+        out += np.array_split(eye[lo:lo + e.size], 1 if block is None else -(-e.size // block))
+        lo += e.size
+    return out
+
+
 def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarray:
-    """The response table R (steps, sum of |i|, sum of |o|) of a piece.
+    """The response table R (steps, inflow nodes, outflow nodes) of a piece.
 
     Rows run over the nodes of the inflow edges i, columns over those of
     the outflow edges o, each in edge order: R[lag, k, n] is the trace at
@@ -535,149 +694,183 @@ def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarr
     enters, marched from a zero state and zero trace-independent forcing.
     It does not depend on the level the trace enters at (>= 1; level 0 is
     pinned data, carried by the window's base).  R[0] holds the one-step
-    gains o.read(K * i.spread(I)), K = dt phi1 for ETD1 and dt phi2 for
-    ETD2.
+    gains (`_step_gains`).
     """
     rows = []
-    for i in piece.inflow:
-        # a few nodes of one inflow edge at a time, so few unit fields are held
-        for units in np.array_split(np.eye(i.size), -(-i.size // _UNITS_PER_MARCH)):
-            f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
-            f_hat[1] = i.spread(units)
-            u_hat = _march_modes(piece.ws, scheme, 0.0, f_hat)[1:].reshape((-1,) + piece.u0.shape)
-            rows.append(np.concatenate([o.read(u_hat) for o in piece.outflow], axis=1)
-                        .reshape(steps, len(units), -1))
+    # a few nodes of one inflow edge at a time, so few unit fields are held
+    for units in _edge_units(piece, _UNITS_PER_MARCH):
+        f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
+        piece.inflow_stack.spread(units, f_hat[1])
+        u_hat = _march_modes(piece.ws, scheme, 0.0, f_hat)[1:].reshape((-1,) + piece.u0.shape)
+        rows.append(piece.outflow_stack.read(u_hat).reshape(steps, len(units), -1))
     return np.concatenate(rows, axis=1)
 
 
 def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
-                  scheme: Scheme) -> tuple[TraceSet, list[tuple[np.ndarray, ...]]]:
-    """The pinned traces of the level `start` at times[0] and per piece its
-    state modes u, forcing modes f0 at times[0] (pinned traces included;
-    ETD2 alone reads them) and trace-independent forcing modes F at
-    times[1:], assembled in one `LocalPiece.forcing` call and transformed
-    in one batch unless `start.forcing` holds them ahead.  A start given
-    as fields is transformed in that batch, f0 assembled against the
-    traces the fields own; a level handed on in mode space brings f0's
-    trace-independent part, to which `EdgeRow.spread` adds the pinned
-    traces."""
+                  scheme: Scheme) -> tuple:
+    """The level `start` at times[0] in flat vectors: the run's `_Layout`,
+    the pinned traces, the state modes u, the forcing modes f0 at times[0]
+    (pinned traces included; ETD2 alone reads them) and the
+    trace-independent forcing modes F at times[1:] (rows; a block
+    assembled ahead may hold more), assembled in one `LocalPiece.forcing`
+    call and transformed in one batch per piece unless `start` holds them
+    ahead.  A start given as fields is transformed in that batch, f0
+    assembled against the traces the fields own; a level handed on in mode
+    space brings f0's trace-independent part, into which the inflow stacks
+    spread the pinned traces."""
     later = np.asarray(times[1:], dtype=float)
-    if start.forcing is None:
-        pinned = initial_traces(pieces, start.states, sum(len(p.outflow) for p in pieces))
-    else:
-        pinned = start.pinned
-    parts = []
-    for d, p in enumerate(pieces):
-        if start.forcing is None:
-            head = [start.states[d]] + ([p.forcing(times[0], pinned)] if scheme == "etd2" else [])
-            modes = p.ws.fact.to_modes(np.concatenate([np.stack(head), p.forcing(later)]))
-            parts.append((modes[0], modes[len(head) - 1], modes[len(head):]))
-            continue
-        f0, ahead = start.forcing[d][0], start.forcing[d][1:]
+    if start.flat is None:
+        lay = _Layout.of(pieces)
+        traces = initial_traces(pieces, start.states, len(lay.traces) - 1)
+        head = 2 if scheme == "etd2" else 1
+        block = np.empty((head + len(later), lay.at[-1]))  # u, (f0,) F
+        for p, state, i, j in zip(pieces, start.states, lay.at, lay.at[1:]):
+            first = [state] + ([p.forcing(times[0], traces)] if scheme == "etd2" else [])
+            block[:, i:j] = p.ws.fact.to_modes(np.concatenate([np.stack(first), p.forcing(later)])
+                                               ).reshape(len(block), -1)
+        return lay, _flat(traces), block[0], block[head - 1], block[head:]
+    lay, u, rows, pinned, f0 = start.flat
+    ahead = rows[1:]
+    if f0 is None:
+        f0 = rows[0]
         if scheme == "etd2":
             f0 = f0.copy()
-            for edge in p.inflow:
-                f0 += edge.spread(pinned[edge.interface][None])[0]
-        if len(ahead) < len(later):
-            ahead = p.ws.fact.to_modes(p.forcing(later))
-        parts.append((start.states[d], f0, ahead))
-    return pinned, parts
+            _spread_all(pieces, lay, pinned[None], f0[None])
+    if len(ahead) < len(later):
+        ahead = np.empty((len(later), lay.at[-1]))
+        for p, part in zip(pieces, lay.views(ahead)):
+            part[...] = p.ws.fact.to_modes(p.forcing(later))
+    return lay, pinned, u, f0, ahead
 
 
-def _step(ws: StepWorkspace, scheme: Scheme, a: np.ndarray, f0: np.ndarray,
-          f1: np.ndarray) -> np.ndarray:
+def _spread_all(pieces: Sequence[LocalPiece], lay: _Layout, traces: np.ndarray,
+                out: np.ndarray) -> None:
+    """Add the forcing modes of flat level traces (levels, traces) into the
+    flat modes `out` (levels, size), with every piece's inflow nodes
+    gathered in one take."""
+    x = traces[:, lay.ins]
+    for p, (i, _), (j, _), f in zip(pieces, lay.ends, lay.ends[1:], lay.views(out)):
+        p.inflow_stack.spread(x[:, i:j], f)
+
+
+def _step(lay: _Layout, scheme: Scheme, a: np.ndarray, f0: np.ndarray, f1: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
     """The new level of one step from a = E u + phi1 f0 (ETD1: E u) over the
-    forcing modes f0, f1: the operations of `_march_modes`, in its order."""
-    return a + ws.phi1_kernel * f1 if scheme == "etd1" else a + (f1 - f0) * ws.phi2_kernel
+    forcing modes f0, f1, written into `out` (which may be f1): the
+    operations of `_march_modes`, in its order."""
+    _, phi1, phi2 = lay.kernels
+    if scheme == "etd1":
+        out = np.multiply(phi1, f1, out=out)
+    else:
+        out = np.subtract(f1, f0, out=out)
+        out *= phi2
+    return np.add(a, out, out=out)
 
 
-def _step_gains(piece: LocalPiece, scheme: Scheme,
-                at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The places of a piece's inflow and outflow nodes, each in edge order,
-    in the flat level-1 traces, and its one-step gains R[0]."""
-    nodes = lambda edges: np.concatenate([np.arange(at[e.interface], at[e.interface + 1])
-                                          for e in edges])
-    return nodes(piece.inflow), nodes(piece.outflow), _window_responses(piece, scheme, 1)[0]
+def _step_gains(piece: LocalPiece, scheme: Scheme) -> np.ndarray:
+    """The one-step gains R[0] (inflow nodes, outflow nodes) of a piece, with
+    no march: the read-out of K times the spread of the unit traces of one
+    inflow edge at a time, K = dt phi1 for ETD1 and dt phi2 for ETD2.  In 1d
+    these are the bits of `_window_responses`."""
+    kernel = piece.ws.phi1_kernel if scheme == "etd1" else piece.ws.phi2_kernel
+    rows = [np.empty((0, piece.outflow_stack.size))]
+    for units in _edge_units(piece):
+        f_hat = np.zeros((len(units),) + kernel.shape)
+        piece.inflow_stack.spread(units, f_hat)
+        rows.append(piece.outflow_stack.read(kernel * f_hat))
+    return np.concatenate(rows)
 
 
 def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float], scheme: Scheme,
-                at: np.ndarray, predict: bool = False) -> tuple[Callable, Callable, np.ndarray]:
+                predict: bool = False) -> tuple[Callable, Callable, np.ndarray]:
     """The one-step window from `start` at times[0] to times[1] (every
     method-1 level, and method-2 windows of one step), with the protocol
-    of `_window_sweep`.  Once per window each piece forms A = E u + phi1 f0
-    (ETD1: E u) and the base read-out, the owned traces of the step from
-    A over F[0]; a sweep is new[out] = base + now[in] @ R[0] per piece.
-    `finish` adds the spreads of the last sweep's input to F[0] and steps
-    from A once, in the order of `_march_modes`: the bits of a march,
-    without one.  It hands F on as the new level's forcing.  The default
-    initial traces are the pinned ones or, with `predict` (ETD2 levels of
-    method 1), those of the predictor A.
+    of `_window_sweep`, on the flat vectors of `_window_start`.  Once per
+    window it forms A = E u + phi1 f0 (ETD1: E u) and the base step from A
+    over F[0], one operation each over every piece's modes, and reads their
+    owned traces out.  A sweep gathers every piece's inflow nodes in one
+    take and is new[out] = base + now[in] @ R[0] per piece, R[0] its
+    one-step gains (`_step_gains`).  `finish` spreads the last sweep's input
+    into F[0] and steps from A once, in the order of `_march_modes`: the
+    bits of a march, without one.  It hands F on as the new level's
+    forcing and, with ETD2, that level's f0: F[0] with the last sweep's
+    output spread in, in the same call.  The default initial traces are the
+    pinned ones or, with `predict` (ETD2 levels of method 1), those of the
+    predictor A.
     """
-    pinned, parts = _window_start(pieces, start, times, scheme)
-    initial, tables = _flat(pinned), []
-    for d, (p, (u, f0, ahead)) in enumerate(zip(pieces, parts)):
-        a = p.ws.exp_kernel * u
-        if scheme == "etd2":
-            a += p.ws.phi1_kernel * f0
-        parts[d] = (a, f0, ahead)
+    lay, pinned, u, f0, ahead = _window_start(pieces, start, times, scheme)
+    exp, phi1, _ = lay.kernels
+    ab = np.empty((2, lay.at[-1]))  # A and the base step, read out together
+    a = np.multiply(exp, u, out=ab[0])
+    if scheme == "etd2":
+        a += np.multiply(phi1, f0, out=ab[1])
+    _step(lay, scheme, a, f0, ahead[0], out=ab[1])
+    reads, tables = np.empty((2, len(lay.outs))), []
+    for p, (i, o), (j, q), v in zip(pieces, lay.ends, lay.ends[1:], lay.views(ab)):
         if p.outflow:  # a lone piece has no trace edges
-            ins, outs, gains = _cached(p, ("step", scheme), _step_gains, scheme, at)
-            u_hat = np.empty((2,) + u.shape)  # A and the base step, read out together
-            u_hat[0], u_hat[1] = a, _step(p.ws, scheme, a, f0, ahead[0])
-            base = np.concatenate([o.read(u_hat) for o in p.outflow], axis=1)
-            if predict:
-                initial[outs] = base[0]
-            tables.append((ins, outs, base[1], gains))
+            p.outflow_stack.read(v, reads[:, o:q])
+            tables.append((i, j, o, q, _cached(p, ("step", scheme), _step_gains, scheme)))
+    base, initial = reads[1], pinned.copy()
+    if predict:
+        initial[lay.outs] = reads[0]
+    owned = np.empty(len(lay.outs))
 
     def sweep(now: np.ndarray, new: np.ndarray) -> np.ndarray:
-        for ins, outs, base, gains in tables:
-            new[outs] = base + now[ins] @ gains
+        x = now[lay.ins]
+        for i, j, o, q, gains in tables:
+            np.matmul(x[i:j], gains, out=owned[o:q])
+        new[lay.outs] = np.add(owned, base, out=owned)
         return new
 
-    def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
-        states = []
-        for p, o, (a, f0, ahead) in zip(pieces, out, parts):
-            f1 = ahead[0].copy()
-            for edge in p.inflow:
-                f1 += edge.spread(last[at[edge.interface]:at[edge.interface + 1]][None])[0]
-            o[1] = u1 = _step(p.ws, scheme, a, f0, f1)
-            states.append(u1)
+    def finish(out: Optional[Sequence[np.ndarray]], last: np.ndarray,
+               latest: np.ndarray) -> Level:
+        # with ETD2 the new level's f0 spreads its pinned traces, in one go with f1
+        traces = np.stack((last, latest) if scheme == "etd2" else (last,))
+        f = np.repeat(ahead[:1], len(traces), axis=0)
+        _spread_all(pieces, lay, traces, f)
+        u1 = _step(lay, scheme, a, f0, f[0], out=f[0])
+        if out is not None:
+            for o, state in zip(out, lay.views(u1)):
+                o[1] = state
         # the last row of a block assembled ahead goes on alone, and frees the block
-        return Level(states, [ahead if len(ahead) > 1 else ahead.copy() for _, _, ahead in parts],
-                     [latest[i:j] for i, j in zip(at, at[1:])])
+        return Level(flat=_Modes(lay, u1, ahead if len(ahead) > 1 else ahead.copy(), latest,
+                                 f[1] if scheme == "etd2" else None))
 
     return sweep, finish, initial
 
 
 def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
-                  scheme: Scheme, at: np.ndarray) -> tuple[Callable, Callable, np.ndarray]:
+                  scheme: Scheme) -> tuple[Callable, Callable, np.ndarray]:
     """The sweep of a window of two or more steps over the level times
     `times` (steps + 1, spaced by the pieces' step) from the level `start`
     at times[0], on flat traces (levels 1..steps of interface i at
-    at[i]:at[i + 1]).  Returns `sweep(now, new)`, which writes the owned
-    traces of every piece against the incoming ones `now` into `new` and
-    returns it; `finish(out, last, latest)`, which
-    marches each piece again against the last sweep's input `last`,
-    writes the trailing len(out[d]) - 1 levels of its mode-space
+    at[i]:at[i + 1], at = steps times the layout's trace offsets).  Returns
+    `sweep(now, new)`, which writes the owned traces of every piece against
+    the incoming ones `now` into `new` and returns it; `finish(out, last,
+    latest)`, which marches each piece again against the last sweep's input
+    `last`, writes the trailing len(out[d]) - 1 levels of its mode-space
     trajectory into out[d][1:] and returns the level at times[-1] in mode
-    space, pinned to the last level of the last sweep's output `latest`
-    (called once, it releases the stacks); and the default initial
-    traces, level 0 at every level.  Over the response table R of
-    `_window_responses` and the base read-out of one march per piece, a
-    1d window is one causal convolution per (outflow, inflow) pair; a 2d
-    window marches each piece in mode space in every sweep.
+    space, pinned to the last level of the last sweep's output `latest`;
+    and the default initial traces, level 0 at every level.  Over the
+    response table R of `_window_responses` and the base read-out of one
+    march per piece, a 1d window is one causal convolution per (outflow,
+    inflow) pair; a 2d window marches each piece in mode space in every
+    sweep.
     """
     steps = len(times) - 1
-    pinned, parts = _window_start(pieces, start, times, scheme)
-    history = lambda v, i: v[at[i]:at[i + 1]].reshape(steps, -1)  # levels 1..steps of interface i
+    lay, pinned, *modes = _window_start(pieces, start, times, scheme)
+    at = lay.traces * steps
+    parts = list(zip(*map(lay.views, modes)))  # per piece u, f0 and F
+    ins = [_nodes(p.inflow, at, steps) for p in pieces]
+    outs = [_nodes(p.outflow, at, steps) for p in pieces]
 
     def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
         """Piece d's trajectory against the incoming traces v (None: none)."""
         u, f0, ahead = parts[d]
         f_hat = np.empty((steps + 1,) + u.shape)
         f_hat[0], f_hat[1:] = f0, ahead[:steps]
-        for edge in pieces[d].inflow if v is not None else ():
-            f_hat[1:] += edge.spread(history(v, edge.interface))
+        if v is not None:
+            pieces[d].inflow_stack.spread(v[ins[d]], f_hat[1:])
         return _march_modes(pieces[d].ws, scheme, u, f_hat)
 
     tables = None  # 1d: per outflow edge its interface, base read-out and responses
@@ -685,18 +878,15 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         tables = [[] for _ in pieces]
         for d, (p, table) in enumerate(zip(pieces, tables)):
             if p.outflow:  # a lone piece has no trace edges
-                u_hat = march(d, None)
+                base = p.outflow_stack.read(march(d, None))[1:]
                 r = _cached(p, (scheme, steps), _window_responses, scheme, steps)
-                table += [(o.interface, o.read(u_hat)[1:, 0], rows) for o, rows
-                          in zip(p.outflow, np.ascontiguousarray(r.transpose(2, 1, 0)))]
+                table += [(o.interface, b, rows) for o, b, rows
+                          in zip(p.outflow, base.T, np.ascontiguousarray(r.transpose(2, 1, 0)))]
 
     def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
         for d, p in enumerate(pieces):
-            if tables is None:
-                u_hat = march(d, v)
-                for edge in p.outflow:
-                    new[at[edge.interface]:at[edge.interface + 1]] = edge.read(u_hat)[1:].ravel()
-                del u_hat  # before the next piece's march
+            if tables is None:  # the trajectory goes before the next piece's march
+                new[outs[d]] = p.outflow_stack.read(march(d, v))[1:]
                 continue
             for idx, base, rows in tables[d]:
                 out = base.copy()
@@ -706,22 +896,22 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         return new
 
     def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
-        states, forcing = [], []
-        for d in range(len(pieces)):
+        states = np.empty(lay.at[-1])
+        for d, state in enumerate(lay.views(states)):
             out[d][1:] = march(d, last)[1 - len(out[d]):]
-            states.append(out[d][-1].copy())
-            forcing.append(parts[d][2][steps - 1:steps].copy())
-            parts[d] = None
-        return Level(states, forcing, [history(latest, i)[-1].copy() for i in range(len(at) - 1)])
+            state[...] = out[d][-1]
+        return Level(flat=_Modes(lay, states, modes[2][steps - 1:steps].copy(),
+                                 _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:]))))
 
-    return sweep, finish, _flat(np.tile(p, steps) for p in pinned)
+    return sweep, finish, _flat(np.tile(pinned[i:j], steps)
+                                for i, j in zip(lay.traces, lay.traces[1:]))
 
 
 def _solve_window(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
     start: Level,
-    window: Sequence[np.ndarray],
+    window: Optional[Sequence[np.ndarray]],
     times: Sequence[float],
     config: SolverConfig,
     guess: Optional[TraceSet],
@@ -732,15 +922,15 @@ def _solve_window(
     """Solve one window from the level `start` at times[0]: the trailing
     len(window[d]) - 1 levels of piece d's solution go, in sine-mode
     space, into window[d][1:] (all of levels 1..steps for a window of
-    steps + 1 rows).  Returns the log and the level at times[-1].
-    A one-step window runs on `_step_sweep`, with the predictor's initial
+    steps + 1 rows; a one-step window may have none).  Returns the log and
+    the level at times[-1].  A one-step window runs on `_step_sweep`, with the predictor's initial
     traces if `predict`, a longer one on `_window_sweep`.  Without a
     guess the iteration starts from their default traces; level 0 of a
     guess is pinned data and not read."""
     steps = len(times) - 1
     at = np.cumsum([0] + [steps * itf.size for itf in interfaces])
-    sweep, finish, now = (_step_sweep(pieces, start, times, config.scheme, at, predict)
-                          if steps == 1 else _window_sweep(pieces, start, times, config.scheme, at))
+    sweep, finish, now = (_step_sweep(pieces, start, times, config.scheme, predict)
+                          if steps == 1 else _window_sweep(pieces, start, times, config.scheme))
     flat = lambda rows: _flat(np.asarray(r, dtype=float).reshape(len(times), itf.size)[1:].ravel()
                               for r, itf in zip(rows, interfaces))
     if guess is not None:

@@ -2,8 +2,9 @@
 Laplacian and dense matrix functions for the sine-mode phi products,
 single ETD1/ETD2 steps on fields (the field route of the drivers'
 mode-space recursion), iteration-free and field-marching routes for the
-Schwarz drivers, and the closed-form bounds and index helpers the tests
-state their expectations with.  Not a test module: pytest collects no
+Schwarz drivers, the per-edge forms of the edge stacks' spreads and
+read-outs, and the closed-form bounds and index helpers the tests state
+their expectations with.  Not a test module: pytest collects no
 tests here, the test modules import it."""
 import math
 
@@ -12,7 +13,7 @@ from scipy.linalg import expm
 
 from letd.analysis import ErrorReport
 from letd.geometry import Box, Grid
-from letd.matfunc import DirichletLaplacian, SpectralFactorization, phi_scalar
+from letd.matfunc import DirichletLaplacian, SpectralFactorization, phi_scalar, sine_matrix, sine_row
 from letd.schwarz import IterationLog, initial_traces
 from letd.steppers import StepWorkspace
 
@@ -114,6 +115,29 @@ def etd2_step(
         + ws.phi1_kernel * f0_hat
         + ws.phi2_kernel * (f1_hat - f0_hat)
     )
+
+
+def edge_spread(shape, edge, history):
+    """Forcing modes (levels, *shape) of one trace edge's history (levels,
+    size) on a piece of `shape`: the weighted history times the sine matrix
+    of the edge's other axes, entering through the sine row of the edge's
+    node along its axis; `EdgeStack.spread` of the edge alone."""
+    other = shape[:edge.axis] + shape[edge.axis + 1:]
+    h = ((edge.weight * history) @ sine_matrix(other)).reshape((len(history),) + other)
+    cut = 1 + edge.axis
+    return (h.reshape(h.shape[:cut] + (1,) + h.shape[cut:])
+            * sine_row(shape[edge.axis], edge.node).reshape((-1,) + (1,) * (h.ndim - cut)))
+
+
+def edge_read(shape, edge, u_hat):
+    """The trace history (levels, size) of one edge of mode-space levels
+    u_hat (levels, *shape): the levels contracted with the sine row of the
+    edge's node, times the sine matrix of its other axes;
+    `EdgeStack.read` of the edge alone."""
+    cut = 1 + edge.axis
+    v = (u_hat.transpose(*range(cut), *range(cut + 1, u_hat.ndim), cut)
+         @ sine_row(shape[edge.axis], edge.node))
+    return v.reshape(len(v), -1) @ sine_matrix(shape[:edge.axis] + shape[edge.axis + 1:])
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):

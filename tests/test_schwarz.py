@@ -27,6 +27,8 @@ from oracles import (
     dense_laplacian,
     direct_step,
     direct_window_traces,
+    edge_read,
+    edge_spread,
     expm_dense,
     field_window_sweep,
     flat_sweep,
@@ -411,26 +413,38 @@ def test_pieces_build_one_factorization_each_and_none_per_edge(monkeypatch):
     assert sum(len(p.inflow) + len(p.outflow) for p in pieces) == 2 * len(lay.interfaces) == 48
 
 
+def _edge_columns(edges):
+    """Per edge, its values' slice of a trace vector over `edges`."""
+    ends = np.cumsum([0] + [e.size for e in edges])
+    return [slice(i, j) for i, j in zip(ends, ends[1:])]
+
+
 def test_2d_edges_spread_and_read_like_a_dst_of_the_border_row():
     # spread: the weighted history on the border row, transformed over both
-    # axes; read: the node row of the transformed trajectory
+    # axes; read: the node row of the transformed trajectory; each edge
+    # through its stack, the other edges' traces zero
     prob, lay, grid, tg = _oracle_2d(3, 3, 2, "full")
     piece = build_local_pieces(prob, grid, lay, tg.dt)[4]
     rng = np.random.default_rng(6)
     axes = (1, 2)
-    for edge in piece.inflow + piece.outflow:
-        row = [slice(None)] * 3
-        row[1 + edge.axis] = edge.node
-        history = rng.standard_normal((5, edge.size))
-        field = np.zeros((5,) + piece.u0.shape)
-        field[tuple(row)] = edge.weight * history
-        want = dstn(field, type=1, norm="ortho", axes=axes)
-        got = edge.spread(history)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        u_hat = rng.standard_normal((5,) + piece.u0.shape)
-        want = dstn(u_hat, type=1, norm="ortho", axes=axes)[tuple(row)]
-        got = edge.read(u_hat)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for edges, stack in ((piece.inflow, piece.inflow_stack),
+                         (piece.outflow, piece.outflow_stack)):
+        for edge, cols in zip(edges, _edge_columns(edges)):
+            row = [slice(None)] * 3
+            row[1 + edge.axis] = edge.node
+            history = rng.standard_normal((5, edge.size))
+            field = np.zeros((5,) + piece.u0.shape)
+            field[tuple(row)] = edge.weight * history
+            want = dstn(field, type=1, norm="ortho", axes=axes)
+            traces = np.zeros((5, stack.size))
+            traces[:, cols] = history
+            got = np.zeros_like(want)
+            stack.spread(traces, got)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            u_hat = rng.standard_normal((5,) + piece.u0.shape)
+            want = dstn(u_hat, type=1, norm="ortho", axes=axes)[tuple(row)]
+            got = stack.read(u_hat)[:, cols]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +460,10 @@ def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
     seen = []
 
     def recording(make):
-        def made(pieces, start, times, scheme, at, *rest):
-            sweep, finish, initial = make(pieces, start, times, scheme, at, *rest)
-            pinned = (start.pinned if start.forcing is not None
-                      else initial_traces(pieces, start.states, len(at) - 1))
+        def made(pieces, start, times, scheme, *rest):
+            sweep, finish, initial = make(pieces, start, times, scheme, *rest)
+            pinned = (initial_traces(pieces, start.states, len(interfaces)) if start.flat is None
+                      else np.split(start.flat.pinned, start.flat.layout.traces[1:-1]))
             steps = len(times) - 1
             return (record(sweep, seen, lambda v: trace_histories(v, pinned, steps)),
                     finish, initial)
@@ -547,7 +561,7 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
     interfaces = lay.interfaces
     pinned = initial_traces(pieces, [p.u0 for p in pieces], len(interfaces))
     sweep = history_sweep(schwarz._window_sweep(pieces, Level([p.u0 for p in pieces]), tg.times(),
-                                                scheme, trace_offsets(pinned, tg.steps))[0],
+                                                scheme)[0],
                           pinned, tg.steps)
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
     before = sweep(guess)
@@ -660,20 +674,23 @@ def test_gain_sweeps_match_the_field_route(setup, args, scheme, start):
 
 @pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (2, 2, 2, "half"))],
                          ids=["1d-P3", "2d-2x2"])
-def test_etd1_per_step_iteration_is_the_one_step_waveform_window(setup, args):
-    # method 1 iterates the one-step windows of method 2, from the same
-    # ETD1 guess (the previous level's traces): the same fields bit for bit
-    # and the same iteration count at every level
+def test_only_a_level_given_as_fields_gets_a_two_level_window(monkeypatch, setup, args):
+    # fields come back rebuilt from a two-level window per piece; a carried
+    # level, from fields or handed on in mode space, goes on without one
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    cfg = SolverConfig(scheme="etd1", tolerance=1e-10, max_iterations=400, window_steps=1)
-    per_step, logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    windowed, log = method2_solve(pieces, lay.interfaces, tg, cfg)
-    assert len(log.windows) == len(logs) == tg.steps
-    assert [lg.iterations for lg in logs] == [w.iterations for w in log.windows]
-    assert all(lg.converged for lg in logs)
-    for a, b in zip(per_step, windowed):
-        assert np.array_equal(a, b)
+    cfg = SolverConfig(scheme="etd2", fixed_iterations=2)
+    empty, shapes = np.empty, []
+    monkeypatch.setattr(schwarz.np, "empty", lambda shape, *a, **kw: shapes.append(
+        tuple(np.atleast_1d(shape).tolist())) or empty(shape, *a, **kw))
+    windows = {(2,) + p.u0.shape for p in pieces}
+    method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt, cfg)
+    assert windows <= set(shapes)
+    shapes.clear()
+    level = Level([p.u0 for p in pieces])
+    for m in range(2):
+        level, _ = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
+    assert shapes and not windows & set(shapes)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -781,19 +798,25 @@ def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypa
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("setup,args", [pytest.param(_lookahead_1d, (63, 3, 2), id="1d-n63-P3"),
-                                        pytest.param(_lookahead_2d, (), id="2d-31x23-3x2")])
+@pytest.mark.parametrize("setup,args,budget", [
+    *[pytest.param(setup, args, b.values[0], id=f"{name}-{b.id}")
+      for setup, args, name in ((_lookahead_1d, (63, 3, 2), "1d-n63-P3"),
+                                (_lookahead_2d, (), "2d-31x23-3x2")) for b in BUDGETS],
+    *[pytest.param(setup, args, dict(tolerance=1e-10, max_iterations=400), id=f"{name}-tol1e-10")
+      for setup, args, name in ((_oracle_1d, (3,), "1d-P3"),
+                                (_oracle_2d, (2, 2, 2, "half"), "2d-2x2"))],
+])
 def test_etd1_per_step_march_and_one_step_waveform_windows_agree_bitwise(setup, args, budget):
     # both drivers run one-step levels on the one engine: with the same ETD1
     # starting guess (the previous level's traces) they give the same fields
-    # and the same per-level updates, bit for bit
+    # and the same per-level updates, bit for bit, and every level converges
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme="etd1", window_steps=1, **budget)
     per_step, logs = method1_march(pieces, lay.interfaces, tg, cfg)
     windowed, log = method2_solve(pieces, lay.interfaces, tg, cfg)
     assert len(log.windows) == len(logs) == tg.steps
+    assert all(lg.converged for lg in logs)
     for a, b in zip(logs, log.windows):
         assert_same_log(a, b)
     for a, b in zip(per_step, windowed):
@@ -813,17 +836,23 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
     level = Level([p.u0 for p in pieces])
     for m in range(3):
         times = (tg.t(m), tg.t(m + 1))
-        pinned, parts = schwarz._window_start(pieces, level, times, scheme)
-        at = trace_offsets(pinned, 1)
-        sweep, finish, latest = schwarz._step_sweep(pieces, level, times, scheme, at)
+        layout, _, *flat = schwarz._window_start(pieces, level, times, scheme)
+        at = layout.traces
+        sweep, finish, latest = schwarz._step_sweep(pieces, level, times, scheme)
         for _ in range(3):
             last, latest = latest, sweep(latest, np.empty(len(latest)))
         out = [np.empty((2,) + p.u0.shape) for p in pieces]
         level = finish(out, last, latest)
+        parts = zip(*map(layout.views, flat))
         for p, (u, f0, ahead), o, got in zip(pieces, parts, out, level.states):
             f_hat = np.stack([f0, ahead[0]])
-            for edge in p.inflow:
-                f_hat[1:] += edge.spread(last[at[edge.interface]:at[edge.interface + 1]][None])
+            ins = np.concatenate([np.arange(at[e.interface], at[e.interface + 1])
+                                  for e in p.inflow])
+            # ETD2 spreads the new level's pinned traces in the same call
+            traces = np.stack([last, latest] if scheme == "etd2" else [last])[:, ins]
+            f1 = np.repeat(f_hat[1:], len(traces), axis=0)
+            p.inflow_stack.spread(traces, f1)
+            f_hat[1] = f1[0]
             want = schwarz._march_modes(p.ws, scheme, u, f_hat)[1]
             assert np.array_equal(got, want) and np.array_equal(o[1], want), m
 
@@ -1020,6 +1049,56 @@ def test_step_gains_of_a_middle_piece_match_the_dense_phi_functions(scheme):
         assert np.abs(stacked - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (3, 3, 2, "full")),
+                                        (_oracle_2d, (3, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-3x3-full", "2d-3x2-half"])
+def test_edge_stacks_are_the_sums_of_the_per_edge_forms(setup, args):
+    # a stack spreads and reads out all its edges at once: in 1d bit for bit
+    # the per-edge products summed in edge order, in 2d, where the edges of
+    # an axis share their products, within round-off
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assert {len(p.inflow) for p in pieces} == ({1, 2} if setup is _oracle_1d else
+                                               {2, 3, 4} if args[1] == 3 else {2, 3})
+    rng = np.random.default_rng(8)
+    for piece in pieces:
+        shape = piece.u0.shape
+        for edges, stack in ((piece.inflow, piece.inflow_stack),
+                             (piece.outflow, piece.outflow_stack)):
+            traces = rng.standard_normal((4, stack.size))
+            want = np.zeros((4,) + shape)
+            for edge, cols in zip(edges, _edge_columns(edges)):
+                want += edge_spread(shape, edge, traces[:, cols])
+            got = np.zeros_like(want)
+            stack.spread(traces, got)
+            u_hat = rng.standard_normal((4,) + shape)
+            read = np.concatenate([edge_read(shape, e, u_hat) for e in edges], axis=1)
+            for a, b in ((got, want), (stack.read(u_hat), read)):
+                if setup is _oracle_1d:
+                    assert np.array_equal(a, b)
+                else:
+                    assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (3, 3, 2, "full")),
+                                        (_oracle_2d, (3, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-3x3-full", "2d-3x2-half"])
+def test_step_gains_are_the_one_step_window_responses(setup, args, scheme):
+    # the gains come without a march: in 1d with the bits of the marched
+    # table, in 2d, where the units go as one block per edge, within
+    # round-off of it
+    prob, lay, grid, tg = setup(*args)
+    for piece in build_local_pieces(prob, grid, lay, tg.dt):
+        got = schwarz._step_gains(piece, scheme)
+        want = schwarz._window_responses(piece, scheme, 1)[0]
+        assert got.shape == want.shape == (piece.inflow_stack.size, piece.outflow_stack.size)
+        if setup is _oracle_1d:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _counting(monkeypatch, name):
     """Replace schwarz.<name> by a wrapper that records the piece of each call."""
     build, calls = getattr(schwarz, name), []
@@ -1033,8 +1112,7 @@ def _counting(monkeypatch, name):
 
 
 def test_step_gains_are_built_once_per_piece_and_scheme(monkeypatch):
-    # the gains are the one-step window responses
-    calls = _counting(monkeypatch, "_window_responses")
+    calls = _counting(monkeypatch, "_step_gains")
     prob, lay, grid, tg = _oracle_2d(2, 2, 2, "full")
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme="etd2", fixed_iterations=3))
@@ -1053,7 +1131,7 @@ def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     fresh = build_local_pieces(prob, grid, lay, tg.dt)
     guess = random_trace_guess(lay.interfaces, seed=1)
-    calls = _counting(monkeypatch, "_window_responses")
+    calls = _counting(monkeypatch, "_step_gains")
     etd2 = SolverConfig(scheme="etd2", fixed_iterations=6)
     method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
                     SolverConfig(scheme="etd1", fixed_iterations=6), init_guess=guess)
@@ -1077,8 +1155,7 @@ def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, sche
     prob, lay, grid, tg = _oracle_1d(p)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
-    sweep = schwarz._window_sweep(pieces, Level([q.u0 for q in pieces]), tg.times(),
-                                  scheme, trace_offsets(pinned, tg.steps))[0]
+    sweep = schwarz._window_sweep(pieces, Level([q.u0 for q in pieces]), tg.times(), scheme)[0]
     direct = direct_window_traces(history_sweep(sweep, pinned, tg.steps), pinned, tg.steps)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
     trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
@@ -1107,8 +1184,7 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         pinned = initial_traces(pieces, starts, n_if)
         # a one-step window runs on the one-step engine, as in the driver
         make = schwarz._step_sweep if n == 1 else schwarz._window_sweep
-        sweep, finish, _ = make(pieces, Level(starts), tg.times()[s: s + n + 1], scheme,
-                                trace_offsets(pinned, n))
+        sweep, finish, _ = make(pieces, Level(starts), tg.times()[s: s + n + 1], scheme)
         x = flat_traces(direct_window_traces(history_sweep(sweep, pinned, n), pinned, n))
         finish(part, x, sweep(x, np.empty(len(x))))  # the window's levels in sine-mode space, then as fields
         for q, w in zip(pieces, part):
