@@ -400,11 +400,17 @@ def _sample(fn: Callable, name: str, coords: tuple, t, shape: tuple[int, ...]) -
     """fn(*coords, t) as a float array of shape (levels, *shape), or `shape`
     at one time; an array of times enters as a column against the coords.
     Data of another shape come back as a read-only broadcast view, and a
-    ValueError names `name` when they do not broadcast."""
+    ValueError names `name` when they do not broadcast or, over an array
+    of times, raise a TypeError (scalar-only data such as math.sin(t))."""
     lead = _levels(t)
     if lead:
         t = np.asarray(t, dtype=float).reshape(lead + (1,) * len(shape))
-    values = np.asarray(fn(*coords, t), dtype=float)
+    try:
+        values = np.asarray(fn(*coords, t), dtype=float)
+    except TypeError as exc:
+        if not lead:
+            raise
+        raise ValueError(f"{name} does not take an array of times: {exc}") from exc
     if values.shape == lead + shape:
         return values
     try:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .analysis import ErrorReport, estimate_contraction, linf_norms
 from .geometry import (
-    Box,
     Problem,
+    decompose,
     decompose_1d,
     decompose_2d,
     make_grid_1d,
@@ -46,7 +46,7 @@ from .schwarz import (
     method2_solve,
     random_trace_guess,
 )
-from .steppers import TimeGrid, run_monodomain
+from .steppers import TimeGrid
 
 PROBLEMS = ("error_equation", "analytic_1d", "analytic_2d")
 SOLVERS = ("mono", "method1", "method2")
@@ -316,24 +316,19 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
 # ---------------------------------------------------------------------------
 
 def _solve(config, problem, grid, layout, timegrid, guess=None, final_only=False):
-    """Build and solve one accuracy run.  Returns the boxes of the pieces,
-    their trajectories (every level, or with `final_only` level 0 and the
-    last) and the iteration logs: one per level for method 1, one for
-    method 2, none for the monodomain run."""
-    if config.solver == "mono":
-        whole = Box((1,) * len(grid.shape), grid.shape)
-        return [whole], [run_monodomain(problem, grid, timegrid, config.scheme,
-                                        final_only=final_only)], []
+    """Build and solve one accuracy run on `layout` (the one-piece layout
+    for the monodomain run, which is method 1 without interfaces).  Returns
+    the boxes of the pieces, their trajectories (every level, or with
+    `final_only` level 0 and the last) and the iteration logs: one per
+    level for method 1, one for method 2, none for the monodomain run."""
     pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
     scfg = config.solver_config()
-    if config.solver == "method1":
-        trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg,
-                                    final_only=final_only)
-    else:
+    if config.solver == "method2":
         trajs, log = method2_solve(pieces, layout.interfaces, timegrid, scfg, init_guess=guess,
                                    final_only=final_only)
-        logs = [log]
-    return layout.pieces, trajs, logs
+        return layout.pieces, trajs, [log]
+    trajs, logs = method1_march(pieces, layout.interfaces, timegrid, scfg, final_only=final_only)
+    return layout.pieces, trajs, logs if config.solver == "method1" else []
 
 
 def _record_logs(result, config, tag, logs, levels=None) -> None:
@@ -359,7 +354,7 @@ def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> No
     problem = builtin_problem("analytic_1d", config.horizon)
     grid = make_grid_1d(config.n, problem.length, origin=problem.origin)
     if config.solver == "mono":
-        loops = [("", None)]
+        loops = [("", decompose(grid.shape, (1,), (0, 0)))]
     else:
         loops = [(delta, decompose_1d(grid, config.px, delta))
                  for delta in config.overlaps]
@@ -383,8 +378,7 @@ def _accuracy_study_1d(config: ExperimentConfig, result: ExperimentResult) -> No
                                              / math.log2(order_in[-1][0] / dt))
             order_in.append((dt, rel))
             result.summary_rows.append(
-                (tag, delta if delta != "" else 0, dt, config.horizon,
-                 1 if config.solver == "mono" else config.px,
+                (tag, delta if delta != "" else 0, dt, config.horizon, layout.counts[0],
                  config.scheme, config.solver, "", rel, order, iters))
     result.notes["error_normalization"] = "space-time max of the exact solution"
 
@@ -398,8 +392,7 @@ def _accuracy_study_2d(config: ExperimentConfig, result: ExperimentResult) -> No
     timegrid = TimeGrid(config.horizon, steps)
     tag = (f"{config.problem}-{config.solver}-{config.scheme}"
            f"-dt{dt:g}-T{config.horizon:g}-P{config.px}x{config.py}")
-    layout = guess = None
-    delta = ""
+    layout, guess, delta = decompose(grid.shape, (1, 1), (0, 0)), None, ""
     if config.solver != "mono":
         delta = config.overlaps[0]
         layout = decompose_2d(config.n, ny, config.px, config.py, delta,
@@ -413,7 +406,7 @@ def _accuracy_study_2d(config: ExperimentConfig, result: ExperimentResult) -> No
     errors = _piece_errors(problem, grid, boxes, [traj[-1:] for traj in trajs], [config.horizon])
     err = max(e.linf_spacetime for e in errors)
     result.summary_rows.append(
-        (tag, delta, dt, config.horizon, 1 if config.solver == "mono" else config.px,
+        (tag, delta, dt, config.horizon, layout.counts[0],  # P: pieces along x
          config.scheme, config.solver, "", err, "", iters))
     result.notes["error_normalization"] = "absolute max-norm error at the final time"
 

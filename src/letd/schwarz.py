@@ -46,7 +46,7 @@ drivers write the levels they keep into their trajectories as modes
 (every level, or with `final_only` the last one alone), and each
 trajectory is transformed to fields by one inverse DST per piece at the
 end.  A method-1 level transforms one field per piece, and its march
-assembles the forcing of four levels at a time.
+assembles the forcing of up to four levels at a time.
 
 With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
@@ -67,7 +67,9 @@ the initial state, the forcing data, per-edge closures and the trace
 edges (`EdgeRow`) with their stacks, prepared by `build_local_pieces`,
 and share one sweep loop, which holds levels 1.. of every interface
 trace (size values per level: 1 in 1d, the edge length in 2d) in one
-vector.
+vector.  On the one-piece layout, which has no interfaces, method 1 is
+the monodomain march: a level's one sweep is its solution, and its log
+holds no Schwarz sweep.
 
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
@@ -123,9 +125,10 @@ _DENOM_FLOOR = 1e-14
 _UNITS_PER_MARCH = 8
 
 # Levels whose trace-independent forcing a per-step march assembles in one
-# call per piece.  Each level held ahead costs a field per piece; more
-# levels save fewer calls and raise the peak memory (CHANGES.md).
-_AHEAD = 4
+# call per piece, at most _AHEAD_VALUES values of its largest piece: more
+# levels save fewer calls and raise the peak memory, and a larger block
+# takes fresh pages in every transform (CHANGES.md).
+_AHEAD, _AHEAD_VALUES = 4, 8192
 
 TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
 
@@ -514,11 +517,11 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
     per-interface updates (and distances from `reference`), max norms
     over each interface's slice, stops by the relative-update rule unless
     the budget is fixed, and raises on a non-finite update either way.
-    Without interfaces one sweep is the solution.  Returns the log and the
-    last sweep's input and output.
+    A lone piece sweeps once, its solution, and logs no Schwarz sweep.
+    Returns the log and the last sweep's input and output.
     """
     if len(at) == 1:
-        log = IterationLog(updates=np.zeros((1, 0)), errors=None, converged=True, iterations=1)
+        log = IterationLog(updates=np.zeros((0, 0)), errors=None, converged=True, iterations=0)
         return log, now, sweep(now, np.empty(0))
     norm = lambda v: np.maximum.reduceat(np.abs(v, out=v), at[:-1])  # max |v| per interface; overwrites v
     new, spare = np.empty(len(now)), np.empty(len(now))
@@ -614,14 +617,18 @@ def method1_march(
 
     Each level is one `method1_advance` call, which hands the next one its
     level in sine-mode space.  From level 2 on, each piece assembles the
-    trace-independent forcing of `_AHEAD` levels (fewer at the horizon) in
-    one call into the level handed on, each level transformed as a block
-    of its own.  The kept levels are written into the trajectories as
+    trace-independent forcing of `_AHEAD` levels (fewer at the horizon, and
+    as many as `_AHEAD_VALUES` allow for the largest piece) in one call
+    into the level handed on, each level transformed as a block of its
+    own.  The kept levels are written into the trajectories as
     modes and transformed to fields once per piece at the end.  Returns
     per-piece trajectories of shape (steps + 1, *piece shape)
     and the iteration log of every level.  With `final_only` the
     trajectories hold level 0 and the last level alone, shape
     (2, *piece shape), and only the last carried level is written.
+    On the one-piece layout (`decompose(shape, (1,) * d, (0, 0))`) no
+    level iterates, and the march is the monodomain ETD march with the
+    state kept in sine-mode space.
     """
     steps = timegrid.steps
     keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
@@ -630,10 +637,11 @@ def method1_march(
         traj[0] = p.u0
     times = timegrid.times()
     level = Level([p.u0 for p in pieces])
+    span = max(1, min(_AHEAD, _AHEAD_VALUES // max(p.u0.size for p in pieces)))
     logs = []
     for m in range(steps):
         if m and len(level.flat.forcing) == 1:  # no level assembled ahead is left
-            ahead = times[m + 1: m + 1 + _AHEAD]
+            ahead = times[m + 1: m + 1 + span]
             block = np.empty((1 + len(ahead), len(level.flat.states)))
             block[0] = level.flat.forcing[0]
             for p, part in zip(pieces, level.flat.layout.views(block[1:])):
@@ -807,9 +815,8 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     _step(lay, scheme, a, f0, ahead[0], out=ab[1])
     reads, tables = np.empty((2, len(lay.outs))), []
     for p, (i, o), (j, q), v in zip(pieces, lay.ends, lay.ends[1:], lay.views(ab)):
-        if p.outflow:  # a lone piece has no trace edges
-            p.outflow_stack.read(v, reads[:, o:q])
-            tables.append((i, j, o, q, _cached(p, ("step", scheme), _step_gains, scheme)))
+        p.outflow_stack.read(v, reads[:, o:q])
+        tables.append((i, j, o, q, _cached(p, ("step", scheme), _step_gains, scheme)))
     base, initial = reads[1], pinned.copy()
     if predict:
         initial[lay.outs] = reads[0]

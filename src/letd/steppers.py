@@ -17,8 +17,9 @@ while linear interpolation of F over the step gives the second-order
 
 Both are unconditionally stable here and inherit a discrete maximum
 principle from the entrywise nonnegativity of e^{dt A} and the phi
-kernels.  The kernels are diagonal in sine-mode space, so one step costs
-a couple of DSTs; workspaces cache the scaled kernels for a fixed dt.
+kernels.  The kernels are diagonal in sine-mode space; workspaces cache
+the scaled kernels for a fixed dt.  The drivers in `schwarz` march with
+them; a monodomain run is method 1 on the layout of one piece.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from typing import Literal
 
 import numpy as np
 
-from .geometry import Box, Grid, Problem, assemble_forcing, boundary_data, box_forcing
-from .matfunc import DirichletLaplacian, SpectralFactorization, phi_scalar, spectral_factorization
+from .matfunc import SpectralFactorization, phi_scalar
 
 __all__ = [
     "TimeGrid",
     "StepWorkspace",
     "make_workspace",
-    "run_monodomain",
     "Scheme",
 ]
 
@@ -96,55 +95,3 @@ def make_workspace(fact: SpectralFactorization, dt: float) -> StepWorkspace:
         phi1_kernel=dt * phi_scalar(1, z),
         phi2_kernel=dt * phi_scalar(2, z),
     )
-
-
-def run_monodomain(
-    problem: Problem,
-    grid: Grid,
-    timegrid: TimeGrid,
-    scheme: Scheme,
-    *,
-    final_only: bool = False,
-) -> np.ndarray:
-    """March the whole domain; returns the trajectory including t = 0.
-
-    Shape (steps + 1, *grid.shape).  The step kernels are built from
-    problem.nu, the grid and timegrid.dt, as `build_local_pieces` builds a
-    piece's.  The state is kept in mode space across steps so each step
-    costs two DSTs.  With `final_only` the trajectory holds level 0 and
-    the last level alone, shape (2, *grid.shape), and only the last level
-    is transformed back.
-    """
-    if scheme not in ("etd1", "etd2"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    ws = make_workspace(
-        spectral_factorization(DirichletLaplacian(grid.shape, problem.nu, grid.spacings)),
-        timegrid.dt)
-    fa = ws.fact
-    fc = box_forcing(problem, grid, Box((1,) * len(grid.shape), grid.shape))
-    u0 = fc.initial_state()
-
-    def forcing(t: float) -> np.ndarray:
-        return assemble_forcing(fc, t, [boundary_data(fc, k, t) for k in range(len(fc.edges))])
-
-    steps = timegrid.steps
-    keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
-    traj = np.empty((keep,) + u0.shape)
-    traj[0] = u0
-    u_hat = fa.to_modes(u0)
-    f_hat_now = fa.to_modes(forcing(0.0)) if scheme == "etd2" else None
-    for m in range(steps):
-        f_hat_next = fa.to_modes(forcing(timegrid.t(m + 1)))
-        if scheme == "etd1":
-            u_hat = ws.exp_kernel * u_hat + ws.phi1_kernel * f_hat_next
-        else:
-            u_hat = (
-                ws.exp_kernel * u_hat
-                + ws.phi1_kernel * f_hat_now
-                + ws.phi2_kernel * (f_hat_next - f_hat_now)
-            )
-            f_hat_now = f_hat_next
-        row = m + keep - steps  # the row of level m + 1; below 1 if it is not kept
-        if row >= 1:
-            traj[row] = fa.from_modes(u_hat)
-    return traj

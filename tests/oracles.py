@@ -1,21 +1,44 @@
 """Independent routes that the tests check the library against: the dense
 Laplacian and dense matrix functions for the sine-mode phi products,
 single ETD1/ETD2 steps on fields (the field route of the drivers'
-mode-space recursion), iteration-free and field-marching routes for the
-Schwarz drivers, the per-edge forms of the edge stacks' spreads and
-read-outs, and the closed-form bounds and index helpers the tests state
-their expectations with.  Not a test module: pytest collects no
-tests here, the test modules import it."""
+mode-space recursion), the retired monodomain march (`run_monodomain`,
+the oracle of the one-piece method-1 march), iteration-free and
+field-marching routes for the Schwarz drivers, the per-edge forms of the
+edge stacks' spreads and read-outs, and the closed-form bounds and index
+helpers the tests state their expectations with; `one_piece_march` runs
+the library's monodomain route for the property tests.  Not a test
+module: pytest collects no tests here, the test modules import it."""
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
 from letd.analysis import ErrorReport
-from letd.geometry import Box, Grid
-from letd.matfunc import DirichletLaplacian, SpectralFactorization, phi_scalar, sine_matrix, sine_row
-from letd.schwarz import IterationLog, initial_traces
-from letd.steppers import StepWorkspace
+from letd.geometry import (
+    Box,
+    Grid,
+    Problem,
+    assemble_forcing,
+    boundary_data,
+    box_forcing,
+    decompose,
+)
+from letd.matfunc import (
+    DirichletLaplacian,
+    SpectralFactorization,
+    phi_scalar,
+    sine_matrix,
+    sine_row,
+    spectral_factorization,
+)
+from letd.schwarz import (
+    IterationLog,
+    SolverConfig,
+    build_local_pieces,
+    initial_traces,
+    method1_march,
+)
+from letd.steppers import Scheme, StepWorkspace, TimeGrid, make_workspace
 
 
 def dense_laplacian(op: DirichletLaplacian) -> np.ndarray:
@@ -262,3 +285,66 @@ def direct_step(pieces, interfaces, states, t_now, dt, scheme):
     out = [np.empty((2,) + np.shape(u)) for u in states]
     fields(out)
     return [o[1] for o in out]
+
+
+def run_monodomain(
+    problem: Problem,
+    grid: Grid,
+    timegrid: TimeGrid,
+    scheme: Scheme,
+    *,
+    final_only: bool = False,
+) -> np.ndarray:
+    """March the whole domain; returns the trajectory including t = 0.
+
+    Shape (steps + 1, *grid.shape).  The step kernels are built from
+    problem.nu, the grid and timegrid.dt, as `build_local_pieces` builds a
+    piece's.  The state is kept in mode space across steps so each step
+    costs two DSTs.  With `final_only` the trajectory holds level 0 and
+    the last level alone, shape (2, *grid.shape), and only the last level
+    is transformed back.
+    """
+    if scheme not in ("etd1", "etd2"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    ws = make_workspace(
+        spectral_factorization(DirichletLaplacian(grid.shape, problem.nu, grid.spacings)),
+        timegrid.dt)
+    fa = ws.fact
+    fc = box_forcing(problem, grid, Box((1,) * len(grid.shape), grid.shape))
+    u0 = fc.initial_state()
+
+    def forcing(t: float) -> np.ndarray:
+        return assemble_forcing(fc, t, [boundary_data(fc, k, t) for k in range(len(fc.edges))])
+
+    steps = timegrid.steps
+    keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
+    traj = np.empty((keep,) + u0.shape)
+    traj[0] = u0
+    u_hat = fa.to_modes(u0)
+    f_hat_now = fa.to_modes(forcing(0.0)) if scheme == "etd2" else None
+    for m in range(steps):
+        f_hat_next = fa.to_modes(forcing(timegrid.t(m + 1)))
+        if scheme == "etd1":
+            u_hat = ws.exp_kernel * u_hat + ws.phi1_kernel * f_hat_next
+        else:
+            u_hat = (
+                ws.exp_kernel * u_hat
+                + ws.phi1_kernel * f_hat_now
+                + ws.phi2_kernel * (f_hat_next - f_hat_now)
+            )
+            f_hat_now = f_hat_next
+        row = m + keep - steps  # the row of level m + 1; below 1 if it is not kept
+        if row >= 1:
+            traj[row] = fa.from_modes(u_hat)
+    return traj
+
+
+def one_piece_march(problem: Problem, grid: Grid, timegrid: TimeGrid, scheme: Scheme, *,
+                    final_only: bool = False) -> np.ndarray:
+    """The library's monodomain route: `method1_march` on the one-piece
+    layout, with the trajectory shaped as `run_monodomain`'s."""
+    layout = decompose(grid.shape, (1,) * len(grid.shape), (0, 0))
+    pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
+    (traj,), _ = method1_march(pieces, layout.interfaces, timegrid, SolverConfig(scheme=scheme),
+                               final_only=final_only)
+    return traj

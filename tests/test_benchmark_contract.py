@@ -61,3 +61,29 @@ def test_tracer_sees_every_method1_level_and_sweep(monkeypatch):
     assert len(calls) == len(logs) == tg.steps
     assert all(args[0] is pieces for args, _ in calls)
     assert sum(out[1].iterations for _, out in calls) == sum(log.iterations for log in logs)
+
+
+def test_tracer_sees_no_sweep_in_a_monodomain_run(monkeypatch):
+    # the monodomain run is method 1 on the one-piece layout, so the tracer
+    # counts its levels through schwarz.method1_advance too.  A lone piece
+    # runs no Schwarz sweep, so mono runs add nothing to the gated
+    # schwarz.sweeps and schwarz.levels counts.
+    from letd import schwarz
+
+    advance, calls = schwarz.method1_advance, []
+
+    def counted(*args, **kwargs):
+        out = advance(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(schwarz, "method1_advance", counted)
+    harness.run_experiment(harness.ExperimentConfig(
+        problem="analytic_1d", solver="mono", scheme="etd2", n=63, dts=(0.025, 0.0125),
+        horizon=0.25))
+    harness.run_experiment(harness.ExperimentConfig(
+        problem="analytic_2d", solver="mono", scheme="etd1", n=15, ny=12, dts=(0.05,),
+        horizon=0.5))
+    assert len(calls) == 10 + 20 + 10  # one call per level
+    assert all(len(args[0]) == 1 for args, _ in calls)
+    assert sum(out[1].iterations for _, out in calls) == 0

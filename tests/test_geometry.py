@@ -1,4 +1,6 @@
 """Grids, overlapping layouts, interface bookkeeping, forcing assembly."""
+import math
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,13 @@ def test_data_that_do_not_broadcast_over_the_times_are_named():
         boundary_data(fc, 0, TIMES)
     with pytest.raises(ValueError, match="1-D array of times"):
         boundary_data(fc, 0, TIMES[None])
+    # scalar-only data (math.sin of t) are named over an array of times,
+    # and still serve one time
+    fc = _forcing_box(1, boundary=lambda x, t: x * math.sin(t), exact=None)
+    with pytest.raises(ValueError, match="boundary does not take an array of times") as err:
+        boundary_data(fc, 0, TIMES)
+    assert isinstance(err.value.__cause__, TypeError)
+    assert boundary_data(fc, 0, 0.5).shape == fc.edges[0].shape
+    fc = _forcing_box(2, source=lambda x, y, t: x * y * math.cos(t))
+    with pytest.raises(ValueError, match="source does not take an array of times"):
+        assemble_forcing(fc, TIMES, [None] * 4)

@@ -1,4 +1,5 @@
 """Iterative drivers: per-step interface iteration and waveform relaxation."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dstn
 
-from letd import schwarz
-from letd.geometry import Problem, decompose_1d, decompose_2d, make_grid_1d, make_grid_2d
+from letd import harness, schwarz
+from letd.geometry import (
+    Problem,
+    decompose,
+    decompose_1d,
+    decompose_2d,
+    make_grid_1d,
+    make_grid_2d,
+)
 from letd.harness import ExperimentConfig, builtin_problem, run_experiment
 from letd.matfunc import DirichletLaplacian, SpectralFactorization
 from letd.schwarz import (
@@ -22,7 +30,7 @@ from letd.schwarz import (
     random_trace_guess,
     theoretical_rate,
 )
-from letd.steppers import TimeGrid, run_monodomain
+from letd.steppers import TimeGrid
 from oracles import (
     dense_laplacian,
     direct_step,
@@ -35,6 +43,8 @@ from oracles import (
     flat_traces,
     history_sweep,
     normalized_curve,
+    one_piece_march,
+    run_monodomain,
     superlinear_bound,
     trace_histories,
     trace_offsets,
@@ -143,17 +153,68 @@ def test_per_step_iteration_matches_direct_coupled_solve(scheme):
     assert np.abs(new_states[1] - v2).max() < 1e-12 * scale
 
 
-def test_single_piece_march_matches_monodomain():
-    prob = analytic_problem()
-    n = 255
-    grid = make_grid_1d(n, prob.length, origin=prob.origin)
-    tg = TimeGrid(prob.horizon, 20)
-    lay = decompose_1d(grid, 1, 0)
+# (dimension, nodes per axis, steps, relative tolerance against the oracle):
+# the 1d table steps on n = 511 and the 2d C06 step on 127^2, 63^2 and 31^2
+# are bitwise; 1d axes of at most 126 nodes take their DSTs as dense
+# products, and the march transforms [u0, f0, F1] as one product where the
+# oracle transforms each alone, so its levels move by round-off
+MONO_CASES = {
+    **{f"1d-n511-s{steps}": (1, 511, steps, 0.0) for steps in (10, 20, 40, 80)},
+    "1d-n255-s20": (1, 255, 20, 0.0),
+    **{f"2d-n{n}": (2, n, 128, 0.0) for n in (127, 63, 31)},
+    **{f"1d-n{n}-s40": (1, n, 40, 1e-15) for n in (63, 100, 126)},
+}
+
+
+@pytest.mark.parametrize("final_only", [False, True], ids=["every-level", "final-only"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("case", list(MONO_CASES))
+def test_monodomain_is_the_one_piece_method1_march(case, scheme, final_only):
+    dim, n, steps, rtol = MONO_CASES[case]
+    prob = builtin_problem("analytic_1d" if dim == 1 else "analytic_2d")
+    grid = (make_grid_1d(n, prob.length, origin=prob.origin) if dim == 1
+            else make_grid_2d(n, n, prob.lengths))
+    tg = TimeGrid(prob.horizon, steps)
+    got = one_piece_march(prob, grid, tg, scheme, final_only=final_only)
+    want = run_monodomain(prob, grid, tg, scheme, final_only=final_only)
+    assert got.shape == want.shape == ((2 if final_only else steps + 1),) + grid.shape
+    if rtol == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("budget", ["tolerance", "fixed"])
+def test_a_lone_piece_logs_no_sweep(dim, budget):
+    # without interfaces the one sweep of a level or window is the
+    # solution, not a Schwarz iteration: every log holds 0 iterations, is
+    # converged and gives no decay rows
+    if dim == 1:
+        prob = analytic_problem()
+        grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    else:
+        prob = builtin_problem("analytic_2d")
+        grid = make_grid_2d(15, 12, prob.lengths)
+    lay = decompose(grid.shape, (1,) * dim, (0, 0))
+    tg = TimeGrid(prob.horizon, 8)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    cfg = SolverConfig(scheme="etd2", tolerance=1e-10)
-    trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    mono = run_monodomain(prob, grid, tg, "etd2")
-    assert np.abs(trajs[0] - mono).max() < 1e-11 * np.abs(mono).max()
+    cfg = SolverConfig(scheme="etd2", tolerance=1e-10,
+                       fixed_iterations=3 if budget == "fixed" else None)
+    start = [p.u0 for p in pieces]
+    logs = [method1_advance(pieces, lay.interfaces, start, 0.0, tg.dt, cfg)[1],
+            method1_advance(pieces, lay.interfaces, Level(start), 0.0, tg.dt, cfg)[1],
+            *method1_march(pieces, lay.interfaces, tg, cfg)[1],
+            method2_solve(pieces, lay.interfaces, tg, cfg)[1]]
+    windowed = method2_solve(pieces, lay.interfaces, tg, dataclasses.replace(cfg, window_steps=3))[1]
+    assert len(windowed.windows) == 3
+    logs += [windowed, *windowed.windows]
+    assert len(logs) == 2 + tg.steps + 1 + 4
+    for log in logs:
+        assert log.iterations == 0 and log.converged
+        rows = []
+        harness._decay_from_log(rows, "run", log, time_level=0)
+        assert rows == []
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -919,16 +980,14 @@ def test_final_only_runs_never_hold_every_level(driver):
     grid = make_grid_2d(31, 31, prob.lengths)
     lay = decompose_2d(31, 31, 2, 2, 2, "half")
     tg = TimeGrid(prob.horizon, 64)
-    if driver == "mono":
-        nodes = math.prod(grid.shape)
-        run = lambda **kw: run_monodomain(prob, grid, tg, "etd2", **kw)
-    else:
-        pieces = build_local_pieces(prob, grid, lay, tg.dt)
-        nodes = sum(p.u0.size for p in pieces)
-        solve = method1_march if driver == "method1" else method2_solve
-        cfg = SolverConfig(scheme="etd2", fixed_iterations=2,
-                           window_steps=4 if driver == "method2" else None)
-        run = lambda **kw: solve(pieces, lay.interfaces, tg, cfg, **kw)
+    if driver == "mono":  # method 1 on the one-piece layout
+        lay = decompose(grid.shape, (1, 1), (0, 0))
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    nodes = sum(p.u0.size for p in pieces)
+    solve = method2_solve if driver == "method2" else method1_march
+    cfg = SolverConfig(scheme="etd2", fixed_iterations=2,
+                       window_steps=4 if driver == "method2" else None)
+    run = lambda **kw: solve(pieces, lay.interfaces, tg, cfg, **kw)
     run(final_only=True)  # builds the pieces' response tables outside the trace
     every_level = (tg.steps + 1) * nodes * 8
     kept = _traced_peak(lambda: run(final_only=True))
@@ -967,6 +1026,27 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
     assert sum(map(math.prod, shapes)) == sum(
         (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
     assert len(assembled) == p * head + p * len(blocks)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_per_step_march_assembles_fewer_levels_ahead_for_large_pieces(monkeypatch, scheme):
+    # pieces too large for _AHEAD levels in a block of _AHEAD_VALUES values
+    # assemble as many levels per call as fit (at least one), with the
+    # same bits: each level is transformed as a block of its own
+    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
+    want, want_logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    assemble, levels = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda fc, t, vals: levels.append(np.size(t)) or assemble(fc, t, vals))
+    monkeypatch.setattr(schwarz, "_AHEAD_VALUES", 2 * max(q.u0.size for q in pieces) + 1)
+    got, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    head = 2 if scheme == "etd2" else 1  # single-time calls of the first level's start
+    assert levels[len(pieces) * head:] == [k for k in (2, 2, 2, 1) for _ in pieces]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for a, b in zip(logs, want_logs):
+        assert_same_log(a, b)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])

