@@ -212,7 +212,11 @@ def sine_row(n: int, j: int) -> np.ndarray:
     """Row j (0-based) of the orthonormal DST-I matrix of size n: the n
     sine modes sampled at node j.  The matrix is symmetric, so this is the
     transform of the unit vector at j; taking it from the transform keeps
-    the transform's own round-off."""
+    the transform's own round-off.  An axis of at most `_DENSE_AXIS_MAX`
+    nodes reads it, read-only, from the cached `axis_sine_matrix(n)`,
+    whose rows are those transforms bit for bit."""
+    if n <= _DENSE_AXIS_MAX:
+        return axis_sine_matrix(n)[j]
     return _dst1(np.eye(1, n, j), (-1,))[0]
 
 

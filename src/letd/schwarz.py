@@ -74,13 +74,18 @@ holds no Schwarz sweep.
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
 the initial guess on that interface, must drop below the tolerance.
-A vanishing initial guess flips the criterion to absolute updates.
-A non-finite update stops either driver with an error, also under a
-fixed sweep budget.
+A vanishing initial guess (at most `_DENOM_FLOOR`) flips the criterion
+to absolute updates on that interface.  The loop folds this into a scale
+per interface, built once per solve (the guess magnitude, or 1), so
+each sweep tests one divide and one max.  A non-finite update stops
+either driver with an error, also under a fixed sweep budget; the max
+of each sweep's updates detects it, and only then are the interfaces
+searched for the one to name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -129,6 +134,10 @@ _UNITS_PER_MARCH = 8
 # levels save fewer calls and raise the peak memory, and a larger block
 # takes fresh pages in every transform (CHANGES.md).
 _AHEAD, _AHEAD_VALUES = 4, 8192
+
+# Log rows a tolerance-mode solve allocates at first; they double as they
+# fill, up to the sweep budget.
+_LOG_ROWS = 32
 
 TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
 
@@ -501,11 +510,6 @@ def initial_traces(pieces: Sequence[LocalPiece], states: Sequence[np.ndarray],
     return traces
 
 
-def _stop(updates: np.ndarray, denoms: np.ndarray, tol: float) -> bool:
-    rel = np.where(denoms > _DENOM_FLOOR, updates / np.maximum(denoms, _DENOM_FLOOR), updates)
-    return bool(np.all(rel < tol))
-
-
 def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.ndarray,
                 at: np.ndarray, config: SolverConfig, reference: Optional[np.ndarray],
                 where: str) -> tuple[IterationLog, np.ndarray, np.ndarray]:
@@ -513,40 +517,62 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
     >= 1 of every interface's trace (level 0 is pinned data) in one
     vector, interface i at at[i]:at[i + 1], as is `reference`.  A sweep
     writes its traces into `new`; `now` and one more vector take the
-    iterates in turn, and a third each update.  The loop logs the
+    iterates in turn, and a third each difference.  The loop logs the
     per-interface updates (and distances from `reference`), max norms
-    over each interface's slice, stops by the relative-update rule unless
-    the budget is fixed, and raises on a non-finite update either way.
-    A lone piece sweeps once, its solution, and logs no Schwarz sweep.
-    Returns the log and the last sweep's input and output.
+    over each interface's slice, reduced straight into log rows that are
+    allocated up front: the whole budget when it is fixed, else
+    `_LOG_ROWS` rows that double as they fill, up to the budget.
+    The guess norms become a scale vector once per solve (the norm where it
+    exceeds `_DENOM_FLOOR`, else 1), so a sweep's stop test is one divide
+    and one max: the relative-update rule stops the loop when that max is
+    below the tolerance, unless the budget is fixed.  The max (of the
+    updates alone under a fixed budget) is also the finiteness test: when
+    it is not finite the interfaces are searched and a non-finite update
+    raises.  A lone piece sweeps once, its solution, and logs no Schwarz
+    sweep.  Returns the log and the last sweep's input and output.
     """
     if len(at) == 1:
         log = IterationLog(updates=np.zeros((0, 0)), errors=None, converged=True, iterations=0)
         return log, now, sweep(now, np.empty(0))
-    norm = lambda v: np.maximum.reduceat(np.abs(v, out=v), at[:-1])  # max |v| per interface; overwrites v
-    new, spare = np.empty(len(now)), np.empty(len(now))
-    denoms = norm(now.copy())  # |initial traces|
-    err_rows = [] if reference is None else [norm(now - reference)]
-    upd_rows = []
+    starts, budget, tol = at[:-1], config.budget, config.tolerance
     fixed = config.fixed_iterations is not None
-    converged = fixed
-    last = now
-    for k in range(1, config.budget + 1):
+    new, spare = np.empty(len(now)), np.empty(len(now))
+
+    def dist(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """max |a - b| over each interface's slice, into out."""
+        np.maximum.reduceat(np.abs(np.subtract(a, b, out=spare), out=spare), starts, out=out)
+
+    upd = np.empty((budget if fixed else min(budget, _LOG_ROWS), len(starts)))
+    err = None if reference is None else np.empty((len(upd) + 1, len(starts)))
+    if err is not None:
+        dist(now, reference, err[0])
+    if not fixed:
+        guess = np.maximum.reduceat(np.abs(now), starts)
+        scale = np.where(guess > _DENOM_FLOOR, guess, 1.0)  # u / 1.0 == u: absolute updates
+        rel = np.empty(len(starts))
+    k, converged, last = 0, fixed, now
+    while k < budget:
+        if k == len(upd):
+            more = np.empty((min(budget, 2 * k) - k, len(starts)))
+            upd = np.concatenate((upd, more))
+            err = None if err is None else np.concatenate((err, more))
         sweep(now, new)
-        if reference is not None:
-            err_rows.append(norm(new - reference))
-        update = norm(np.subtract(new, now, out=spare))
-        bad = np.flatnonzero(~np.isfinite(update))
-        if bad.size:
-            raise FloatingPointError(
-                f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
-        upd_rows.append(update)
+        k += 1
+        if err is not None:
+            dist(new, reference, err[k])
+        row = upd[k - 1]
+        dist(new, now, row)
+        top = np.maximum.reduce(row if fixed else np.divide(row, scale, out=rel))
+        if not math.isfinite(top):
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise FloatingPointError(
+                    f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
         last, now, new = now, new, now
-        if not fixed and _stop(update, denoms, config.tolerance):
+        if not fixed and top < tol:
             converged = True
             break
-    errors = np.array(err_rows) if reference is not None else None
-    return IterationLog(np.array(upd_rows), errors, converged, len(upd_rows)), last, now
+    return IterationLog(upd[:k], None if err is None else err[:k + 1], converged, k), last, now
 
 
 def _flat(rows) -> np.ndarray:
@@ -794,9 +820,10 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     """The one-step window from `start` at times[0] to times[1] (every
     method-1 level, and method-2 windows of one step), with the protocol
     of `_window_sweep`, on the flat vectors of `_window_start`.  Once per
-    window it forms A = E u + phi1 f0 (ETD1: E u) and the base step from A
-    over F[0], one operation each over every piece's modes, and reads their
-    owned traces out.  A sweep gathers every piece's inflow nodes in one
+    window it forms A = E u + phi1 f0 (ETD1: E u) and, unless the layout
+    has no outflow edge (one piece), the base step from A over F[0], one
+    operation each over every piece's modes, and reads their owned traces
+    out.  A sweep gathers every piece's inflow nodes in one
     take and is new[out] = base + now[in] @ R[0] per piece, R[0] its
     one-step gains (`_step_gains`).  `finish` spreads the last sweep's input
     into F[0] and steps from A once, in the order of `_march_modes`: the
@@ -812,11 +839,12 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     a = np.multiply(exp, u, out=ab[0])
     if scheme == "etd2":
         a += np.multiply(phi1, f0, out=ab[1])
-    _step(lay, scheme, a, f0, ahead[0], out=ab[1])
     reads, tables = np.empty((2, len(lay.outs))), []
-    for p, (i, o), (j, q), v in zip(pieces, lay.ends, lay.ends[1:], lay.views(ab)):
-        p.outflow_stack.read(v, reads[:, o:q])
-        tables.append((i, j, o, q, _cached(p, ("step", scheme), _step_gains, scheme)))
+    if len(lay.outs):  # the one-piece layout reads no trace out
+        _step(lay, scheme, a, f0, ahead[0], out=ab[1])
+        for p, (i, o), (j, q), v in zip(pieces, lay.ends, lay.ends[1:], lay.views(ab)):
+            p.outflow_stack.read(v, reads[:, o:q])
+            tables.append((i, j, o, q, _cached(p, ("step", scheme), _step_gains, scheme)))
     base, initial = reads[1], pinned.copy()
     if predict:
         initial[lay.outs] = reads[0]
@@ -869,7 +897,6 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     at = lay.traces * steps
     parts = list(zip(*map(lay.views, modes)))  # per piece u, f0 and F
     ins = [_nodes(p.inflow, at, steps) for p in pieces]
-    outs = [_nodes(p.outflow, at, steps) for p in pieces]
 
     def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
         """Piece d's trajectory against the incoming traces v (None: none)."""
@@ -880,27 +907,32 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
             pieces[d].inflow_stack.spread(v[ins[d]], f_hat[1:])
         return _march_modes(pieces[d].ws, scheme, u, f_hat)
 
-    tables = None  # 1d: per outflow edge its interface, base read-out and responses
     if all(edge.size == 1 for p in pieces for edge in p.inflow):
-        tables = [[] for _ in pieces]
-        for d, (p, table) in enumerate(zip(pieces, tables)):
+        # 1d: per owned trace its slice, base read-out and (response, inflow slice) pairs
+        span = lambda i: slice(at[i], at[i + 1])
+        plan = []
+        for d, p in enumerate(pieces):
             if p.outflow:  # a lone piece has no trace edges
                 base = p.outflow_stack.read(march(d, None))[1:]
                 r = _cached(p, (scheme, steps), _window_responses, scheme, steps)
-                table += [(o.interface, b, rows) for o, b, rows
-                          in zip(p.outflow, base.T, np.ascontiguousarray(r.transpose(2, 1, 0)))]
+                srcs = [span(i.interface) for i in p.inflow]
+                plan += [(span(o.interface), b, tuple(zip(rows, srcs))) for o, b, rows
+                         in zip(p.outflow, base.T, np.ascontiguousarray(r.transpose(2, 1, 0)))]
 
-    def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
-        for d, p in enumerate(pieces):
-            if tables is None:  # the trajectory goes before the next piece's march
+        def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
+            for dst, base, terms in plan:
+                out = new[dst]
+                out[...] = base
+                for r, src in terms:
+                    out += np.convolve(r, v[src])[:steps]
+            return new
+    else:
+        outs = [_nodes(p.outflow, at, steps) for p in pieces]
+
+        def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
+            for d, p in enumerate(pieces):  # the trajectory goes before the next piece's march
                 new[outs[d]] = p.outflow_stack.read(march(d, v))[1:]
-                continue
-            for idx, base, rows in tables[d]:
-                out = base.copy()
-                for i, r in zip(p.inflow, rows):
-                    out += np.convolve(r, v[at[i.interface]:at[i.interface + 1]])[:steps]
-                new[at[idx]:at[idx + 1]] = out
-        return new
+            return new
 
     def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
         states = np.empty(lay.at[-1])

@@ -2,7 +2,8 @@
 Laplacian and dense matrix functions for the sine-mode phi products,
 single ETD1/ETD2 steps on fields (the field route of the drivers'
 mode-space recursion), the retired monodomain march (`run_monodomain`,
-the oracle of the one-piece method-1 march), iteration-free and
+the oracle of the one-piece method-1 march), the retired sweep loop
+(`sweep_loop`, the oracle of the library's), iteration-free and
 field-marching routes for the Schwarz drivers, the per-edge forms of the
 edge stacks' spreads and read-outs, and the closed-form bounds and index
 helpers the tests state their expectations with; `one_piece_march` runs
@@ -32,6 +33,7 @@ from letd.matfunc import (
     spectral_factorization,
 )
 from letd.schwarz import (
+    _DENOM_FLOOR,
     IterationLog,
     SolverConfig,
     build_local_pieces,
@@ -255,6 +257,46 @@ def history_sweep(sweep, pinned, steps):
         return trace_histories(sweep(v, np.empty(len(v))), pinned, steps)
 
     return swept
+
+
+def _stop(updates, denoms, tol):
+    rel = np.where(denoms > _DENOM_FLOOR, updates / np.maximum(denoms, _DENOM_FLOOR), updates)
+    return bool(np.all(rel < tol))
+
+
+def sweep_loop(sweep, now, at, config, reference, where):
+    """The sweep loop as the library ran it before its logs were written in
+    place: rows appended per sweep, the relative-update rule rebuilt from
+    the guess norms at every sweep (`_stop`), every update searched for a
+    non-finite entry.  Same arguments and results as `schwarz._sweep_loop`;
+    it overwrites `now` as that does."""
+    if len(at) == 1:
+        log = IterationLog(updates=np.zeros((0, 0)), errors=None, converged=True, iterations=0)
+        return log, now, sweep(now, np.empty(0))
+    norm = lambda v: np.maximum.reduceat(np.abs(v, out=v), at[:-1])  # max |v| per interface; overwrites v
+    new, spare = np.empty(len(now)), np.empty(len(now))
+    denoms = norm(now.copy())  # |initial traces|
+    err_rows = [] if reference is None else [norm(now - reference)]
+    upd_rows = []
+    fixed = config.fixed_iterations is not None
+    converged = fixed
+    last = now
+    for k in range(1, config.budget + 1):
+        sweep(now, new)
+        if reference is not None:
+            err_rows.append(norm(new - reference))
+        update = norm(np.subtract(new, now, out=spare))
+        bad = np.flatnonzero(~np.isfinite(update))
+        if bad.size:
+            raise FloatingPointError(
+                f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
+        upd_rows.append(update)
+        last, now, new = now, new, now
+        if not fixed and _stop(update, denoms, config.tolerance):
+            converged = True
+            break
+    errors = np.array(err_rows) if reference is not None else None
+    return IterationLog(np.array(upd_rows), errors, converged, len(upd_rows)), last, now
 
 
 def direct_window_traces(sweep, pinned, steps):

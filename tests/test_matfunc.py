@@ -198,6 +198,18 @@ def test_sine_matrix_is_the_symmetric_orthonormal_transform_over_its_axes():
     assert all(np.array_equal(m[j], sine_row(7, j)) for j in range(7))
 
 
+def test_sine_rows_of_dense_axes_are_the_transforms_of_unit_vectors_bitwise():
+    # an axis the dense route serves reads its rows from the cached matrix;
+    # they keep the bits of the transform of each unit vector alone
+    for n in range(1, matfunc._DENSE_AXIS_MAX + 1):
+        for j in range(n):
+            row = sine_row(n, j)
+            assert row.tobytes() == matfunc._dst1(np.eye(1, n, j), (-1,))[0].tobytes(), (n, j)
+            assert row.tobytes() == axis_sine_matrix(n)[j].tobytes(), (n, j)
+    n = matfunc._DENSE_AXIS_MAX + 1  # transformed, as before
+    assert np.array_equal(sine_row(n, 5), matfunc._dst1(np.eye(1, n, 5), (-1,))[0])
+
+
 def test_expm_dense_agrees_with_scipy_on_random_symmetric():
     rng = np.random.default_rng(4)
     B = rng.standard_normal((6, 6))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.fft import dstn
 
 from letd import harness, schwarz
@@ -46,6 +46,7 @@ from oracles import (
     one_piece_march,
     run_monodomain,
     superlinear_bound,
+    sweep_loop,
     trace_histories,
     trace_offsets,
 )
@@ -135,6 +136,101 @@ def test_fixed_mode_runs_exactly_the_budget():
     assert log.iterations == 9 and log.updates.shape[0] == 9 and log.converged
 
 
+def affine_sweep(rng, width, rho, inject=None, at_sweep=1, node=0):
+    """A sweep new = M now + b with M of spectral radius rho, as the
+    library's sweeps write into `new`; `inject` goes into the nodes from
+    `node` on of the output of sweep `at_sweep`."""
+    m = rng.standard_normal((width, width))
+    if width:
+        m *= rho / np.abs(np.linalg.eigvals(m)).max()
+    b, calls = rng.standard_normal(width), [0]
+
+    def sweep(now, new):
+        np.add(m @ now, b, out=new)
+        calls[0] += 1
+        if inject is not None and calls[0] == at_sweep and width:
+            new[node % width:] = inject
+        return new
+
+    return sweep
+
+
+# per interface of the guess: a draw, or values of one magnitude: zero, below
+# the stop rule's floor, at it, just above it
+GUESS_SCALES = {"zero": 0.0, "sub-floor": 1e-15, "floor": schwarz._DENOM_FLOOR,
+                "above-floor": 2e-14}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 3), max_size=5),
+       rho=st.sampled_from([0.05, 0.5, 0.9, 0.97, 1.1]), fixed=st.booleans(),
+       budget=st.integers(1, 200), tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
+       with_reference=st.booleans(),
+       guess=st.lists(st.sampled_from(["draw", *GUESS_SCALES]), min_size=5, max_size=5),
+       inject=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e300]),
+       at_sweep=st.integers(1, 80), node=st.integers(0, 14))
+@example(seed=1, sizes=[1, 1], rho=0.97, fixed=False, budget=200, tol=1e-10,
+         with_reference=True, guess=["draw"] * 5, inject=None, at_sweep=1, node=0)
+@example(seed=2, sizes=[2, 3, 1], rho=0.9, fixed=True, budget=150, tol=1e-6,
+         with_reference=True, guess=["zero", "sub-floor", "draw", "draw", "draw"],
+         inject=np.nan, at_sweep=70, node=4)
+@example(seed=3, sizes=[1, 2], rho=0.9, fixed=False, budget=200, tol=1e-6,
+         with_reference=False, guess=["above-floor", "zero", "draw", "draw", "draw"],
+         inject=1e300, at_sweep=2, node=0)
+def test_sweep_loop_keeps_the_bits_of_the_retired_loop(seed, sizes, rho, fixed, budget, tol,
+                                                        with_reference, guess, inject, at_sweep,
+                                                        node):
+    # random affine sweeps: the same logs, counts, traces and error as the
+    # loop that appended its rows and rebuilt the stop rule every sweep
+    rng = np.random.default_rng(seed)
+    at = np.cumsum([0] + sizes)
+    width = int(at[-1])
+    now = rng.standard_normal(width)
+    for i, (lo, hi) in enumerate(zip(at, at[1:])):
+        if guess[i] != "draw":  # a guess norm of exactly that scale
+            now[lo:hi] = np.copysign(GUESS_SCALES[guess[i]], now[lo:hi])
+    reference = rng.standard_normal(width) if with_reference else None
+    cfg = SolverConfig(tolerance=tol, max_iterations=budget,
+                       fixed_iterations=budget if fixed else None)
+    runs = []
+    for loop in (sweep_loop, schwarz._sweep_loop):
+        sweep = affine_sweep(np.random.default_rng(seed), width, rho, inject, at_sweep, node)
+        try:  # injected and diverging values overflow by design
+            with np.errstate(over="ignore", invalid="ignore"):
+                runs.append(loop(sweep, now.copy(), at, cfg, reference, "in the test"))
+        except FloatingPointError as exc:
+            runs.append(str(exc))
+    want, got = runs
+    assert isinstance(got, str) == isinstance(want, str), runs
+    if isinstance(want, str):
+        assert got == want
+        return
+    bits = lambda a: None if a is None else (a.shape, a.tobytes())
+    (log, last, latest), (new_log, new_last, new_latest) = want, got
+    assert bits(new_log.updates) == bits(log.updates)
+    assert bits(new_log.errors) == bits(log.errors)
+    assert (new_log.converged, new_log.iterations) == (log.converged, log.iterations)
+    assert bits(new_last) == bits(last) and bits(new_latest) == bits(latest)
+
+
+def test_a_converging_tolerance_run_does_not_allocate_its_budget():
+    # two interfaces and a budget of 10**6 sweeps: 16 MB of log rows if
+    # they were allocated at once
+    at = np.array([0, 1, 2])
+    sweep = affine_sweep(np.random.default_rng(0), 2, 0.1)
+    cfg = SolverConfig(tolerance=1e-6, max_iterations=10**6)
+    tracemalloc.start()
+    try:
+        log, _, _ = schwarz._sweep_loop(sweep, np.ones(2), at, cfg, np.zeros(2), "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.converged and 2 <= log.iterations < 20
+    assert log.updates.shape == (log.iterations, 2)
+    assert log.errors.shape == (log.iterations + 1, 2)
+    assert peak < 64 * 1024, peak
+
+
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_per_step_iteration_matches_direct_coupled_solve(scheme):
     prob = analytic_problem()
@@ -215,6 +311,23 @@ def test_a_lone_piece_logs_no_sweep(dim, budget):
         rows = []
         harness._decay_from_log(rows, "run", log, time_level=0)
         assert rows == []
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_lone_piece_steps_once_per_level(monkeypatch, dim, scheme):
+    # no trace is read out of the one-piece layout, so a level forms no
+    # base step: its one step is the new state, formed by `finish`
+    prob = analytic_problem() if dim == 1 else builtin_problem("analytic_2d")
+    grid = (make_grid_1d(63, prob.length, origin=prob.origin) if dim == 1
+            else make_grid_2d(15, 12, prob.lengths))
+    lay = decompose(grid.shape, (1,) * dim, (0, 0))
+    tg = TimeGrid(prob.horizon, 8)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    step, calls = schwarz._step, []
+    monkeypatch.setattr(schwarz, "_step", lambda *args, **kw: calls.append(1) or step(*args, **kw))
+    method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme))
+    assert len(calls) == tg.steps
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
