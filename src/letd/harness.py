@@ -529,9 +529,23 @@ def _ignored_settings(config: ExperimentConfig) -> dict:
     return ignored
 
 
+def _noted_settings(config: ExperimentConfig) -> dict:
+    """Namespace key -> why `config`'s run does not read that setting, for
+    settings that come with another that the run reads instead, and are
+    noted rather than refused."""
+    noted = {}
+    if config.problem != "error_equation" and config.fixed_iterations is not None:
+        for key, flag in (("tolerance", "--tol"), ("max_iterations", "--max-iters")):
+            noted[key] = f"{flag} ignored: --fixed-iters runs a fixed sweep budget"
+    if (config.problem, config.solver) == ("analytic_2d", "method2"):
+        noted["seeds"] = "--seeds ignored: a 2d method2 run draws one guess, from --seed"
+    return noted
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The parsed flags over the settings of their ``--config`` file.  A
-    given setting that the run would not read is an error."""
+    given setting that the run would not read is an error, or, next to the
+    setting it reads instead, a note on stderr."""
     settings = dict(vars(args))
     path = settings.pop("config", None)
     if path is not None:
@@ -544,6 +558,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     unread = [ignored[key] for key in sorted(given & ignored.keys())]
     if unread:
         raise ValueError("settings this run does not use: " + "; ".join(unread))
+    noted = _noted_settings(config)
+    for key in sorted(given & noted.keys()):
+        print(f"letd: note: {noted[key]}", file=sys.stderr)
     return config
 
 

@@ -33,14 +33,23 @@ A piece stacks the edges of one axis (`EdgeStack`), so that a spread or a
 read-out is one pair of products per axis.  A sweep therefore assembles
 no forcing and runs no DST.
 
+The pieces of one geometry (shape and edge layout; 9 on a uniform P x P
+layout with P >= 3) share their stacks and tables, and form a geometry
+group.  A one-step level runs every per-level operation once per group,
+over its pieces stacked as leading rows: the read-out, the gains product
+of each sweep, the spread and the forcing transform.  In 1d, where a
+product over more rows rounds each row differently, each piece keeps a
+product of its own inside the group's call, and 1d results keep their
+bits; 2d results move within round-off.
+
 A window hands its successor its last level in sine-mode space (`Level`):
 per piece the state modes and the trace-independent forcing modes, per
 interface the pinned trace, which is the last sweep's owned trace and
 enters the successor's level-0 forcing through the edge.  Each lies in
-one flat vector over every piece, at offsets fixed for the run
-(`_Layout`), which also holds the pieces' step kernels, concatenated
-once; so A = E u + phi1 f0, a base step and a new state are one
-operation per level, not one per piece.  Only a run's first window
+one flat vector over every piece, group by group, at offsets fixed for
+the run (`_Layout`), which also holds the pieces' step kernels,
+concatenated once; so A = E u + phi1 f0, a base step and a new state are
+one operation per level, not one per piece.  Only a run's first window
 starts from fields, transformed in the batch of its forcing.  Both
 drivers write the levels they keep into their trajectories as modes
 (every level, or with `final_only` the last one alone), and each
@@ -54,12 +63,12 @@ table (per lag, from every inflow node to every outflow node) depends on
 the piece, the scheme and the window length alone, so it is built on
 first use and held on the piece, and lives as long as its piece set.  A
 one-step table (the gains) needs no march: it is K times the spread of
-unit traces, read out.  A one-step sweep is
-then one small dense product per piece over one flat vector of traces,
-and its new state one step from the base step's start part, with no
-march; a longer 1d window is one causal convolution per (outflow,
-inflow) pair.  Only longer 2d windows, whose per-lag tables would be
-large, run the mode-space recursion in every sweep.
+unit traces, read out.  A one-step sweep is then one small dense product
+per geometry group over one flat vector of traces, and its new state one
+step from the base step's start part, with no march; a longer 1d window
+is one causal convolution per (outflow, inflow) pair.  Only longer 2d
+windows, whose per-lag tables would be large, run the mode-space
+recursion in every sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace,
@@ -87,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -226,58 +235,87 @@ class _Group(NamedTuple):
     `cols` of a trace vector (a slice where they are adjacent), the sine
     rows of their nodes along the axis as the columns of `rows` (n_axis,
     E), the sine matrix `basis` of the other axes and `weighted`, the
-    weight times it.  `front` and `back` order (levels, *piece shape) with
-    the axis first and last."""
+    weight times it."""
 
     axis: int
     cols: slice | np.ndarray
     rows: np.ndarray
     basis: np.ndarray
     weighted: np.ndarray
-    front: tuple
-    back: tuple
 
 
 class EdgeStack(NamedTuple):
     """The inflow or the outflow edges of a piece in sine-mode space,
-    stacked per axis.
+    stacked per axis, shared by the pieces of its geometry group.
 
     A trace vector holds the edges' values edge after edge.  Moving a trace
     row between nodes and modes takes one product with the orthonormal sine
     matrix of the edge's other axes ([[1.0]] in 1d), and the sine row of its
     node along its axis.  The edges of one axis share that matrix and stack
     their rows, so a spread or a read-out costs one pair of products per
-    axis.  A spread multiplies the edges' rows by the rows of the stack,
-    with the axis first; a read-out contracts the modes, with the axis
-    last, with them, as the per-edge form does.  A 1d piece keeps one edge
-    per group, in edge order: a product over two edges sums them in BLAS,
-    whose round-off differs from the sum of the per-edge products, and 1d
-    results keep their bits.
+    axis, whatever the leading (batch) dims: one piece's levels, or a
+    group's pieces and their levels.  A spread multiplies the edges' rows by
+    the rows of the stack, with the axis first, as does a read-out, which
+    contracts the modes with them, as the per-edge form does.  A 2d stack
+    with edges on both axes spreads them in one product per level,
+    [rows0 | Y1^T] @ [Y0 ; rows1^T], Yk the weighted histories of axis k's
+    edges.  A 1d piece keeps one edge per group, in edge order, and reads
+    out each matrix of the last leading dim (one piece's levels) in a
+    product of its own: a product over two edges sums them in BLAS, and one
+    over more rows rounds each row differently, and 1d results keep their
+    bits.
     """
 
     groups: tuple[_Group, ...]
     size: int  # values in a trace vector
+    shape: tuple[int, ...]  # the piece's
 
     def spread(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Add the forcing modes of traces x (levels, size) into out
-        (levels, *piece shape), one group after another."""
-        levels = len(x)
+        """Add the forcing modes of traces x (..., size) into out
+        (..., *piece shape): in 2d with edges on both axes in one product
+        per level, else one group after another."""
+        lead, d = x.shape[:-1], len(self.shape)
+        if d == 2 and [g.axis for g in self.groups] == [0, 1]:
+            (g0, g1), (n0, n1) = self.groups, self.shape
+            e = g0.rows.shape[1]
+            a = np.empty(lead + (n0, e + g1.rows.shape[1]))
+            b = np.empty(lead + a.shape[-1:] + (n1,))
+            a[..., :e], b[..., e:, :] = g0.rows, g1.rows.T
+            np.matmul(x[..., g0.cols].reshape(lead + (-1, n1)), g0.weighted, out=b[..., :e, :])
+            np.matmul(x[..., g1.cols].reshape(lead + (-1, n0)), g1.weighted,
+                      out=a[..., e:].swapaxes(-1, -2))
+            out += np.matmul(a, b)
+            return
         for g in self.groups:
             n, e = len(g.basis), g.rows.shape[1]
-            y = (x[:, g.cols].reshape(-1, n) @ g.weighted).reshape(levels, e, n)
-            o = out.transpose(g.front)
+            y = (x[..., g.cols].reshape(-1, n) @ g.weighted).reshape(lead + (e, n))
+            o = out.transpose(_axis_first(out.ndim, d, g.axis))
             o += np.matmul(g.rows, y).reshape(o.shape)
 
     def read(self, u_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The traces (levels, size) of mode-space levels u_hat (levels,
-        *piece shape), written into `out` if it is given."""
-        levels = len(u_hat)
-        out = np.empty((levels, self.size)) if out is None else out
+        """The traces (..., size) of mode-space levels u_hat (..., *piece
+        shape), written into `out` if it is given."""
+        d = len(self.shape)
+        lead = u_hat.shape[:u_hat.ndim - d]
+        out = np.empty(lead + (self.size,)) if out is None else out
         for g in self.groups:
-            n, (k, e) = len(g.basis), g.rows.shape
-            v = (u_hat.transpose(g.back).reshape(-1, k) @ g.rows).reshape(levels, n, e)
-            out[:, g.cols] = (v.transpose(0, 2, 1).reshape(-1, n) @ g.basis).reshape(levels, -1)
+            if d == 1:  # the other axes' matrix is [[1.0]]
+                out[..., g.cols] = u_hat @ g.rows
+                continue
+            n, k = len(g.basis), len(g.rows)
+            v = u_hat.transpose(_axis_first(u_hat.ndim, d, g.axis))
+            v = np.matmul(g.rows.T, v.reshape(lead + (k, -1)))  # (..., E, other nodes)
+            out[..., g.cols] = (v.reshape(-1, n) @ g.basis).reshape(lead + (-1,))
         return out
+
+
+@cache
+def _axis_first(ndim: int, d: int, axis: int) -> tuple[int, ...]:
+    """The axes of an array whose last d are a piece's, with the piece's
+    axis `axis` before its others, for `ndarray.transpose` (which costs
+    less than `np.moveaxis`)."""
+    lead = ndim - d
+    return (*range(lead), lead + axis, *(lead + i for i in range(d) if i != axis))
 
 
 def _edge_stack(edges: Sequence[EdgeRow], shape: tuple[int, ...], weighted: dict) -> EdgeStack:
@@ -299,9 +337,8 @@ def _edge_stack(edges: Sequence[EdgeRow], shape: tuple[int, ...], weighted: dict
             k, slice(start, end + last.size) if end + last.size - start == len(run) * first.size
             else np.concatenate([np.arange(i, i + e.size) for e, i in run]),
             np.stack([sine_row(shape[k], e.node) for e, _ in run], axis=1), basis,
-            weighted[other, w], (0, 1 + k, *range(1, 1 + k), *range(2 + k, 1 + d)),
-            (0, *range(1, 1 + k), *range(2 + k, 1 + d), 1 + k)))
-    return EdgeStack(tuple(groups), lo)
+            weighted[other, w]))
+    return EdgeStack(tuple(sorted(groups, key=lambda g: g.axis)), lo, shape)
 
 
 @dataclass
@@ -388,17 +425,39 @@ class Level:
         return self.fields if self.flat is None else self.flat.layout.views(self.flat.states)
 
 
+class _Block(NamedTuple):
+    """A geometry group of a layout: the pieces `members` (in piece order)
+    that share their stacks and their tables, `piece` the first of them.
+    Their modes lie at lo:hi of a level's vectors, piece after piece, so
+    that a group's levels are (..., k, *shape); their inflow and outflow
+    places at ins and outs of the layout's, (k, nodes) flattened."""
+
+    piece: LocalPiece
+    members: tuple
+    lo: int
+    hi: int
+    ins: slice
+    outs: slice
+
+    def modes(self, v: np.ndarray) -> np.ndarray:
+        """The view (..., k, *shape) of the group's part of flat modes v
+        (..., size)."""
+        return v[..., self.lo:self.hi].reshape(v.shape[:-1] + (len(self.members),)
+                                               + self.piece.u0.shape)
+
+
 class _Layout(NamedTuple):
     """Where the pieces of a run sit in the flat vectors of its levels,
     built when the run starts and handed on with its levels.
 
-    Piece d's modes lie at at[d]:at[d + 1] of a level's state and forcing
-    vectors, interface i's trace at traces[i]:traces[i + 1] of its pinned
-    traces (and of the level-1 traces of a one-step window).  ins and outs
-    hold the places of every piece's inflow and outflow nodes there, in edge
-    order and piece after piece, piece d's at ins[ends[d][0]:ends[d + 1][0]]
-    and outs[ends[d][1]:ends[d + 1][1]].  kernels: E, dt phi1 and dt phi2
-    over the flat modes.
+    The pieces go by geometry group (`_Block`), so that each group's modes
+    form one block of a level's state and forcing vectors; piece d's lie at
+    at[d]:at[d] + its size.  Interface i's trace lies at
+    traces[i]:traces[i + 1] of its pinned traces (and of the level-1 traces
+    of a one-step window).  ins and outs hold the places of every piece's
+    inflow and outflow nodes there, in edge order, piece after piece of each
+    group, group after group.  kernels: E, dt phi1 and dt phi2 over the flat
+    modes.
     """
 
     at: tuple
@@ -406,27 +465,43 @@ class _Layout(NamedTuple):
     traces: np.ndarray
     ins: np.ndarray
     outs: np.ndarray
-    ends: tuple
+    blocks: tuple[_Block, ...]
     kernels: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @classmethod
     def of(cls, pieces: Sequence[LocalPiece]) -> "_Layout":
-        """The layout of `pieces`, in their order."""
+        """The layout of `pieces`, grouped by the stacks and tables they
+        share, in order of their first pieces."""
         owned = sorted((e.interface, e.size) for p in pieces for e in p.outflow)
         traces = np.cumsum([0] + [size for _, size in owned])
-        nodes = lambda flow: _nodes([e for p in pieces for e in getattr(p, flow)], traces)[0]
-        return cls(tuple(accumulate([0] + [p.u0.size for p in pieces])),
-                   tuple(p.u0.shape for p in pieces), traces, nodes("inflow"), nodes("outflow"),
-                   tuple(accumulate([(0, 0)] + [(p.inflow_stack.size, p.outflow_stack.size)
-                                                for p in pieces],
-                                    lambda a, b: (a[0] + b[0], a[1] + b[1]))),
-                   tuple(np.concatenate([getattr(p.ws, k).ravel() for p in pieces])
+        groups = {}
+        for d, p in enumerate(pieces):
+            groups.setdefault((id(p.inflow_stack), id(p.outflow_stack), id(p.maps)), []).append(d)
+        order = [d for members in groups.values() for d in members]
+        at = dict(zip(order, accumulate([0] + [pieces[d].u0.size for d in order])))
+        blocks, i, o = [], 0, 0
+        for members in groups.values():
+            p, k = pieces[members[0]], len(members)
+            blocks.append(_Block(p, tuple(members), at[members[0]], at[members[0]] + k * p.u0.size,
+                                 slice(i, i + k * p.inflow_stack.size),
+                                 slice(o, o + k * p.outflow_stack.size)))
+            i, o = blocks[-1].ins.stop, blocks[-1].outs.stop
+        edges = lambda flow: [e for d in order for e in getattr(pieces[d], flow)]
+        nodes = lambda flow: _nodes(edges(flow), traces)[0]
+        return cls(tuple(at[d] for d in range(len(pieces))), tuple(p.u0.shape for p in pieces),
+                   traces, nodes("inflow"), nodes("outflow"), tuple(blocks),
+                   tuple(np.concatenate([getattr(pieces[d].ws, k).ravel() for d in order])
                          for k in ("exp_kernel", "phi1_kernel", "phi2_kernel")))
 
+    @property
+    def size(self) -> int:
+        return len(self.kernels[0])
+
     def views(self, v: np.ndarray) -> list[np.ndarray]:
-        """Per piece, the view (..., *shape) of flat modes v (..., size)."""
-        return [v[..., i:j].reshape(v.shape[:-1] + s)
-                for i, j, s in zip(self.at, self.at[1:], self.shapes)]
+        """Per piece, in piece order, the view (..., *shape) of flat modes v
+        (..., size)."""
+        return [v[..., i:i + math.prod(s)].reshape(v.shape[:-1] + s)
+                for i, s in zip(self.at, self.shapes)]
 
 
 def _nodes(edges: Sequence[EdgeRow], at: np.ndarray, steps: int = 1) -> np.ndarray:
@@ -443,7 +518,9 @@ def build_local_pieces(
 ) -> list[LocalPiece]:
     """Per-piece workspaces, initial states, edge closures and trace-edge
     stacks of a layout.  Pieces of one shape and edge layout share their
-    stacks and their tables (`maps`), which that geometry fixes."""
+    stacks and their tables (`maps`), which that geometry fixes; such
+    pieces form a geometry group, whose one-step levels run each spread,
+    read-out, gains product and forcing transform once for the group."""
     pieces, weighted, shared = [], {}, {}
     for i, box in enumerate(layout.pieces):
         op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
@@ -645,9 +722,10 @@ def method1_march(
     level in sine-mode space.  From level 2 on, each piece assembles the
     trace-independent forcing of `_AHEAD` levels (fewer at the horizon, and
     as many as `_AHEAD_VALUES` allow for the largest piece) in one call
-    into the level handed on, each level transformed as a block of its
-    own.  The kept levels are written into the trajectories as
-    modes and transformed to fields once per piece at the end.  Returns
+    into the level handed on, and each geometry group transforms its
+    pieces' in one call, each level of each piece a block of its own
+    (`_forcing_modes`).  The kept levels are written into the trajectories
+    as modes and transformed to fields once per piece at the end.  Returns
     per-piece trajectories of shape (steps + 1, *piece shape)
     and the iteration log of every level.  With `final_only` the
     trajectories hold level 0 and the last level alone, shape
@@ -670,8 +748,7 @@ def method1_march(
             ahead = times[m + 1: m + 1 + span]
             block = np.empty((1 + len(ahead), len(level.flat.states)))
             block[0] = level.flat.forcing[0]
-            for p, part in zip(pieces, level.flat.layout.views(block[1:])):
-                part[...] = p.ws.fact.to_modes(p.forcing(ahead)[:, None])[:, 0]
+            _forcing_modes(pieces, level.flat.layout, ahead, block[1:])
             level = Level(flat=level.flat._replace(forcing=block))
         level, log = method1_advance(
             pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
@@ -757,11 +834,10 @@ def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         lay = _Layout.of(pieces)
         traces = initial_traces(pieces, start.states, len(lay.traces) - 1)
         head = 2 if scheme == "etd2" else 1
-        block = np.empty((head + len(later), lay.at[-1]))  # u, (f0,) F
-        for p, state, i, j in zip(pieces, start.states, lay.at, lay.at[1:]):
+        block = np.empty((head + len(later), lay.size))  # u, (f0,) F
+        for p, state, part in zip(pieces, start.states, lay.views(block)):
             first = [state] + ([p.forcing(times[0], traces)] if scheme == "etd2" else [])
-            block[:, i:j] = p.ws.fact.to_modes(np.concatenate([np.stack(first), p.forcing(later)])
-                                               ).reshape(len(block), -1)
+            part[...] = p.ws.fact.to_modes(np.concatenate([np.stack(first), p.forcing(later)]))
         return lay, _flat(traces), block[0], block[head - 1], block[head:]
     lay, u, rows, pinned, f0 = start.flat
     ahead = rows[1:]
@@ -769,22 +845,35 @@ def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         f0 = rows[0]
         if scheme == "etd2":
             f0 = f0.copy()
-            _spread_all(pieces, lay, pinned[None], f0[None])
+            _spread_all(lay, pinned[None], f0[None])
     if len(ahead) < len(later):
-        ahead = np.empty((len(later), lay.at[-1]))
+        ahead = np.empty((len(later), lay.size))
         for p, part in zip(pieces, lay.views(ahead)):
             part[...] = p.ws.fact.to_modes(p.forcing(later))
     return lay, pinned, u, f0, ahead
 
 
-def _spread_all(pieces: Sequence[LocalPiece], lay: _Layout, traces: np.ndarray,
-                out: np.ndarray) -> None:
+def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
     """Add the forcing modes of flat level traces (levels, traces) into the
     flat modes `out` (levels, size), with every piece's inflow nodes
-    gathered in one take."""
+    gathered in one take, one spread per geometry group."""
     x = traces[:, lay.ins]
-    for p, (i, _), (j, _), f in zip(pieces, lay.ends, lay.ends[1:], lay.views(out)):
-        p.inflow_stack.spread(x[:, i:j], f)
+    for b in lay.blocks:
+        b.piece.inflow_stack.spread(x[:, b.ins].reshape(len(x), len(b.members), -1), b.modes(out))
+
+
+def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: np.ndarray,
+                   out: np.ndarray) -> None:
+    """The trace-independent forcing modes of every piece at `times` into
+    the flat modes `out` (levels, size): each piece's assembled in one call,
+    each geometry group's transformed in one, as (levels, k, 1, *shape), so
+    that every piece-level is a block of its own, with the bits of a piece
+    transformed alone."""
+    for b in lay.blocks:
+        part = b.modes(out)
+        for j, d in enumerate(b.members):
+            part[:, j] = pieces[d].forcing(times)
+        part[...] = b.piece.ws.fact.to_modes(part[:, :, None])[:, :, 0]
 
 
 def _step(lay: _Layout, scheme: Scheme, a: np.ndarray, f0: np.ndarray, f1: np.ndarray,
@@ -823,37 +912,46 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     window it forms A = E u + phi1 f0 (ETD1: E u) and, unless the layout
     has no outflow edge (one piece), the base step from A over F[0], one
     operation each over every piece's modes, and reads their owned traces
-    out.  A sweep gathers every piece's inflow nodes in one
-    take and is new[out] = base + now[in] @ R[0] per piece, R[0] its
-    one-step gains (`_step_gains`).  `finish` spreads the last sweep's input
-    into F[0] and steps from A once, in the order of `_march_modes`: the
-    bits of a march, without one.  It hands F on as the new level's
-    forcing and, with ETD2, that level's f0: F[0] with the last sweep's
-    output spread in, in the same call.  The default initial traces are the
-    pinned ones or, with `predict` (ETD2 levels of method 1), those of the
-    predictor A.
+    out, once per geometry group.  A sweep gathers every piece's inflow
+    nodes in one take and is new[out] = base + now[in] @ R[0] per group,
+    now[in] its pieces' rows (k, in) and R[0] their one-step gains
+    (`_step_gains`); a 1d group takes one (1, in) product per piece, the
+    bits of a piece alone.  `finish` spreads the last sweep's input into
+    F[0], once per group, and steps from A once, in the order of
+    `_march_modes`: the bits of a march, without one.  It hands F on as the
+    new level's forcing and, with ETD2, that level's f0: F[0] with the last
+    sweep's output spread in, in the same call.  The default initial traces
+    are the pinned ones or, with `predict` (ETD2 levels of method 1), those
+    of the predictor A.
     """
     lay, pinned, u, f0, ahead = _window_start(pieces, start, times, scheme)
     exp, phi1, _ = lay.kernels
-    ab = np.empty((2, lay.at[-1]))  # A and the base step, read out together
+    ab = np.empty((2, lay.size))  # A and the base step, read out together
     a = np.multiply(exp, u, out=ab[0])
     if scheme == "etd2":
         a += np.multiply(phi1, f0, out=ab[1])
-    reads, tables = np.empty((2, len(lay.outs))), []
+    x, owned = np.empty(len(lay.ins)), np.empty(len(lay.outs))
+    reads, products = np.empty((2, len(lay.outs))), []
     if len(lay.outs):  # the one-piece layout reads no trace out
         _step(lay, scheme, a, f0, ahead[0], out=ab[1])
-        for p, (i, o), (j, q), v in zip(pieces, lay.ends, lay.ends[1:], lay.views(ab)):
-            p.outflow_stack.read(v, reads[:, o:q])
-            tables.append((i, j, o, q, _cached(p, ("step", scheme), _step_gains, scheme)))
+        for b in lay.blocks:
+            p = b.piece
+            # piece-major (k, 2, ...): a 1d read contracts each piece's levels alone
+            p.outflow_stack.read(b.modes(ab).swapaxes(0, 1),
+                                 reads[:, b.outs].reshape(2, len(b.members), -1).swapaxes(0, 1))
+            # one product per group; in 1d one per piece, its (1, in) row as if alone
+            k = len(b.members)
+            rows = (-1,) if k == 1 else (k, 1, -1) if p.u0.ndim == 1 else (k, -1)
+            gains = _cached(p, ("step", scheme), _step_gains, scheme)
+            products.append((x[b.ins].reshape(rows), gains, owned[b.outs].reshape(rows)))
     base, initial = reads[1], pinned.copy()
     if predict:
         initial[lay.outs] = reads[0]
-    owned = np.empty(len(lay.outs))
 
     def sweep(now: np.ndarray, new: np.ndarray) -> np.ndarray:
-        x = now[lay.ins]
-        for i, j, o, q, gains in tables:
-            np.matmul(x[i:j], gains, out=owned[o:q])
+        now.take(lay.ins, out=x)
+        for rows, gains, out in products:
+            np.matmul(rows, gains, out=out)
         new[lay.outs] = np.add(owned, base, out=owned)
         return new
 
@@ -862,7 +960,7 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
         # with ETD2 the new level's f0 spreads its pinned traces, in one go with f1
         traces = np.stack((last, latest) if scheme == "etd2" else (last,))
         f = np.repeat(ahead[:1], len(traces), axis=0)
-        _spread_all(pieces, lay, traces, f)
+        _spread_all(lay, traces, f)
         u1 = _step(lay, scheme, a, f0, f[0], out=f[0])
         if out is not None:
             for o, state in zip(out, lay.views(u1)):
@@ -935,7 +1033,7 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
             return new
 
     def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
-        states = np.empty(lay.at[-1])
+        states = np.empty(lay.size)
         for d, state in enumerate(lay.views(states)):
             out[d][1:] = march(d, last)[1 - len(out[d]):]
             state[...] = out[d][-1]
@@ -1003,9 +1101,10 @@ def method2_solve(
 
     Each window iterates interface-reduced sweeps (`_step_sweep` for one
     step, `_window_sweep` for more): the trace-independent forcing is
-    assembled and transformed once per window.  A sweep is a dense product per piece in one-step windows, a
-    causal convolution per edge pair in longer 1d ones and the mode-space
-    recursion in longer 2d ones; none assembles forcing or runs a DST.
+    assembled and transformed once per window.  A sweep is a dense product
+    per geometry group in one-step windows, a causal convolution per edge
+    pair in longer 1d ones and the mode-space recursion in longer 2d ones;
+    none assembles forcing or runs a DST.
     A window hands its successor its last level in sine-mode space and
     writes its levels into the trajectories as modes; each trajectory is
     transformed to fields once, at the end.

@@ -3,7 +3,9 @@ Laplacian and dense matrix functions for the sine-mode phi products,
 single ETD1/ETD2 steps on fields (the field route of the drivers'
 mode-space recursion), the retired monodomain march (`run_monodomain`,
 the oracle of the one-piece method-1 march), the retired sweep loop
-(`sweep_loop`, the oracle of the library's), iteration-free and
+(`sweep_loop`, the oracle of the library's), the retired per-piece
+one-step engine (`step_sweep` and `forcing_modes`, the oracle of the
+geometry-grouped one), iteration-free and
 field-marching routes for the Schwarz drivers, the per-edge forms of the
 edge stacks' spreads and read-outs, and the closed-form bounds and index
 helpers the tests state their expectations with; `one_piece_march` runs
@@ -32,9 +34,11 @@ from letd.matfunc import (
     sine_row,
     spectral_factorization,
 )
+from letd import schwarz
 from letd.schwarz import (
     _DENOM_FLOOR,
     IterationLog,
+    Level,
     SolverConfig,
     build_local_pieces,
     initial_traces,
@@ -163,6 +167,68 @@ def edge_read(shape, edge, u_hat):
     v = (u_hat.transpose(*range(cut), *range(cut + 1, u_hat.ndim), cut)
          @ sine_row(shape[edge.axis], edge.node))
     return v.reshape(len(v), -1) @ sine_matrix(shape[:edge.axis] + shape[edge.axis + 1:])
+
+
+def edge_columns(edges):
+    """Per edge, its values' slice of a trace vector over `edges`."""
+    ends = np.cumsum([0] + [e.size for e in edges])
+    return [slice(i, j) for i, j in zip(ends, ends[1:])]
+
+
+def step_sweep(pieces, start, times, scheme, predict=False):
+    """`schwarz._step_sweep` as it ran before the layout grouped its pieces
+    by geometry: per piece its read-out, its gains product and its spread,
+    here through the per-edge forms (`edge_read`, `edge_spread`) and one
+    product of the piece's incoming traces with its gains; same arguments
+    and results."""
+    lay, pinned, u, f0, ahead = schwarz._window_start(pieces, start, times, scheme)
+    exp, phi1, _ = lay.kernels
+    ins = [schwarz._nodes(p.inflow, lay.traces)[0] for p in pieces]
+    outs = [schwarz._nodes(p.outflow, lay.traces)[0] for p in pieces]
+    ab = np.empty((2, lay.size))
+    a = np.multiply(exp, u, out=ab[0])
+    if scheme == "etd2":
+        a += np.multiply(phi1, f0, out=ab[1])
+    reads, gains = [], []
+    if any(len(o) for o in outs):
+        schwarz._step(lay, scheme, a, f0, ahead[0], out=ab[1])
+    for p, v in zip(pieces, lay.views(ab)):
+        reads.append(np.concatenate([np.empty((2, 0))]
+                                    + [edge_read(p.u0.shape, e, v) for e in p.outflow], axis=1))
+        gains.append(schwarz._step_gains(p, scheme))
+    initial = pinned.copy()
+    if predict:
+        for o, r in zip(outs, reads):
+            initial[o] = r[0]
+
+    def sweep(now, new):
+        for i, o, r, g in zip(ins, outs, reads, gains):
+            if len(o):
+                new[o] = now[i] @ g + r[1]
+        return new
+
+    def finish(out, last, latest):
+        traces = np.stack((last, latest) if scheme == "etd2" else (last,))
+        f = np.repeat(ahead[:1], len(traces), axis=0)
+        for p, i, part in zip(pieces, ins, lay.views(f)):
+            for e, cols in zip(p.inflow, edge_columns(p.inflow)):
+                part += edge_spread(p.u0.shape, e, traces[:, i][:, cols])
+        u1 = schwarz._step(lay, scheme, a, f0, f[0], out=f[0])
+        if out is not None:
+            for o, state in zip(out, lay.views(u1)):
+                o[1] = state
+        return Level(flat=schwarz._Modes(lay, u1, ahead if len(ahead) > 1 else ahead.copy(),
+                                         latest, f[1] if scheme == "etd2" else None))
+
+    return sweep, finish, initial
+
+
+def forcing_modes(pieces, lay, times, out):
+    """`schwarz._forcing_modes` as it ran before the layout grouped its
+    pieces: per piece, its forcing at `times` assembled in one call and
+    transformed in one, each level a block of its own."""
+    for p, part in zip(pieces, lay.views(out)):
+        part[...] = p.ws.fact.to_modes(p.forcing(times)[:, None])[:, 0]
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):

@@ -468,6 +468,28 @@ def test_cli_rejects_settings_the_run_does_not_use(argv, message, tmp_path, caps
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,extra,notes", [
+    (["--problem", "analytic_1d", "--solver", "method1", "--subdomains", "2",
+      "--overlap-cells", "2", "--fixed-iters", "3"], ["--tol", "1e-3", "--max-iters", "7"],
+     ["letd: note: --max-iters ignored: --fixed-iters runs a fixed sweep budget",
+      "letd: note: --tol ignored: --fixed-iters runs a fixed sweep budget"]),
+    (["--problem", "analytic_2d", "--solver", "method2", "--ny", "12", "--subdomains", "2x2",
+      "--overlap-cells", "2", "--fixed-iters", "2"], ["--seeds", "3"],
+     ["letd: note: --seeds ignored: a 2d method2 run draws one guess, from --seed"]),
+], ids=["tol-max-iters-fixed", "seeds-2d-method2"])
+def test_cli_notes_settings_that_another_one_overrides(argv, extra, notes, capsys):
+    # the run goes on as without them: exit status 0, the same CSV body
+    run = argv + ["--n", "15", "--dt", "0.125", "--T", "0.25"]
+    body = lambda out: [line for line in out.splitlines() if not line.startswith("#")]
+    assert main(run) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(run + extra) == 0
+    noted = capsys.readouterr()
+    assert noted.err.splitlines() == notes
+    assert body(noted.out) == body(plain.out)
+
+
 def test_cli_rejects_inconsistent_choices(capsys):
     rc = main(["--problem", "error_equation", "--solver", "mono"])
     assert rc == 2

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.fft import dstn
 
 from letd import harness, schwarz
@@ -35,16 +35,19 @@ from oracles import (
     dense_laplacian,
     direct_step,
     direct_window_traces,
+    edge_columns,
     edge_read,
     edge_spread,
     expm_dense,
     field_window_sweep,
     flat_sweep,
     flat_traces,
+    forcing_modes,
     history_sweep,
     normalized_curve,
     one_piece_march,
     run_monodomain,
+    step_sweep,
     superlinear_bound,
     sweep_loop,
     trace_histories,
@@ -587,12 +590,6 @@ def test_pieces_build_one_factorization_each_and_none_per_edge(monkeypatch):
     assert sum(len(p.inflow) + len(p.outflow) for p in pieces) == 2 * len(lay.interfaces) == 48
 
 
-def _edge_columns(edges):
-    """Per edge, its values' slice of a trace vector over `edges`."""
-    ends = np.cumsum([0] + [e.size for e in edges])
-    return [slice(i, j) for i, j in zip(ends, ends[1:])]
-
-
 def test_2d_edges_spread_and_read_like_a_dst_of_the_border_row():
     # spread: the weighted history on the border row, transformed over both
     # axes; read: the node row of the transformed trajectory; each edge
@@ -603,7 +600,7 @@ def test_2d_edges_spread_and_read_like_a_dst_of_the_border_row():
     axes = (1, 2)
     for edges, stack in ((piece.inflow, piece.inflow_stack),
                          (piece.outflow, piece.outflow_stack)):
-        for edge, cols in zip(edges, _edge_columns(edges)):
+        for edge, cols in zip(edges, edge_columns(edges)):
             row = [slice(None)] * 3
             row[1 + edge.axis] = edge.node
             history = rng.standard_normal((5, edge.size))
@@ -1112,33 +1109,44 @@ def test_final_only_runs_never_hold_every_level(driver):
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level(monkeypatch,
                                                                                  scheme):
-    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half")
-    pieces = build_local_pieces(prob, grid, lay, tg.dt)
     to_modes, shapes = SpectralFactorization.to_modes, []
     monkeypatch.setattr(SpectralFactorization, "to_modes",
                         lambda fact, v: shapes.append(v.shape) or to_modes(fact, v))
     assemble, assembled = schwarz.assemble_forcing, []
     monkeypatch.setattr(schwarz, "assemble_forcing",
                         lambda *a: assembled.append(1) or assemble(*a))
-    method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
-    p, steps = len(pieces), tg.steps
-    head = 2 if scheme == "etd2" else 1  # forcing rows of the first level's start
-    first, later, rebuild = shapes[:p], shapes[p:-p], shapes[-p:]
-    # the first level starts from fields: one batch per piece of its state,
-    # its level-0 forcing (ETD2) and the level-1 forcing
-    assert first == [(1 + head,) + q.u0.shape for q in pieces]
-    # every later piece-level transforms one field: from level 2 on, the
-    # forcing of up to _AHEAD levels is assembled in one call per piece
-    # and transformed with each level a block of its own (levels 2-5, 6-8)
-    blocks = [min(schwarz._AHEAD, steps - m) for m in range(1, steps, schwarz._AHEAD)]
-    assert blocks == [4, 3]
-    assert later == [(k, 1) + q.u0.shape for k in blocks for q in pieces]
-    # and the trajectories are rebuilt by one inverse transform per piece,
-    # each level a block of its own
-    assert rebuild == [(steps, 1) + q.u0.shape for q in pieces]
-    assert sum(map(math.prod, shapes)) == sum(
-        (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
-    assert len(assembled) == p * head + p * len(blocks)
+    prob = builtin_problem("analytic_2d")
+    tg = TimeGrid(prob.horizon, 8)
+    # 2x2: four corners, one piece per geometry group; 4x4 of equal pieces:
+    # nine groups of 1, 2 and 4 pieces
+    for args, sizes in (((15, 12, 2, 2, 2, "half"), [1] * 4),
+                        ((31, 35, 4, 4, 2, "full"), [1, 2, 1, 2, 4, 2, 1, 2, 1])):
+        shapes.clear()
+        assembled.clear()
+        lay = decompose_2d(*args)
+        pieces = build_local_pieces(prob, make_grid_2d(*args[:2], prob.lengths), lay, tg.dt)
+        groups = schwarz._Layout.of(pieces).blocks
+        assert [len(b.members) for b in groups] == sizes
+        method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
+        p, steps = len(pieces), tg.steps
+        head = 2 if scheme == "etd2" else 1  # forcing rows of the first level's start
+        first, later, rebuild = shapes[:p], shapes[p:-p], shapes[-p:]
+        # the first level starts from fields: one batch per piece of its
+        # state, its level-0 forcing (ETD2) and the level-1 forcing
+        assert first == [(1 + head,) + q.u0.shape for q in pieces]
+        # every later piece-level transforms one field: from level 2 on, the
+        # forcing of up to _AHEAD levels is assembled in one call per piece
+        # and transformed in one call per geometry group, with each level of
+        # each piece a block of its own (levels 2-5, 6-8)
+        blocks = [min(schwarz._AHEAD, steps - m) for m in range(1, steps, schwarz._AHEAD)]
+        assert blocks == [4, 3]
+        assert later == [(k, len(b.members), 1) + b.piece.u0.shape for k in blocks for b in groups]
+        # and the trajectories are rebuilt by one inverse transform per
+        # piece, each level a block of its own
+        assert rebuild == [(steps, 1) + q.u0.shape for q in pieces]
+        assert sum(map(math.prod, shapes)) == sum(
+            (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
+        assert len(assembled) == p * head + p * len(blocks)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -1260,7 +1268,7 @@ def test_edge_stacks_are_the_sums_of_the_per_edge_forms(setup, args):
                              (piece.outflow, piece.outflow_stack)):
             traces = rng.standard_normal((4, stack.size))
             want = np.zeros((4,) + shape)
-            for edge, cols in zip(edges, _edge_columns(edges)):
+            for edge, cols in zip(edges, edge_columns(edges)):
                 want += edge_spread(shape, edge, traces[:, cols])
             got = np.zeros_like(want)
             stack.spread(traces, got)
@@ -1290,6 +1298,101 @@ def test_step_gains_are_the_one_step_window_responses(setup, args, scheme):
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _per_piece_march(pieces, interfaces, tg, cfg):
+    """method1_march on the retired per-piece engine (oracles.step_sweep and
+    oracles.forcing_modes), with everything else the library's."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(schwarz, "_step_sweep", step_sweep)
+        m.setattr(schwarz, "_forcing_modes", forcing_modes)
+        return method1_march(pieces, interfaces, tg, cfg)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(counts=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       widths=st.tuples(st.integers(6, 9), st.integers(6, 9)),
+       jitter=st.tuples(st.sampled_from([0, 0, 1, 3]), st.sampled_from([0, 0, 2])),
+       overlap=st.integers(1, 3), convention=st.sampled_from(["half", "full"]),
+       scheme=st.sampled_from(["etd1", "etd2"]), sweeps=st.integers(1, 4))
+@example(counts=(5, 4), widths=(6, 7), jitter=(0, 0), overlap=2, convention="full",
+         scheme="etd2", sweeps=3)
+def test_grouped_2d_march_matches_the_per_piece_engine(counts, widths, jitter, overlap,
+                                                       convention, scheme, sweeps):
+    # pieces of one geometry run their read-outs, gains products, spreads
+    # and forcing transforms together; in 2d a product over several pieces
+    # rounds differently, so the march agrees with the per-piece engine
+    # within round-off, with the same sweep counts
+    nx, ny = (p * w - 1 + j for p, w, j in zip(counts, widths, jitter))
+    assume(nx != ny)
+    prob = builtin_problem("analytic_2d")
+    grid, lay = make_grid_2d(nx, ny, prob.lengths), decompose_2d(nx, ny, *counts, overlap,
+                                                                 convention)
+    tg = TimeGrid(prob.horizon, 5)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=sweeps)
+    got, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    want, want_logs = _per_piece_march(pieces, lay.interfaces, tg, cfg)
+    u_max = max(np.abs(w).max() for w in want)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-13 * u_max, np.abs(a - b).max() / u_max
+    assert [lg.iterations for lg in logs] == [lg.iterations for lg in want_logs]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(p=st.integers(1, 6), width=st.integers(8, 14), jitter=st.sampled_from([0, 0, 1, 3]),
+       overlap=st.integers(1, 3), scheme=st.sampled_from(["etd1", "etd2"]),
+       budget=st.sampled_from([dict(fixed_iterations=3), dict(tolerance=1e-10)]))
+@example(p=6, width=10, jitter=0, overlap=2, scheme="etd2", budget=dict(tolerance=1e-10))
+def test_grouped_1d_march_keeps_the_bits_of_the_per_piece_engine(p, width, jitter, overlap,
+                                                                  scheme, budget):
+    # interior 1d pieces share a geometry; their products stay one per
+    # piece, so the grouped march has the per-piece engine's bits
+    prob = analytic_problem()
+    grid = make_grid_1d(p * width - 1 + jitter, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, p, overlap if p > 1 else 0)
+    tg = TimeGrid(prob.horizon, 6)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, **budget)
+    got, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    want, want_logs = _per_piece_march(pieces, lay.interfaces, tg, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for a, b in zip(logs, want_logs):
+        assert_same_log(a, b)
+
+
+def test_a_method1_level_runs_once_per_geometry_group(monkeypatch):
+    # 64 equal pieces on an 8x8 layout have 9 geometries (corners, sides,
+    # interior); a level reads out, sweeps and spreads once per geometry
+    prob = builtin_problem("analytic_2d")
+    grid, lay = make_grid_2d(47, 47, prob.lengths), decompose_2d(47, 47, 8, 8, 2, "full")
+    tg = TimeGrid(prob.horizon, 8)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assert len(pieces) == 64 and len({id(p.inflow_stack) for p in pieces}) == 9
+    cfg = SolverConfig(scheme="etd2", fixed_iterations=1)
+    # the first level builds the gains and hands on a level in mode space
+    level, _ = method1_advance(pieces, lay.interfaces, Level([p.u0 for p in pieces]), 0.0,
+                               tg.dt, cfg)
+    calls = []
+    for name in ("spread", "read"):
+        method = getattr(schwarz.EdgeStack, name)
+        monkeypatch.setattr(schwarz.EdgeStack, name,
+                            lambda self, *a, _name=name, _method=method:
+                            calls.append(_name) or _method(self, *a))
+
+    class Gains(np.ndarray):
+        """A gains table that records each product it takes part in."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append("gains")
+            inputs = [x.view(np.ndarray) if isinstance(x, Gains) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    for p in pieces:
+        if not isinstance(p.maps[("step", "etd2")], Gains):
+            p.maps[("step", "etd2")] = p.maps[("step", "etd2")].view(Gains)
+    method1_advance(pieces, lay.interfaces, level, tg.dt, 2 * tg.dt, cfg)
+    assert [calls.count(k) for k in ("read", "gains", "spread")] == [9, 9, 9], calls
 
 
 def _counting(monkeypatch, name):
