@@ -42,14 +42,15 @@ class ErrorReport:
 def linf_norms(history: np.ndarray, reference: np.ndarray) -> ErrorReport:
     """Per-level and space-time max-norm errors of history vs reference.
 
-    Both arrays carry time on axis 0 and any node layout on the rest.
+    Both arrays carry time on axis 0 and any node layout on the rest, and
+    must be finite: a NaN or an infinity raises.
     """
     history = np.asarray(history, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if history.shape != reference.shape:
         raise ValueError(f"shape mismatch: {history.shape} vs {reference.shape}")
-    if np.isnan(history).any() or np.isnan(reference).any():
-        raise ValueError("NaN in input")
+    if not (np.isfinite(history).all() and np.isfinite(reference).all()):
+        raise ValueError("NaN or infinity in input")
     diff = np.abs(history - reference).reshape(history.shape[0], -1)
     per_level = diff.max(axis=1) if diff.shape[1] else np.zeros(diff.shape[0])
     return ErrorReport(
@@ -64,14 +65,17 @@ def estimate_contraction(curve: Sequence[float], skip_head: int = 2, skip_tail: 
 
     Geometric mean of e_{k+2} / e_k with the first skip_head entries and
     the last skip_tail entries of the curve excluded.  Needs at least
-    skip_head + skip_tail + 3 strictly positive entries.
+    skip_head + skip_tail + 3 strictly positive, finite entries; a NaN or
+    an infinity raises.
     """
     c = np.asarray(curve, dtype=float)
     if c.ndim != 1:
         raise ValueError("decay curve must be one-dimensional")
     if c.size < skip_head + skip_tail + 3:
         raise ValueError(f"need at least {skip_head + skip_tail + 3} entries, got {c.size}")
-    if np.any(c <= 0.0) or np.isnan(c).any():
+    if not np.isfinite(c).all():
+        raise ValueError("decay curve holds a NaN or an infinity")
+    if np.any(c <= 0.0):
         raise ValueError("decay curve entries must be positive")
     last = c.size - skip_tail  # exclusive
     ratios = c[skip_head + 2 : last] / c[skip_head : last - 2]

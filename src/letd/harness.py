@@ -281,13 +281,15 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
             pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
             tag = (f"{config.problem}-{config.solver}-{config.scheme}"
                    f"-d{delta}-dt{dt:g}-T{config.horizon:g}-P{config.px}")
+            if config.solver == "method1":
+                # one carried level for every seed, which no solve writes into:
+                # only the logs are read, so no field is rebuilt
+                start = Level.of(pieces, [p.u0 for p in pieces], (0.0, timegrid.dt))
             rates = []
             for s in range(config.seeds):
                 seed = config.seed + s
                 run_id = f"{tag}-s{seed}"
                 if config.solver == "method1":
-                    # a carried level: only the log is read, so no field is rebuilt
-                    start = Level([p.u0 for p in pieces])
                     guess = random_trace_guess(layout.interfaces, seed)
                     _, log = method1_advance(
                         pieces, layout.interfaces, start, 0.0, timegrid.dt, scfg,

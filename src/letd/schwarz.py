@@ -23,7 +23,8 @@ Both iterate on the traces alone, in sine-mode space: one-step windows
 another.  A piece's state is affine in the traces it reads, so the
 trace-independent forcing (source and physical boundary data) is
 assembled once per window, in one call over the window's time levels,
-and transformed in one batch per piece.  A trace edge moves a history
+and transformed in one batch per geometry group (`_forcing_modes`); the
+traces enter it in sine-mode space alone.  A trace edge moves a history
 between nodes and modes the same way in any dimension: the weighted
 history times the dense sine matrix of the edge's other axes ([[1.0]] in
 1d) enters the forcing modes through the sine row of its border node
@@ -42,20 +43,21 @@ product over more rows rounds each row differently, each piece keeps a
 product of its own inside the group's call, and 1d results keep their
 bits; 2d results move within round-off.
 
-A window hands its successor its last level in sine-mode space (`Level`):
-per piece the state modes and the trace-independent forcing modes, per
-interface the pinned trace, which is the last sweep's owned trace and
-enters the successor's level-0 forcing through the edge.  Each lies in
-one flat vector over every piece, group by group, at offsets fixed for
-the run (`_Layout`), which also holds the pieces' step kernels,
+Every window starts from a level in sine-mode space (`Level`): per piece
+the state modes and the trace-independent forcing modes, per interface
+the pinned trace, which enters the level-0 forcing through the edge.  A
+run's first level comes from the initial fields, transformed with the
+forcing of the first window or block (`Level.of`); every later one is the
+last level of the window before, pinned to its last sweep's owned traces.
+Each lies in one flat vector over every piece, group by group, at offsets
+fixed for the run (`_Layout`), which also holds the pieces' step kernels,
 concatenated once; so A = E u + phi1 f0, a base step and a new state are
-one operation per level, not one per piece.  Only a run's first window
-starts from fields, transformed in the batch of its forcing.  Both
-drivers write the levels they keep into their trajectories as modes
-(every level, or with `final_only` the last one alone), and each
-trajectory is transformed to fields by one inverse DST per piece at the
-end.  A method-1 level transforms one field per piece, and its march
-assembles the forcing of up to four levels at a time.
+one operation per level, not one per piece.  Both drivers write the
+levels they keep into their trajectories as modes (every level, or with
+`final_only` the last one alone), and each trajectory is transformed to
+fields by one inverse DST per piece at the end.  A method-1 level
+transforms one field per piece, and its march assembles the forcing of up
+to four levels at a time.
 
 With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
@@ -368,18 +370,13 @@ class LocalPiece:
     outflow_stack: EdgeStack
     maps: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def forcing(self, t, traces: Optional[TraceSet] = None) -> np.ndarray:
-        """Closed forcing at one time t, or the stack (levels, *shape) over a
-        1-D array of times, in one `assemble_forcing` call; trace edges read
-        `traces` (one value set per interface, per level over an array of
-        times) or, without them, add nothing: the trace-independent part."""
-        vals = []
-        for kind, ref in self.edges:
-            if kind == "physical":
-                vals.append(ref(t))
-            else:
-                vals.append(None if traces is None else traces[ref])
-        return assemble_forcing(self.closure, t, vals)
+    def forcing(self, t) -> np.ndarray:
+        """The trace-independent forcing (source and physical boundary data)
+        at one time t, or the stack (levels, *shape) over a 1-D array of
+        times, in one `assemble_forcing` call; the traces enter in sine-mode
+        space, through the inflow stack."""
+        return assemble_forcing(self.closure, t, [ref(t) if kind == "physical" else None
+                                                  for kind, ref in self.edges])
 
     def extract(self, state: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """Owned interface values of one state (n...) or a trajectory
@@ -390,39 +387,41 @@ class LocalPiece:
                 for e in self.outflow]
 
 
-class _Modes(NamedTuple):
-    """A level in sine-mode space, in flat vectors: the state modes (size,),
-    the trace-independent forcing modes (levels, size) at the level's time
-    and at any later levels assembled ahead, and the pinned traces, placed
-    by `layout`; f0: the level's forcing with the pinned traces spread in,
-    if the window that hands the level on has formed it (ETD2), or None."""
+class Level(NamedTuple):
+    """Every piece's state at one time level, as a window starts from it, in
+    sine-mode space, in flat vectors placed by `layout`: the state modes
+    (size,), the trace-independent forcing modes (levels, size) at the
+    level's time and at any later levels assembled ahead, and per interface
+    the pinned (owned) trace; f0 is the level's forcing with the pinned
+    traces spread in, if the window that handed the level on formed it
+    (ETD2), or None.  A run's first level comes from fields (`Level.of`);
+    every later one a window hands on."""
 
     layout: "_Layout"
-    states: np.ndarray
+    modes: np.ndarray
     forcing: np.ndarray
     pinned: np.ndarray
     f0: Optional[np.ndarray] = None
 
-
-@dataclass(frozen=True)
-class Level:
-    """Every piece's state at one time level, as a window starts from it.
-
-    A run's first level holds the per-piece fields and nothing else.  A
-    level that a window hands on is held in sine-mode space, in flat
-    vectors (`_Modes`): per piece the state modes and the trace-independent
-    forcing modes (at the level's time, then at any later levels assembled
-    ahead), and per interface the pinned (owned) trace, so that the next
-    window transforms no state and rebuilds no field.
-    """
-
-    fields: Optional[Sequence[np.ndarray]] = None
-    flat: Optional[_Modes] = field(default=None, repr=False)
+    @classmethod
+    def of(cls, pieces: Sequence[LocalPiece], fields: Sequence[np.ndarray],
+           times: Sequence[float]) -> "Level":
+        """The level of the per-piece `fields` at times[0], with the
+        trace-independent forcing at `times` (the level's own time first),
+        pinned to the traces the fields own: the fields and the forcing are
+        transformed in one block (`_forcing_modes`)."""
+        lay = _Layout.of(pieces)
+        block = np.empty((1 + len(times), lay.size))  # the state, then the forcing rows
+        for part, u in zip(lay.views(block[0]), fields):
+            part[...] = u
+        _forcing_modes(pieces, lay, times, block)
+        traces = initial_traces(pieces, fields, len(lay.traces) - 1)
+        return cls(lay, block[0], block[1:], _flat(traces))
 
     @property
-    def states(self) -> Sequence[np.ndarray]:
-        """Per piece its field, or a view of its state modes."""
-        return self.fields if self.flat is None else self.flat.layout.views(self.flat.states)
+    def states(self) -> list[np.ndarray]:
+        """Per piece, in piece order, a view of its state modes."""
+        return self.layout.views(self.modes)
 
 
 class _Block(NamedTuple):
@@ -688,17 +687,18 @@ def method1_advance(
     distances of the traces from the reference are logged, guess included.
 
     `states` are either the per-piece fields at t_now, and the new fields
-    come back, or a `Level` (a run's first level as fields, or the level a
-    previous call returned), and the level at t_next comes back in
-    sine-mode space, so that a march transforms no state between levels.
-    Only fields get a two-level window per piece to rebuild the new fields
-    in.
+    come back, or a `Level` at t_now (`Level.of`, or the level a previous
+    call returned), and the level at t_next comes back in sine-mode space,
+    so that a march transforms no state between levels.  Fields become the
+    level `Level.of(pieces, states, (t_now, t_next))`, and get a two-level
+    window per piece to rebuild the new fields in.
     """
     carried = isinstance(states, Level)
+    start = states if carried else Level.of(pieces, states, (t_now, t_next))
     window = None if carried else [np.empty((2,) + p.u0.shape) for p in pieces]
     # as histories over the window, whose level 0 is pinned data, not read
     held = lambda rows: None if rows is None else [np.array([r, r], dtype=float) for r in rows]
-    log, level = _solve_window(pieces, interfaces, states if carried else Level(states), window,
+    log, level = _solve_window(pieces, interfaces, start, window,
                                (t_now, t_next), config, held(init_guess), held(reference),
                                where=f"at t={t_next:g}",
                                predict=init_guess is None and config.scheme == "etd2")
@@ -719,20 +719,20 @@ def method1_march(
     """March the per-step Schwarz iteration over the whole time grid.
 
     Each level is one `method1_advance` call, which hands the next one its
-    level in sine-mode space.  From level 2 on, each piece assembles the
-    trace-independent forcing of `_AHEAD` levels (fewer at the horizon, and
-    as many as `_AHEAD_VALUES` allow for the largest piece) in one call
-    into the level handed on, and each geometry group transforms its
-    pieces' in one call, each level of each piece a block of its own
+    level in sine-mode space; the first is `Level.of` the initial states.
+    From level 1 on, each piece assembles the trace-independent forcing of
+    `_AHEAD` levels (fewer at the horizon, and as many as `_AHEAD_VALUES`
+    allow for the largest piece) in one call into the level handed on, the
+    first block with the initial states, and each geometry group transforms
+    its pieces' in one call, each level of each piece a block of its own
     (`_forcing_modes`).  The kept levels are written into the trajectories
     as modes and transformed to fields once per piece at the end.  Returns
-    per-piece trajectories of shape (steps + 1, *piece shape)
-    and the iteration log of every level.  With `final_only` the
-    trajectories hold level 0 and the last level alone, shape
-    (2, *piece shape), and only the last carried level is written.
-    On the one-piece layout (`decompose(shape, (1,) * d, (0, 0))`) no
-    level iterates, and the march is the monodomain ETD march with the
-    state kept in sine-mode space.
+    per-piece trajectories of shape (steps + 1, *piece shape) and the
+    iteration log of every level.  With `final_only` the trajectories hold
+    level 0 and the last level alone, shape (2, *piece shape), and only the
+    last carried level is written.  On the one-piece layout
+    (`decompose(shape, (1,) * d, (0, 0))`) no level iterates, and the march
+    is the monodomain ETD march with the state kept in sine-mode space.
     """
     steps = timegrid.steps
     keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
@@ -740,16 +740,16 @@ def method1_march(
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
     times = timegrid.times()
-    level = Level([p.u0 for p in pieces])
     span = max(1, min(_AHEAD, _AHEAD_VALUES // max(p.u0.size for p in pieces)))
+    level = Level.of(pieces, [p.u0 for p in pieces], times[:1 + span])
     logs = []
     for m in range(steps):
-        if m and len(level.flat.forcing) == 1:  # no level assembled ahead is left
+        if len(level.forcing) == 1:  # no level assembled ahead is left
             ahead = times[m + 1: m + 1 + span]
-            block = np.empty((1 + len(ahead), len(level.flat.states)))
-            block[0] = level.flat.forcing[0]
-            _forcing_modes(pieces, level.flat.layout, ahead, block[1:])
-            level = Level(flat=level.flat._replace(forcing=block))
+            block = np.empty((1 + len(ahead), len(level.modes)))
+            block[0] = level.forcing[0]
+            _forcing_modes(pieces, level.layout, ahead, block[1:])
+            level = level._replace(forcing=block)
         level, log = method1_advance(
             pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
         )
@@ -819,37 +819,23 @@ def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarr
 
 def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
                   scheme: Scheme) -> tuple:
-    """The level `start` at times[0] in flat vectors: the run's `_Layout`,
-    the pinned traces, the state modes u, the forcing modes f0 at times[0]
-    (pinned traces included; ETD2 alone reads them) and the
-    trace-independent forcing modes F at times[1:] (rows; a block
-    assembled ahead may hold more), assembled in one `LocalPiece.forcing`
-    call and transformed in one batch per piece unless `start` holds them
-    ahead.  A start given as fields is transformed in that batch, f0
-    assembled against the traces the fields own; a level handed on in mode
-    space brings f0's trace-independent part, into which the inflow stacks
-    spread the pinned traces."""
-    later = np.asarray(times[1:], dtype=float)
-    if start.flat is None:
-        lay = _Layout.of(pieces)
-        traces = initial_traces(pieces, start.states, len(lay.traces) - 1)
-        head = 2 if scheme == "etd2" else 1
-        block = np.empty((head + len(later), lay.size))  # u, (f0,) F
-        for p, state, part in zip(pieces, start.states, lay.views(block)):
-            first = [state] + ([p.forcing(times[0], traces)] if scheme == "etd2" else [])
-            part[...] = p.ws.fact.to_modes(np.concatenate([np.stack(first), p.forcing(later)]))
-        return lay, _flat(traces), block[0], block[head - 1], block[head:]
-    lay, u, rows, pinned, f0 = start.flat
+    """The level `start` at times[0] as a window reads it: the run's
+    `_Layout`, the pinned traces, the state modes u, the forcing modes f0
+    at times[0] (pinned traces included; ETD2 alone reads them) and the
+    trace-independent forcing modes F at times[1:] (rows; a block assembled
+    ahead may hold more).  Without the f0 of the window that handed `start`
+    on, the inflow stacks spread the pinned traces into the level's own
+    forcing; F is assembled anew where `start` holds too few rows."""
+    lay, u, rows, pinned, f0 = start
     ahead = rows[1:]
     if f0 is None:
         f0 = rows[0]
         if scheme == "etd2":
             f0 = f0.copy()
             _spread_all(lay, pinned[None], f0[None])
-    if len(ahead) < len(later):
-        ahead = np.empty((len(later), lay.size))
-        for p, part in zip(pieces, lay.views(ahead)):
-            part[...] = p.ws.fact.to_modes(p.forcing(later))
+    if len(ahead) < len(times) - 1:
+        ahead = np.empty((len(times) - 1, lay.size))
+        _forcing_modes(pieces, lay, times[1:], ahead)
     return lay, pinned, u, f0, ahead
 
 
@@ -862,17 +848,18 @@ def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
         b.piece.inflow_stack.spread(x[:, b.ins].reshape(len(x), len(b.members), -1), b.modes(out))
 
 
-def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: np.ndarray,
+def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: Sequence[float],
                    out: np.ndarray) -> None:
-    """The trace-independent forcing modes of every piece at `times` into
-    the flat modes `out` (levels, size): each piece's assembled in one call,
-    each geometry group's transformed in one, as (levels, k, 1, *shape), so
-    that every piece-level is a block of its own, with the bits of a piece
-    transformed alone."""
+    """Write the trace-independent forcing of every piece at `times` into
+    the last len(times) rows of the flat `out` (levels, size), one call per
+    piece, and transform every row of `out` (any before hold a run's first
+    state) in place, one call per geometry group, as (levels, k, 1, *shape):
+    each piece-level a block of its own, with the bits it has alone."""
+    times = np.asarray(times, dtype=float)
     for b in lay.blocks:
         part = b.modes(out)
         for j, d in enumerate(b.members):
-            part[:, j] = pieces[d].forcing(times)
+            part[len(out) - len(times):, j] = pieces[d].forcing(times)
         part[...] = b.piece.ws.fact.to_modes(part[:, :, None])[:, :, 0]
 
 
@@ -966,8 +953,8 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
         # the last row of a block assembled ahead goes on alone, and frees the block
-        return Level(flat=_Modes(lay, u1, ahead if len(ahead) > 1 else ahead.copy(), latest,
-                                 f[1] if scheme == "etd2" else None))
+        return Level(lay, u1, ahead if len(ahead) > 1 else ahead.copy(), latest,
+                     f[1] if scheme == "etd2" else None)
 
     return sweep, finish, initial
 
@@ -1037,8 +1024,8 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         for d, state in enumerate(lay.views(states)):
             out[d][1:] = march(d, last)[1 - len(out[d]):]
             state[...] = out[d][-1]
-        return Level(flat=_Modes(lay, states, modes[2][steps - 1:steps].copy(),
-                                 _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:]))))
+        return Level(lay, states, modes[2][steps - 1:steps].copy(),
+                     _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:])))
 
     return sweep, finish, _flat(np.tile(pinned[i:j], steps)
                                 for i, j in zip(lay.traces, lay.traces[1:]))
@@ -1122,7 +1109,7 @@ def method2_solve(
     trajs = [np.empty((2 if final_only else steps + 1,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
-    level = Level([p.u0 for p in pieces])
+    level = Level.of(pieces, [p.u0 for p in pieces], timegrid.times()[:min(win, steps) + 1])
     logs = []
     for s in range(0, steps, win):
         n = min(win, steps - s)

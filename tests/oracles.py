@@ -6,7 +6,8 @@ the oracle of the one-piece method-1 march), the retired sweep loop
 (`sweep_loop`, the oracle of the library's), the retired per-piece
 one-step engine (`step_sweep` and `forcing_modes`, the oracle of the
 geometry-grouped one), iteration-free and
-field-marching routes for the Schwarz drivers, the per-edge forms of the
+field-marching routes for the Schwarz drivers (whose traces enter the
+forcing at the nodes, `nodal_forcing`), the per-edge forms of the
 edge stacks' spreads and read-outs, and the closed-form bounds and index
 helpers the tests state their expectations with; `one_piece_march` runs
 the library's monodomain route for the property tests.  Not a test
@@ -217,18 +218,29 @@ def step_sweep(pieces, start, times, scheme, predict=False):
         if out is not None:
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
-        return Level(flat=schwarz._Modes(lay, u1, ahead if len(ahead) > 1 else ahead.copy(),
-                                         latest, f[1] if scheme == "etd2" else None))
+        return Level(lay, u1, ahead if len(ahead) > 1 else ahead.copy(), latest,
+                     f[1] if scheme == "etd2" else None)
 
     return sweep, finish, initial
 
 
 def forcing_modes(pieces, lay, times, out):
     """`schwarz._forcing_modes` as it ran before the layout grouped its
-    pieces: per piece, its forcing at `times` assembled in one call and
-    transformed in one, each level a block of its own."""
+    pieces: per piece, its forcing at `times` assembled in one call into
+    the last len(times) rows and every row transformed in one, each level a
+    block of its own."""
     for p, part in zip(pieces, lay.views(out)):
-        part[...] = p.ws.fact.to_modes(p.forcing(times)[:, None])[:, 0]
+        part[len(out) - len(times):] = p.forcing(np.asarray(times, dtype=float))
+        part[...] = p.ws.fact.to_modes(part[:, None])[:, 0]
+
+
+def nodal_forcing(piece, t, traces):
+    """The closed forcing of a piece at one time t with its trace edges
+    reading `traces` (one value set per interface), folded in at the nodes
+    by `assemble_forcing`: the field route's closure, independent of the
+    edge stacks through which the library spreads traces in mode space."""
+    return assemble_forcing(piece.closure, t, [ref(t) if kind == "physical" else traces[ref]
+                                               for kind, ref in piece.edges])
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):
@@ -248,7 +260,7 @@ def field_window_sweep(pieces, u_start, times, scheme, predict=False):
         predicted = [
             p.ws.fact.from_modes(p.ws.exp_kernel * p.ws.fact.to_modes(np.asarray(u, dtype=float))
                                  + p.ws.phi1_kernel
-                                 * p.ws.fact.to_modes(p.forcing(times[0], pinned)))
+                                 * p.ws.fact.to_modes(nodal_forcing(p, times[0], pinned)))
             for p, u in zip(pieces, u_start)]
         for tr, value in zip(start, initial_traces(pieces, predicted, n_if)):
             tr[1] = value
@@ -261,7 +273,7 @@ def field_window_sweep(pieces, u_start, times, scheme, predict=False):
             u0 = np.asarray(u0, dtype=float)
             f_stack = np.empty((steps + 1,) + u0.shape)
             for m, t in enumerate(times):  # level 0 of the traces is pinned data
-                f_stack[m] = piece.forcing(t, [tr[m] for tr in traces] if m else pinned)
+                f_stack[m] = nodal_forcing(piece, t, [tr[m] for tr in traces] if m else pinned)
             f_hat = fa.to_modes(f_stack)
             out_hat = np.empty_like(f_hat)
             u_hat = fa.to_modes(u0)

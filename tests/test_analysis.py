@@ -51,8 +51,12 @@ def test_contraction_rejects_bad_curves():
         estimate_contraction(np.where(np.arange(8) == 3, 0.0, good))
     with pytest.raises(ValueError):
         estimate_contraction(np.where(np.arange(8) == 3, -1.0, good))
-    with pytest.raises(ValueError):
-        estimate_contraction(np.where(np.arange(8) == 3, np.nan, good))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="NaN"):
+            estimate_contraction(np.where(np.arange(8) == 3, bad, good))
+    # an infinity past the warm-up entries, where it would enter a ratio
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_contraction([1, 1, 1, 1, np.inf, 1, 1, 1])
     with pytest.raises(ValueError):
         estimate_contraction(good.reshape(2, 4))
 
@@ -97,12 +101,13 @@ def test_linf_norms_rejects_mismatch_and_nan():
     a = np.zeros((2, 3))
     with pytest.raises(ValueError):
         linf_norms(a, np.zeros((2, 4)))
-    b = a.copy()
-    b[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        linf_norms(b, a)
-    with pytest.raises(ValueError):
-        linf_norms(a, b)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN"):
+            linf_norms(b, a)
+        with pytest.raises(ValueError, match="NaN"):
+            linf_norms(a, b)
 
 
 def test_relative_error_undefined_for_zero_reference():

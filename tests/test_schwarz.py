@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.fft import dstn
 
-from letd import harness, schwarz
+from letd import harness, matfunc, schwarz
 from letd.geometry import (
     Problem,
     decompose,
@@ -44,6 +44,7 @@ from oracles import (
     flat_traces,
     forcing_modes,
     history_sweep,
+    nodal_forcing,
     normalized_curve,
     one_piece_march,
     run_monodomain,
@@ -302,7 +303,8 @@ def test_a_lone_piece_logs_no_sweep(dim, budget):
                        fixed_iterations=3 if budget == "fixed" else None)
     start = [p.u0 for p in pieces]
     logs = [method1_advance(pieces, lay.interfaces, start, 0.0, tg.dt, cfg)[1],
-            method1_advance(pieces, lay.interfaces, Level(start), 0.0, tg.dt, cfg)[1],
+            method1_advance(pieces, lay.interfaces, Level.of(pieces, start, (0.0, tg.dt)), 0.0,
+                            tg.dt, cfg)[1],
             *method1_march(pieces, lay.interfaces, tg, cfg)[1],
             method2_solve(pieces, lay.interfaces, tg, cfg)[1]]
     windowed = method2_solve(pieces, lay.interfaces, tg, dataclasses.replace(cfg, window_steps=3))[1]
@@ -633,8 +635,7 @@ def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
     def recording(make):
         def made(pieces, start, times, scheme, *rest):
             sweep, finish, initial = make(pieces, start, times, scheme, *rest)
-            pinned = (initial_traces(pieces, start.states, len(interfaces)) if start.flat is None
-                      else np.split(start.flat.pinned, start.flat.layout.traces[1:-1]))
+            pinned = np.split(start.pinned, start.layout.traces[1:-1])
             steps = len(times) - 1
             return (record(sweep, seen, lambda v: trace_histories(v, pinned, steps)),
                     finish, initial)
@@ -731,8 +732,8 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     interfaces = lay.interfaces
     pinned = initial_traces(pieces, [p.u0 for p in pieces], len(interfaces))
-    sweep = history_sweep(schwarz._window_sweep(pieces, Level([p.u0 for p in pieces]), tg.times(),
-                                                scheme)[0],
+    start = Level.of(pieces, [p.u0 for p in pieces], tg.times())
+    sweep = history_sweep(schwarz._window_sweep(pieces, start, tg.times(), scheme)[0],
                           pinned, tg.steps)
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
     before = sweep(guess)
@@ -847,7 +848,7 @@ def test_gain_sweeps_match_the_field_route(setup, args, scheme, start):
                          ids=["1d-P3", "2d-2x2"])
 def test_only_a_level_given_as_fields_gets_a_two_level_window(monkeypatch, setup, args):
     # fields come back rebuilt from a two-level window per piece; a carried
-    # level, from fields or handed on in mode space, goes on without one
+    # level, built by Level.of or handed on by a call, goes on without one
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme="etd2", fixed_iterations=2)
@@ -858,7 +859,7 @@ def test_only_a_level_given_as_fields_gets_a_two_level_window(monkeypatch, setup
     method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt, cfg)
     assert windows <= set(shapes)
     shapes.clear()
-    level = Level([p.u0 for p in pieces])
+    level = Level.of(pieces, [p.u0 for p in pieces], (0.0, tg.dt))
     for m in range(2):
         level, _ = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
     assert shapes and not windows & set(shapes)
@@ -957,7 +958,7 @@ def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypa
     chain = [np.empty_like(t) for t in trajs]
     for traj, p in zip(chain, pieces):
         traj[0] = p.u0
-    level = Level([p.u0 for p in pieces])
+    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:1])
     for m, log in enumerate(logs):
         level, got = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
         assert_same_log(got, log)
@@ -1001,10 +1002,10 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
     # the one-step engine does not march the window again: it steps from
     # the start part A = E u (+ phi1 f0) with the operations of _march_modes
     # in their order, so the new state is the march's bit for bit; from
-    # fields, then from carried levels
+    # a run's first level (Level.of), then from levels handed on
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    level = Level([p.u0 for p in pieces])
+    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:1])
     for m in range(3):
         times = (tg.t(m), tg.t(m + 1))
         layout, _, *flat = schwarz._window_start(pieces, level, times, scheme)
@@ -1128,25 +1129,23 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
         groups = schwarz._Layout.of(pieces).blocks
         assert [len(b.members) for b in groups] == sizes
         method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
-        p, steps = len(pieces), tg.steps
-        head = 2 if scheme == "etd2" else 1  # forcing rows of the first level's start
-        first, later, rebuild = shapes[:p], shapes[p:-p], shapes[-p:]
-        # the first level starts from fields: one batch per piece of its
-        # state, its level-0 forcing (ETD2) and the level-1 forcing
-        assert first == [(1 + head,) + q.u0.shape for q in pieces]
-        # every later piece-level transforms one field: from level 2 on, the
+        p, g, steps = len(pieces), len(groups), tg.steps
+        first, later, rebuild = shapes[:g], shapes[g:-p], shapes[-p:]
+        # every piece-level transforms one field: from level 1 on, the
         # forcing of up to _AHEAD levels is assembled in one call per piece
         # and transformed in one call per geometry group, with each level of
-        # each piece a block of its own (levels 2-5, 6-8)
-        blocks = [min(schwarz._AHEAD, steps - m) for m in range(1, steps, schwarz._AHEAD)]
-        assert blocks == [4, 3]
-        assert later == [(k, len(b.members), 1) + b.piece.u0.shape for k in blocks for b in groups]
+        # each piece a block of its own (levels 1-4, 5-8); the first block
+        # also holds the initial state and the level-0 forcing (`Level.of`)
+        blocks = [min(schwarz._AHEAD, steps - m) for m in range(0, steps, schwarz._AHEAD)]
+        assert blocks == [4, 4]
+        assert first == [(2 + blocks[0], len(b.members), 1) + b.piece.u0.shape for b in groups]
+        assert later == [(k, len(b.members), 1) + b.piece.u0.shape
+                         for k in blocks[1:] for b in groups]
         # and the trajectories are rebuilt by one inverse transform per
         # piece, each level a block of its own
         assert rebuild == [(steps, 1) + q.u0.shape for q in pieces]
-        assert sum(map(math.prod, shapes)) == sum(
-            (1 + head + steps - 1 + steps) * q.u0.size for q in pieces)
-        assert len(assembled) == p * head + p * len(blocks)
+        assert sum(map(math.prod, shapes)) == sum((2 + steps + steps) * q.u0.size for q in pieces)
+        assert len(assembled) == p * len(blocks)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -1163,8 +1162,8 @@ def test_per_step_march_assembles_fewer_levels_ahead_for_large_pieces(monkeypatc
                         lambda fc, t, vals: levels.append(np.size(t)) or assemble(fc, t, vals))
     monkeypatch.setattr(schwarz, "_AHEAD_VALUES", 2 * max(q.u0.size for q in pieces) + 1)
     got, logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    head = 2 if scheme == "etd2" else 1  # single-time calls of the first level's start
-    assert levels[len(pieces) * head:] == [k for k in (2, 2, 2, 1) for _ in pieces]
+    # two levels a call; the first call also assembles level 0 (`Level.of`)
+    assert levels == [k for k in (3, 2, 2, 2) for _ in pieces]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for a, b in zip(logs, want_logs):
         assert_same_log(a, b)
@@ -1180,9 +1179,30 @@ def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkey
     monkeypatch.setattr(schwarz, "assemble_forcing",
                         lambda fc, t, vals: times.append(np.shape(t)) or assemble(fc, t, vals))
     method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=2))
-    # levels 1..steps in one call; ETD2 adds the level-0 head at one time
-    head = [()] if scheme == "etd2" else []
-    assert times == (head + [(tg.steps,)]) * len(pieces)
+    # levels 0..steps in one call, as the run's first level (`Level.of`)
+    assert times == [(tg.steps + 1,)] * len(pieces)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_a_window_start_has_the_modes_of_each_level_transformed_alone(monkeypatch, scheme):
+    # 1d pieces of at most _DENSE_AXIS_MAX nodes transform by one matrix
+    # product, whose round-off per row BLAS may make depend on the row
+    # count; a whole-horizon window's state and forcing modes are those of
+    # each piece-level transformed alone, bit for bit
+    prob, lay, grid, tg = _lookahead_1d(63, 3, 2)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assert max(q.u0.size for q in pieces) <= matfunc._DENSE_AXIS_MAX
+    start, seen = schwarz._window_start, []
+    monkeypatch.setattr(schwarz, "_window_start", lambda *a: seen.append(start(*a)) or seen[-1])
+    method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=1))
+    (layout, _, u, _, ahead), = seen
+    assert ahead.shape == (tg.steps, layout.size)
+    for m, t in enumerate(tg.times()[1:].tolist()):
+        alone = np.empty((1, layout.size))
+        schwarz._forcing_modes(pieces, layout, [t], alone)
+        assert np.array_equal(ahead[m], alone[0]), m
+    for q, got in zip(pieces, layout.views(u)):
+        assert np.array_equal(got, q.ws.fact.to_modes(q.u0[None])[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
@@ -1195,9 +1215,10 @@ def test_piece_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim
     for piece in pieces:
         assert np.array_equal(piece.forcing(times),
                               np.stack([piece.forcing(t) for t in times.tolist()]))
-        per_time = [piece.forcing(t, [tr[m] for tr in traces])
+        # the nodal trace closure of assemble_forcing, over times likewise
+        per_time = [nodal_forcing(piece, t, [tr[m] for tr in traces])
                     for m, t in enumerate(times.tolist())]
-        assert np.array_equal(piece.forcing(times, traces), np.stack(per_time))
+        assert np.array_equal(nodal_forcing(piece, times, traces), np.stack(per_time))
 
 
 def _augmented_phi(a, k):
@@ -1371,7 +1392,8 @@ def test_a_method1_level_runs_once_per_geometry_group(monkeypatch):
     assert len(pieces) == 64 and len({id(p.inflow_stack) for p in pieces}) == 9
     cfg = SolverConfig(scheme="etd2", fixed_iterations=1)
     # the first level builds the gains and hands on a level in mode space
-    level, _ = method1_advance(pieces, lay.interfaces, Level([p.u0 for p in pieces]), 0.0,
+    level, _ = method1_advance(pieces, lay.interfaces,
+                               Level.of(pieces, [p.u0 for p in pieces], (0.0, tg.dt)), 0.0,
                                tg.dt, cfg)
     calls = []
     for name in ("spread", "read"):
@@ -1451,7 +1473,8 @@ def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, sche
     prob, lay, grid, tg = _oracle_1d(p)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
-    sweep = schwarz._window_sweep(pieces, Level([q.u0 for q in pieces]), tg.times(), scheme)[0]
+    start = Level.of(pieces, [q.u0 for q in pieces], tg.times())
+    sweep = schwarz._window_sweep(pieces, start, tg.times(), scheme)[0]
     direct = direct_window_traces(history_sweep(sweep, pinned, tg.steps), pinned, tg.steps)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
     trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg)
@@ -1480,7 +1503,8 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         pinned = initial_traces(pieces, starts, n_if)
         # a one-step window runs on the one-step engine, as in the driver
         make = schwarz._step_sweep if n == 1 else schwarz._window_sweep
-        sweep, finish, _ = make(pieces, Level(starts), tg.times()[s: s + n + 1], scheme)
+        times = tg.times()[s: s + n + 1]
+        sweep, finish, _ = make(pieces, Level.of(pieces, starts, times), times, scheme)
         x = flat_traces(direct_window_traces(history_sweep(sweep, pinned, n), pinned, n))
         finish(part, x, sweep(x, np.empty(len(x))))  # the window's levels in sine-mode space, then as fields
         for q, w in zip(pieces, part):
