@@ -46,18 +46,18 @@ bits; 2d results move within round-off.
 Every window starts from a level in sine-mode space (`Level`): per piece
 the state modes and the trace-independent forcing modes, per interface
 the pinned trace, which enters the level-0 forcing through the edge.  A
-run's first level comes from the initial fields, transformed with the
-forcing of the first window or block (`Level.of`); every later one is the
-last level of the window before, pinned to its last sweep's owned traces.
-Each lies in one flat vector over every piece, group by group, at offsets
-fixed for the run (`_Layout`), which also holds the pieces' step kernels,
-concatenated once; so A = E u + phi1 f0, a base step and a new state are
-one operation per level, not one per piece.  Both drivers write the
-levels they keep into their trajectories as modes (every level, or with
-`final_only` the last one alone), and each trajectory is transformed to
-fields by one inverse DST per piece at the end.  A method-1 level
-transforms one field per piece, and its march assembles the forcing of up
-to four levels at a time.
+run's first level comes from the initial fields (`Level.of`); every later
+one is the last level of the window before, pinned to its last sweep's
+owned traces.  Each lies in one flat vector over every piece, group by
+group, at offsets fixed for the run (`_Layout`), which also holds the
+pieces' step kernels, concatenated once; so A = E u + phi1 f0, a base
+step and a new state are one operation per level, not one per piece.
+Both drivers run on one loop (`_march`), over windows of one step
+(method 1) or of `window_steps` (method 2).  It assembles the forcing of
+up to four levels ahead, or of a whole longer window, and writes the
+levels a run keeps into its trajectories as modes (every level, or with
+`final_only` the last one alone); each trajectory is transformed to
+fields by one inverse DST per piece at the end.
 
 With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
@@ -140,8 +140,8 @@ _DENOM_FLOOR = 1e-14
 # unit fields held at once.
 _UNITS_PER_MARCH = 8
 
-# Levels whose trace-independent forcing a per-step march assembles in one
-# call per piece, at most _AHEAD_VALUES values of its largest piece: more
+# Levels whose trace-independent forcing a run assembles ahead in one call
+# per piece, at most _AHEAD_VALUES values of its largest piece: more
 # levels save fewer calls and raise the peak memory, and a larger block
 # takes fresh pages in every transform (CHANGES.md).
 _AHEAD, _AHEAD_VALUES = 4, 8192
@@ -666,14 +666,16 @@ def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
 def method1_advance(
     pieces: Sequence[LocalPiece],
     interfaces: Sequence[Interface],
-    states: Sequence[np.ndarray] | Level,
+    start: Level,
     t_now: float,
     t_next: float,
     config: SolverConfig,
     init_guess: Optional[TraceSet] = None,
     reference: Optional[TraceSet] = None,
-) -> tuple[list[np.ndarray] | Level, IterationLog]:
-    """Advance all pieces one time level by per-step Schwarz iteration.
+) -> tuple[Level, IterationLog]:
+    """Advance all pieces one time level by per-step Schwarz iteration,
+    from the level `start` at t_now (`Level.of`, or a previous call's) to
+    the level at t_next, both in sine-mode space.
 
     A level is the one-step window of the waveform driver, solved by
     `_solve_window`.  ETD1 sweeps re-solve each piece against the latest
@@ -685,27 +687,47 @@ def method1_advance(
     init_guess and reference hold one value set (size,) per interface at
     t_next; with `reference` given (error studies), per-iteration
     distances of the traces from the reference are logged, guess included.
-
-    `states` are either the per-piece fields at t_now, and the new fields
-    come back, or a `Level` at t_now (`Level.of`, or the level a previous
-    call returned), and the level at t_next comes back in sine-mode space,
-    so that a march transforms no state between levels.  Fields become the
-    level `Level.of(pieces, states, (t_now, t_next))`, and get a two-level
-    window per piece to rebuild the new fields in.
     """
-    carried = isinstance(states, Level)
-    start = states if carried else Level.of(pieces, states, (t_now, t_next))
-    window = None if carried else [np.empty((2,) + p.u0.shape) for p in pieces]
-    # as histories over the window, whose level 0 is pinned data, not read
-    held = lambda rows: None if rows is None else [np.array([r, r], dtype=float) for r in rows]
-    log, level = _solve_window(pieces, interfaces, start, window,
-                               (t_now, t_next), config, held(init_guess), held(reference),
-                               where=f"at t={t_next:g}",
+    log, level = _solve_window(pieces, interfaces, start, None, (t_now, t_next), config,
+                               init_guess, reference, where=f"at t={t_next:g}",
                                predict=init_guess is None and config.scheme == "etd2")
-    if carried:
-        return level, log
-    _rebuild(pieces, window)
-    return [w[1] for w in window], log
+    return level, log
+
+
+def _march(pieces: Sequence[LocalPiece], timegrid: TimeGrid, win: int, final_only: bool,
+           solve: Callable) -> tuple[list[np.ndarray], list[IterationLog]]:
+    """The run loop of both drivers, from `Level.of` the initial states in
+    windows of `win` steps (the last may be shorter): solve(level, s, n,
+    window) solves the one from step s over n steps and returns its log and
+    last level.  A level with fewer forcing rows than its window needs gets
+    those of the max(win, lookahead) levels after them (`_forcing_modes`),
+    the lookahead `_AHEAD` levels or as many as `_AHEAD_VALUES` allow.  `window`
+    is per piece the rows s..s + n of its trajectory, for levels 1..n as
+    modes; with `final_only` the last window gets the two-level
+    trajectories and the others None.  Returns the trajectories, rebuilt to
+    fields, and the logs."""
+    steps, times = timegrid.steps, timegrid.times()
+    trajs = [np.empty((2 if final_only else steps + 1,) + p.u0.shape) for p in pieces]
+    for traj, p in zip(trajs, pieces):
+        traj[0] = p.u0
+    span = max(win, min(_AHEAD, _AHEAD_VALUES // max(p.u0.size for p in pieces)))
+    level = Level.of(pieces, [p.u0 for p in pieces], times[:1 + span])
+    logs = []
+    for s in range(0, steps, win):
+        n = min(win, steps - s)
+        held = len(level.forcing)
+        if held <= n:  # too few levels assembled ahead are left
+            ahead = times[s + held:s + held + span]
+            block = np.empty((held + len(ahead), level.layout.size))
+            block[:held] = level.forcing
+            _forcing_modes(pieces, level.layout, ahead, block[held:])
+            level = level._replace(forcing=block)
+        window = ((trajs if s + n == steps else None) if final_only
+                  else [traj[s:s + n + 1] for traj in trajs])
+        log, level = solve(level, s, n, window)
+        logs.append(log)
+    _rebuild(pieces, trajs)
+    return trajs, logs
 
 
 def method1_march(
@@ -718,48 +740,25 @@ def method1_march(
 ) -> tuple[list[np.ndarray], list[IterationLog]]:
     """March the per-step Schwarz iteration over the whole time grid.
 
-    Each level is one `method1_advance` call, which hands the next one its
-    level in sine-mode space; the first is `Level.of` the initial states.
-    From level 1 on, each piece assembles the trace-independent forcing of
-    `_AHEAD` levels (fewer at the horizon, and as many as `_AHEAD_VALUES`
-    allow for the largest piece) in one call into the level handed on, the
-    first block with the initial states, and each geometry group transforms
-    its pieces' in one call, each level of each piece a block of its own
-    (`_forcing_modes`).  The kept levels are written into the trajectories
-    as modes and transformed to fields once per piece at the end.  Returns
-    per-piece trajectories of shape (steps + 1, *piece shape) and the
-    iteration log of every level.  With `final_only` the trajectories hold
-    level 0 and the last level alone, shape (2, *piece shape), and only the
-    last carried level is written.  On the one-piece layout
-    (`decompose(shape, (1,) * d, (0, 0))`) no level iterates, and the march
-    is the monodomain ETD march with the state kept in sine-mode space.
+    The run loop `_march` in windows of one step, each one
+    `method1_advance` call, which hands the next one its level in
+    sine-mode space; the loop assembles the forcing of up to `_AHEAD`
+    levels ahead.  Returns per-piece trajectories of shape (steps + 1,
+    *piece shape) and the iteration log of every level.  With `final_only`
+    the trajectories hold level 0 and the last level alone, shape (2,
+    *piece shape), and only the last level is written.  On the one-piece
+    layout (`decompose(shape, (1,) * d, (0, 0))`) no level iterates, and
+    the march is the monodomain ETD march with the state kept in sine-mode
+    space.
     """
-    steps = timegrid.steps
-    keep = 2 if final_only else steps + 1  # level 0 and the trailing keep - 1 levels
-    trajs = [np.empty((keep,) + p.u0.shape) for p in pieces]
-    for traj, p in zip(trajs, pieces):
-        traj[0] = p.u0
-    times = timegrid.times()
-    span = max(1, min(_AHEAD, _AHEAD_VALUES // max(p.u0.size for p in pieces)))
-    level = Level.of(pieces, [p.u0 for p in pieces], times[:1 + span])
-    logs = []
-    for m in range(steps):
-        if len(level.forcing) == 1:  # no level assembled ahead is left
-            ahead = times[m + 1: m + 1 + span]
-            block = np.empty((1 + len(ahead), len(level.modes)))
-            block[0] = level.forcing[0]
-            _forcing_modes(pieces, level.layout, ahead, block[1:])
-            level = level._replace(forcing=block)
-        level, log = method1_advance(
-            pieces, interfaces, level, timegrid.t(m), timegrid.t(m + 1), config
-        )
-        logs.append(log)
-        row = m + keep - steps  # the row of level m + 1; below 1 if it is not kept
-        if row >= 1:
-            for traj, u_hat in zip(trajs, level.states):
-                traj[row] = u_hat
-    _rebuild(pieces, trajs)
-    return trajs, logs
+    def step(level: Level, s: int, n: int, window) -> tuple[IterationLog, Level]:
+        level, log = method1_advance(pieces, interfaces, level, timegrid.t(s),
+                                     timegrid.t(s + 1), config)
+        for w, u_hat in zip(window or (), level.states):
+            w[1] = u_hat
+        return log, level
+
+    return _march(pieces, timegrid, 1, final_only, step)
 
 
 def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
@@ -825,7 +824,8 @@ def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     trace-independent forcing modes F at times[1:] (rows; a block assembled
     ahead may hold more).  Without the f0 of the window that handed `start`
     on, the inflow stacks spread the pinned traces into the level's own
-    forcing; F is assembled anew where `start` holds too few rows."""
+    forcing.  F is assembled anew where `start` holds too few rows, as a
+    level handed to `method1_advance` may; the drivers' loop fills it."""
     lay, u, rows, pinned, f0 = start
     ahead = rows[1:]
     if f0 is None:
@@ -837,6 +837,12 @@ def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         ahead = np.empty((len(times) - 1, lay.size))
         _forcing_modes(pieces, lay, times[1:], ahead)
     return lay, pinned, u, f0, ahead
+
+
+def _handed_on(ahead: np.ndarray, steps: int) -> np.ndarray:
+    """The forcing rows F a window of `steps` steps hands on: its last
+    level's and any after; a last row alone as a copy, freeing the block."""
+    return ahead[steps - 1:] if len(ahead) > steps else ahead[steps - 1:].copy()
 
 
 def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
@@ -952,9 +958,7 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
         if out is not None:
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
-        # the last row of a block assembled ahead goes on alone, and frees the block
-        return Level(lay, u1, ahead if len(ahead) > 1 else ahead.copy(), latest,
-                     f[1] if scheme == "etd2" else None)
+        return Level(lay, u1, _handed_on(ahead, 1), latest, f[1] if scheme == "etd2" else None)
 
     return sweep, finish, initial
 
@@ -969,9 +973,9 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     the incoming ones `now` into `new` and returns it; `finish(out, last,
     latest)`, which marches each piece again against the last sweep's input
     `last`, writes the trailing len(out[d]) - 1 levels of its mode-space
-    trajectory into out[d][1:] and returns the level at times[-1] in mode
-    space, pinned to the last level of the last sweep's output `latest`;
-    and the default initial traces, level 0 at every level.  Over the
+    trajectory into out[d][1:] if `out` is given, and returns the level at
+    times[-1] in mode space, pinned to the last level of the last sweep's
+    output `latest`; and the default initial traces, level 0 at every level.  Over the
     response table R of `_window_responses` and the base read-out of one
     march per piece, a 1d window is one causal convolution per (outflow,
     inflow) pair; a 2d window marches each piece in mode space in every
@@ -1019,12 +1023,15 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
                 new[outs[d]] = p.outflow_stack.read(march(d, v))[1:]
             return new
 
-    def finish(out: Sequence[np.ndarray], last: np.ndarray, latest: np.ndarray) -> Level:
+    def finish(out: Optional[Sequence[np.ndarray]], last: np.ndarray,
+               latest: np.ndarray) -> Level:
         states = np.empty(lay.size)
         for d, state in enumerate(lay.views(states)):
-            out[d][1:] = march(d, last)[1 - len(out[d]):]
-            state[...] = out[d][-1]
-        return Level(lay, states, modes[2][steps - 1:steps].copy(),
+            traj = march(d, last)
+            state[...] = traj[-1]
+            if out is not None:
+                out[d][1:] = traj[1 - len(out[d]):]
+        return Level(lay, states, _handed_on(modes[2], steps),
                      _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:])))
 
     return sweep, finish, _flat(np.tile(pinned[i:j], steps)
@@ -1045,21 +1052,35 @@ def _solve_window(
 ) -> tuple[IterationLog, Level]:
     """Solve one window from the level `start` at times[0]: the trailing
     len(window[d]) - 1 levels of piece d's solution go, in sine-mode
-    space, into window[d][1:] (all of levels 1..steps for a window of
-    steps + 1 rows; a one-step window may have none).  Returns the log and
-    the level at times[-1].  A one-step window runs on `_step_sweep`, with the predictor's initial
-    traces if `predict`, a longer one on `_window_sweep`.  Without a
-    guess the iteration starts from their default traces; level 0 of a
-    guess is pinned data and not read."""
-    steps = len(times) - 1
-    at = np.cumsum([0] + [steps * itf.size for itf in interfaces])
+    space, into window[d][1:] unless `window` is None.  Returns the log
+    and the level at times[-1].  A one-step window runs on `_step_sweep`,
+    with the predictor's initial traces if `predict`, a longer one on
+    `_window_sweep`, from their default traces unless a guess is given.
+    A guess and a reference hold levels 1..steps of each interface's
+    trace, placed by the layout of `start`.  Every window of either
+    driver passes here, so here the inputs are checked: `interfaces` must
+    have the pieces' trace sizes, the times their step, and a guess or a
+    reference one entry per interface; else a `ValueError` names the
+    window (`where`)."""
+    steps, lay = len(times) - 1, start.layout
+    sizes = np.diff(lay.traces).tolist()
+    if [itf.size for itf in interfaces] != sizes:
+        raise ValueError(f"the interface table {where} is not the pieces': trace sizes "
+                         f"{[itf.size for itf in interfaces]}, the pieces' {sizes}")
+    dt = (times[-1] - times[0]) / steps
+    if not all(math.isclose(dt, p.ws.dt, rel_tol=1e-9) for p in pieces):
+        raise ValueError(f"the step {dt:g} {where} is not the pieces' step {pieces[0].ws.dt:g}")
+    for name, rows in (("guess", guess), ("reference", reference)):
+        if rows is not None and len(rows) != len(sizes):
+            raise ValueError(f"the {name} {where} has {len(rows)} interface entries, "
+                             f"the pieces {len(sizes)} interfaces")
     sweep, finish, now = (_step_sweep(pieces, start, times, config.scheme, predict)
                           if steps == 1 else _window_sweep(pieces, start, times, config.scheme))
-    flat = lambda rows: _flat(np.asarray(r, dtype=float).reshape(len(times), itf.size)[1:].ravel()
-                              for r, itf in zip(rows, interfaces))
+    flat = lambda rows: _flat(np.asarray(r, dtype=float).reshape(steps * size)
+                              for r, size in zip(rows, sizes))
     if guess is not None:
         now = flat(guess)
-    log, last, latest = _sweep_loop(sweep, now, at, config,
+    log, last, latest = _sweep_loop(sweep, now, lay.traces * steps, config,
                                     None if reference is None else flat(reference), where)
     return log, finish(window, last, latest)
 
@@ -1086,41 +1107,33 @@ def method2_solve(
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
-    Each window iterates interface-reduced sweeps (`_step_sweep` for one
-    step, `_window_sweep` for more): the trace-independent forcing is
-    assembled and transformed once per window.  A sweep is a dense product
-    per geometry group in one-step windows, a causal convolution per edge
-    pair in longer 1d ones and the mode-space recursion in longer 2d ones;
-    none assembles forcing or runs a DST.
-    A window hands its successor its last level in sine-mode space and
-    writes its levels into the trajectories as modes; each trajectory is
-    transformed to fields once, at the end.
+    The run loop `_march` in windows of `window_steps` steps (without it,
+    one window), which assembles a window's trace-independent forcing, or
+    that of up to `_AHEAD` levels ahead, before its sweeps.  Each window
+    iterates interface-reduced sweeps (`_step_sweep` for one step,
+    `_window_sweep` for more): a dense product per geometry group in
+    one-step windows, a causal convolution per edge pair in longer 1d ones
+    and the mode-space recursion in longer 2d ones; none assembles forcing
+    or runs a DST.  A window hands its successor its last level in
+    sine-mode space.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per
     window.  With `final_only` the trajectories hold level 0 and the last
-    level alone, shape (2, *shape): every window writes its last level
-    into the same two-level buffer.  Level-0 traces are always pinned to
-    the initial state, and init_guess/reference (shape (steps + 1, size)
-    per interface) are sliced accordingly per window.
+    level alone, shape (2, *shape), which the last window writes.
+    Level-0 traces are always pinned to the initial state, and
+    init_guess/reference (shape (steps + 1, size) per interface) are
+    sliced accordingly: a window from step s over n steps reads their
+    levels s + 1..s + n.
     """
-    steps = timegrid.steps
-    win = config.window_steps or steps
-    trajs = [np.empty((2 if final_only else steps + 1,) + p.u0.shape) for p in pieces]
-    for traj, p in zip(trajs, pieces):
-        traj[0] = p.u0
-    level = Level.of(pieces, [p.u0 for p in pieces], timegrid.times()[:min(win, steps) + 1])
-    logs = []
-    for s in range(0, steps, win):
-        n = min(win, steps - s)
-        part = lambda rows: None if rows is None else [np.asarray(r)[s : s + n + 1] for r in rows]
-        log, level = _solve_window(pieces, interfaces, level,
-                                   trajs if final_only else [traj[s : s + n + 1] for traj in trajs],
-                                   [timegrid.t(s + m) for m in range(n + 1)], config,
-                                   part(init_guess), part(reference),
-                                   where=f"in the window from t={timegrid.t(s):g}")
-        logs.append(log)
-    _rebuild(pieces, trajs)
+    def solve(level: Level, s: int, n: int, window) -> tuple[IterationLog, Level]:
+        part = lambda rows: None if rows is None else [np.asarray(r)[s + 1:s + n + 1] for r in rows]
+        return _solve_window(pieces, interfaces, level, window,
+                             [timegrid.t(s + m) for m in range(n + 1)], config,
+                             part(init_guess), part(reference),
+                             where=f"in the window from t={timegrid.t(s):g}")
+
+    trajs, logs = _march(pieces, timegrid, config.window_steps or timegrid.steps, final_only, solve)
     if len(logs) == 1:
         return trajs, logs[0]
     return trajs, IterationLog(

