@@ -281,10 +281,10 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
             pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
             tag = (f"{config.problem}-{config.solver}-{config.scheme}"
                    f"-d{delta}-dt{dt:g}-T{config.horizon:g}-P{config.px}")
-            if config.solver == "method1":
-                # one carried level for every seed, which no solve writes into:
-                # only the logs are read, so no field is rebuilt
-                start = Level.of(pieces, [p.u0 for p in pieces], (0.0, timegrid.dt))
+            # one start level for every seed, which no solve writes into, with
+            # the forcing of the one step (method 1) or of every level
+            times = (0.0, timegrid.dt) if config.solver == "method1" else timegrid.times()
+            start = Level.of(pieces, [p.u0 for p in pieces], times)
             rates = []
             for s in range(config.seeds):
                 seed = config.seed + s
@@ -303,7 +303,7 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
                         pieces, layout.interfaces, timegrid, scfg,
                         init_guess=guess,
                         reference=_zero_reference(layout.interfaces, steps),
-                        final_only=True,
+                        final_only=True, start=start,
                     )
                     _decay_from_log(result.decay_rows, run_id, log, time_level=0)
                 two_step = estimate_contraction(log.curve())

@@ -19,11 +19,14 @@ with analytic functions of A (here exp and the phi functions) reduce to a
 DST-I over the spatial axes, a diagonal scaling, and a second DST-I.
 A 1d operator is the one-axis case.
 
-The DST-I runs axis by axis.  An axis of at most `_DENSE_AXIS_MAX` nodes
-is one matrix product with its cached orthonormal sine matrix
-(`axis_sine_matrix`); a longer axis is a real FFT of length 2(n + 1) of
-its odd extension (`_dst1`, pocketfft's DST-I bit for bit), slow on the
-small pieces of a localized method when n + 1 has a large prime factor.
+The DST-I runs axis by axis.  An axis of at most `_DENSE_AXIS_MAX` (127)
+nodes, the pieces of a localized method and the 127 x 127 monodomain
+field, is one matrix product per level block with its cached orthonormal
+sine matrix (`axis_sine_matrix`), cut into one-thread products where
+OpenBLAS would thread it (`_PRODUCT_MAX`); a longer axis is a real FFT of
+length 2(n + 1) of its odd extension (`_dst1`, pocketfft's DST-I bit for
+bit), slow on small axes when n + 1 has a large prime factor.  The sine
+rows of trace edges (`sine_row`) are cached per (n, node) on either route.
 
 phi functions used by the exponential time differencing steps:
 
@@ -57,11 +60,20 @@ __all__ = [
 
 # Axes of at most this many nodes transform as one product with their sine
 # matrix, longer ones by a real FFT (`_dst1`).  The product was the faster
-# route at every measured n up to 127 (table in CHANGES.md); the bound stays
-# below 127 so that the 1d runs of 128 nodes and up and the 127 x 127 grid
+# route at every measured n up to 127 (table in CHANGES.md), the 127 x 127
+# monodomain field included; the bound stays at 127 so that the 1d runs of
+# 128 nodes and up, whose tolerance-mode sweep counts round-off can move,
 # keep the FFT route and its bits.
-_DENSE_AXIS_MAX = 126
+_DENSE_AXIS_MAX = 127
 _FFT_BLOCK = 8192  # extension values per FFT call (64 KiB); whole fields took fresh pages per call
+# Most multiply-adds (rows x columns x inner length) of one matrix product
+# in `_axis_product`.  OpenBLAS runs a larger dgemm on several threads: on a
+# 127 x 127 block that was no faster than one thread on an idle 2-core
+# host, 2.2 times slower with the other core busy, and its waiting workers
+# took CPU from the rest of the run; the bits also depended on the thread
+# count.  65536 x 4 is OpenBLAS's default one-thread bound; the OpenBLAS
+# bundled with numpy kept one thread up to about 10^6 on a 2-core host.
+_PRODUCT_MAX = 1 << 18
 
 # Below this magnitude the direct formulas for phi_1/phi_2 lose digits to
 # cancellation, so a truncated Taylor series takes over.  Twelve terms keep
@@ -201,23 +213,46 @@ def _axis_product(v: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
     `axis` as the block's rows (its columns for the last axis).  Block
     products are smaller than one flat product over the whole batch, which
     OpenBLAS may split over threads; on a shared 2-core host that split
-    made a 128-level transform of a 40 x 36 piece 3.6 times slower."""
-    if axis == v.ndim - 1:
-        return v @ m
-    post = math.prod(v.shape[axis + 1:])
-    return (m.T @ v.reshape(v.shape[:axis] + (v.shape[axis], post))).reshape(v.shape)
+    made a 128-level transform of a 40 x 36 piece 3.6 times slower.  A
+    block of more than `_PRODUCT_MAX` multiply-adds is cut into even runs
+    of its other columns (rows for the last axis), so that every product
+    stays on one thread; the bits are those of one-thread products."""
+    n = len(m)
+    last = axis == v.ndim - 1
+    w = v if last else v.reshape(v.shape[:axis] + (n, math.prod(v.shape[axis + 1:])))
+    free = w.ndim - 2 if last else w.ndim - 1  # the axis a block's product may be cut along
+    width = w.shape[free] if free >= 0 else 1
+    runs = -(-width * n * n // _PRODUCT_MAX)
+    if runs <= 1:
+        return (w @ m if last else m.T @ w).reshape(v.shape)
+    out = np.empty(w.shape)
+    step = -(-width // runs)
+    for s in range(0, width, step):
+        cut = (slice(None),) * free + (slice(s, s + step),)
+        if last:
+            np.matmul(w[cut], m, out=out[cut])
+        else:
+            np.matmul(m.T, w[cut], out=out[cut])
+    return out.reshape(v.shape)
 
 
+@cache
 def sine_row(n: int, j: int) -> np.ndarray:
     """Row j (0-based) of the orthonormal DST-I matrix of size n: the n
-    sine modes sampled at node j.  The matrix is symmetric, so this is the
-    transform of the unit vector at j; taking it from the transform keeps
-    the transform's own round-off.  An axis of at most `_DENSE_AXIS_MAX`
-    nodes reads it, read-only, from the cached `axis_sine_matrix(n)`,
-    whose rows are those transforms bit for bit."""
+    sine modes sampled at node j, read-only.  The matrix is symmetric, so
+    this is the transform of the unit vector at j; taking it from the
+    transform keeps the transform's own round-off.  An axis of at most
+    `_DENSE_AXIS_MAX` nodes reads it from the cached `axis_sine_matrix(n)`,
+    whose rows are those transforms bit for bit; a longer one transforms
+    the unit vector once per (n, j) and keeps the row.  A node outside
+    0..n - 1 raises `ValueError`."""
+    if not 0 <= j < n:
+        raise ValueError(f"node {j} is outside the axis of n={n} nodes")
     if n <= _DENSE_AXIS_MAX:
         return axis_sine_matrix(n)[j]
-    return _dst1(np.eye(1, n, j), (-1,))[0]
+    out = _dst1(np.eye(1, n, j), (-1,))[0]
+    out.flags.writeable = False
+    return out
 
 
 def sine_matrix(shape: tuple[int, ...]) -> np.ndarray:

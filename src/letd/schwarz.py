@@ -46,7 +46,8 @@ bits; 2d results move within round-off.
 Every window starts from a level in sine-mode space (`Level`): per piece
 the state modes and the trace-independent forcing modes, per interface
 the pinned trace, which enters the level-0 forcing through the edge.  A
-run's first level comes from the initial fields (`Level.of`); every later
+run's first level comes from the initial fields (`Level.of`), or is given
+to `method2_solve` as `start`, which no window writes into; every later
 one is the last level of the window before, pinned to its last sweep's
 owned traces.  Each lies in one flat vector over every piece, group by
 group, at offsets fixed for the run (`_Layout`), which also holds the
@@ -695,23 +696,31 @@ def method1_advance(
 
 
 def _march(pieces: Sequence[LocalPiece], timegrid: TimeGrid, win: int, final_only: bool,
-           solve: Callable) -> tuple[list[np.ndarray], list[IterationLog]]:
-    """The run loop of both drivers, from `Level.of` the initial states in
-    windows of `win` steps (the last may be shorter): solve(level, s, n,
-    window) solves the one from step s over n steps and returns its log and
-    last level.  A level with fewer forcing rows than its window needs gets
-    those of the max(win, lookahead) levels after them (`_forcing_modes`),
-    the lookahead `_AHEAD` levels or as many as `_AHEAD_VALUES` allow.  `window`
-    is per piece the rows s..s + n of its trajectory, for levels 1..n as
-    modes; with `final_only` the last window gets the two-level
-    trajectories and the others None.  Returns the trajectories, rebuilt to
-    fields, and the logs."""
+           solve: Callable, start: Optional[Level] = None
+           ) -> tuple[list[np.ndarray], list[IterationLog]]:
+    """The run loop of both drivers, from the level `start` of the initial
+    states (by default `Level.of` them, with the forcing of the first span
+    levels) in windows of `win` steps (the last may be shorter): solve(level,
+    s, n, window) solves the one from step s over n steps and returns its
+    log and last level.  A level with fewer forcing rows than its window
+    needs gets those of the span = max(win, lookahead) levels after them
+    (`_forcing_modes`), the lookahead `_AHEAD` levels or as many as
+    `_AHEAD_VALUES` allow.  No window writes into `start`, so one start
+    serves many runs.  `window` is per piece the rows s..s + n of its
+    trajectory, for levels 1..n as modes; with `final_only` the last window
+    gets the two-level trajectories and the others None.  Returns the
+    trajectories, rebuilt to fields, and the logs; a `start` laid out for
+    other piece shapes raises `ValueError`."""
     steps, times = timegrid.steps, timegrid.times()
     trajs = [np.empty((2 if final_only else steps + 1,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
     span = max(win, min(_AHEAD, _AHEAD_VALUES // max(p.u0.size for p in pieces)))
-    level = Level.of(pieces, [p.u0 for p in pieces], times[:1 + span])
+    if start is not None and start.layout.shapes != tuple(p.u0.shape for p in pieces):
+        raise ValueError(f"the start level is laid out for piece shapes {start.layout.shapes}, "
+                         f"the pieces have {tuple(p.u0.shape for p in pieces)}")
+    # a name held on the run's own first level would keep its block for the run
+    level = Level.of(pieces, [p.u0 for p in pieces], times[:1 + span]) if start is None else start
     logs = []
     for s in range(0, steps, win):
         n = min(win, steps - s)
@@ -1104,17 +1113,23 @@ def method2_solve(
     reference: Optional[TraceSet] = None,
     *,
     final_only: bool = False,
+    start: Optional[Level] = None,
 ) -> tuple[list[np.ndarray], IterationLog]:
     """Waveform relaxation over [0, horizon], optionally in time windows.
 
     The run loop `_march` in windows of `window_steps` steps (without it,
-    one window), which assembles a window's trace-independent forcing, or
-    that of up to `_AHEAD` levels ahead, before its sweeps.  Each window
-    iterates interface-reduced sweeps (`_step_sweep` for one step,
-    `_window_sweep` for more): a dense product per geometry group in
-    one-step windows, a causal convolution per edge pair in longer 1d ones
-    and the mode-space recursion in longer 2d ones; none assembles forcing
-    or runs a DST.  A window hands its successor its last level in
+    one window), from the level `start` of the pieces' initial states at
+    t = 0 (by default `Level.of` them, with the forcing of the first
+    window).  No solve writes into `start`, so runs from one state, such as
+    a rate study's seeds, can share one: `Level.of(pieces, [p.u0 for p in
+    pieces], timegrid.times())` holds the forcing of every level.  The loop
+    assembles a window's trace-independent forcing, or that of up to
+    `_AHEAD` levels ahead, where its level holds too few rows, before its
+    sweeps.  Each window iterates interface-reduced sweeps (`_step_sweep`
+    for one step, `_window_sweep` for more): a dense product per geometry
+    group in one-step windows, a causal convolution per edge pair in longer
+    1d ones and the mode-space recursion in longer 2d ones; none assembles
+    forcing or runs a DST.  A window hands its successor its last level in
     sine-mode space.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
@@ -1133,7 +1148,8 @@ def method2_solve(
                              part(init_guess), part(reference),
                              where=f"in the window from t={timegrid.t(s):g}")
 
-    trajs, logs = _march(pieces, timegrid, config.window_steps or timegrid.steps, final_only, solve)
+    trajs, logs = _march(pieces, timegrid, config.window_steps or timegrid.steps, final_only,
+                         solve, start)
     if len(logs) == 1:
         return trajs, logs[0]
     return trajs, IterationLog(

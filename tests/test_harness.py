@@ -22,7 +22,7 @@ from letd.harness import (
     main,
     run_experiment,
 )
-from letd.schwarz import IterationLog
+from letd.schwarz import IterationLog, Level
 from letd.steppers import TimeGrid
 
 
@@ -170,6 +170,50 @@ def test_rate_study_reports_contraction_per_overlap():
     # decay rows exist and the initial-guess rows are normalized to one
     first = [r for r in res.decay_rows if r[1] == 0]
     assert first and all(r[5] == 1.0 for r in first)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("solver", ["method1", "method2"])
+def test_rate_rows_share_one_start_level_with_the_bits_of_one_per_seed(
+        monkeypatch, solver, scheme):
+    # every seed of an (overlap, dt) row solves from one start level; a
+    # start built per seed gives the same logs and CSV bodies, and the
+    # shared start is unchanged after all of its seeds' solves
+    cfg = dict(problem="error_equation", solver=solver, scheme=scheme, n=63,
+               dts=(0.1, 0.05), horizon=0.5, px=3, overlaps=(2, 4),
+               fixed_iterations=6, seeds=3)
+    name = "method1_advance" if solver == "method1" else "method2_solve"
+    solve = getattr(harness, name)
+    logs, starts = {"shared": [], "own": []}, {}
+
+    def shared(*args, **kwargs):
+        start = args[2] if solver == "method1" else kwargs["start"]
+        starts.setdefault(id(start), (start, [np.copy(a) for a in start[1:4]]))
+        out = solve(*args, **kwargs)
+        logs["shared"].append(out[1])
+        return out
+
+    def own(*args, **kwargs):
+        if solver == "method1":
+            pieces, dt = args[0], args[4]
+            args = args[:2] + (Level.of(pieces, [p.u0 for p in pieces], (0.0, dt)),) + args[3:]
+        else:
+            del kwargs["start"]
+        out = solve(*args, **kwargs)
+        logs["own"].append(out[1])
+        return out
+
+    bodies = []
+    for spy in (shared, own):
+        monkeypatch.setattr(harness, name, spy)
+        bodies.append(_bodies(run_experiment(ExperimentConfig(**cfg))))
+    assert bodies[0] == bodies[1]
+    assert len(logs["shared"]) == len(logs["own"]) == 12 and len(starts) == 4
+    for a, b in zip(logs["shared"], logs["own"]):
+        assert np.array_equal(a.updates, b.updates) and np.array_equal(a.errors, b.errors)
+    for start, kept in starts.values():
+        assert start.f0 is None
+        assert all(np.array_equal(a, b) for a, b in zip(start[1:4], kept)), "a solve wrote it"
 
 
 def test_accuracy_study_reports_observed_order():

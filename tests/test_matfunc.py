@@ -1,5 +1,9 @@
 """Operator construction, sine-basis factorization, and phi-function kernels."""
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,17 +259,17 @@ def test_transform_of_a_unit_field_is_the_product_of_sine_rows_bitwise(shape, no
     assert np.array_equal(_factorization(shape).to_modes(unit), want)
 
 
-# the 1d study pieces and the 2d monodomain keep pocketfft's bits, for a
-# batch and for its first entry: the long-axis inputs of the benchmark
-# workloads, with d transformed trailing axes, and an unequal 2d grid
+# the 1d study pieces keep pocketfft's bits, for a batch and for its first
+# entry: the long-axis inputs of the benchmark workloads, with d transformed
+# trailing axes, the shortest 2d grid of long axes and an unequal one
 @pytest.mark.parametrize("shape,d", [
     pytest.param((3, 255), 1, id="255"),
     pytest.param((3, 511), 1, id="511"),
-    pytest.param((3, 127, 127), 2, id="127x127"),
+    pytest.param((3, 128, 128), 2, id="128x128"),
     pytest.param((82, 265), 1, id="82x265"),
     pytest.param((80, 1, 265), 1, id="80x1x265"),
     pytest.param((101, 131), 1, id="101x131"),
-    pytest.param((2, 127, 127), 2, id="2x127x127"),
+    pytest.param((2, 128, 128), 2, id="2x128x128"),
     pytest.param((3, 130, 200), 2, id="3x130x200"),
 ])
 def test_long_axes_stay_bitwise_on_pocketfft(shape, d):
@@ -273,6 +277,74 @@ def test_long_axes_stay_bitwise_on_pocketfft(shape, d):
     v = np.random.default_rng(9).standard_normal(shape)
     assert np.array_equal(fact.to_modes(v), _dstn(v, d))
     assert np.array_equal(fact.to_modes(v[0]), _dstn(v[0], d))
+
+
+def test_a_batch_of_127x127_fields_is_each_level_block_alone_by_two_products_bitwise():
+    # the monodomain field of the 2d study is on the dense route: a (levels,
+    # k, 1) batch, as the drivers transform forcing, is each level block
+    # alone, and that is the product along each axis with its sine matrix
+    fact = _factorization((127, 127))
+    v = np.random.default_rng(11).standard_normal((5, 2, 1, 127, 127))
+    got = fact.to_modes(v)
+    m = axis_sine_matrix(127)
+    for level in range(len(v)):
+        for j in range(v.shape[1]):
+            block = v[level, j]
+            assert np.array_equal(got[level, j], fact.to_modes(block))
+            want = matfunc._axis_product(matfunc._axis_product(block, 1, m), 2, m)
+            assert np.array_equal(got[level, j], want)
+
+
+_THREAD_BITS = """
+import hashlib, sys
+import numpy as np
+from letd import matfunc
+m = matfunc.axis_sine_matrix(127)
+fact = matfunc.spectral_factorization(matfunc.DirichletLaplacian((127, 127), 1.0, (1.0, 1.0)))
+v = np.random.default_rng(5).standard_normal((3, 127, 127))
+rows = np.random.default_rng(6).standard_normal((300, 127))
+got = [fact.to_modes(v), matfunc._axis_product(rows, 1, m)]
+whole = [np.matmul(m.T, v) @ m, rows @ m]  # one product per block
+print(hashlib.sha256(b"".join(a.tobytes() for a in got)).hexdigest(),
+      all(np.array_equal(a, b) for a, b in zip(got, whole)))
+"""
+
+
+def test_the_bits_of_long_dense_products_do_not_depend_on_blas_threads():
+    # a 127 x 127 block is above OpenBLAS's one-thread bound, and so is a
+    # 300-row batch of 127 nodes: both are cut into runs below it, whose
+    # bits are one-thread bits, so the transform is the same with one BLAS
+    # thread and with two, and one thread's whole products give the same bits
+    src = str(Path(matfunc.__file__).resolve().parent.parent)
+    assert 127 * 127 * 127 > matfunc._PRODUCT_MAX and 300 * 127 * 127 > matfunc._PRODUCT_MAX
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _THREAD_BITS], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out[threads] = done.stdout.split()
+    assert out["1"] == [out["2"][0], "True"]
+
+
+@pytest.mark.parametrize("n", [131, 269])
+def test_long_axis_sine_rows_are_cached_read_only_transforms_of_unit_vectors(n):
+    for j in (0, 5, n - 1):
+        row = sine_row(n, j)
+        assert sine_row(n, j) is row
+        assert row.tobytes() == matfunc._dst1(np.eye(1, n, j), (-1,))[0].tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+
+@pytest.mark.parametrize("n,j", [(200, 250), (200, 200), (200, -1), (50, -1), (50, 50)])
+def test_a_sine_row_of_a_node_outside_the_axis_raises(n, j):
+    # on the FFT route (n = 200) these were an all-zero row, on the dense
+    # route (n = 50) node -1 read row 49; nothing is cached for them
+    cached = sine_row.cache_info().currsize
+    with pytest.raises(ValueError, match=rf"node {j} .*n={n}"):
+        sine_row(n, j)
+    assert sine_row.cache_info().currsize == cached
 
 
 def test_axis_sine_matrices_are_pocketfft_transforms_of_the_identity_bitwise():
