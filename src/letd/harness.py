@@ -70,16 +70,19 @@ DEFAULT_TOL = {"etd1": 1e-4, "etd2": 1e-6}
 
 
 def builtin_problem(name: str, horizon: Optional[float] = None):
-    """Named data sets for the studies; ``horizon`` overrides the default T."""
+    """Named data sets for the studies; ``horizon`` overrides the default T.
+    Each declares its data as a time factor times a function of space
+    (`Problem.terms`), so that runs transform them once."""
     if name == "error_equation":
         zero = lambda x, *t: np.zeros_like(np.asarray(x, dtype=float))
         return Problem(
             nu=1.0, lengths=(2.0,), horizon=1.0 if horizon is None else horizon,
-            source=zero, boundary=zero, initial=zero, exact=zero,
+            source=zero, boundary=zero, initial=zero, exact=zero, terms=(),
         )
     if name == "analytic_1d":
         pi2 = math.pi ** 2
         u = lambda x, t: np.exp(pi2 * t) * np.sin(np.pi * (x - 0.25))
+        mode = lambda x: np.sin(np.pi * (x - 0.25))
         return Problem(
             nu=1.0, lengths=(2.0,), horizon=0.25 if horizon is None else horizon,
             source=lambda x, t: 2.0 * pi2 * u(x, t),
@@ -87,9 +90,11 @@ def builtin_problem(name: str, horizon: Optional[float] = None):
             initial=lambda x: u(x, 0.0),
             exact=u,
             origin=(-1.0,),
+            terms=((lambda t: np.exp(pi2 * t), lambda x: 2.0 * pi2 * mode(x), mode),),
         )
     if name == "analytic_2d":
         u = lambda x, y, t: np.exp(-4.0 * t) * np.sin(x - 0.25) * np.sin(2.0 * (y - 0.125))
+        mode = lambda x, y: np.sin(x - 0.25) * np.sin(2.0 * (y - 0.125))
         return Problem(
             nu=1.0, lengths=(math.pi, math.pi),
             horizon=0.5 if horizon is None else horizon,
@@ -97,6 +102,7 @@ def builtin_problem(name: str, horizon: Optional[float] = None):
             boundary=u,
             initial=lambda x, y: u(x, y, 0.0),
             exact=u,
+            terms=((lambda t: np.exp(-4.0 * t), mode, mode),),
         )
     raise ValueError(f"unknown builtin problem {name!r}")
 

@@ -21,11 +21,16 @@ time span one sweep covers:
 Both iterate on the traces alone, in sine-mode space: one-step windows
 (every method-1 level) through one engine, longer windows through
 another.  A piece's state is affine in the traces it reads, so the
-trace-independent forcing (source and physical boundary data) is
-assembled once per window, in one call over the window's time levels,
-and transformed in one batch per geometry group (`_forcing_modes`); the
-traces enter it in sine-mode space alone.  A trace edge moves a history
-between nodes and modes the same way in any dimension: the weighted
+trace-independent forcing (source and physical boundary data) is formed
+once per window, before its sweeps (`_forcing_modes`).  Declared data
+(`Problem.terms`), a sum of time factors times functions of space, need
+no assembly and no transform there: each term's spatial forcing is
+assembled and transformed once per run, when its layout is built, and a
+level's forcing modes are the factors at its time times those term
+modes.  Undeclared data are assembled in one call over the window's
+time levels and transformed in one batch per geometry group.  The
+traces enter the forcing in sine-mode space alone.  A trace edge moves a
+history between nodes and modes the same way in any dimension: the weighted
 history times the dense sine matrix of the edge's other axes ([[1.0]] in
 1d) enters the forcing modes through the sine row of its border node
 along the edge axis; an owned trace is read out by contracting the
@@ -51,11 +56,12 @@ to `method2_solve` as `start`, which no window writes into; every later
 one is the last level of the window before, pinned to its last sweep's
 owned traces.  Each lies in one flat vector over every piece, group by
 group, at offsets fixed for the run (`_Layout`), which also holds the
-pieces' step kernels, concatenated once; so A = E u + phi1 f0, a base
-step and a new state are one operation per level, not one per piece.
+pieces' step kernels, concatenated once, and the modes of declared data
+terms; so A = E u + phi1 f0, a base step and a new state are one
+operation per level, not one per piece.
 Both drivers run on one loop (`_march`), over windows of one step
-(method 1) or of `window_steps` (method 2).  It assembles the forcing of
-up to four levels ahead, or of a whole longer window, and writes the
+(method 1) or of `window_steps` (method 2).  It forms the forcing of up
+to four levels ahead, or of a whole longer window, and writes the
 levels a run keeps into its trajectories as modes (every level, or with
 `final_only` the last one alone); each trajectory is transformed to
 fields by one inverse DST per piece at the end.
@@ -114,6 +120,8 @@ from .geometry import (
     assemble_forcing,
     boundary_data,
     box_forcing,
+    term_factors,
+    term_forcing,
 )
 from .matfunc import DirichletLaplacian, sine_matrix, sine_row, spectral_factorization
 from .steppers import Scheme, StepWorkspace, TimeGrid, make_workspace
@@ -141,10 +149,10 @@ _DENOM_FLOOR = 1e-14
 # unit fields held at once.
 _UNITS_PER_MARCH = 8
 
-# Levels whose trace-independent forcing a run assembles ahead in one call
-# per piece, at most _AHEAD_VALUES values of its largest piece: more
-# levels save fewer calls and raise the peak memory, and a larger block
-# takes fresh pages in every transform (CHANGES.md).
+# Levels whose trace-independent forcing a run forms ahead (undeclared
+# data: in one call per piece), at most _AHEAD_VALUES values of its largest
+# piece: more levels save fewer calls and raise the peak memory, and a
+# larger block takes fresh pages in every transform (CHANGES.md).
 _AHEAD, _AHEAD_VALUES = 4, 8192
 
 # Log rows a tolerance-mode solve allocates at first; they double as they
@@ -409,8 +417,9 @@ class Level(NamedTuple):
            times: Sequence[float]) -> "Level":
         """The level of the per-piece `fields` at times[0], with the
         trace-independent forcing at `times` (the level's own time first),
-        pinned to the traces the fields own: the fields and the forcing are
-        transformed in one block (`_forcing_modes`)."""
+        pinned to the traces the fields own, on the layout of `pieces`: the
+        fields are transformed, and the forcing formed, in one block
+        (`_forcing_modes`)."""
         lay = _Layout.of(pieces)
         block = np.empty((1 + len(times), lay.size))  # the state, then the forcing rows
         for part, u in zip(lay.views(block[0]), fields):
@@ -457,7 +466,10 @@ class _Layout(NamedTuple):
     of a one-step window).  ins and outs hold the places of every piece's
     inflow and outflow nodes there, in edge order, piece after piece of each
     group, group after group.  kernels: E, dt phi1 and dt phi2 over the flat
-    modes.
+    modes.  terms: the sine modes (K, size) of the K declared data terms of
+    the pieces' problem (`Problem.terms`), each term's spatial forcing
+    assembled and transformed once, when the layout is built; None when the
+    data are undeclared.
     """
 
     at: tuple
@@ -467,11 +479,13 @@ class _Layout(NamedTuple):
     outs: np.ndarray
     blocks: tuple[_Block, ...]
     kernels: tuple[np.ndarray, np.ndarray, np.ndarray]
+    terms: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, pieces: Sequence[LocalPiece]) -> "_Layout":
         """The layout of `pieces`, grouped by the stacks and tables they
-        share, in order of their first pieces."""
+        share, in order of their first pieces, with the modes of their
+        problem's declared data terms."""
         owned = sorted((e.interface, e.size) for p in pieces for e in p.outflow)
         traces = np.cumsum([0] + [size for _, size in owned])
         groups = {}
@@ -488,10 +502,18 @@ class _Layout(NamedTuple):
             i, o = blocks[-1].ins.stop, blocks[-1].outs.stop
         edges = lambda flow: [e for d in order for e in getattr(pieces[d], flow)]
         nodes = lambda flow: _nodes(edges(flow), traces)[0]
-        return cls(tuple(at[d] for d in range(len(pieces))), tuple(p.u0.shape for p in pieces),
-                   traces, nodes("inflow"), nodes("outflow"), tuple(blocks),
-                   tuple(np.concatenate([getattr(pieces[d].ws, k).ravel() for d in order])
-                         for k in ("exp_kernel", "phi1_kernel", "phi2_kernel")))
+        lay = cls(tuple(at[d] for d in range(len(pieces))), tuple(p.u0.shape for p in pieces),
+                  traces, nodes("inflow"), nodes("outflow"), tuple(blocks),
+                  tuple(np.concatenate([getattr(pieces[d].ws, k).ravel() for d in order])
+                        for k in ("exp_kernel", "phi1_kernel", "phi2_kernel")))
+        problem = pieces[0].closure.problem
+        if problem.terms is None:
+            return lay
+        terms = np.empty((len(problem.terms), lay.size))
+        for p, part in zip(pieces, lay.views(terms)):
+            part[...] = term_forcing(p.closure, [kind == "physical" for kind, _ in p.edges])
+        _to_modes(lay, terms)
+        return lay._replace(terms=terms)
 
     @property
     def size(self) -> int:
@@ -751,8 +773,8 @@ def method1_march(
 
     The run loop `_march` in windows of one step, each one
     `method1_advance` call, which hands the next one its level in
-    sine-mode space; the loop assembles the forcing of up to `_AHEAD`
-    levels ahead.  Returns per-piece trajectories of shape (steps + 1,
+    sine-mode space; the loop forms the forcing of up to `_AHEAD` levels
+    ahead.  Returns per-piece trajectories of shape (steps + 1,
     *piece shape) and the iteration log of every level.  With `final_only`
     the trajectories hold level 0 and the last level alone, shape (2,
     *piece shape), and only the last level is written.  On the one-piece
@@ -863,19 +885,37 @@ def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
         b.piece.inflow_stack.spread(x[:, b.ins].reshape(len(x), len(b.members), -1), b.modes(out))
 
 
+def _to_modes(lay: _Layout, v: np.ndarray) -> None:
+    """Transform the flat modes v (rows, size) from fields in place, one
+    call per geometry group, as (rows, k, 1, *shape): each piece-row a block
+    of its own, with the bits it has alone."""
+    if len(v):
+        for b in lay.blocks:
+            part = b.modes(v)
+            part[...] = b.piece.ws.fact.to_modes(part[:, :, None])[:, :, 0]
+
+
 def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: Sequence[float],
                    out: np.ndarray) -> None:
-    """Write the trace-independent forcing of every piece at `times` into
-    the last len(times) rows of the flat `out` (levels, size), one call per
-    piece, and transform every row of `out` (any before hold a run's first
-    state) in place, one call per geometry group, as (levels, k, 1, *shape):
-    each piece-level a block of its own, with the bits it has alone."""
+    """Write the trace-independent forcing modes of every piece at `times`
+    into the last len(times) rows of the flat `out` (levels, size), and
+    transform any rows before them (a run's first state) in place
+    (`_to_modes`).  With declared data (`_Layout.terms`) a row is the sum
+    over the terms, in term order, of each factor at its time times the
+    term's modes: no assembly and no transform.  Undeclared data are
+    assembled in one call per piece and transformed with the state rows."""
     times = np.asarray(times, dtype=float)
-    for b in lay.blocks:
-        part = b.modes(out)
-        for j, d in enumerate(b.members):
-            part[len(out) - len(times):, j] = pieces[d].forcing(times)
-        part[...] = b.piece.ws.fact.to_modes(part[:, :, None])[:, :, 0]
+    head = len(out) - len(times)
+    if lay.terms is None:
+        for p, part in zip(pieces, lay.views(out[head:])):
+            part[...] = p.forcing(times)
+        _to_modes(lay, out)
+        return
+    rows = out[head:]
+    rows[...] = 0.0
+    for factor, modes in zip(term_factors(pieces[0].closure.problem, times), lay.terms):
+        rows += factor[:, None] * modes
+    _to_modes(lay, out[:head])
 
 
 def _step(lay: _Layout, scheme: Scheme, a: np.ndarray, f0: np.ndarray, f1: np.ndarray,
@@ -1123,7 +1163,7 @@ def method2_solve(
     window).  No solve writes into `start`, so runs from one state, such as
     a rate study's seeds, can share one: `Level.of(pieces, [p.u0 for p in
     pieces], timegrid.times())` holds the forcing of every level.  The loop
-    assembles a window's trace-independent forcing, or that of up to
+    forms a window's trace-independent forcing, or that of up to
     `_AHEAD` levels ahead, where its level holds too few rows, before its
     sweeps.  Each window iterates interface-reduced sweeps (`_step_sweep`
     for one step, `_window_sweep` for more): a dense product per geometry

@@ -270,8 +270,10 @@ MONO_CASES = {
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("case", list(MONO_CASES))
 def test_monodomain_is_the_one_piece_method1_march(case, scheme, final_only):
+    # on undeclared data (the callable route) the march has the oracle's bits
     dim, n, steps = MONO_CASES[case]
     prob = builtin_problem("analytic_1d" if dim == 1 else "analytic_2d")
+    prob = dataclasses.replace(prob, terms=None)
     grid = (make_grid_1d(n, prob.length, origin=prob.origin) if dim == 1
             else make_grid_2d(n, n, prob.lengths))
     tg = TimeGrid(prob.horizon, steps)
@@ -279,6 +281,24 @@ def test_monodomain_is_the_one_piece_method1_march(case, scheme, final_only):
     want = run_monodomain(prob, grid, tg, scheme, final_only=final_only)
     assert got.shape == want.shape == ((2 if final_only else steps + 1),) + grid.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("case", list(MONO_CASES))
+def test_declared_monodomain_matches_the_oracle_within_round_off(case, scheme):
+    # declared data (`Problem.terms`) give the forcing modes as factor times
+    # DST(term), the oracle DST(factor times term): every level agrees within
+    # 5e-15 of its max (measured at most 1.8e-15 over these cases)
+    dim, n, steps = MONO_CASES[case]
+    prob = builtin_problem("analytic_1d" if dim == 1 else "analytic_2d")
+    assert prob.terms is not None
+    grid = (make_grid_1d(n, prob.length, origin=prob.origin) if dim == 1
+            else make_grid_2d(n, n, prob.lengths))
+    tg = TimeGrid(prob.horizon, steps)
+    got = one_piece_march(prob, grid, tg, scheme).reshape(steps + 1, -1)
+    want = run_monodomain(prob, grid, tg, scheme).reshape(steps + 1, -1)
+    err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert err.max() <= 5e-15, err.max()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -572,6 +592,34 @@ def test_waveform_driver_raises_on_a_non_finite_update(mode):
                        fixed_iterations=50 if mode == "fixed" else None)
     with pytest.raises(FloatingPointError, match=r"window from t=0: sweep 1, interface 0"):
         method2_solve(pieces, lay.interfaces, tg, cfg)
+
+
+def nan_factor_after(t_bad):
+    """The analytic problem, declared separable, with a time factor that
+    turns NaN after t_bad; its callables are the declared sums."""
+    factor = lambda t: np.where(np.asarray(t) <= t_bad, np.exp(PI2 * t), np.nan)
+    mode = lambda x: np.sin(np.pi * (x - 0.25))
+    return Problem(nu=1.0, lengths=(2.0,), horizon=0.25, origin=(-1.0,),
+                   source=lambda x, t: factor(t) * (2.0 * PI2 * mode(x)),
+                   boundary=lambda x, t: factor(t) * mode(x), initial=mode,
+                   terms=((factor, lambda x: 2.0 * PI2 * mode(x), mode),))
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+def test_a_declared_factor_that_turns_nan_raises_as_the_callables_do(mode):
+    # the same error as `nan_after`, whose source callable turns NaN
+    prob = nan_factor_after(0.05)
+    grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, 2, 4)
+    tg = TimeGrid(prob.horizon, 20)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assert schwarz._Layout.of(pieces).terms is not None
+    cfg = SolverConfig(scheme="etd2", max_iterations=50,
+                       fixed_iterations=50 if mode == "fixed" else None)
+    with pytest.raises(FloatingPointError, match=r"at t=0\.0625: sweep 1, interface 0"):
+        method1_march(pieces, lay.interfaces, tg, cfg)
+    with pytest.raises(FloatingPointError, match=r"window from t=0: sweep 1, interface 0"):
+        method2_solve(pieces, lay.interfaces, tg, dataclasses.replace(cfg, scheme="etd1"))
 
 
 # ---------------------------------------------------------------------------
@@ -1039,6 +1087,7 @@ def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypa
     # carried method1_advance calls assembles every level's forcing alone.
     # 10 steps: blocks of levels 2-5, 6-9 and 10
     prob, lay, grid, tg = setup(*args)
+    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, **budget)
     trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
@@ -1206,7 +1255,7 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
     assemble, assembled = schwarz.assemble_forcing, []
     monkeypatch.setattr(schwarz, "assemble_forcing",
                         lambda *a: assembled.append(1) or assemble(*a))
-    prob = builtin_problem("analytic_2d")
+    prob = dataclasses.replace(builtin_problem("analytic_2d"), terms=None)  # the callable route
     tg = TimeGrid(prob.horizon, 8)
     # 2x2: four corners, one piece per geometry group; 4x4 of equal pieces:
     # nine groups of 1, 2 and 4 pieces
@@ -1244,6 +1293,7 @@ def test_per_step_march_assembles_fewer_levels_ahead_for_large_pieces(monkeypatc
     # assemble as many levels per call as fit (at least one), with the
     # same bits: each level is transformed as a block of its own
     prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half")
+    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
     want, want_logs = method1_march(pieces, lay.interfaces, tg, cfg)
@@ -1271,6 +1321,7 @@ def test_short_waveform_windows_assemble_the_forcing_of_the_per_step_march(monke
     # pieces too large for _AHEAD levels (as in the test above), and keeps
     # the bits: each level is transformed as a block of its own
     prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half") if capped else _oracle_1d(3)
+    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, fixed_iterations=2, window_steps=window)
     want, _ = method2_solve(pieces, lay.interfaces, tg, cfg)
@@ -1293,6 +1344,7 @@ def test_short_waveform_windows_assemble_the_forcing_of_the_per_step_march(monke
 def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkeypatch, dim,
                                                                           scheme):
     prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
+    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     assemble, times = schwarz.assemble_forcing, []
     monkeypatch.setattr(schwarz, "assemble_forcing",
@@ -1300,6 +1352,127 @@ def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkey
     method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=2))
     # levels 0..steps in one call, as the run's first level (`Level.of`)
     assert times == [(tg.steps + 1,)] * len(pieces)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_declared_data_assemble_no_forcing_and_transform_each_term_once(monkeypatch, scheme):
+    # the twin of the callable-route test
+    # `test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level`:
+    # each piece's term forcing is transformed when the layout is built, one
+    # call per geometry group as (K, k, 1, *shape); the first level
+    # transforms its state alone, and no level assembles or transforms forcing
+    to_modes, shapes = SpectralFactorization.to_modes, []
+    monkeypatch.setattr(SpectralFactorization, "to_modes",
+                        lambda fact, v: shapes.append(v.shape) or to_modes(fact, v))
+    assemble, assembled = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda *a: assembled.append(1) or assemble(*a))
+    prob = builtin_problem("analytic_2d")
+    k_terms = len(prob.terms)
+    tg = TimeGrid(prob.horizon, 8)
+    for args in ((15, 12, 2, 2, 2, "half"), (31, 35, 4, 4, 2, "full")):
+        lay = decompose_2d(*args)
+        pieces = build_local_pieces(prob, make_grid_2d(*args[:2], prob.lengths), lay, tg.dt)
+        groups = schwarz._Layout.of(pieces).blocks
+        shapes.clear()
+        method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
+        p, g, steps = len(pieces), len(groups), tg.steps
+        assert shapes[:g] == [(k_terms, len(b.members), 1) + b.piece.u0.shape for b in groups]
+        assert shapes[g:2 * g] == [(1, len(b.members), 1) + b.piece.u0.shape for b in groups]
+        assert shapes[2 * g:] == [(steps, 1) + q.u0.shape for q in pieces]
+        assert sum(map(math.prod, shapes)) == sum((k_terms + 1 + steps) * q.u0.size
+                                                  for q in pieces)
+    assert assembled == []
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [
+    pytest.param(_lookahead_1d, (63, 3, 2), id="1d-dense-n63-P3"),
+    pytest.param(_lookahead_1d, (511, 2, 8), id="1d-fft-n511-P2"),
+    pytest.param(_lookahead_2d, (), id="2d-3x2-half"),
+])
+def test_declared_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(
+        monkeypatch, setup, args, scheme):
+    # the twin of the callable-route chain test: a declared level's forcing
+    # modes are an elementwise sum of the term modes, so blocks of any
+    # length give one level the same bits; no driver assembles forcing
+    prob, lay, grid, tg = setup(*args)
+    assert prob.terms is not None
+    assemble, assembled = schwarz.assemble_forcing, []
+    monkeypatch.setattr(schwarz, "assemble_forcing",
+                        lambda *a: assembled.append(1) or assemble(*a))
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
+    trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
+    chain = [np.empty_like(t) for t in trajs]
+    for traj, p in zip(chain, pieces):
+        traj[0] = p.u0
+    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:1])
+    for m, log in enumerate(logs):
+        level, got = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
+        assert_same_log(got, log)
+        for traj, u_hat in zip(chain, level.states):
+            traj[m + 1] = u_hat
+    schwarz._rebuild(pieces, chain)
+    for a, b in zip(trajs, chain):
+        assert np.array_equal(a, b)
+    for window in (1, 3, None):
+        method2_solve(pieces, lay.interfaces, tg, dataclasses.replace(cfg, window_steps=window))
+    assert assembled == []
+
+
+def two_term_problem(dim):
+    """Data of two separable terms on a shifted box, e^(-2t) prod sin(x_k +
+    0.3) with boundary part prod cos(x_k), and (1 + t) sum cos(x_k) with
+    boundary part 0.5 + sum x_k; the callables add the terms up."""
+    terms = ((lambda t: np.exp(-2.0 * t), lambda *x: math.prod(np.sin(c + 0.3) for c in x),
+              lambda *x: math.prod(np.cos(c) for c in x)),
+             (lambda t: 1.0 + t, lambda *x: sum(np.cos(c) for c in x), lambda *x: 0.5 + sum(x)))
+    data = lambda part: lambda *xt: sum(term[0](xt[-1]) * term[part](*xt[:-1]) for term in terms)
+    return Problem(nu=0.7, lengths=(2.0,) * dim, horizon=0.5, origin=(-0.5,) * dim,
+                   source=data(1), boundary=data(2), initial=lambda *x: 0.0 * sum(x),
+                   terms=terms)
+
+
+def zero_data_problem(dim):
+    z = lambda *x: 0.0 * sum(x)
+    return Problem(nu=1.0, lengths=(2.0,) * dim, horizon=1.0, source=z, boundary=z, initial=z,
+                   terms=())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 2]), data=st.sampled_from(["builtin", "two-term", "zero"]),
+       counts=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       widths=st.tuples(st.integers(6, 12), st.integers(6, 9)),
+       jitter=st.sampled_from([0, 0, 1, 3]), overlap=st.integers(1, 3),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+@example(dim=2, data="two-term", counts=(4, 3), widths=(6, 7), jitter=1, overlap=2,
+         fractions=[0.0, 0.5, 1.0])
+def test_declared_forcing_modes_match_the_callable_route(dim, data, counts, widths, jitter,
+                                                         overlap, fractions):
+    # on random layouts the declared route (`_Layout.terms`) gives the
+    # forcing modes of the oracle, which assembles the callables and
+    # transforms them: every row within 2e-15 of its max (measured at most
+    # 8.2e-16 over 400 random cases); zero data give exact zeros
+    prob = {"builtin": lambda: builtin_problem("analytic_1d" if dim == 1 else "analytic_2d"),
+            "two-term": lambda: two_term_problem(dim),
+            "zero": lambda: zero_data_problem(dim)}[data]()
+    shape = tuple(p * w - 1 + jitter for p, w in zip(counts[:dim], widths))
+    lay = decompose(shape, counts[:dim], (overlap, overlap))
+    grid = make_grid_1d(shape[0], prob.length, origin=prob.origin) if dim == 1 \
+        else make_grid_2d(*shape, prob.lengths, prob.origin)
+    pieces = build_local_pieces(prob, grid, lay, 0.01)
+    layout = schwarz._Layout.of(pieces)
+    assert layout.terms.shape == (len(prob.terms), layout.size)
+    times = np.array(sorted(fractions)) * prob.horizon
+    got, want = np.empty((2, len(times), layout.size))
+    schwarz._forcing_modes(pieces, layout, times, got)
+    forcing_modes(pieces, layout, times, want)
+    if data == "zero":
+        assert np.array_equal(got, np.zeros_like(got))
+        return
+    err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert err.max() <= 2e-15, err.max()
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
