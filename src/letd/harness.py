@@ -287,10 +287,8 @@ def _rate_study(config: ExperimentConfig, result: ExperimentResult) -> None:
             pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
             tag = (f"{config.problem}-{config.solver}-{config.scheme}"
                    f"-d{delta}-dt{dt:g}-T{config.horizon:g}-P{config.px}")
-            # one start level for every seed, which no solve writes into, with
-            # the forcing of the one step (method 1) or of every level
-            times = (0.0, timegrid.dt) if config.solver == "method1" else timegrid.times()
-            start = Level.of(pieces, [p.u0 for p in pieces], times)
+            # one start level for every seed, which no solve writes into
+            start = Level.of(pieces, [p.u0 for p in pieces], 0.0)
             rates = []
             for s in range(config.seeds):
                 seed = config.seed + s

@@ -21,8 +21,10 @@ time span one sweep covers:
 Both iterate on the traces alone, in sine-mode space: one-step windows
 (every method-1 level) through one engine, longer windows through
 another.  A piece's state is affine in the traces it reads, so the
-trace-independent forcing (source and physical boundary data) is formed
-once per window, before its sweeps (`_forcing_modes`).  Declared data
+trace-independent forcing (source and physical boundary data) of a
+window's levels 1..n is formed once, as the window starts, before its
+sweeps (`_forcing_modes`); ETD1 and ETD2 read the forcing only at the
+ends of each step, so no level's forcing is formed ahead.  Declared data
 (`Problem.terms`), a sum of time factors times functions of space, need
 no assembly and no transform there: each term's spatial forcing is
 assembled and transformed once per run, when its layout is built, and a
@@ -49,20 +51,19 @@ product of its own inside the group's call, and 1d results keep their
 bits; 2d results move within round-off.
 
 Every window starts from a level in sine-mode space (`Level`): per piece
-the state modes and the trace-independent forcing modes, per interface
-the pinned trace, which enters the level-0 forcing through the edge.  A
-run's first level comes from the initial fields (`Level.of`), or is given
-to `method2_solve` as `start`, which no window writes into; every later
-one is the last level of the window before, pinned to its last sweep's
-owned traces.  Each lies in one flat vector over every piece, group by
-group, at offsets fixed for the run (`_Layout`), which also holds the
-pieces' step kernels, concatenated once, and the modes of declared data
-terms; so A = E u + phi1 f0, a base step and a new state are one
-operation per level, not one per piece.
+the state modes and the level's forcing modes f0, per interface the
+pinned trace, which f0 holds spread in through the edge.  A run's first
+level comes from the initial fields (`Level.of`), or is given to
+`method2_solve` as `start`, which no window writes into; every later one
+is the last level of the window before, pinned to its last sweep's
+owned traces, with its f0 formed by that window.  Each lies in one flat
+vector over every piece, group by group, at offsets fixed for the run
+(`_Layout`), which also holds the pieces' step kernels, concatenated
+once, and the modes of declared data terms; so A = E u + phi1 f0, a base
+step and a new state are one operation per level, not one per piece.
 Both drivers run on one loop (`_march`), over windows of one step
-(method 1) or of `window_steps` (method 2).  It forms the forcing of up
-to four levels ahead, or of a whole longer window, and writes the
-levels a run keeps into its trajectories as modes (every level, or with
+(method 1) or of `window_steps` (method 2), which writes the levels a
+run keeps into its trajectories as modes (every level, or with
 `final_only` the last one alone); each trajectory is transformed to
 fields by one inverse DST per piece at the end.
 
@@ -106,7 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -148,12 +149,6 @@ _DENOM_FLOOR = 1e-14
 # Unit traces marched together when a response table is built; bounds the
 # unit fields held at once.
 _UNITS_PER_MARCH = 8
-
-# Levels whose trace-independent forcing a run forms ahead (undeclared
-# data: in one call per piece), at most _AHEAD_VALUES values of its largest
-# piece: more levels save fewer calls and raise the peak memory, and a
-# larger block takes fresh pages in every transform (CHANGES.md).
-_AHEAD, _AHEAD_VALUES = 4, 8192
 
 # Log rows a tolerance-mode solve allocates at first; they double as they
 # fill, up to the sweep budget.
@@ -399,34 +394,31 @@ class LocalPiece:
 class Level(NamedTuple):
     """Every piece's state at one time level, as a window starts from it, in
     sine-mode space, in flat vectors placed by `layout`: the state modes
-    (size,), the trace-independent forcing modes (levels, size) at the
-    level's time and at any later levels assembled ahead, and per interface
-    the pinned (owned) trace; f0 is the level's forcing with the pinned
-    traces spread in, if the window that handed the level on formed it
-    (ETD2), or None.  A run's first level comes from fields (`Level.of`);
-    every later one a window hands on."""
+    (size,), per interface the pinned (owned) trace, and f0, the level's
+    forcing modes (size,) with the pinned traces spread in.  A run's first
+    level comes from fields (`Level.of`); every later one a window hands
+    on, with the f0 it formed."""
 
     layout: "_Layout"
     modes: np.ndarray
-    forcing: np.ndarray
     pinned: np.ndarray
-    f0: Optional[np.ndarray] = None
+    f0: np.ndarray
 
     @classmethod
-    def of(cls, pieces: Sequence[LocalPiece], fields: Sequence[np.ndarray],
-           times: Sequence[float]) -> "Level":
-        """The level of the per-piece `fields` at times[0], with the
-        trace-independent forcing at `times` (the level's own time first),
-        pinned to the traces the fields own, on the layout of `pieces`: the
-        fields are transformed, and the forcing formed, in one block
-        (`_forcing_modes`)."""
+    def of(cls, pieces: Sequence[LocalPiece], fields: Sequence[np.ndarray], t: float) -> "Level":
+        """The level of the per-piece `fields` at time t, pinned to the
+        traces the fields own, on the layout of `pieces`: the fields are
+        transformed (`_to_modes`), and the forcing at t formed
+        (`_forcing_modes`) with the pinned traces spread in."""
         lay = _Layout.of(pieces)
-        block = np.empty((1 + len(times), lay.size))  # the state, then the forcing rows
-        for part, u in zip(lay.views(block[0]), fields):
+        v = np.empty((2, lay.size))  # the state and the forcing
+        for part, u in zip(lay.views(v[0]), fields):
             part[...] = u
-        _forcing_modes(pieces, lay, times, block)
-        traces = initial_traces(pieces, fields, len(lay.traces) - 1)
-        return cls(lay, block[0], block[1:], _flat(traces))
+        _to_modes(lay, v[:1])
+        _forcing_modes(pieces, lay, [t], v[1:])
+        pinned = _flat(initial_traces(pieces, fields, len(lay.traces) - 1))
+        _spread_all(lay, pinned[None], v[1:])
+        return cls(lay, v[0], pinned, v[1])
 
     @property
     def states(self) -> list[np.ndarray]:
@@ -721,38 +713,21 @@ def _march(pieces: Sequence[LocalPiece], timegrid: TimeGrid, win: int, final_onl
            solve: Callable, start: Optional[Level] = None
            ) -> tuple[list[np.ndarray], list[IterationLog]]:
     """The run loop of both drivers, from the level `start` of the initial
-    states (by default `Level.of` them, with the forcing of the first span
-    levels) in windows of `win` steps (the last may be shorter): solve(level,
-    s, n, window) solves the one from step s over n steps and returns its
-    log and last level.  A level with fewer forcing rows than its window
-    needs gets those of the span = max(win, lookahead) levels after them
-    (`_forcing_modes`), the lookahead `_AHEAD` levels or as many as
-    `_AHEAD_VALUES` allow.  No window writes into `start`, so one start
-    serves many runs.  `window` is per piece the rows s..s + n of its
-    trajectory, for levels 1..n as modes; with `final_only` the last window
-    gets the two-level trajectories and the others None.  Returns the
-    trajectories, rebuilt to fields, and the logs; a `start` laid out for
-    other piece shapes raises `ValueError`."""
-    steps, times = timegrid.steps, timegrid.times()
+    states (by default `Level.of` them) in windows of `win` steps (the last
+    may be shorter): solve(level, s, n, window) solves the one from step s
+    over n steps and returns its log and last level.  No window writes into
+    `start`, so one start serves many runs.  `window` is per piece the rows
+    s..s + n of its trajectory, for levels 1..n as modes; with `final_only`
+    the last window gets the two-level trajectories and the others None.
+    Returns the trajectories, rebuilt to fields, and the logs."""
+    steps = timegrid.steps
     trajs = [np.empty((2 if final_only else steps + 1,) + p.u0.shape) for p in pieces]
     for traj, p in zip(trajs, pieces):
         traj[0] = p.u0
-    span = max(win, min(_AHEAD, _AHEAD_VALUES // max(p.u0.size for p in pieces)))
-    if start is not None and start.layout.shapes != tuple(p.u0.shape for p in pieces):
-        raise ValueError(f"the start level is laid out for piece shapes {start.layout.shapes}, "
-                         f"the pieces have {tuple(p.u0.shape for p in pieces)}")
-    # a name held on the run's own first level would keep its block for the run
-    level = Level.of(pieces, [p.u0 for p in pieces], times[:1 + span]) if start is None else start
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0) if start is None else start
     logs = []
     for s in range(0, steps, win):
         n = min(win, steps - s)
-        held = len(level.forcing)
-        if held <= n:  # too few levels assembled ahead are left
-            ahead = times[s + held:s + held + span]
-            block = np.empty((held + len(ahead), level.layout.size))
-            block[:held] = level.forcing
-            _forcing_modes(pieces, level.layout, ahead, block[held:])
-            level = level._replace(forcing=block)
         window = ((trajs if s + n == steps else None) if final_only
                   else [traj[s:s + n + 1] for traj in trajs])
         log, level = solve(level, s, n, window)
@@ -772,15 +747,14 @@ def method1_march(
     """March the per-step Schwarz iteration over the whole time grid.
 
     The run loop `_march` in windows of one step, each one
-    `method1_advance` call, which hands the next one its level in
-    sine-mode space; the loop forms the forcing of up to `_AHEAD` levels
-    ahead.  Returns per-piece trajectories of shape (steps + 1,
-    *piece shape) and the iteration log of every level.  With `final_only`
-    the trajectories hold level 0 and the last level alone, shape (2,
-    *piece shape), and only the last level is written.  On the one-piece
-    layout (`decompose(shape, (1,) * d, (0, 0))`) no level iterates, and
-    the march is the monodomain ETD march with the state kept in sine-mode
-    space.
+    `method1_advance` call, which forms the forcing of its new level and
+    hands the next one that level in sine-mode space.  Returns per-piece
+    trajectories of shape (steps + 1, *piece shape) and the iteration log
+    of every level.  With `final_only` the trajectories hold level 0 and
+    the last level alone, shape (2, *piece shape), and only the last level
+    is written.  On the one-piece layout (`decompose(shape, (1,) * d, (0,
+    0))`) no level iterates, and the march is the monodomain ETD march with
+    the state kept in sine-mode space.
     """
     def step(level: Level, s: int, n: int, window) -> tuple[IterationLog, Level]:
         level, log = method1_advance(pieces, interfaces, level, timegrid.t(s),
@@ -847,33 +821,16 @@ def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarr
     return np.concatenate(rows, axis=1)
 
 
-def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
-                  scheme: Scheme) -> tuple:
-    """The level `start` at times[0] as a window reads it: the run's
-    `_Layout`, the pinned traces, the state modes u, the forcing modes f0
-    at times[0] (pinned traces included; ETD2 alone reads them) and the
-    trace-independent forcing modes F at times[1:] (rows; a block assembled
-    ahead may hold more).  Without the f0 of the window that handed `start`
-    on, the inflow stacks spread the pinned traces into the level's own
-    forcing.  F is assembled anew where `start` holds too few rows, as a
-    level handed to `method1_advance` may; the drivers' loop fills it."""
-    lay, u, rows, pinned, f0 = start
-    ahead = rows[1:]
-    if f0 is None:
-        f0 = rows[0]
-        if scheme == "etd2":
-            f0 = f0.copy()
-            _spread_all(lay, pinned[None], f0[None])
-    if len(ahead) < len(times) - 1:
-        ahead = np.empty((len(times) - 1, lay.size))
-        _forcing_modes(pieces, lay, times[1:], ahead)
-    return lay, pinned, u, f0, ahead
-
-
-def _handed_on(ahead: np.ndarray, steps: int) -> np.ndarray:
-    """The forcing rows F a window of `steps` steps hands on: its last
-    level's and any after; a last row alone as a copy, freeing the block."""
-    return ahead[steps - 1:] if len(ahead) > steps else ahead[steps - 1:].copy()
+def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float]) -> tuple:
+    """The level `start` at times[0] as a window over `times` reads it: the
+    run's `_Layout`, the pinned traces, the state modes u, the forcing
+    modes f0 at times[0] (pinned traces included; ETD2 alone reads them)
+    and the trace-independent forcing modes F (steps, size) at times[1:],
+    formed here in one call (`_forcing_modes`)."""
+    lay, u, pinned, f0 = start
+    forcing = np.empty((len(times) - 1, lay.size))
+    _forcing_modes(pieces, lay, times[1:], forcing)
+    return lay, pinned, u, f0, forcing
 
 
 def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
@@ -898,24 +855,20 @@ def _to_modes(lay: _Layout, v: np.ndarray) -> None:
 def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: Sequence[float],
                    out: np.ndarray) -> None:
     """Write the trace-independent forcing modes of every piece at `times`
-    into the last len(times) rows of the flat `out` (levels, size), and
-    transform any rows before them (a run's first state) in place
-    (`_to_modes`).  With declared data (`_Layout.terms`) a row is the sum
-    over the terms, in term order, of each factor at its time times the
-    term's modes: no assembly and no transform.  Undeclared data are
-    assembled in one call per piece and transformed with the state rows."""
+    into the flat rows `out` (len(times), size).  With declared data
+    (`_Layout.terms`) a row is the sum over the terms, in term order, of
+    each factor at its time times the term's modes: no assembly and no
+    transform.  Undeclared data are assembled in one call per piece and
+    transformed in one per geometry group (`_to_modes`)."""
     times = np.asarray(times, dtype=float)
-    head = len(out) - len(times)
     if lay.terms is None:
-        for p, part in zip(pieces, lay.views(out[head:])):
+        for p, part in zip(pieces, lay.views(out)):
             part[...] = p.forcing(times)
         _to_modes(lay, out)
         return
-    rows = out[head:]
-    rows[...] = 0.0
+    out[...] = 0.0
     for factor, modes in zip(term_factors(pieces[0].closure.problem, times), lay.terms):
-        rows += factor[:, None] * modes
-    _to_modes(lay, out[:head])
+        out += factor[:, None] * modes
 
 
 def _step(lay: _Layout, scheme: Scheme, a: np.ndarray, f0: np.ndarray, f1: np.ndarray,
@@ -960,13 +913,12 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     (`_step_gains`); a 1d group takes one (1, in) product per piece, the
     bits of a piece alone.  `finish` spreads the last sweep's input into
     F[0], once per group, and steps from A once, in the order of
-    `_march_modes`: the bits of a march, without one.  It hands F on as the
-    new level's forcing and, with ETD2, that level's f0: F[0] with the last
-    sweep's output spread in, in the same call.  The default initial traces
-    are the pinned ones or, with `predict` (ETD2 levels of method 1), those
-    of the predictor A.
+    `_march_modes`: the bits of a march, without one.  It hands on the new
+    level with its f0: F[0] with the last sweep's output spread in, in the
+    same call.  The default initial traces are the pinned ones or, with
+    `predict` (ETD2 levels of method 1), those of the predictor A.
     """
-    lay, pinned, u, f0, ahead = _window_start(pieces, start, times, scheme)
+    lay, pinned, u, f0, forcing = _window_start(pieces, start, times)
     exp, phi1, _ = lay.kernels
     ab = np.empty((2, lay.size))  # A and the base step, read out together
     a = np.multiply(exp, u, out=ab[0])
@@ -975,7 +927,7 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     x, owned = np.empty(len(lay.ins)), np.empty(len(lay.outs))
     reads, products = np.empty((2, len(lay.outs))), []
     if len(lay.outs):  # the one-piece layout reads no trace out
-        _step(lay, scheme, a, f0, ahead[0], out=ab[1])
+        _step(lay, scheme, a, f0, forcing[0], out=ab[1])
         for b in lay.blocks:
             p = b.piece
             # piece-major (k, 2, ...): a 1d read contracts each piece's levels alone
@@ -999,15 +951,14 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
 
     def finish(out: Optional[Sequence[np.ndarray]], last: np.ndarray,
                latest: np.ndarray) -> Level:
-        # with ETD2 the new level's f0 spreads its pinned traces, in one go with f1
-        traces = np.stack((last, latest) if scheme == "etd2" else (last,))
-        f = np.repeat(ahead[:1], len(traces), axis=0)
-        _spread_all(lay, traces, f)
+        # the new level's f0 spreads its pinned traces, in one go with f1
+        f = np.repeat(forcing, 2, axis=0)
+        _spread_all(lay, np.stack((last, latest)), f)
         u1 = _step(lay, scheme, a, f0, f[0], out=f[0])
         if out is not None:
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
-        return Level(lay, u1, _handed_on(ahead, 1), latest, f[1] if scheme == "etd2" else None)
+        return Level(lay, u1, latest, f[1])
 
     return sweep, finish, initial
 
@@ -1024,23 +975,23 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     `last`, writes the trailing len(out[d]) - 1 levels of its mode-space
     trajectory into out[d][1:] if `out` is given, and returns the level at
     times[-1] in mode space, pinned to the last level of the last sweep's
-    output `latest`; and the default initial traces, level 0 at every level.  Over the
-    response table R of `_window_responses` and the base read-out of one
-    march per piece, a 1d window is one causal convolution per (outflow,
-    inflow) pair; a 2d window marches each piece in mode space in every
-    sweep.
+    output `latest`, with those traces spread into its f0; and the default
+    initial traces, level 0 at every level.  Over the response table R of
+    `_window_responses` and the base read-out of one march per piece, a 1d
+    window is one causal convolution per (outflow, inflow) pair; a 2d
+    window marches each piece in mode space in every sweep.
     """
     steps = len(times) - 1
-    lay, pinned, *modes = _window_start(pieces, start, times, scheme)
+    lay, pinned, *modes = _window_start(pieces, start, times)
     at = lay.traces * steps
     parts = list(zip(*map(lay.views, modes)))  # per piece u, f0 and F
     ins = [_nodes(p.inflow, at, steps) for p in pieces]
 
     def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
         """Piece d's trajectory against the incoming traces v (None: none)."""
-        u, f0, ahead = parts[d]
+        u, f0, forcing = parts[d]
         f_hat = np.empty((steps + 1,) + u.shape)
-        f_hat[0], f_hat[1:] = f0, ahead[:steps]
+        f_hat[0], f_hat[1:] = f0, forcing
         if v is not None:
             pieces[d].inflow_stack.spread(v[ins[d]], f_hat[1:])
         return _march_modes(pieces[d].ws, scheme, u, f_hat)
@@ -1080,8 +1031,10 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
             state[...] = traj[-1]
             if out is not None:
                 out[d][1:] = traj[1 - len(out[d]):]
-        return Level(lay, states, _handed_on(modes[2], steps),
-                     _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:])))
+        pins = _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:]))
+        f0 = modes[2][-1:].copy()  # the new level's forcing, its pinned traces spread in
+        _spread_all(lay, pins[None], f0)
+        return Level(lay, states, pins, f0[0])
 
     return sweep, finish, _flat(np.tile(pinned[i:j], steps)
                                 for i, j in zip(lay.traces, lay.traces[1:]))
@@ -1107,12 +1060,16 @@ def _solve_window(
     `_window_sweep`, from their default traces unless a guess is given.
     A guess and a reference hold levels 1..steps of each interface's
     trace, placed by the layout of `start`.  Every window of either
-    driver passes here, so here the inputs are checked: `interfaces` must
-    have the pieces' trace sizes, the times their step, and a guess or a
-    reference one entry per interface; else a `ValueError` names the
-    window (`where`)."""
+    driver passes here, so here the inputs are checked: `start` must be
+    laid out for the pieces' shapes, `interfaces` have their trace sizes,
+    the times their step, and a guess or a reference one entry per
+    interface; else a `ValueError` names the window (`where`)."""
     steps, lay = len(times) - 1, start.layout
-    sizes = np.diff(lay.traces).tolist()
+    shapes = tuple(p.u0.shape for p in pieces)
+    if lay.shapes != shapes:
+        raise ValueError(f"the start level is laid out for piece shapes {lay.shapes}, "
+                         f"the pieces {where} have {shapes}")
+    sizes = [j - i for i, j in pairwise(lay.traces.tolist())]  # np.diff costs more per window
     if [itf.size for itf in interfaces] != sizes:
         raise ValueError(f"the interface table {where} is not the pieces': trace sizes "
                          f"{[itf.size for itf in interfaces]}, the pieces' {sizes}")
@@ -1159,17 +1116,15 @@ def method2_solve(
 
     The run loop `_march` in windows of `window_steps` steps (without it,
     one window), from the level `start` of the pieces' initial states at
-    t = 0 (by default `Level.of` them, with the forcing of the first
-    window).  No solve writes into `start`, so runs from one state, such as
-    a rate study's seeds, can share one: `Level.of(pieces, [p.u0 for p in
-    pieces], timegrid.times())` holds the forcing of every level.  The loop
-    forms a window's trace-independent forcing, or that of up to
-    `_AHEAD` levels ahead, where its level holds too few rows, before its
-    sweeps.  Each window iterates interface-reduced sweeps (`_step_sweep`
-    for one step, `_window_sweep` for more): a dense product per geometry
-    group in one-step windows, a causal convolution per edge pair in longer
-    1d ones and the mode-space recursion in longer 2d ones; none assembles
-    forcing or runs a DST.  A window hands its successor its last level in
+    t = 0 (by default `Level.of` them).  No solve writes into `start`, so
+    runs from one state, such as a rate study's seeds, can share one,
+    `Level.of(pieces, [p.u0 for p in pieces], 0.0)`, and its layout.  Each
+    window forms the trace-independent forcing of its own levels, then
+    iterates interface-reduced sweeps (`_step_sweep` for one step,
+    `_window_sweep` for more): a dense product per geometry group in
+    one-step windows, a causal convolution per edge pair in longer 1d ones
+    and the mode-space recursion in longer 2d ones; none assembles forcing
+    or runs a DST.  A window hands its successor its last level in
     sine-mode space.
 
     Returns per-piece trajectories (steps + 1, *shape) and an

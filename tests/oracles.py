@@ -183,7 +183,7 @@ def step_sweep(pieces, start, times, scheme, predict=False):
     here through the per-edge forms (`edge_read`, `edge_spread`) and one
     product of the piece's incoming traces with its gains; same arguments
     and results."""
-    lay, pinned, u, f0, ahead = schwarz._window_start(pieces, start, times, scheme)
+    lay, pinned, u, f0, forcing = schwarz._window_start(pieces, start, times)
     exp, phi1, _ = lay.kernels
     ins = [schwarz._nodes(p.inflow, lay.traces)[0] for p in pieces]
     outs = [schwarz._nodes(p.outflow, lay.traces)[0] for p in pieces]
@@ -193,7 +193,7 @@ def step_sweep(pieces, start, times, scheme, predict=False):
         a += np.multiply(phi1, f0, out=ab[1])
     reads, gains = [], []
     if any(len(o) for o in outs):
-        schwarz._step(lay, scheme, a, f0, ahead[0], out=ab[1])
+        schwarz._step(lay, scheme, a, f0, forcing[0], out=ab[1])
     for p, v in zip(pieces, lay.views(ab)):
         reads.append(np.concatenate([np.empty((2, 0))]
                                     + [edge_read(p.u0.shape, e, v) for e in p.outflow], axis=1))
@@ -210,8 +210,8 @@ def step_sweep(pieces, start, times, scheme, predict=False):
         return new
 
     def finish(out, last, latest):
-        traces = np.stack((last, latest) if scheme == "etd2" else (last,))
-        f = np.repeat(ahead[:1], len(traces), axis=0)
+        traces = np.stack((last, latest))
+        f = np.repeat(forcing, 2, axis=0)
         for p, i, part in zip(pieces, ins, lay.views(f)):
             for e, cols in zip(p.inflow, edge_columns(p.inflow)):
                 part += edge_spread(p.u0.shape, e, traces[:, i][:, cols])
@@ -219,8 +219,7 @@ def step_sweep(pieces, start, times, scheme, predict=False):
         if out is not None:
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
-        return Level(lay, u1, ahead if len(ahead) > 1 else ahead.copy(), latest,
-                     f[1] if scheme == "etd2" else None)
+        return Level(lay, u1, latest, f[1])
 
     return sweep, finish, initial
 
@@ -228,11 +227,9 @@ def step_sweep(pieces, start, times, scheme, predict=False):
 def forcing_modes(pieces, lay, times, out):
     """`schwarz._forcing_modes` as it ran before the layout grouped its
     pieces: per piece, its forcing at `times` assembled in one call into
-    the last len(times) rows and every row transformed in one, each level a
-    block of its own."""
+    the rows `out` and transformed in one, each level a block of its own."""
     for p, part in zip(pieces, lay.views(out)):
-        part[len(out) - len(times):] = p.forcing(np.asarray(times, dtype=float))
-        part[...] = p.ws.fact.to_modes(part[:, None])[:, 0]
+        part[...] = p.ws.fact.to_modes(p.forcing(np.asarray(times, dtype=float))[:, None])[:, 0]
 
 
 def nodal_forcing(piece, t, traces):
@@ -412,11 +409,11 @@ def advance_fields(pieces, interfaces, states, t_now, t_next, config, init_guess
                    reference=None):
     """`schwarz.method1_advance` on fields, as the library's route for
     fields was before the driver took levels alone: the level
-    `Level.of(pieces, states, (t_now, t_next))`, advanced one step, and the
+    `Level.of(pieces, states, t_now)`, advanced one step, and the
     new fields transformed back from its state modes, each piece a block of
     its own.  Returns the new fields and the log."""
     level, log = schwarz.method1_advance(pieces, interfaces,
-                                         Level.of(pieces, states, (t_now, t_next)), t_now,
+                                         Level.of(pieces, states, t_now), t_now,
                                          t_next, config, init_guess, reference)
     return [p.ws.fact.from_modes(u[None, None])[0, 0] for p, u in zip(pieces, level.states)], log
 

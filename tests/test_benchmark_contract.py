@@ -37,8 +37,7 @@ def test_tracer_sees_every_method1_level_and_sweep(monkeypatch):
     # module attribute schwarz.method1_advance: the pieces in args[0], the
     # level's log in the result.  A march that steps past it hides levels
     # and sweeps from the gated counts.  Tolerance mode, so that the counts
-    # come from the stop rule, and a ragged last block of levels assembled
-    # ahead.
+    # come from the stop rule.
     from letd import schwarz
     from letd.geometry import decompose_2d, make_grid_2d
     from letd.steppers import TimeGrid

@@ -320,7 +320,7 @@ def test_a_lone_piece_logs_no_sweep(dim, budget):
                        fixed_iterations=3 if budget == "fixed" else None)
     start = [p.u0 for p in pieces]
     logs = [advance_fields(pieces, lay.interfaces, start, 0.0, tg.dt, cfg)[1],
-            method1_advance(pieces, lay.interfaces, Level.of(pieces, start, (0.0, tg.dt)), 0.0,
+            method1_advance(pieces, lay.interfaces, Level.of(pieces, start, 0.0), 0.0,
                             tg.dt, cfg)[1],
             *method1_march(pieces, lay.interfaces, tg, cfg)[1],
             method2_solve(pieces, lay.interfaces, tg, cfg)[1]]
@@ -634,7 +634,7 @@ def _run_driver(driver, pieces, interfaces, tg, cfg, **kw):
         return method1_march(pieces, interfaces, tg, cfg)
     if driver == "method2":
         return method2_solve(pieces, interfaces, tg, cfg, **kw)
-    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:2])
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     return method1_advance(pieces, interfaces, level, 0.0, tg.dt, cfg, **kw)
 
 
@@ -685,28 +685,39 @@ def test_method2_refuses_a_start_laid_out_for_other_pieces():
     prob, lay, grid, tg = _oracle_1d(3)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     other = build_local_pieces(prob, grid, decompose_1d(grid, 2, 2), tg.dt)
-    start = Level.of(other, [p.u0 for p in other], tg.times())
+    start = Level.of(other, [p.u0 for p in other], 0.0)
     with pytest.raises(ValueError, match=r"start level is laid out for piece shapes "
                                          r"\(\(33,\), \(33,\)\)"):
         method2_solve(pieces, lay.interfaces, tg, SolverConfig(fixed_iterations=2), start=start)
 
 
-@pytest.mark.parametrize("rows", ["every-level", "level-0"])
+def test_method1_advance_refuses_a_start_laid_out_for_other_pieces():
+    # a delta = 4 start on delta = 2 pieces has as many interfaces of the
+    # same sizes, and would solve the start's pieces instead
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    other = build_local_pieces(prob, grid, decompose_1d(grid, 3, 4), tg.dt)
+    start = Level.of(other, [p.u0 for p in other], 0.0)
+    with pytest.raises(ValueError, match=r"start level is laid out for piece shapes "
+                                         r"\(\(24,\), \(29,\), \(24,\)\), the pieces at "
+                                         r"t=\S+ have \(\(22,\), \(25,\), \(22,\)\)"):
+        method1_advance(pieces, lay.interfaces, start, 0.0, tg.dt,
+                        SolverConfig(fixed_iterations=2))
+
+
 @pytest.mark.parametrize("dim,args,scheme", [(1, (3,), "etd2"), (1, (4,), "etd1"),
                                              (2, (2, 2, 2, "half"), "etd2")],
                          ids=["1d-P3-etd2", "1d-P4-etd1", "2d-2x2-etd2"])
-def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, scheme, rows):
-    # a start holding the forcing of every level, or of level 0 alone (the
-    # run loop assembles the rest), gives 3-step windows the bits of the
-    # run's own start, and no window writes into it
+def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, scheme):
+    # a given start gives 3-step windows the bits of the run's own start,
+    # and no window writes into its modes, pinned traces or forcing
     prob, lay, grid, tg = (_oracle_1d if dim == 1 else _oracle_2d)(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-10, max_iterations=100, window_steps=3)
     guess = random_trace_guess(lay.interfaces, seed=2, steps=tg.steps)
     want_trajs, want = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess)
-    start = Level.of(pieces, [p.u0 for p in pieces],
-                     tg.times() if rows == "every-level" else tg.times()[:1])
-    kept = [np.copy(a) for a in start[1:4]]
+    start = Level.of(pieces, [p.u0 for p in pieces], 0.0)
+    kept = [np.copy(a) for a in start[1:]]
     for _ in range(2):
         trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
                                    start=start)
@@ -714,8 +725,7 @@ def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, sc
         assert len(log.windows) == len(want.windows) == -(-tg.steps // 3)
         assert np.array_equal(log.updates, want.updates)
         assert all(np.array_equal(a, b) for a, b in zip(trajs, want_trajs))
-        assert start.f0 is None
-        assert all(np.array_equal(a, b) for a, b in zip(start[1:4], kept))
+        assert all(np.array_equal(a, b) for a, b in zip(start[1:], kept))
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +883,7 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     interfaces = lay.interfaces
     pinned = initial_traces(pieces, [p.u0 for p in pieces], len(interfaces))
-    start = Level.of(pieces, [p.u0 for p in pieces], tg.times())
+    start = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     sweep = history_sweep(schwarz._window_sweep(pieces, start, tg.times(), scheme)[0],
                           pinned, tg.steps)
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
@@ -997,7 +1007,7 @@ def test_a_carried_level_gets_no_two_level_window(monkeypatch, setup, args):
     monkeypatch.setattr(schwarz.np, "empty", lambda shape, *a, **kw: shapes.append(
         tuple(np.atleast_1d(shape).tolist())) or empty(shape, *a, **kw))
     windows = {(2,) + p.u0.shape for p in pieces}
-    level = Level.of(pieces, [p.u0 for p in pieces], (0.0, tg.dt))
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     for m in range(2):
         level, _ = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
     assert shapes and not windows & set(shapes)
@@ -1057,13 +1067,13 @@ def test_mode_space_march_matches_the_level_by_level_field_route(setup, args, sc
             assert np.abs(traj[m + 1] - u).max() <= 1e-12 * u_max, (m, np.abs(traj[m + 1] - u).max())
 
 
-def _lookahead_1d(n, p, overlap):
+def _ten_steps_1d(n, p, overlap):
     prob = builtin_problem("analytic_1d")
     grid = make_grid_1d(n, prob.length, origin=prob.origin)
     return prob, decompose_1d(grid, p, overlap), grid, TimeGrid(prob.horizon, 10)
 
 
-def _lookahead_2d():
+def _ten_steps_2d():
     prob = builtin_problem("analytic_2d")
     grid = make_grid_2d(31, 23, prob.lengths)
     return prob, decompose_2d(31, 23, 3, 2, 2, "half"), grid, TimeGrid(prob.horizon, 10)
@@ -1076,16 +1086,15 @@ BUDGETS = [pytest.param(dict(fixed_iterations=3), id="fixed3"),
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("setup,args", [
-    pytest.param(_lookahead_1d, (63, 3, 2), id="1d-dense-n63-P3"),
-    pytest.param(_lookahead_1d, (511, 2, 8), id="1d-fft-n511-P2"),
-    pytest.param(_lookahead_2d, (), id="2d-3x2-half"),
+    pytest.param(_ten_steps_1d, (63, 3, 2), id="1d-dense-n63-P3"),
+    pytest.param(_ten_steps_1d, (511, 2, 8), id="1d-fft-n511-P2"),
+    pytest.param(_ten_steps_2d, (), id="2d-3x2-half"),
 ])
 def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypatch, setup,
                                                                         args, scheme, budget):
-    # method1_march assembles the forcing of up to _AHEAD levels in one call
-    # per piece and transforms each level as a block of its own; a chain of
-    # carried method1_advance calls assembles every level's forcing alone.
-    # 10 steps: blocks of levels 2-5, 6-9 and 10
+    # method1_march is the chain of carried method1_advance calls: each
+    # level assembles its own forcing, one level in one call per piece, and
+    # transforms it as a block of its own
     prob, lay, grid, tg = setup(*args)
     prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
@@ -1097,7 +1106,7 @@ def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypa
     chain = [np.empty_like(t) for t in trajs]
     for traj, p in zip(chain, pieces):
         traj[0] = p.u0
-    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:1])
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     for m, log in enumerate(logs):
         level, got = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
         assert_same_log(got, log)
@@ -1111,8 +1120,8 @@ def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypa
 
 @pytest.mark.parametrize("setup,args,budget", [
     *[pytest.param(setup, args, b.values[0], id=f"{name}-{b.id}")
-      for setup, args, name in ((_lookahead_1d, (63, 3, 2), "1d-n63-P3"),
-                                (_lookahead_2d, (), "2d-31x23-3x2")) for b in BUDGETS],
+      for setup, args, name in ((_ten_steps_1d, (63, 3, 2), "1d-n63-P3"),
+                                (_ten_steps_2d, (), "2d-31x23-3x2")) for b in BUDGETS],
     *[pytest.param(setup, args, dict(tolerance=1e-10, max_iterations=400), id=f"{name}-tol1e-10")
       for setup, args, name in ((_oracle_1d, (3,), "1d-P3"),
                                 (_oracle_2d, (2, 2, 2, "half"), "2d-2x2"))],
@@ -1144,10 +1153,10 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
     # a run's first level (Level.of), then from levels handed on
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:1])
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     for m in range(3):
         times = (tg.t(m), tg.t(m + 1))
-        layout, _, *flat = schwarz._window_start(pieces, level, times, scheme)
+        layout, _, *flat = schwarz._window_start(pieces, level, times)
         at = layout.traces
         sweep, finish, latest = schwarz._step_sweep(pieces, level, times, scheme)
         for _ in range(3):
@@ -1155,12 +1164,12 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
         out = [np.empty((2,) + p.u0.shape) for p in pieces]
         level = finish(out, last, latest)
         parts = zip(*map(layout.views, flat))
-        for p, (u, f0, ahead), o, got in zip(pieces, parts, out, level.states):
-            f_hat = np.stack([f0, ahead[0]])
+        for p, (u, f0, forcing), o, got in zip(pieces, parts, out, level.states):
+            f_hat = np.stack([f0, forcing[0]])
             ins = np.concatenate([np.arange(at[e.interface], at[e.interface + 1])
                                   for e in p.inflow])
-            # ETD2 spreads the new level's pinned traces in the same call
-            traces = np.stack([last, latest] if scheme == "etd2" else [last])[:, ins]
+            # the new level's pinned traces are spread in the same call
+            traces = np.stack([last, latest])[:, ins]
             f1 = np.repeat(f_hat[1:], len(traces), axis=0)
             p.inflow_stack.spread(traces, f1)
             f_hat[1] = f1[0]
@@ -1268,75 +1277,43 @@ def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level
         groups = schwarz._Layout.of(pieces).blocks
         assert [len(b.members) for b in groups] == sizes
         method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
-        p, g, steps = len(pieces), len(groups), tg.steps
-        first, later, rebuild = shapes[:g], shapes[g:-p], shapes[-p:]
-        # every piece-level transforms one field: from level 1 on, the
-        # forcing of up to _AHEAD levels is assembled in one call per piece
-        # and transformed in one call per geometry group, with each level of
-        # each piece a block of its own (levels 1-4, 5-8); the first block
-        # also holds the initial state and the level-0 forcing (`Level.of`)
-        blocks = [min(schwarz._AHEAD, steps - m) for m in range(0, steps, schwarz._AHEAD)]
-        assert blocks == [4, 4]
-        assert first == [(2 + blocks[0], len(b.members), 1) + b.piece.u0.shape for b in groups]
-        assert later == [(k, len(b.members), 1) + b.piece.u0.shape
-                         for k in blocks[1:] for b in groups]
+        p, steps = len(pieces), tg.steps
+        # every piece-level transforms one field: the run's first level
+        # (`Level.of`) its state and its level-0 forcing, each level after
+        # it its own forcing, assembled in one call per piece and
+        # transformed in one call per geometry group
+        assert shapes[:-p] == [(1, len(b.members), 1) + b.piece.u0.shape
+                               for _ in range(2 + steps) for b in groups]
         # and the trajectories are rebuilt by one inverse transform per
         # piece, each level a block of its own
-        assert rebuild == [(steps, 1) + q.u0.shape for q in pieces]
+        assert shapes[-p:] == [(steps, 1) + q.u0.shape for q in pieces]
         assert sum(map(math.prod, shapes)) == sum((2 + steps + steps) * q.u0.size for q in pieces)
-        assert len(assembled) == p * len(blocks)
+        assert len(assembled) == p * (1 + steps)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
-def test_per_step_march_assembles_fewer_levels_ahead_for_large_pieces(monkeypatch, scheme):
-    # pieces too large for _AHEAD levels in a block of _AHEAD_VALUES values
-    # assemble as many levels per call as fit (at least one), with the
-    # same bits: each level is transformed as a block of its own
-    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half")
-    prob = dataclasses.replace(prob, terms=None)  # the callable route
-    pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
-    want, want_logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    assemble, levels = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda fc, t, vals: levels.append(np.size(t)) or assemble(fc, t, vals))
-    monkeypatch.setattr(schwarz, "_AHEAD_VALUES", 2 * max(q.u0.size for q in pieces) + 1)
-    got, logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    # two levels a call; the first call also assembles level 0 (`Level.of`)
-    assert levels == [k for k in (3, 2, 2, 2) for _ in pieces]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    for a, b in zip(logs, want_logs):
-        assert_same_log(a, b)
-
-
-@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
-@pytest.mark.parametrize("capped,window", [(False, 1), (False, 3), (True, 1)],
-                         ids=["1d-n63-P3-w1", "1d-n63-P3-w3", "2d-2x2-capped-w1"])
-def test_short_waveform_windows_assemble_the_forcing_of_the_per_step_march(monkeypatch, capped,
+@pytest.mark.parametrize("dim,window", [(1, 1), (1, 3), (2, 1)],
+                         ids=["1d-n63-P3-w1", "1d-n63-P3-w3", "2d-2x2-w1"])
+def test_short_waveform_windows_assemble_the_forcing_of_the_per_step_march(monkeypatch, dim,
                                                                           window, scheme):
-    # both drivers run on one loop: in windows shorter than the lookahead
-    # method 2 assembles the forcing ahead in the calls of method 1, 5, 4
-    # and 4 levels per piece on 12 steps (a 3-step window keeps the rows
-    # it was handed and gets the levels after them), or as many as fit for
-    # pieces too large for _AHEAD levels (as in the test above), and keeps
-    # the bits: each level is transformed as a block of its own
-    prob, lay, grid, tg = _oracle_2d(2, 2, 2, "half") if capped else _oracle_1d(3)
+    # both drivers run on one loop, and every window assembles the forcing
+    # of its own levels in one call per piece, after the run's first level
+    # (`Level.of`) assembles level 0: the per-step march one level a call,
+    # method 2 in one-step windows the same calls, in 3-step windows 3
+    # levels a call on 12 steps
+    prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
     prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, fixed_iterations=2, window_steps=window)
-    want, _ = method2_solve(pieces, lay.interfaces, tg, cfg)
-    if capped:
-        monkeypatch.setattr(schwarz, "_AHEAD_VALUES", 2 * max(q.u0.size for q in pieces) + 1)
     assemble, levels = schwarz.assemble_forcing, []
     monkeypatch.setattr(schwarz, "assemble_forcing",
                         lambda fc, t, vals: levels.append(np.size(t)) or assemble(fc, t, vals))
     method1_march(pieces, lay.interfaces, tg, cfg)
     per_step = levels.copy()
     levels.clear()
-    got, _ = method2_solve(pieces, lay.interfaces, tg, cfg)
-    assert levels == per_step == [k for k in ((3, 2, 2, 2) if capped else (5, 4, 4))
-                                  for _ in pieces]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    method2_solve(pieces, lay.interfaces, tg, cfg)
+    assert per_step == [1] * len(pieces) * (1 + tg.steps)
+    assert levels == [1] * len(pieces) + [window] * len(pieces) * (tg.steps // window)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -1350,8 +1327,9 @@ def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkey
     monkeypatch.setattr(schwarz, "assemble_forcing",
                         lambda fc, t, vals: times.append(np.shape(t)) or assemble(fc, t, vals))
     method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=2))
-    # levels 0..steps in one call, as the run's first level (`Level.of`)
-    assert times == [(tg.steps + 1,)] * len(pieces)
+    # level 0 as the run's first level (`Level.of`), then levels 1..steps
+    # in one call, as the window starts
+    assert times == [(1,)] * len(pieces) + [(tg.steps,)] * len(pieces)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -1387,9 +1365,9 @@ def test_declared_data_assemble_no_forcing_and_transform_each_term_once(monkeypa
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("setup,args", [
-    pytest.param(_lookahead_1d, (63, 3, 2), id="1d-dense-n63-P3"),
-    pytest.param(_lookahead_1d, (511, 2, 8), id="1d-fft-n511-P2"),
-    pytest.param(_lookahead_2d, (), id="2d-3x2-half"),
+    pytest.param(_ten_steps_1d, (63, 3, 2), id="1d-dense-n63-P3"),
+    pytest.param(_ten_steps_1d, (511, 2, 8), id="1d-fft-n511-P2"),
+    pytest.param(_ten_steps_2d, (), id="2d-3x2-half"),
 ])
 def test_declared_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(
         monkeypatch, setup, args, scheme):
@@ -1407,7 +1385,7 @@ def test_declared_per_step_march_is_the_chain_of_level_by_level_advances_bitwise
     chain = [np.empty_like(t) for t in trajs]
     for traj, p in zip(chain, pieces):
         traj[0] = p.u0
-    level = Level.of(pieces, [p.u0 for p in pieces], tg.times()[:1])
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     for m, log in enumerate(logs):
         level, got = method1_advance(pieces, lay.interfaces, level, tg.t(m), tg.t(m + 1), cfg)
         assert_same_log(got, log)
@@ -1481,18 +1459,18 @@ def test_a_window_start_has_the_modes_of_each_level_transformed_alone(monkeypatc
     # product, whose round-off per row BLAS may make depend on the row
     # count; a whole-horizon window's state and forcing modes are those of
     # each piece-level transformed alone, bit for bit
-    prob, lay, grid, tg = _lookahead_1d(63, 3, 2)
+    prob, lay, grid, tg = _ten_steps_1d(63, 3, 2)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     assert max(q.u0.size for q in pieces) <= matfunc._DENSE_AXIS_MAX
     start, seen = schwarz._window_start, []
     monkeypatch.setattr(schwarz, "_window_start", lambda *a: seen.append(start(*a)) or seen[-1])
     method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=1))
-    (layout, _, u, _, ahead), = seen
-    assert ahead.shape == (tg.steps, layout.size)
+    (layout, _, u, _, forcing), = seen
+    assert forcing.shape == (tg.steps, layout.size)
     for m, t in enumerate(tg.times()[1:].tolist()):
         alone = np.empty((1, layout.size))
         schwarz._forcing_modes(pieces, layout, [t], alone)
-        assert np.array_equal(ahead[m], alone[0]), m
+        assert np.array_equal(forcing[m], alone[0]), m
     for q, got in zip(pieces, layout.views(u)):
         assert np.array_equal(got, q.ws.fact.to_modes(q.u0[None])[0])
 
@@ -1685,7 +1663,7 @@ def test_a_method1_level_runs_once_per_geometry_group(monkeypatch):
     cfg = SolverConfig(scheme="etd2", fixed_iterations=1)
     # the first level builds the gains and hands on a level in mode space
     level, _ = method1_advance(pieces, lay.interfaces,
-                               Level.of(pieces, [p.u0 for p in pieces], (0.0, tg.dt)), 0.0,
+                               Level.of(pieces, [p.u0 for p in pieces], 0.0), 0.0,
                                tg.dt, cfg)
     calls = []
     for name in ("spread", "read"):
@@ -1765,7 +1743,7 @@ def test_converged_waveform_iteration_matches_the_direct_interface_solve(p, sche
     prob, lay, grid, tg = _oracle_1d(p)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     pinned = initial_traces(pieces, [q.u0 for q in pieces], len(lay.interfaces))
-    start = Level.of(pieces, [q.u0 for q in pieces], tg.times())
+    start = Level.of(pieces, [q.u0 for q in pieces], 0.0)
     sweep = schwarz._window_sweep(pieces, start, tg.times(), scheme)[0]
     direct = direct_window_traces(history_sweep(sweep, pinned, tg.steps), pinned, tg.steps)
     cfg = SolverConfig(scheme=scheme, tolerance=1e-13, max_iterations=2000)
@@ -1796,7 +1774,7 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         # a one-step window runs on the one-step engine, as in the driver
         make = schwarz._step_sweep if n == 1 else schwarz._window_sweep
         times = tg.times()[s: s + n + 1]
-        sweep, finish, _ = make(pieces, Level.of(pieces, starts, times), times, scheme)
+        sweep, finish, _ = make(pieces, Level.of(pieces, starts, times[0]), times, scheme)
         x = flat_traces(direct_window_traces(history_sweep(sweep, pinned, n), pinned, n))
         finish(part, x, sweep(x, np.empty(len(x))))  # the window's levels in sine-mode space, then as fields
         for q, w in zip(pieces, part):
