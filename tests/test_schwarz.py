@@ -705,15 +705,17 @@ def test_method1_advance_refuses_a_start_laid_out_for_other_pieces():
                         SolverConfig(fixed_iterations=2))
 
 
+@pytest.mark.parametrize("window", [3, 1], ids=["w3", "w1"])
 @pytest.mark.parametrize("dim,args,scheme", [(1, (3,), "etd2"), (1, (4,), "etd1"),
                                              (2, (2, 2, 2, "half"), "etd2")],
                          ids=["1d-P3-etd2", "1d-P4-etd1", "2d-2x2-etd2"])
-def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, scheme):
-    # a given start gives 3-step windows the bits of the run's own start,
-    # and no window writes into its modes, pinned traces or forcing
+def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, scheme, window):
+    # a given start gives 3-step windows (`_window_sweep`) and one-step
+    # windows (`_step_sweep`) the bits of the run's own start, and no
+    # window writes into its modes, pinned traces or forcing
     prob, lay, grid, tg = (_oracle_1d if dim == 1 else _oracle_2d)(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    cfg = SolverConfig(scheme=scheme, tolerance=1e-10, max_iterations=100, window_steps=3)
+    cfg = SolverConfig(scheme=scheme, tolerance=1e-10, max_iterations=100, window_steps=window)
     guess = random_trace_guess(lay.interfaces, seed=2, steps=tg.steps)
     want_trajs, want = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess)
     start = Level.of(pieces, [p.u0 for p in pieces], 0.0)
@@ -722,7 +724,7 @@ def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, sc
         trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
                                    start=start)
         assert log.iterations == want.iterations
-        assert len(log.windows) == len(want.windows) == -(-tg.steps // 3)
+        assert len(log.windows) == len(want.windows) == -(-tg.steps // window)
         assert np.array_equal(log.updates, want.updates)
         assert all(np.array_equal(a, b) for a, b in zip(trajs, want_trajs))
         assert all(np.array_equal(a, b) for a, b in zip(start[1:], kept))
@@ -1175,6 +1177,35 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
             f_hat[1] = f1[0]
             want = schwarz._march_modes(p.ws, scheme, u, f_hat)[1]
             assert np.array_equal(got, want) and np.array_equal(o[1], want), m
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("window", [1, 3], ids=["w1", "w3"])
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (2, 2, 2, "half"))],
+                         ids=["1d-P3", "2d-2x2"])
+def test_a_handed_on_level_has_the_forcing_level_of_forms(setup, args, window, scheme):
+    # the level a window hands on carries as f0 its forcing at the window's
+    # last time with its pinned traces spread in, the arithmetic of
+    # `Level.of`: a one-step window's (`_step_sweep`) and a longer one's
+    # (`_window_sweep`), window after window
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
+    for s in range(0, 2 * window, window):
+        times = [tg.t(s + m) for m in range(window + 1)]
+        _, level = schwarz._solve_window(pieces, lay.interfaces, level, None, times, cfg,
+                                         None, None, where="")
+        want = np.empty((1, level.layout.size))
+        schwarz._forcing_modes(pieces, level.layout, times[-1:], want)
+        schwarz._spread_all(level.layout, level.pinned[None], want)
+        if setup is _oracle_2d and window == 1:
+            # a 2d one-step finish spreads the traces of both its levels in
+            # one call, whose round-off may depend on the row count
+            np.testing.assert_allclose(level.f0, want[0], rtol=0,
+                                       atol=1e-14 * np.abs(want).max(), err_msg=str(s))
+        else:
+            assert np.array_equal(level.f0, want[0]), s
 
 
 def assert_same_log(a, b):
