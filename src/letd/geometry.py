@@ -1,4 +1,5 @@
-"""Problem data, grids, overlapping decompositions, and forcing assembly.
+"""Problem data, grids, overlapping decompositions, and the forcing of
+separable data.
 
 Problems, grids, layouts and pieces are described per axis, 1d being the
 one-axis case.  A problem lives on the box origin[k] <= x_k <= origin[k] +
@@ -24,23 +25,17 @@ Edges are keyed by (axis, side), side 0 being the low end of the axis and
 side 1 the high end, and are always enumerated as axis 0 low, axis 0 high,
 axis 1 low, axis 1 high.
 
-Forcing assembly folds the Dirichlet boundary closure into the source
-term: F = f(x, t) plus (nu / h_k^2) times the bordering values (physical
-data or a neighbor's trace) on the first and last node row along every
-axis k.  Corners receive contributions from both adjacent edges, as the
-five-point stencil requires.  With a tensor-product layout every edge is
-either entirely physical or entirely interior.  Forcing and boundary data
-are taken at one time or over a time axis: a 1-D array of times enters the
-data callables as a column (levels, 1, ...) against the node coordinates,
-and one call returns the stack of every level, each level bitwise the
-single-time result.
-
-A problem may declare its data separable (`Problem.terms`): source and
-boundary data are sums of time factors times functions of space.  Each
-term's spatial forcing is then assembled on a box once (`term_forcing`,
-the same closure without t) and its factors taken at any times
-(`term_factors`), so that a solver forms the forcing at a time from
-them, with no call of the data callables.
+A problem states its data as separable terms (`Problem.terms`): source
+and boundary data are sums of time factors times functions of space.
+Each term's spatial forcing is assembled on a box once (`term_forcing`):
+its source part plus (nu / h_k^2) times its boundary part on the first
+and last node row along every axis k whose edge is physical.  Corners
+receive contributions from both adjacent edges, as the five-point stencil
+requires.  With a tensor-product layout every edge is either entirely
+physical or entirely interior; an interior edge's values, a neighbor's
+trace, enter in sine-mode space (`letd.schwarz`).  The factors are taken
+at an array of times (`term_factors`), so that a solver forms the forcing
+at a time from them, with no call of a data function per level.
 """
 
 from __future__ import annotations
@@ -66,21 +61,19 @@ __all__ = [
     "decompose_1d",
     "decompose_2d",
     "box_forcing",
-    "boundary_data",
-    "assemble_forcing",
     "term_forcing",
     "term_factors",
 ]
 
 
-def _check_consistency(pairs, what: str, against: str = "the exact solution") -> None:
-    """Raise a ValueError naming `what` at the first pair that differs by
-    more than round-off; two NaNs agree."""
+def _check_consistency(pairs, what: str) -> None:
+    """Raise a ValueError naming `what` at the first pair that differs from
+    the exact solution by more than round-off; two NaNs agree."""
     for got, want, where in pairs:
         tol = 1e-12 * (1.0 + abs(want))
         if not (abs(got - want) <= tol or math.isnan(got) and math.isnan(want)):
             raise ValueError(
-                f"{what} disagrees with {against} at {where}: "
+                f"{what} disagrees with the exact solution at {where}: "
                 f"{got!r} vs {want!r}"
             )
 
@@ -90,71 +83,62 @@ class Problem:
     """Diffusion problem u_t = nu (sum_k u_{x_k x_k}) + f on the box
     origin[k] <= x_k <= origin[k] + lengths[k], one axis per entry.
 
-    source(*x, t), boundary(*x, t), initial(*x) and exact(*x, t) take one
-    coordinate per axis and must broadcast over numpy arrays; boundary is
-    evaluated only on the box's faces.  The time may be an array too, with
-    a leading axis of its own (shape (levels, 1, ...) against the
-    coordinates), and source, boundary and exact must then broadcast to
-    (levels, *coordinate shape); data that ignore t broadcast as they are.
-    When an exact solution is
+    terms states the source and boundary data: a tuple of (factor(t),
+    source(*x), boundary(*x)) triples, () for zero data, with source =
+    sum of factor * source_k and boundary = sum of factor * boundary_k.  A
+    factor takes one time or a 1-D array of times; the parts, initial(*x)
+    and exact(*x, t) take one coordinate per axis and must broadcast over
+    numpy arrays.  Data that are not separable must be written as such a
+    sum.  The drivers transform each term's spatial forcing once per run
+    and assemble no forcing per level.  When an exact solution is
     supplied, the boundary data is checked against it on every face at
     five times and the initial data at seven interior points.
-
-    terms optionally declares the data separable: a tuple of (factor(t),
-    source(*x), boundary(*x)) triples with source = sum of factor *
-    source_k and boundary = sum of factor * boundary_k, () for zero data,
-    None (the default) for undeclared data.  A factor takes one time or a
-    1-D array of times.  The drivers then transform each term's spatial
-    forcing once per run and assemble no forcing per level.  A declaration
-    is checked against source at seven interior points and against
-    boundary on every face, at five times.
     """
 
     nu: float
     lengths: tuple[float, ...]
     horizon: float
-    source: Callable
-    boundary: Callable
     initial: Callable
+    terms: tuple
     exact: Optional[Callable] = None
     origin: tuple[float, ...] = ()
-    terms: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", tuple(self.origin) or (0.0,) * len(self.lengths))
+        object.__setattr__(self, "terms", tuple(self.terms))
         if len(self.origin) != len(self.lengths):
             raise ValueError(f"origin {self.origin} and lengths {self.lengths} differ in axes")
         if self.nu <= 0 or min(self.lengths) <= 0 or self.horizon <= 0:
             raise ValueError("nu, lengths and horizon must be positive")
-        d = len(self.lengths)
-        at = lambda fractions: tuple(o + f * l for o, f, l in zip(self.origin, fractions, self.lengths))
-        faces = [(axis, side, at(_with((0.3 + 0.4 * side,) * d, axis, side)))
-                 for axis, side in itertools.product(range(d), (0, 1))]
-        points = [at((f,) * d) for f in np.linspace(0.1, 0.9, 7).tolist()]
-        times = np.linspace(0.0, self.horizon, 5)
-        if self.terms is not None:
-            object.__setattr__(self, "terms", tuple(self.terms))
-            declared = lambda part, x, t: sum(float(term[0](t)) * float(term[part](*x))
-                                              for term in self.terms)
-            against = "its declared terms"
-            _check_consistency([(declared(1, x, t), float(self.source(*x, t)), f"{x}, t={t}")
-                                for x in points for t in times], "source", against)
-            for axis, side, face in faces:
-                _check_consistency(
-                    [(declared(2, face, t), float(self.boundary(*face, t)), f"{face}, t={t}")
-                     for t in times], f"boundary data on face (axis {axis}, side {side})", against)
         if self.exact is None:
             return
-        for axis, side, face in faces:
+        d = len(self.lengths)
+        at = lambda fractions: tuple(o + f * l for o, f, l in zip(self.origin, fractions, self.lengths))
+        times = np.linspace(0.0, self.horizon, 5)
+        for axis, side in itertools.product(range(d), (0, 1)):
+            face = at(_with((0.3 + 0.4 * side,) * d, axis, side))
             _check_consistency(
                 [(float(self.boundary(*face, t)), float(self.exact(*face, t)), f"{face}, t={t}")
                  for t in times],
                 f"boundary data on face (axis {axis}, side {side})",
             )
         _check_consistency(
-            [(float(self.initial(*x)), float(self.exact(*x, 0.0)), f"{x}") for x in points],
+            [(float(self.initial(*x)), float(self.exact(*x, 0.0)), f"{x}")
+             for x in (at((f,) * d) for f in np.linspace(0.1, 0.9, 7).tolist())],
             "initial data",
         )
+
+    def source(self, *xt):
+        """The source f(*x, t): the sum over the terms of factor(t) times
+        their source part at x."""
+        *x, t = xt
+        return sum((factor(t) * part(*x) for factor, part, _ in self.terms), 0.0)
+
+    def boundary(self, *xt):
+        """The boundary data at (*x, t), x on a face: the sum over the terms
+        of factor(t) times their boundary part at x."""
+        *x, t = xt
+        return sum((factor(t) * part(*x) for factor, _, part in self.terms), 0.0)
 
     @property
     def length(self) -> float:
@@ -266,24 +250,12 @@ class Interface:
 @dataclass(frozen=True)
 class Decomposition:
     """Overlapping tensor-product layout: pieces (axis 0 slowest) plus
-    the directed interface table, ordered by reader, then by edge.
-
-    For two pieces on one axis the classical overlap fractions are
-    alpha = N_alpha / (n + 1), beta = N_beta / (n + 1) where N_alpha is
-    piece 2's left read node and N_beta piece 1's right read node.
-    """
+    the directed interface table, ordered by reader, then by edge."""
 
     shape: tuple[int, ...]
     counts: tuple[int, ...]  # pieces per axis
     pieces: tuple[Box, ...]
     interfaces: tuple[Interface, ...]
-
-    def overlap_fractions(self) -> tuple[float, float]:
-        if self.counts != (2,):
-            raise ValueError("overlap fractions are defined for two pieces")
-        n_alpha = self.pieces[1].lo[0] - 1
-        n_beta = self.pieces[0].hi[0] + 1
-        return n_alpha / (self.shape[0] + 1), n_beta / (self.shape[0] + 1)
 
 
 def _axis_pieces(n: int, p: int, widen_left: int, widen_right: int) -> list[tuple[int, int]]:
@@ -422,69 +394,9 @@ def box_forcing(problem: Problem, grid: Grid, box: Box) -> BoxForcing:
     return BoxForcing(problem=problem, shape=box.shape, mesh=mesh, edges=tuple(edges))
 
 
-def _levels(t) -> tuple[int, ...]:
-    """Leading shape of data at t: () at one time, (levels,) over a 1-D
-    array of times."""
-    lead = np.shape(t)
-    if len(lead) > 1:
-        raise ValueError(f"t must be one time or a 1-D array of times, got shape {lead}")
-    return lead
-
-
-def _sample(fn: Callable, name: str, coords: tuple, t, shape: tuple[int, ...]) -> np.ndarray:
-    """fn(*coords, t) as a float array of shape (levels, *shape), or `shape`
-    at one time; an array of times enters as a column against the coords.
-    Data of another shape come back as a read-only broadcast view, and a
-    ValueError names `name` when they do not broadcast or, over an array
-    of times, raise a TypeError (scalar-only data such as math.sin(t))."""
-    lead = _levels(t)
-    if lead:
-        t = np.asarray(t, dtype=float).reshape(lead + (1,) * len(shape))
-    try:
-        values = np.asarray(fn(*coords, t), dtype=float)
-    except TypeError as exc:
-        if not lead:
-            raise
-        raise ValueError(f"{name} does not take an array of times: {exc}") from exc
-    if values.shape == lead + shape:
-        return values
-    try:
-        return np.broadcast_to(values, lead + shape)
-    except ValueError:
-        raise ValueError(f"{name} returned shape {values.shape}, which does not broadcast "
-                         f"to {lead + shape}") from None
-
-
-def boundary_data(forcing: BoxForcing, edge: int, t) -> np.ndarray:
-    """Physical Dirichlet data beyond one edge of a box, shaped like the
-    edge's node row at one time t, or stacked to (levels, *row shape) over
-    a 1-D array of times."""
-    e = forcing.edges[edge]
-    return _sample(forcing.problem.boundary, "boundary", e.face, t, e.shape)
-
-
-def assemble_forcing(forcing: BoxForcing, t, edge_values: Sequence[np.ndarray]) -> np.ndarray:
-    """Source samples f(x, t) on a box with the Dirichlet closure
-    (nu / h_k^2) * bordering values folded into the edge node rows.
-
-    t is one time, giving the box's field, or a 1-D array of times,
-    giving the stack (levels, *box shape) of the fields at those times in
-    one call.  edge_values: one array per edge in (axis, side) order, with
-    one value per node of the edge row (flattened or in the row's shape),
-    per level over an array of times; None leaves that edge's row without
-    a closure term.
-    """
-    lead = _levels(t)
-    f = np.array(_sample(forcing.problem.source, "source", forcing.mesh, t, forcing.shape))
-    for e, values in zip(forcing.edges, edge_values):
-        if values is not None:
-            f[e.index] += e.weight * values.reshape(lead + e.shape)
-    return f
-
-
 def term_forcing(forcing: BoxForcing, physical: Sequence[bool]) -> np.ndarray:
-    """The spatial forcing (K, *box shape) of the problem's K declared data
-    terms (`Problem.terms`): per term its source part, with the closure
+    """The spatial forcing (K, *box shape) of the problem's K data terms
+    (`Problem.terms`): per term its source part, with the closure
     (nu / h_k^2) times its boundary part folded into the rows of the edges
     flagged `physical` (one flag per edge, in (axis, side) order)."""
     terms = forcing.problem.terms
@@ -498,10 +410,13 @@ def term_forcing(forcing: BoxForcing, physical: Sequence[bool]) -> np.ndarray:
 
 
 def term_factors(problem: Problem, t: np.ndarray) -> np.ndarray:
-    """The time factors (K, levels) of the problem's K declared data terms
-    at a 1-D array of times t; a factor that does not broadcast to t
-    raises a ValueError naming its term."""
+    """The time factors (K, levels) of the problem's K data terms at a 1-D
+    array of times t; a factor that does not map t to one value per time,
+    or to one value, raises a ValueError naming its term."""
     out = np.empty((len(problem.terms), len(t)))
     for k, (factor, _, _) in enumerate(problem.terms):
-        out[k] = _sample(factor, f"the factor of term {k}", (), t, ())
+        try:
+            out[k] = factor(t)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"the factor of term {k} does not take an array of times: {exc}") from exc
     return out

@@ -71,13 +71,13 @@ DEFAULT_TOL = {"etd1": 1e-4, "etd2": 1e-6}
 
 def builtin_problem(name: str, horizon: Optional[float] = None):
     """Named data sets for the studies; ``horizon`` overrides the default T.
-    Each declares its data as a time factor times a function of space
-    (`Problem.terms`), so that runs transform them once."""
+    Each states its data as a time factor times a function of space
+    (`Problem.terms`), which runs transform once."""
     if name == "error_equation":
         zero = lambda x, *t: np.zeros_like(np.asarray(x, dtype=float))
         return Problem(
             nu=1.0, lengths=(2.0,), horizon=1.0 if horizon is None else horizon,
-            source=zero, boundary=zero, initial=zero, exact=zero, terms=(),
+            initial=zero, exact=zero, terms=(),
         )
     if name == "analytic_1d":
         pi2 = math.pi ** 2
@@ -85,8 +85,6 @@ def builtin_problem(name: str, horizon: Optional[float] = None):
         mode = lambda x: np.sin(np.pi * (x - 0.25))
         return Problem(
             nu=1.0, lengths=(2.0,), horizon=0.25 if horizon is None else horizon,
-            source=lambda x, t: 2.0 * pi2 * u(x, t),
-            boundary=u,
             initial=lambda x: u(x, 0.0),
             exact=u,
             origin=(-1.0,),
@@ -98,8 +96,6 @@ def builtin_problem(name: str, horizon: Optional[float] = None):
         return Problem(
             nu=1.0, lengths=(math.pi, math.pi),
             horizon=0.5 if horizon is None else horizon,
-            source=lambda x, y, t: u(x, y, t),
-            boundary=u,
             initial=lambda x, y: u(x, y, 0.0),
             exact=u,
             terms=((lambda t: np.exp(-4.0 * t), mode, mode),),

@@ -24,31 +24,29 @@ another.  A piece's state is affine in the traces it reads, so the
 trace-independent forcing (source and physical boundary data) of a
 window's levels 1..n is formed once, as the window starts, before its
 sweeps (`_forcing_modes`); ETD1 and ETD2 read the forcing only at the
-ends of each step, so no level's forcing is formed ahead.  Declared data
+ends of each step, so no level's forcing is formed ahead.  The data
 (`Problem.terms`), a sum of time factors times functions of space, need
 no assembly and no transform there: each term's spatial forcing is
 assembled and transformed once per run, when its layout is built, and a
 level's forcing modes are the factors at its time times those term
-modes.  Undeclared data are assembled in one call over the window's
-time levels and transformed in one batch per geometry group.  The
-traces enter the forcing in sine-mode space alone.  A trace edge moves a
-history between nodes and modes the same way in any dimension: the weighted
-history times the dense sine matrix of the edge's other axes ([[1.0]] in
-1d) enters the forcing modes through the sine row of its border node
-along the edge axis; an owned trace is read out by contracting the
-modes with the sine row of its read node and multiplying by that matrix.
-A piece stacks the edges of one axis (`EdgeStack`), so that a spread or a
-read-out is one pair of products per axis.  A sweep therefore assembles
-no forcing and runs no DST.
+modes.  The traces enter the forcing in sine-mode space alone.  A trace
+edge moves a history between nodes and modes the same way in any
+dimension: the weighted history times the dense sine matrix of the
+edge's other axes ([[1.0]] in 1d) enters the forcing modes through the
+sine row of its border node along the edge axis; an owned trace is read
+out by contracting the modes with the sine row of its read node and
+multiplying by that matrix.  A piece stacks the edges of one axis
+(`EdgeStack`), so that a spread or a read-out is one pair of products
+per axis.  A sweep therefore assembles no forcing and runs no DST.
 
 The pieces of one geometry (shape and edge layout; 9 on a uniform P x P
 layout with P >= 3) share their stacks and tables, and form a geometry
 group.  A one-step level runs every per-level operation once per group,
 over its pieces stacked as leading rows: the read-out, the gains product
-of each sweep, the spread and the forcing transform.  In 1d, where a
-product over more rows rounds each row differently, each piece keeps a
-product of its own inside the group's call, and 1d results keep their
-bits; 2d results move within round-off.
+of each sweep and the spread.  In 1d, where a product over more rows
+rounds each row differently, each piece keeps a product of its own
+inside the group's call, and 1d results keep their bits; 2d results move
+within round-off.
 
 Every window starts from a level in sine-mode space (`Level`): per piece
 the state modes and the level's forcing modes f0, per interface the
@@ -59,7 +57,7 @@ is the last level of the window before, pinned to its last sweep's
 owned traces, with its f0 formed by that window.  Each lies in one flat
 vector over every piece, group by group, at offsets fixed for the run
 (`_Layout`), which also holds the pieces' step kernels, concatenated
-once, and the modes of declared data terms; so A = E u + phi1 f0, a base
+once, and the modes of the data terms; so A = E u + phi1 f0, a base
 step and a new state are one operation per level, not one per piece.
 Both drivers run on one loop (`_march`), over windows of one step
 (method 1) or of `window_steps` (method 2), which writes the levels a
@@ -81,14 +79,14 @@ windows, whose per-lag tables would be large, run the mode-space
 recursion in every sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
-records (one per subdomain) that carry the spectral step workspace,
-the initial state, the forcing data, per-edge closures and the trace
-edges (`EdgeRow`) with their stacks, prepared by `build_local_pieces`,
-and share one sweep loop, which holds levels 1.. of every interface
-trace (size values per level: 1 in 1d, the edge length in 2d) in one
-vector.  On the one-piece layout, which has no interfaces, method 1 is
-the monodomain march: a level's one sweep is its solution, and its log
-holds no Schwarz sweep.
+records (one per subdomain) that carry the spectral step workspace, the
+initial state, the forcing data, the interface each edge reads and the
+trace edges (`EdgeRow`) with their stacks, prepared by
+`build_local_pieces`, and share one sweep loop, which holds levels 1..
+of every interface trace (size values per level: 1 in 1d, the edge
+length in 2d) in one vector.  On the one-piece layout, which has no
+interfaces, method 1 is the monodomain march: a level's one sweep is its
+solution, and its log holds no Schwarz sweep.
 
 The stopping rule mirrors the iteration's relative-update criterion:
 the update of every interface trace, normalized by the magnitude of
@@ -106,7 +104,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, pairwise
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -118,8 +116,6 @@ from .geometry import (
     Grid,
     Interface,
     Problem,
-    assemble_forcing,
-    boundary_data,
     box_forcing,
     term_factors,
     term_forcing,
@@ -139,7 +135,6 @@ __all__ = [
     "method1_advance",
     "method1_march",
     "method2_solve",
-    "theoretical_rate",
 ]
 
 # Below this magnitude an initial-guess trace is treated as zero and the
@@ -213,13 +208,6 @@ class IterationLog:
         """Aggregate decay curve: max over interfaces, errors preferred."""
         rows = self.errors if self.errors is not None else self.updates
         return rows.max(axis=1)
-
-
-def theoretical_rate(alpha: float, beta: float) -> float:
-    """Two-iteration Schwarz contraction kappa = alpha(1-beta)/(beta(1-alpha))."""
-    if not 0.0 < alpha < beta < 1.0:
-        raise ValueError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
-    return alpha * (1.0 - beta) / (beta * (1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -351,9 +339,9 @@ def _edge_stack(edges: Sequence[EdgeRow], shape: tuple[int, ...], weighted: dict
 class LocalPiece:
     """One subdomain prepared for the Schwarz drivers.
 
-    edges: one entry per edge of the piece in (axis, side) order;
-    ("physical", fn) edges carry a callable t -> boundary data,
-    ("trace", i) edges read interface i.  inflow: those trace edges;
+    edges: one entry per edge of the piece in (axis, side) order: the
+    interface the edge reads, or None for a physical edge.  inflow: the
+    trace edges;
     outflow: the node rows whose values this piece provides to neighbors;
     inflow_stack and outflow_stack: their `EdgeStack`s, which spread the
     inflow traces into forcing modes and read the outflow traces out of
@@ -367,20 +355,12 @@ class LocalPiece:
     ws: StepWorkspace
     u0: np.ndarray
     closure: BoxForcing
-    edges: tuple
+    edges: tuple[Optional[int], ...]
     inflow: tuple[EdgeRow, ...]
     outflow: tuple[EdgeRow, ...]
     inflow_stack: EdgeStack
     outflow_stack: EdgeStack
     maps: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def forcing(self, t) -> np.ndarray:
-        """The trace-independent forcing (source and physical boundary data)
-        at one time t, or the stack (levels, *shape) over a 1-D array of
-        times, in one `assemble_forcing` call; the traces enter in sine-mode
-        space, through the inflow stack."""
-        return assemble_forcing(self.closure, t, [ref(t) if kind == "physical" else None
-                                                  for kind, ref in self.edges])
 
     def extract(self, state: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """Owned interface values of one state (n...) or a trajectory
@@ -458,10 +438,9 @@ class _Layout(NamedTuple):
     of a one-step window).  ins and outs hold the places of every piece's
     inflow and outflow nodes there, in edge order, piece after piece of each
     group, group after group.  kernels: E, dt phi1 and dt phi2 over the flat
-    modes.  terms: the sine modes (K, size) of the K declared data terms of
-    the pieces' problem (`Problem.terms`), each term's spatial forcing
-    assembled and transformed once, when the layout is built; None when the
-    data are undeclared.
+    modes.  terms: the sine modes (K, size) of the K data terms of the
+    pieces' problem (`Problem.terms`), each term's spatial forcing
+    assembled and transformed once, when the layout is built.
     """
 
     at: tuple
@@ -471,13 +450,13 @@ class _Layout(NamedTuple):
     outs: np.ndarray
     blocks: tuple[_Block, ...]
     kernels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    terms: Optional[np.ndarray] = None
+    terms: np.ndarray
 
     @classmethod
     def of(cls, pieces: Sequence[LocalPiece]) -> "_Layout":
         """The layout of `pieces`, grouped by the stacks and tables they
         share, in order of their first pieces, with the modes of their
-        problem's declared data terms."""
+        problem's data terms."""
         owned = sorted((e.interface, e.size) for p in pieces for e in p.outflow)
         traces = np.cumsum([0] + [size for _, size in owned])
         groups = {}
@@ -494,18 +473,15 @@ class _Layout(NamedTuple):
             i, o = blocks[-1].ins.stop, blocks[-1].outs.stop
         edges = lambda flow: [e for d in order for e in getattr(pieces[d], flow)]
         nodes = lambda flow: _nodes(edges(flow), traces)[0]
+        kernels = tuple(np.concatenate([getattr(pieces[d].ws, k).ravel() for d in order])
+                        for k in ("exp_kernel", "phi1_kernel", "phi2_kernel"))
         lay = cls(tuple(at[d] for d in range(len(pieces))), tuple(p.u0.shape for p in pieces),
-                  traces, nodes("inflow"), nodes("outflow"), tuple(blocks),
-                  tuple(np.concatenate([getattr(pieces[d].ws, k).ravel() for d in order])
-                        for k in ("exp_kernel", "phi1_kernel", "phi2_kernel")))
-        problem = pieces[0].closure.problem
-        if problem.terms is None:
-            return lay
-        terms = np.empty((len(problem.terms), lay.size))
-        for p, part in zip(pieces, lay.views(terms)):
-            part[...] = term_forcing(p.closure, [kind == "physical" for kind, _ in p.edges])
-        _to_modes(lay, terms)
-        return lay._replace(terms=terms)
+                  traces, nodes("inflow"), nodes("outflow"), tuple(blocks), kernels,
+                  np.empty((len(pieces[0].closure.problem.terms), len(kernels[0]))))
+        for p, part in zip(pieces, lay.views(lay.terms)):
+            part[...] = term_forcing(p.closure, [i is None for i in p.edges])
+        _to_modes(lay, lay.terms)
+        return lay
 
     @property
     def size(self) -> int:
@@ -530,11 +506,12 @@ def _nodes(edges: Sequence[EdgeRow], at: np.ndarray, steps: int = 1) -> np.ndarr
 def build_local_pieces(
     problem: Problem, grid: Grid, layout: Decomposition, dt: float
 ) -> list[LocalPiece]:
-    """Per-piece workspaces, initial states, edge closures and trace-edge
-    stacks of a layout.  Pieces of one shape and edge layout share their
-    stacks and their tables (`maps`), which that geometry fixes; such
-    pieces form a geometry group, whose one-step levels run each spread,
-    read-out, gains product and forcing transform once for the group."""
+    """Per-piece workspaces, initial states, box closures, the interface
+    each edge reads and trace-edge stacks of a layout.  Pieces of one shape
+    and edge layout share their stacks and their tables (`maps`), which
+    that geometry fixes; such pieces form a geometry group, whose one-step
+    levels run each spread, read-out and gains product once for the
+    group."""
     pieces, weighted, shared = [], {}, {}
     for i, box in enumerate(layout.pieces):
         op = DirichletLaplacian(box.shape, problem.nu, grid.spacings)
@@ -546,11 +523,8 @@ def build_local_pieces(
 
         reads = [itf for itf in layout.interfaces if itf.reader == i]
         trace_for = {(itf.axis, itf.side): itf.index for itf in reads}
-        edges = tuple(
-            ("trace", trace_for[axis, side]) if (axis, side) in trace_for
-            else ("physical", partial(boundary_data, closure, 2 * axis + side))
-            for axis in range(len(box.shape)) for side in (0, 1)
-        )
+        edges = tuple(trace_for.get((axis, side))
+                      for axis in range(len(box.shape)) for side in (0, 1))
         inflow = tuple(
             edge_row(itf, itf.side * (box.shape[itf.axis] - 1),
                      closure.edges[2 * itf.axis + itf.side].weight)
@@ -836,7 +810,10 @@ def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
 def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
     """Add the forcing modes of flat level traces (levels, traces) into the
     flat modes `out` (levels, size), with every piece's inflow nodes
-    gathered in one take, one spread per geometry group."""
+    gathered in one take, one spread per geometry group; nothing on a layout
+    without inflow nodes (one piece)."""
+    if not len(lay.ins):
+        return
     x = traces[:, lay.ins]
     for b in lay.blocks:
         b.piece.inflow_stack.spread(x[:, b.ins].reshape(len(x), len(b.members), -1), b.modes(out))
@@ -855,19 +832,12 @@ def _to_modes(lay: _Layout, v: np.ndarray) -> None:
 def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: Sequence[float],
                    out: np.ndarray) -> None:
     """Write the trace-independent forcing modes of every piece at `times`
-    into the flat rows `out` (len(times), size).  With declared data
-    (`_Layout.terms`) a row is the sum over the terms, in term order, of
-    each factor at its time times the term's modes: no assembly and no
-    transform.  Undeclared data are assembled in one call per piece and
-    transformed in one per geometry group (`_to_modes`)."""
-    times = np.asarray(times, dtype=float)
-    if lay.terms is None:
-        for p, part in zip(pieces, lay.views(out)):
-            part[...] = p.forcing(times)
-        _to_modes(lay, out)
-        return
+    into the flat rows `out` (len(times), size): per row the sum over the
+    data terms, in term order, of each factor at its time times the term's
+    modes (`_Layout.terms`), with no assembly and no transform."""
     out[...] = 0.0
-    for factor, modes in zip(term_factors(pieces[0].closure.problem, times), lay.terms):
+    for factor, modes in zip(term_factors(pieces[0].closure.problem,
+                                          np.asarray(times, dtype=float)), lay.terms):
         out += factor[:, None] * modes
 
 

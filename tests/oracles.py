@@ -1,18 +1,22 @@
 """Independent routes that the tests check the library against: the dense
 Laplacian and dense matrix functions for the sine-mode phi products,
 single ETD1/ETD2 steps on fields (the field route of the drivers'
-mode-space recursion), the retired monodomain march (`run_monodomain`,
+mode-space recursion), the retired per-level forcing route
+(`assemble_forcing` of `Problem.source` and `boundary_data` at one time,
+`nodal_forcing` of a piece, transformed by `forcing_modes`: the oracle of
+the data terms' route), the retired monodomain march (`run_monodomain`,
 the oracle of the one-piece method-1 march), the retired field route of
 `method1_advance` (`advance_fields`), the retired sweep loop
 (`sweep_loop`, the oracle of the library's), the retired per-piece
-one-step engine (`step_sweep` and `forcing_modes`, the oracle of the
-geometry-grouped one), iteration-free and
-field-marching routes for the Schwarz drivers (whose traces enter the
-forcing at the nodes, `nodal_forcing`), the per-edge forms of the
-edge stacks' spreads and read-outs, and the closed-form bounds and index
-helpers the tests state their expectations with; `one_piece_march` runs
-the library's monodomain route for the property tests.  Not a test
-module: pytest collects no tests here, the test modules import it."""
+one-step engine (`step_sweep`, the oracle of the geometry-grouped one),
+iteration-free and field-marching routes for the Schwarz drivers (whose
+traces enter the forcing at the nodes, `nodal_forcing`), the per-edge
+forms of the edge stacks' spreads and read-outs, and the closed-form
+bounds (`theoretical_rate` of the `overlap_fractions`,
+`superlinear_bound`) and index helpers the tests state their
+expectations with; `one_piece_march` runs the library's monodomain route
+for the property tests.  Not a test module: pytest collects no tests
+here, the test modules import it."""
 import math
 
 import numpy as np
@@ -21,10 +25,10 @@ from scipy.linalg import expm
 from letd.analysis import ErrorReport
 from letd.geometry import (
     Box,
+    BoxForcing,
+    Decomposition,
     Grid,
     Problem,
-    assemble_forcing,
-    boundary_data,
     box_forcing,
     decompose,
 )
@@ -65,6 +69,24 @@ def dense_laplacian(op: DirichletLaplacian) -> np.ndarray:
         after = total // (before * n)
         out += np.kron(np.kron(np.eye(before), a), np.eye(after))
     return out
+
+
+def theoretical_rate(alpha: float, beta: float) -> float:
+    """Two-iteration Schwarz contraction kappa = alpha(1-beta)/(beta(1-alpha))."""
+    if not 0.0 < alpha < beta < 1.0:
+        raise ValueError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
+    return alpha * (1.0 - beta) / (beta * (1.0 - alpha))
+
+
+def overlap_fractions(layout: Decomposition) -> tuple[float, float]:
+    """The classical overlap fractions of two pieces on one axis: alpha =
+    N_alpha / (n + 1), beta = N_beta / (n + 1), N_alpha piece 2's left read
+    node and N_beta piece 1's right read node."""
+    if layout.counts != (2,):
+        raise ValueError("overlap fractions are defined for two pieces")
+    n_alpha = layout.pieces[1].lo[0] - 1
+    n_beta = layout.pieces[0].hi[0] + 1
+    return n_alpha / (layout.shape[0] + 1), n_beta / (layout.shape[0] + 1)
 
 
 def superlinear_bound(k: int, alpha: float, beta: float, length: float, nu: float, horizon: float) -> float:
@@ -224,21 +246,47 @@ def step_sweep(pieces, start, times, scheme, predict=False):
     return sweep, finish, initial
 
 
+def boundary_data(forcing: BoxForcing, edge: int, t: float) -> np.ndarray:
+    """The physical Dirichlet data beyond one edge of a box at one time t,
+    `Problem.boundary` at the edge's face, shaped like its node row."""
+    e = forcing.edges[edge]
+    return np.broadcast_to(forcing.problem.boundary(*e.face, t), e.shape)
+
+
+def assemble_forcing(forcing: BoxForcing, t: float, edge_values) -> np.ndarray:
+    """The field of the forcing on a box at one time t, the per-level route
+    the library retired: `Problem.source` sampled at the nodes, with the
+    Dirichlet closure (nu / h_k^2) times the bordering values folded into
+    the edge node rows.  edge_values: one array per edge in (axis, side)
+    order, one value per node of the edge row (flattened or in the row's
+    shape), or None for no closure term.  The independent oracle of the
+    library's route, which sums the data terms' spatial forcing, each
+    assembled once, times their factors (`term_forcing`, `term_factors`)."""
+    f = np.array(np.broadcast_to(forcing.problem.source(*forcing.mesh, t), forcing.shape),
+                 dtype=float)
+    for e, values in zip(forcing.edges, edge_values):
+        if values is not None:
+            f[e.index] += e.weight * np.reshape(values, e.shape)
+    return f
+
+
+def nodal_forcing(piece, t, traces=None):
+    """The closed forcing of a piece at one time t, by `assemble_forcing`:
+    the physical boundary data on its physical edges and, with `traces`
+    given (one value set per interface), those on its trace edges, folded
+    in at the nodes; the field route's closure, independent of the edge
+    stacks through which the library spreads traces in mode space."""
+    return assemble_forcing(piece.closure, t, [
+        boundary_data(piece.closure, k, t) if i is None else None if traces is None else traces[i]
+        for k, i in enumerate(piece.edges)])
+
+
 def forcing_modes(pieces, lay, times, out):
-    """`schwarz._forcing_modes` as it ran before the layout grouped its
-    pieces: per piece, its forcing at `times` assembled in one call into
-    the rows `out` and transformed in one, each level a block of its own."""
+    """`schwarz._forcing_modes` by the per-level route: per piece and time
+    its trace-independent forcing assembled (`nodal_forcing`) into the
+    rows `out` and transformed, each level a block of its own."""
     for p, part in zip(pieces, lay.views(out)):
-        part[...] = p.ws.fact.to_modes(p.forcing(np.asarray(times, dtype=float))[:, None])[:, 0]
-
-
-def nodal_forcing(piece, t, traces):
-    """The closed forcing of a piece at one time t with its trace edges
-    reading `traces` (one value set per interface), folded in at the nodes
-    by `assemble_forcing`: the field route's closure, independent of the
-    edge stacks through which the library spreads traces in mode space."""
-    return assemble_forcing(piece.closure, t, [ref(t) if kind == "physical" else traces[ref]
-                                               for kind, ref in piece.edges])
+        part[...] = p.ws.fact.to_modes(np.stack([nodal_forcing(p, t) for t in times])[:, None])[:, 0]
 
 
 def field_window_sweep(pieces, u_start, times, scheme, predict=False):

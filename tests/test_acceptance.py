@@ -18,7 +18,6 @@ from letd.schwarz import (
     method1_march,
     method2_solve,
     random_trace_guess,
-    theoretical_rate,
 )
 from letd.steppers import TimeGrid, make_workspace
 from oracles import (
@@ -32,6 +31,8 @@ from oracles import (
     interior_nodes,
     normalized_curve,
     one_piece_march,
+    overlap_fractions,
+    theoretical_rate,
 )
 
 TABLE_DTS = (1 / 40, 1 / 80, 1 / 160, 1 / 320)
@@ -78,7 +79,7 @@ def test_criterion_01_theoretical_contraction_factors():
     grid = make_grid_1d(255, 2.0)
     layouts = [decompose_1d(grid, 2, k) for k in RATE_OVERLAPS]
     start = time.perf_counter()
-    rates = [theoretical_rate(*lay.overlap_fractions()) for lay in layouts]
+    rates = [theoretical_rate(*overlap_fractions(lay)) for lay in layouts]
     elapsed = time.perf_counter() - start
     assert [round(r, 2) for r in rates] == [0.97, 0.94, 0.88, 0.78]
     assert elapsed < 1e-3
@@ -229,7 +230,7 @@ def test_criterion_07_contraction_bound_both_drivers():
     problem = builtin_problem("error_equation")
     grid = make_grid_1d(255, problem.length)
     layout = decompose_1d(grid, 2, 4)
-    kappa = theoretical_rate(*layout.overlap_fractions())
+    kappa = theoretical_rate(*overlap_fractions(layout))
     timegrid = TimeGrid(1.0, 100)
     pieces = build_local_pieces(problem, grid, layout, timegrid.dt)
     zero_step = [np.zeros(i.size) for i in layout.interfaces]
@@ -338,9 +339,9 @@ def test_criterion_09_structural_invariants():
     profile = lambda x: a + (b - a) * (np.asarray(x, dtype=float) / length)
     steady = Problem(
         nu=1.3, lengths=(length,), horizon=1.0,
-        source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary=lambda x, t: np.where(np.asarray(x) < length / 2, a, b),
         initial=profile, exact=lambda x, t: profile(x),
+        terms=((lambda t: 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                lambda x: np.where(np.asarray(x) < length / 2, a, b)),),
     )
     grid = make_grid_1d(63, length)
     timegrid = TimeGrid(1.0, 4)

@@ -1,4 +1,5 @@
-"""Grids, overlapping layouts, interface bookkeeping, forcing assembly."""
+"""Grids, overlapping layouts, interface bookkeeping, problem data and the
+forcing of its terms."""
 import dataclasses
 import math
 
@@ -9,8 +10,6 @@ from letd.geometry import (
     Box,
     Grid,
     Problem,
-    assemble_forcing,
-    boundary_data,
     box_forcing,
     decompose_1d,
     decompose_2d,
@@ -19,9 +18,13 @@ from letd.geometry import (
     term_factors,
     term_forcing,
 )
-from letd.harness import builtin_problem
-from letd.schwarz import theoretical_rate
-from oracles import interior_nodes
+from oracles import (
+    assemble_forcing,
+    boundary_data,
+    interior_nodes,
+    overlap_fractions,
+    theoretical_rate,
+)
 
 
 def zeros1(x, t=None):
@@ -29,12 +32,7 @@ def zeros1(x, t=None):
 
 
 def make_problem_1d(**kw):
-    base = dict(
-        nu=1.0, lengths=(2.0,), horizon=1.0,
-        source=lambda x, t: zeros1(x),
-        boundary=zeros1,
-        initial=zeros1,
-    )
+    base = dict(nu=1.0, lengths=(2.0,), horizon=1.0, initial=zeros1, terms=())
     base.update(kw)
     return Problem(**base)
 
@@ -65,7 +63,7 @@ def test_two_piece_layout_on_256_cell_grid():
     assert (lay.pieces[1].lo[0], lay.pieces[1].hi[0]) == (121, 255)
     reads = {i.reader: i.read.lo[0] for i in lay.interfaces}
     assert reads[0] == 136 and reads[1] == 120
-    alpha, beta = lay.overlap_fractions()
+    alpha, beta = overlap_fractions(lay)
     assert alpha == pytest.approx(120 / 256)
     assert beta == pytest.approx(136 / 256)
 
@@ -148,7 +146,7 @@ def test_layout_errors_name_a_missing_and_a_too_wide_overlap(kind):
 def test_contraction_factor_formula():
     assert theoretical_rate(0.25, 0.75) == pytest.approx((0.25 * 0.25) / (0.75 * 0.75))
     g = make_grid_1d(255, 2.0)
-    alpha, beta = decompose_1d(g, 2, 8).overlap_fractions()
+    alpha, beta = overlap_fractions(decompose_1d(g, 2, 8))
     kappa = theoretical_rate(alpha, beta)
     assert kappa == pytest.approx(alpha * (1 - beta) / (beta * (1 - alpha)))
     with pytest.raises(ValueError):
@@ -195,7 +193,9 @@ def test_2d_unknown_convention_rejected():
 
 
 def test_forcing_assembly_adds_scaled_boundary_values():
-    prob = make_problem_1d(source=lambda x, t: np.asarray(x, dtype=float) + t)
+    # source x + t: the terms 1 times x and t times 1
+    prob = make_problem_1d(terms=((lambda t: 1.0, lambda x: np.asarray(x, dtype=float), zeros1),
+                                  (lambda t: t, lambda x: np.ones_like(x), zeros1)))
     g = make_grid_1d(7, 2.0)
     w = prob.nu / g.h**2
     f = assemble_forcing(box_forcing(prob, g, Box((2,), (5,))), 0.5,
@@ -209,12 +209,8 @@ def test_forcing_assembly_adds_scaled_boundary_values():
 
 
 def test_forcing_assembly_2d_edges_and_corners():
-    prob = Problem(
-        nu=2.0, lengths=(1.0, 1.0), horizon=1.0,
-        source=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-        initial=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-    )
+    prob = Problem(nu=2.0, lengths=(1.0, 1.0), horizon=1.0,
+                   initial=lambda x, y: np.zeros(np.broadcast(x, y).shape), terms=())
     g = make_grid_2d(4, 3, (1.0, 1.0))
     lay = decompose_2d(4, 3, 1, 1, 0)
     rect = lay.pieces[0]
@@ -251,20 +247,28 @@ def test_problem_checks_exact_against_data():
     assert ok.exact is not None
 
 
-def manufactured(dim, **kw):
+def declared(dim, **kw):
     """u = e^-t sin(x + 0.3) (times cos(y - 0.1) in 2d) on a shifted box,
-    with its own source, boundary and initial data."""
+    with its data as one separable term, e^-t times a source part and a
+    boundary part `mode`, and u its exact solution; returns the problem
+    and `mode`."""
     if dim == 1:
-        u = lambda x, t: np.exp(-t) * np.sin(x + 0.3)
-        base = dict(nu=0.5, lengths=(2.0,), horizon=0.7, origin=(-1.0,),
-                    source=lambda x, t: -0.5 * u(x, t), initial=lambda x: u(x, 0.0))
+        mode = lambda x: np.sin(x + 0.3)
+        source = lambda x: -0.5 * mode(x)
+        base = dict(nu=0.5, lengths=(2.0,), horizon=0.7, origin=(-1.0,))
     else:
-        u = lambda x, y, t: np.exp(-t) * np.sin(x + 0.3) * np.cos(y - 0.1)
-        base = dict(nu=0.5, lengths=(1.5, 2.0), horizon=0.7, origin=(0.5, -0.25),
-                    source=lambda x, y, t: 0.0 * u(x, y, t), initial=lambda x, y: u(x, y, 0.0))
-    base.update(boundary=u, exact=u)
+        mode = lambda x, y: np.sin(x + 0.3) * np.cos(y - 0.1)
+        source = lambda x, y: 0.0 * mode(x, y)
+        base = dict(nu=0.5, lengths=(1.5, 2.0), horizon=0.7, origin=(0.5, -0.25))
+    base.update(initial=mode, exact=lambda *xt: np.exp(-xt[-1]) * mode(*xt[:-1]),
+                terms=((lambda t: np.exp(-t), source, mode),))
     base.update(kw)
-    return Problem(**base)
+    return Problem(**base), mode
+
+
+def manufactured(dim, **kw):
+    """The problem of `declared`."""
+    return declared(dim, **kw)[0]
 
 
 FACES = [(1, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)]
@@ -272,11 +276,12 @@ FACES = [(1, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)]
 
 @pytest.mark.parametrize("dim,axis,side", FACES, ids=[f"{d}d-axis{a}-side{s}" for d, a, s in FACES])
 def test_problem_check_catches_boundary_data_off_on_one_face(dim, axis, side):
-    prob = manufactured(dim)  # the unaltered problem passes the check
+    prob, mode = declared(dim)  # the unaltered problem passes the check
+    (factor, source, _), = prob.terms
     edge = prob.origin[axis] + side * prob.lengths[axis]
-    off = lambda *xt: prob.exact(*xt) + 1e-6 * np.isclose(xt[axis], edge)
+    off = lambda *x: mode(*x) + 1e-6 * np.isclose(x[axis], edge)
     with pytest.raises(ValueError, match="boundary data"):
-        manufactured(dim, boundary=off)
+        manufactured(dim, terms=((factor, source, off),))
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
@@ -286,53 +291,35 @@ def test_problem_check_catches_initial_data_off_by_1e_6(dim):
         manufactured(dim, initial=lambda *x: prob.initial(*x) + 1e-6)
 
 
-def declared(dim, **kw):
-    """`manufactured` with its data declared as one separable term."""
+TIMES = np.array([0.0, 0.1, 0.35, 0.7])
+# per edge in (axis, side) order: physical data, or a trace edge
+PHYSICAL = (True, False, False, True)
+
+
+def _forcing_box(dim, **kw):
+    prob = manufactured(dim, **kw)
     if dim == 1:
-        mode = lambda x: np.sin(x + 0.3)
-        source = lambda x: -0.5 * mode(x)
+        grid, box = Grid((9,), prob.lengths, prob.origin), Box((2,), (6,))
     else:
-        mode = lambda x, y: np.sin(x + 0.3) * np.cos(y - 0.1)
-        source = lambda x, y: 0.0 * mode(x, y)
-    return manufactured(dim, terms=((lambda t: np.exp(-t), source, mode),), **kw), mode
-
-
-def test_declared_terms_are_checked_against_the_source():
-    # a wrong factor, e^(-3t) for e^(-4t), shows at the interior points
-    prob = builtin_problem("analytic_2d")
-    (_, source, boundary), = prob.terms
-    with pytest.raises(ValueError, match=r"^source disagrees with its declared terms at "):
-        dataclasses.replace(prob, terms=((lambda t: np.exp(-3.0 * t), source, boundary),))
-    with pytest.raises(ValueError, match=r"^source disagrees"):
-        dataclasses.replace(prob, terms=())  # nonzero data declared zero
-    assert declared(1)[0].terms is not None and declared(2)[0].terms is not None
-
-
-@pytest.mark.parametrize("dim,axis,side", FACES, ids=[f"{d}d-axis{a}-side{s}" for d, a, s in FACES])
-def test_declared_terms_are_checked_on_every_face(dim, axis, side):
-    # a boundary part off by 1e-6 on one face alone is named with its face
-    prob, mode = declared(dim)
-    (factor, source, _), = prob.terms
-    edge = prob.origin[axis] + side * prob.lengths[axis]
-    off = lambda *x: mode(*x) + 1e-6 * np.isclose(x[axis], edge)
-    with pytest.raises(ValueError, match=rf"^boundary data on face \(axis {axis}, side {side}\) "
-                                         "disagrees with its declared terms"):
-        dataclasses.replace(prob, terms=((factor, source, off),))
+        grid, box = Grid((7, 6), prob.lengths, prob.origin), Box((2, 1), (5, 4))
+    return box_forcing(prob, grid, box)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 def test_term_forcing_times_its_factors_is_the_assembled_forcing(dim):
     # per term the source part with the boundary part folded into the
-    # physical edges' rows, as assemble_forcing folds the data at a time:
-    # within 1e-15 of the max (measured at most 3.0e-16)
+    # physical edges' rows, as the oracle's assemble_forcing folds
+    # `Problem.source` and `boundary` at each time: within 1e-15 of the max
+    # (measured at most 3.0e-16)
     prob, _ = declared(dim)
     fc = _forcing_box(dim, terms=prob.terms)
-    kinds = EDGE_KINDS[: 2 * dim]
-    terms = term_forcing(fc, [kind == "physical" for kind in kinds])
+    physical = PHYSICAL[: 2 * dim]
+    terms = term_forcing(fc, physical)
     factors = term_factors(fc.problem, TIMES)
     assert terms.shape == (1,) + fc.shape and factors.shape == (1, len(TIMES))
-    want = assemble_forcing(fc, TIMES, [boundary_data(fc, k, TIMES) if kind == "physical"
-                                        else None for k, kind in enumerate(kinds)])
+    want = np.stack([assemble_forcing(fc, t, [boundary_data(fc, k, t) if flag else None
+                                              for k, flag in enumerate(physical)])
+                     for t in TIMES.tolist()])
     got = np.tensordot(factors, terms, axes=(0, 0))
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -346,67 +333,23 @@ def test_a_factor_that_does_not_take_an_array_of_times_is_named():
         term_factors(scalar, TIMES)
 
 
-# ---------------------------------------------------------------------------
-# forcing over an array of times: one call, the stack of the per-time calls
-# ---------------------------------------------------------------------------
-
-TIMES = np.array([0.0, 0.1, 0.35, 0.7])
-# per edge in (axis, side) order: physical data, a trace given per level,
-# or None (a trace edge left without a closure term)
-EDGE_KINDS = ("physical", "trace", None, "physical")
-
-
-def _forcing_box(dim, **kw):
-    prob = manufactured(dim, **kw)
-    if dim == 1:
-        grid, box = Grid((9,), prob.lengths, prob.origin), Box((2,), (6,))
-    else:
-        grid, box = Grid((7, 6), prob.lengths, prob.origin), Box((2, 1), (5, 4))
-    return box_forcing(prob, grid, box)
+def test_a_constant_factor_broadcasts_and_a_misshapen_one_is_named():
+    # a factor may ignore t; one that returns neither one value per time
+    # nor one value is named, as one that does not take an array is
+    prob, mode = declared(1)
+    (_, source, _), = prob.terms
+    constant = dataclasses.replace(prob, exact=None, terms=((lambda t: 1.0, source, mode),))
+    assert np.array_equal(term_factors(constant, TIMES), np.ones((1, len(TIMES))))
+    misshapen = dataclasses.replace(constant, terms=((lambda t: np.ones(3), source, mode),))
+    with pytest.raises(ValueError, match="the factor of term 0 does not take an array of times"):
+        term_factors(misshapen, TIMES)
 
 
-IGNORES_T = {1: lambda x, t: np.cos(x), 2: lambda x, y, t: np.cos(x) * y}
-
-
-@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-@pytest.mark.parametrize("source", ["reads_t", "ignores_t"])
-def test_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim, source):
-    fc = _forcing_box(dim, **({} if source == "reads_t" else {"source": IGNORES_T[dim]}))
-    kinds = EDGE_KINDS[: 2 * dim]
-    rows = np.random.default_rng(dim).random((len(TIMES), int(np.prod(fc.edges[1].shape))))
-
-    def values(t, trace):
-        return [boundary_data(fc, k, t) if kind == "physical" else trace if kind else None
-                for k, kind in enumerate(kinds)]
-
-    stacked = assemble_forcing(fc, TIMES, values(TIMES, rows))
-    assert stacked.shape == (len(TIMES),) + fc.shape
-    per_time = [assemble_forcing(fc, t, values(t, r)) for t, r in zip(TIMES.tolist(), rows)]
-    assert np.array_equal(stacked, np.stack(per_time))
-    for k, e in enumerate(fc.edges):
-        data = boundary_data(fc, k, TIMES)
-        assert data.shape == (len(TIMES),) + e.shape
-        assert np.array_equal(data, np.stack([boundary_data(fc, k, t) for t in TIMES.tolist()]))
-
-
-def test_data_that_do_not_broadcast_over_the_times_are_named():
-    fc = _forcing_box(1, source=lambda x, t: np.zeros(3))
-    with pytest.raises(ValueError, match=r"source returned shape \(3,\).* to \(4, 5\)"):
-        assemble_forcing(fc, TIMES, [None, None])
-    with pytest.raises(ValueError, match=r"source returned shape \(3,\).* to \(5,\)"):
-        assemble_forcing(fc, 0.5, [None, None])
-    fc = _forcing_box(2, boundary=lambda x, y, t: np.zeros(2), exact=None)
-    with pytest.raises(ValueError, match=r"boundary returned shape \(2,\).* to \(4, 4\)"):
-        boundary_data(fc, 0, TIMES)
-    with pytest.raises(ValueError, match="1-D array of times"):
-        boundary_data(fc, 0, TIMES[None])
-    # scalar-only data (math.sin of t) are named over an array of times,
-    # and still serve one time
-    fc = _forcing_box(1, boundary=lambda x, t: x * math.sin(t), exact=None)
-    with pytest.raises(ValueError, match="boundary does not take an array of times") as err:
-        boundary_data(fc, 0, TIMES)
-    assert isinstance(err.value.__cause__, TypeError)
-    assert boundary_data(fc, 0, 0.5).shape == fc.edges[0].shape
-    fc = _forcing_box(2, source=lambda x, y, t: x * y * math.cos(t))
-    with pytest.raises(ValueError, match="source does not take an array of times"):
-        assemble_forcing(fc, TIMES, [None] * 4)
+def test_problem_data_are_the_sums_of_their_terms():
+    # source and boundary add factor times part over the terms, in term
+    # order; without terms the data are zero
+    prob = make_problem_1d(terms=((lambda t: 2.0 + t, np.sin, np.cos), (np.exp, np.cos, np.sin)))
+    x = np.linspace(0.0, 2.0, 5)
+    assert np.array_equal(prob.source(x, 0.5), 2.5 * np.sin(x) + np.exp(0.5) * np.cos(x))
+    assert np.array_equal(prob.boundary(x, 0.5), 2.5 * np.cos(x) + np.exp(0.5) * np.sin(x))
+    assert make_problem_1d().source(x, 0.5) == 0.0 and make_problem_1d().boundary(x, 0.5) == 0.0

@@ -28,7 +28,6 @@ from letd.schwarz import (
     method1_march,
     method2_solve,
     random_trace_guess,
-    theoretical_rate,
 )
 from letd.steppers import TimeGrid
 from oracles import (
@@ -45,13 +44,14 @@ from oracles import (
     flat_traces,
     forcing_modes,
     history_sweep,
-    nodal_forcing,
     normalized_curve,
     one_piece_march,
+    overlap_fractions,
     run_monodomain,
     step_sweep,
     superlinear_bound,
     sweep_loop,
+    theoretical_rate,
     trace_histories,
     trace_offsets,
 )
@@ -61,23 +61,13 @@ PI2 = math.pi ** 2
 
 def zero_problem(horizon=1.0):
     z = lambda x, t=None: np.zeros_like(np.asarray(x, dtype=float))
-    return Problem(
-        nu=1.0, lengths=(2.0,), horizon=horizon,
-        source=lambda x, t: z(x),
-        boundary=lambda x, t: z(x),
-        initial=z, exact=lambda x, t: z(x),
-    )
+    return Problem(nu=1.0, lengths=(2.0,), horizon=horizon, initial=z,
+                   exact=lambda x, t: z(x), terms=())
 
 
 def analytic_problem():
-    u = lambda x, t: np.exp(PI2 * t) * np.sin(np.pi * (x - 0.25))
-    return Problem(
-        nu=1.0, lengths=(2.0,), horizon=0.25,
-        source=lambda x, t: 2.0 * PI2 * u(x, t),
-        boundary=u,
-        initial=lambda x: u(x, 0.0),
-        exact=u, origin=(-1.0,),
-    )
+    """u = e^(pi^2 t) sin(pi (x - 0.25)) on [-1, 1], the built-in analytic_1d."""
+    return builtin_problem("analytic_1d")
 
 
 def zero_reference(interfaces, steps=None):
@@ -269,11 +259,12 @@ MONO_CASES = {
 @pytest.mark.parametrize("final_only", [False, True], ids=["every-level", "final-only"])
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("case", list(MONO_CASES))
-def test_monodomain_is_the_one_piece_method1_march(case, scheme, final_only):
-    # on undeclared data (the callable route) the march has the oracle's bits
+def test_monodomain_is_the_one_piece_method1_march(monkeypatch, case, scheme, final_only):
+    # on the per-level forcing route (the oracle's `forcing_modes`) the
+    # march has the oracle's bits
+    monkeypatch.setattr(schwarz, "_forcing_modes", forcing_modes)
     dim, n, steps = MONO_CASES[case]
     prob = builtin_problem("analytic_1d" if dim == 1 else "analytic_2d")
-    prob = dataclasses.replace(prob, terms=None)
     grid = (make_grid_1d(n, prob.length, origin=prob.origin) if dim == 1
             else make_grid_2d(n, n, prob.lengths))
     tg = TimeGrid(prob.horizon, steps)
@@ -339,7 +330,9 @@ def test_a_lone_piece_logs_no_sweep(dim, budget):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_lone_piece_steps_once_per_level(monkeypatch, dim, scheme):
     # no trace is read out of the one-piece layout, so a level forms no
-    # base step: its one step is the new state, formed by `finish`
+    # base step: its one step is the new state, formed by `finish`; and no
+    # trace is read in, so neither the first level (`Level.of`) nor a
+    # finish calls a spread
     prob = analytic_problem() if dim == 1 else builtin_problem("analytic_2d")
     grid = (make_grid_1d(63, prob.length, origin=prob.origin) if dim == 1
             else make_grid_2d(15, 12, prob.lengths))
@@ -348,8 +341,12 @@ def test_a_lone_piece_steps_once_per_level(monkeypatch, dim, scheme):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     step, calls = schwarz._step, []
     monkeypatch.setattr(schwarz, "_step", lambda *args, **kw: calls.append(1) or step(*args, **kw))
+    spread, spreads = schwarz.EdgeStack.spread, []
+    monkeypatch.setattr(schwarz.EdgeStack, "spread",
+                        lambda *args: spreads.append(1) or spread(*args))
     method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme))
     assert len(calls) == tg.steps
+    assert spreads == []
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -452,7 +449,7 @@ def test_interface_errors_contract_at_least_at_the_two_piece_rate(solver, scheme
     prob = zero_problem()
     grid = make_grid_1d(127, prob.length)
     lay = decompose_1d(grid, 2, 4)
-    kappa = theoretical_rate(*lay.overlap_fractions())
+    kappa = theoretical_rate(*overlap_fractions(lay))
     steps = 50
     tg = TimeGrid(prob.horizon, steps)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
@@ -493,7 +490,7 @@ def test_two_piece_error_contraction_respects_the_theoretical_rate(n, data, step
     prob = zero_problem(horizon)
     grid = make_grid_1d(n, prob.length)
     lay = decompose_1d(grid, 2, delta)
-    kappa = theoretical_rate(*lay.overlap_fractions())
+    kappa = theoretical_rate(*overlap_fractions(lay))
     tg = TimeGrid(horizon, steps)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     for solver in ("method1", "method2"):
@@ -561,11 +558,14 @@ def test_normalized_decay_curve_starts_at_one():
 
 
 def nan_after(t_bad):
-    """The analytic problem with a source that turns NaN after t_bad."""
+    """The analytic problem with a source that turns NaN after t_bad: its
+    source part goes in a term of its own, whose factor turns NaN."""
     base = analytic_problem()
-    src = lambda x, t: np.where(np.asarray(t) <= t_bad, base.source(x, t), np.nan)
-    return Problem(nu=base.nu, lengths=base.lengths, horizon=base.horizon, source=src,
-                   boundary=base.boundary, initial=base.initial, origin=base.origin)
+    (factor, source, boundary), = base.terms
+    nan = lambda t: np.where(np.asarray(t) <= t_bad, factor(t), np.nan)
+    zero = lambda x: 0.0 * x
+    return dataclasses.replace(base, exact=None,
+                               terms=((nan, source, zero), (factor, zero, boundary)))
 
 
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
@@ -595,19 +595,17 @@ def test_waveform_driver_raises_on_a_non_finite_update(mode):
 
 
 def nan_factor_after(t_bad):
-    """The analytic problem, declared separable, with a time factor that
-    turns NaN after t_bad; its callables are the declared sums."""
+    """The analytic problem with a time factor that turns NaN after t_bad,
+    in its source and its boundary data alike."""
     factor = lambda t: np.where(np.asarray(t) <= t_bad, np.exp(PI2 * t), np.nan)
     mode = lambda x: np.sin(np.pi * (x - 0.25))
-    return Problem(nu=1.0, lengths=(2.0,), horizon=0.25, origin=(-1.0,),
-                   source=lambda x, t: factor(t) * (2.0 * PI2 * mode(x)),
-                   boundary=lambda x, t: factor(t) * mode(x), initial=mode,
+    return Problem(nu=1.0, lengths=(2.0,), horizon=0.25, origin=(-1.0,), initial=mode,
                    terms=((factor, lambda x: 2.0 * PI2 * mode(x), mode),))
 
 
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
 def test_a_declared_factor_that_turns_nan_raises_as_the_callables_do(mode):
-    # the same error as `nan_after`, whose source callable turns NaN
+    # the same error as `nan_after`, whose source alone turns NaN
     prob = nan_factor_after(0.05)
     grid = make_grid_1d(63, prob.length, origin=prob.origin)
     lay = decompose_1d(grid, 2, 4)
@@ -733,6 +731,17 @@ def test_method2_from_a_given_start_logs_what_it_logs_from_its_own(dim, args, sc
 # ---------------------------------------------------------------------------
 # trace edges: one dense sine basis over the edge's other axes
 # ---------------------------------------------------------------------------
+
+
+def test_piece_edges_name_the_interface_they_read_or_none_for_physical_data():
+    # on 3x3 pieces a corner has two physical edges, a side piece one and the
+    # middle none; the other edges read the interfaces of the piece's inflow
+    prob, lay, grid, tg = _oracle_2d(3, 3, 2, "full")
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    assert [p.edges.count(None) for p in pieces] == [2, 1, 2, 1, 0, 1, 2, 1, 2]
+    for d, p in enumerate(pieces):
+        reads = [i.index for i in lay.interfaces if i.reader == d]
+        assert [i for i in p.edges if i is not None] == reads == [e.interface for e in p.inflow]
 
 
 def test_pieces_build_one_factorization_each_and_none_per_edge(monkeypatch):
@@ -1095,16 +1104,13 @@ BUDGETS = [pytest.param(dict(fixed_iterations=3), id="fixed3"),
 def test_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(monkeypatch, setup,
                                                                         args, scheme, budget):
     # method1_march is the chain of carried method1_advance calls: each
-    # level assembles its own forcing, one level in one call per piece, and
-    # transforms it as a block of its own
+    # level forms its own forcing, with no assembly, in one factor product
+    # of one level
     prob, lay, grid, tg = setup(*args)
-    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, **budget)
     trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
-    assemble, times = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda fc, t, vals: times.append(np.size(t)) or assemble(fc, t, vals))
+    times = _factor_products(monkeypatch)
     chain = [np.empty_like(t) for t in trajs]
     for traj, p in zip(chain, pieces):
         traj[0] = p.u0
@@ -1286,104 +1292,72 @@ def test_final_only_runs_never_hold_every_level(driver):
     assert full > every_level, (full, every_level)
 
 
-@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
-def test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level(monkeypatch,
-                                                                                 scheme):
-    to_modes, shapes = SpectralFactorization.to_modes, []
-    monkeypatch.setattr(SpectralFactorization, "to_modes",
-                        lambda fact, v: shapes.append(v.shape) or to_modes(fact, v))
-    assemble, assembled = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda *a: assembled.append(1) or assemble(*a))
-    prob = dataclasses.replace(builtin_problem("analytic_2d"), terms=None)  # the callable route
-    tg = TimeGrid(prob.horizon, 8)
-    # 2x2: four corners, one piece per geometry group; 4x4 of equal pieces:
-    # nine groups of 1, 2 and 4 pieces
-    for args, sizes in (((15, 12, 2, 2, 2, "half"), [1] * 4),
-                        ((31, 35, 4, 4, 2, "full"), [1, 2, 1, 2, 4, 2, 1, 2, 1])):
-        shapes.clear()
-        assembled.clear()
-        lay = decompose_2d(*args)
-        pieces = build_local_pieces(prob, make_grid_2d(*args[:2], prob.lengths), lay, tg.dt)
-        groups = schwarz._Layout.of(pieces).blocks
-        assert [len(b.members) for b in groups] == sizes
-        method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
-        p, steps = len(pieces), tg.steps
-        # every piece-level transforms one field: the run's first level
-        # (`Level.of`) its state and its level-0 forcing, each level after
-        # it its own forcing, assembled in one call per piece and
-        # transformed in one call per geometry group
-        assert shapes[:-p] == [(1, len(b.members), 1) + b.piece.u0.shape
-                               for _ in range(2 + steps) for b in groups]
-        # and the trajectories are rebuilt by one inverse transform per
-        # piece, each level a block of its own
-        assert shapes[-p:] == [(steps, 1) + q.u0.shape for q in pieces]
-        assert sum(map(math.prod, shapes)) == sum((2 + steps + steps) * q.u0.size for q in pieces)
-        assert len(assembled) == p * (1 + steps)
+def _factor_products(monkeypatch):
+    """The number of times of every `term_factors` call the drivers make from
+    now on, one entry per call: each is one factor product of those levels."""
+    factors, times = schwarz.term_factors, []
+    monkeypatch.setattr(schwarz, "term_factors",
+                        lambda prob, t: times.append(np.size(t)) or factors(prob, t))
+    return times
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("dim,window", [(1, 1), (1, 3), (2, 1)],
                          ids=["1d-n63-P3-w1", "1d-n63-P3-w3", "2d-2x2-w1"])
-def test_short_waveform_windows_assemble_the_forcing_of_the_per_step_march(monkeypatch, dim,
-                                                                          window, scheme):
-    # both drivers run on one loop, and every window assembles the forcing
-    # of its own levels in one call per piece, after the run's first level
-    # (`Level.of`) assembles level 0: the per-step march one level a call,
-    # method 2 in one-step windows the same calls, in 3-step windows 3
-    # levels a call on 12 steps
+def test_short_waveform_windows_form_the_forcing_of_the_per_step_march(monkeypatch, dim,
+                                                                      window, scheme):
+    # both drivers run on one loop, and every window forms the forcing of
+    # its own levels in one factor product, after the run's first level
+    # (`Level.of`) forms level 0: the per-step march one level a product,
+    # method 2 in one-step windows the same products, in 3-step windows 3
+    # levels a product on 12 steps
     prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
-    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, fixed_iterations=2, window_steps=window)
-    assemble, levels = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda fc, t, vals: levels.append(np.size(t)) or assemble(fc, t, vals))
+    levels = _factor_products(monkeypatch)
     method1_march(pieces, lay.interfaces, tg, cfg)
     per_step = levels.copy()
     levels.clear()
     method2_solve(pieces, lay.interfaces, tg, cfg)
-    assert per_step == [1] * len(pieces) * (1 + tg.steps)
-    assert levels == [1] * len(pieces) + [window] * len(pieces) * (tg.steps // window)
+    assert per_step == [1] * (1 + tg.steps)
+    assert levels == [1] + [window] * (tg.steps // window)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-def test_whole_horizon_window_assembles_its_forcing_in_one_call_per_piece(monkeypatch, dim,
-                                                                          scheme):
+def test_whole_horizon_window_forms_its_forcing_in_one_factor_product(monkeypatch, dim, scheme):
     prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
-    prob = dataclasses.replace(prob, terms=None)  # the callable route
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    assemble, times = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda fc, t, vals: times.append(np.shape(t)) or assemble(fc, t, vals))
+    times = _factor_products(monkeypatch)
     method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=2))
     # level 0 as the run's first level (`Level.of`), then levels 1..steps
-    # in one call, as the window starts
-    assert times == [(1,)] * len(pieces) + [(tg.steps,)] * len(pieces)
+    # in one product, as the window starts
+    assert times == [1, tg.steps]
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_declared_data_assemble_no_forcing_and_transform_each_term_once(monkeypatch, scheme):
-    # the twin of the callable-route test
-    # `test_per_step_march_transforms_one_field_and_assembles_one_forcing_per_level`:
     # each piece's term forcing is transformed when the layout is built, one
     # call per geometry group as (K, k, 1, *shape); the first level
-    # transforms its state alone, and no level assembles or transforms forcing
+    # transforms its state alone, and no level assembles or transforms
+    # forcing: it is one factor product per window
     to_modes, shapes = SpectralFactorization.to_modes, []
     monkeypatch.setattr(SpectralFactorization, "to_modes",
                         lambda fact, v: shapes.append(v.shape) or to_modes(fact, v))
-    assemble, assembled = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda *a: assembled.append(1) or assemble(*a))
+    products = _factor_products(monkeypatch)
     prob = builtin_problem("analytic_2d")
     k_terms = len(prob.terms)
     tg = TimeGrid(prob.horizon, 8)
-    for args in ((15, 12, 2, 2, 2, "half"), (31, 35, 4, 4, 2, "full")):
+    # 2x2: four corners, one piece per geometry group; 4x4 of equal pieces:
+    # nine groups of 1, 2 and 4 pieces
+    for args, sizes in (((15, 12, 2, 2, 2, "half"), [1] * 4),
+                        ((31, 35, 4, 4, 2, "full"), [1, 2, 1, 2, 4, 2, 1, 2, 1])):
         lay = decompose_2d(*args)
         pieces = build_local_pieces(prob, make_grid_2d(*args[:2], prob.lengths), lay, tg.dt)
         groups = schwarz._Layout.of(pieces).blocks
+        assert [len(b.members) for b in groups] == sizes
         shapes.clear()
+        products.clear()
         method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=3))
         p, g, steps = len(pieces), len(groups), tg.steps
         assert shapes[:g] == [(k_terms, len(b.members), 1) + b.piece.u0.shape for b in groups]
@@ -1391,7 +1365,7 @@ def test_declared_data_assemble_no_forcing_and_transform_each_term_once(monkeypa
         assert shapes[2 * g:] == [(steps, 1) + q.u0.shape for q in pieces]
         assert sum(map(math.prod, shapes)) == sum((k_terms + 1 + steps) * q.u0.size
                                                   for q in pieces)
-    assert assembled == []
+        assert products == [1] * (1 + steps)
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -1402,14 +1376,12 @@ def test_declared_data_assemble_no_forcing_and_transform_each_term_once(monkeypa
 ])
 def test_declared_per_step_march_is_the_chain_of_level_by_level_advances_bitwise(
         monkeypatch, setup, args, scheme):
-    # the twin of the callable-route chain test: a declared level's forcing
-    # modes are an elementwise sum of the term modes, so blocks of any
-    # length give one level the same bits; no driver assembles forcing
+    # a level's forcing modes are an elementwise sum of the term modes, so
+    # blocks of any length give one level the same bits; every window of
+    # either driver forms its forcing in one factor product
     prob, lay, grid, tg = setup(*args)
     assert prob.terms is not None
-    assemble, assembled = schwarz.assemble_forcing, []
-    monkeypatch.setattr(schwarz, "assemble_forcing",
-                        lambda *a: assembled.append(1) or assemble(*a))
+    products = _factor_products(monkeypatch)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
     trajs, logs = method1_march(pieces, lay.interfaces, tg, cfg)
@@ -1426,26 +1398,24 @@ def test_declared_per_step_march_is_the_chain_of_level_by_level_advances_bitwise
     for a, b in zip(trajs, chain):
         assert np.array_equal(a, b)
     for window in (1, 3, None):
+        products.clear()
         method2_solve(pieces, lay.interfaces, tg, dataclasses.replace(cfg, window_steps=window))
-    assert assembled == []
+        assert len(products) == 1 + -(-tg.steps // (window or tg.steps))
 
 
 def two_term_problem(dim):
     """Data of two separable terms on a shifted box, e^(-2t) prod sin(x_k +
     0.3) with boundary part prod cos(x_k), and (1 + t) sum cos(x_k) with
-    boundary part 0.5 + sum x_k; the callables add the terms up."""
+    boundary part 0.5 + sum x_k."""
     terms = ((lambda t: np.exp(-2.0 * t), lambda *x: math.prod(np.sin(c + 0.3) for c in x),
               lambda *x: math.prod(np.cos(c) for c in x)),
              (lambda t: 1.0 + t, lambda *x: sum(np.cos(c) for c in x), lambda *x: 0.5 + sum(x)))
-    data = lambda part: lambda *xt: sum(term[0](xt[-1]) * term[part](*xt[:-1]) for term in terms)
     return Problem(nu=0.7, lengths=(2.0,) * dim, horizon=0.5, origin=(-0.5,) * dim,
-                   source=data(1), boundary=data(2), initial=lambda *x: 0.0 * sum(x),
-                   terms=terms)
+                   initial=lambda *x: 0.0 * sum(x), terms=terms)
 
 
 def zero_data_problem(dim):
-    z = lambda *x: 0.0 * sum(x)
-    return Problem(nu=1.0, lengths=(2.0,) * dim, horizon=1.0, source=z, boundary=z, initial=z,
+    return Problem(nu=1.0, lengths=(2.0,) * dim, horizon=1.0, initial=lambda *x: 0.0 * sum(x),
                    terms=())
 
 
@@ -1459,9 +1429,9 @@ def zero_data_problem(dim):
          fractions=[0.0, 0.5, 1.0])
 def test_declared_forcing_modes_match_the_callable_route(dim, data, counts, widths, jitter,
                                                          overlap, fractions):
-    # on random layouts the declared route (`_Layout.terms`) gives the
-    # forcing modes of the oracle, which assembles the callables and
-    # transforms them: every row within 2e-15 of its max (measured at most
+    # on random layouts the term route (`_Layout.terms`) gives the forcing
+    # modes of the oracle, which assembles `Problem.source` and `boundary`
+    # at each time and transforms them: every row within 2e-15 of its max (measured at most
     # 8.2e-16 over 400 random cases); zero data give exact zeros
     prob = {"builtin": lambda: builtin_problem("analytic_1d" if dim == 1 else "analytic_2d"),
             "two-term": lambda: two_term_problem(dim),
@@ -1504,22 +1474,6 @@ def test_a_window_start_has_the_modes_of_each_level_transformed_alone(monkeypatc
         assert np.array_equal(forcing[m], alone[0]), m
     for q, got in zip(pieces, layout.views(u)):
         assert np.array_equal(got, q.ws.fact.to_modes(q.u0[None])[0])
-
-
-@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-def test_piece_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim):
-    prob, lay, grid, tg = _oracle_1d(3) if dim == 1 else _oracle_2d(2, 2, 2, "half")
-    pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    times = tg.times()
-    # one value set per interface and level, as a window's trace histories
-    traces = random_trace_guess(lay.interfaces, seed=dim, steps=tg.steps)
-    for piece in pieces:
-        assert np.array_equal(piece.forcing(times),
-                              np.stack([piece.forcing(t) for t in times.tolist()]))
-        # the nodal trace closure of assemble_forcing, over times likewise
-        per_time = [nodal_forcing(piece, t, [tr[m] for tr in traces])
-                    for m, t in enumerate(times.tolist())]
-        assert np.array_equal(nodal_forcing(piece, times, traces), np.stack(per_time))
 
 
 def _augmented_phi(a, k):
@@ -1623,11 +1577,10 @@ def test_step_gains_are_the_one_step_window_responses(setup, args, scheme):
 
 
 def _per_piece_march(pieces, interfaces, tg, cfg):
-    """method1_march on the retired per-piece engine (oracles.step_sweep and
-    oracles.forcing_modes), with everything else the library's."""
+    """method1_march on the retired per-piece engine (oracles.step_sweep),
+    with everything else the library's."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(schwarz, "_step_sweep", step_sweep)
-        m.setattr(schwarz, "_forcing_modes", forcing_modes)
         return method1_march(pieces, interfaces, tg, cfg)
 
 
@@ -1641,8 +1594,8 @@ def _per_piece_march(pieces, interfaces, tg, cfg):
          scheme="etd2", sweeps=3)
 def test_grouped_2d_march_matches_the_per_piece_engine(counts, widths, jitter, overlap,
                                                        convention, scheme, sweeps):
-    # pieces of one geometry run their read-outs, gains products, spreads
-    # and forcing transforms together; in 2d a product over several pieces
+    # pieces of one geometry run their read-outs, gains products and
+    # spreads together; in 2d a product over several pieces
     # rounds differently, so the march agrees with the per-piece engine
     # within round-off, with the same sweep counts
     nx, ny = (p * w - 1 + j for p, w, j in zip(counts, widths, jitter))

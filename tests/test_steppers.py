@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from letd.geometry import (
     Box,
     Problem,
-    assemble_forcing,
-    boundary_data,
     box_forcing,
     decompose_1d,
     make_grid_1d,
@@ -27,6 +25,8 @@ from letd.matfunc import (
 )
 from letd.steppers import TimeGrid, make_workspace
 from oracles import (
+    assemble_forcing,
+    boundary_data,
     dense_laplacian,
     direct_step,
     etd1_step,
@@ -40,14 +40,8 @@ PI2 = math.pi ** 2
 
 
 def analytic_problem():
-    u = lambda x, t: np.exp(PI2 * t) * np.sin(np.pi * (x - 0.25))
-    return Problem(
-        nu=1.0, lengths=(2.0,), horizon=0.25,
-        source=lambda x, t: 2.0 * PI2 * u(x, t),
-        boundary=u,
-        initial=lambda x: u(x, 0.0),
-        exact=u, origin=(-1.0,),
-    )
+    """u = e^(pi^2 t) sin(pi (x - 0.25)) on [-1, 1], the built-in analytic_1d."""
+    return builtin_problem("analytic_1d")
 
 
 def local_step(ws, scheme, u_m, fc, t_now, t_next, bc_now, bc_next):
@@ -180,11 +174,10 @@ def test_steady_linear_profile_is_a_fixed_point(scheme):
     # solves A u + F = 0 and must be preserved by either scheme
     n = 41
     psi1, psi2 = 2.5, -1.0
+    line = lambda x: psi1 + (psi2 - psi1) * np.asarray(x, dtype=float)
     prob = Problem(
-        nu=1.3, lengths=(1.0,), horizon=1.0,
-        source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary=lambda x, t: psi1 + (psi2 - psi1) * np.asarray(x, dtype=float),
-        initial=lambda x: psi1 + (psi2 - psi1) * np.asarray(x, dtype=float),
+        nu=1.3, lengths=(1.0,), horizon=1.0, initial=line,
+        terms=((lambda t: 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)), line),),
     )
     grid = make_grid_1d(n, 1.0)
     ws = make_workspace(spectral_factorization(build_laplacian_1d(n, prob.nu, grid.h)), 0.05)
@@ -202,12 +195,11 @@ def test_boundary_driven_solution_obeys_interpolant_bound():
     n, steps = 31, 40
     rng = np.random.default_rng(9)
     c1, c2 = rng.uniform(0.5, 2.0, 2)
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     prob = Problem(
-        nu=1.0, lengths=(1.0,), horizon=2.0,
-        source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary=lambda x, t: ((1.0 - x) * c1 * np.sin(3.0 * t) ** 2
-                               + x * c2 * (1.0 - np.cos(2.0 * t)) / 2.0),
-        initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        nu=1.0, lengths=(1.0,), horizon=2.0, initial=zero,
+        terms=((lambda t: c1 * np.sin(3.0 * t) ** 2, zero, lambda x: 1.0 - x),
+               (lambda t: c2 * (1.0 - np.cos(2.0 * t)) / 2.0, zero, lambda x: x)),
     )
     grid = make_grid_1d(n, 1.0)
     tg = TimeGrid(2.0, steps)
@@ -280,12 +272,7 @@ def test_monodomain_final_only_keeps_the_end_levels_bitwise(dim, scheme):
 
 
 def test_monodomain_2d_single_step_matches_dense_exponential():
-    u = lambda x, y, t: np.exp(-4.0 * t) * np.sin(x - 0.25) * np.sin(2.0 * (y - 0.125))
-    prob = Problem(
-        nu=1.0, lengths=(math.pi, math.pi), horizon=0.5,
-        source=lambda x, y, t: u(x, y, t),
-        boundary=u, initial=lambda x, y: u(x, y, 0.0), exact=u,
-    )
+    prob = builtin_problem("analytic_2d")
     nx, ny = 7, 6
     grid = make_grid_2d(nx, ny, prob.lengths)
     dt = 0.02
