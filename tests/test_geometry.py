@@ -324,6 +324,53 @@ def test_term_forcing_times_its_factors_is_the_assembled_forcing(dim):
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("dim,axis,side", FACES, ids=[f"{d}d-axis{a}-side{s}" for d, a, s in FACES])
+def test_term_forcing_folds_the_boundary_part_into_one_face_alone(dim, axis, side):
+    # with one physical edge, only that edge's rows take the closure times
+    # the boundary part, and the result is the oracle's fold of
+    # `Problem.boundary` there: within 1e-15 of the max
+    fc = _forcing_box(dim)
+    k = 2 * axis + side
+    physical = [j == k for j in range(2 * dim)]
+    folded = term_forcing(fc, physical)
+    bare = term_forcing(fc, [False] * (2 * dim))
+    rows = np.zeros(fc.shape, dtype=bool)
+    rows[fc.edges[k].index] = True
+    assert np.array_equal(folded[:, ~rows], bare[:, ~rows])
+    assert np.all(folded[:, rows] != bare[:, rows])
+    want = np.stack([assemble_forcing(fc, t, [boundary_data(fc, k, t) if flag else None
+                                              for k, flag in enumerate(physical)])
+                     for t in TIMES.tolist()])
+    got = np.tensordot(term_factors(fc.problem, TIMES), folded, axes=(0, 0))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("factor", ["reads_t", "ignores_t"])
+def test_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim, factor):
+    # with a second term whose factor reads t or ignores it, the factors
+    # over an array of times are, bit for bit, those of one time at a time
+    prob, mode = declared(dim)
+    second = {"reads_t": lambda t: 1.0 + t, "ignores_t": lambda t: 2.0}[factor]
+    two = dataclasses.replace(prob, exact=None, terms=prob.terms + ((second, mode, mode),))
+    factors = term_factors(two, TIMES)
+    assert factors.shape == (2, len(TIMES))
+    per_time = [term_factors(two, np.array([t])) for t in TIMES.tolist()]
+    assert np.array_equal(factors, np.concatenate(per_time, axis=1))
+    assert np.array_equal(factors[1], [second(t) for t in TIMES.tolist()])
+    assert factors[0] == pytest.approx(np.exp(-TIMES), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_problem_check_catches_a_factor_off_by_1e_6(dim):
+    # the boundary data the check reads are the sums of the terms, so a
+    # factor off the exact solution's shows on the faces for t > 0
+    prob, mode = declared(dim)
+    (_, source, _), = prob.terms
+    with pytest.raises(ValueError, match=r"^boundary data on face \(axis 0, side 0\)"):
+        manufactured(dim, terms=((lambda t: np.exp(-t) + 1e-6 * t, source, mode),))
+
+
 def test_a_factor_that_does_not_take_an_array_of_times_is_named():
     # math.exp serves the check, which samples one time at a time
     prob, _ = declared(1)

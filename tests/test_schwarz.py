@@ -1454,6 +1454,25 @@ def test_declared_forcing_modes_match_the_callable_route(dim, data, counts, widt
     assert err.max() <= 2e-15, err.max()
 
 
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_piece_forcing_over_an_array_of_times_is_the_stack_of_per_time_calls(dim):
+    # the forcing modes of a window's levels in one factor product are, bit
+    # for bit, those of one level at a time, for one term and for two
+    shape, counts = ((47,), (3,)) if dim == 1 else ((15, 12), (2, 2))
+    for prob in (builtin_problem("analytic_1d" if dim == 1 else "analytic_2d"),
+                 two_term_problem(dim)):
+        grid = make_grid_1d(shape[0], prob.length, origin=prob.origin) if dim == 1 \
+            else make_grid_2d(*shape, prob.lengths, prob.origin)
+        pieces = build_local_pieces(prob, grid, decompose(shape, counts, (2, 2)), 0.01)
+        layout = schwarz._Layout.of(pieces)
+        times = np.linspace(0.0, prob.horizon, 9)
+        stacked, alone = np.empty((len(times), layout.size)), np.empty((1, layout.size))
+        schwarz._forcing_modes(pieces, layout, times, stacked)
+        for row, t in zip(stacked, times.tolist()):
+            schwarz._forcing_modes(pieces, layout, [t], alone)
+            assert np.array_equal(row, alone[0]), t
+
+
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_a_window_start_has_the_modes_of_each_level_transformed_alone(monkeypatch, scheme):
     # 1d pieces of at most _DENSE_AXIS_MAX nodes transform by one matrix
