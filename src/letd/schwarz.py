@@ -73,9 +73,12 @@ first use and held on the piece, and lives as long as its piece set.  A
 one-step table (the gains) needs no march: it is K times the spread of
 unit traces, read out.  A one-step sweep is then one small dense product
 per geometry group over one flat vector of traces, and its new state one
-step from the base step's start part, with no march; a longer 1d window
-is one causal convolution per (outflow, inflow) pair.  Only longer 2d
-windows, whose per-lag tables would be large, run the mode-space
+step from the base step's start part, with no march.  A longer 1d window
+is base + M x: M is block lower-triangular Toeplitz in the levels, so it
+is one dense product per piece of its inflow histories, built per window
+from the table, and above `_LAG_LEVELS` levels the same product over
+blocks of levels, one stored block per lag (`_lag_blocks`).  Only longer
+2d windows, whose per-lag tables would be large, run the mode-space
 recursion in every sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
@@ -104,11 +107,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, pairwise
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import (
     BoxForcing,
@@ -120,7 +124,8 @@ from .geometry import (
     term_factors,
     term_forcing,
 )
-from .matfunc import DirichletLaplacian, sine_matrix, sine_row, spectral_factorization
+from .matfunc import (_PRODUCT_MAX, DirichletLaplacian, sine_matrix, sine_row,
+                      spectral_factorization)
 from .steppers import Scheme, StepWorkspace, TimeGrid, make_workspace
 
 __all__ = [
@@ -144,6 +149,17 @@ _DENOM_FLOOR = 1e-14
 # Unit traces marched together when a response table is built; bounds the
 # unit fields held at once.
 _UNITS_PER_MARCH = 8
+
+# Levels of a lag block (`_lag_blocks`): a 1d window of more levels applies
+# its product over blocks of at most this many, one stored block per lag, so
+# an (outflow, inflow) pair holds about steps x 128 values, not steps^2.  A
+# piece with two inflow and two outflow nodes then makes 256 x 256 products,
+# below `_PRODUCT_MAX`.  Measured on a 2-core host against one causal
+# convolution per pair: a dense block is at parity at 256 levels and 1.5x
+# slower at 1,000 (two inflow and two outflow nodes); blocks of 128 levels
+# take 0.3 to 0.7 of the convolutions' time at 1,000-4,000 levels, and less
+# than a dense block from 160 levels on.
+_LAG_LEVELS = 128
 
 # Log rows a tolerance-mode solve allocates at first; they double as they
 # fill, up to the sweep budget.
@@ -640,9 +656,9 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
     return IterationLog(upd[:k], None if err is None else err[:k + 1], converged, k), last, now
 
 
-def _flat(rows) -> np.ndarray:
+def _flat(rows, dtype=float) -> np.ndarray:
     """The 1-d arrays `rows` in one vector, in order; empty without rows."""
-    return np.concatenate([np.empty(0), *rows])
+    return np.concatenate([np.empty(0, dtype), *rows])
 
 
 def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
@@ -783,16 +799,56 @@ def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarr
     enters, marched from a zero state and zero trace-independent forcing.
     It does not depend on the level the trace enters at (>= 1; level 0 is
     pinned data, carried by the window's base).  R[0] holds the one-step
-    gains (`_step_gains`).
+    gains (`_step_gains`), read out in a product of its own: in 1d their
+    bits, which a product over more levels would round differently.  The
+    march runs over levels 1 and 2 alone: no forcing reaches a later step,
+    whose update is then E times the level before, so levels 3.. are one
+    cumulative product by E, the march's bits.
     """
-    rows = []
+    out, rows = piece.outflow_stack, []
     # a few nodes of one inflow edge at a time, so few unit fields are held
     for units in _edge_units(piece, _UNITS_PER_MARCH):
-        f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
+        f_hat = np.zeros((min(steps, 2) + 1, len(units)) + piece.u0.shape)
         piece.inflow_stack.spread(units, f_hat[1])
-        u_hat = _march_modes(piece.ws, scheme, 0.0, f_hat)[1:].reshape((-1,) + piece.u0.shape)
-        rows.append(piece.outflow_stack.read(u_hat).reshape(steps, len(units), -1))
+        u_hat = np.empty((steps, len(units)) + piece.u0.shape)
+        u_hat[:2] = _march_modes(piece.ws, scheme, 0.0, f_hat)[1:]
+        u_hat[2:] = piece.ws.exp_kernel
+        np.multiply.accumulate(u_hat[1:], axis=0, out=u_hat[1:])
+        rows.append(out.read(u_hat.reshape((-1,) + piece.u0.shape)).reshape(steps, len(units), -1))
+        out.read(u_hat[0], rows[-1][0])  # level 1 again, alone
     return np.concatenate(rows, axis=1)
+
+
+def _lag_blocks(r: np.ndarray, n: int) -> np.ndarray:
+    """The lag blocks B (lags, n in, n out) of the response table r (steps,
+    in, out) over blocks of n levels, lags = ceil(steps / n).  A block's
+    traces run level after level, nodes in edge order within a level, and
+    B[d] takes the inflow traces of one block to their share of the owned
+    traces d blocks later: B[d][j in + k, i out + o] = r[d n + i - j, k, o],
+    0 where that lag is negative or at least steps.  The window's product
+    is block lower-triangular Toeplitz in them (`_lag_product`)."""
+    steps, n_in, n_out = r.shape
+    lags = -(-steps // n)
+    padded = np.zeros((n - 1 + lags * n, n_in, n_out))
+    padded[n - 1:n - 1 + steps] = r
+    s0, s1, s2 = padded.strides
+    # [d, j, k, i, o] = padded[n - 1 + d n - j + i, k, o], one copy of a strided view
+    w = as_strided(padded[n - 1:], (lags, n, n_in, n, n_out), (n * s0, -s0, s1, s0, s2),
+                   writeable=False)
+    return np.ascontiguousarray(w).reshape(lags, n * n_in, n * n_out)
+
+
+def _lag_product(x: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
+    """out[a] = the sum over d <= a of x[a - d] @ blocks[d], for level
+    blocks x (lags, n in) and out (lags, n out): the causal product of
+    `_lag_blocks`, one matrix product per lag, cut into runs of level
+    blocks below `_PRODUCT_MAX` multiply-adds, so that each stays on one
+    thread."""
+    lags, run = len(blocks), max(1, _PRODUCT_MAX // blocks[0].size)
+    out[...] = 0.0
+    for d, b in enumerate(blocks):
+        for a in range(d, lags, run):
+            out[a:a + run] += x[a - d:min(a + run, lags) - d] @ b
 
 
 def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float]) -> tuple:
@@ -946,16 +1002,23 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     trajectory into out[d][1:] if `out` is given, and returns the level at
     times[-1] in mode space, pinned to the last level of the last sweep's
     output `latest`, with those traces spread into its f0; and the default
-    initial traces, level 0 at every level.  Over the response table R of
-    `_window_responses` and the base read-out of one march per piece, a 1d
-    window is one causal convolution per (outflow, inflow) pair; a 2d
-    window marches each piece in mode space in every sweep.
+    initial traces, level 0 at every level.  A 1d sweep is new = base + M x,
+    with the base read-out of one march per piece against no traces: it
+    gathers every piece's inflow histories in one take, level after level,
+    runs one product per piece by the lag blocks (`_lag_blocks`) of the
+    response table R of `_window_responses`, one dense block while steps
+    <= `_LAG_LEVELS` (`_lag_product` over blocks of levels above), and
+    writes base + product into `new`; the blocks are built per window from
+    the table held on the piece.  A non-finite incoming trace reaches every
+    level of its piece's product (0 times NaN), not only the later ones.  A
+    2d window marches each piece in mode space in every sweep.
     """
     steps = len(times) - 1
     lay, pinned, *modes = _window_start(pieces, start, times)
     at = lay.traces * steps
     parts = list(zip(*map(lay.views, modes)))  # per piece u, f0 and F
-    ins = [_nodes(p.inflow, at, steps) for p in pieces]
+    ins, outs = ([_nodes(getattr(p, flow), at, steps) for p in pieces]
+                 for flow in ("inflow", "outflow"))
 
     def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
         """Piece d's trajectory against the incoming traces v (None: none)."""
@@ -967,27 +1030,40 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
         return _march_modes(pieces[d].ws, scheme, u, f_hat)
 
     if all(edge.size == 1 for p in pieces for edge in p.inflow):
-        # 1d: per owned trace its slice, base read-out and (response, inflow slice) pairs
-        span = lambda i: slice(at[i], at[i + 1])
-        plan = []
-        for d, p in enumerate(pieces):
-            if p.outflow:  # a lone piece has no trace edges
-                base = p.outflow_stack.read(march(d, None))[1:]
-                r = _cached(p, (scheme, steps), _window_responses, scheme, steps)
-                srcs = [span(i.interface) for i in p.inflow]
-                plan += [(span(o.interface), b, tuple(zip(rows, srcs))) for o, b, rows
-                         in zip(p.outflow, base.T, np.ascontiguousarray(r.transpose(2, 1, 0)))]
+        # 1d: per piece one product of its inflow traces, level after level
+        # in blocks of n levels, by the lag blocks of its group, and its base
+        # read-out; the last block is padded with copies of level steps,
+        # which reach only the padded levels of the output, which are dropped
+        lags = -(-steps // _LAG_LEVELS)
+        n = -(-steps // lags)
+        pad = np.minimum(np.arange(lags * n), steps - 1)
+        tables = []
+        for b in lay.blocks:
+            if b.piece.outflow:  # a lone piece has no trace edges
+                r = _cached(b.piece, (scheme, steps), _window_responses, scheme, steps)
+                blocks = _lag_blocks(r, n)
+                tables += [(d, blocks) for d in b.members]
+        takes = _flat((ins[d][pad].ravel() for d, _ in tables), int)
+        puts = _flat((outs[d].ravel() for d, _ in tables), int)
+        base = _flat(pieces[d].outflow_stack.read(march(d, None))[1:].ravel() for d, _ in tables)
+        x, y = np.empty(len(takes)), np.empty(len(puts) // steps * lags * n)
+        owned, products, keep, i, o = np.empty(len(puts)), [], [], 0, 0
+        for d, blocks in tables:
+            _, k, m = blocks.shape
+            rows, out = x[i:i + lags * k].reshape(lags, k), y[o:o + lags * m].reshape(lags, m)
+            products.append(partial(np.dot, rows[0], blocks[0], out=out[0]) if lags == 1
+                            else partial(_lag_product, rows, blocks, out))
+            keep.append(np.arange(o, o + steps * m // n))
+            i, o = i + lags * k, o + lags * m
+        keep = slice(None) if lags * n == steps else _flat(keep, int)
 
         def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
-            for dst, base, terms in plan:
-                out = new[dst]
-                out[...] = base
-                for r, src in terms:
-                    out += np.convolve(r, v[src])[:steps]
+            v.take(takes, out=x)
+            for product in products:
+                product()
+            new[puts] = np.add(y[keep], base, out=owned)
             return new
     else:
-        outs = [_nodes(p.outflow, at, steps) for p in pieces]
-
         def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
             for d, p in enumerate(pieces):  # the trajectory goes before the next piece's march
                 new[outs[d]] = p.outflow_stack.read(march(d, v))[1:]
@@ -1092,7 +1168,7 @@ def method2_solve(
     window forms the trace-independent forcing of its own levels, then
     iterates interface-reduced sweeps (`_step_sweep` for one step,
     `_window_sweep` for more): a dense product per geometry group in
-    one-step windows, a causal convolution per edge pair in longer 1d ones
+    one-step windows, one window-matrix product per piece in longer 1d ones
     and the mode-space recursion in longer 2d ones; none assembles forcing
     or runs a DST.  A window hands its successor its last level in
     sine-mode space.

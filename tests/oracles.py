@@ -9,6 +9,10 @@ the oracle of the one-piece method-1 march), the retired field route of
 `method1_advance` (`advance_fields`), the retired sweep loop
 (`sweep_loop`, the oracle of the library's), the retired per-piece
 one-step engine (`step_sweep`, the oracle of the geometry-grouped one),
+the retired 1d window sweep of one causal convolution per (outflow,
+inflow) pair (`convolution_window_sweep`, the oracle of the window-matrix
+products) and the response tables marched over every level
+(`marched_responses`),
 iteration-free and field-marching routes for the Schwarz drivers (whose
 traces enter the forcing at the nodes, `nodal_forcing`), the per-edge
 forms of the edge stacks' spreads and read-outs, and the closed-form
@@ -43,6 +47,7 @@ from letd.matfunc import (
 from letd import schwarz
 from letd.schwarz import (
     _DENOM_FLOOR,
+    _window_sweep,
     IterationLog,
     Level,
     SolverConfig,
@@ -242,6 +247,56 @@ def step_sweep(pieces, start, times, scheme, predict=False):
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
         return Level(lay, u1, latest, f[1])
+
+    return sweep, finish, initial
+
+
+def marched_responses(piece, scheme, steps):
+    """`schwarz._window_responses` as it was built before its levels past
+    the second were one cumulative product: the unit traces of one inflow
+    edge at a time marched over every level of the window."""
+    rows = []
+    for units in schwarz._edge_units(piece, schwarz._UNITS_PER_MARCH):
+        f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
+        piece.inflow_stack.spread(units, f_hat[1])
+        u_hat = schwarz._march_modes(piece.ws, scheme, 0.0, f_hat)[1:]
+        rows.append(piece.outflow_stack.read(u_hat.reshape((-1,) + piece.u0.shape))
+                    .reshape(steps, len(units), -1))
+    return np.concatenate(rows, axis=1)
+
+
+def convolution_window_sweep(pieces, start, times, scheme):
+    """`schwarz._window_sweep` of a 1d window as it ran before its sweep
+    was a window-matrix product: per owned trace its base read-out of one
+    march against no traces, plus one causal `np.convolve` of each incoming
+    history with the response of the (outflow, inflow) pair, marched
+    (`marched_responses`).  Same arguments and results; `finish`
+    and the initial traces are the library's (`_window_sweep`, bound when
+    this module is imported, so that a test may put this oracle in the
+    library's place)."""
+    _, finish, initial = _window_sweep(pieces, start, times, scheme)
+    steps = len(times) - 1
+    lay, _, u, f0, forcing = schwarz._window_start(pieces, start, times)
+    assert all(e.size == 1 for p in pieces for e in p.inflow), "a 1d window"
+    at = lay.traces * steps
+    span = lambda i: slice(at[i], at[i + 1])
+    plan = []
+    for p, u_p, f0_p, f_p in zip(pieces, *map(lay.views, (u, f0, forcing))):
+        if p.outflow:  # a lone piece has no trace edges
+            march = schwarz._march_modes(p.ws, scheme, u_p, np.concatenate([f0_p[None], f_p]))
+            base = p.outflow_stack.read(march)[1:]
+            r = marched_responses(p, scheme, steps)
+            srcs = [span(e.interface) for e in p.inflow]
+            plan += [(span(o.interface), b, tuple(zip(rows, srcs))) for o, b, rows
+                     in zip(p.outflow, base.T, np.ascontiguousarray(r.transpose(2, 1, 0)))]
+
+    def sweep(v, new):
+        for dst, base, terms in plan:
+            out = new[dst]
+            out[...] = base
+            for r, src in terms:
+                out += np.convolve(r, v[src])[:steps]
+        return new
 
     return sweep, finish, initial
 

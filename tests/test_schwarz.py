@@ -32,6 +32,7 @@ from letd.schwarz import (
 from letd.steppers import TimeGrid
 from oracles import (
     advance_fields,
+    convolution_window_sweep,
     dense_laplacian,
     direct_step,
     direct_window_traces,
@@ -44,6 +45,7 @@ from oracles import (
     flat_traces,
     forcing_modes,
     history_sweep,
+    marched_responses,
     normalized_curve,
     one_piece_march,
     overlap_fractions,
@@ -57,6 +59,15 @@ from oracles import (
 )
 
 PI2 = math.pi ** 2
+
+# The 1d window-matrix sweep against the convolution sweep, relative to the
+# largest owned trace: at most 2.2e-16 over 150 random layouts (P 2-5,
+# 2-296 levels, both schemes), and 1.1e-16 on 2,000 and 4,000 levels
+WINDOW_MATRIX_RTOL = 2e-15
+# tracemalloc peak of the set-up and one sweep of a 2,000-level window at
+# P = 3 (`test_a_long_1d_window_holds_lag_blocks_not_a_dense_matrix`):
+# 13.3 MB (ETD1) and 13.5 MB (ETD2) measured, 26.9 MB at 4,000 levels
+LONG_WINDOW_PEAK = 24 * 2**20
 
 
 def zero_problem(horizon=1.0):
@@ -884,12 +895,20 @@ def test_reduced_waveform_sweeps_match_the_field_route(monkeypatch, setup, args,
         assert np.abs(a - b).max() <= 1e-12 * u_max, np.abs(a - b).max() / u_max
 
 
-@pytest.mark.parametrize("setup,args", [(_oracle_1d, (4,)), (_oracle_2d, (2, 2, 2, "half"))],
-                         ids=["1d-P4", "2d-2x2"])
+def _long_1d(p):
+    """`_oracle_1d` over a window of more than two lag blocks of levels."""
+    prob, lay, grid, _ = _oracle_1d(p)
+    return prob, lay, grid, TimeGrid(prob.horizon, 2 * schwarz._LAG_LEVELS + 5)
+
+
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (4,)), (_long_1d, (3,)),
+                                        (_oracle_2d, (2, 2, 2, "half"))],
+                         ids=["1d-P4", "1d-P3-long", "2d-2x2"])
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 def test_waveform_sweep_is_causal(setup, args, scheme):
     # a change of one incoming history from level j on leaves every owned
-    # trace below level j bitwise unchanged
+    # trace below level j bitwise unchanged; a long 1d window also from the
+    # first level past a lag block of levels
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     interfaces = lay.interfaces
@@ -899,7 +918,7 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
                           pinned, tg.steps)
     guess = random_trace_guess(interfaces, seed=4, steps=tg.steps)
     before = sweep(guess)
-    for j in (1, tg.steps // 2, tg.steps):
+    for j in sorted({1, tg.steps // 2, tg.steps, min(tg.steps, schwarz._LAG_LEVELS + 1)}):
         for i in range(len(interfaces)):
             changed = [g.copy() for g in guess]
             changed[i][j:] += 1.0 + np.arange(tg.steps + 1 - j)[:, None]
@@ -907,6 +926,106 @@ def test_waveform_sweep_is_causal(setup, args, scheme):
             for a, b in zip(before, after):
                 assert np.array_equal(a[:j], b[:j]), (j, i)
             assert any(not np.array_equal(a[j:], b[j:]) for a, b in zip(before, after))
+
+
+def _dense_window_matrix(blocks):
+    """The product of a 1d window's lag blocks (`schwarz._lag_blocks`) as
+    one dense matrix over every level block, x @ M: level block (b, a) is
+    blocks[a - b] for a >= b, else 0."""
+    lags, k, m = blocks.shape
+    full = np.zeros((lags * k, lags * m))
+    for b in range(lags):
+        for a in range(b, lags):
+            full[b * k:(b + 1) * k, a * m:(a + 1) * m] = blocks[a - b]
+    return full
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(p=st.integers(2, 5), n=st.sampled_from([31, 47, 63]), overlap=st.integers(1, 3),
+       steps=st.integers(2, 2 * schwarz._LAG_LEVELS + 40), scheme=st.sampled_from(["etd1", "etd2"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=4, n=63, overlap=2, steps=schwarz._LAG_LEVELS, scheme="etd2", seed=0)
+@example(p=3, n=47, overlap=1, steps=schwarz._LAG_LEVELS + 1, scheme="etd1", seed=1)
+def test_window_matrix_sweeps_match_the_convolution_oracle(p, n, overlap, steps, scheme, seed):
+    # a random 1d layout: the window-matrix sweep is the convolution sweep
+    # within round-off, and each piece's product, assembled densely from its
+    # lag blocks, is the block Toeplitz matrix of its response table: 0
+    # above the level diagonal, the one-step gains on it, bit for bit
+    prob = analytic_problem()
+    grid = make_grid_1d(n, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, p, overlap)
+    tg = TimeGrid(prob.horizon, steps)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    start = Level.of(pieces, [q.u0 for q in pieces], 0.0)
+    v = flat_traces(random_trace_guess(lay.interfaces, seed=seed, steps=steps))
+    got = schwarz._window_sweep(pieces, start, tg.times(), scheme)[0](v, np.empty(len(v)))
+    want = convolution_window_sweep(pieces, start, tg.times(), scheme)[0](v, np.empty(len(v)))
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= WINDOW_MATRIX_RTOL * scale, np.abs(got - want).max() / scale
+
+    lags = -(-steps // schwarz._LAG_LEVELS)
+    levels = -(-steps // lags)
+    for q in pieces:
+        r = q.maps[(scheme, steps)]  # the table the sweep built its blocks from
+        _, n_in, n_out = r.shape
+        m = _dense_window_matrix(schwarz._lag_blocks(r, levels))
+        m = m.reshape(lags * levels, n_in, lags * levels, n_out)[:steps, :, :steps]
+        gains = schwarz._step_gains(q, scheme)
+        for s in range(steps):
+            assert not m[s + 1:, :, s].any()  # no input level above its output level
+            assert np.array_equal(m[s, :, s], gains)
+            assert np.array_equal(m[:s + 1, :, s], r[s::-1])
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_a_long_1d_window_holds_lag_blocks_not_a_dense_matrix(scheme):
+    # a whole-horizon window of 2,000 levels at P = 3 over 4 traces: one
+    # dense window matrix would be (2,000 * 4)^2 * 8 B = 512 MB, the middle
+    # piece's (two inflow and two outflow nodes) 128 MB; its lag blocks are
+    # 16 of 250 x 250 (8 MB), and no benchmark workload runs them
+    prob = analytic_problem()
+    grid = make_grid_1d(31, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, 3, 2)
+    tg = TimeGrid(prob.horizon, 2000)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    start = Level.of(pieces, [q.u0 for q in pieces], 0.0)
+    v = flat_traces(random_trace_guess(lay.interfaces, seed=3, steps=tg.steps))
+    tracemalloc.start()
+    try:
+        sweep = schwarz._window_sweep(pieces, start, tg.times(), scheme)[0]
+        got = sweep(v, np.empty(len(v)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LONG_WINDOW_PEAK, peak
+    want = convolution_window_sweep(pieces, start, tg.times(), scheme)[0](v, np.empty(len(v)))
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= WINDOW_MATRIX_RTOL * scale, np.abs(got - want).max() / scale
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("steps", [12, 2 * schwarz._LAG_LEVELS + 5])
+def test_a_late_nan_in_an_incoming_history_raises_as_the_convolution_sweep_does(
+        monkeypatch, mode, steps):
+    # a NaN at the last level of one incoming history reaches every level of
+    # the product (0 * NaN), where the convolution kept the earlier levels
+    # finite; the loop names the same sweep and interface on either sweep
+    prob, lay, grid, _ = _oracle_1d(3)
+    tg = TimeGrid(prob.horizon, steps)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd2", max_iterations=20,
+                       fixed_iterations=20 if mode == "fixed" else None)
+    library = schwarz._window_sweep
+    for i in range(len(lay.interfaces)):
+        guess = random_trace_guess(lay.interfaces, seed=i, steps=tg.steps)
+        guess[i][-1] = np.nan
+        errors = []
+        for make in (library, convolution_window_sweep):
+            monkeypatch.setattr(schwarz, "_window_sweep", make)
+            with pytest.raises(FloatingPointError, match="window from t=0: sweep 1, ") as exc:
+                method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1], (i, errors)
 
 
 @pytest.mark.parametrize("window", [None, 4])
@@ -1593,6 +1712,26 @@ def test_step_gains_are_the_one_step_window_responses(setup, args, scheme):
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args", [(_oracle_1d, (4,)), (_oracle_2d, (3, 2, 2, "half"))],
+                         ids=["1d-P4", "2d-3x2-half"])
+def test_window_responses_are_the_tables_marched_over_every_level(setup, args, scheme):
+    # past level 2 the table is a cumulative product by E, with the march's
+    # bits; its level 1, read out alone, has the bits of the one-step gains
+    # in 1d (the marched table's one read-out of every level may round them
+    # differently), and the marched table's in 2d
+    prob, lay, grid, tg = setup(*args)
+    for piece in build_local_pieces(prob, grid, lay, tg.dt):
+        for steps in (1, 2, 3, 12):
+            got = schwarz._window_responses(piece, scheme, steps)
+            want = marched_responses(piece, scheme, steps)
+            assert got.shape == want.shape and np.array_equal(got[1:], want[1:]), steps
+            if setup is _oracle_1d:
+                assert np.array_equal(got[0], schwarz._step_gains(piece, scheme)), steps
+            else:
+                assert np.array_equal(got[0], want[0]), steps
 
 
 def _per_piece_march(pieces, interfaces, tg, cfg):
