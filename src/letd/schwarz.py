@@ -97,10 +97,13 @@ the initial guess on that interface, must drop below the tolerance.
 A vanishing initial guess (at most `_DENOM_FLOOR`) flips the criterion
 to absolute updates on that interface.  The loop folds this into a scale
 per interface, built once per solve (the guess magnitude, or 1), so
-each sweep tests one divide and one max.  A non-finite update stops
-either driver with an error, also under a fixed sweep budget; the max
-of each sweep's updates detects it, and only then are the interfaces
-searched for the one to name.
+the test is one divide and one max, run as each sweep finishes.  A fixed
+sweep budget has no stop test: its sweeps run in blocks of as many as
+fit `_BLOCK_VALUES` held values, and a block's update and error rows are
+each one reduction over the block.  A non-finite update stops either
+driver with an error, also under a fixed budget; the max of the updates
+(of a sweep, or of a block) detects it, and only then are the rows
+searched for the sweep and interface to name.
 """
 
 from __future__ import annotations
@@ -164,6 +167,12 @@ _LAG_LEVELS = 128
 # Log rows a tolerance-mode solve allocates at first; they double as they
 # fill, up to the sweep budget.
 _LOG_ROWS = 32
+
+# Trace values a solve holds per block of sweeps (`_sweep_loop`): as many
+# sweeps as fit, at least one.  A 1d rate study's whole budget is one block,
+# and a C06 level's 4 sweeps of 1,812 values; the C06 whole-horizon 2d
+# window (232,000 values a sweep) holds one sweep.
+_BLOCK_VALUES = 2**16
 
 TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
 
@@ -597,63 +606,110 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
     """Iterate now <- sweep(now, new) from the initial traces `now`: levels
     >= 1 of every interface's trace (level 0 is pinned data) in one
     vector, interface i at at[i]:at[i + 1], as is `reference`.  A sweep
-    writes its traces into `new`; `now` and one more vector take the
-    iterates in turn, and a third each difference.  The loop logs the
-    per-interface updates (and distances from `reference`), max norms
-    over each interface's slice, reduced straight into log rows that are
-    allocated up front: the whole budget when it is fixed, else
-    `_LOG_ROWS` rows that double as they fill, up to the budget.
-    The guess norms become a scale vector once per solve (the norm where it
-    exceeds `_DENOM_FLOOR`, else 1), so a sweep's stop test is one divide
-    and one max: the relative-update rule stops the loop when that max is
-    below the tolerance, unless the budget is fixed.  The max (of the
-    updates alone under a fixed budget) is also the finiteness test: when
-    it is not finite the interfaces are searched and a non-finite update
-    raises.  A lone piece sweeps once, its solution, and logs no Schwarz
-    sweep.  Returns the log and the last sweep's input and output.
+    writes its traces into `new`.  The loop logs the per-interface updates
+    (and distances from `reference`), max norms over each interface's
+    slice, reduced straight into log rows that are allocated up front: the
+    whole budget when it is fixed, else `_LOG_ROWS` rows that double as
+    they fill, up to the budget.
+
+    The sweeps run in blocks, as many as fit `_BLOCK_VALUES` held values
+    (at least one; under a tolerance at most `_LOG_ROWS`): the block's
+    input and each sweep's output are the rows of one array.  Under a
+    fixed budget a block's sweeps run back to back, and its update rows,
+    its error rows and its finiteness test are each one reduction over the
+    block.  Under a tolerance each sweep's rows and stop test run as that
+    sweep finishes, so no sweep runs past the stop.  The guess norms
+    become a scale vector once per solve (the norm where it exceeds
+    `_DENOM_FLOOR`, else 1), so the stop test is one divide and one max:
+    the relative-update rule stops the loop when that max is below the
+    tolerance.  The max (of the updates alone under a fixed budget) is
+    also the finiteness test: when it is not finite the rows are searched,
+    and the first non-finite update raises, naming its sweep and
+    interface.  Inside a fixed-budget block every floating-point event
+    that numpy would report to the caller (`np.geterr`) raises instead; at
+    one, the block goes on sweep by sweep from the sweep that met it,
+    which runs again, so that warnings and errors come as from a loop that
+    logs each sweep as it finishes.  A sweep must therefore depend on its
+    input alone.  A lone piece sweeps once, its solution, and logs no
+    Schwarz sweep.  Returns the log and the last sweep's input and output.
     """
     if len(at) == 1:
         log = IterationLog(updates=np.zeros((0, 0)), errors=None, converged=True, iterations=0)
         return log, now, sweep(now, np.empty(0))
     starts, budget, tol = at[:-1], config.budget, config.tolerance
     fixed = config.fixed_iterations is not None
-    new, spare = np.empty(len(now)), np.empty(len(now))
-
-    def dist(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        """max |a - b| over each interface's slice, into out."""
-        np.maximum.reduceat(np.abs(np.subtract(a, b, out=spare), out=spare), starts, out=out)
-
     upd = np.empty((budget if fixed else min(budget, _LOG_ROWS), len(starts)))
     err = None if reference is None else np.empty((len(upd) + 1, len(starts)))
+    size = max(1, min(len(upd), _BLOCK_VALUES // len(now)))
+    # a block's input, then each of its sweeps' outputs; each difference
+    iterates, spare = np.empty((size + 1, len(now))), np.empty((size, len(now)))
+    iterates[0] = now
+
+    def dist(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """max |a - b| over each interface's slice of a trace vector, or of
+        each row of a block of them, into out."""
+        d = spare[:len(a)] if a.ndim > 1 else spare[0]
+        np.maximum.reduceat(np.abs(np.subtract(a, b, out=d), out=d), starts, axis=-1, out=out)
+
     if err is not None:
-        dist(now, reference, err[0])
+        dist(iterates[:1], reference, err[:1])
     if not fixed:
         guess = np.maximum.reduceat(np.abs(now), starts)
         scale = np.where(guess > _DENOM_FLOOR, guess, 1.0)  # u / 1.0 == u: absolute updates
         rel = np.empty(len(starts))
-    k, converged, last = 0, fixed, now
-    while k < budget:
-        if k == len(upd):
-            more = np.empty((min(budget, 2 * k) - k, len(starts)))
+    # every floating-point event the caller would see, raised inside a block
+    guard = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+
+    def check(rows: np.ndarray, first: int) -> float:
+        """The stop test's max over the log rows of sweep first + 1 or of the
+        sweeps from it on (of the updates alone under a fixed budget), which
+        raises at the first non-finite update."""
+        top = np.maximum.reduce(rows if fixed else np.divide(rows, scale, out=rel), axis=None)
+        if not math.isfinite(top):
+            bad = np.argwhere(~np.isfinite(np.atleast_2d(rows)))
+            if len(bad):
+                raise FloatingPointError(f"non-finite interface update {where}: "
+                                         f"sweep {first + bad[0, 0] + 1}, interface {bad[0, 1]}")
+        return top
+
+    k, b, stopped = 0, 0, False
+    while k < budget and not stopped:
+        iterates[0] = iterates[b]
+        b = min(size, budget - k)
+        if k + b > len(upd):
+            more = np.empty((min(budget, 2 * len(upd)) - len(upd), len(starts)))
             upd = np.concatenate((upd, more))
             err = None if err is None else np.concatenate((err, more))
-        sweep(now, new)
-        k += 1
-        if err is not None:
-            dist(new, reference, err[k])
-        row = upd[k - 1]
-        dist(new, now, row)
-        top = np.maximum.reduce(row if fixed else np.divide(row, scale, out=rel))
-        if not math.isfinite(top):
-            bad = np.flatnonzero(~np.isfinite(row))
-            if bad.size:
-                raise FloatingPointError(
-                    f"non-finite interface update {where}: sweep {k}, interface {bad[0]}")
-        last, now, new = now, new, now
-        if not fixed and top < tol:
-            converged = True
-            break
-    return IterationLog(upd[:k], None if err is None else err[:k + 1], converged, k), last, now
+        ran = logged = 0
+        if fixed and b > 1:
+            try:
+                with np.errstate(**guard):
+                    while ran < b:
+                        sweep(iterates[ran], iterates[ran + 1])
+                        ran += 1
+                    new = iterates[1:b + 1]
+                    if err is not None:
+                        dist(new, reference, err[k + 1:k + b + 1])
+                    dist(new, iterates[:b], upd[k:k + b])
+            except FloatingPointError:
+                pass  # sweep by sweep from the sweep that met the event
+            else:
+                logged = b
+                check(upd[k:k + b], k)
+        # sweep by sweep: under a tolerance, or from a sweep that met an event on
+        for i in range(logged, b):
+            old, new, row = iterates[i], iterates[i + 1], upd[k + i]
+            if i >= ran:  # a sweep that met an event runs again
+                sweep(old, new)
+            if err is not None:
+                dist(new, reference, err[k + i + 1])
+            dist(new, old, row)
+            if check(row, k + i) < tol and not fixed:
+                b, stopped = i + 1, True
+                break
+        k += b
+    return (IterationLog(upd[:k], None if err is None else err[:k + 1], fixed or stopped, k),
+            iterates[b - 1], iterates[b])
 
 
 def _flat(rows, dtype=float) -> np.ndarray:
@@ -997,7 +1053,7 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     at[i]:at[i + 1], at = steps times the layout's trace offsets).  Returns
     `sweep(now, new)`, which writes the owned traces of every piece against
     the incoming ones `now` into `new` and returns it; `finish(out, last,
-    latest)`, which marches each piece again against the last sweep's input
+    latest)`, which marches each piece against the last sweep's input
     `last`, writes the trailing len(out[d]) - 1 levels of its mode-space
     trajectory into out[d][1:] if `out` is given, and returns the level at
     times[-1] in mode space, pinned to the last level of the last sweep's
@@ -1009,7 +1065,10 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     response table R of `_window_responses`, one dense block while steps
     <= `_LAG_LEVELS` (`_lag_product` over blocks of levels above), and
     writes base + product into `new`; the blocks are built per window from
-    the table held on the piece.  A non-finite incoming trace reaches every
+    the table held on the piece.  A window at rest (state modes, f0 and
+    forcing modes all zero, as in every error-equation solve from t = 0)
+    marches no piece for its base: a march of zeros reads out +0.0, so its
+    base is zeros.  A non-finite incoming trace reaches every
     level of its piece's product (0 times NaN), not only the later ones.  A
     2d window marches each piece in mode space in every sweep.
     """
@@ -1045,7 +1104,11 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
                 tables += [(d, blocks) for d in b.members]
         takes = _flat((ins[d][pad].ravel() for d, _ in tables), int)
         puts = _flat((outs[d].ravel() for d, _ in tables), int)
-        base = _flat(pieces[d].outflow_stack.read(march(d, None))[1:].ravel() for d, _ in tables)
+        if any(v.any() for v in modes):
+            base = _flat(pieces[d].outflow_stack.read(march(d, None))[1:].ravel()
+                         for d, _ in tables)
+        else:  # at rest: a march of zeros reads out +0.0
+            base = np.zeros(len(puts))
         x, y = np.empty(len(takes)), np.empty(len(puts) // steps * lags * n)
         owned, products, keep, i, o = np.empty(len(puts)), [], [], 0, 0
         for d, blocks in tables:
@@ -1097,6 +1160,8 @@ def _solve_window(
     reference: Optional[TraceSet],
     where: str,
     predict: bool = False,
+    levels: Optional[int] = None,
+    first: int = 1,
 ) -> tuple[IterationLog, Level]:
     """Solve one window from the level `start` at times[0]: the trailing
     len(window[d]) - 1 levels of piece d's solution go, in sine-mode
@@ -1104,12 +1169,14 @@ def _solve_window(
     and the level at times[-1].  A one-step window runs on `_step_sweep`,
     with the predictor's initial traces if `predict`, a longer one on
     `_window_sweep`, from their default traces unless a guess is given.
-    A guess and a reference hold levels 1..steps of each interface's
-    trace, placed by the layout of `start`.  Every window of either
-    driver passes here, so here the inputs are checked: `start` must be
-    laid out for the pieces' shapes, `interfaces` have their trace sizes,
-    the times their step, and a guess or a reference one entry per
-    interface; else a `ValueError` names the window (`where`)."""
+    A guess and a reference hold one entry per interface: with `levels`
+    given, that many levels of the run's trace (levels, size), of which
+    the window reads levels first..first + steps - 1, else the window's
+    one level (size,).  Every window of either driver passes here, so here
+    the inputs are checked: `start` must be laid out for the pieces'
+    shapes, `interfaces` have their trace sizes, the times their step, and
+    a guess or a reference one entry of that shape per interface; else a
+    `ValueError` names the window (`where`)."""
     steps, lay = len(times) - 1, start.layout
     shapes = tuple(p.u0.shape for p in pieces)
     if lay.shapes != shapes:
@@ -1122,18 +1189,25 @@ def _solve_window(
     dt = (times[-1] - times[0]) / steps
     if not all(math.isclose(dt, p.ws.dt, rel_tol=1e-9) for p in pieces):
         raise ValueError(f"the step {dt:g} {where} is not the pieces' step {pieces[0].ws.dt:g}")
+    flat = {}  # the window's levels of the guess and the reference, in one vector each
     for name, rows in (("guess", guess), ("reference", reference)):
-        if rows is not None and len(rows) != len(sizes):
+        if rows is None:
+            continue
+        if len(rows) != len(sizes):
             raise ValueError(f"the {name} {where} has {len(rows)} interface entries, "
                              f"the pieces {len(sizes)} interfaces")
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        for i, (r, size) in enumerate(zip(rows, sizes)):
+            shape = (size,) if levels is None else (levels, size)
+            if r.shape != shape:
+                raise ValueError(f"the {name} {where} has an entry of shape {r.shape} for "
+                                 f"interface {i}, the run takes {shape}")
+        flat[name] = _flat(r.ravel() if levels is None else r[first:first + steps].ravel()
+                           for r in rows)
     sweep, finish, now = (_step_sweep(pieces, start, times, config.scheme, predict)
                           if steps == 1 else _window_sweep(pieces, start, times, config.scheme))
-    flat = lambda rows: _flat(np.asarray(r, dtype=float).reshape(steps * size)
-                              for r, size in zip(rows, sizes))
-    if guess is not None:
-        now = flat(guess)
-    log, last, latest = _sweep_loop(sweep, now, lay.traces * steps, config,
-                                    None if reference is None else flat(reference), where)
+    log, last, latest = _sweep_loop(sweep, flat.get("guess", now), lay.traces * steps, config,
+                                    flat.get("reference"), where)
     return log, finish(window, last, latest)
 
 
@@ -1183,11 +1257,10 @@ def method2_solve(
     levels s + 1..s + n.
     """
     def solve(level: Level, s: int, n: int, window) -> tuple[IterationLog, Level]:
-        part = lambda rows: None if rows is None else [np.asarray(r)[s + 1:s + n + 1] for r in rows]
         return _solve_window(pieces, interfaces, level, window,
                              [timegrid.t(s + m) for m in range(n + 1)], config,
-                             part(init_guess), part(reference),
-                             where=f"in the window from t={timegrid.t(s):g}")
+                             init_guess, reference, where=f"in the window from t={timegrid.t(s):g}",
+                             levels=timegrid.steps + 1, first=s + 1)
 
     trajs, logs = _march(pieces, timegrid, config.window_steps or timegrid.steps, final_only,
                          solve, start)

@@ -86,3 +86,31 @@ def test_tracer_sees_no_sweep_in_a_monodomain_run(monkeypatch):
     assert len(calls) == 10 + 20 + 10  # one call per level
     assert all(len(args[0]) == 1 for args, _ in calls)
     assert sum(out[1].iterations for _, out in calls) == 0
+
+
+@pytest.mark.parametrize("solver", ["method1", "method2"])
+def test_tracer_sees_one_driver_call_per_rate_study_seed(monkeypatch, solver):
+    # perfbench/tracer.py adds each driver call's log.iterations to
+    # schwarz.sweeps (and, times the levels, to schwarz.levels): a rate study
+    # makes one method1_advance or method2_solve call per seed, and its log
+    # holds exactly the sweep budget, one sweep per row.  A study that ran
+    # its seeds in one call, or split a seed over more, would move the gated
+    # counts
+    from letd import schwarz
+
+    name = "method1_advance" if solver == "method1" else "method2_solve"
+    driver, logs = getattr(schwarz, name), []
+
+    def counted(*args, **kwargs):
+        out = driver(*args, **kwargs)
+        logs.append(out[1])
+        return out
+
+    for module in (schwarz, harness):  # wherever callers look it up, as the tracer patches
+        monkeypatch.setattr(module, name, counted)
+    harness.run_experiment(harness.ExperimentConfig(
+        problem="error_equation", solver=solver, scheme="etd2", n=63, dts=(0.05,),
+        horizon=0.5, px=2, overlaps=(1, 2, 4), seeds=3, fixed_iterations=9))
+    assert len(logs) == 3 * 3  # overlaps x seeds
+    assert all(log.iterations == 9 and log.updates.shape == (9, 2) and log.converged
+               for log in logs)

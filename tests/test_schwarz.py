@@ -1,7 +1,9 @@
 """Iterative drivers: per-step interface iteration and waveform relaxation."""
 import dataclasses
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +70,10 @@ WINDOW_MATRIX_RTOL = 2e-15
 # P = 3 (`test_a_long_1d_window_holds_lag_blocks_not_a_dense_matrix`):
 # 13.3 MB (ETD1) and 13.5 MB (ETD2) measured, 26.9 MB at 4,000 levels
 LONG_WINDOW_PEAK = 24 * 2**20
+# tracemalloc peak of a 16-sweep fixed-budget loop over 2**17 trace values
+# (`test_a_wide_fixed_budget_loop_holds_one_sweep_per_block`): 3.0 MB
+# measured, three rows of 1 MB
+WIDE_LOOP_PEAK = 4 * 2**20
 
 
 def zero_problem(horizon=1.0):
@@ -173,21 +179,46 @@ GUESS_SCALES = {"zero": 0.0, "sub-floor": 1e-15, "floor": schwarz._DENOM_FLOOR,
        budget=st.integers(1, 200), tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
        with_reference=st.booleans(),
        guess=st.lists(st.sampled_from(["draw", *GUESS_SCALES]), min_size=5, max_size=5),
-       inject=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e300]),
-       at_sweep=st.integers(1, 80), node=st.integers(0, 14))
+       inject=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e300, 1.5e308]),
+       at_sweep=st.integers(1, 80), node=st.integers(0, 14),
+       block=st.sampled_from([schwarz._BLOCK_VALUES, 1, 7, 20, 45]), quiet=st.booleans())
 @example(seed=1, sizes=[1, 1], rho=0.97, fixed=False, budget=200, tol=1e-10,
-         with_reference=True, guess=["draw"] * 5, inject=None, at_sweep=1, node=0)
+         with_reference=True, guess=["draw"] * 5, inject=None, at_sweep=1, node=0,
+         block=schwarz._BLOCK_VALUES, quiet=True)
 @example(seed=2, sizes=[2, 3, 1], rho=0.9, fixed=True, budget=150, tol=1e-6,
          with_reference=True, guess=["zero", "sub-floor", "draw", "draw", "draw"],
-         inject=np.nan, at_sweep=70, node=4)
+         inject=np.nan, at_sweep=70, node=4, block=schwarz._BLOCK_VALUES, quiet=True)
 @example(seed=3, sizes=[1, 2], rho=0.9, fixed=False, budget=200, tol=1e-6,
          with_reference=False, guess=["above-floor", "zero", "draw", "draw", "draw"],
-         inject=1e300, at_sweep=2, node=0)
+         inject=1e300, at_sweep=2, node=0, block=schwarz._BLOCK_VALUES, quiet=True)
+# injections in the middle of a later block: of the fourth block of 7 sweeps
+# of 6 values, whose next sweep meets an invalid value (+-inf) or an
+# overflow, which both loops raise from it (1.5e308), and of the fifth of 10
+# sweeps of 2 values, which a NaN reaches the end of quietly
+@example(seed=4, sizes=[2, 3, 1], rho=0.9, fixed=True, budget=60, tol=1e-6,
+         with_reference=True, guess=["draw"] * 5, inject=np.inf, at_sweep=24, node=1,
+         block=45, quiet=False)
+@example(seed=5, sizes=[2, 3, 1], rho=0.9, fixed=True, budget=60, tol=1e-6,
+         with_reference=False, guess=["draw"] * 5, inject=-np.inf, at_sweep=24, node=3,
+         block=45, quiet=False)
+@example(seed=6, sizes=[2, 3, 1], rho=1.1, fixed=True, budget=60, tol=1e-6,
+         with_reference=True, guess=["draw"] * 5, inject=1.5e308, at_sweep=24, node=0,
+         block=45, quiet=False)
+@example(seed=7, sizes=[1, 1], rho=0.5, fixed=True, budget=100, tol=1e-6,
+         with_reference=True, guess=["draw"] * 5, inject=np.nan, at_sweep=44, node=1,
+         block=20, quiet=False)
 def test_sweep_loop_keeps_the_bits_of_the_retired_loop(seed, sizes, rho, fixed, budget, tol,
                                                         with_reference, guess, inject, at_sweep,
-                                                        node):
+                                                        node, block, quiet):
     # random affine sweeps: the same logs, counts, traces and error as the
-    # loop that appended its rows and rebuilt the stop rule every sweep
+    # loop that appended its rows and rebuilt the stop rule every sweep, with
+    # fixed budgets in blocks of `block` // width sweeps.  Quiet runs ignore
+    # overflow and invalid values; the others meet them as the suite's
+    # error::RuntimeWarning filter raises them, and the first must come from
+    # the sweep, or the log row, that the retired loop met it in.  Its stop
+    # rule divided by guess norms below the floor, so under a tolerance the
+    # runs are quiet
+    quiet = quiet or not fixed
     rng = np.random.default_rng(seed)
     at = np.cumsum([0] + sizes)
     width = int(at[-1])
@@ -199,13 +230,14 @@ def test_sweep_loop_keeps_the_bits_of_the_retired_loop(seed, sizes, rho, fixed, 
     cfg = SolverConfig(tolerance=tol, max_iterations=budget,
                        fixed_iterations=budget if fixed else None)
     runs = []
-    for loop in (sweep_loop, schwarz._sweep_loop):
-        sweep = affine_sweep(np.random.default_rng(seed), width, rho, inject, at_sweep, node)
-        try:  # injected and diverging values overflow by design
-            with np.errstate(over="ignore", invalid="ignore"):
-                runs.append(loop(sweep, now.copy(), at, cfg, reference, "in the test"))
-        except FloatingPointError as exc:
-            runs.append(str(exc))
+    with mock.patch.object(schwarz, "_BLOCK_VALUES", block):
+        for loop in (sweep_loop, schwarz._sweep_loop):
+            sweep = affine_sweep(np.random.default_rng(seed), width, rho, inject, at_sweep, node)
+            try:
+                with np.errstate(**(dict(over="ignore", invalid="ignore") if quiet else {})):
+                    runs.append(loop(sweep, now.copy(), at, cfg, reference, "in the test"))
+            except (FloatingPointError, RuntimeWarning) as exc:
+                runs.append(f"{type(exc).__name__}: {exc}")
     want, got = runs
     assert isinstance(got, str) == isinstance(want, str), runs
     if isinstance(want, str):
@@ -235,6 +267,75 @@ def test_a_converging_tolerance_run_does_not_allocate_its_budget():
     assert log.updates.shape == (log.iterations, 2)
     assert log.errors.shape == (log.iterations + 1, 2)
     assert peak < 64 * 1024, peak
+
+
+def test_a_wide_fixed_budget_loop_holds_one_sweep_per_block():
+    # 2**17 trace values, past `_BLOCK_VALUES`: each block is one sweep, so
+    # the loop holds its input, its output and their difference, not the
+    # budget's iterates (16 MB more if it held them)
+    width = 2**17
+    at = np.array([0, width // 2, width])
+    sweep = lambda now, new: np.multiply(now, 0.5, out=new)
+    cfg = SolverConfig(fixed_iterations=16)
+    now, reference = np.ones(width), np.zeros(width)
+    tracemalloc.start()
+    try:
+        log, _, latest = schwarz._sweep_loop(sweep, now, at, cfg, reference, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.iterations == 16 and np.all(latest == 0.5**16)
+    assert np.array_equal(log.errors[:, 0], 0.5 ** np.arange(17))
+    assert peak < WIDE_LOOP_PEAK, peak
+
+
+def _injecting(make, window, at_sweep, value):
+    """`make` (`schwarz._step_sweep` or `_window_sweep`) whose sweep, in the
+    `window`-th window made, writes `value` into its output at its
+    `at_sweep`-th call, with alternating signs, so that a piece that reads
+    two of them meets an invalid value.  A call that raises counts for
+    nothing, so a sweep the loop runs again is the same sweep."""
+    made = [0]
+
+    def wrapped(*args):
+        sweep, finish, initial = make(*args)
+        made[0] += 1
+        calls, mine = [0], made[0] == window
+
+        def injecting(now, new):
+            sweep(now, new)
+            calls[0] += 1
+            if mine and calls[0] == at_sweep:
+                new[::2], new[1::2] = value, -value
+            return new
+
+        return injecting, finish, initial
+
+    return wrapped
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("driver", ["method1", "method2"])
+def test_a_value_injected_mid_block_raises_as_the_retired_loop_does(monkeypatch, driver, value):
+    # a fixed budget of 20 sweeps is one block; the sweep after the infs
+    # meets an invalid value, which the suite's error::RuntimeWarning filter
+    # would raise before the block's logs named them.  Both loops name sweep 7
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd2", fixed_iterations=20)
+    name, window = ("_step_sweep", 3) if driver == "method1" else ("_window_sweep", 1)
+    make, errors = getattr(schwarz, name), []
+    for loop in (schwarz._sweep_loop, sweep_loop):
+        monkeypatch.setattr(schwarz, "_sweep_loop", loop)
+        monkeypatch.setattr(schwarz, name, _injecting(make, window, 7, value))
+        with pytest.raises(FloatingPointError, match=r"(at t=0\.0625|in the window from t=0): "
+                                                     r"sweep 7, interface 0$") as exc:
+            if driver == "method1":
+                method1_march(pieces, lay.interfaces, tg, cfg)
+            else:
+                method2_solve(pieces, lay.interfaces, tg, cfg)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
@@ -689,6 +790,29 @@ def test_drivers_refuse_a_guess_or_reference_of_other_interfaces(driver, name, e
                     **{name: rows})
 
 
+@pytest.mark.parametrize("entry", ["long", "short", "wrong-size"])
+@pytest.mark.parametrize("name", ["init_guess", "reference"])
+@pytest.mark.parametrize("driver", ["method2", "advance"])
+def test_drivers_refuse_a_misshapen_guess_or_reference_entry(driver, name, entry):
+    # a method-2 entry of a level too many was cut to the run's levels, and
+    # one too short, or one of another trace size, failed in numpy's reshape
+    # without naming the window; so did a method-1 entry of any other shape
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    rows = random_trace_guess(lay.interfaces, seed=0,
+                              steps=tg.steps if driver == "method2" else None)
+    want = rows[1].shape  # (13, 1) for method 2, (1,) for one level
+    levels = want[0] if driver == "method2" else 1
+    bad = {"long": (levels + 1, 1), "short": (levels - 1, 1), "wrong-size": want[:-1] + (2,)}[entry]
+    rows[1] = np.ones(bad)
+    label = name.removeprefix("init_")
+    with pytest.raises(ValueError, match=fr"the {label} (at|in the window from) t=\S+ has an entry "
+                                         + re.escape(f"of shape {bad} for interface 1, the run "
+                                                     f"takes {want}")):
+        _run_driver(driver, pieces, lay.interfaces, tg, SolverConfig(fixed_iterations=2),
+                    **{name: rows})
+
+
 def test_method2_refuses_a_start_laid_out_for_other_pieces():
     # a P = 2 start on P = 3 pieces would place their modes at other offsets
     prob, lay, grid, tg = _oracle_1d(3)
@@ -1048,6 +1172,55 @@ def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, w
     windows = -(-tg.steps // (window or tg.steps))
     assert counts[0] == counts[2] and counts[1] == counts[3], counts
     assert counts[1] == 2 * len(pieces) * windows < counts[0], counts
+
+
+class _Moving(np.ndarray):
+    """State modes that never read as at rest, whatever their values."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+@pytest.mark.parametrize("case", ["rest", "data", "start"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_1d_window_at_rest_marches_only_in_finish(monkeypatch, p, scheme, case):
+    # a whole-horizon error-equation window from t = 0 (zero data, zero
+    # start) marches each piece once, in finish; with data or from a
+    # non-zero start it marches its base too.  A march of zeros reads out
+    # +0.0, the base of a window at rest, so the route that marches that
+    # base anyway (modes that never read as at rest) logs and returns the
+    # same bits
+    prob = analytic_problem() if case == "data" else builtin_problem("error_equation", 0.5)
+    grid = make_grid_1d(63, prob.length, origin=prob.origin)
+    lay = decompose_1d(grid, p, 2)
+    tg = TimeGrid(prob.horizon, 20)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    fields = [q.u0 + (case == "start") * np.sin(np.arange(q.u0.size)) for q in pieces]
+    start = Level.of(pieces, fields, 0.0)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=12)
+    guess = random_trace_guess(lay.interfaces, 1, steps=tg.steps)
+    run = lambda: method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess,
+                                reference=zero_reference(lay.interfaces, tg.steps), start=start)
+    run()  # builds the response tables, held on the pieces
+    march, calls = schwarz._march_modes, []
+    monkeypatch.setattr(schwarz, "_march_modes", lambda *a: calls.append(1) or march(*a))
+    trajs, log = run()
+    assert len(calls) == (p if case == "rest" else 2 * p)
+    window_start = schwarz._window_start
+    monkeypatch.setattr(schwarz, "_window_start", lambda *a: (
+        lambda lay, pinned, u, *rest: (lay, pinned, u.view(_Moving), *rest))(*window_start(*a)))
+    calls.clear()
+    moving_trajs, moving_log = run()
+    assert len(calls) == 2 * p
+    bits = lambda a: (a.shape, a.tobytes())
+    assert bits(log.updates) == bits(moving_log.updates)
+    assert bits(log.errors) == bits(moving_log.errors)
+    assert all(bits(a) == bits(b) for a, b in zip(trajs, moving_trajs))
+    if case == "rest":
+        for piece, u in zip(pieces, start.states):
+            base = piece.outflow_stack.read(march(piece.ws, scheme, u, np.zeros((21,) + u.shape)))
+            assert not (base.any() or np.signbit(base).any())
 
 
 # ---------------------------------------------------------------------------
