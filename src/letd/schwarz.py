@@ -18,9 +18,9 @@ time span one sweep covers:
   values stop moving.  A level is the waveform window of one step; only
   its ETD2 starting guess, the first-order predictor, is its own.
 
-Both iterate on the traces alone, in sine-mode space: one-step windows
-(every method-1 level) through one engine, longer windows through
-another.  A piece's state is affine in the traces it reads, so the
+Both iterate the same affine map on the traces alone, in sine-mode
+space, new = base + M x: per level in method 1, per window in method 2.
+A piece's state is affine in the traces it reads, so the
 trace-independent forcing (source and physical boundary data) of a
 window's levels 1..n is formed once, as the window starts, before its
 sweeps (`_forcing_modes`); ETD1 and ETD2 read the forcing only at the
@@ -69,16 +69,21 @@ With a uniform step the map from the incoming trace histories of a piece
 to its owned ones is linear, causal and time-invariant.  Its response
 table (per lag, from every inflow node to every outflow node) depends on
 the piece, the scheme and the window length alone, so it is built on
-first use and held on the piece, and lives as long as its piece set.  A
-one-step table (the gains) needs no march: it is K times the spread of
-unit traces, read out.  A one-step sweep is then one small dense product
-per geometry group over one flat vector of traces, and its new state one
-step from the base step's start part, with no march.  A longer 1d window
-is base + M x: M is block lower-triangular Toeplitz in the levels, so it
-is one dense product per piece of its inflow histories, built per window
-from the table, and above `_LAG_LEVELS` levels the same product over
-blocks of levels, one stored block per lag (`_lag_blocks`).  Only longer
-2d windows, whose per-lag tables would be large, run the mode-space
+first use and held on the piece, and lives as long as its piece set.  No
+table needs a march (`_window_responses`): level 1 is K times the spread
+of unit traces (the one-step gains), level 2 one step more, and later
+levels a cumulative product by E.  M is block lower-triangular Toeplitz
+in the levels, so it is one dense block of the table per geometry group,
+and above `_LAG_LEVELS` levels the same product over blocks of levels,
+one stored block per lag (`_lag_blocks`).  One-step windows (every
+method-1 level) and longer 1d windows share one matrix-sweep engine
+(`_sweep_plan`): one take of every piece's inflow traces, one product
+per geometry group, the base added and one scatter.  Its indices,
+products and scratch, the plan, are built once per run and window
+length and held on the run's layout; each window brings only its base,
+its `finish` and its initial traces.  A one-step window's new state is
+one step from the base step's start part, with no march.  Only longer 2d
+windows, whose per-lag tables would be large, run the mode-space
 recursion in every sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
@@ -111,7 +116,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -148,10 +153,6 @@ __all__ = [
 # Below this magnitude an initial-guess trace is treated as zero and the
 # stopping test falls back to absolute updates.
 _DENOM_FLOOR = 1e-14
-
-# Unit traces marched together when a response table is built; bounds the
-# unit fields held at once.
-_UNITS_PER_MARCH = 8
 
 # Levels of a lag block (`_lag_blocks`): a 1d window of more levels applies
 # its product over blocks of at most this many, one stored block per lag, so
@@ -372,9 +373,9 @@ class LocalPiece:
     inflow traces into forcing modes and read the outflow traces out of
     state modes.
     maps: the piece's response tables (`_window_responses`), keyed by
-    scheme and window length, and one-step gains (`_step_gains`), keyed
-    by "step" and scheme; filled on first use by `_cached`, and shared
-    with the pieces of the set that have the same shape and edge layout.
+    scheme and window length (1 for the one-step gains); filled on first
+    use by `_cached`, and shared with the pieces of the set that have the
+    same shape and edge layout.
     """
 
     ws: StepWorkspace
@@ -465,7 +466,10 @@ class _Layout(NamedTuple):
     group, group after group.  kernels: E, dt phi1 and dt phi2 over the flat
     modes.  terms: the sine modes (K, size) of the K data terms of the
     pieces' problem (`Problem.terms`), each term's spatial forcing
-    assembled and transformed once, when the layout is built.
+    assembled and transformed once, when the layout is built.  plans: the
+    sweep plan (`_sweep_plan`) of the run's windows of each scheme and
+    length, keyed by (scheme, steps) and built by `_cached` on first use;
+    its scratch serves one sweep call at a time.
     """
 
     at: tuple
@@ -476,6 +480,7 @@ class _Layout(NamedTuple):
     blocks: tuple[_Block, ...]
     kernels: tuple[np.ndarray, np.ndarray, np.ndarray]
     terms: np.ndarray
+    plans: dict
 
     @classmethod
     def of(cls, pieces: Sequence[LocalPiece]) -> "_Layout":
@@ -502,7 +507,7 @@ class _Layout(NamedTuple):
                         for k in ("exp_kernel", "phi1_kernel", "phi2_kernel"))
         lay = cls(tuple(at[d] for d in range(len(pieces))), tuple(p.u0.shape for p in pieces),
                   traces, nodes("inflow"), nodes("outflow"), tuple(blocks), kernels,
-                  np.empty((len(pieces[0].closure.problem.terms), len(kernels[0]))))
+                  np.empty((len(pieces[0].closure.problem.terms), len(kernels[0]))), {})
         for p, part in zip(pieces, lay.views(lay.terms)):
             part[...] = term_forcing(p.closure, [i is None for i in p.edges])
         _to_modes(lay, lay.terms)
@@ -614,11 +619,16 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
 
     The sweeps run in blocks, as many as fit `_BLOCK_VALUES` held values
     (at least one; under a tolerance at most `_LOG_ROWS`): the block's
-    input and each sweep's output are the rows of one array.  Under a
-    fixed budget a block's sweeps run back to back, and its update rows,
-    its error rows and its finiteness test are each one reduction over the
-    block.  Under a tolerance each sweep's rows and stop test run as that
-    sweep finishes, so no sweep runs past the stop.  The guess norms
+    input and each sweep's output are the rows of one array, whose row
+    views are made once.  A block of one sweep (a sweep of more than
+    `_BLOCK_VALUES` values) takes turns with `now`, which the loop then
+    writes into, so that it holds two trace vectors: its output and their
+    difference.  Under a fixed budget a block's sweeps run back to back,
+    and its update rows, its error rows and its finiteness test are each
+    one reduction over the block.  Under a tolerance each sweep's rows and
+    stop test run as that sweep finishes, so no sweep runs past the stop;
+    the rows of a block are zipped, so a sweep makes no view of its own.
+    The guess norms
     become a scale vector once per solve (the norm where it exceeds
     `_DENOM_FLOOR`, else 1), so the stop test is one divide and one max:
     the relative-update rule stops the loop when that max is below the
@@ -641,18 +651,18 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
     upd = np.empty((budget if fixed else min(budget, _LOG_ROWS), len(starts)))
     err = None if reference is None else np.empty((len(upd) + 1, len(starts)))
     size = max(1, min(len(upd), _BLOCK_VALUES // len(now)))
-    # a block's input, then each of its sweeps' outputs; each difference
-    iterates, spare = np.empty((size + 1, len(now))), np.empty((size, len(now)))
-    iterates[0] = now
+    # a block's input, then each of its sweeps' outputs, as rows, and each
+    # difference; blocks of one sweep take turns with `now` instead
+    iterates = np.empty((size + 1 if size > 1 else 1, len(now)))
+    rows, spare = list(iterates) if size > 1 else [now, *iterates], np.empty((size, len(now)))
 
-    def dist(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        """max |a - b| over each interface's slice of a trace vector, or of
-        each row of a block of them, into out."""
-        d = spare[:len(a)] if a.ndim > 1 else spare[0]
+    def dist(a: np.ndarray, b: np.ndarray, out: np.ndarray, d: np.ndarray = spare[0]) -> None:
+        """max |a - b| over each interface's slice of a trace vector, or with
+        d of each row of a block of them, into out."""
         np.maximum.reduceat(np.abs(np.subtract(a, b, out=d), out=d), starts, axis=-1, out=out)
 
     if err is not None:
-        dist(iterates[:1], reference, err[:1])
+        dist(now, reference, err[0])
     if not fixed:
         guess = np.maximum.reduceat(np.abs(now), starts)
         scale = np.where(guess > _DENOM_FLOOR, guess, 1.0)  # u / 1.0 == u: absolute updates
@@ -674,7 +684,10 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
 
     k, b, stopped = 0, 0, False
     while k < budget and not stopped:
-        iterates[0] = iterates[b]
+        if size > 1:
+            iterates[0] = rows[b] if k else now
+        else:  # the last output is the next input
+            rows[0], rows[b] = rows[b], rows[0]
         b = min(size, budget - k)
         if k + b > len(upd):
             more = np.empty((min(budget, 2 * len(upd)) - len(upd), len(starts)))
@@ -685,31 +698,32 @@ def _sweep_loop(sweep: Callable[[np.ndarray, np.ndarray], np.ndarray], now: np.n
             try:
                 with np.errstate(**guard):
                     while ran < b:
-                        sweep(iterates[ran], iterates[ran + 1])
+                        sweep(rows[ran], rows[ran + 1])
                         ran += 1
                     new = iterates[1:b + 1]
                     if err is not None:
-                        dist(new, reference, err[k + 1:k + b + 1])
-                    dist(new, iterates[:b], upd[k:k + b])
+                        dist(new, reference, err[k + 1:k + b + 1], spare[:b])
+                    dist(new, iterates[:b], upd[k:k + b], spare[:b])
             except FloatingPointError:
                 pass  # sweep by sweep from the sweep that met the event
             else:
                 logged = b
                 check(upd[k:k + b], k)
         # sweep by sweep: under a tolerance, or from a sweep that met an event on
-        for i in range(logged, b):
-            old, new, row = iterates[i], iterates[i + 1], upd[k + i]
+        errs = repeat(None) if err is None else err[k + logged + 1:k + b + 1]
+        for i, old, new, row, e in zip(range(logged, b), rows[logged:], rows[logged + 1:],
+                                       upd[k + logged:k + b], errs):
             if i >= ran:  # a sweep that met an event runs again
                 sweep(old, new)
-            if err is not None:
-                dist(new, reference, err[k + i + 1])
+            if e is not None:
+                dist(new, reference, e)
             dist(new, old, row)
             if check(row, k + i) < tol and not fixed:
                 b, stopped = i + 1, True
                 break
         k += b
     return (IterationLog(upd[:k], None if err is None else err[:k + 1], fixed or stopped, k),
-            iterates[b - 1], iterates[b])
+            rows[b - 1], rows[b])
 
 
 def _flat(rows, dtype=float) -> np.ndarray:
@@ -717,11 +731,11 @@ def _flat(rows, dtype=float) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype), *rows])
 
 
-def _cached(piece: LocalPiece, key: tuple, build: Callable, *args):
-    """piece.maps[key], made by build(piece, *args) on first use."""
-    if key not in piece.maps:
-        piece.maps[key] = build(piece, *args)
-    return piece.maps[key]
+def _cached(maps: dict, key: tuple, build: Callable, *args):
+    """maps[key], made by build(*args) on first use."""
+    if key not in maps:
+        maps[key] = build(*args)
+    return maps[key]
 
 
 def method1_advance(
@@ -836,42 +850,46 @@ def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
     return out
 
 
-def _edge_units(piece: LocalPiece, block: Optional[int] = None) -> list[np.ndarray]:
+def _edge_units(piece: LocalPiece) -> list[np.ndarray]:
     """Unit traces (units, inflow nodes) of a piece's inflow nodes, the
-    nodes of one edge at a time, or at most `block` of them."""
-    eye, lo, out = np.eye(piece.inflow_stack.size), 0, []
-    for e in piece.inflow:
-        out += np.array_split(eye[lo:lo + e.size], 1 if block is None else -(-e.size // block))
-        lo += e.size
-    return out
+    nodes of one edge at a time."""
+    ends = np.cumsum([e.size for e in piece.inflow])
+    return np.split(np.eye(piece.inflow_stack.size), ends[:-1])
 
 
 def _window_responses(piece: LocalPiece, scheme: Scheme, steps: int) -> np.ndarray:
-    """The response table R (steps, inflow nodes, outflow nodes) of a piece.
+    """The response table R (steps, inflow nodes, outflow nodes) of a piece,
+    with no march.
 
     Rows run over the nodes of the inflow edges i, columns over those of
     the outflow edges o, each in edge order: R[lag, k, n] is the trace at
     outflow node n `lag` levels after a unit trace at inflow node k
     enters, marched from a zero state and zero trace-independent forcing.
     It does not depend on the level the trace enters at (>= 1; level 0 is
-    pinned data, carried by the window's base).  R[0] holds the one-step
-    gains (`_step_gains`), read out in a product of its own: in 1d their
-    bits, which a product over more levels would round differently.  The
-    march runs over levels 1 and 2 alone: no forcing reaches a later step,
-    whose update is then E times the level before, so levels 3.. are one
-    cumulative product by E, the march's bits.
+    pinned data, carried by the window's base).  The unit traces of one
+    inflow edge at a time enter the forcing f of level 1, so level 1 is K f,
+    K = dt phi1 for ETD1 and dt phi2 for ETD2, and R[0] holds the one-step
+    gains; level 2 is E times level 1, plus dt phi1 f and dt phi2 (0 - f)
+    for ETD2, the operations of `_march_modes` in its order; no forcing
+    reaches a later step, so levels 3.. are one cumulative product by E:
+    the march's bits.  R[0] is read out in a product of its own, which in 1d
+    a read-out of more levels would round differently.
     """
-    out, rows = piece.outflow_stack, []
-    # a few nodes of one inflow edge at a time, so few unit fields are held
-    for units in _edge_units(piece, _UNITS_PER_MARCH):
-        f_hat = np.zeros((min(steps, 2) + 1, len(units)) + piece.u0.shape)
-        piece.inflow_stack.spread(units, f_hat[1])
-        u_hat = np.empty((steps, len(units)) + piece.u0.shape)
-        u_hat[:2] = _march_modes(piece.ws, scheme, 0.0, f_hat)[1:]
-        u_hat[2:] = piece.ws.exp_kernel
-        np.multiply.accumulate(u_hat[1:], axis=0, out=u_hat[1:])
+    ws, out, rows = piece.ws, piece.outflow_stack, []
+    for units in _edge_units(piece):
+        u_hat = np.zeros((steps, len(units)) + piece.u0.shape)
+        f, kernel = u_hat[0], ws.phi1_kernel if scheme == "etd1" else ws.phi2_kernel
+        piece.inflow_stack.spread(units, f)
+        if steps > 1:  # a one-step table (every 2d one) forms no later level
+            u1 = kernel * f
+            u_hat[1] = (ws.exp_kernel * u1 if scheme == "etd1" else
+                        ws.exp_kernel * u1 + ws.phi1_kernel * f + (0.0 - f) * ws.phi2_kernel)
+            u_hat[2:] = ws.exp_kernel
+            np.multiply.accumulate(u_hat[1:], axis=0, out=u_hat[1:])
+        f *= kernel  # level 1, in place of its forcing
         rows.append(out.read(u_hat.reshape((-1,) + piece.u0.shape)).reshape(steps, len(units), -1))
-        out.read(u_hat[0], rows[-1][0])  # level 1 again, alone
+        if steps > 1:
+            out.read(u_hat[0], rows[-1][0])  # level 1 again, alone
     return np.concatenate(rows, axis=1)
 
 
@@ -882,7 +900,10 @@ def _lag_blocks(r: np.ndarray, n: int) -> np.ndarray:
     B[d] takes the inflow traces of one block to their share of the owned
     traces d blocks later: B[d][j in + k, i out + o] = r[d n + i - j, k, o],
     0 where that lag is negative or at least steps.  The window's product
-    is block lower-triangular Toeplitz in them (`_lag_product`)."""
+    is block lower-triangular Toeplitz in them (`_lag_product`).  Blocks of
+    one level are r itself, not a copy."""
+    if n == 1:
+        return r
     steps, n_in, n_out = r.shape
     lags = -(-steps // n)
     padded = np.zeros((n - 1 + lags * n, n_in, n_out))
@@ -905,6 +926,60 @@ def _lag_product(x: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
     for d, b in enumerate(blocks):
         for a in range(d, lags, run):
             out[a:a + run] += x[a - d:min(a + run, lags) - d] @ b
+
+
+def _sweep_plan(pieces: Sequence[LocalPiece], lay: _Layout, scheme: Scheme,
+                steps: int) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The sweep plan of windows of `steps` levels on the layout `lay` of
+    `pieces`: sweep(base, now, new) writes new = base + M now at the owned
+    traces of every piece, on flat traces that hold levels 1..steps of
+    interface i at at[i]:at[i + 1], at = steps times the layout's trace
+    offsets.  M is per geometry group the lag blocks (`_lag_blocks`) of its
+    response table (`_window_responses`, held on its pieces) over blocks of
+    n levels, one dense block while steps <= `_LAG_LEVELS`.  A sweep takes
+    every piece's inflow traces in one take, level after level, the last
+    block padded with copies of level steps, which reach only the padded
+    levels of its output, which are not put; runs one product per group:
+    `np.dot` for a group of one piece, else one matmul of its pieces' rows,
+    each a (1, in) row of its own in 1d, so that 1d results keep the bits
+    of a piece alone, and `_lag_product` per piece above `_LAG_LEVELS`
+    levels; adds the base and puts the owned traces in one scatter.  The
+    indices, the products and their scratch are built once, so a plan
+    serves one sweep call at a time."""
+    lags = -(-steps // _LAG_LEVELS)
+    n = -(-steps // lags)
+    at, pad = lay.traces * steps, np.minimum(np.arange(lags * n), steps - 1)
+    groups = [b for b in lay.blocks if b.piece.outflow]  # a lone piece has no trace edges
+    takes, puts = (_flat((_nodes(getattr(pieces[d], flow), at, steps)[levels].ravel()
+                          for b in groups for d in b.members), int)
+                   for flow, levels in (("inflow", pad), ("outflow", slice(None))))
+    x, y, owned = np.empty(len(takes)), np.empty(len(puts) // steps * lags * n), np.empty(len(puts))
+    products, keep, i, o = [], [], 0, 0
+    for b in groups:
+        blocks = _lag_blocks(_cached(b.piece.maps, (scheme, steps), _window_responses,
+                                     b.piece, scheme, steps), n)
+        (_, n_in, n_out), k = blocks.shape, len(b.members)
+        rows, out = x[i:i + k * lags * n_in], y[o:o + k * lags * n_out]
+        if lags > 1:
+            products += [partial(_lag_product, r, blocks, q) for r, q
+                         in zip(rows.reshape(k, lags, n_in), out.reshape(k, lags, n_out))]
+        elif k == 1:
+            products.append(partial(np.dot, rows, blocks[0], out))  # out positional: no kwargs
+        else:
+            shape = (k, 1, -1) if b.piece.u0.ndim == 1 else (k, -1)
+            products.append(partial(np.matmul, rows.reshape(shape), blocks[0], out.reshape(shape)))
+        keep += [np.arange(j, j + steps * n_out // n) for j in range(o, o + len(out), lags * n_out)]
+        i, o = i + len(rows), o + len(out)
+    keep = slice(None) if lags * n == steps else _flat(keep, int)
+
+    def sweep(base: np.ndarray, now: np.ndarray, new: np.ndarray) -> np.ndarray:
+        now.take(takes, out=x)
+        for product in products:
+            product()
+        new[puts] = np.add(y[keep], base, out=owned)
+        return new
+
+    return sweep
 
 
 def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float]) -> tuple:
@@ -967,20 +1042,6 @@ def _step(lay: _Layout, scheme: Scheme, a: np.ndarray, f0: np.ndarray, f1: np.nd
     return np.add(a, out, out=out)
 
 
-def _step_gains(piece: LocalPiece, scheme: Scheme) -> np.ndarray:
-    """The one-step gains R[0] (inflow nodes, outflow nodes) of a piece, with
-    no march: the read-out of K times the spread of the unit traces of one
-    inflow edge at a time, K = dt phi1 for ETD1 and dt phi2 for ETD2.  In 1d
-    these are the bits of `_window_responses`."""
-    kernel = piece.ws.phi1_kernel if scheme == "etd1" else piece.ws.phi2_kernel
-    rows = [np.empty((0, piece.outflow_stack.size))]
-    for units in _edge_units(piece):
-        f_hat = np.zeros((len(units),) + kernel.shape)
-        piece.inflow_stack.spread(units, f_hat)
-        rows.append(piece.outflow_stack.read(kernel * f_hat))
-    return np.concatenate(rows)
-
-
 def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float], scheme: Scheme,
                 predict: bool = False) -> tuple[Callable, Callable, np.ndarray]:
     """The one-step window from `start` at times[0] to times[1] (every
@@ -989,12 +1050,10 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     window it forms A = E u + phi1 f0 (ETD1: E u) and, unless the layout
     has no outflow edge (one piece), the base step from A over F[0], one
     operation each over every piece's modes, and reads their owned traces
-    out, once per geometry group.  A sweep gathers every piece's inflow
-    nodes in one take and is new[out] = base + now[in] @ R[0] per group,
-    now[in] its pieces' rows (k, in) and R[0] their one-step gains
-    (`_step_gains`); a 1d group takes one (1, in) product per piece, the
-    bits of a piece alone.  `finish` spreads the last sweep's input into
-    F[0], once per group, and steps from A once, in the order of
+    out, once per geometry group.  A sweep is the layout's one-step plan
+    (`_sweep_plan`), new[out] = base + now[in] @ R[0] per group, R[0] the
+    one-step gains (`_window_responses`).  `finish` spreads the last sweep's input
+    into F[0], once per group, and steps from A once, in the order of
     `_march_modes`: the bits of a march, without one.  It hands on the new
     level with its f0: F[0] with the last sweep's output spread in, in the
     same call.  The default initial traces are the pinned ones or, with
@@ -1006,30 +1065,16 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
     a = np.multiply(exp, u, out=ab[0])
     if scheme == "etd2":
         a += np.multiply(phi1, f0, out=ab[1])
-    x, owned = np.empty(len(lay.ins)), np.empty(len(lay.outs))
-    reads, products = np.empty((2, len(lay.outs))), []
+    reads = np.empty((2, len(lay.outs)))
     if len(lay.outs):  # the one-piece layout reads no trace out
         _step(lay, scheme, a, f0, forcing[0], out=ab[1])
         for b in lay.blocks:
-            p = b.piece
             # piece-major (k, 2, ...): a 1d read contracts each piece's levels alone
-            p.outflow_stack.read(b.modes(ab).swapaxes(0, 1),
-                                 reads[:, b.outs].reshape(2, len(b.members), -1).swapaxes(0, 1))
-            # one product per group; in 1d one per piece, its (1, in) row as if alone
-            k = len(b.members)
-            rows = (-1,) if k == 1 else (k, 1, -1) if p.u0.ndim == 1 else (k, -1)
-            gains = _cached(p, ("step", scheme), _step_gains, scheme)
-            products.append((x[b.ins].reshape(rows), gains, owned[b.outs].reshape(rows)))
-    base, initial = reads[1], pinned.copy()
+            b.piece.outflow_stack.read(b.modes(ab).swapaxes(0, 1), reads[:, b.outs]
+                                       .reshape(2, len(b.members), -1).swapaxes(0, 1))
+    initial = pinned.copy()
     if predict:
         initial[lay.outs] = reads[0]
-
-    def sweep(now: np.ndarray, new: np.ndarray) -> np.ndarray:
-        now.take(lay.ins, out=x)
-        for rows, gains, out in products:
-            np.matmul(rows, gains, out=out)
-        new[lay.outs] = np.add(owned, base, out=owned)
-        return new
 
     def finish(out: Optional[Sequence[np.ndarray]], last: np.ndarray,
                latest: np.ndarray) -> Level:
@@ -1042,7 +1087,8 @@ def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[floa
                 o[1] = state
         return Level(lay, u1, latest, f[1])
 
-    return sweep, finish, initial
+    plan = _cached(lay.plans, (scheme, 1), _sweep_plan, pieces, lay, scheme, 1)
+    return partial(plan, reads[1]), finish, initial
 
 
 def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
@@ -1059,25 +1105,24 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
     times[-1] in mode space, pinned to the last level of the last sweep's
     output `latest`, with those traces spread into its f0; and the default
     initial traces, level 0 at every level.  A 1d sweep is new = base + M x,
-    with the base read-out of one march per piece against no traces: it
-    gathers every piece's inflow histories in one take, level after level,
-    runs one product per piece by the lag blocks (`_lag_blocks`) of the
-    response table R of `_window_responses`, one dense block while steps
-    <= `_LAG_LEVELS` (`_lag_product` over blocks of levels above), and
-    writes base + product into `new`; the blocks are built per window from
-    the table held on the piece.  A window at rest (state modes, f0 and
-    forcing modes all zero, as in every error-equation solve from t = 0)
-    marches no piece for its base: a march of zeros reads out +0.0, so its
-    base is zeros.  A non-finite incoming trace reaches every
-    level of its piece's product (0 times NaN), not only the later ones.  A
-    2d window marches each piece in mode space in every sweep.
+    with the base read-out of one march per piece against no traces, on
+    the layout's plan for windows of this length (`_sweep_plan`), the
+    engine of one-step windows too: one take of every piece's inflow
+    histories, one product per geometry group by the lag blocks of its
+    response table (`_window_responses`) and one scatter, with the blocks
+    and indices built for the first such window of the run.  A window at
+    rest (state modes, f0 and forcing modes all zero, as in every
+    error-equation solve from t = 0) marches no piece for its base: a march
+    of zeros reads out +0.0, so its base is zeros.  A non-finite incoming
+    trace reaches every level of its piece's product (0 times NaN), not
+    only the later ones.  A 2d window marches each piece in mode space in
+    every sweep.
     """
     steps = len(times) - 1
     lay, pinned, *modes = _window_start(pieces, start, times)
     at = lay.traces * steps
     parts = list(zip(*map(lay.views, modes)))  # per piece u, f0 and F
-    ins, outs = ([_nodes(getattr(p, flow), at, steps) for p in pieces]
-                 for flow in ("inflow", "outflow"))
+    ins = [_nodes(p.inflow, at, steps) for p in pieces]
 
     def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
         """Piece d's trajectory against the incoming traces v (None: none)."""
@@ -1088,45 +1133,17 @@ def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[fl
             pieces[d].inflow_stack.spread(v[ins[d]], f_hat[1:])
         return _march_modes(pieces[d].ws, scheme, u, f_hat)
 
-    if all(edge.size == 1 for p in pieces for edge in p.inflow):
-        # 1d: per piece one product of its inflow traces, level after level
-        # in blocks of n levels, by the lag blocks of its group, and its base
-        # read-out; the last block is padded with copies of level steps,
-        # which reach only the padded levels of the output, which are dropped
-        lags = -(-steps // _LAG_LEVELS)
-        n = -(-steps // lags)
-        pad = np.minimum(np.arange(lags * n), steps - 1)
-        tables = []
-        for b in lay.blocks:
-            if b.piece.outflow:  # a lone piece has no trace edges
-                r = _cached(b.piece, (scheme, steps), _window_responses, scheme, steps)
-                blocks = _lag_blocks(r, n)
-                tables += [(d, blocks) for d in b.members]
-        takes = _flat((ins[d][pad].ravel() for d, _ in tables), int)
-        puts = _flat((outs[d].ravel() for d, _ in tables), int)
+    if all(edge.size == 1 for p in pieces for edge in p.inflow):  # 1d
+        plan = _cached(lay.plans, (scheme, steps), _sweep_plan, pieces, lay, scheme, steps)
         if any(v.any() for v in modes):
             base = _flat(pieces[d].outflow_stack.read(march(d, None))[1:].ravel()
-                         for d, _ in tables)
+                         for b in lay.blocks if b.piece.outflow for d in b.members)
         else:  # at rest: a march of zeros reads out +0.0
-            base = np.zeros(len(puts))
-        x, y = np.empty(len(takes)), np.empty(len(puts) // steps * lags * n)
-        owned, products, keep, i, o = np.empty(len(puts)), [], [], 0, 0
-        for d, blocks in tables:
-            _, k, m = blocks.shape
-            rows, out = x[i:i + lags * k].reshape(lags, k), y[o:o + lags * m].reshape(lags, m)
-            products.append(partial(np.dot, rows[0], blocks[0], out=out[0]) if lags == 1
-                            else partial(_lag_product, rows, blocks, out))
-            keep.append(np.arange(o, o + steps * m // n))
-            i, o = i + lags * k, o + lags * m
-        keep = slice(None) if lags * n == steps else _flat(keep, int)
-
-        def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
-            v.take(takes, out=x)
-            for product in products:
-                product()
-            new[puts] = np.add(y[keep], base, out=owned)
-            return new
+            base = np.zeros(len(lay.outs) * steps)
+        sweep = partial(plan, base)
     else:
+        outs = [_nodes(p.outflow, at, steps) for p in pieces]
+
         def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
             for d, p in enumerate(pieces):  # the trajectory goes before the next piece's march
                 new[outs[d]] = p.outflow_stack.read(march(d, v))[1:]
@@ -1241,8 +1258,8 @@ def method2_solve(
     `Level.of(pieces, [p.u0 for p in pieces], 0.0)`, and its layout.  Each
     window forms the trace-independent forcing of its own levels, then
     iterates interface-reduced sweeps (`_step_sweep` for one step,
-    `_window_sweep` for more): a dense product per geometry group in
-    one-step windows, one window-matrix product per piece in longer 1d ones
+    `_window_sweep` for more): the layout's matrix sweep (`_sweep_plan`),
+    one product per geometry group, in one-step windows and longer 1d ones,
     and the mode-space recursion in longer 2d ones; none assembles forcing
     or runs a DST.  A window hands its successor its last level in
     sine-mode space.

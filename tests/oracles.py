@@ -224,7 +224,7 @@ def step_sweep(pieces, start, times, scheme, predict=False):
     for p, v in zip(pieces, lay.views(ab)):
         reads.append(np.concatenate([np.empty((2, 0))]
                                     + [edge_read(p.u0.shape, e, v) for e in p.outflow], axis=1))
-        gains.append(schwarz._step_gains(p, scheme))
+        gains.append(schwarz._window_responses(p, scheme, 1)[0] if p.outflow else None)
     initial = pinned.copy()
     if predict:
         for o, r in zip(outs, reads):
@@ -251,12 +251,19 @@ def step_sweep(pieces, start, times, scheme, predict=False):
     return sweep, finish, initial
 
 
+# Unit traces `marched_responses` marches together, a few nodes of one
+# inflow edge at a time
+UNITS_PER_MARCH = 8
+
+
 def marched_responses(piece, scheme, steps):
     """`schwarz._window_responses` as it was built before its levels past
     the second were one cumulative product: the unit traces of one inflow
-    edge at a time marched over every level of the window."""
+    edge at a time, at most `UNITS_PER_MARCH` of them, marched over every
+    level of the window."""
     rows = []
-    for units in schwarz._edge_units(piece, schwarz._UNITS_PER_MARCH):
+    for units in (part for edge in schwarz._edge_units(piece)
+                  for part in np.array_split(edge, -(-len(edge) // UNITS_PER_MARCH))):
         f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
         piece.inflow_stack.spread(units, f_hat[1])
         u_hat = schwarz._march_modes(piece.ws, scheme, 0.0, f_hat)[1:]

@@ -71,9 +71,9 @@ WINDOW_MATRIX_RTOL = 2e-15
 # 13.3 MB (ETD1) and 13.5 MB (ETD2) measured, 26.9 MB at 4,000 levels
 LONG_WINDOW_PEAK = 24 * 2**20
 # tracemalloc peak of a 16-sweep fixed-budget loop over 2**17 trace values
-# (`test_a_wide_fixed_budget_loop_holds_one_sweep_per_block`): 3.0 MB
-# measured, three rows of 1 MB
-WIDE_LOOP_PEAK = 4 * 2**20
+# (`test_a_wide_fixed_budget_loop_holds_one_sweep_per_block`): 2.0 MB
+# measured, two rows of 1 MB, plus half a row of margin; a third row fails
+WIDE_LOOP_PEAK = 2.5 * 2**20
 
 
 def zero_problem(horizon=1.0):
@@ -270,9 +270,10 @@ def test_a_converging_tolerance_run_does_not_allocate_its_budget():
 
 
 def test_a_wide_fixed_budget_loop_holds_one_sweep_per_block():
-    # 2**17 trace values, past `_BLOCK_VALUES`: each block is one sweep, so
-    # the loop holds its input, its output and their difference, not the
-    # budget's iterates (16 MB more if it held them)
+    # 2**17 trace values, past `_BLOCK_VALUES`: each block is one sweep,
+    # which takes turns with the guess, so the loop holds one output and a
+    # difference, not the budget's iterates (16 MB more if it held them) nor
+    # a copy of the guess
     width = 2**17
     at = np.array([0, width // 2, width])
     sweep = lambda now, new: np.multiply(now, 0.5, out=new)
@@ -1094,7 +1095,7 @@ def test_window_matrix_sweeps_match_the_convolution_oracle(p, n, overlap, steps,
         _, n_in, n_out = r.shape
         m = _dense_window_matrix(schwarz._lag_blocks(r, levels))
         m = m.reshape(lags * levels, n_in, lags * levels, n_out)[:steps, :, :steps]
-        gains = schwarz._step_gains(q, scheme)
+        gains = schwarz._window_responses(q, scheme, 1)[0]
         for s in range(steps):
             assert not m[s + 1:, :, s].any()  # no input level above its output level
             assert np.array_equal(m[s, :, s], gains)
@@ -1154,9 +1155,9 @@ def test_a_late_nan_in_an_incoming_history_raises_as_the_convolution_sweep_does(
 
 @pytest.mark.parametrize("window", [None, 4])
 def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, window):
-    # the unit-trace responses are held on the pieces, so each count starts
-    # from a fresh piece set; a second solve on the same pieces reuses them
-    # and marches only for the base read-out and the fields of each window
+    # the unit-trace responses are built without a march, so a fresh piece
+    # set and one that holds them from a solve before march alike: each
+    # window only for its base read-out and for its fields
     prob, lay, grid, tg = _oracle_1d(4)
     march = schwarz._march_modes
     calls = []
@@ -1170,8 +1171,7 @@ def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, w
             method2_solve(pieces, lay.interfaces, tg, cfg)
             counts.append(len(calls))
     windows = -(-tg.steps // (window or tg.steps))
-    assert counts[0] == counts[2] and counts[1] == counts[3], counts
-    assert counts[1] == 2 * len(pieces) * windows < counts[0], counts
+    assert counts == [2 * len(pieces) * windows] * 4, counts
 
 
 class _Moving(np.ndarray):
@@ -1873,13 +1873,14 @@ def test_edge_stacks_are_the_sums_of_the_per_edge_forms(setup, args):
                                         (_oracle_2d, (3, 2, 2, "half"))],
                          ids=["1d-P3", "2d-3x3-full", "2d-3x2-half"])
 def test_step_gains_are_the_one_step_window_responses(setup, args, scheme):
-    # the gains come without a march: in 1d with the bits of the marched
-    # table, in 2d, where the units go as one block per edge, within
-    # round-off of it
+    # the one-step table, the gains, comes without a march: in 1d with the
+    # bits of the marched table, in 2d, where the units go as one block per
+    # edge and the marched table's as blocks of at most 8, within round-off
+    # of it
     prob, lay, grid, tg = setup(*args)
     for piece in build_local_pieces(prob, grid, lay, tg.dt):
-        got = schwarz._step_gains(piece, scheme)
-        want = schwarz._window_responses(piece, scheme, 1)[0]
+        got = schwarz._window_responses(piece, scheme, 1)[0]
+        want = marched_responses(piece, scheme, 1)[0]
         assert got.shape == want.shape == (piece.inflow_stack.size, piece.outflow_stack.size)
         if setup is _oracle_1d:
             assert np.array_equal(got, want)
@@ -1892,9 +1893,9 @@ def test_step_gains_are_the_one_step_window_responses(setup, args, scheme):
                          ids=["1d-P4", "2d-3x2-half"])
 def test_window_responses_are_the_tables_marched_over_every_level(setup, args, scheme):
     # past level 2 the table is a cumulative product by E, with the march's
-    # bits; its level 1, read out alone, has the bits of the one-step gains
-    # in 1d (the marched table's one read-out of every level may round them
-    # differently), and the marched table's in 2d
+    # bits; its level 1, read out alone, has the bits of the one-step table
+    # (the gains) in 1d (the marched table's one read-out of every level may
+    # round them differently), and the marched table's in 2d
     prob, lay, grid, tg = setup(*args)
     for piece in build_local_pieces(prob, grid, lay, tg.dt):
         for steps in (1, 2, 3, 12):
@@ -1902,7 +1903,7 @@ def test_window_responses_are_the_tables_marched_over_every_level(setup, args, s
             want = marched_responses(piece, scheme, steps)
             assert got.shape == want.shape and np.array_equal(got[1:], want[1:]), steps
             if setup is _oracle_1d:
-                assert np.array_equal(got[0], schwarz._step_gains(piece, scheme)), steps
+                assert np.array_equal(got[0], schwarz._window_responses(piece, scheme, 1)[0]), steps
             else:
                 assert np.array_equal(got[0], want[0]), steps
 
@@ -1976,28 +1977,34 @@ def test_a_method1_level_runs_once_per_geometry_group(monkeypatch):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     assert len(pieces) == 64 and len({id(p.inflow_stack) for p in pieces}) == 9
     cfg = SolverConfig(scheme="etd2", fixed_iterations=1)
-    # the first level builds the gains and hands on a level in mode space
+    calls = []
+
+    class Gains(np.ndarray):
+        """Lag blocks of a gains table that record each product they take
+        part in: a matmul (a ufunc) or an `np.dot`."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append("gains")
+            return getattr(ufunc, method)(*map(_plain, inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            calls.append("gains")
+            return func(*map(_plain, args), **kwargs)
+
+    _plain = lambda x: x.view(np.ndarray) if isinstance(x, Gains) else x
+    lag_blocks = schwarz._lag_blocks
+    monkeypatch.setattr(schwarz, "_lag_blocks", lambda *a: lag_blocks(*a).view(Gains))
+    # the first level builds the gains and the layout's one-step plan, and
+    # hands on a level in mode space
     level, _ = method1_advance(pieces, lay.interfaces,
                                Level.of(pieces, [p.u0 for p in pieces], 0.0), 0.0,
                                tg.dt, cfg)
-    calls = []
+    calls.clear()
     for name in ("spread", "read"):
         method = getattr(schwarz.EdgeStack, name)
         monkeypatch.setattr(schwarz.EdgeStack, name,
                             lambda self, *a, _name=name, _method=method:
                             calls.append(_name) or _method(self, *a))
-
-    class Gains(np.ndarray):
-        """A gains table that records each product it takes part in."""
-
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            calls.append("gains")
-            inputs = [x.view(np.ndarray) if isinstance(x, Gains) else x for x in inputs]
-            return getattr(ufunc, method)(*inputs, **kwargs)
-
-    for p in pieces:
-        if not isinstance(p.maps[("step", "etd2")], Gains):
-            p.maps[("step", "etd2")] = p.maps[("step", "etd2")].view(Gains)
     method1_advance(pieces, lay.interfaces, level, tg.dt, 2 * tg.dt, cfg)
     assert [calls.count(k) for k in ("read", "gains", "spread")] == [9, 9, 9], calls
 
@@ -2015,7 +2022,7 @@ def _counting(monkeypatch, name):
 
 
 def test_step_gains_are_built_once_per_piece_and_scheme(monkeypatch):
-    calls = _counting(monkeypatch, "_step_gains")
+    calls = _counting(monkeypatch, "_window_responses")
     prob, lay, grid, tg = _oracle_2d(2, 2, 2, "full")
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     method1_march(pieces, lay.interfaces, tg, SolverConfig(scheme="etd2", fixed_iterations=3))
@@ -2034,7 +2041,7 @@ def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     fresh = build_local_pieces(prob, grid, lay, tg.dt)
     guess = random_trace_guess(lay.interfaces, seed=1)
-    calls = _counting(monkeypatch, "_step_gains")
+    calls = _counting(monkeypatch, "_window_responses")
     etd2 = SolverConfig(scheme="etd2", fixed_iterations=6)
     advance_fields(pieces, lay.interfaces, [p.u0 for p in pieces], 0.0, tg.dt,
                    SolverConfig(scheme="etd1", fixed_iterations=6), init_guess=guess)
@@ -2045,6 +2052,77 @@ def test_step_gains_of_one_scheme_are_not_served_to_the_other(monkeypatch):
     assert len(calls) == 3 * len(pieces)
     assert np.array_equal(log.updates, ref.updates)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args,steps", [
+    (_oracle_1d, (4,), 1), (_oracle_1d, (4,), 2), (_oracle_1d, (4,), schwarz._LAG_LEVELS + 1),
+    (_oracle_2d, (3, 3, 2, "full"), 1)], ids=["1d-1", "1d-2", "1d-129", "2d-1"])
+def test_response_tables_are_built_without_a_march(monkeypatch, setup, args, steps, scheme):
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    march, calls = schwarz._march_modes, []
+    monkeypatch.setattr(schwarz, "_march_modes", lambda *a: calls.append(1) or march(*a))
+    for piece in pieces:
+        table = schwarz._window_responses(piece, scheme, steps)
+        assert table.shape == (steps, piece.inflow_stack.size, piece.outflow_stack.size)
+    assert not calls
+
+
+def test_a_layout_builds_one_sweep_plan_per_scheme_and_window_length(monkeypatch):
+    # a plan is built on the first window of its (scheme, length) on a
+    # layout and serves every later one; the plans of two schemes on one
+    # layout are two, and an ETD2 run on a layout that holds the ETD1 plan
+    # has the bits of one on a fresh layout
+    prob, lay, grid, tg = _oracle_1d(3)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    build, keys = schwarz._sweep_plan, []
+    monkeypatch.setattr(schwarz, "_sweep_plan",
+                        lambda p, layout, scheme, steps: keys.append((scheme, steps))
+                        or build(p, layout, scheme, steps))
+    etd1, etd2 = (SolverConfig(scheme=s, fixed_iterations=4) for s in ("etd1", "etd2"))
+    method1_march(pieces, lay.interfaces, tg, etd1)
+    assert keys == [("etd1", 1)]
+    keys.clear()
+    method2_solve(pieces, lay.interfaces, tg, dataclasses.replace(etd1, window_steps=5))
+    assert keys == [("etd1", 5), ("etd1", 2)]  # windows of 5, 5 and 2 steps
+    keys.clear()
+    fresh = Level.of(pieces, [p.u0 for p in pieces], 0.0)
+    start = Level.of(pieces, [p.u0 for p in pieces], 0.0)
+    runs = [method2_solve(pieces, lay.interfaces, tg, cfg, start=level)
+            for cfg, level in ((etd1, start), (etd2, start), (etd2, fresh))]
+    assert keys == [("etd1", tg.steps), ("etd2", tg.steps), ("etd2", tg.steps)]
+    plans = start.layout.plans
+    assert list(plans) == keys[:2] and plans[keys[0]] is not plans[keys[1]]
+    (trajs, log), (want_trajs, want_log) = runs[1:]
+    assert_same_log(log, want_log)
+    assert all(np.array_equal(a, b) for a, b in zip(trajs, want_trajs))
+
+
+@pytest.mark.parametrize("steps", [1, 3, schwarz._LAG_LEVELS + 2])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_sweeps_of_two_levels_on_one_plan_keep_their_bits_interleaved(scheme, steps):
+    # windows from two levels of one layout share its plan and its scratch;
+    # their sweeps, called in turn, give the bits of each window's sweep on
+    # a layout of its own, whose plan serves no other window
+    prob, lay, grid, _ = _oracle_1d(4)
+    tg = TimeGrid(prob.horizon, 2 * steps)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    make = schwarz._step_sweep if steps == 1 else schwarz._window_sweep
+    fields = [[p.u0 for p in pieces], [p.u0 + np.sin(np.arange(p.u0.size)) for p in pieces]]
+    times = [tg.times()[:steps + 1], tg.times()[steps:]]
+    levels = [Level.of(pieces, f, t[0]) for f, t in zip(fields, times)]
+    shared = [make(pieces, level._replace(layout=levels[0].layout), t, scheme)[0]
+              for level, t in zip(levels, times)]
+    alone = [make(pieces, Level.of(pieces, f, t[0]), t, scheme)[0] for f, t in zip(fields, times)]
+    assert shared[0].func is shared[1].func and alone[0].func is not alone[1].func
+    rng = np.random.default_rng(5)
+    size = len(lay.interfaces) * steps
+    inputs = [rng.standard_normal(size) for _ in range(4)]
+    got = [shared[j % 2](v, np.empty(size)) for j, v in enumerate(inputs)]
+    for j, v in enumerate(inputs):
+        want = alone[j % 2](v, np.empty(size))
+        assert np.array_equal(got[j], want), j
 
 
 # ---------------------------------------------------------------------------
