@@ -133,6 +133,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.problem == "error_equation" and self.solver == "mono":
             raise ValueError("the error equation studies iterative solvers only")
+        if self.problem != "analytic_2d" and self.py != 1:
+            raise ValueError(f"--subdomains {self.px}x{self.py}: problem {self.problem} has one "
+                             f"axis, so it takes P subdomains, not PxQ")
         if self.problem == "error_equation" and self.px < 2:
             raise ValueError(f"a rate study needs at least 2 subdomains, got subdomains {self.px}: "
                              "a single piece has no interface")

@@ -57,8 +57,9 @@ is the last level of the window before, pinned to its last sweep's
 owned traces, with its f0 formed by that window.  Each lies in one flat
 vector over every piece, group by group, at offsets fixed for the run
 (`_Layout`), which also holds the pieces' step kernels, concatenated
-once, and the modes of the data terms; so A = E u + phi1 f0, a base
-step and a new state are one operation per level, not one per piece.
+once, and the modes of the data terms; so the start part A = E u +
+phi1 f0 of a window and each step of a march are one operation per
+level, not one per piece.
 Both drivers run on one loop (`_march`), over windows of one step
 (method 1) or of `window_steps` (method 2), which writes the levels a
 run keeps into its trajectories as modes (every level, or with
@@ -75,16 +76,23 @@ of unit traces (the one-step gains), level 2 one step more, and later
 levels a cumulative product by E.  M is block lower-triangular Toeplitz
 in the levels, so it is one dense block of the table per geometry group,
 and above `_LAG_LEVELS` levels the same product over blocks of levels,
-one stored block per lag (`_lag_blocks`).  One-step windows (every
-method-1 level) and longer 1d windows share one matrix-sweep engine
-(`_sweep_plan`): one take of every piece's inflow traces, one product
-per geometry group, the base added and one scatter.  Its indices,
-products and scratch, the plan, are built once per run and window
-length and held on the run's layout; each window brings only its base,
-its `finish` and its initial traces.  A one-step window's new state is
-one step from the base step's start part, with no march.  Only longer 2d
-windows, whose per-lag tables would be large, run the mode-space
-recursion in every sweep.
+one stored block per lag (`_lag_blocks`).
+
+Every window of both drivers, one-step or longer, runs one window engine
+(`_window_sweep`): it forms its forcing and the start part A once, its
+every march starts from A (so a one-step march is one step, with the
+bits of a march from u), and it runs one flat march of every piece for
+its base read-out (none at rest) and one more, in level blocks, in its
+`finish`, after spreading the last sweep's inflow histories and the next
+level's pinned traces in.  Only the sweep is chosen from the input.
+One-step windows (every method-1 level) and 1d windows run one
+matrix-sweep engine (`_sweep_plan`): one take of every piece's inflow
+traces, one product per geometry group, the base added and one scatter.
+Its indices, products and scratch, the plan, are built once per run,
+scheme and window length and held on the run's layout, with the places
+of the window's traces.  2d windows of two or more steps, whose per-lag
+tables would be large, march each piece from A in mode space in every
+sweep.
 
 Both drivers are dimension-agnostic: they operate on `LocalPiece`
 records (one per subdomain) that carry the spectral step workspace, the
@@ -117,6 +125,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate, pairwise, repeat
+from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -172,7 +181,11 @@ _LOG_ROWS = 32
 # Trace values a solve holds per block of sweeps (`_sweep_loop`): as many
 # sweeps as fit, at least one.  A 1d rate study's whole budget is one block,
 # and a C06 level's 4 sweeps of 1,812 values; the C06 whole-horizon 2d
-# window (232,000 values a sweep) holds one sweep.
+# window (232,000 values a sweep) holds one sweep.  Also the mode values a
+# window's `finish` marches per block of levels (at least one), in place
+# in the window's forcing, with one row of scratch per level of the block:
+# a 1d window's levels are one block, and the C06 whole-horizon window
+# (22,801 values a level) marches 2 levels a block.
 _BLOCK_VALUES = 2**16
 
 TraceSet = list  # one ndarray per interface; (size,) or (steps + 1, size)
@@ -187,7 +200,8 @@ class SolverConfig:
     sweeps); with it, a solve performs exactly that many sweeps, as
     decay-curve studies require.  `window_steps` splits a
     waveform-relaxation run into successive time windows of that many
-    steps.
+    steps.  The tolerance must be positive and finite, and the counts
+    positive integers (not bools).
     """
 
     scheme: Scheme = "etd1"
@@ -199,14 +213,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("etd1", "etd2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.fixed_iterations is not None and self.fixed_iterations < 1:
-            raise ValueError("fixed_iterations must be >= 1 when given")
-        if self.window_steps is not None and self.window_steps < 1:
-            raise ValueError("window_steps must be >= 1 when given")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        for name in ("max_iterations", "fixed_iterations", "window_steps"):
+            value = getattr(self, name)  # None: not given, but a budget needs a max
+            if (value is not None or name == "max_iterations") and (
+                    isinstance(value, bool) or not isinstance(value, Integral) or value < 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     @property
     def budget(self) -> int:
@@ -423,7 +436,7 @@ class Level(NamedTuple):
         _to_modes(lay, v[:1])
         _forcing_modes(pieces, lay, [t], v[1:])
         pinned = _flat(initial_traces(pieces, fields, len(lay.traces) - 1))
-        _spread_all(lay, pinned[None], v[1:])
+        _spread_all(lay, pinned[lay.ins][None], v[1:])
         return cls(lay, v[0], pinned, v[1])
 
     @property
@@ -468,8 +481,9 @@ class _Layout(NamedTuple):
     pieces' problem (`Problem.terms`), each term's spatial forcing
     assembled and transformed once, when the layout is built.  plans: the
     sweep plan (`_sweep_plan`) of the run's windows of each scheme and
-    length, keyed by (scheme, steps) and built by `_cached` on first use;
-    its scratch serves one sweep call at a time.
+    length, with the places of those windows' traces (`_window_places`),
+    keyed by (scheme, steps) and built by `_cached` on first use; its
+    scratch serves one sweep call at a time.
     """
 
     at: tuple
@@ -753,7 +767,8 @@ def method1_advance(
     the level at t_next, both in sine-mode space.
 
     A level is the one-step window of the waveform driver, solved by
-    `_solve_window`.  ETD1 sweeps re-solve each piece against the latest
+    `_solve_window` on the one window engine (`_window_sweep`), as every
+    method-2 window is.  ETD1 sweeps re-solve each piece against the latest
     neighbor values at t_next; the default initial guess is the previous
     level's traces.  ETD2 freezes the t_now forcing at the converged
     previous level (the window's pinned level 0), so only the
@@ -826,27 +841,49 @@ def method1_march(
     return _march(pieces, timegrid, 1, final_only, step)
 
 
-def _march_modes(ws: StepWorkspace, scheme: Scheme, u_hat: np.ndarray,
-                 f_hat: np.ndarray) -> np.ndarray:
-    """Diagonal ETD recursion in mode space over forcing modes f_hat
-    (steps + 1, ...) from the start modes u_hat; returns all levels.
+def _start_part(kernels: Sequence[np.ndarray], scheme: Scheme, u: np.ndarray, f0: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """The start part A = E u + phi1 f0 (ETD1: E u) of a step from the
+    state modes u over the forcing modes f0, written into out[0], with
+    out[1] as scratch (rows of one array, or two arrays); returns out[0]."""
+    exp, phi1, _ = kernels
+    a = np.multiply(exp, u, out=out[0])
+    if scheme == "etd2":
+        a += np.multiply(phi1, f0, out=out[1])
+    return a
 
-    The forcing terms of every step are formed up front, so only the
-    update E u + terms runs per step, in place and summed in the order of
-    the single-step formula.
+
+def _march_modes(kernels: Sequence[np.ndarray], scheme: Scheme, a: np.ndarray, f0: np.ndarray,
+                 forcing: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Diagonal ETD recursion in mode space, with the kernels (E, dt phi1,
+    dt phi2): levels 1..steps over the forcing modes `forcing` (steps, ...)
+    of those levels, from the start part `a` of the first step
+    (`_start_part`), f0 the forcing modes of level 0, written into `out`
+    (steps, ...), which may be `forcing`; returns out.
+
+    Each step's forcing term is formed up front, in the row of its level,
+    so only E u + term runs per step, in place and summed in the order of
+    the single-step formula: a one-step march is A + phi1 f1 (ETD2: A +
+    phi2 (f1 - f0)).
     """
-    E, mul, add = ws.exp_kernel, np.multiply, np.add
-    out = np.empty_like(f_hat)
-    out[0] = u_hat
-    rows = list(out)
+    exp, phi1, phi2 = kernels
     if scheme == "etd1":
-        for prev, nxt, g in zip(rows, rows[1:], ws.phi1_kernel * f_hat[1:]):
-            add(mul(E, prev, out=nxt), g, out=nxt)
+        np.multiply(phi1, forcing, out=out)
+        starts = repeat(None)
     else:
-        slopes = f_hat[1:] - f_hat[:-1]
-        slopes *= ws.phi2_kernel
-        for prev, nxt, g0, g1 in zip(rows, rows[1:], ws.phi1_kernel * f_hat[:-1], slopes):
-            add(add(mul(E, prev, out=nxt), g0, out=nxt), g1, out=nxt)
+        starts = forcing[:-1].copy()  # each step's start forcing, before out overwrites it
+        np.subtract(forcing[1:], starts, out=out[1:])
+        np.subtract(forcing[0], f0, out=out[0])
+        out *= phi2
+        starts *= phi1
+    rows = list(out)
+    np.add(a, rows[0], out=rows[0])
+    e = np.empty_like(rows[0]) if len(rows) > 1 else None
+    for prev, nxt, g0 in zip(rows, rows[1:], starts):
+        np.multiply(exp, prev, out=e)
+        if g0 is not None:
+            e += g0
+        np.add(e, nxt, out=nxt)
     return out
 
 
@@ -929,14 +966,15 @@ def _lag_product(x: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
 
 
 def _sweep_plan(pieces: Sequence[LocalPiece], lay: _Layout, scheme: Scheme,
-                steps: int) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+                steps: int) -> tuple[Callable, tuple]:
     """The sweep plan of windows of `steps` levels on the layout `lay` of
-    `pieces`: sweep(base, now, new) writes new = base + M now at the owned
-    traces of every piece, on flat traces that hold levels 1..steps of
-    interface i at at[i]:at[i + 1], at = steps times the layout's trace
-    offsets.  M is per geometry group the lag blocks (`_lag_blocks`) of its
-    response table (`_window_responses`, held on its pieces) over blocks of
-    n levels, one dense block while steps <= `_LAG_LEVELS`.  A sweep takes
+    `pieces`, with the places of their traces (`_window_places`):
+    sweep(base, now, new) writes new = base + M now at the owned traces of
+    every piece, on flat traces that hold levels 1..steps of interface i at
+    at[i]:at[i + 1], at = steps times the layout's trace offsets.  M is per
+    geometry group the lag blocks (`_lag_blocks`) of its response table
+    (`_window_responses`, held on its pieces) over blocks of n levels, one
+    dense block while steps <= `_LAG_LEVELS`.  A sweep takes
     every piece's inflow traces in one take, level after level, the last
     block padded with copies of level steps, which reach only the padded
     levels of its output, which are not put; runs one product per group:
@@ -979,29 +1017,34 @@ def _sweep_plan(pieces: Sequence[LocalPiece], lay: _Layout, scheme: Scheme,
         new[puts] = np.add(y[keep], base, out=owned)
         return new
 
-    return sweep
+    return sweep, _window_places(pieces, lay, steps)
 
 
-def _window_start(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float]) -> tuple:
-    """The level `start` at times[0] as a window over `times` reads it: the
-    run's `_Layout`, the pinned traces, the state modes u, the forcing
-    modes f0 at times[0] (pinned traces included; ETD2 alone reads them)
-    and the trace-independent forcing modes F (steps, size) at times[1:],
-    formed here in one call (`_forcing_modes`)."""
-    lay, u, pinned, f0 = start
-    forcing = np.empty((len(times) - 1, lay.size))
-    _forcing_modes(pieces, lay, times[1:], forcing)
-    return lay, pinned, u, f0, forcing
+def _window_places(pieces: Sequence[LocalPiece], lay: _Layout, steps: int) -> tuple:
+    """The places in flat window traces (levels 1..steps of interface i at
+    at[i]:at[i + 1], at = steps times the offsets of the layout `lay` of
+    `pieces`): (steps, inflow nodes) of every piece's inflow nodes at each
+    level, in the layout's order (`_Layout.ins`); those of every
+    interface's trace at the last level; for each value of the default
+    initial traces, its place in the pinned traces, whose level 0 they
+    hold at every level; and for each value of a plan's base, piece after
+    piece, level after level (`_sweep_plan`), its place in read-outs
+    (steps, outflow nodes), level after level."""
+    at, reads = lay.traces * steps, np.arange(steps * len(lay.outs)).reshape(steps, -1)
+    return (_nodes([e for b in lay.blocks for d in b.members for e in pieces[d].inflow], at, steps),
+            _flat((np.arange(j - (j - i) // steps, j) for i, j in pairwise(at)), int),
+            _flat((np.tile(np.arange(i, j), steps) for i, j in pairwise(lay.traces)), int),
+            _flat((reads[:, b.outs].reshape(steps, len(b.members), -1).swapaxes(0, 1).ravel()
+                   for b in lay.blocks), int))
 
 
-def _spread_all(lay: _Layout, traces: np.ndarray, out: np.ndarray) -> None:
-    """Add the forcing modes of flat level traces (levels, traces) into the
-    flat modes `out` (levels, size), with every piece's inflow nodes
-    gathered in one take, one spread per geometry group; nothing on a layout
-    without inflow nodes (one piece)."""
+def _spread_all(lay: _Layout, x: np.ndarray, out: np.ndarray) -> None:
+    """Add the forcing modes of inflow traces x (levels, inflow nodes), every
+    piece's inflow nodes in the layout's order (`_Layout.ins`), into the
+    flat modes `out` (levels, size), one spread per geometry group; nothing
+    on a layout without inflow nodes (one piece)."""
     if not len(lay.ins):
         return
-    x = traces[:, lay.ins]
     for b in lay.blocks:
         b.piece.inflow_stack.spread(x[:, b.ins].reshape(len(x), len(b.members), -1), b.modes(out))
 
@@ -1028,142 +1071,110 @@ def _forcing_modes(pieces: Sequence[LocalPiece], lay: _Layout, times: Sequence[f
         out += factor[:, None] * modes
 
 
-def _step(lay: _Layout, scheme: Scheme, a: np.ndarray, f0: np.ndarray, f1: np.ndarray,
-          out: np.ndarray) -> np.ndarray:
-    """The new level of one step from a = E u + phi1 f0 (ETD1: E u) over the
-    forcing modes f0, f1, written into `out` (which may be f1): the
-    operations of `_march_modes`, in its order."""
-    _, phi1, phi2 = lay.kernels
-    if scheme == "etd1":
-        out = np.multiply(phi1, f1, out=out)
-    else:
-        out = np.subtract(f1, f0, out=out)
-        out *= phi2
-    return np.add(a, out, out=out)
-
-
-def _step_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float], scheme: Scheme,
-                predict: bool = False) -> tuple[Callable, Callable, np.ndarray]:
-    """The one-step window from `start` at times[0] to times[1] (every
-    method-1 level, and method-2 windows of one step), with the protocol
-    of `_window_sweep`, on the flat vectors of `_window_start`.  Once per
-    window it forms A = E u + phi1 f0 (ETD1: E u) and, unless the layout
-    has no outflow edge (one piece), the base step from A over F[0], one
-    operation each over every piece's modes, and reads their owned traces
-    out, once per geometry group.  A sweep is the layout's one-step plan
-    (`_sweep_plan`), new[out] = base + now[in] @ R[0] per group, R[0] the
-    one-step gains (`_window_responses`).  `finish` spreads the last sweep's input
-    into F[0], once per group, and steps from A once, in the order of
-    `_march_modes`: the bits of a march, without one.  It hands on the new
-    level with its f0: F[0] with the last sweep's output spread in, in the
-    same call.  The default initial traces are the pinned ones or, with
-    `predict` (ETD2 levels of method 1), those of the predictor A.
-    """
-    lay, pinned, u, f0, forcing = _window_start(pieces, start, times)
-    exp, phi1, _ = lay.kernels
-    ab = np.empty((2, lay.size))  # A and the base step, read out together
-    a = np.multiply(exp, u, out=ab[0])
-    if scheme == "etd2":
-        a += np.multiply(phi1, f0, out=ab[1])
-    reads = np.empty((2, len(lay.outs)))
-    if len(lay.outs):  # the one-piece layout reads no trace out
-        _step(lay, scheme, a, f0, forcing[0], out=ab[1])
-        for b in lay.blocks:
-            # piece-major (k, 2, ...): a 1d read contracts each piece's levels alone
-            b.piece.outflow_stack.read(b.modes(ab).swapaxes(0, 1), reads[:, b.outs]
-                                       .reshape(2, len(b.members), -1).swapaxes(0, 1))
-    initial = pinned.copy()
-    if predict:
-        initial[lay.outs] = reads[0]
-
-    def finish(out: Optional[Sequence[np.ndarray]], last: np.ndarray,
-               latest: np.ndarray) -> Level:
-        # the new level's f0 spreads its pinned traces, in one go with f1
-        f = np.repeat(forcing, 2, axis=0)
-        _spread_all(lay, np.stack((last, latest)), f)
-        u1 = _step(lay, scheme, a, f0, f[0], out=f[0])
-        if out is not None:
-            for o, state in zip(out, lay.views(u1)):
-                o[1] = state
-        return Level(lay, u1, latest, f[1])
-
-    plan = _cached(lay.plans, (scheme, 1), _sweep_plan, pieces, lay, scheme, 1)
-    return partial(plan, reads[1]), finish, initial
-
-
 def _window_sweep(pieces: Sequence[LocalPiece], start: Level, times: Sequence[float],
-                  scheme: Scheme) -> tuple[Callable, Callable, np.ndarray]:
-    """The sweep of a window of two or more steps over the level times
-    `times` (steps + 1, spaced by the pieces' step) from the level `start`
-    at times[0], on flat traces (levels 1..steps of interface i at
-    at[i]:at[i + 1], at = steps times the layout's trace offsets).  Returns
-    `sweep(now, new)`, which writes the owned traces of every piece against
-    the incoming ones `now` into `new` and returns it; `finish(out, last,
-    latest)`, which marches each piece against the last sweep's input
-    `last`, writes the trailing len(out[d]) - 1 levels of its mode-space
-    trajectory into out[d][1:] if `out` is given, and returns the level at
-    times[-1] in mode space, pinned to the last level of the last sweep's
-    output `latest`, with those traces spread into its f0; and the default
-    initial traces, level 0 at every level.  A 1d sweep is new = base + M x,
-    with the base read-out of one march per piece against no traces, on
-    the layout's plan for windows of this length (`_sweep_plan`), the
-    engine of one-step windows too: one take of every piece's inflow
-    histories, one product per geometry group by the lag blocks of its
-    response table (`_window_responses`) and one scatter, with the blocks
-    and indices built for the first such window of the run.  A window at
-    rest (state modes, f0 and forcing modes all zero, as in every
-    error-equation solve from t = 0) marches no piece for its base: a march
-    of zeros reads out +0.0, so its base is zeros.  A non-finite incoming
-    trace reaches every level of its piece's product (0 times NaN), not
-    only the later ones.  A 2d window marches each piece in mode space in
-    every sweep.
+                  scheme: Scheme, predict: bool = False) -> tuple[Callable, Callable, np.ndarray]:
+    """The window over the level times `times` (steps + 1, spaced by the
+    pieces' step) from the level `start` at times[0]: the one engine of
+    every window of both drivers, on flat traces (levels 1..steps of
+    interface i at at[i]:at[i + 1], at = steps times the layout's trace
+    offsets, placed by `_window_places`).  Returns `sweep(now, new)`, which
+    writes the owned traces of every piece against the incoming ones `now`
+    into `new` and returns it; `finish(out, last, latest)`, which writes the
+    trailing len(out[d]) - 1 levels of piece d's mode-space trajectory
+    against the last sweep's input `last` into out[d][1:] if `out` is
+    given, and returns the level at times[-1] in mode space, pinned to the
+    last level of the last sweep's output `latest`, with those traces
+    spread into its f0; and the initial traces: the pinned ones at every
+    level or, with `predict` (ETD2 levels of method 1), those of the
+    predictor A.
+
+    Once per window it forms the trace-independent forcing F of levels
+    1..steps (`_forcing_modes`) and the start part A = E u + phi1 f0 (ETD1:
+    E u, `_start_part`), one operation each over every piece's modes.  Every
+    march starts from A, so a one-step march is one step with the bits of a
+    march from u.  The sweep alone is chosen from the input.  One-step
+    windows and 1d ones run the layout's plan for windows of this length
+    (`_sweep_plan`), new = base + M x, with the base read out of one flat
+    march from A over F, A included, once per geometry group.  A window at
+    rest (state modes, f0 and F all zero, as in every error-equation solve
+    from t = 0) marches nothing for its base, since a march of zeros reads
+    out +0.0; nor does a layout without outflow edges (one piece).  In a 1d
+    window of two or more steps a non-finite incoming trace reaches every
+    level of its piece's product (0 times NaN), not only the later ones.  A 2d
+    window of two or more steps, whose per-lag tables would be large,
+    marches each piece from A in mode space in every sweep.  `finish`, the
+    window's last use of F, spreads into F the last sweep's inflow
+    histories and into a copy of its last row, the next level's f0, that
+    level's pinned traces, one `_spread_all` per block of levels, and
+    marches each block flat from the end of the one before; a block holds
+    at most `_BLOCK_VALUES` values.
     """
-    steps = len(times) - 1
-    lay, pinned, *modes = _window_start(pieces, start, times)
-    at = lay.traces * steps
-    parts = list(zip(*map(lay.views, modes)))  # per piece u, f0 and F
-    ins = [_nodes(p.inflow, at, steps) for p in pieces]
-
-    def march(d: int, v: Optional[np.ndarray]) -> np.ndarray:
-        """Piece d's trajectory against the incoming traces v (None: none)."""
-        u, f0, forcing = parts[d]
-        f_hat = np.empty((steps + 1,) + u.shape)
-        f_hat[0], f_hat[1:] = f0, forcing
-        if v is not None:
-            pieces[d].inflow_stack.spread(v[ins[d]], f_hat[1:])
-        return _march_modes(pieces[d].ws, scheme, u, f_hat)
-
-    if all(edge.size == 1 for p in pieces for edge in p.inflow):  # 1d
-        plan = _cached(lay.plans, (scheme, steps), _sweep_plan, pieces, lay, scheme, steps)
-        if any(v.any() for v in modes):
-            base = _flat(pieces[d].outflow_stack.read(march(d, None))[1:].ravel()
-                         for b in lay.blocks if b.piece.outflow for d in b.members)
-        else:  # at rest: a march of zeros reads out +0.0
-            base = np.zeros(len(lay.outs) * steps)
-        sweep = partial(plan, base)
+    steps, (lay, u, pinned, f0) = len(times) - 1, start
+    forcing = np.empty((steps + 1, lay.size))  # F, and a row for scratch, then the next f0
+    _forcing_modes(pieces, lay, times[1:], forcing[:steps])
+    planned = steps == 1 or all(e.size == 1 for p in pieces for e in p.inflow)
+    rows = np.empty((steps + 1 if planned else 1, lay.size))  # A, then the base march's levels
+    a = _start_part(lay.kernels, scheme, u, f0, (rows[0], forcing[-1]))
+    plan, (inflow, ends, tiled, order) = (
+        _cached(lay.plans, (scheme, steps), _sweep_plan, pieces, lay, scheme, steps) if planned
+        else (None, _window_places(pieces, lay, steps)))
+    initial = pinned[tiled]
+    if planned:
+        reads = np.zeros((steps + 1, len(lay.outs)))  # A's and the base's, level by level
+        if len(lay.outs) and any(v.any() for v in (u, f0, forcing[:steps])):
+            _march_modes(lay.kernels, scheme, a, f0, forcing[:steps], rows[1:])
+            for b in lay.blocks:
+                # piece-major (k, levels, ...): a 1d read contracts each piece's levels alone
+                b.piece.outflow_stack.read(b.modes(rows).swapaxes(0, 1), reads[:, b.outs].reshape(
+                    steps + 1, len(b.members), -1).swapaxes(0, 1))
+        if predict:
+            initial[lay.outs] = reads[0]
+        sweep = partial(plan, reads[1:].ravel()[order])
     else:
-        outs = [_nodes(p.outflow, at, steps) for p in pieces]
+        at = lay.traces * steps
+        ins, outs = ([_nodes(getattr(p, flow), at, steps) for p in pieces]
+                     for flow in ("inflow", "outflow"))
+        parts = list(zip(zip(*map(lay.views, lay.kernels)),
+                         *map(lay.views, (a, f0, forcing[:steps]))))
 
         def sweep(v: np.ndarray, new: np.ndarray) -> np.ndarray:
-            for d, p in enumerate(pieces):  # the trajectory goes before the next piece's march
-                new[outs[d]] = p.outflow_stack.read(march(d, v))[1:]
+            # the trajectory goes before the next piece's march
+            for p, (kernels, a_d, f0_d, forcing_d), i, o in zip(pieces, parts, ins, outs):
+                f_hat = np.empty((steps + 1,) + p.u0.shape)  # A and levels 1..steps
+                f_hat[0], f_hat[1:] = a_d, forcing_d
+                p.inflow_stack.spread(v[i], f_hat[1:])
+                _march_modes(kernels, scheme, a_d, f0_d, f_hat[1:], f_hat[1:])
+                new[o] = p.outflow_stack.read(f_hat)[1:]
             return new
 
     def finish(out: Optional[Sequence[np.ndarray]], last: np.ndarray,
                latest: np.ndarray) -> Level:
-        states = np.empty(lay.size)
-        for d, state in enumerate(lay.views(states)):
-            traj = march(d, last)
-            state[...] = traj[-1]
-            if out is not None:
-                out[d][1:] = traj[1 - len(out[d]):]
-        pins = _flat(latest[j - (j - i) // steps:j] for i, j in zip(at, at[1:]))
-        f0 = modes[2][-1:].copy()  # the new level's forcing, its pinned traces spread in
-        _spread_all(lay, pins[None], f0)
-        return Level(lay, states, pins, f0[0])
+        pins, size = latest[ends], max(1, min(steps, _BLOCK_VALUES // lay.size))
+        forcing[-1] = forcing[-2]
+        head, f_start = a, f0
+        for s in range(0, steps, size):
+            e = min(s + size, steps)
+            if s:  # the block marches on from the last level of the one before
+                head = _start_part(lay.kernels, scheme, forcing[s - 1], f_start,
+                                   np.empty((2, lay.size)))
+            # the last block spreads the pinned traces too.  A one-step window
+            # gathers as np.stack((last, latest))[:, ins] does, F-ordered, and
+            # keeps the 2d bits of that spread; a longer one's rows are
+            # C-ordered, each with the bits of a spread of its own
+            f = forcing[s:e + (e == steps)]
+            x = np.concatenate((last[inflow[s:e]], latest[inflow[-1:]]))[:len(f)]
+            _spread_all(lay, np.asfortranarray(x) if steps == 1 else x, f)
+            f_next = forcing[e - 1].copy() if e < steps else None  # which the march overwrites
+            block = _march_modes(lay.kernels, scheme, head, f_start, forcing[s:e], forcing[s:e])
+            f_start = f_next
+            for o, v in zip(out, lay.views(block)) if out is not None else ():
+                kept = o[1:][s - steps:e - steps or None]  # the block's levels that o keeps
+                kept[...] = v[len(v) - len(kept):]
+        # a longer window copies them out, so that the next holds none of its rows
+        state, f0_next = forcing[-2:] if steps == 1 else forcing[-2:].copy()
+        return Level(lay, state, pins, f0_next)
 
-    return sweep, finish, _flat(np.tile(pinned[i:j], steps)
-                                for i, j in zip(lay.traces, lay.traces[1:]))
+    return sweep, finish, initial
 
 
 def _solve_window(
@@ -1183,9 +1194,9 @@ def _solve_window(
     """Solve one window from the level `start` at times[0]: the trailing
     len(window[d]) - 1 levels of piece d's solution go, in sine-mode
     space, into window[d][1:] unless `window` is None.  Returns the log
-    and the level at times[-1].  A one-step window runs on `_step_sweep`,
-    with the predictor's initial traces if `predict`, a longer one on
-    `_window_sweep`, from their default traces unless a guess is given.
+    and the level at times[-1].  Every window runs on `_window_sweep`,
+    which chooses its sweep from the input alone, from its default
+    traces (with `predict` the predictor's) unless a guess is given.
     A guess and a reference hold one entry per interface: with `levels`
     given, that many levels of the run's trace (levels, size), of which
     the window reads levels first..first + steps - 1, else the window's
@@ -1221,8 +1232,7 @@ def _solve_window(
                                  f"interface {i}, the run takes {shape}")
         flat[name] = _flat(r.ravel() if levels is None else r[first:first + steps].ravel()
                            for r in rows)
-    sweep, finish, now = (_step_sweep(pieces, start, times, config.scheme, predict)
-                          if steps == 1 else _window_sweep(pieces, start, times, config.scheme))
+    sweep, finish, now = _window_sweep(pieces, start, times, config.scheme, predict)
     log, last, latest = _sweep_loop(sweep, flat.get("guess", now), lay.traces * steps, config,
                                     flat.get("reference"), where)
     return log, finish(window, last, latest)
@@ -1256,13 +1266,14 @@ def method2_solve(
     t = 0 (by default `Level.of` them).  No solve writes into `start`, so
     runs from one state, such as a rate study's seeds, can share one,
     `Level.of(pieces, [p.u0 for p in pieces], 0.0)`, and its layout.  Each
-    window forms the trace-independent forcing of its own levels, then
-    iterates interface-reduced sweeps (`_step_sweep` for one step,
-    `_window_sweep` for more): the layout's matrix sweep (`_sweep_plan`),
-    one product per geometry group, in one-step windows and longer 1d ones,
-    and the mode-space recursion in longer 2d ones; none assembles forcing
-    or runs a DST.  A window hands its successor its last level in
-    sine-mode space.
+    window runs the one window engine (`_window_sweep`): it forms the
+    trace-independent forcing of its own levels and the start part A,
+    then iterates interface-reduced sweeps, the layout's matrix sweep
+    (`_sweep_plan`, one product per geometry group) in one-step windows and
+    1d ones, and the mode-space recursion from A in 2d windows of two or
+    more steps; none assembles forcing or runs a DST.  Its `finish` marches
+    the window's levels from A, flat over every piece, in level blocks, and
+    hands its successor its last level in sine-mode space.
 
     Returns per-piece trajectories (steps + 1, *shape) and an
     IterationLog; with windows, the log aggregates one child log per

@@ -8,7 +8,10 @@ the data terms' route), the retired monodomain march (`run_monodomain`,
 the oracle of the one-piece method-1 march), the retired field route of
 `method1_advance` (`advance_fields`), the retired sweep loop
 (`sweep_loop`, the oracle of the library's), the retired per-piece
-one-step engine (`step_sweep`, the oracle of the geometry-grouped one),
+one-step engine (`step_sweep`, the oracle of the geometry-grouped one,
+with the retired window start `window_start` and step `one_step`), the
+retired march of one piece from its state u (`march_modes`, the oracle of
+the library's march from the start part A),
 the retired 1d window sweep of one causal convolution per (outflow,
 inflow) pair (`convolution_window_sweep`, the oracle of the window-matrix
 products) and the response tables marched over every level
@@ -204,13 +207,61 @@ def edge_columns(edges):
     return [slice(i, j) for i, j in zip(ends, ends[1:])]
 
 
+def march_modes(ws: StepWorkspace, scheme: Scheme, u_hat, f_hat: np.ndarray) -> np.ndarray:
+    """`schwarz._march_modes` as it marched one piece before every march
+    started from the start part of its first step: the diagonal ETD
+    recursion over forcing modes f_hat (steps + 1, ...) from the start
+    modes u_hat; returns all levels, u_hat first.  The forcing terms of
+    every step are formed up front, so only the update E u + terms runs
+    per step, summed in the order of the single-step formula."""
+    E, mul, add = ws.exp_kernel, np.multiply, np.add
+    out = np.empty_like(f_hat)
+    out[0] = u_hat
+    rows = list(out)
+    if scheme == "etd1":
+        for prev, nxt, g in zip(rows, rows[1:], ws.phi1_kernel * f_hat[1:]):
+            add(mul(E, prev, out=nxt), g, out=nxt)
+    else:
+        slopes = f_hat[1:] - f_hat[:-1]
+        slopes *= ws.phi2_kernel
+        for prev, nxt, g0, g1 in zip(rows, rows[1:], ws.phi1_kernel * f_hat[:-1], slopes):
+            add(add(mul(E, prev, out=nxt), g0, out=nxt), g1, out=nxt)
+    return out
+
+
+def window_start(pieces, start, times):
+    """The level `start` at times[0] as a window over `times` reads it, as
+    the library read it before its windows formed their start part once:
+    the run's layout, the pinned traces, the state modes u, the forcing
+    modes f0 at times[0] and the trace-independent forcing modes F (steps,
+    size) at times[1:]."""
+    lay, u, pinned, f0 = start
+    forcing = np.empty((len(times) - 1, lay.size))
+    schwarz._forcing_modes(pieces, lay, times[1:], forcing)
+    return lay, pinned, u, f0, forcing
+
+
+def one_step(lay, scheme, a, f0, f1, out):
+    """The new level of one step from a = E u + phi1 f0 (ETD1: E u) over
+    the flat forcing modes f0, f1, written into `out` (which may be f1):
+    the operations of `march_modes`, in its order."""
+    _, phi1, phi2 = lay.kernels
+    if scheme == "etd1":
+        out = np.multiply(phi1, f1, out=out)
+    else:
+        out = np.subtract(f1, f0, out=out)
+        out *= phi2
+    return np.add(a, out, out=out)
+
+
 def step_sweep(pieces, start, times, scheme, predict=False):
-    """`schwarz._step_sweep` as it ran before the layout grouped its pieces
-    by geometry: per piece its read-out, its gains product and its spread,
-    here through the per-edge forms (`edge_read`, `edge_spread`) and one
-    product of the piece's incoming traces with its gains; same arguments
-    and results."""
-    lay, pinned, u, f0, forcing = schwarz._window_start(pieces, start, times)
+    """The one-step window of `schwarz._window_sweep` as it ran before the
+    layout grouped its pieces by geometry, on a route of its own: per piece
+    its read-out, its gains product and its spread, here through the
+    per-edge forms (`edge_read`, `edge_spread`) and one product of the
+    piece's incoming traces with its gains; the arguments and results of
+    `_window_sweep` for one-step windows."""
+    lay, pinned, u, f0, forcing = window_start(pieces, start, times)
     exp, phi1, _ = lay.kernels
     ins = [schwarz._nodes(p.inflow, lay.traces)[0] for p in pieces]
     outs = [schwarz._nodes(p.outflow, lay.traces)[0] for p in pieces]
@@ -220,7 +271,7 @@ def step_sweep(pieces, start, times, scheme, predict=False):
         a += np.multiply(phi1, f0, out=ab[1])
     reads, gains = [], []
     if any(len(o) for o in outs):
-        schwarz._step(lay, scheme, a, f0, forcing[0], out=ab[1])
+        one_step(lay, scheme, a, f0, forcing[0], out=ab[1])
     for p, v in zip(pieces, lay.views(ab)):
         reads.append(np.concatenate([np.empty((2, 0))]
                                     + [edge_read(p.u0.shape, e, v) for e in p.outflow], axis=1))
@@ -242,7 +293,7 @@ def step_sweep(pieces, start, times, scheme, predict=False):
         for p, i, part in zip(pieces, ins, lay.views(f)):
             for e, cols in zip(p.inflow, edge_columns(p.inflow)):
                 part += edge_spread(p.u0.shape, e, traces[:, i][:, cols])
-        u1 = schwarz._step(lay, scheme, a, f0, f[0], out=f[0])
+        u1 = one_step(lay, scheme, a, f0, f[0], out=f[0])
         if out is not None:
             for o, state in zip(out, lay.views(u1)):
                 o[1] = state
@@ -266,13 +317,13 @@ def marched_responses(piece, scheme, steps):
                   for part in np.array_split(edge, -(-len(edge) // UNITS_PER_MARCH))):
         f_hat = np.zeros((steps + 1, len(units)) + piece.u0.shape)
         piece.inflow_stack.spread(units, f_hat[1])
-        u_hat = schwarz._march_modes(piece.ws, scheme, 0.0, f_hat)[1:]
+        u_hat = march_modes(piece.ws, scheme, 0.0, f_hat)[1:]
         rows.append(piece.outflow_stack.read(u_hat.reshape((-1,) + piece.u0.shape))
                     .reshape(steps, len(units), -1))
     return np.concatenate(rows, axis=1)
 
 
-def convolution_window_sweep(pieces, start, times, scheme):
+def convolution_window_sweep(pieces, start, times, scheme, predict=False):
     """`schwarz._window_sweep` of a 1d window as it ran before its sweep
     was a window-matrix product: per owned trace its base read-out of one
     march against no traces, plus one causal `np.convolve` of each incoming
@@ -281,16 +332,16 @@ def convolution_window_sweep(pieces, start, times, scheme):
     and the initial traces are the library's (`_window_sweep`, bound when
     this module is imported, so that a test may put this oracle in the
     library's place)."""
-    _, finish, initial = _window_sweep(pieces, start, times, scheme)
+    _, finish, initial = _window_sweep(pieces, start, times, scheme, predict)
     steps = len(times) - 1
-    lay, _, u, f0, forcing = schwarz._window_start(pieces, start, times)
+    lay, _, u, f0, forcing = window_start(pieces, start, times)
     assert all(e.size == 1 for p in pieces for e in p.inflow), "a 1d window"
     at = lay.traces * steps
     span = lambda i: slice(at[i], at[i + 1])
     plan = []
     for p, u_p, f0_p, f_p in zip(pieces, *map(lay.views, (u, f0, forcing))):
         if p.outflow:  # a lone piece has no trace edges
-            march = schwarz._march_modes(p.ws, scheme, u_p, np.concatenate([f0_p[None], f_p]))
+            march = march_modes(p.ws, scheme, u_p, np.concatenate([f0_p[None], f_p]))
             base = p.outflow_stack.read(march)[1:]
             r = marched_responses(p, scheme, steps)
             srcs = [span(e.interface) for e in p.inflow]

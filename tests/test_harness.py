@@ -498,9 +498,14 @@ def test_config_file_and_flags_give_the_same_config(tmp_path):
      "--tol: a rate study runs a fixed sweep budget"),
     (["--problem", "error_equation", "--solver", "method2", "--max-iters", "50"],
      "--max-iters: a rate study runs a fixed sweep budget"),
+    (["--problem", "analytic_1d", "--solver", "method2", "--subdomains", "2x3"],
+     "--subdomains 2x3: problem analytic_1d has one axis"),
+    (["--problem", "error_equation", "--solver", "method2", "--subdomains", "2x3"],
+     "--subdomains 2x3: problem error_equation has one axis"),
 ], ids=["ny-1d", "ny-rate", "subdomains-mono", "overlap-cells-mono", "seed-1d", "seeds-2d-method1",
         "overlap-convention-1d", "overlap-convention-rate", "overlap-convention-mono",
-        "tol-mono", "max-iters-mono", "fixed-iters-mono", "tol-rate", "max-iters-rate"])
+        "tol-mono", "max-iters-mono", "fixed-iters-mono", "tol-rate", "max-iters-rate",
+        "subdomains-pxq-1d", "subdomains-pxq-rate"])
 def test_cli_rejects_settings_the_run_does_not_use(argv, message, tmp_path, capsys):
     assert main(argv + ["--n", "15", "--dt", "0.125", "--T", "0.25"]) == 2
     assert message in capsys.readouterr().err

@@ -47,6 +47,7 @@ from oracles import (
     flat_traces,
     forcing_modes,
     history_sweep,
+    march_modes,
     marched_responses,
     normalized_curve,
     one_piece_march,
@@ -58,6 +59,7 @@ from oracles import (
     theoretical_rate,
     trace_histories,
     trace_offsets,
+    window_start,
 )
 
 PI2 = math.pi ** 2
@@ -106,6 +108,29 @@ def test_solver_config_validation():
         SolverConfig(window_steps=0)
     cfg = SolverConfig(fixed_iterations=7)
     assert cfg.budget == 7
+
+
+@pytest.mark.parametrize("settings,message", [
+    (dict(tolerance=math.inf), "tolerance must be positive and finite, got inf"),
+    (dict(tolerance=-math.inf), "tolerance must be positive and finite, got -inf"),
+    (dict(max_iterations=2.5), "max_iterations must be a positive integer, got 2.5"),
+    (dict(max_iterations=None), "max_iterations must be a positive integer, got None"),
+    (dict(max_iterations=True), "max_iterations must be a positive integer, got True"),
+    (dict(max_iterations=0), "max_iterations must be a positive integer, got 0"),
+    (dict(fixed_iterations=3.0), "fixed_iterations must be a positive integer, got 3.0"),
+    (dict(fixed_iterations=True), "fixed_iterations must be a positive integer, got True"),
+    (dict(window_steps=2.0), "window_steps must be a positive integer, got 2.0"),
+    (dict(window_steps=False), "window_steps must be a positive integer, got False"),
+], ids=["tol-inf", "tol-minus-inf", "max-float", "max-none", "max-bool", "max-zero",
+        "fixed-float", "fixed-bool", "window-float", "window-bool"])
+def test_solver_config_refuses_an_infinite_tolerance_and_fractional_counts(settings, message):
+    # with tolerance inf a solve stopped after one sweep and logged itself
+    # converged; a fractional budget got through to the sweep loop, where
+    # allocating its log rows raised a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverConfig(**settings)
+    assert SolverConfig(max_iterations=np.int64(3), fixed_iterations=np.int32(2),
+                        window_steps=np.int16(4)).budget == 2
 
 
 def test_random_trace_guess_properties():
@@ -291,7 +316,7 @@ def test_a_wide_fixed_budget_loop_holds_one_sweep_per_block():
 
 
 def _injecting(make, window, at_sweep, value):
-    """`make` (`schwarz._step_sweep` or `_window_sweep`) whose sweep, in the
+    """`make` (`schwarz._window_sweep`) whose sweep, in the
     `window`-th window made, writes `value` into its output at its
     `at_sweep`-th call, with alternating signs, so that a piece that reads
     two of them meets an invalid value.  A call that raises counts for
@@ -324,11 +349,11 @@ def test_a_value_injected_mid_block_raises_as_the_retired_loop_does(monkeypatch,
     prob, lay, grid, tg = _oracle_1d(3)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme="etd2", fixed_iterations=20)
-    name, window = ("_step_sweep", 3) if driver == "method1" else ("_window_sweep", 1)
-    make, errors = getattr(schwarz, name), []
+    window = 3 if driver == "method1" else 1
+    make, errors = schwarz._window_sweep, []
     for loop in (schwarz._sweep_loop, sweep_loop):
         monkeypatch.setattr(schwarz, "_sweep_loop", loop)
-        monkeypatch.setattr(schwarz, name, _injecting(make, window, 7, value))
+        monkeypatch.setattr(schwarz, "_window_sweep", _injecting(make, window, 7, value))
         with pytest.raises(FloatingPointError, match=r"(at t=0\.0625|in the window from t=0): "
                                                      r"sweep 7, interface 0$") as exc:
             if driver == "method1":
@@ -442,18 +467,18 @@ def test_a_lone_piece_logs_no_sweep(dim, budget):
 @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_lone_piece_steps_once_per_level(monkeypatch, dim, scheme):
-    # no trace is read out of the one-piece layout, so a level forms no
-    # base step: its one step is the new state, formed by `finish`; and no
-    # trace is read in, so neither the first level (`Level.of`) nor a
-    # finish calls a spread
+    # no trace is read out of the one-piece layout, so a level marches no
+    # base: its one march is the new state's, in `finish`; and no trace is
+    # read in, so neither the first level (`Level.of`) nor a finish calls a
+    # spread
     prob = analytic_problem() if dim == 1 else builtin_problem("analytic_2d")
     grid = (make_grid_1d(63, prob.length, origin=prob.origin) if dim == 1
             else make_grid_2d(15, 12, prob.lengths))
     lay = decompose(grid.shape, (1,) * dim, (0, 0))
     tg = TimeGrid(prob.horizon, 8)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    step, calls = schwarz._step, []
-    monkeypatch.setattr(schwarz, "_step", lambda *args, **kw: calls.append(1) or step(*args, **kw))
+    march, calls = schwarz._march_modes, []
+    monkeypatch.setattr(schwarz, "_march_modes", lambda *args: calls.append(1) or march(*args))
     spread, spreads = schwarz.EdgeStack.spread, []
     monkeypatch.setattr(schwarz.EdgeStack, "spread",
                         lambda *args: spreads.append(1) or spread(*args))
@@ -939,8 +964,7 @@ def run_both_waveform_routes(monkeypatch, pieces, interfaces, tg, cfg, guess):
                     finish, initial)
         return made
 
-    for name in ("_step_sweep", "_window_sweep"):
-        monkeypatch.setattr(schwarz, name, recording(getattr(schwarz, name)))
+    monkeypatch.setattr(schwarz, "_window_sweep", recording(schwarz._window_sweep))
     trajs, log = method2_solve(pieces, interfaces, tg, cfg, init_guess=guess)
     library = (trajs, log.windows or (log,), seen)
 
@@ -1153,25 +1177,36 @@ def test_a_late_nan_in_an_incoming_history_raises_as_the_convolution_sweep_does(
         assert errors[0] == errors[1], (i, errors)
 
 
-@pytest.mark.parametrize("window", [None, 4])
-def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, window):
+# flat marches per 12-step run on the P = 4 layout of 72 mode values
+# (`_oracle_1d(4)`), by window length and `_BLOCK_VALUES`: per window one
+# for its base and one per level block of its finish (6 levels a block at
+# 432 values, 3 at 216)
+FLAT_MARCHES = {(None, None): 2, (None, 432): 3, (None, 216): 5,
+                (4, None): 6, (4, 432): 6, (4, 216): 9}
+
+
+@pytest.mark.parametrize("window,block", list(FLAT_MARCHES))
+def test_1d_sweeps_march_once_per_window_whatever_the_sweep_count(monkeypatch, window, block):
     # the unit-trace responses are built without a march, so a fresh piece
     # set and one that holds them from a solve before march alike: each
-    # window only for its base read-out and for its fields
+    # window once, flat over every piece, for its base read-out, and once
+    # per level block of its finish, for its fields
     prob, lay, grid, tg = _oracle_1d(4)
+    if block is not None:
+        monkeypatch.setattr(schwarz, "_BLOCK_VALUES", block)
     march = schwarz._march_modes
     calls = []
     monkeypatch.setattr(schwarz, "_march_modes", lambda *a: calls.append(1) or march(*a))
     counts = []
     for sweeps in (2, 9):
         pieces = build_local_pieces(prob, grid, lay, tg.dt)
+        assert sum(p.u0.size for p in pieces) == 72
         cfg = SolverConfig(scheme="etd2", fixed_iterations=sweeps, window_steps=window)
         for _ in range(2):
             calls.clear()
             method2_solve(pieces, lay.interfaces, tg, cfg)
             counts.append(len(calls))
-    windows = -(-tg.steps // (window or tg.steps))
-    assert counts == [2 * len(pieces) * windows] * 4, counts
+    assert counts == [FLAT_MARCHES[window, block]] * 4, counts
 
 
 class _Moving(np.ndarray):
@@ -1186,9 +1221,9 @@ class _Moving(np.ndarray):
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_1d_window_at_rest_marches_only_in_finish(monkeypatch, p, scheme, case):
     # a whole-horizon error-equation window from t = 0 (zero data, zero
-    # start) marches each piece once, in finish; with data or from a
-    # non-zero start it marches its base too.  A march of zeros reads out
-    # +0.0, the base of a window at rest, so the route that marches that
+    # start) marches once, flat over every piece, in finish; with data or
+    # from a non-zero start it marches its base too.  A march of zeros reads
+    # out +0.0, the base of a window at rest, so the route that marches that
     # base anyway (modes that never read as at rest) logs and returns the
     # same bits
     prob = analytic_problem() if case == "data" else builtin_problem("error_equation", 0.5)
@@ -1206,20 +1241,19 @@ def test_a_1d_window_at_rest_marches_only_in_finish(monkeypatch, p, scheme, case
     march, calls = schwarz._march_modes, []
     monkeypatch.setattr(schwarz, "_march_modes", lambda *a: calls.append(1) or march(*a))
     trajs, log = run()
-    assert len(calls) == (p if case == "rest" else 2 * p)
-    window_start = schwarz._window_start
-    monkeypatch.setattr(schwarz, "_window_start", lambda *a: (
-        lambda lay, pinned, u, *rest: (lay, pinned, u.view(_Moving), *rest))(*window_start(*a)))
+    assert len(calls) == (1 if case == "rest" else 2)
+    start = start._replace(modes=start.modes.view(_Moving))
     calls.clear()
     moving_trajs, moving_log = run()
-    assert len(calls) == 2 * p
+    assert len(calls) == 2
     bits = lambda a: (a.shape, a.tobytes())
     assert bits(log.updates) == bits(moving_log.updates)
     assert bits(log.errors) == bits(moving_log.errors)
     assert all(bits(a) == bits(b) for a, b in zip(trajs, moving_trajs))
     if case == "rest":
         for piece, u in zip(pieces, start.states):
-            base = piece.outflow_stack.read(march(piece.ws, scheme, u, np.zeros((21,) + u.shape)))
+            base = piece.outflow_stack.read(march_modes(piece.ws, scheme, u,
+                                                        np.zeros((21,) + u.shape)))
             assert not (base.any() or np.signbit(base).any())
 
 
@@ -1447,18 +1481,19 @@ def test_etd1_per_step_march_and_one_step_waveform_windows_agree_bitwise(setup, 
 @pytest.mark.parametrize("setup,args", [(_oracle_1d, (3,)), (_oracle_2d, (3, 2, 2, "half"))],
                          ids=["1d-P3", "2d-3x2"])
 def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
-    # the one-step engine does not march the window again: it steps from
-    # the start part A = E u (+ phi1 f0) with the operations of _march_modes
-    # in their order, so the new state is the march's bit for bit; from
-    # a run's first level (Level.of), then from levels handed on
+    # a one-step window marches from the start part A = E u (+ phi1 f0):
+    # one step with the operations of the march from u (the oracle's
+    # `march_modes`) in their order, so the new state is that march's bit
+    # for bit; from a run's first level (Level.of), then from levels
+    # handed on
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
     for m in range(3):
         times = (tg.t(m), tg.t(m + 1))
-        layout, _, *flat = schwarz._window_start(pieces, level, times)
+        layout, _, *flat = window_start(pieces, level, times)
         at = layout.traces
-        sweep, finish, latest = schwarz._step_sweep(pieces, level, times, scheme)
+        sweep, finish, latest = schwarz._window_sweep(pieces, level, times, scheme)
         for _ in range(3):
             last, latest = latest, sweep(latest, np.empty(len(latest)))
         out = [np.empty((2,) + p.u0.shape) for p in pieces]
@@ -1473,7 +1508,7 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
             f1 = np.repeat(f_hat[1:], len(traces), axis=0)
             p.inflow_stack.spread(traces, f1)
             f_hat[1] = f1[0]
-            want = schwarz._march_modes(p.ws, scheme, u, f_hat)[1]
+            want = march_modes(p.ws, scheme, u, f_hat)[1]
             assert np.array_equal(got, want) and np.array_equal(o[1], want), m
 
 
@@ -1484,8 +1519,8 @@ def test_one_step_finish_has_the_bits_of_a_two_level_march(setup, args, scheme):
 def test_a_handed_on_level_has_the_forcing_level_of_forms(setup, args, window, scheme):
     # the level a window hands on carries as f0 its forcing at the window's
     # last time with its pinned traces spread in, the arithmetic of
-    # `Level.of`: a one-step window's (`_step_sweep`) and a longer one's
-    # (`_window_sweep`), window after window
+    # `Level.of`: a one-step window's and a longer one's, window after
+    # window
     prob, lay, grid, tg = setup(*args)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     cfg = SolverConfig(scheme=scheme, fixed_iterations=3)
@@ -1496,7 +1531,7 @@ def test_a_handed_on_level_has_the_forcing_level_of_forms(setup, args, window, s
                                          None, None, where="")
         want = np.empty((1, level.layout.size))
         schwarz._forcing_modes(pieces, level.layout, times[-1:], want)
-        schwarz._spread_all(level.layout, level.pinned[None], want)
+        schwarz._spread_all(level.layout, level.pinned[level.layout.ins][None], want)
         if setup is _oracle_2d and window == 1:
             # a 2d one-step finish spreads the traces of both its levels in
             # one call, whose round-off may depend on the row count
@@ -1582,6 +1617,74 @@ def test_final_only_runs_never_hold_every_level(driver):
     full = _traced_peak(run)
     assert kept < every_level / 2, (kept, every_level)
     assert full > every_level, (full, every_level)
+
+
+def test_a_whole_horizon_2d_finish_holds_little_beyond_its_forcing():
+    # a final-only whole-horizon 2d method-2 window holds its forcing modes
+    # at every level (steps x layout size x 8 B); its finish marches them in
+    # place, in level blocks, so the run peaks below 3.5 times them
+    # (measured 3.10)
+    prob = builtin_problem("analytic_2d")
+    grid = make_grid_2d(31, 31, prob.lengths)
+    lay = decompose_2d(31, 31, 2, 2, 2, "half")
+    tg = TimeGrid(prob.horizon, 64)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme="etd2", fixed_iterations=2)
+    run = lambda: method2_solve(pieces, lay.interfaces, tg, cfg, final_only=True)
+    run()  # builds the pieces' response tables outside the trace
+    forcing = tg.steps * sum(p.u0.size for p in pieces) * 8
+    peak = _traced_peak(run)
+    assert peak < 3.5 * forcing, peak / forcing
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("setup,args,window", [(_oracle_1d, (3,), None), (_oracle_1d, (3,), 5),
+                                               (_oracle_2d, (2, 2, 2, "half"), None),
+                                               (_oracle_2d, (3, 2, 3, "full"), 3)],
+                         ids=["1d-P3", "1d-P3-w5", "2d-2x2", "2d-3x2-w3"])
+def test_a_finish_in_level_blocks_has_the_bits_of_one_block(monkeypatch, setup, args, window,
+                                                            scheme, levels):
+    # a finish marches blocks of at most `_BLOCK_VALUES` mode values, each
+    # from the last level of the one before, and spreads each block's rows,
+    # C-ordered, each with the bits of a spread of its own: blocks of 1 or
+    # 3 levels give every level and log of one block, bit for bit
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    cfg = SolverConfig(scheme=scheme, fixed_iterations=3, window_steps=window)
+    guess = random_trace_guess(lay.interfaces, seed=2, steps=tg.steps)
+    want_trajs, want = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess)
+    monkeypatch.setattr(schwarz, "_BLOCK_VALUES", levels * sum(p.u0.size for p in pieces))
+    trajs, log = method2_solve(pieces, lay.interfaces, tg, cfg, init_guess=guess)
+    assert_same_log(log, want)
+    assert all(np.array_equal(a, b) for a, b in zip(trajs, want_trajs))
+
+
+@pytest.mark.parametrize("setup,args,steps,planned", [
+    (_oracle_1d, (3,), 1, True), (_oracle_2d, (3, 2, 2, "half"), 1, True),
+    (_oracle_1d, (3,), 3, True), (_oracle_1d, (3,), 12, True),
+    (_oracle_2d, (3, 2, 2, "half"), 3, False)], ids=["1d-1", "2d-1", "1d-3", "1d-12", "2d-3"])
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_a_window_chooses_its_sweep_from_its_input(monkeypatch, setup, args, steps, planned,
+                                                   scheme):
+    # every window runs the one engine; its sweep alone follows the input:
+    # one-step windows (1d and 2d) and 1d windows build the layout's plan
+    # and march nothing inside a sweep, and a 3-step 2d window builds no
+    # plan and marches each piece in every sweep
+    prob, lay, grid, tg = setup(*args)
+    pieces = build_local_pieces(prob, grid, lay, tg.dt)
+    plans, marches = _counting(monkeypatch, "_sweep_plan"), _counting(monkeypatch, "_march_modes")
+    level = Level.of(pieces, [p.u0 for p in pieces], 0.0)
+    sweep, finish, now = schwarz._window_sweep(pieces, level, tg.times()[:steps + 1], scheme)
+    assert len(plans) == planned
+    marches.clear()
+    for _ in range(3):
+        now = sweep(now, np.empty(len(now)))
+    assert len(marches) == (0 if planned else 3 * len(pieces))
+    plans.clear()
+    method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=2,
+                                                          window_steps=steps))
+    assert len(plans) == planned  # the 2-step last window of a 2d run builds none either
 
 
 def _factor_products(monkeypatch):
@@ -1774,10 +1877,13 @@ def test_a_window_start_has_the_modes_of_each_level_transformed_alone(monkeypatc
     prob, lay, grid, tg = _ten_steps_1d(63, 3, 2)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
     assert max(q.u0.size for q in pieces) <= matfunc._DENSE_AXIS_MAX
-    start, seen = schwarz._window_start, []
-    monkeypatch.setattr(schwarz, "_window_start", lambda *a: seen.append(start(*a)) or seen[-1])
+    window, starts = schwarz._window_sweep, []
+    monkeypatch.setattr(schwarz, "_window_sweep", lambda *a: starts.append(a[1]) or window(*a))
+    forcing_modes, seen = schwarz._forcing_modes, []
+    monkeypatch.setattr(schwarz, "_forcing_modes",
+                        lambda *a: forcing_modes(*a) or seen.append(a[3].copy()))
     method2_solve(pieces, lay.interfaces, tg, SolverConfig(scheme=scheme, fixed_iterations=1))
-    (layout, _, u, _, forcing), = seen
+    ((layout, u, _, _),), (_, forcing) = starts, seen  # the first level's forcing, the window's
     assert forcing.shape == (tg.steps, layout.size)
     for m, t in enumerate(tg.times()[1:].tolist()):
         alone = np.empty((1, layout.size))
@@ -1912,7 +2018,7 @@ def _per_piece_march(pieces, interfaces, tg, cfg):
     """method1_march on the retired per-piece engine (oracles.step_sweep),
     with everything else the library's."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(schwarz, "_step_sweep", step_sweep)
+        m.setattr(schwarz, "_window_sweep", step_sweep)
         return method1_march(pieces, interfaces, tg, cfg)
 
 
@@ -2108,7 +2214,7 @@ def test_sweeps_of_two_levels_on_one_plan_keep_their_bits_interleaved(scheme, st
     prob, lay, grid, _ = _oracle_1d(4)
     tg = TimeGrid(prob.horizon, 2 * steps)
     pieces = build_local_pieces(prob, grid, lay, tg.dt)
-    make = schwarz._step_sweep if steps == 1 else schwarz._window_sweep
+    make = schwarz._window_sweep
     fields = [[p.u0 for p in pieces], [p.u0 + np.sin(np.arange(p.u0.size)) for p in pieces]]
     times = [tg.times()[:steps + 1], tg.times()[steps:]]
     levels = [Level.of(pieces, f, t[0]) for f, t in zip(fields, times)]
@@ -2164,10 +2270,9 @@ def test_windowed_waveform_runs_match_per_window_direct_solves(window, scheme):
         part = [traj[s: s + n + 1] for traj in direct]
         starts = [w[0] for w in part]
         pinned = initial_traces(pieces, starts, n_if)
-        # a one-step window runs on the one-step engine, as in the driver
-        make = schwarz._step_sweep if n == 1 else schwarz._window_sweep
         times = tg.times()[s: s + n + 1]
-        sweep, finish, _ = make(pieces, Level.of(pieces, starts, times[0]), times, scheme)
+        sweep, finish, _ = schwarz._window_sweep(pieces, Level.of(pieces, starts, times[0]), times,
+                                                 scheme)
         x = flat_traces(direct_window_traces(history_sweep(sweep, pinned, n), pinned, n))
         finish(part, x, sweep(x, np.empty(len(x))))  # the window's levels in sine-mode space, then as fields
         for q, w in zip(pieces, part):
